@@ -1,25 +1,37 @@
 """Closed-loop and target dynamics in spectral coordinates.
 
 Linear trajectories come either from the conjugated semigroup (exact up to
-one linear solve per branch per sample) or from fixed-step RK4 as an
+one batched linear solve per branch) or from fixed-step RK4 as an
 independent cross-check.  The semilinear torus model is integrated by a
 Fourier-Galerkin scheme with implicit diagonal diffusion and explicit
 convection and feedback.
+
+Cost for a branch of N modes and S samples:
+
+- semigroup_exact: one LU of the transform T, O(N^3), and one solve
+  against all S right-hand sides, O(N^2 S).  The trajectory equals the
+  per-sample solve bit for bit.
+- rk4: O(N) per stage, since the closed loop diag(lambda) + b K^T acts as
+  lambda * u + b (K . u).  It agrees with a dense matvec to rounding.
+- imex_euler (Burgers): O(N log N) per step, since the convection
+  convolution is a product under an FFT of length next_fast_len(3N + 1).
+  It agrees with a direct convolution to rounding, and exactly Hermitian
+  (real) data stay exactly Hermitian.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 
 from .errors import IntegratorError
-from .spectral_core import SpectralSystem, sobolev_norm
+from .spectral_core import SpectralSystem
 from .synthesis import FeedbackLaw
-from .transform import build_transform
+from .transform import transform_matrix
 
 __all__ = [
     "SimulationTrace",
@@ -69,11 +81,7 @@ class SimulationTrace:
         key = float(r)
         if key in self.norms:
             return self.norms[key]
-        vals = np.array([
-            np.sqrt(sum(sobolev_norm(s[k], r) ** 2 for s in self.states))
-            for k in range(len(self.times))
-        ])
-        return vals
+        return _norm_table(self.states, (key,))[key]
 
 
 @dataclass(frozen=True)
@@ -86,13 +94,23 @@ class DecayFit:
     window: tuple
 
 
-def _norm_table(times, states, r_list):
+def _norm_table(states, r_list):
+    """Per-sample norms: each branch's sobolev_norm, combined in quadrature.
+
+    Rows are summed one per sample (pairwise, as sobolev_norm sums a vector)
+    and squared with libm pow like Python's float ** (np.square rounds
+    differently in rare cases), so each value equals
+    sqrt(sum_i sobolev_norm(states[i][k], r) ** 2) bit for bit.
+    """
     table = {}
     for r in r_list:
-        table[float(r)] = np.array([
-            np.sqrt(sum(sobolev_norm(s[k], r) ** 2 for s in states))
-            for k in range(len(times))
-        ])
+        total = 0.0
+        for s in states:
+            s = np.ascontiguousarray(s)
+            n = np.arange(1, s.shape[1] + 1, dtype=float)
+            branch_norm = np.sqrt(np.sum(n ** (2.0 * r) * np.abs(s) ** 2, axis=1))
+            total = total + np.float_power(branch_norm, 2)
+        table[float(r)] = np.sqrt(total)
     return table
 
 
@@ -136,12 +154,20 @@ def simulate_target(system: SpectralSystem, lam: float, v0, times,
     for b, block in zip(system.branches, blocks):
         decay = np.exp((b.eigenvalues[None, :] - lam) * times[:, None])
         states.append(decay * block[None, :])
-    norms = _norm_table(times, states, r_list)
+    norms = _norm_table(states, r_list)
     return SimulationTrace(times=times, states=tuple(states), norms=norms,
                            integrator="semigroup_exact", dt=0.0)
 
 
-def _rk4_march(A: np.ndarray, u0: np.ndarray, times: np.ndarray, dt: float):
+def _rk4_march(eigenvalues: np.ndarray, b: np.ndarray, K: np.ndarray,
+               u0: np.ndarray, times: np.ndarray, dt: float):
+    """Fixed-step RK4 for du/dt = diag(lambda) u + b (K . u), O(N) per stage."""
+    b = np.asarray(b, dtype=complex)
+    K = np.asarray(K, dtype=complex)
+
+    def A(u):
+        return eigenvalues * u + b * (K @ u)
+
     out = np.empty((len(times), len(u0)), dtype=complex)
     u = u0.astype(complex)
     t = times[0]
@@ -150,10 +176,10 @@ def _rk4_march(A: np.ndarray, u0: np.ndarray, times: np.ndarray, dt: float):
         target = times[k]
         while t < target - 1e-12 * max(1.0, abs(target)):
             step = min(dt, target - t)
-            k1 = A @ u
-            k2 = A @ (u + 0.5 * step * k1)
-            k3 = A @ (u + 0.5 * step * k2)
-            k4 = A @ (u + step * k3)
+            k1 = A(u)
+            k2 = A(u + 0.5 * step * k1)
+            k3 = A(u + 0.5 * step * k2)
+            k4 = A(u + step * k3)
             u = u + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             t += step
         out[k] = u
@@ -166,8 +192,9 @@ def simulate_closed_loop(system: SpectralSystem, law: FeedbackLaw, u0, times,
     """Closed-loop trajectories under the synthesized feedback.
 
     semigroup_exact evaluates u(t) = T^{-1} diag(e^{(lambda_n - lam) t}) T u0
-    branch by branch; rk4 integrates du/dt = (diag(lambda) + b K^T) u with
-    a fixed step as an independent check.  The step must satisfy
+    branch by branch, all samples in one solve; rk4 integrates
+    du/dt = (diag(lambda) + b K^T) u with a fixed step as an independent
+    check.  The step must satisfy
     dt <= 2 / max |lambda_N| or the run is refused.
     """
     if integrator not in ("semigroup_exact", "rk4"):
@@ -177,14 +204,14 @@ def simulate_closed_loop(system: SpectralSystem, law: FeedbackLaw, u0, times,
     states = []
     if integrator == "semigroup_exact":
         for b, block in zip(system.branches, blocks):
-            T = build_transform(b, law.branch(b.index)).matrix
+            T = np.asarray(transform_matrix(b, law.branch(b.index)), dtype=complex)
             lu = scipy.linalg.lu_factor(T)
             w = T @ block
-            hist = np.empty((len(times), b.N), dtype=complex)
-            for k, t in enumerate(times):
-                v = np.exp((b.eigenvalues - law.lam) * t) * w
-                hist[k] = scipy.linalg.lu_solve(lu, v)
-            states.append(hist)
+            # row k of v is e^{(lambda - lam) t_k} w; v.T is the Fortran-ordered
+            # right-hand side LAPACK solves in place, so no copy is made
+            v = np.exp(np.outer(times, b.eigenvalues - law.lam))
+            v *= w
+            states.append(scipy.linalg.lu_solve(lu, v.T, overwrite_b=True).T)
     else:
         stiff = max(float(np.max(np.abs(b.eigenvalues))) for b in system.branches)
         if stiff > 0 and dt > 2.0 / stiff:
@@ -192,10 +219,9 @@ def simulate_closed_loop(system: SpectralSystem, law: FeedbackLaw, u0, times,
                 f"rk4 step dt={dt} exceeds the stability guard 2/|lambda_N| = "
                 f"{2.0 / stiff:.3e}; reduce dt or the truncation")
         for b, block in zip(system.branches, blocks):
-            bg = law.branch(b.index)
-            A = np.diag(b.eigenvalues) + np.outer(b.control_coeffs, bg.gains)
-            states.append(_rk4_march(A, block, times, dt))
-    norms = _norm_table(times, states, r_list)
+            states.append(_rk4_march(b.eigenvalues, b.control_coeffs,
+                                     law.branch(b.index).gains, block, times, dt))
+    norms = _norm_table(states, r_list)
     return SimulationTrace(times=times, states=tuple(states), norms=norms,
                            integrator=integrator, dt=dt if integrator == "rk4" else 0.0)
 
@@ -214,26 +240,24 @@ def _fourier_from_physical(u_phys: np.ndarray, N: int) -> np.ndarray:
     if grid < 2 * N + 1:
         raise ValueError("physical grid too coarse for the requested modes")
     chat = np.fft.fft(u_phys) / grid
-    c = np.zeros(2 * N + 1, dtype=complex)
-    c[N] = chat[0]
-    for k in range(1, N + 1):
-        c[N + k] = chat[k]
-        c[N - k] = chat[-k]
+    c = np.empty(2 * N + 1, dtype=complex)
+    c[N:] = chat[:N + 1]
+    c[:N] = chat[grid - N:]
     return c
 
 
 def _branch_coords(c: np.ndarray, N: int):
-    """Sine/cosine modal blocks of a Fourier coefficient vector.
+    """Sine/cosine modal blocks of Fourier coefficients on the last axis.
 
     Sine block a1[n-1] = <u, sin(nx)/sqrt(pi)>, n = 1..N; cosine block
     a2[0] = <u, 1/sqrt(2 pi)>, a2[j] = <u, cos(jx)/sqrt(pi)>, j = 1..N-1.
     """
-    kp = c[N + 1:]                  # c_k, k = 1..N
-    km = c[N - 1::-1]               # c_{-k}, k = 1..N
+    kp = c[..., N + 1:]             # c_k, k = 1..N
+    km = c[..., N - 1::-1]          # c_{-k}, k = 1..N
     a1 = 1j * _SQRT_PI * (kp - km)
-    a2 = np.empty(N, dtype=complex)
-    a2[0] = _SQRT_2PI * c[N]
-    a2[1:] = _SQRT_PI * (kp[: N - 1] + km[: N - 1])
+    a2 = np.empty(c.shape[:-1] + (N,), dtype=complex)
+    a2[..., 0] = _SQRT_2PI * c[..., N]
+    a2[..., 1:] = _SQRT_PI * (kp[..., : N - 1] + km[..., : N - 1])
     return a1, a2
 
 
@@ -245,16 +269,61 @@ def _control_fourier(system: SpectralSystem, N: int):
     """
     b1 = system.branches[0].control_coeffs
     b2 = system.branches[1].control_coeffs
+    # Adding onto zeros (not assigning) turns any -0.0 part into +0.0.
     phi1 = np.zeros(2 * N + 1, dtype=complex)
     phi2 = np.zeros(2 * N + 1, dtype=complex)
-    for n in range(1, N + 1):
-        phi1[N + n] += b1[n - 1] * (-1j) / (2 * _SQRT_PI)
-        phi1[N - n] += b1[n - 1] * 1j / (2 * _SQRT_PI)
+    phi1[N + 1:] += b1[:N] * (-1j) / (2 * _SQRT_PI)
+    phi1[N - 1::-1] += b1[:N] * 1j / (2 * _SQRT_PI)
     phi2[N] = b2[0] / _SQRT_2PI
-    for n in range(1, N):
-        phi2[N + n] += b2[n] / (2 * _SQRT_PI)
-        phi2[N - n] += b2[n] / (2 * _SQRT_PI)
+    phi2[N + 1:2 * N] += b2[1:N] / (2 * _SQRT_PI)
+    phi2[N - 1:0:-1] += b2[1:N] / (2 * _SQRT_PI)
     return phi1, phi2
+
+
+def _convolve_fft(work: np.ndarray, N: int, length: int) -> np.ndarray:
+    """Coefficients k = -N..N of the self-convolution of work (length 2N + 1).
+
+    A circular convolution of length >= 3N + 1 leaves those indices free of
+    wrap-around.  An exactly Hermitian work (a real function) gets an
+    exactly Hermitian result, so real data stay real.
+    """
+    spec = scipy.fft.fft(work, n=length)
+    conv = scipy.fft.ifft(spec * spec)[N: 3 * N + 1]
+    if np.array_equal(work, np.conj(work[::-1])):
+        conv = 0.5 * (conv + np.conj(conv[::-1]))
+    return conv
+
+
+def _linear_step_radius(system: SpectralSystem, law: FeedbackLaw, dt: float) -> float:
+    """Spectral radius of the linear IMEX step map D^{-1} (I + dt Phi Psi^T).
+
+    D = diag(1 + dt k^2) is the implicit diffusion, Phi = [phi1 phi2] the
+    control footprints and Psi^T c = (K1 . a1(c), K2 . a2(c)) the explicit
+    feedback read-out; convection is dropped.  Above 1, the step itself
+    amplifies small data.  Dense O(N^3): call it on the failure path only.
+    """
+    N = system.branches[0].N
+    k_axis = np.arange(-N, N + 1)
+    phi1, phi2 = _control_fourier(system, N)
+    a1, a2 = _branch_coords(np.eye(2 * N + 1), N)     # row j: coordinates of e_j
+    step_map = np.eye(2 * N + 1) + dt * (np.outer(phi1, a1 @ law.branch(1).gains)
+                                         + np.outer(phi2, a2 @ law.branch(2).gains))
+    step_map /= (1.0 + dt * k_axis.astype(float) ** 2)[:, None]
+    return float(np.max(np.abs(np.linalg.eigvals(step_map))))
+
+
+def _blow_up_error(system: SpectralSystem, law: Optional[FeedbackLaw], dt: float,
+                   t: float) -> IntegratorError:
+    """Blame the step size if the linear step map expands, else the basin."""
+    radius = 0.0 if law is None else _linear_step_radius(system, law, dt)
+    if radius > 1.0:
+        return IntegratorError(
+            f"semilinear state blew up near t={t:.4g}: the step dt={dt:g} is "
+            f"unstable (the linear step map with the explicit feedback has "
+            f"spectral radius {radius:.3f} > 1); reduce dt")
+    return IntegratorError(
+        f"semilinear state blew up near t={t:.4g}: initial data "
+        "outside the local stability basin")
 
 
 def simulate_burgers(system: SpectralSystem, law: Optional[FeedbackLaw], u0, times,
@@ -268,8 +337,10 @@ def simulate_burgers(system: SpectralSystem, law: Optional[FeedbackLaw], u0, tim
     available but off by default); diffusion is implicit, convection and
     feedback explicit, first-order in time.  u0 is either a real physical
     sample vector or a complex coefficient vector of length 2N + 1.
-    Non-finite growth aborts the run: the initial data left the local
-    stability basin.
+    Non-finite growth aborts the run.  The error names the step size when
+    the linear step map (diffusion plus explicit feedback) has spectral
+    radius above 1, and otherwise the local stability basin, which the
+    initial data left.
     """
     if system.m != 2:
         raise ValueError("semilinear simulation expects the two-branch torus model")
@@ -283,6 +354,8 @@ def simulate_burgers(system: SpectralSystem, law: Optional[FeedbackLaw], u0, tim
     else:
         c = _fourier_from_physical(np.asarray(u0, dtype=float), N)
     k_axis = np.arange(-N, N + 1)
+    half_dk = -0.5j * k_axis
+    fft_len = scipy.fft.next_fast_len(3 * N + 1)
     phi1, phi2 = _control_fourier(system, N)
     if law is not None:
         K1 = law.branch(1).gains
@@ -291,8 +364,7 @@ def simulate_burgers(system: SpectralSystem, law: Optional[FeedbackLaw], u0, tim
 
     def rhs_explicit(cv):
         work = cv * cut if dealias else cv
-        conv = np.convolve(work, work)[N: 3 * N + 1]     # (u^2)_k at |k| <= N
-        nl = -0.5j * k_axis * conv
+        nl = half_dk * _convolve_fft(work, N, fft_len)   # -(i k / 2) (u^2)_k
         if dealias:
             nl = nl * cut
         if law is None:
@@ -302,31 +374,26 @@ def simulate_burgers(system: SpectralSystem, law: Optional[FeedbackLaw], u0, tim
         w2 = np.dot(K2, a2)
         return nl + w1 * phi1 + w2 * phi2
 
-    implicit = 1.0 / (1.0 + dt * k_axis.astype(float) ** 2)
+    k_sq = k_axis.astype(float) ** 2
+    implicit = 1.0 / (1.0 + dt * k_sq)
     hist = np.empty((len(times), 2 * N + 1), dtype=complex)
     hist[0] = c
-    defect = float(np.max(np.abs(c - np.conj(c[::-1]))))
     t = times[0]
-    for k in range(1, len(times)):
-        target = times[k]
-        while t < target - 1e-12 * max(1.0, abs(target)):
-            step = min(dt, target - t)
-            scale = implicit if step == dt else 1.0 / (1.0 + step * k_axis.astype(float) ** 2)
-            c = (c + step * rhs_explicit(c)) * scale
-            t += step
-            if not np.all(np.isfinite(c)):
-                raise IntegratorError(
-                    f"semilinear state blew up near t={t:.4g}: initial data "
-                    "outside the local stability basin")
-        hist[k] = c
-        defect = max(defect, float(np.max(np.abs(c - np.conj(c[::-1])))))
-    states1 = np.empty((len(times), N), dtype=complex)
-    states2 = np.empty((len(times), N), dtype=complex)
-    for k in range(len(times)):
-        a1, a2 = _branch_coords(hist[k], N)
-        states1[k] = a1
-        states2[k] = a2
-    norms = _norm_table(times, (states1, states2), r_list)
+    # Overflow is expected on blow-up and caught by the finiteness check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, len(times)):
+            target = times[k]
+            while t < target - 1e-12 * max(1.0, abs(target)):
+                step = min(dt, target - t)
+                scale = implicit if step == dt else 1.0 / (1.0 + step * k_sq)
+                c = (c + step * rhs_explicit(c)) * scale
+                t += step
+                if not np.all(np.isfinite(c)):
+                    raise _blow_up_error(system, law, dt, t)
+            hist[k] = c
+    defect = float(np.max(np.abs(hist - np.conj(hist[:, ::-1]))))
+    states1, states2 = _branch_coords(hist, N)
+    norms = _norm_table((states1, states2), r_list)
     return SimulationTrace(times=times, states=(states1, states2), norms=norms,
                            integrator="imex_euler", dt=dt, real_defect=defect)
 
@@ -406,19 +473,23 @@ def trace_to_csv(trace: SimulationTrace, modes_path, norms_path) -> None:
     """Long-format modal history and a wide norm summary.
 
     modes: header t,branch,n,re,im.  norms: header t,norm_r{value},...
+    The bytes are those of csv.writer with repr floats (no field needs
+    quoting); the history is written one (sample, branch) block at a time,
+    so memory stays at one block of strings.
     """
+    prefixes = [[f",{i},{n}," for n in range(1, block.shape[1] + 1)]
+                for i, block in enumerate(trace.states, start=1)]
     with open(modes_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "branch", "n", "re", "im"])
-        for k, t in enumerate(trace.times):
-            for i, block in enumerate(trace.states, start=1):
-                for n, z in enumerate(block[k], start=1):
-                    writer.writerow([repr(float(t)), i, n,
-                                     repr(float(z.real)), repr(float(z.imag))])
+        fh.write("t,branch,n,re,im\r\n")
+        for k, t in enumerate(trace.times.tolist()):
+            lead = repr(t)
+            for prefix, block in zip(prefixes, trace.states):
+                row = block[k]
+                fh.write("".join([f"{lead}{p}{re!r},{im!r}\r\n" for p, re, im
+                                  in zip(prefix, row.real.tolist(), row.imag.tolist())]))
     r_keys = sorted(trace.norms)
+    columns = [trace.times.tolist()] + [
+        np.asarray(trace.norms[r], dtype=float).tolist() for r in r_keys]
     with open(norms_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"norm_r{r:g}" for r in r_keys])
-        for k, t in enumerate(trace.times):
-            writer.writerow([repr(float(t))] +
-                            [repr(float(trace.norms[r][k])) for r in r_keys])
+        fh.write(",".join(["t"] + [f"norm_r{r:g}" for r in r_keys]) + "\r\n")
+        fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in zip(*columns)]))

@@ -24,6 +24,7 @@ __all__ = [
     "FredholmTransform",
     "ClosedLoopMatrix",
     "AssembledTransform",
+    "transform_matrix",
     "build_transform",
     "build_system_transform",
     "control_diagonal",
@@ -143,18 +144,28 @@ def operator_equality_residual(T: np.ndarray, A_cl: np.ndarray,
     return float(num / den) if den > 0 else 0.0
 
 
+def transform_matrix(branch: SpectralBranch, gains: BranchGains) -> np.ndarray:
+    """Uncertified transform matrix T[p][n] = -K_n b_p / (lambda_n - lambda_p + lam).
+
+    Real when the spectrum, coefficients and gains are real.
+    """
+    if gains.N != branch.N:
+        raise ValueError("gains and branch truncation differ")
+    # In place (one N x N temporary fewer), keeping the operand order of
+    # (-K) * (b C): with complex gains, the bytes of transform.json depend on it.
+    T = branch.control_coeffs[:, None] * cauchy_system_matrix(branch, gains.lam)
+    return np.multiply(-gains.gains[None, :], T, out=T)
+
+
 def build_transform(branch: SpectralBranch, gains: BranchGains) -> BranchTransform:
     """Fill the transform matrix from the gains and certify it.
 
     tb_residual is ||T b - b|| / ||b||; opeq_residual is the normalized
     intertwining defect against the closed-loop matrix.
     """
-    if gains.N != branch.N:
-        raise ValueError("gains and branch truncation differ")
+    T = transform_matrix(branch, gains)
     lam = gains.lam
-    C = cauchy_system_matrix(branch, lam)
     b = branch.control_coeffs
-    T = (-gains.gains[None, :]) * (b[:, None] * C)
     tb = float(np.linalg.norm(T @ b - b) / np.linalg.norm(b))
     A_cl = np.diag(branch.eigenvalues) + np.outer(b, gains.gains)
     opeq = operator_equality_residual(T, A_cl, branch, lam)

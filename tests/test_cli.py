@@ -136,6 +136,24 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg)]) == 0
         assert (tmp_path / "out" / "traces" / "semi_modes.csv").exists()
 
+    def test_deterministic_traces(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, r_list=[0.0, 0.5], scenarios=[
+            {"name": "lin", "u0": {"kind": "random", "seed": 3}, "t_end": 1.0,
+             "samples": 16, "integrator": "semigroup_exact"},
+            {"name": "rk", "u0": {"kind": "random", "seed": 4}, "t_end": 0.05,
+             "samples": 4, "dt": 1e-3, "integrator": "rk4"},
+            {"name": "semi", "u0": {"kind": "burgers_random", "l2": 1e-3, "seed": 5},
+             "t_end": 0.1, "samples": 5, "dt": 1e-3, "nonlinear": True}])
+        main(["synthesize", "--config", str(cfg)])
+        traces = tmp_path / "out" / "traces"
+        runs = []
+        for _ in range(2):
+            assert main(["simulate", "--config", str(cfg)]) == 0
+            runs.append({p.name: p.read_bytes() for p in sorted(traces.glob("*.csv"))})
+        assert len(runs[0]) == 6
+        assert runs[0] == runs[1]
+
     def test_rk4_guard_exits_four(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         write_config(cfg, scenarios=[

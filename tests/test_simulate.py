@@ -1,11 +1,17 @@
+import csv
+
 import numpy as np
 import pytest
+import scipy.fft
+import scipy.linalg
 
-from fredstab import (IntegratorError, SpectralBranch, SpectralSystem,
-                      build_transform, burgers_basin_search, fit_decay,
-                      random_state, simulate_burgers, simulate_closed_loop,
-                      simulate_target, synthesize_feedback)
+from fredstab import (IntegratorError, SimulationTrace, SpectralBranch,
+                      SpectralSystem, build_transform, burgers_basin_search,
+                      fit_decay, random_state, simulate_burgers,
+                      simulate_closed_loop, simulate_target, synthesize_feedback)
+from fredstab import simulate
 from fredstab.models import heat_torus_model
+from fredstab.spectral_core import sobolev_norm
 from fredstab.simulate import trace_to_csv
 
 from conftest import heat_branch, schrodinger_branch
@@ -195,6 +201,16 @@ class TestBurgers:
             simulate_burgers(system, None, 2e3 * np.sin(x),
                              np.linspace(0, 2.0, 21), dt=5e-3)
 
+    def test_unstable_step_blamed_not_basin(self, heat_system_and_law):
+        # small data decay at dt = 2e-4 (test_closed_loop_small_data_decay);
+        # at dt = 0.1 the explicit feedback makes the linear step map expand
+        system, law = heat_system_and_law
+        assert simulate._linear_step_radius(system, law, 0.1) > 1.0
+        x = np.linspace(0, 2 * np.pi, 128, endpoint=False)
+        with pytest.raises(IntegratorError, match="blew up.*step dt=0.1 is unstable"):
+            simulate_burgers(system, law, 1e-3 * np.sin(x), np.linspace(0, 50.0, 11),
+                             dt=0.1)
+
     def test_basin_search_reports_bracket(self, heat_system_and_law):
         system, law = heat_system_and_law
         x = np.linspace(0, 2 * np.pi, 128, endpoint=False)
@@ -224,3 +240,210 @@ class TestCsvExport:
         assert len(lines) == 1 + 3 * 2 * 4
         nlines = norms.read_text().splitlines()
         assert nlines[0] == "t,norm_r0,norm_r1"
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: the straightforward loops the fast paths replace
+# ---------------------------------------------------------------------------
+
+def legacy_trace_to_csv(trace, modes_path, norms_path):
+    with open(modes_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "branch", "n", "re", "im"])
+        for k, t in enumerate(trace.times):
+            for i, block in enumerate(trace.states, start=1):
+                for n, z in enumerate(block[k], start=1):
+                    writer.writerow([repr(float(t)), i, n,
+                                     repr(float(z.real)), repr(float(z.imag))])
+    r_keys = sorted(trace.norms)
+    with open(norms_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + [f"norm_r{r:g}" for r in r_keys])
+        for k, t in enumerate(trace.times):
+            writer.writerow([repr(float(t))] +
+                            [repr(float(trace.norms[r][k])) for r in r_keys])
+
+
+def legacy_norm_series(times, states, r):
+    return np.array([
+        np.sqrt(sum(sobolev_norm(s[k], r) ** 2 for s in states))
+        for k in range(len(times))
+    ])
+
+
+def legacy_semigroup(system, law, blocks, times):
+    states = []
+    for b, block in zip(system.branches, blocks):
+        T = build_transform(b, law.branch(b.index)).matrix
+        lu = scipy.linalg.lu_factor(T)
+        w = T @ block
+        hist = np.empty((len(times), b.N), dtype=complex)
+        for k, t in enumerate(times):
+            hist[k] = scipy.linalg.lu_solve(lu, np.exp((b.eigenvalues - law.lam) * t) * w)
+        states.append(hist)
+    return states
+
+
+def legacy_rk4_march(A, u0, times, dt):
+    out = np.empty((len(times), len(u0)), dtype=complex)
+    u = u0.astype(complex)
+    t = times[0]
+    out[0] = u
+    for k in range(1, len(times)):
+        target = times[k]
+        while t < target - 1e-12 * max(1.0, abs(target)):
+            step = min(dt, target - t)
+            k1 = A @ u
+            k2 = A @ (u + 0.5 * step * k1)
+            k3 = A @ (u + 0.5 * step * k2)
+            k4 = A @ (u + step * k3)
+            u = u + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            t += step
+        out[k] = u
+    return out
+
+
+def legacy_convolve(work, N, length=None):
+    return np.convolve(work, work)[N: 3 * N + 1]
+
+
+def legacy_fourier_from_physical(u_phys, N):
+    chat = np.fft.fft(u_phys) / len(u_phys)
+    c = np.zeros(2 * N + 1, dtype=complex)
+    c[N] = chat[0]
+    for k in range(1, N + 1):
+        c[N + k] = chat[k]
+        c[N - k] = chat[-k]
+    return c
+
+
+def legacy_control_fourier(system, N):
+    sqrt_pi, sqrt_2pi = np.sqrt(np.pi), np.sqrt(2.0 * np.pi)
+    b1 = system.branches[0].control_coeffs
+    b2 = system.branches[1].control_coeffs
+    phi1 = np.zeros(2 * N + 1, dtype=complex)
+    phi2 = np.zeros(2 * N + 1, dtype=complex)
+    for n in range(1, N + 1):
+        phi1[N + n] += b1[n - 1] * (-1j) / (2 * sqrt_pi)
+        phi1[N - n] += b1[n - 1] * 1j / (2 * sqrt_pi)
+    phi2[N] = b2[0] / sqrt_2pi
+    for n in range(1, N):
+        phi2[N + n] += b2[n] / (2 * sqrt_pi)
+        phi2[N - n] += b2[n] / (2 * sqrt_pi)
+    return phi1, phi2
+
+
+def hermitian_coeffs(rng, N):
+    c = np.zeros(2 * N + 1, dtype=complex)
+    c[N + 1:] = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) / (1.0 + np.arange(N))
+    c[:N] = np.conj(c[N + 1:])[::-1]
+    c[N] = rng.standard_normal()
+    return c
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestFastPathsMatchReferences:
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        special = [-0.0, 5e-324, 1e-05, 1e16, 123.0, 1 / 3]
+        b1 = np.array([complex(x, y) for x in special for y in special[:3]]).reshape(3, 6)
+        b2 = np.array([[complex(-x, x) for x in special[::-1][:4]]] * 3)
+        times = np.array([0.0, 1e-05, 1 / 3])
+        trace = SimulationTrace(times=times, states=(b1, b2),
+                                norms={0.0: np.array(special[1:4]),
+                                       0.5: np.array([-0.0, 1e16, 1 / 3])},
+                                integrator="semigroup_exact", dt=0.0)
+        trace_to_csv(trace, tmp_path / "m.csv", tmp_path / "n.csv")
+        legacy_trace_to_csv(trace, tmp_path / "m0.csv", tmp_path / "n0.csv")
+        assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "m0.csv").read_bytes()
+        assert (tmp_path / "n.csv").read_bytes() == (tmp_path / "n0.csv").read_bytes()
+        assert b"\r\n" in (tmp_path / "m.csv").read_bytes()
+
+    @pytest.mark.parametrize("system", [
+        heat_torus_model(24),
+        SpectralSystem(branches=(schrodinger_branch(24),), label="s")])
+    def test_batched_semigroup_matches_per_sample(self, system):
+        law = synthesize_feedback(system, 2.5)
+        u0 = random_state(system, seed=5)
+        times = np.linspace(0, 2, 17)
+        trace = simulate_closed_loop(system, law, u0, times, r_list=(0.0, 0.5))
+        ref = legacy_semigroup(system, law, u0, times)
+        for got, want in zip(trace.states, ref):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        for r in (0.0, 0.5):
+            want = legacy_norm_series(times, trace.states, r)
+            assert same_bits(trace.norms[r], want)
+            assert same_bits(trace.norm_series(r), want)
+        assert same_bits(trace.norm_series(1.5), legacy_norm_series(times, trace.states, 1.5))
+
+    def test_norm_table_matches_per_sample_loop_bitwise(self):
+        # enough samples that a square rounded differently from Python's
+        # float ** (about 1 in 1000 values) would show
+        rng = np.random.default_rng(10)
+        times = np.arange(3000.0)
+        blocks = (rng.standard_normal((3000, 7)) + 1j * rng.standard_normal((3000, 7)),
+                  np.asfortranarray(rng.standard_normal((3000, 12))))
+        table = simulate._norm_table(blocks, (0.0, 0.5, 1.25))
+        for r, got in table.items():
+            assert same_bits(got, legacy_norm_series(times, blocks, r))
+
+    def test_structured_rk4_matches_dense(self):
+        system = heat_torus_model(16)
+        law = synthesize_feedback(system, 2.5)
+        u0 = random_state(system, seed=6)
+        times = np.array([0.0, 0.004, 0.0105])   # 0.0105 ends on a half step
+        trace = simulate_closed_loop(system, law, u0, times, integrator="rk4", dt=1e-3)
+        for b, block, got in zip(system.branches, u0, trace.states):
+            A = np.diag(b.eigenvalues) + np.outer(b.control_coeffs, law.branch(b.index).gains)
+            want = legacy_rk4_march(A, block, times, 1e-3)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    @pytest.mark.parametrize("dealias", [False, True])
+    def test_fft_convolution_matches_direct(self, hermitian, dealias):
+        N = 256                                   # 3N + 1 = 769 is prime
+        rng = np.random.default_rng(7)
+        c = hermitian_coeffs(rng, N)
+        if not hermitian:
+            c = c + 1e-3j * rng.standard_normal(2 * N + 1)
+        if dealias:
+            c = c * (np.abs(np.arange(-N, N + 1)) <= (2 * N) // 3)
+        length = scipy.fft.next_fast_len(3 * N + 1)
+        got = simulate._convolve_fft(c, N, length)
+        want = legacy_convolve(c, N)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(c) ** 2)
+        if hermitian:
+            assert np.array_equal(got, np.conj(got[::-1]))
+
+    @pytest.mark.parametrize("dealias", [False, True])
+    def test_fft_burgers_matches_direct_convolution(self, monkeypatch, dealias):
+        system = heat_torus_model(16)
+        law = synthesize_feedback(system, 3.25)
+        u0 = 1e-2 * hermitian_coeffs(np.random.default_rng(8), 16)
+        times = np.linspace(0, 0.05, 6)
+        fast = simulate_burgers(system, law, u0, times, dt=1e-3, dealias=dealias)
+        monkeypatch.setattr(simulate, "_convolve_fft", legacy_convolve)
+        ref = simulate_burgers(system, law, u0, times, dt=1e-3, dealias=dealias)
+        assert fast.real_defect == 0.0 == ref.real_defect
+        for got, want in zip(fast.states, ref.states):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            assert np.all(got.imag == 0.0)
+
+    def test_burgers_helpers_are_bitwise_unchanged(self):
+        N = 16
+        system = heat_torus_model(N)
+        rng = np.random.default_rng(9)
+        u_phys = rng.standard_normal(64)
+        assert same_bits(simulate._fourier_from_physical(u_phys, N),
+                         legacy_fourier_from_physical(u_phys, N))
+        for got, want in zip(simulate._control_fourier(system, N),
+                             legacy_control_fourier(system, N)):
+            assert same_bits(got, want)
+        hist = rng.standard_normal((5, 2 * N + 1)) + 1j * rng.standard_normal((5, 2 * N + 1))
+        a1, a2 = simulate._branch_coords(hist, N)
+        for k in range(len(hist)):
+            r1, r2 = simulate._branch_coords(hist[k], N)
+            assert same_bits(a1[k], r1) and same_bits(a2[k], r2)

@@ -8,9 +8,9 @@ from fredstab import (SpectralBranch, assemble_system_transform,
                       operator_equality_residual, solve_gains_direct,
                       synthesize_feedback)
 from fredstab.models import heat_torus_model
-from fredstab.synthesis import resolvent_matrix
+from fredstab.synthesis import cauchy_system_matrix, resolvent_matrix
 
-from conftest import heat_branch, worked_branch
+from conftest import heat_branch, schrodinger_branch, worked_branch
 
 
 class TestBuildTransform:
@@ -19,6 +19,15 @@ class TestBuildTransform:
         g = solve_gains_direct(br, 2.0)
         T = build_transform(br, g)
         np.testing.assert_allclose(T.matrix, [[1.0]], atol=1e-15)
+
+    @pytest.mark.parametrize("branch", [heat_branch(24), schrodinger_branch(24)])
+    def test_matrix_bits_match_defining_product(self, branch):
+        # transform.json stores these bytes; complex gains make them depend
+        # on the operand order of (-K) * (b C)
+        g = solve_gains_direct(branch, 2.5)
+        C = cauchy_system_matrix(branch, 2.5)
+        want = (-g.gains[None, :]) * (branch.control_coeffs[:, None] * C)
+        assert build_transform(branch, g).matrix.tobytes() == want.astype(complex).tobytes()
 
     def test_worked_matrix_and_fixed_vector(self):
         br = worked_branch()
