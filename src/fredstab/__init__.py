@@ -21,15 +21,12 @@ from .spectral_core import (AssumptionVerdict, SpectralBranch, SpectralSystem,
                             verify_control, verify_gap, verify_growth)
 from .synthesis import (BranchGains, FeedbackLaw, ShiftSelection,
                         beta_reduced_gains, inverse_gap_sum_profile,
-                        resolvent_column, resolvent_matrix, select_shift,
-                        solve_gains_direct, solve_gains_iterative,
-                        synthesize_feedback)
-from .transform import (AssembledTransform, BranchTransform, ClosedLoopMatrix,
-                        FredholmTransform, assemble_system_transform,
+                        resolvent_matrix, select_shift, solve_gains_direct,
+                        solve_gains_iterative, synthesize_feedback)
+from .transform import (BranchTransform, ClosedLoopMatrix, FredholmTransform,
                         build_system_transform, build_transform,
                         closed_loop_matrix, conditioning_profile,
-                        conditioning_vs_truncation, control_diagonal,
-                        normalized_resolvent, operator_equality_residual)
+                        conditioning_vs_truncation, operator_equality_residual)
 from .diagnostics import (DiagnosticsReport, compactness_proxy, gain_trend,
                           make_report, spectrum_match_error)
 

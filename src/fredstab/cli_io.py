@@ -5,6 +5,12 @@ front so a typo cannot silently change a run.  Artifacts land in
 out/{system.json, law.json, transform.json, report.json, traces/, plots/}
 and are byte-identical across runs of the same config and version.
 
+transform.json is an O(N) certificate of the transform T (schema
+fredstab-transform/2: per branch its diagonal, column norms, Frobenius norm
+and residuals), never T itself.  verify, simulate and report rebuild T once
+from system.json and law.json; only verify compares the rebuild with the
+stored certificate.
+
 Exit codes: 0 success, 2 assumption-verdict failure, 3 solver failure,
 4 integrator guard violation, 1 anything else.  Failures print a
 machine-readable JSON object on stderr.
@@ -14,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -30,11 +37,19 @@ from .spectral_core import (SpectralSystem, classify_controllability,
                             system_from_json, system_to_json,
                             verify_assumptions)
 from .synthesis import law_from_json, law_to_json
-from .transform import transform_from_json, transform_to_json
+from .transform import (branch_certificate, transform_from_json,
+                        transform_to_json)
 
 TB_GATE = 1e-8
 OPEQ_GATE = 1e-8
 VERIFY_TOL = 1e-6
+# Peak memory above the interpreter is about 7, 8.5 and 10.7 N x N complex
+# matrices in synthesize, verify and report (heat torus, N = 1024); with
+# LIVE_MATRICES of them in the budget, MAX_N is 3344.  A larger truncation
+# is refused before any model or matrix is built.
+MATRIX_BUDGET_BYTES = 2 << 30
+LIVE_MATRICES = 12
+MAX_N = math.isqrt(MATRIX_BUDGET_BYTES // (16 * LIVE_MATRICES))
 
 _SCENARIO_KEYS = {"name", "u0", "t_end", "samples", "dt", "integrator", "nonlinear"}
 _CONFIG_KEYS = {"model", "lambda0", "delta", "N", "method", "r_list",
@@ -106,17 +121,28 @@ def parse_config(doc: dict) -> RunConfig:
     )
 
 
+def _check_matrix_budget(N: int) -> None:
+    if N > MAX_N:
+        need = LIVE_MATRICES * 16 * N * N
+        raise ConfigError(
+            f"N={N} would need {need} bytes for {LIVE_MATRICES} {N}x{N} complex "
+            f"matrices; the budget is {MATRIX_BUDGET_BYTES} bytes (N <= {MAX_N})")
+
+
 def _build_system(cfg: RunConfig, N: Optional[int] = None,
                   gamma: Optional[float] = None) -> SpectralSystem:
     model = dict(cfg.model)
     if "path" in model:
-        return system_from_json(read_json(model["path"]))
+        system = system_from_json(read_json(model["path"]))
+        for b in system.branches:
+            _check_matrix_budget(b.N)
+        return system
     params = dict(model.get("params", {}))
     if gamma is not None:
         params["gamma"] = gamma
-    desc = models.ModelDescriptor(kind=model["kind"],
-                                  N=int(N if N is not None else cfg.N),
-                                  params=params)
+    N = int(N if N is not None else cfg.N)
+    _check_matrix_budget(N)
+    desc = models.ModelDescriptor(kind=model["kind"], N=N, params=params)
     return models.model_from_descriptor(desc)
 
 
@@ -169,41 +195,52 @@ def cmd_synthesize(cfg: RunConfig, out: Optional[str] = None) -> int:
 
 
 def _load_artifacts(out: str):
+    """System, law, stored transform certificates, and T rebuilt from the law."""
     for name in ("system.json", "law.json", "transform.json"):
         if not os.path.exists(os.path.join(out, name)):
             raise ConfigError(f"missing artifact {name} in {out}")
     system = system_from_json(read_json(os.path.join(out, "system.json")))
     law = law_from_json(read_json(os.path.join(out, "law.json")))
-    tr = transform_from_json(read_json(os.path.join(out, "transform.json")))
-    return system, law, tr
+    stored = transform_from_json(read_json(os.path.join(out, "transform.json")))
+    tr = transform.build_system_transform(system, law)
+    return system, law, stored, tr
+
+
+def _certificate_drift(stored, rebuilt) -> list[str]:
+    """Names of the stored certificate fields that disagree with the rebuild."""
+    if stored is None or stored.N != rebuilt.N:
+        return ["transform matrix"]
+    matrix_off = max(np.max(np.abs(stored.diagonal - rebuilt.diagonal)),
+                     np.max(np.abs(stored.column_norms - rebuilt.column_norms)),
+                     abs(stored.frobenius - rebuilt.frobenius))
+    checks = (("transform matrix", matrix_off),
+              ("lambda", abs(stored.lam - rebuilt.lam)),
+              ("tb_residual", abs(stored.tb_residual - rebuilt.tb_residual)),
+              ("opeq_residual", abs(stored.opeq_residual - rebuilt.opeq_residual)))
+    return [name for name, off in checks if off > VERIFY_TOL]
 
 
 def cmd_verify(cfg: RunConfig, out: Optional[str] = None) -> int:
     """Recompute every residual from the stored system and law.
 
     Stored residuals are never trusted; any disagreement beyond 1e-6
-    between a stored number and its recomputation flags tampering or
-    version drift.
+    between a stored number (gains, or a field of the transform
+    certificate) and its recomputation flags tampering or version drift.
     """
     out = _out_dir(cfg, out)
-    system, law, tr = _load_artifacts(out)
+    system, law, stored, tr = _load_artifacts(out)
     drift = []
     for b in system.branches:
         bg = law.branch(b.index)
         recomputed = -bg.products / b.control_coeffs
         if np.max(np.abs(recomputed - bg.gains)) > VERIFY_TOL * max(1.0, np.max(np.abs(bg.gains))):
             drift.append(f"branch {b.index}: gains inconsistent with products")
-        rebuilt = transform.build_transform(b, bg)
-        stored = tr.branch(b.index)
-        if np.max(np.abs(rebuilt.matrix - stored.matrix)) > VERIFY_TOL:
-            drift.append(f"branch {b.index}: transform matrix drift")
-        if abs(rebuilt.tb_residual - stored.tb_residual) > VERIFY_TOL:
-            drift.append(f"branch {b.index}: tb_residual drift")
-        if abs(rebuilt.opeq_residual - stored.opeq_residual) > VERIFY_TOL:
-            drift.append(f"branch {b.index}: opeq_residual drift")
+        rebuilt = branch_certificate(tr.branch(b.index))
+        drift.extend(f"branch {b.index}: {name} drift"
+                     for name in _certificate_drift(stored.get(b.index), rebuilt))
     if drift:
         raise ConfigError("verification failed: " + "; ".join(drift))
-    report = _assemble_report(cfg, system, law, tr)
+    report, _ = _assemble_report(cfg, system, law, tr)
     diagnostics.write_report(report, os.path.join(out, "report.json"))
     print(f"verified artifacts in {out}: tb={report.tb_residual:.3e} "
           f"opeq={report.opeq_residual:.3e} match={report.spectrum_match:.3e}")
@@ -211,6 +248,7 @@ def cmd_verify(cfg: RunConfig, out: Optional[str] = None) -> int:
 
 
 def _assemble_report(cfg: RunConfig, system, law, tr, decay_fits=None):
+    """The certification report, and the closed loops whose spectra it used."""
     closed = [transform.closed_loop_matrix(b, law.branch(b.index))
               for b in system.branches]
     conditioning = {}
@@ -230,10 +268,11 @@ def _assemble_report(cfg: RunConfig, system, law, tr, decay_fits=None):
         classification = classify_controllability(b0, 0.0)
     except ValueError:
         pass
-    return diagnostics.make_report(
+    report = diagnostics.make_report(
         system=system, shift=law.lam, law=law, transforms=tr, closed_loops=closed,
         conditioning=conditioning, gap_sum_tail_max=tail_max, compactness=compact,
         decay_fits=decay_fits, classification=classification, config=cfg.raw)
+    return report, closed
 
 
 def _linear_u0(system: SpectralSystem, spec: dict):
@@ -278,7 +317,7 @@ def _burgers_u0(system: SpectralSystem, spec: dict) -> np.ndarray:
 
 def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
     out = _out_dir(cfg, out)
-    system, law, tr = _load_artifacts(out)
+    system, law, _, tr = _load_artifacts(out)
     traces_dir = os.path.join(out, "traces")
     os.makedirs(traces_dir, exist_ok=True)
     fits = {}
@@ -308,7 +347,7 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
             fits[name] = fit
         except ValueError:
             fits[name] = None
-    report = _assemble_report(cfg, system, law, tr, decay_fits=fits)
+    report, _ = _assemble_report(cfg, system, law, tr, decay_fits=fits)
     diagnostics.write_report(report, os.path.join(out, "report.json"))
     for name, fit in fits.items():
         msg = "no fit" if fit is None else f"mu_hat={fit.mu_hat:.4f} r2={fit.r2:.4f}"
@@ -380,12 +419,12 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str] = None,
 
 def cmd_report(cfg: RunConfig, out: Optional[str] = None) -> int:
     out = _out_dir(cfg, out)
-    system, law, tr = _load_artifacts(out)
-    report = _assemble_report(cfg, system, law, tr)
+    system, law, _, tr = _load_artifacts(out)
+    report, closed = _assemble_report(cfg, system, law, tr)
     diagnostics.write_report(report, os.path.join(out, "report.json"))
     plots = os.path.join(out, "plots")
     os.makedirs(plots, exist_ok=True)
-    for b in system.branches:
+    for b, cl in zip(system.branches, closed):
         bg = law.branch(b.index)
         n = np.arange(1, bg.N + 1)
         diagnostics.svg_line_plot(
@@ -393,7 +432,6 @@ def cmd_report(cfg: RunConfig, out: Optional[str] = None) -> int:
             {"|x_n|": (n, np.abs(bg.products)),
              "|x_n - lambda|": (n, np.abs(bg.corrections))},
             f"gain profile, branch {b.index}", "n", "magnitude", logy=True)
-        cl = transform.closed_loop_matrix(b, bg)
         order = np.argsort(cl.spectrum.real)
         target = np.sort((b.eigenvalues - law.lam).real)
         diagnostics.svg_line_plot(

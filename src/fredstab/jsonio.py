@@ -28,23 +28,11 @@ def from_cpairs(pairs) -> np.ndarray:
         return np.zeros(0, dtype=complex)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("complex pairs must be an Nx2 array of [re, im]")
-    return arr[:, 0] + 1j * arr[:, 1]
-
-
-def matrix_to_json(mat: np.ndarray) -> dict:
-    """Encode a complex matrix as {rows, cols, data:[[re,im],...]} row-major."""
-    m = np.asarray(mat, dtype=complex)
-    if m.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
-    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": cpairs(m)}
-
-
-def matrix_from_json(doc: dict) -> np.ndarray:
-    rows, cols = int(doc["rows"]), int(doc["cols"])
-    data = from_cpairs(doc["data"])
-    if data.size != rows * cols:
-        raise ValueError(f"matrix data has {data.size} entries, expected {rows * cols}")
-    return data.reshape(rows, cols)
+    # re + 1j * im would turn an imaginary -0.0 into 0.0; cpairs must round-trip
+    out = np.empty(arr.shape[0], dtype=complex)
+    out.real = arr[:, 0]
+    out.imag = arr[:, 1]
+    return out
 
 
 def _fmt_float(x: float) -> str:

@@ -27,7 +27,6 @@ __all__ = [
     "BranchGains",
     "FeedbackLaw",
     "select_shift",
-    "resolvent_column",
     "resolvent_matrix",
     "cauchy_system_matrix",
     "solve_gains_direct",
@@ -77,13 +76,6 @@ def select_shift(system: SpectralSystem, lambda0: float, delta: float,
     raise SolverError(
         f"no admissible shift in [{lambda0}, {lambda0 + search_width_factor * delta}]: "
         "eigenvalue differences cluster too densely for the requested margin")
-
-
-def resolvent_column(branch: SpectralBranch, lam: float, n: int) -> np.ndarray:
-    """Coefficient vector with p-th entry 1 / (lambda_n - lambda_p + lam)."""
-    if not 1 <= n <= branch.N:
-        raise ValueError(f"mode index {n} outside 1..{branch.N}")
-    return 1.0 / (branch.eigenvalues[n - 1] - branch.eigenvalues + lam)
 
 
 def cauchy_system_matrix(branch: SpectralBranch, lam: float) -> np.ndarray:

@@ -5,6 +5,10 @@ resolvent sum: T[p][n] = -K_n b_p / (lambda_n - lambda_p + lam).  At
 truncation it satisfies T b = b and the intertwining identity
 T (A + b K^T) = (A - lam I) T exactly, so both residuals are rounding-level
 certificates of a correct build.
+
+T is fixed by O(N) data per branch, so transform.json stores only an O(N)
+certificate of it (BranchCertificate); every reader rebuilds T from the
+branch and its gains.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .jsonio import matrix_from_json, matrix_to_json
+from .errors import ConfigError
+from .jsonio import cpairs, from_cpairs
 from .spectral_core import SpectralBranch, admissible_r_interval
 from .synthesis import (BranchGains, FeedbackLaw, cauchy_system_matrix,
                         solve_gains_direct)
@@ -23,17 +28,16 @@ __all__ = [
     "BranchTransform",
     "FredholmTransform",
     "ClosedLoopMatrix",
-    "AssembledTransform",
+    "BranchCertificate",
+    "TRANSFORM_SCHEMA",
     "transform_matrix",
     "build_transform",
     "build_system_transform",
-    "control_diagonal",
-    "normalized_resolvent",
+    "branch_certificate",
     "closed_loop_matrix",
     "operator_equality_residual",
     "conditioning_profile",
     "conditioning_vs_truncation",
-    "assemble_system_transform",
     "transform_to_json",
     "transform_from_json",
 ]
@@ -91,38 +95,6 @@ class ClosedLoopMatrix:
             arr = np.asarray(getattr(self, name), dtype=complex).copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-    @property
-    def rank_one_defect(self) -> float:
-        """Second singular value of A_cl - diag(lambda).
-
-        Zero to rounding certifies the rank-one feedback structure (all
-        2x2 minors of the feedback part vanish).
-        """
-        feedback_part = self.matrix - np.diag(self.open_loop)
-        svals = np.linalg.svd(feedback_part, compute_uv=False)
-        return float(svals[1]) if len(svals) > 1 else 0.0
-
-
-def control_diagonal(branch: SpectralBranch) -> np.ndarray:
-    """Diagonal coefficient operator diag(b_n) in eigenvector coordinates."""
-    return np.diag(branch.control_coeffs)
-
-
-def normalized_resolvent(branch: SpectralBranch, lam: float):
-    """Coefficient-ratio resolvent with entries b_p / (b_n (lambda_n - lambda_p + lam)).
-
-    Returns the matrix and its zero-diagonal part; the diagonal is the
-    constant 1/lam, so the operator is a compact perturbation of the
-    scaled identity.
-    """
-    C = cauchy_system_matrix(branch, lam)
-    b = branch.control_coeffs
-    mat = (b[:, None] / b[None, :]) * C
-    np.fill_diagonal(mat, 1.0 / lam)      # b_n/b_n cancels exactly
-    compact = mat - np.eye(branch.N) / lam
-    np.fill_diagonal(compact, 0.0)
-    return mat, compact
 
 
 def closed_loop_matrix(branch: SpectralBranch, gains: BranchGains) -> ClosedLoopMatrix:
@@ -218,82 +190,91 @@ def conditioning_vs_truncation(branch: SpectralBranch, lam: float, r: float,
     return profile
 
 
-@dataclass(frozen=True)
-class AssembledTransform:
-    """Block-diagonal transform over all branches, with branch-wise inverse."""
-
-    lam: float
-    matrix: np.ndarray
-    inverse: np.ndarray
-    block_sizes: tuple
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex).copy()
-        mi = np.asarray(self.inverse, dtype=complex).copy()
-        m.flags.writeable = False
-        mi.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "inverse", mi)
-
-
-def assemble_system_transform(transforms) -> AssembledTransform:
-    """Stack branch transforms into one block-diagonal operator.
-
-    All branches must share the shift and the truncation level; the
-    inverse is assembled branch-wise.
-    """
-    transforms = list(transforms)
-    if not transforms:
-        raise ValueError("nothing to assemble")
-    lam = transforms[0].lam
-    N = transforms[0].N
-    for bt in transforms[1:]:
-        if bt.lam != lam:
-            raise ValueError(f"mismatched shift: {bt.lam} != {lam}")
-        if bt.N != N:
-            raise ValueError(f"mismatched truncation: {bt.N} != {N}")
-    total = sum(bt.N for bt in transforms)
-    big = np.zeros((total, total), dtype=complex)
-    big_inv = np.zeros_like(big)
-    offset = 0
-    for bt in transforms:
-        sl = slice(offset, offset + bt.N)
-        big[sl, sl] = bt.matrix
-        big_inv[sl, sl] = np.linalg.inv(bt.matrix)
-        offset += bt.N
-    return AssembledTransform(lam=lam, matrix=big, inverse=big_inv,
-                              block_sizes=tuple(bt.N for bt in transforms))
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
+TRANSFORM_SCHEMA = "fredstab-transform/2"
+
+
+@dataclass(frozen=True)
+class BranchCertificate:
+    """O(N) summary of one branch transform, as transform.json stores it.
+
+    T itself is not stored: it is a pure function of the branch and its
+    gains (transform_matrix), so a reader rebuilds it from system.json and
+    law.json and compares the rebuild against this summary.
+    """
+
+    branch_index: int
+    lam: float
+    diagonal: np.ndarray
+    column_norms: np.ndarray
+    frobenius: float
+    tb_residual: float
+    opeq_residual: float
+
+    @property
+    def N(self) -> int:
+        return len(self.diagonal)
+
+
+def branch_certificate(bt: BranchTransform) -> BranchCertificate:
+    """Diagonal, column norms and Frobenius norm of T, plus its residuals."""
+    T = bt.matrix
+    return BranchCertificate(branch_index=bt.branch_index, lam=bt.lam,
+                             diagonal=np.diagonal(T).copy(),
+                             column_norms=np.linalg.norm(T, axis=0),
+                             frobenius=float(np.linalg.norm(T)),
+                             tb_residual=bt.tb_residual,
+                             opeq_residual=bt.opeq_residual)
+
+
 def transform_to_json(transform: FredholmTransform) -> dict:
-    return {
-        "lambda": float(transform.lam),
-        "branches": [
-            {
-                "i": bt.branch_index,
-                "matrix": matrix_to_json(bt.matrix),
-                "tb_residual": float(bt.tb_residual),
-                "opeq_residual": float(bt.opeq_residual),
-            }
-            for bt in transform.branches
-        ],
-    }
+    branches = []
+    for bt in transform.branches:
+        cert = branch_certificate(bt)
+        branches.append({
+            "i": cert.branch_index,
+            "N": cert.N,
+            "diagonal": cpairs(cert.diagonal),
+            "column_norms": cert.column_norms,
+            "frobenius": cert.frobenius,
+            "tb_residual": float(cert.tb_residual),
+            "opeq_residual": float(cert.opeq_residual),
+        })
+    return {"schema": TRANSFORM_SCHEMA, "lambda": float(transform.lam),
+            "branches": branches}
 
 
-def transform_from_json(doc: dict) -> FredholmTransform:
+def transform_from_json(doc: dict) -> dict[int, BranchCertificate]:
+    """Stored branch certificates of a transform document, keyed by branch index.
+
+    Documents without the current schema tag, including the schema-1 files
+    that stored all of T, are refused with a ConfigError.
+    """
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != TRANSFORM_SCHEMA:
+        raise ConfigError(
+            f"transform document has schema {schema!r}, expected "
+            f"{TRANSFORM_SCHEMA!r}; run synthesize again")
+    certs = {}
     try:
         lam = float(doc["lambda"])
-        branches = tuple(
-            BranchTransform(branch_index=int(bd["i"]), lam=lam,
-                            matrix=matrix_from_json(bd["matrix"]),
-                            tb_residual=float(bd["tb_residual"]),
-                            opeq_residual=float(bd["opeq_residual"]))
-            for bd in doc["branches"]
-        )
+        for bd in doc["branches"]:
+            cert = BranchCertificate(
+                branch_index=int(bd["i"]), lam=lam,
+                diagonal=from_cpairs(bd["diagonal"]),
+                column_norms=np.asarray(bd["column_norms"], dtype=float),
+                frobenius=float(bd["frobenius"]),
+                tb_residual=float(bd["tb_residual"]),
+                opeq_residual=float(bd["opeq_residual"]))
+            if not int(bd["N"]) == cert.N == cert.column_norms.size:
+                raise ValueError(
+                    f"transform branch {cert.branch_index}: N={bd['N']} but "
+                    f"{cert.N} diagonal entries and {cert.column_norms.size} "
+                    "column norms")
+            certs[cert.branch_index] = cert
     except KeyError as exc:
         raise ValueError(f"transform document missing field {exc}") from exc
-    return FredholmTransform(lam=lam, branches=branches)
+    return certs

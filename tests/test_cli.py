@@ -1,10 +1,11 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 
-from fredstab.cli_io import main, parse_config
+from fredstab.cli_io import LIVE_MATRICES, MAX_N, main, parse_config
 from fredstab.errors import ConfigError
 from fredstab.jsonio import write_json
 
@@ -105,6 +106,56 @@ class TestVerifyCommand:
         err = json.loads(capsys.readouterr().err)
         assert "verification failed" in err["message"]
 
+    @pytest.mark.parametrize("field", ["diagonal", "column_norms", "frobenius",
+                                       "tb_residual"])
+    def test_tampered_certificate_flagged(self, tmp_path, capsys, field):
+        cfg = tmp_path / "config.json"
+        write_config(cfg)
+        main(["synthesize", "--config", str(cfg)])
+        path = tmp_path / "out" / "transform.json"
+        doc = json.loads(path.read_text())
+        bd = doc["branches"][1]
+        if field == "diagonal":
+            bd["diagonal"][3][0] += 1e-3
+        elif field == "column_norms":
+            bd["column_norms"][5] += 1e-3
+        else:
+            bd[field] += 1e-3
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["verify", "--config", str(cfg)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert "verification failed" in err["message"]
+        assert "branch 2" in err["message"]
+
+    @pytest.mark.parametrize("command", ["verify", "simulate", "report"])
+    def test_schema_1_transform_rejected(self, tmp_path, capsys, command):
+        cfg = tmp_path / "config.json"
+        write_config(cfg)
+        main(["synthesize", "--config", str(cfg)])
+        path = tmp_path / "out" / "transform.json"
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({"lambda": doc["lambda"], "branches": [
+            {"i": bd["i"], "matrix": {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]},
+             "tb_residual": bd["tb_residual"], "opeq_residual": bd["opeq_residual"]}
+            for bd in doc["branches"]]}))
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "fredstab-transform/2" in err["message"]
+
+    def test_transform_json_linear_in_N(self, tmp_path):
+        sizes = {}
+        for N in (64, 128):
+            cfg = tmp_path / f"config{N}.json"
+            write_config(cfg, N=N, model={"kind": "heat_torus", "N": N, "params": {}},
+                         output_dir=str(tmp_path / f"out{N}"))
+            assert main(["synthesize", "--config", str(cfg)]) == 0
+            sizes[N] = (tmp_path / f"out{N}" / "transform.json").stat().st_size
+        assert sizes[128] <= 2.2 * sizes[64]
+
     def test_missing_artifact(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         write_config(cfg)
@@ -190,6 +241,16 @@ class TestSweepCommand:
         rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
         assert "IterationDiverged" in rows[1]
 
+    def test_point_past_matrix_budget_is_error_row(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, sweep={"lambda0": [2.5], "N": [12, MAX_N + 1]}, N=12,
+                     model={"kind": "heat_torus", "N": 12, "params": {}})
+        assert main(["sweep", "--config", str(cfg), "--jobs", "1"]) == 0
+        rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+        assert len(rows) == 3
+        assert rows[1].endswith(",")
+        assert f"ConfigError: N={MAX_N + 1}" in rows[2]
+
     def test_empty_sweep_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         write_config(cfg)
@@ -214,6 +275,23 @@ class TestReportCommand:
         assert "lin_decay.svg" in names
         for n in names:
             assert (plots / n).read_text().startswith("<?xml")
+
+
+class TestMatrixBudget:
+    def test_huge_N_refused_fast(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, N=10 ** 6, model={"kind": "heat_torus", "N": 10 ** 6,
+                                           "params": {}})
+        t0 = time.perf_counter()
+        code = main(["synthesize", "--config", str(cfg)])
+        elapsed = time.perf_counter() - t0
+        assert code == 1
+        assert elapsed < 0.5
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "N=1000000" in err["message"]
+        assert str(LIVE_MATRICES * 16 * 10 ** 12) in err["message"]
+        assert not (tmp_path / "out" / "system.json").exists()
 
 
 class TestSystemFromPath:

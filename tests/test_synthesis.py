@@ -3,11 +3,11 @@ import pytest
 
 from fredstab import (SolverError, SpectralBranch, SpectralSystem,
                       beta_reduced_gains, inverse_gap_sum_profile,
-                      resolvent_column, resolvent_matrix, select_shift,
-                      solve_gains_direct, solve_gains_iterative,
-                      synthesize_feedback)
+                      resolvent_matrix, select_shift, solve_gains_direct,
+                      solve_gains_iterative, synthesize_feedback)
 from fredstab.errors import IterationDiverged
 from fredstab.models import heat_torus_model
+from fredstab.synthesis import cauchy_system_matrix
 
 from conftest import heat_branch, schrodinger_branch, worked_branch
 
@@ -47,10 +47,10 @@ class TestSelectShift:
 class TestResolvent:
     def test_single_mode_column(self):
         br = SpectralBranch(1, [-1.0], [1.0], alpha=2.0)
-        np.testing.assert_allclose(resolvent_column(br, 2.0, 1), [0.5])
+        np.testing.assert_allclose(cauchy_system_matrix(br, 2.0)[:, 0], [0.5])
 
     def test_worked_column(self):
-        q1 = resolvent_column(worked_branch(), 2.0, 1)
+        q1 = cauchy_system_matrix(worked_branch(), 2.0)[:, 0]
         np.testing.assert_allclose(q1, [0.5, 0.2], atol=1e-15)
 
     def test_matrix_and_split(self):

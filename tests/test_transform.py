@@ -1,14 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 
-from fredstab import (SpectralBranch, assemble_system_transform,
+from fredstab import (ConfigError, SpectralBranch, SpectralSystem,
                       build_system_transform, build_transform,
                       closed_loop_matrix, conditioning_profile,
-                      control_diagonal, normalized_resolvent,
                       operator_equality_residual, solve_gains_direct,
                       synthesize_feedback)
+from fredstab.jsonio import canonical_json
 from fredstab.models import heat_torus_model
-from fredstab.synthesis import cauchy_system_matrix, resolvent_matrix
+from fredstab.synthesis import cauchy_system_matrix
+from fredstab.transform import (TRANSFORM_SCHEMA, transform_from_json,
+                                transform_matrix, transform_to_json)
 
 from conftest import heat_branch, schrodinger_branch, worked_branch
 
@@ -44,46 +48,15 @@ class TestBuildTransform:
         assert T.tb_residual <= 1e-10
 
 
-class TestDiagonalOperators:
-    def test_unit_coefficients_identity(self):
-        br = heat_branch(8)
-        np.testing.assert_allclose(control_diagonal(br), np.eye(8), atol=0)
-
-    def test_integer_coefficients(self):
-        br = SpectralBranch(1, [-1, -4, -9], [1, 2, 3], alpha=2.0)
-        np.testing.assert_allclose(control_diagonal(br),
-                                   np.diag([1.0, 2.0, 3.0]), atol=0)
-
-    def test_inverse_roundtrip(self):
-        rng = np.random.default_rng(5)
-        b = rng.standard_normal(16) + 1j * rng.standard_normal(16) + 2.0
-        br = SpectralBranch(1, -np.arange(1, 17.0) ** 2, b, alpha=2.0)
-        tau = control_diagonal(br)
-        np.testing.assert_allclose(tau @ np.linalg.inv(tau), np.eye(16), atol=1e-13)
-
-
 class TestNormalizedResolvent:
-    def test_unit_coefficients_collapse_to_resolvent(self):
-        br = heat_branch(16)
-        mat, _ = normalized_resolvent(br, 2.5)
-        S, _ = resolvent_matrix(br, 2.5)
-        np.testing.assert_allclose(mat, S, atol=0)
-
-    def test_diagonal_is_inverse_shift(self):
-        rng = np.random.default_rng(2)
-        b = rng.standard_normal(24) + 2.5
-        br = SpectralBranch(1, -np.arange(1, 25.0) ** 2, b, alpha=2.0)
-        mat, compact = normalized_resolvent(br, 2.5)
-        np.testing.assert_allclose(np.diag(mat), np.full(24, 1 / 2.5), atol=1e-15)
-        np.testing.assert_allclose(np.diag(compact), np.zeros(24), atol=0)
-
     def test_column_reconstruction_of_transform(self):
+        # T[p][n] = x_n b_p / (b_n (lambda_n - lambda_p + lam))
         rng = np.random.default_rng(3)
         b = rng.standard_normal(64) + 2.0
         br = SpectralBranch(1, -np.arange(1, 65.0) ** 2, b, alpha=2.0)
         g = solve_gains_direct(br, 2.5)
         T = build_transform(br, g).matrix
-        mat, _ = normalized_resolvent(br, 2.5)
+        mat = (b[:, None] / b[None, :]) * cauchy_system_matrix(br, 2.5)
         np.testing.assert_allclose(T, g.products[None, :] * mat, atol=1e-12)
 
 
@@ -114,7 +87,9 @@ class TestClosedLoop:
     def test_rank_one_structure(self):
         br = heat_branch(24)
         cl = closed_loop_matrix(br, solve_gains_direct(br, 2.5))
-        assert cl.rank_one_defect <= 1e-10 * np.linalg.norm(cl.matrix)
+        # second singular value of A_cl - diag(lambda)
+        svals = np.linalg.svd(cl.matrix - np.diag(cl.open_loop), compute_uv=False)
+        assert svals[1] <= 1e-10 * np.linalg.norm(cl.matrix)
 
 
 class TestOperatorEquality:
@@ -169,36 +144,60 @@ class TestConditioning:
         assert max(vals) / min(vals) < 2.0
 
 
-class TestAssembly:
-    def test_two_branch_block_diagonal(self):
+def _two_systems():
+    heat = heat_torus_model(24)
+    schr = SpectralSystem(branches=(schrodinger_branch(24),), label="schrodinger")
+    return [(heat, synthesize_feedback(heat, 2.5)),
+            (schr, synthesize_feedback(schr, 2.5))]
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("system, law", _two_systems())
+    def test_stored_summary_bits_match_transform_matrix(self, system, law):
+        doc = json.loads(canonical_json(transform_to_json(
+            build_system_transform(system, law))))
+        assert doc["schema"] == TRANSFORM_SCHEMA
+        stored = transform_from_json(doc)
+        for b in system.branches:
+            T = transform_matrix(b, law.branch(b.index))
+            cert = stored[b.index]
+            assert cert.N == b.N
+            assert cert.diagonal.tobytes() == np.diagonal(T).tobytes()
+            assert cert.column_norms.tobytes() == np.linalg.norm(T, axis=0).tobytes()
+            assert cert.frobenius == float(np.linalg.norm(T))
+
+    def test_residuals_round_trip(self):
         system = heat_torus_model(16)
-        law = synthesize_feedback(system, 2.5)
-        tr = build_system_transform(system, law)
-        assembled = assemble_system_transform(tr.branches)
-        assert assembled.matrix.shape == (32, 32)
-        np.testing.assert_allclose(assembled.matrix[:16, 16:], np.zeros((16, 16)),
-                                   atol=0)
-        np.testing.assert_allclose(assembled.matrix @ assembled.inverse,
-                                   np.eye(32), atol=1e-10)
+        tr = build_system_transform(system, synthesize_feedback(system, 2.5))
+        stored = transform_from_json(json.loads(canonical_json(transform_to_json(tr))))
+        for bt in tr.branches:
+            assert stored[bt.branch_index].tb_residual == bt.tb_residual
+            assert stored[bt.branch_index].opeq_residual == bt.opeq_residual
+            assert stored[bt.branch_index].lam == tr.lam
 
-    def test_single_branch_passthrough(self):
-        br = heat_branch(8)
-        T = build_transform(br, solve_gains_direct(br, 2.5))
-        assembled = assemble_system_transform([T])
-        np.testing.assert_allclose(assembled.matrix, T.matrix, atol=0)
+    def test_no_matrix_stored(self):
+        system = heat_torus_model(8)
+        doc = transform_to_json(build_system_transform(system, synthesize_feedback(system, 2.5)))
+        assert all(set(bd) == {"i", "N", "diagonal", "column_norms", "frobenius",
+                               "tb_residual", "opeq_residual"}
+                   for bd in doc["branches"])
 
-    def test_mismatched_shift_rejected(self):
-        br = heat_branch(8)
-        T1 = build_transform(br, solve_gains_direct(br, 2.5))
-        T2 = build_transform(br, solve_gains_direct(br, 2.0))
-        with pytest.raises(ValueError, match="mismatched shift"):
-            assemble_system_transform([T1, T2])
+    @pytest.mark.parametrize("schema", [None, "fredstab-transform/1"])
+    def test_other_schema_rejected(self, schema):
+        doc = {"lambda": 2.5, "branches": [
+            {"i": 1, "matrix": {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]},
+             "tb_residual": 0.0, "opeq_residual": 0.0}]}
+        if schema is not None:
+            doc["schema"] = schema
+        with pytest.raises(ConfigError, match=TRANSFORM_SCHEMA):
+            transform_from_json(doc)
 
-    def test_mismatched_truncation_rejected(self):
-        T1 = build_transform(heat_branch(8), solve_gains_direct(heat_branch(8), 2.5))
-        T2 = build_transform(heat_branch(16), solve_gains_direct(heat_branch(16), 2.5))
-        with pytest.raises(ValueError, match="mismatched truncation"):
-            assemble_system_transform([T1, T2])
+    def test_inconsistent_lengths_rejected(self):
+        system = heat_torus_model(8)
+        doc = transform_to_json(build_system_transform(system, synthesize_feedback(system, 2.5)))
+        doc["branches"][0]["column_norms"] = doc["branches"][0]["column_norms"][:-1]
+        with pytest.raises(ValueError, match="column norms"):
+            transform_from_json(doc)
 
 
 class TestScalingCovariance:
