@@ -23,10 +23,10 @@ from .synthesis import (BranchGains, FeedbackLaw, ShiftSelection,
                         beta_reduced_gains, inverse_gap_sum_profile,
                         resolvent_matrix, select_shift, solve_gains_direct,
                         solve_gains_iterative, synthesize_feedback)
-from .transform import (BranchTransform, ClosedLoopMatrix, FredholmTransform,
-                        build_system_transform, build_transform,
+from .transform import (BranchCertificate, ClosedLoopMatrix, build_transform,
                         closed_loop_matrix, conditioning_profile,
-                        conditioning_vs_truncation, operator_equality_residual)
+                        conditioning_vs_truncation, operator_equality_residual,
+                        transform_matrix)
 from .diagnostics import (DiagnosticsReport, compactness_proxy, gain_trend,
                           make_report, spectrum_match_error)
 

@@ -5,11 +5,13 @@ front so a typo cannot silently change a run.  Artifacts land in
 out/{system.json, law.json, transform.json, report.json, traces/, plots/}
 and are byte-identical across runs of the same config and version.
 
-transform.json is an O(N) certificate of the transform T (schema
-fredstab-transform/2: per branch its diagonal, column norms, Frobenius norm
-and residuals), never T itself.  verify, simulate and report rebuild T once
-from system.json and law.json; only verify compares the rebuild with the
-stored certificate.
+transform.json stores the O(N) certificate of the transform T that
+transform.build_transform returns (schema fredstab-transform/2: per branch
+its diagonal, column norms, Frobenius norm and residuals), never T itself.
+Stages pass certificates keyed by branch index; verify rebuilds them from
+system.json and law.json and compares them with the stored ones.  The
+consumers of T itself (the conditioning in the report, kappa_0 in the
+sweep) build it with transform.transform_matrix.
 
 Exit codes: 0 success, 2 assumption-verdict failure, 3 solver failure,
 4 integrator guard violation, 1 anything else.  Failures print a
@@ -37,8 +39,7 @@ from .spectral_core import (SpectralSystem, classify_controllability,
                             system_from_json, system_to_json,
                             verify_assumptions)
 from .synthesis import law_from_json, law_to_json
-from .transform import (branch_certificate, transform_from_json,
-                        transform_to_json)
+from .transform import transform_from_json, transform_to_json
 
 TB_GATE = 1e-8
 OPEQ_GATE = 1e-8
@@ -154,7 +155,10 @@ def _out_dir(cfg: RunConfig, override: Optional[str]) -> str:
 
 def _synthesize_pipeline(cfg: RunConfig, system: SpectralSystem,
                          lambda0: Optional[float] = None):
-    """Shared synthesis path: verdicts -> shift -> gains -> transforms."""
+    """Shared synthesis path: verdicts -> shift -> gains -> certificates.
+
+    The certificates are {branch index: BranchCertificate}.
+    """
     verdicts = [verify_assumptions(b) for b in system.branches]
     bad = [i + 1 for i, v in enumerate(verdicts) if not v.ok]
     if bad:
@@ -172,19 +176,25 @@ def _synthesize_pipeline(cfg: RunConfig, system: SpectralSystem,
                 raise SolverError(
                     f"direct and iterative gains disagree by {gap:.3e} on "
                     f"branch {bg.branch_index}")
-    tr = transform.build_system_transform(system, law)
-    return verdicts, shift, law, tr
+    certs = _build_certificates(system, law)
+    return verdicts, shift, law, certs
+
+
+def _build_certificates(system: SpectralSystem, law) -> dict:
+    return {b.index: transform.build_transform(b, law.branch(b.index))
+            for b in system.branches}
 
 
 def cmd_synthesize(cfg: RunConfig, out: Optional[str] = None) -> int:
     out = _out_dir(cfg, out)
     system = _build_system(cfg)
-    verdicts, shift, law, tr = _synthesize_pipeline(cfg, system)
+    verdicts, shift, law, certs = _synthesize_pipeline(cfg, system)
     write_json(os.path.join(out, "system.json"), system_to_json(system))
     write_json(os.path.join(out, "law.json"), law_to_json(law))
-    write_json(os.path.join(out, "transform.json"), transform_to_json(tr))
-    worst_tb = max(bt.tb_residual for bt in tr.branches)
-    worst_opeq = max(bt.opeq_residual for bt in tr.branches)
+    write_json(os.path.join(out, "transform.json"),
+               transform_to_json(law.lam, certs.values()))
+    worst_tb = max(c.tb_residual for c in certs.values())
+    worst_opeq = max(c.opeq_residual for c in certs.values())
     if worst_tb > TB_GATE or worst_opeq > OPEQ_GATE:
         raise SolverError(
             f"residual gates failed: tb={worst_tb:.3e} (gate {TB_GATE:.0e}), "
@@ -195,15 +205,14 @@ def cmd_synthesize(cfg: RunConfig, out: Optional[str] = None) -> int:
 
 
 def _load_artifacts(out: str):
-    """System, law, stored transform certificates, and T rebuilt from the law."""
+    """System, law, stored certificates, and the certificates rebuilt from the law."""
     for name in ("system.json", "law.json", "transform.json"):
         if not os.path.exists(os.path.join(out, name)):
             raise ConfigError(f"missing artifact {name} in {out}")
     system = system_from_json(read_json(os.path.join(out, "system.json")))
     law = law_from_json(read_json(os.path.join(out, "law.json")))
     stored = transform_from_json(read_json(os.path.join(out, "transform.json")))
-    tr = transform.build_system_transform(system, law)
-    return system, law, stored, tr
+    return system, law, stored, _build_certificates(system, law)
 
 
 def _certificate_drift(stored, rebuilt) -> list[str]:
@@ -228,36 +237,33 @@ def cmd_verify(cfg: RunConfig, out: Optional[str] = None) -> int:
     certificate) and its recomputation flags tampering or version drift.
     """
     out = _out_dir(cfg, out)
-    system, law, stored, tr = _load_artifacts(out)
+    system, law, stored, certs = _load_artifacts(out)
     drift = []
     for b in system.branches:
         bg = law.branch(b.index)
         recomputed = -bg.products / b.control_coeffs
         if np.max(np.abs(recomputed - bg.gains)) > VERIFY_TOL * max(1.0, np.max(np.abs(bg.gains))):
             drift.append(f"branch {b.index}: gains inconsistent with products")
-        rebuilt = branch_certificate(tr.branch(b.index))
         drift.extend(f"branch {b.index}: {name} drift"
-                     for name in _certificate_drift(stored.get(b.index), rebuilt))
+                     for name in _certificate_drift(stored.get(b.index), certs[b.index]))
     if drift:
         raise ConfigError("verification failed: " + "; ".join(drift))
-    report, _ = _assemble_report(cfg, system, law, tr)
+    report, _ = _assemble_report(cfg, system, law, certs)
     diagnostics.write_report(report, os.path.join(out, "report.json"))
     print(f"verified artifacts in {out}: tb={report.tb_residual:.3e} "
           f"opeq={report.opeq_residual:.3e} match={report.spectrum_match:.3e}")
     return 0
 
 
-def _assemble_report(cfg: RunConfig, system, law, tr, decay_fits=None):
+def _assemble_report(cfg: RunConfig, system, law, certs, decay_fits=None):
     """The certification report, and the closed loops whose spectra it used."""
     closed = [transform.closed_loop_matrix(b, law.branch(b.index))
               for b in system.branches]
-    conditioning = {}
     b0 = system.branches[0]
     lo, hi = transform.admissible_r_interval(b0.alpha, b0.gamma, beta=b0.beta)
-    for r in cfg.r_list:
-        if lo < r < hi:
-            conditioning.update(transform.conditioning_profile(
-                tr.branch(b0.index).matrix, [r], b0.alpha, b0.gamma, beta=b0.beta))
+    conditioning = transform.conditioning_profile(
+        transform.transform_matrix(b0, law.branch(b0.index)),
+        [r for r in cfg.r_list if lo < r < hi], b0.alpha, b0.gamma, beta=b0.beta)
     _, tail_max = synthesis.inverse_gap_sum_profile(b0, law.lam, 0.0)
     _, S_c = synthesis.resolvent_matrix(b0, law.lam)
     eps_hi = min((b0.alpha - 1.0) / 2.0, b0.alpha - 0.5)
@@ -269,8 +275,9 @@ def _assemble_report(cfg: RunConfig, system, law, tr, decay_fits=None):
     except ValueError:
         pass
     report = diagnostics.make_report(
-        system=system, shift=law.lam, law=law, transforms=tr, closed_loops=closed,
-        conditioning=conditioning, gap_sum_tail_max=tail_max, compactness=compact,
+        system=system, shift=law.lam, law=law, transforms=certs.values(),
+        closed_loops=closed, conditioning=conditioning,
+        gap_sum_tail_max=tail_max, compactness=compact,
         decay_fits=decay_fits, classification=classification, config=cfg.raw)
     return report, closed
 
@@ -317,7 +324,7 @@ def _burgers_u0(system: SpectralSystem, spec: dict) -> np.ndarray:
 
 def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
     out = _out_dir(cfg, out)
-    system, law, _, tr = _load_artifacts(out)
+    system, law, _, certs = _load_artifacts(out)
     traces_dir = os.path.join(out, "traces")
     os.makedirs(traces_dir, exist_ok=True)
     fits = {}
@@ -347,7 +354,7 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
             fits[name] = fit
         except ValueError:
             fits[name] = None
-    report, _ = _assemble_report(cfg, system, law, tr, decay_fits=fits)
+    report, _ = _assemble_report(cfg, system, law, certs, decay_fits=fits)
     diagnostics.write_report(report, os.path.join(out, "report.json"))
     for name, fit in fits.items():
         msg = "no fit" if fit is None else f"mu_hat={fit.mu_hat:.4f} r2={fit.r2:.4f}"
@@ -372,7 +379,7 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str] = None,
         row = {"lambda0": l0, "N": n, "gamma": "" if g is None else g}
         try:
             system = _build_system(cfg, N=n, gamma=g)
-            _, shift, law, tr = _synthesize_pipeline(cfg, system, lambda0=l0)
+            _, shift, law, certs = _synthesize_pipeline(cfg, system, lambda0=l0)
             closed = [transform.closed_loop_matrix(b, law.branch(b.index))
                       for b in system.branches]
             match = max(diagnostics.spectrum_match_error(
@@ -382,13 +389,14 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str] = None,
             times = np.linspace(0.0, 1.0, 65)
             trace = simulate.simulate_closed_loop(system, law, u0, times)
             fit = simulate.fit_decay(trace)
+            b0 = system.branches[0]
             kappas = transform.conditioning_profile(
-                tr.branch(1).matrix, [0.0],
-                system.branches[0].alpha, system.branches[0].gamma)
+                transform.transform_matrix(b0, law.branch(b0.index)), [0.0],
+                b0.alpha, b0.gamma)
             row.update({
                 "lambda": shift.lam,
-                "tb_residual": max(bt.tb_residual for bt in tr.branches),
-                "opeq_residual": max(bt.opeq_residual for bt in tr.branches),
+                "tb_residual": max(c.tb_residual for c in certs.values()),
+                "opeq_residual": max(c.opeq_residual for c in certs.values()),
                 "spectrum_match": match,
                 "sup_product": max(bg.sup_product for bg in law.branches),
                 "kappa_0": kappas[0.0],
@@ -417,10 +425,44 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str] = None,
     return 0
 
 
+def _read_norms_csv(path) -> dict:
+    """Columns of a traces/<name>_norms.csv file by header name, t first."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return {name: np.array([float(r[j]) for r in rows])
+            for j, name in enumerate(header)}
+
+
+def _refit_decay(cfg: RunConfig, traces_dir: str) -> Optional[dict]:
+    """Decay fits of the configured scenarios, refit from their norm traces.
+
+    The traces hold repr floats, so each fit equals the one simulate made.
+    None when no configured scenario has a norms file.
+    """
+    r = cfg.r_list[0]
+    fits = {}
+    for sc in cfg.scenarios:
+        name = sc.get("name", "scenario")
+        path = os.path.join(traces_dir, f"{name}_norms.csv")
+        if not os.path.exists(path):
+            continue
+        columns = _read_norms_csv(path)
+        try:
+            trace = simulate.SimulationTrace(
+                times=columns["t"], states=(), norms={r: columns[f"norm_r{r:g}"]},
+                integrator="csv", dt=0.0)
+            fits[name] = simulate.fit_decay(trace, r=r)
+        except (KeyError, ValueError):
+            fits[name] = None
+    return fits or None
+
+
 def cmd_report(cfg: RunConfig, out: Optional[str] = None) -> int:
     out = _out_dir(cfg, out)
-    system, law, _, tr = _load_artifacts(out)
-    report, closed = _assemble_report(cfg, system, law, tr)
+    system, law, _, certs = _load_artifacts(out)
+    traces_dir = os.path.join(out, "traces")
+    report, closed = _assemble_report(cfg, system, law, certs,
+                                      decay_fits=_refit_decay(cfg, traces_dir))
     diagnostics.write_report(report, os.path.join(out, "report.json"))
     plots = os.path.join(out, "plots")
     os.makedirs(plots, exist_ok=True)
@@ -455,18 +497,15 @@ def cmd_report(cfg: RunConfig, out: Optional[str] = None) -> int:
             {"kappa_0": (np.array(levels, dtype=float),
                          np.array([plateau[n] for n in levels]))},
             "conditioning plateau", "truncation N", "kappa")
-    traces_dir = os.path.join(out, "traces")
     if os.path.isdir(traces_dir):
         for fname in sorted(os.listdir(traces_dir)):
             if fname.endswith("_norms.csv"):
-                with open(os.path.join(traces_dir, fname), newline="") as fh:
-                    rows = list(csv.reader(fh))
-                if len(rows) > 2:
-                    t = np.array([float(r[0]) for r in rows[1:]])
-                    y = np.array([float(r[1]) for r in rows[1:]])
+                columns = _read_norms_csv(os.path.join(traces_dir, fname))
+                label, y = list(columns.items())[1]
+                if len(y) > 1:
                     diagnostics.svg_line_plot(
                         os.path.join(plots, fname.replace("_norms.csv", "_decay.svg")),
-                        {rows[0][1]: (t, y)},
+                        {label: (columns["t"], y)},
                         f"decay: {fname.replace('_norms.csv', '')}",
                         "t", "norm", logy=True)
     print(f"report written to {os.path.join(out, 'report.json')}")

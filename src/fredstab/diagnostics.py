@@ -9,7 +9,7 @@ embed the configuration hash so every number is reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -145,7 +145,6 @@ class DiagnosticsReport:
     compactness: Optional[dict] = None
     decay_fits: Optional[dict] = None
     classification: Optional[dict] = None
-    extras: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         doc = {
@@ -164,7 +163,6 @@ class DiagnosticsReport:
             "decay_fits": self.decay_fits,
             "classification": self.classification,
         }
-        doc.update(self.extras)
         return doc
 
 
@@ -176,11 +174,13 @@ def make_report(system: Optional[SpectralSystem] = None, shift=None,
                 closed_loops=None, conditioning: Optional[dict] = None,
                 gap_sum_tail_max: Optional[float] = None,
                 compactness: Optional[dict] = None, decay_fits=None,
-                classification=None, config: Optional[dict] = None,
-                extras: Optional[dict] = None) -> DiagnosticsReport:
+                classification=None,
+                config: Optional[dict] = None) -> DiagnosticsReport:
     """Assemble the certification record from pipeline outputs.
 
-    system, shift, law and transforms are mandatory; simulation sections
+    system, shift, law and transforms are mandatory; transforms is an
+    iterable of the branch certificates (transform.BranchCertificate) whose
+    worst tb and opeq residuals the report carries.  Simulation sections
     are marked absent (null) when not supplied.  decay_fits maps scenario
     names to DecayFit objects or plain dicts.
     """
@@ -190,8 +190,9 @@ def make_report(system: Optional[SpectralSystem] = None, shift=None,
         raise ValueError(f"report is missing mandatory sections: {', '.join(missing)}")
     lam = shift.lam if hasattr(shift, "lam") else float(shift)
     verdicts = tuple(verify_assumptions(b) for b in system.branches)
-    tb = max(bt.tb_residual for bt in transforms.branches)
-    opeq = max(bt.opeq_residual for bt in transforms.branches)
+    certificates = tuple(transforms)
+    tb = max(c.tb_residual for c in certificates)
+    opeq = max(c.opeq_residual for c in certificates)
     if closed_loops is not None:
         match = max(
             spectrum_match_error(cl.spectrum, b.eigenvalues, lam)
@@ -233,7 +234,7 @@ def make_report(system: Optional[SpectralSystem] = None, shift=None,
         tb_residual=tb, opeq_residual=opeq, spectrum_match=match,
         gain=gain_doc, conditioning=conditioning or {},
         gap_sum_tail_max=gap_sum_tail_max, compactness=compactness,
-        decay_fits=fits_doc, classification=cls_doc, extras=extras or {})
+        decay_fits=fits_doc, classification=cls_doc)
 
 
 # ---------------------------------------------------------------------------

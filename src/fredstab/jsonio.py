@@ -90,22 +90,12 @@ def canonical_json(obj: Any) -> str:
 
 
 def write_json(path, obj: Any) -> None:
-    """Write canonical JSON; a .gz suffix switches on gzip (large matrices)."""
-    text = canonical_json(obj) + "\n"
-    if str(path).endswith(".gz"):
-        import gzip
-        with open(path, "wb") as fh:
-            fh.write(gzip.compress(text.encode("utf-8"), mtime=0))
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    """Write canonical JSON, newline-terminated."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(canonical_json(obj) + "\n")
 
 
 def read_json(path) -> Any:
-    if str(path).endswith(".gz"):
-        import gzip
-        with open(path, "rb") as fh:
-            return json.loads(gzip.decompress(fh.read()).decode("utf-8"))
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 

@@ -74,9 +74,6 @@ class SimulationTrace:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", states)
 
-    def state_at(self, k: int) -> list:
-        return [s[k] for s in self.states]
-
     def norm_series(self, r: float) -> np.ndarray:
         key = float(r)
         if key in self.norms:

@@ -322,18 +322,12 @@ def verify_assumptions(branch: SpectralBranch, gap_floor: float = 1e-6,
 # controllability classification
 # ---------------------------------------------------------------------------
 
-def admissible_r_interval(alpha: float, gamma: float, beta: float = 0.0,
-                          convention: str = "symmetric") -> tuple:
+def admissible_r_interval(alpha: float, gamma: float, beta: float = 0.0) -> tuple:
     """Open interval of scale indices r on which the transform is an isomorphism.
 
-    convention "symmetric" shrinks both ends by gamma; "left_shrunk" keeps
-    the right end at alpha - 1/2.
+    Both ends of (beta + 1/2 - alpha, beta + alpha - 1/2) shrink by gamma.
     """
-    if convention == "symmetric":
-        return (beta + 0.5 - alpha + gamma, beta + alpha - 0.5 - gamma)
-    if convention == "left_shrunk":
-        return (beta + 0.5 - alpha + gamma, beta + alpha - 0.5)
-    raise ValueError(f"unknown interval convention {convention!r}")
+    return (beta + 0.5 - alpha + gamma, beta + alpha - 0.5 - gamma)
 
 
 @dataclass(frozen=True)

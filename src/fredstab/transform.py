@@ -6,34 +6,29 @@ truncation it satisfies T b = b and the intertwining identity
 T (A + b K^T) = (A - lam I) T exactly, so both residuals are rounding-level
 certificates of a correct build.
 
-T is fixed by O(N) data per branch, so transform.json stores only an O(N)
-certificate of it (BranchCertificate); every reader rebuilds T from the
-branch and its gains.
+T is fixed by O(N) data per branch, and no object keeps it: transform_matrix
+builds it on demand, and build_transform returns its O(N) certificate
+(BranchCertificate), the record transform.json stores.  Every reader that
+needs T rebuilds it from the branch and its gains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError
 from .jsonio import cpairs, from_cpairs
 from .spectral_core import SpectralBranch, admissible_r_interval
-from .synthesis import (BranchGains, FeedbackLaw, cauchy_system_matrix,
-                        solve_gains_direct)
+from .synthesis import BranchGains, cauchy_system_matrix, solve_gains_direct
 
 __all__ = [
-    "BranchTransform",
-    "FredholmTransform",
     "ClosedLoopMatrix",
     "BranchCertificate",
     "TRANSFORM_SCHEMA",
     "transform_matrix",
     "build_transform",
-    "build_system_transform",
-    "branch_certificate",
     "closed_loop_matrix",
     "operator_equality_residual",
     "conditioning_profile",
@@ -44,41 +39,25 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class BranchTransform:
-    """Truncated transform of one branch plus its certification residuals."""
+class BranchCertificate:
+    """O(N) certificate of one branch transform, as transform.json stores it.
+
+    T itself is not kept: it is a pure function of the branch and its gains
+    (transform_matrix), so a reader rebuilds it from system.json and
+    law.json and compares the rebuild against this certificate.
+    """
 
     branch_index: int
     lam: float
-    matrix: np.ndarray
+    diagonal: np.ndarray
+    column_norms: np.ndarray
+    frobenius: float
     tb_residual: float
     opeq_residual: float
-    conditioning: Optional[dict] = None
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex).copy()
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("transform matrix must be square")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
 
     @property
     def N(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class FredholmTransform:
-    lam: float
-    branches: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "branches", tuple(self.branches))
-
-    def branch(self, index: int) -> BranchTransform:
-        for bt in self.branches:
-            if bt.branch_index == index:
-                return bt
-        raise KeyError(f"no transform for branch {index}")
+        return len(self.diagonal)
 
 
 @dataclass(frozen=True)
@@ -129,8 +108,8 @@ def transform_matrix(branch: SpectralBranch, gains: BranchGains) -> np.ndarray:
     return np.multiply(-gains.gains[None, :], T, out=T)
 
 
-def build_transform(branch: SpectralBranch, gains: BranchGains) -> BranchTransform:
-    """Fill the transform matrix from the gains and certify it.
+def build_transform(branch: SpectralBranch, gains: BranchGains) -> BranchCertificate:
+    """Build T from the gains and return its O(N) certificate; T is not kept.
 
     tb_residual is ||T b - b|| / ||b||; opeq_residual is the normalized
     intertwining defect against the closed-loop matrix.
@@ -141,24 +120,22 @@ def build_transform(branch: SpectralBranch, gains: BranchGains) -> BranchTransfo
     tb = float(np.linalg.norm(T @ b - b) / np.linalg.norm(b))
     A_cl = np.diag(branch.eigenvalues) + np.outer(b, gains.gains)
     opeq = operator_equality_residual(T, A_cl, branch, lam)
-    return BranchTransform(branch_index=branch.index, lam=lam, matrix=T,
-                           tb_residual=tb, opeq_residual=opeq)
-
-
-def build_system_transform(system, law: FeedbackLaw) -> FredholmTransform:
-    branches = tuple(build_transform(b, law.branch(b.index)) for b in system.branches)
-    return FredholmTransform(lam=law.lam, branches=branches)
+    return BranchCertificate(branch_index=branch.index, lam=lam,
+                             diagonal=np.diagonal(T).copy(),
+                             column_norms=np.linalg.norm(T, axis=0),
+                             frobenius=float(np.linalg.norm(T)),
+                             tb_residual=tb, opeq_residual=opeq)
 
 
 def conditioning_profile(T: np.ndarray, r_list, alpha: float, gamma: float,
-                         beta: float = 0.0, convention: str = "symmetric") -> dict:
+                         beta: float = 0.0) -> dict:
     """Condition numbers of the weighted conjugations diag(n^r) T diag(n^-r).
 
     Every r must lie inside the open isomorphism interval; a bounded,
     N-stable profile is the finite-truncation proxy for the isomorphism
     property.
     """
-    lo, hi = admissible_r_interval(alpha, gamma, beta=beta, convention=convention)
+    lo, hi = admissible_r_interval(alpha, gamma, beta=beta)
     N = T.shape[0]
     n = np.arange(1, N + 1, dtype=float)
     profile = {}
@@ -172,7 +149,7 @@ def conditioning_profile(T: np.ndarray, r_list, alpha: float, gamma: float,
 
 
 def conditioning_vs_truncation(branch: SpectralBranch, lam: float, r: float,
-                               levels=None, convention: str = "symmetric") -> dict:
+                               levels=None) -> dict:
     """Weighted condition number re-synthesized at nested truncations.
 
     Defaults to N/4, N/2, N.  A plateau (small variation between levels)
@@ -183,10 +160,9 @@ def conditioning_vs_truncation(branch: SpectralBranch, lam: float, r: float,
     profile = {}
     for n in levels:
         sub = branch.truncated(int(n))
-        T = build_transform(sub, solve_gains_direct(sub, lam))
+        T = transform_matrix(sub, solve_gains_direct(sub, lam))
         profile[int(n)] = conditioning_profile(
-            T.matrix, [r], branch.alpha, branch.gamma,
-            beta=branch.beta, convention=convention)[float(r)]
+            T, [r], branch.alpha, branch.gamma, beta=branch.beta)[float(r)]
     return profile
 
 
@@ -197,54 +173,18 @@ def conditioning_vs_truncation(branch: SpectralBranch, lam: float, r: float,
 TRANSFORM_SCHEMA = "fredstab-transform/2"
 
 
-@dataclass(frozen=True)
-class BranchCertificate:
-    """O(N) summary of one branch transform, as transform.json stores it.
-
-    T itself is not stored: it is a pure function of the branch and its
-    gains (transform_matrix), so a reader rebuilds it from system.json and
-    law.json and compares the rebuild against this summary.
-    """
-
-    branch_index: int
-    lam: float
-    diagonal: np.ndarray
-    column_norms: np.ndarray
-    frobenius: float
-    tb_residual: float
-    opeq_residual: float
-
-    @property
-    def N(self) -> int:
-        return len(self.diagonal)
-
-
-def branch_certificate(bt: BranchTransform) -> BranchCertificate:
-    """Diagonal, column norms and Frobenius norm of T, plus its residuals."""
-    T = bt.matrix
-    return BranchCertificate(branch_index=bt.branch_index, lam=bt.lam,
-                             diagonal=np.diagonal(T).copy(),
-                             column_norms=np.linalg.norm(T, axis=0),
-                             frobenius=float(np.linalg.norm(T)),
-                             tb_residual=bt.tb_residual,
-                             opeq_residual=bt.opeq_residual)
-
-
-def transform_to_json(transform: FredholmTransform) -> dict:
-    branches = []
-    for bt in transform.branches:
-        cert = branch_certificate(bt)
-        branches.append({
-            "i": cert.branch_index,
-            "N": cert.N,
-            "diagonal": cpairs(cert.diagonal),
-            "column_norms": cert.column_norms,
-            "frobenius": cert.frobenius,
-            "tb_residual": float(cert.tb_residual),
-            "opeq_residual": float(cert.opeq_residual),
-        })
-    return {"schema": TRANSFORM_SCHEMA, "lambda": float(transform.lam),
-            "branches": branches}
+def transform_to_json(lam: float, certificates) -> dict:
+    """transform.json document of the branch certificates, in the given order."""
+    branches = [{
+        "i": cert.branch_index,
+        "N": cert.N,
+        "diagonal": cpairs(cert.diagonal),
+        "column_norms": cert.column_norms,
+        "frobenius": cert.frobenius,
+        "tb_residual": float(cert.tb_residual),
+        "opeq_residual": float(cert.opeq_residual),
+    } for cert in certificates]
+    return {"schema": TRANSFORM_SCHEMA, "lambda": float(lam), "branches": branches}
 
 
 def transform_from_json(doc: dict) -> dict[int, BranchCertificate]:

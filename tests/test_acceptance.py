@@ -29,13 +29,13 @@ def test_criterion_01_single_mode_exactness():
     br = fs.SpectralBranch(1, [-1.0], [2.0], alpha=2.0)
     lam = 2.0
     g = fs.solve_gains_direct(br, lam)
-    T = fs.build_transform(br, g)
+    T = fs.transform_matrix(br, g)
     cl = fs.closed_loop_matrix(br, g)
     checks = [
         ("x_1 = lambda", abs(g.products[0] - lam) <= 1e-14,
          f"|x_1 - lambda| = {abs(g.products[0] - lam):.2e}"),
-        ("T = identity", abs(T.matrix[0, 0] - 1.0) <= 1e-14,
-         f"|T - 1| = {abs(T.matrix[0, 0] - 1.0):.2e}"),
+        ("T = identity", abs(T[0, 0] - 1.0) <= 1e-14,
+         f"|T - 1| = {abs(T[0, 0] - 1.0):.2e}"),
         ("closed-loop eigenvalue", abs(cl.spectrum[0] - (-3.0)) <= 1e-14,
          f"|eig - (lambda_1 - lambda)| = {abs(cl.spectrum[0] + 3.0):.2e}"),
     ]
@@ -49,7 +49,7 @@ def test_criterion_02_worked_two_by_two():
     # Cramer oracle on the hand-built matrix [[0.5, -1], [0.2, 0.5]]
     det = 0.5 * 0.5 + 1.0 * 0.2
     oracle_x = np.array([(0.5 + 1.0) / det, (0.5 - 0.2) / det])
-    T = fs.build_transform(br, g)
+    T = fs.transform_matrix(br, g)
     T_expected = np.array([[5 / 3, -2 / 3], [2 / 3, 1 / 3]])
     cl = fs.closed_loop_matrix(br, g)
     # characteristic-polynomial oracle for the spectrum
@@ -62,8 +62,8 @@ def test_criterion_02_worked_two_by_two():
         ("x = (10/3, 2/3)",
          np.max(np.abs(g.products - [10 / 3, 2 / 3])) <= 1e-12,
          f"max dev = {np.max(np.abs(g.products - [10 / 3, 2 / 3])):.2e}"),
-        ("T matrix", np.max(np.abs(T.matrix - T_expected)) <= 1e-12,
-         f"max dev = {np.max(np.abs(T.matrix - T_expected)):.2e}"),
+        ("T matrix", np.max(np.abs(T - T_expected)) <= 1e-12,
+         f"max dev = {np.max(np.abs(T - T_expected)):.2e}"),
         ("spectrum {-3, -6}",
          np.max(np.abs(np.sort(cl.spectrum.real) - [-6.0, -3.0])) <= 1e-12,
          f"got {np.sort(cl.spectrum.real)}"),
@@ -141,8 +141,8 @@ def test_criterion_05_scaling_covariance_and_beta_reduction():
     c = 7.0 + 3.0j
     scaled = br.rescaled(c)
     g0, g1 = fs.solve_gains_direct(br, lam), fs.solve_gains_direct(scaled, lam)
-    T0 = fs.build_transform(br, g0).matrix
-    T1 = fs.build_transform(scaled, g1).matrix
+    T0 = fs.transform_matrix(br, g0)
+    T1 = fs.transform_matrix(scaled, g1)
     e0 = np.sort(fs.closed_loop_matrix(br, g0).spectrum.real)
     e1 = np.sort(fs.closed_loop_matrix(scaled, g1).spectrum.real)
     eig_rel = float(np.max(np.abs(e1 - e0) / np.maximum(np.abs(e0), 1.0)))
@@ -184,13 +184,13 @@ def test_criterion_07_isomorphism_proxy():
     kappas = {}
     for N in (64, 128):
         br = heat_torus_model(N).branches[0]
-        T = fs.build_transform(br, fs.solve_gains_direct(br, lam))
-        kappas[N] = fs.conditioning_profile(T.matrix, [-1.0, 0.0, 1.0], 2.0, 0.0)
+        T = fs.transform_matrix(br, fs.solve_gains_direct(br, lam))
+        kappas[N] = fs.conditioning_profile(T, [-1.0, 0.0, 1.0], 2.0, 0.0)
     factors = {r: kappas[128][r] / kappas[64][r] for r in (-1.0, 0.0, 1.0)}
     br = heat_torus_model(16).branches[0]
-    T16 = fs.build_transform(br, fs.solve_gains_direct(br, lam))
+    T16 = fs.transform_matrix(br, fs.solve_gains_direct(br, lam))
     try:
-        fs.conditioning_profile(T16.matrix, [1.5], 2.0, 0.0)
+        fs.conditioning_profile(T16, [1.5], 2.0, 0.0)
         rejected = False
     except ValueError:
         rejected = True

@@ -276,6 +276,31 @@ class TestReportCommand:
         for n in names:
             assert (plots / n).read_text().startswith("<?xml")
 
+    def test_decay_fits_survive_report(self, tmp_path):
+        # r_list[0] = 0.5 is the second norm column; "short" is too short to fit
+        cfg = tmp_path / "config.json"
+        write_config(cfg, r_list=[0.5, 0.0], scenarios=[
+            {"name": "lin", "u0": {"kind": "random", "seed": 0}, "t_end": 1.0,
+             "samples": 16},
+            {"name": "short", "u0": {"kind": "random", "seed": 1}, "t_end": 1.0,
+             "samples": 3},
+            {"name": "semi", "u0": {"kind": "burgers_random", "l2": 1e-3, "seed": 2},
+             "t_end": 0.2, "samples": 10, "dt": 1e-3, "nonlinear": True}])
+        report_path = tmp_path / "out" / "report.json"
+        main(["synthesize", "--config", str(cfg)])
+        assert main(["report", "--config", str(cfg)]) == 0
+        assert json.loads(report_path.read_text())["decay_fits"] is None
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        simulated = json.loads(report_path.read_text())["decay_fits"]
+        assert set(simulated) == {"lin", "short", "semi"}
+        assert simulated["short"] is None and simulated["lin"] is not None
+        assert main(["report", "--config", str(cfg)]) == 0
+        assert json.loads(report_path.read_text())["decay_fits"] == simulated
+        # traces without a column for the first r give no fit, not an error
+        write_config(cfg, r_list=[1.0], scenarios=[{"name": "lin"}])
+        assert main(["report", "--config", str(cfg)]) == 0
+        assert json.loads(report_path.read_text())["decay_fits"] == {"lin": None}
+
 
 class TestMatrixBudget:
     def test_huge_N_refused_fast(self, tmp_path, capsys):

@@ -6,9 +6,9 @@ import scipy.fft
 import scipy.linalg
 
 from fredstab import (IntegratorError, SimulationTrace, SpectralBranch,
-                      SpectralSystem, build_transform, burgers_basin_search,
-                      fit_decay, random_state, simulate_burgers,
-                      simulate_closed_loop, simulate_target, synthesize_feedback)
+                      SpectralSystem, burgers_basin_search, fit_decay,
+                      random_state, simulate_burgers, simulate_closed_loop,
+                      simulate_target, synthesize_feedback, transform_matrix)
 from fredstab import simulate
 from fredstab.models import heat_torus_model
 from fredstab.spectral_core import sobolev_norm
@@ -78,7 +78,7 @@ class TestClosedLoop:
         times = np.linspace(0, 1, 9)
         trace = simulate_closed_loop(system, law, u0, times)
         for b, block0, hist in zip(system.branches, u0, trace.states):
-            T = build_transform(b, law.branch(b.index)).matrix
+            T = transform_matrix(b, law.branch(b.index))
             w0 = T @ block0
             for k, t in enumerate(times):
                 v = np.exp((b.eigenvalues - 2.5) * t) * w0
@@ -274,7 +274,7 @@ def legacy_norm_series(times, states, r):
 def legacy_semigroup(system, law, blocks, times):
     states = []
     for b, block in zip(system.branches, blocks):
-        T = build_transform(b, law.branch(b.index)).matrix
+        T = transform_matrix(b, law.branch(b.index))
         lu = scipy.linalg.lu_factor(T)
         w = T @ block
         hist = np.empty((len(times), b.N), dtype=complex)

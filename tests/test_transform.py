@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from fredstab import (ConfigError, SpectralBranch, SpectralSystem,
-                      build_system_transform, build_transform,
-                      closed_loop_matrix, conditioning_profile,
-                      operator_equality_residual, solve_gains_direct,
-                      synthesize_feedback)
+                      build_transform, closed_loop_matrix,
+                      conditioning_profile, operator_equality_residual,
+                      solve_gains_direct, synthesize_feedback, transform_matrix)
 from fredstab.jsonio import canonical_json
 from fredstab.models import heat_torus_model
 from fredstab.synthesis import cauchy_system_matrix
 from fredstab.transform import (TRANSFORM_SCHEMA, transform_from_json,
-                                transform_matrix, transform_to_json)
+                                transform_to_json)
 
 from conftest import heat_branch, schrodinger_branch, worked_branch
 
@@ -21,26 +20,25 @@ class TestBuildTransform:
     def test_single_mode_identity(self):
         br = SpectralBranch(1, [-1.0], [1.0], alpha=2.0)
         g = solve_gains_direct(br, 2.0)
-        T = build_transform(br, g)
-        np.testing.assert_allclose(T.matrix, [[1.0]], atol=1e-15)
+        np.testing.assert_allclose(transform_matrix(br, g), [[1.0]], atol=1e-15)
 
     @pytest.mark.parametrize("branch", [heat_branch(24), schrodinger_branch(24)])
     def test_matrix_bits_match_defining_product(self, branch):
-        # transform.json stores these bytes; complex gains make them depend
+        # transform.json stores bytes of T; complex gains make them depend
         # on the operand order of (-K) * (b C)
         g = solve_gains_direct(branch, 2.5)
         C = cauchy_system_matrix(branch, 2.5)
         want = (-g.gains[None, :]) * (branch.control_coeffs[:, None] * C)
-        assert build_transform(branch, g).matrix.tobytes() == want.astype(complex).tobytes()
+        assert transform_matrix(branch, g).tobytes() == want.astype(complex).tobytes()
 
     def test_worked_matrix_and_fixed_vector(self):
         br = worked_branch()
         g = solve_gains_direct(br, 2.0)
-        T = build_transform(br, g)
+        T = transform_matrix(br, g)
         expected = np.array([[5.0 / 3.0, -2.0 / 3.0], [2.0 / 3.0, 1.0 / 3.0]])
-        np.testing.assert_allclose(T.matrix, expected, atol=1e-12)
+        np.testing.assert_allclose(T, expected, atol=1e-12)
         # hand matrix-vector oracle: T (1,1)^T = (1,1)^T
-        np.testing.assert_allclose(T.matrix @ [1.0, 1.0], [1.0, 1.0], atol=1e-14)
+        np.testing.assert_allclose(T @ [1.0, 1.0], [1.0, 1.0], atol=1e-14)
 
     def test_heat_tb_residual(self):
         br = heat_branch(64)
@@ -55,7 +53,7 @@ class TestNormalizedResolvent:
         b = rng.standard_normal(64) + 2.0
         br = SpectralBranch(1, -np.arange(1, 65.0) ** 2, b, alpha=2.0)
         g = solve_gains_direct(br, 2.5)
-        T = build_transform(br, g).matrix
+        T = transform_matrix(br, g)
         mat = (b[:, None] / b[None, :]) * cauchy_system_matrix(br, 2.5)
         np.testing.assert_allclose(T, g.products[None, :] * mat, atol=1e-12)
 
@@ -110,31 +108,31 @@ class TestOperatorEquality:
         T = build_transform(br, g)
         assert T.opeq_residual <= 1e-8
         cl = closed_loop_matrix(br, g)
-        manual = operator_equality_residual(T.matrix, cl.matrix, br, 2.5)
+        manual = operator_equality_residual(transform_matrix(br, g), cl.matrix, br, 2.5)
         assert manual == pytest.approx(T.opeq_residual, abs=1e-14)
 
 
 class TestConditioning:
     def test_single_mode_unit(self):
         br = SpectralBranch(1, [-1.0], [1.0], alpha=2.0)
-        T = build_transform(br, solve_gains_direct(br, 2.0))
-        prof = conditioning_profile(T.matrix, [-1.0, 0.0, 1.0], 2.0, 0.0)
+        T = transform_matrix(br, solve_gains_direct(br, 2.0))
+        prof = conditioning_profile(T, [-1.0, 0.0, 1.0], 2.0, 0.0)
         assert all(k == pytest.approx(1.0) for k in prof.values())
 
     def test_heat_plateau(self):
         kappas = {}
         for N in (32, 64, 128):
             br = heat_branch(N)
-            T = build_transform(br, solve_gains_direct(br, 2.5))
-            kappas[N] = conditioning_profile(T.matrix, [0.0], 2.0, 0.0)[0.0]
+            T = transform_matrix(br, solve_gains_direct(br, 2.5))
+            kappas[N] = conditioning_profile(T, [0.0], 2.0, 0.0)[0.0]
         assert kappas[64] / kappas[32] < 2.0
         assert kappas[128] / kappas[64] < 2.0
 
     def test_boundary_r_rejected(self):
         br = heat_branch(8)
-        T = build_transform(br, solve_gains_direct(br, 2.5))
+        T = transform_matrix(br, solve_gains_direct(br, 2.5))
         with pytest.raises(ValueError, match="admissible open interval"):
-            conditioning_profile(T.matrix, [1.5], 2.0, 0.0)
+            conditioning_profile(T, [1.5], 2.0, 0.0)
 
     def test_nested_truncation_plateau(self):
         from fredstab import conditioning_vs_truncation
@@ -151,33 +149,43 @@ def _two_systems():
             (schr, synthesize_feedback(schr, 2.5))]
 
 
+def _certificates(system, law):
+    return [build_transform(b, law.branch(b.index)) for b in system.branches]
+
+
+def _round_trip(law, certs):
+    doc = json.loads(canonical_json(transform_to_json(law.lam, certs)))
+    assert doc["schema"] == TRANSFORM_SCHEMA
+    return transform_from_json(doc)
+
+
 class TestCertificate:
     @pytest.mark.parametrize("system, law", _two_systems())
     def test_stored_summary_bits_match_transform_matrix(self, system, law):
-        doc = json.loads(canonical_json(transform_to_json(
-            build_system_transform(system, law))))
-        assert doc["schema"] == TRANSFORM_SCHEMA
-        stored = transform_from_json(doc)
-        for b in system.branches:
+        certs = _certificates(system, law)
+        stored = _round_trip(law, certs)
+        for b, cert in zip(system.branches, certs):
             T = transform_matrix(b, law.branch(b.index))
-            cert = stored[b.index]
-            assert cert.N == b.N
-            assert cert.diagonal.tobytes() == np.diagonal(T).tobytes()
-            assert cert.column_norms.tobytes() == np.linalg.norm(T, axis=0).tobytes()
-            assert cert.frobenius == float(np.linalg.norm(T))
+            for c in (cert, stored[b.index]):
+                assert c.branch_index == b.index and c.N == b.N
+                assert c.diagonal.tobytes() == np.diagonal(T).tobytes()
+                assert c.column_norms.tobytes() == np.linalg.norm(T, axis=0).tobytes()
+                assert c.frobenius == float(np.linalg.norm(T))
 
     def test_residuals_round_trip(self):
         system = heat_torus_model(16)
-        tr = build_system_transform(system, synthesize_feedback(system, 2.5))
-        stored = transform_from_json(json.loads(canonical_json(transform_to_json(tr))))
-        for bt in tr.branches:
-            assert stored[bt.branch_index].tb_residual == bt.tb_residual
-            assert stored[bt.branch_index].opeq_residual == bt.opeq_residual
-            assert stored[bt.branch_index].lam == tr.lam
+        law = synthesize_feedback(system, 2.5)
+        certs = _certificates(system, law)
+        stored = _round_trip(law, certs)
+        for cert in certs:
+            assert stored[cert.branch_index].tb_residual == cert.tb_residual
+            assert stored[cert.branch_index].opeq_residual == cert.opeq_residual
+            assert stored[cert.branch_index].lam == cert.lam == law.lam
 
     def test_no_matrix_stored(self):
         system = heat_torus_model(8)
-        doc = transform_to_json(build_system_transform(system, synthesize_feedback(system, 2.5)))
+        law = synthesize_feedback(system, 2.5)
+        doc = transform_to_json(law.lam, _certificates(system, law))
         assert all(set(bd) == {"i", "N", "diagonal", "column_norms", "frobenius",
                                "tb_residual", "opeq_residual"}
                    for bd in doc["branches"])
@@ -194,7 +202,8 @@ class TestCertificate:
 
     def test_inconsistent_lengths_rejected(self):
         system = heat_torus_model(8)
-        doc = transform_to_json(build_system_transform(system, synthesize_feedback(system, 2.5)))
+        law = synthesize_feedback(system, 2.5)
+        doc = transform_to_json(law.lam, _certificates(system, law))
         doc["branches"][0]["column_norms"] = doc["branches"][0]["column_norms"][:-1]
         with pytest.raises(ValueError, match="column norms"):
             transform_from_json(doc)
@@ -205,6 +214,6 @@ class TestScalingCovariance:
         br = heat_branch(32)
         c = 7.0 + 3.0j
         scaled = br.rescaled(c)
-        T0 = build_transform(br, solve_gains_direct(br, 2.5))
-        T1 = build_transform(scaled, solve_gains_direct(scaled, 2.5))
-        np.testing.assert_allclose(T1.matrix, T0.matrix, atol=1e-12)
+        T0 = transform_matrix(br, solve_gains_direct(br, 2.5))
+        T1 = transform_matrix(scaled, solve_gains_direct(scaled, 2.5))
+        np.testing.assert_allclose(T1, T0, atol=1e-12)
