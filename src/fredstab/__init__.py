@@ -26,8 +26,8 @@ from .synthesis import (BranchGains, FeedbackLaw, ShiftSelection,
 from .transform import (BranchCertificate, ClosedLoopMatrix, build_transform,
                         closed_loop_matrix, conditioning_profile,
                         conditioning_vs_truncation, operator_equality_residual,
-                        transform_matrix)
+                        secular_newton_steps, transform_matrix)
 from .diagnostics import (DiagnosticsReport, compactness_proxy, gain_trend,
-                          make_report, spectrum_match_error)
+                          make_report, secular_match_error, spectrum_match_error)
 
 __version__ = "0.1.0"

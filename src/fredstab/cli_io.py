@@ -11,7 +11,10 @@ its diagonal, column norms, Frobenius norm and residuals), never T itself.
 Stages pass certificates keyed by branch index; verify rebuilds them from
 system.json and law.json and compares them with the stored ones.  The
 consumers of T itself (the conditioning in the report, kappa_0 in the
-sweep) build it with transform.transform_matrix.
+sweep) build it with transform.transform_matrix.  Every certificate is
+O(N^2) per branch (closed-form gains, structured opeq, secular spectrum
+check); np.linalg.cond in the conditioning profile is the one dense
+factorization left in the certificates.
 
 Exit codes: 0 success, 2 assumption-verdict failure, 3 solver failure,
 4 integrator guard violation, 1 anything else.  Failures print a
@@ -44,10 +47,11 @@ from .transform import transform_from_json, transform_to_json
 TB_GATE = 1e-8
 OPEQ_GATE = 1e-8
 VERIFY_TOL = 1e-6
-# Peak memory above the interpreter is about 7, 8.5 and 10.7 N x N complex
-# matrices in synthesize, verify and report (heat torus, N = 1024); with
-# LIVE_MATRICES of them in the budget, MAX_N is 3344.  A larger truncation
-# is refused before any model or matrix is built.
+# Peak RSS growth of one stage is about 7.1, 4.3 and 4.6 N x N complex
+# matrices in synthesize, verify and report (heat torus, N = 1024); the
+# synthesize peak is select_shift's table of all eigenvalue differences.
+# With LIVE_MATRICES of them in the budget, MAX_N is 3344.  A larger
+# truncation is refused before any model or matrix is built.
 MATRIX_BUDGET_BYTES = 2 << 30
 LIVE_MATRICES = 12
 MAX_N = math.isqrt(MATRIX_BUDGET_BYTES // (16 * LIVE_MATRICES))
@@ -248,7 +252,7 @@ def cmd_verify(cfg: RunConfig, out: Optional[str] = None) -> int:
                      for name in _certificate_drift(stored.get(b.index), certs[b.index]))
     if drift:
         raise ConfigError("verification failed: " + "; ".join(drift))
-    report, _ = _assemble_report(cfg, system, law, certs)
+    report = _assemble_report(cfg, system, law, certs)
     diagnostics.write_report(report, os.path.join(out, "report.json"))
     print(f"verified artifacts in {out}: tb={report.tb_residual:.3e} "
           f"opeq={report.opeq_residual:.3e} match={report.spectrum_match:.3e}")
@@ -256,9 +260,7 @@ def cmd_verify(cfg: RunConfig, out: Optional[str] = None) -> int:
 
 
 def _assemble_report(cfg: RunConfig, system, law, certs, decay_fits=None):
-    """The certification report, and the closed loops whose spectra it used."""
-    closed = [transform.closed_loop_matrix(b, law.branch(b.index))
-              for b in system.branches]
+    """The certification report of the system, its law and its certificates."""
     b0 = system.branches[0]
     lo, hi = transform.admissible_r_interval(b0.alpha, b0.gamma, beta=b0.beta)
     conditioning = transform.conditioning_profile(
@@ -274,12 +276,11 @@ def _assemble_report(cfg: RunConfig, system, law, certs, decay_fits=None):
         classification = classify_controllability(b0, 0.0)
     except ValueError:
         pass
-    report = diagnostics.make_report(
+    return diagnostics.make_report(
         system=system, shift=law.lam, law=law, transforms=certs.values(),
-        closed_loops=closed, conditioning=conditioning,
+        conditioning=conditioning,
         gap_sum_tail_max=tail_max, compactness=compact,
         decay_fits=decay_fits, classification=classification, config=cfg.raw)
-    return report, closed
 
 
 def _linear_u0(system: SpectralSystem, spec: dict):
@@ -354,7 +355,7 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
             fits[name] = fit
         except ValueError:
             fits[name] = None
-    report, _ = _assemble_report(cfg, system, law, certs, decay_fits=fits)
+    report = _assemble_report(cfg, system, law, certs, decay_fits=fits)
     diagnostics.write_report(report, os.path.join(out, "report.json"))
     for name, fit in fits.items():
         msg = "no fit" if fit is None else f"mu_hat={fit.mu_hat:.4f} r2={fit.r2:.4f}"
@@ -380,11 +381,8 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str] = None,
         try:
             system = _build_system(cfg, N=n, gamma=g)
             _, shift, law, certs = _synthesize_pipeline(cfg, system, lambda0=l0)
-            closed = [transform.closed_loop_matrix(b, law.branch(b.index))
-                      for b in system.branches]
-            match = max(diagnostics.spectrum_match_error(
-                cl.spectrum, b.eigenvalues, law.lam)
-                for cl, b in zip(closed, system.branches))
+            match = max(diagnostics.secular_match_error(b, law.branch(b.index))
+                        for b in system.branches)
             u0 = simulate.random_state(system, seed=0)
             times = np.linspace(0.0, 1.0, 65)
             trace = simulate.simulate_closed_loop(system, law, u0, times)
@@ -461,12 +459,12 @@ def cmd_report(cfg: RunConfig, out: Optional[str] = None) -> int:
     out = _out_dir(cfg, out)
     system, law, _, certs = _load_artifacts(out)
     traces_dir = os.path.join(out, "traces")
-    report, closed = _assemble_report(cfg, system, law, certs,
-                                      decay_fits=_refit_decay(cfg, traces_dir))
+    report = _assemble_report(cfg, system, law, certs,
+                              decay_fits=_refit_decay(cfg, traces_dir))
     diagnostics.write_report(report, os.path.join(out, "report.json"))
     plots = os.path.join(out, "plots")
     os.makedirs(plots, exist_ok=True)
-    for b, cl in zip(system.branches, closed):
+    for b in system.branches:
         bg = law.branch(b.index)
         n = np.arange(1, bg.N + 1)
         diagnostics.svg_line_plot(
@@ -474,12 +472,12 @@ def cmd_report(cfg: RunConfig, out: Optional[str] = None) -> int:
             {"|x_n|": (n, np.abs(bg.products)),
              "|x_n - lambda|": (n, np.abs(bg.corrections))},
             f"gain profile, branch {b.index}", "n", "magnitude", logy=True)
-        order = np.argsort(cl.spectrum.real)
-        target = np.sort((b.eigenvalues - law.lam).real)
+        target = b.eigenvalues - law.lam
+        roots = target + transform.secular_newton_steps(b, bg)
         diagnostics.svg_line_plot(
             os.path.join(plots, f"spectrum_branch{b.index}.svg"),
-            {"closed-loop Re": (n, cl.spectrum.real[order]),
-             "shifted target Re": (n, target)},
+            {"closed-loop Re": (n, np.sort(roots.real)),
+             "shifted target Re": (n, np.sort(target.real))},
             f"spectrum shift, branch {b.index}", "mode (sorted)", "Re")
     if report.conditioning:
         rs = sorted(report.conditioning)

@@ -15,8 +15,10 @@ from typing import Optional
 import numpy as np
 
 from .jsonio import canonical_json, config_hash, write_json
-from .spectral_core import AssumptionVerdict, SpectralSystem, verify_assumptions
+from .spectral_core import (AssumptionVerdict, SpectralBranch, SpectralSystem,
+                            verify_assumptions)
 from .synthesis import BranchGains, FeedbackLaw
+from .transform import secular_newton_steps
 
 __all__ = [
     "REPORT_SCHEMA",
@@ -25,11 +27,20 @@ __all__ = [
     "compactness_proxy",
     "gain_trend",
     "spectrum_match_error",
+    "secular_match_error",
     "make_report",
     "svg_line_plot",
 ]
 
-REPORT_SCHEMA = "fredstab-report/1"
+REPORT_SCHEMA = "fredstab-report/2"
+"""Schema tag of report.json.
+
+Since fredstab-report/2, "spectrum_match_error" is the secular certificate
+(secular_match_error): the largest Newton distance from a shifted target
+lambda_p - lam to the nearest closed-loop root, relative to |lambda_p - lam|,
+over all branches.  fredstab-report/1 matched a dense eigvals spectrum to the
+targets (spectrum_match_error, now a test oracle).
+"""
 
 
 def compactness_proxy(S_c: np.ndarray, r: float, eps: float, alpha: float,
@@ -107,6 +118,18 @@ def spectrum_match_error(spectrum: np.ndarray, eigenvalues: np.ndarray,
     return float(worst)
 
 
+def secular_match_error(branch: SpectralBranch, gains: BranchGains) -> float:
+    """Max over p of |step_p| / |lambda_p - lam|, the secular spectrum certificate.
+
+    step_p is the Newton step from lambda_p - lam to the nearest root of the
+    closed-loop secular equation (transform.secular_newton_steps), so this is
+    the relative distance from each target to the spectrum, in O(N^2).
+    """
+    target = branch.eigenvalues - gains.lam
+    steps = secular_newton_steps(branch, gains)
+    return float(np.max(np.abs(steps) / np.maximum(np.abs(target), 1e-30)))
+
+
 def _verdict_json(v: AssumptionVerdict) -> dict:
     doc: dict = {"ok": v.ok}
     if v.growth is not None:
@@ -171,7 +194,7 @@ _MANDATORY = ("system", "shift", "law", "transforms")
 
 def make_report(system: Optional[SpectralSystem] = None, shift=None,
                 law: Optional[FeedbackLaw] = None, transforms=None,
-                closed_loops=None, conditioning: Optional[dict] = None,
+                conditioning: Optional[dict] = None,
                 gap_sum_tail_max: Optional[float] = None,
                 compactness: Optional[dict] = None, decay_fits=None,
                 classification=None,
@@ -180,9 +203,10 @@ def make_report(system: Optional[SpectralSystem] = None, shift=None,
 
     system, shift, law and transforms are mandatory; transforms is an
     iterable of the branch certificates (transform.BranchCertificate) whose
-    worst tb and opeq residuals the report carries.  Simulation sections
-    are marked absent (null) when not supplied.  decay_fits maps scenario
-    names to DecayFit objects or plain dicts.
+    worst tb and opeq residuals the report carries.  The spectrum match is
+    the worst secular_match_error over the branches of system and law.
+    Simulation sections are marked absent (null) when not supplied.
+    decay_fits maps scenario names to DecayFit objects or plain dicts.
     """
     missing = [name for name, val in
                zip(_MANDATORY, (system, shift, law, transforms)) if val is None]
@@ -193,12 +217,7 @@ def make_report(system: Optional[SpectralSystem] = None, shift=None,
     certificates = tuple(transforms)
     tb = max(c.tb_residual for c in certificates)
     opeq = max(c.opeq_residual for c in certificates)
-    if closed_loops is not None:
-        match = max(
-            spectrum_match_error(cl.spectrum, b.eigenvalues, lam)
-            for cl, b in zip(closed_loops, system.branches))
-    else:
-        match = float("nan")
+    match = max(secular_match_error(b, law.branch(b.index)) for b in system.branches)
     trends = [gain_trend(bg) if bg.N >= 16 else None for bg in law.branches]
     gain_doc = {
         "sup_product": max(bg.sup_product for bg in law.branches),

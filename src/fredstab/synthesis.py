@@ -6,8 +6,13 @@ on the bi-orthogonal family and cancelling b_p gives the linear system
     sum_n x_n / (lambda_n - lambda_p + lambda) = 1   for every p <= N,
 
 whose matrix is the same Cauchy-like matrix whose columns are the shifted
-resolvent sums.  Gains come out either from a pivoted direct solve or from
-the fixed-point accumulation x = lambda * 1 + sum of correction sweeps.
+resolvent sums.  Its solution has a closed form (the Cauchy determinant),
+
+    x_n = lambda * prod_{p != n} (1 + lambda / (lambda_n - lambda_p)),
+
+which the direct method evaluates in log space in O(N^2).  The fixed-point
+accumulation x = lambda * 1 + sum of correction sweeps is the independent
+iterative route.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import IterationDiverged, SolverError
 from .jsonio import cpairs, from_cpairs
@@ -170,25 +174,55 @@ class FeedbackLaw:
         raise KeyError(f"no gains for branch {index}")
 
 
-_COND_LIMIT = 1e12
+def _closed_form_products(branch: SpectralBranch, lam: float) -> np.ndarray:
+    """Products x = C^-1 1 from the Cauchy determinant, summed in log space.
+
+    x_n = lam * prod_{p != n} (1 + lam / (lambda_n - lambda_p)).  A real
+    spectrum takes real logs log|1 + q| and a count of negative factors
+    for the sign, so its products are exactly real.  Raises SolverError on
+    a shift that hits an eigenvalue difference exactly (a zero factor) and
+    when a log-sum or a product is not finite or a product vanishes, which
+    covers a repeated eigenvalue (an infinite factor).
+    """
+    ev = branch.eigenvalues
+    real = bool(np.all(ev.imag == 0))
+    if real:
+        ev = ev.real
+    d = ev[:, None] - ev[None, :]                   # d[n][p] = lambda_n - lambda_p
+    np.fill_diagonal(d, np.inf)                     # p == n contributes log 1 = 0
+    if np.any(d == -lam):
+        raise SolverError(f"shift {lam} hits an eigenvalue difference exactly")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        q = lam / d
+        if real:
+            neg = q < -1.0
+            # log1p(-2 - q) = log|1 + q| on the negative factors
+            log_sum = np.sum(np.log1p(np.where(neg, -2.0 - q, q)), axis=1)
+            sign = np.where(np.count_nonzero(neg, axis=1) % 2, -1.0, 1.0)
+            x = (lam * sign * np.exp(log_sum)).astype(complex)
+        else:
+            # numpy's complex log1p loses digits that log(1 + q) keeps
+            log_sum = np.sum(np.log(1.0 + q), axis=1)
+            x = lam * np.exp(log_sum)
+    if not (np.all(np.isfinite(log_sum)) and np.all(np.isfinite(x))
+            and np.all(x != 0)):
+        raise SolverError(
+            f"gain products on branch {branch.index} are not finite or vanish at "
+            f"shift {lam} (N={branch.N}): max |log-sum| "
+            f"{float(np.max(np.abs(log_sum))):.4g}; a repeated eigenvalue or a "
+            "factor past the float range")
+    return x
 
 
 def solve_gains_direct(branch: SpectralBranch, lam: float) -> BranchGains:
-    """Solve the truncated normalization system exactly (pivoted LU).
+    """Exact products of the truncated normalization system, in closed form.
 
-    Raises SolverError when the Cauchy-like matrix is singular to working
-    precision, which signals a shift too close to an eigenvalue difference
-    or a truncation too deep for the spectrum's gap profile.
+    tb_residual is ||C x - 1|| / sqrt(N) against the Cauchy matrix C.
+    Raises SolverError where _closed_form_products does.
     """
+    x = _closed_form_products(branch, lam)
     C = cauchy_system_matrix(branch, lam)
-    cond = np.linalg.cond(C)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise SolverError(
-            f"normalization matrix condition {cond:.3e} exceeds {_COND_LIMIT:.0e} "
-            f"at shift {lam} (N={branch.N})")
-    rhs = np.ones(branch.N, dtype=complex)
-    x = scipy.linalg.solve(C, rhs)
-    residual = np.linalg.norm(C @ x - rhs) / np.sqrt(branch.N)
+    residual = np.linalg.norm(C @ x - 1.0) / np.sqrt(branch.N)
     return _products_to_gains(branch, lam, x, "direct", residual)
 
 

@@ -10,6 +10,14 @@ T is fixed by O(N) data per branch, and no object keeps it: transform_matrix
 builds it on demand, and build_transform returns its O(N) certificate
 (BranchCertificate), the record transform.json stores.  Every reader that
 needs T rebuilds it from the branch and its gains.
+
+The closed loop A_cl = diag(lambda) + b K^T is a rank-one update, so its
+certificates need no N x N closed-loop matrix: the intertwining defect is
+T diag(lambda) + (T b) K^T - (diag(lambda) - lam) T, and the spectrum check
+is the secular equation det(z - A_cl) = det(z - diag(lambda)) (1 + sum_n
+x_n / (z - lambda_n)), whose value at z_p = lambda_p - lam is 1 - (C x)_p.
+closed_loop_matrix and operator_equality_residual are the dense O(N^3)
+forms, kept as test oracles.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ __all__ = [
     "TRANSFORM_SCHEMA",
     "transform_matrix",
     "build_transform",
+    "secular_newton_steps",
     "closed_loop_matrix",
     "operator_equality_residual",
     "conditioning_profile",
@@ -77,7 +86,7 @@ class ClosedLoopMatrix:
 
 
 def closed_loop_matrix(branch: SpectralBranch, gains: BranchGains) -> ClosedLoopMatrix:
-    """Assemble diag(lambda_n) + b K^T and compute its dense spectrum."""
+    """Assemble diag(lambda_n) + b K^T and compute its dense spectrum (oracle)."""
     if gains.N != branch.N:
         raise ValueError("gains and branch truncation differ")
     A = np.diag(branch.eigenvalues) + np.outer(branch.control_coeffs, gains.gains)
@@ -88,7 +97,10 @@ def closed_loop_matrix(branch: SpectralBranch, gains: BranchGains) -> ClosedLoop
 
 def operator_equality_residual(T: np.ndarray, A_cl: np.ndarray,
                                branch: SpectralBranch, lam: float) -> float:
-    """Frobenius-normalized residual of T A_cl = (diag(lambda_p) - lam I) T."""
+    """Frobenius-normalized residual of T A_cl = (diag(lambda_p) - lam I) T.
+
+    Dense O(N^3) oracle of the opeq_residual that build_transform computes.
+    """
     shifted = np.diag(branch.eigenvalues - lam)
     num = np.linalg.norm(T @ A_cl - shifted @ T)
     den = np.linalg.norm(T) * np.linalg.norm(A_cl)
@@ -111,20 +123,50 @@ def transform_matrix(branch: SpectralBranch, gains: BranchGains) -> np.ndarray:
 def build_transform(branch: SpectralBranch, gains: BranchGains) -> BranchCertificate:
     """Build T from the gains and return its O(N) certificate; T is not kept.
 
-    tb_residual is ||T b - b|| / ||b||; opeq_residual is the normalized
-    intertwining defect against the closed-loop matrix.
+    tb_residual is ||T b - b|| / ||b||.  opeq_residual is the intertwining
+    defect ||T diag(lambda) + (T b) K^T - (diag(lambda) - lam) T||_F divided
+    by ||T||_F ||A_cl||_F, in O(N^2): ||A_cl||_F^2 = ||lambda||^2
+    + 2 Re sum conj(lambda_n) b_n K_n + ||b||^2 ||K||^2, so A_cl is never formed.
     """
     T = transform_matrix(branch, gains)
     lam = gains.lam
     b = branch.control_coeffs
-    tb = float(np.linalg.norm(T @ b - b) / np.linalg.norm(b))
-    A_cl = np.diag(branch.eigenvalues) + np.outer(b, gains.gains)
-    opeq = operator_equality_residual(T, A_cl, branch, lam)
-    return BranchCertificate(branch_index=branch.index, lam=lam,
-                             diagonal=np.diagonal(T).copy(),
-                             column_norms=np.linalg.norm(T, axis=0),
-                             frobenius=float(np.linalg.norm(T)),
+    ev = branch.eigenvalues
+    K = gains.gains
+    Tb = T @ b
+    tb = float(np.linalg.norm(Tb - b) / np.linalg.norm(b))
+    diagonal = np.diagonal(T).copy()
+    column_norms = np.linalg.norm(T, axis=0)
+    frobenius = float(np.linalg.norm(T))
+    # The defect overwrites T, so at most two N x N matrices are live.
+    tmp = T * (ev - lam)[:, None]
+    defect = np.multiply(T, ev[None, :], out=T)
+    defect -= tmp
+    defect += np.multiply(Tb[:, None], K[None, :], out=tmp)
+    a_cl_sq = (np.linalg.norm(ev) ** 2 + 2.0 * float(np.real(np.sum(np.conj(ev) * b * K)))
+               + (np.linalg.norm(b) * np.linalg.norm(K)) ** 2)
+    den = frobenius * np.sqrt(max(a_cl_sq, 0.0))
+    opeq = float(np.linalg.norm(defect) / den) if den > 0 else 0.0
+    return BranchCertificate(branch_index=branch.index, lam=lam, diagonal=diagonal,
+                             column_norms=column_norms, frobenius=frobenius,
                              tb_residual=tb, opeq_residual=opeq)
+
+
+def secular_newton_steps(branch: SpectralBranch, gains: BranchGains) -> np.ndarray:
+    """Newton steps from each target lambda_p - lam to the nearest closed-loop root.
+
+    With f(z) = 1 + sum_n x_n / (z - lambda_n), the secular function of
+    A_cl = diag(lambda) + b K^T, f(z_p) = 1 - (C x)_p and f'(z_p) =
+    -((C o C) x)_p at z_p = lambda_p - lam, so step_p = (1 - (C x)_p) /
+    ((C o C) x)_p and z_p + step_p is the Newton-refined root.  O(N^2).
+    """
+    if gains.N != branch.N:
+        raise ValueError("gains and branch truncation differ")
+    C = cauchy_system_matrix(branch, gains.lam)
+    x = gains.products
+    residual = 1.0 - C @ x
+    slope = np.square(C, out=C) @ x
+    return residual / slope
 
 
 def conditioning_profile(T: np.ndarray, r_list, alpha: float, gamma: float,

@@ -1,10 +1,13 @@
 import json
 import os
+import sys
 import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from fredstab import diagnostics, transform
 from fredstab.cli_io import LIVE_MATRICES, MAX_N, main, parse_config
 from fredstab.errors import ConfigError
 from fredstab.jsonio import write_json
@@ -90,7 +93,7 @@ class TestVerifyCommand:
         assert main(["synthesize", "--config", str(cfg)]) == 0
         assert main(["verify", "--config", str(cfg)]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert report["schema"] == "fredstab-report/1"
+        assert report["schema"] == "fredstab-report/2"
         assert report["spectrum_match_error"] <= 1e-6
 
     def test_tampered_gain_flagged(self, tmp_path, capsys):
@@ -300,6 +303,45 @@ class TestReportCommand:
         write_config(cfg, r_list=[1.0], scenarios=[{"name": "lin"}])
         assert main(["report", "--config", str(cfg)]) == 0
         assert json.loads(report_path.read_text())["decay_fits"] == {"lin": None}
+
+
+class TestNoDenseCertificates:
+    def test_stages_use_only_structured_certificates(self, tmp_path, monkeypatch):
+        # No stage may reach eigvals, the dense closed loop, the dense
+        # intertwining product or an LU of the Cauchy matrix; np.linalg.cond
+        # is left to the conditioning profile alone.
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense certificate called")
+
+        for target, name in ((np.linalg, "eigvals"), (scipy.linalg, "solve"),
+                             (transform, "closed_loop_matrix"),
+                             (transform, "operator_equality_residual"),
+                             (diagnostics, "spectrum_match_error")):
+            monkeypatch.setattr(target, name, refuse)
+        callers = []
+        cond = np.linalg.cond
+
+        def counting_cond(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return cond(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cond", counting_cond)
+        cfg = tmp_path / "config.json"
+        # r = 2.0 lies outside the admissible interval (-1.5, 1.5)
+        write_config(cfg, r_list=[0.0, 0.5, 2.0], sweep={"lambda0": [2.0, 3.0]},
+                     scenarios=[
+                         {"name": "lin", "u0": {"kind": "random", "seed": 0},
+                          "t_end": 1.0, "samples": 16},
+                         {"name": "semi", "u0": {"kind": "burgers_random", "seed": 1},
+                          "t_end": 0.1, "samples": 5, "dt": 1e-3, "nonlinear": True}])
+        expected = {"synthesize": 0, "verify": 2, "simulate": 2, "report": 2 + 3,
+                    "sweep": 2}
+        for stage, calls in expected.items():
+            callers.clear()
+            assert main([stage, "--config", str(cfg), "--jobs", "1"]) == 0, stage
+            assert callers == ["conditioning_profile"] * calls, stage
+        rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+        assert all(row.endswith(",") for row in rows[1:])
 
 
 class TestMatrixBudget:

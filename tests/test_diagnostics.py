@@ -106,17 +106,15 @@ class TestMakeReport:
         system = heat_torus_model(N)
         law = synthesize_feedback(system, 2.5)
         tr = [build_transform(b, law.branch(b.index)) for b in system.branches]
-        closed = [closed_loop_matrix(b, law.branch(b.index))
-                  for b in system.branches]
-        return system, law, tr, closed
+        return system, law, tr
 
     def test_full_report_sections(self):
-        system, law, tr, closed = self.pipeline()
+        system, law, tr = self.pipeline()
         _, tail_max = inverse_gap_sum_profile(system.branches[0], 2.5, 0.0)
         trace = simulate_closed_loop(system, law, random_state(system),
                                      np.linspace(0, 2, 33))
         report = make_report(system=system, shift=2.5, law=law, transforms=tr,
-                             closed_loops=closed, conditioning={0.0: 5.0},
+                             conditioning={0.0: 5.0},
                              gap_sum_tail_max=tail_max,
                              decay_fits={"lin": fit_decay(trace)},
                              config={"N": 16})
@@ -128,28 +126,26 @@ class TestMakeReport:
         assert doc["config_hash"] == config_hash({"N": 16})
 
     def test_missing_mandatory_sections_named(self):
-        system, law, tr, _ = self.pipeline(8)
+        system, law, tr = self.pipeline(8)
         with pytest.raises(ValueError, match="law, transforms"):
             make_report(system=system, shift=2.5, law=None, transforms=None)
 
     def test_simulation_sections_absent_when_not_run(self):
-        system, law, tr, closed = self.pipeline(8)
-        report = make_report(system=system, shift=2.5, law=law, transforms=tr,
-                             closed_loops=closed)
+        system, law, tr = self.pipeline(8)
+        report = make_report(system=system, shift=2.5, law=law, transforms=tr)
         doc = report.to_json()
         assert doc["decay_fits"] is None
         assert doc["classification"] is None
 
     def test_roundtrip_bit_identical(self):
-        system, law, tr, closed = self.pipeline(8)
+        system, law, tr = self.pipeline(8)
         report = make_report(system=system, shift=2.5, law=law, transforms=tr,
-                             closed_loops=closed, config={"seed": 1})
+                             config={"seed": 1})
         assert report_roundtrip_identical(report)
 
     def test_write_report(self, tmp_path):
-        system, law, tr, closed = self.pipeline(8)
-        report = make_report(system=system, shift=2.5, law=law, transforms=tr,
-                             closed_loops=closed)
+        system, law, tr = self.pipeline(8)
+        report = make_report(system=system, shift=2.5, law=law, transforms=tr)
         path = tmp_path / "report.json"
         write_report(report, path)
         doc = json.loads(path.read_text())

@@ -1,0 +1,210 @@
+"""Oracles and properties of the structured O(N^2) certificates.
+
+The direct gains are the closed form of the Cauchy determinant, the
+spectrum check is the secular equation of the rank-one closed loop and
+opeq is the O(N^2) intertwining defect.  Their references here are the
+dense routes they replaced: pivoted LU on the Cauchy matrix, mpmath at 40
+digits, eigvals of the assembled closed loop with the greedy matching of
+spectrum_match_error, and the dense T @ A_cl of operator_equality_residual.
+"""
+
+import json
+from types import SimpleNamespace
+
+import mpmath
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fredstab as fs
+from fredstab.cli_io import main
+from fredstab.diagnostics import secular_match_error, spectrum_match_error
+from fredstab.models import gribov_model, heat_torus_model, schrodinger_model
+from fredstab.synthesis import cauchy_system_matrix
+
+from conftest import worked_branch
+from test_cli import write_config
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def lu_products(branch, lam):
+    """The replaced direct route: pivoted LU on the Cauchy matrix."""
+    return scipy.linalg.solve(cauchy_system_matrix(branch, lam),
+                              np.ones(branch.N, dtype=complex))
+
+
+def mpmath_products(branch, lam, digits=40):
+    """Cauchy system solved by LU in mpmath at the given precision."""
+    with mpmath.workdps(digits):
+        ev = [mpmath.mpc(complex(v)) for v in branch.eigenvalues]
+        C = mpmath.matrix([[1 / (ev_n - ev_p + lam) for ev_n in ev] for ev_p in ev])
+        x = mpmath.lu_solve(C, mpmath.matrix([1] * branch.N))
+        return np.array([complex(v) for v in x])
+
+
+def _small_branches():
+    x = np.linspace(0.0, 1.0, 1025)
+    heat = heat_torus_model(24)
+    return [
+        pytest.param(heat.branches[0], 2.5, id="heat-sine"),
+        pytest.param(heat.branches[1], 2.5, id="heat-constant"),
+        pytest.param(schrodinger_model(24, x ** 2)[0].branches[0], 1.0, id="schrodinger"),
+        pytest.param(gribov_model(24, eps=0.05 + 0.05j).branches[0], 2.0, id="gribov"),
+    ]
+
+
+class TestClosedFormOracles:
+    @pytest.mark.parametrize("branch, lam", _small_branches())
+    def test_matches_lu_and_mpmath(self, branch, lam):
+        x = fs.solve_gains_direct(branch, lam).products
+        scale = np.max(np.abs(x))
+        assert np.max(np.abs(x - lu_products(branch, lam))) <= 1e-13 * scale
+        assert np.max(np.abs(x - mpmath_products(branch, lam))) <= 1e-13 * scale
+
+    def test_real_spectrum_gives_exactly_real_products(self):
+        for branch in heat_torus_model(64).branches:
+            g = fs.solve_gains_direct(branch, 2.5)
+            assert np.all(g.products.imag == 0.0)
+            assert np.all(g.gains.imag == 0.0)
+
+
+class TestTypedErrors:
+    def test_shift_on_eigenvalue_difference(self):
+        with pytest.raises(fs.SolverError, match="hits an eigenvalue difference exactly"):
+            fs.solve_gains_direct(worked_branch(), 3.0)
+
+    @pytest.mark.parametrize("eigenvalues", [[-1.0, -4.0, -1.0], [-1j, -4j, -1j]])
+    def test_repeated_eigenvalue(self, eigenvalues):
+        # SpectralBranch refuses a repeat; a branch-like record that carries
+        # one still gets a typed error from the solver, never NaN or 0
+        with pytest.raises(ValueError, match="coincide"):
+            fs.SpectralBranch(1, eigenvalues, [1.0, 1.0, 1.0], alpha=2.0)
+        record = SimpleNamespace(index=1, N=3, eigenvalues=np.array(eigenvalues, complex),
+                                 control_coeffs=np.ones(3, dtype=complex))
+        with pytest.raises(fs.SolverError, match="repeated eigenvalue"):
+            fs.solve_gains_direct(record, 2.5)
+
+    def test_log_sum_not_finite(self):
+        # lam / (lambda_n - lambda_p) overflows to infinity
+        br = fs.SpectralBranch(1, [0.0, 5e-324], [1.0, 1.0], alpha=2.0)
+        with pytest.raises(fs.SolverError, match="not finite"):
+            fs.solve_gains_direct(br, 1e10)
+
+    def test_product_overflow_exits_three(self, tmp_path, capsys):
+        # at lambda0 = 1e8 the log-sums of heat N=64 pass exp's range
+        cfg = tmp_path / "config.json"
+        write_config(cfg, lambda0=1e8, N=64,
+                     model={"kind": "heat_torus", "N": 64, "params": {}})
+        assert main(["synthesize", "--config", str(cfg)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SolverError"
+        assert "not finite" in err["message"]
+
+
+# Random admissible branches: |lambda_n| ~ n^2 with jittered gaps, on the
+# negative real axis, the imaginary axis, or a ray in the open left half
+# plane; unit-order complex coefficients; the shift from select_shift.
+@st.composite
+def admissible_branches(draw, kind):
+    N = draw(st.integers(1, 24))
+    n = np.arange(1, N + 1, dtype=float)
+    jitter = np.array(draw(st.lists(st.floats(-0.3, 0.3), min_size=N, max_size=N)))
+    base = draw(st.floats(0.5, 3.0)) * (n ** 2 + jitter * n)
+    if kind == "real":
+        ev = -base
+    elif kind == "imaginary":
+        ev = -1j * base
+    else:
+        ev = -base * np.exp(1j * draw(st.floats(-1.2, 1.2)))
+    mags = draw(st.lists(st.floats(0.5, 2.0), min_size=N, max_size=N))
+    phases = draw(st.lists(st.floats(0.0, 6.28), min_size=N, max_size=N))
+    b = np.array(mags) * np.exp(1j * np.array(phases))
+    branch = fs.SpectralBranch(1, ev, b, alpha=2.0)
+    system = fs.SpectralSystem((branch,), "random")
+    lam = fs.select_shift(system, draw(st.floats(0.5, 5.0)), 0.25).lam
+    return branch, lam
+
+
+any_branch = st.sampled_from(["real", "imaginary", "complex"]).flatmap(admissible_branches)
+
+
+class TestStructuredProperties:
+    @PROPERTY
+    @given(any_branch)
+    def test_closed_form_equals_lu(self, case):
+        branch, lam = case
+        x = fs.solve_gains_direct(branch, lam).products
+        assert np.max(np.abs(x - lu_products(branch, lam))) <= 1e-12 * np.max(np.abs(x))
+
+    @PROPERTY
+    @given(any_branch)
+    def test_secular_and_dense_spectrum_at_rounding_level(self, case):
+        branch, lam = case
+        g = fs.solve_gains_direct(branch, lam)
+        assert secular_match_error(branch, g) <= 1e-12
+        dense = fs.closed_loop_matrix(branch, g).spectrum
+        assert spectrum_match_error(dense, branch.eigenvalues, lam) <= 1e-9
+
+    @PROPERTY
+    @given(any_branch)
+    def test_edited_product_fails_the_secular_certificate(self, case):
+        branch, lam = case
+        x = fs.solve_gains_direct(branch, lam).products.copy()
+        x[0] *= 1.0 + 1e-3
+        edited = fs.BranchGains(1, lam, "direct", -x / branch.control_coeffs, x, 0.0)
+        assert secular_match_error(branch, edited) > 1e-6
+
+    @PROPERTY
+    @given(any_branch)
+    def test_structured_opeq_matches_dense(self, case):
+        branch, lam = case
+        g = fs.solve_gains_direct(branch, lam)
+        dense = fs.operator_equality_residual(
+            fs.transform_matrix(branch, g), fs.closed_loop_matrix(branch, g).matrix,
+            branch, lam)
+        assert abs(fs.build_transform(branch, g).opeq_residual - dense) <= 1e-14
+
+    @PROPERTY
+    @given(any_branch, st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0,
+                                          allow_nan=False, allow_infinity=False))
+    def test_coefficient_scaling(self, case, c):
+        branch, lam = case
+        g0 = fs.solve_gains_direct(branch, lam)
+        g1 = fs.solve_gains_direct(branch.rescaled(c), lam)
+        assert np.array_equal(g1.products, g0.products)
+        np.testing.assert_allclose(g1.gains, g0.gains / c, rtol=1e-14)
+
+
+class TestHeatGainLimits:
+    """Closed limits of x_1 for the heat torus at lambda = 2.5 (criterion 4).
+
+    Branch 1 (eigenvalues -n^2): x_1 -> 2 sinh(pi a) / (pi a), a = sqrt(lambda - 1).
+    Branch 2 (eigenvalues -(n-1)^2): x_1 -> lambda sinh(pi a) / (pi a), a = sqrt(lambda).
+    The truncated products approach them from below at the rate O(1/N).
+    Both limits exceed 2 lambda = 5, so sup|x_n| <= 2 lambda cannot hold.
+    """
+
+    LAM = 2.5
+
+    def limits(self):
+        a1, a2 = np.sqrt(self.LAM - 1.0), np.sqrt(self.LAM)
+        return (2.0 * np.sinh(np.pi * a1) / (np.pi * a1),
+                self.LAM * np.sinh(np.pi * a2) / (np.pi * a2))
+
+    def shortfalls(self, N):
+        law = fs.synthesize_feedback(heat_torus_model(N), self.LAM)
+        return [(lim - bg.products[0].real) / lim
+                for bg, lim in zip(law.branches, self.limits())]
+
+    def test_limits_exceed_twice_lambda(self):
+        assert self.limits() == pytest.approx((12.179, 36.144), abs=1e-3)
+        assert min(self.limits()) > 2.0 * self.LAM
+
+    def test_products_approach_limits_at_rate_one_over_N(self):
+        at_256, at_1024 = self.shortfalls(256), self.shortfalls(1024)
+        for short, coarse in zip(at_1024, at_256):
+            assert 0.0 < short < 5e-3
+            assert 0.2 <= short / coarse <= 0.3
