@@ -25,6 +25,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+# argparse's gettext imports locale when main() builds its first parser;
+# importing it here keeps that cost out of the first stage
+import locale  # noqa: F401
 import math
 import os
 import sys
@@ -259,8 +262,13 @@ def cmd_verify(cfg: RunConfig, out: Optional[str] = None) -> int:
     return 0
 
 
-def _assemble_report(cfg: RunConfig, system, law, certs, decay_fits=None):
-    """The certification report of the system, its law and its certificates."""
+def _assemble_report(cfg: RunConfig, system, law, certs, decay_fits=None,
+                     secular_steps=None):
+    """The certification report of the system, its law and its certificates.
+
+    secular_steps ({branch index: transform.secular_newton_steps}) saves
+    recomputing them when the caller has them.
+    """
     b0 = system.branches[0]
     lo, hi = transform.admissible_r_interval(b0.alpha, b0.gamma, beta=b0.beta)
     conditioning = transform.conditioning_profile(
@@ -280,7 +288,8 @@ def _assemble_report(cfg: RunConfig, system, law, certs, decay_fits=None):
         system=system, shift=law.lam, law=law, transforms=certs.values(),
         conditioning=conditioning,
         gap_sum_tail_max=tail_max, compactness=compact,
-        decay_fits=decay_fits, classification=classification, config=cfg.raw)
+        decay_fits=decay_fits, classification=classification, config=cfg.raw,
+        secular_steps=secular_steps)
 
 
 def _linear_u0(system: SpectralSystem, spec: dict):
@@ -459,8 +468,12 @@ def cmd_report(cfg: RunConfig, out: Optional[str] = None) -> int:
     out = _out_dir(cfg, out)
     system, law, _, certs = _load_artifacts(out)
     traces_dir = os.path.join(out, "traces")
+    # one set of secular steps per branch: the spectrum check and the plot
+    steps = {b.index: transform.secular_newton_steps(b, law.branch(b.index))
+             for b in system.branches}
     report = _assemble_report(cfg, system, law, certs,
-                              decay_fits=_refit_decay(cfg, traces_dir))
+                              decay_fits=_refit_decay(cfg, traces_dir),
+                              secular_steps=steps)
     diagnostics.write_report(report, os.path.join(out, "report.json"))
     plots = os.path.join(out, "plots")
     os.makedirs(plots, exist_ok=True)
@@ -473,7 +486,7 @@ def cmd_report(cfg: RunConfig, out: Optional[str] = None) -> int:
              "|x_n - lambda|": (n, np.abs(bg.corrections))},
             f"gain profile, branch {b.index}", "n", "magnitude", logy=True)
         target = b.eigenvalues - law.lam
-        roots = target + transform.secular_newton_steps(b, bg)
+        roots = target + steps[b.index]
         diagnostics.svg_line_plot(
             os.path.join(plots, f"spectrum_branch{b.index}.svg"),
             {"closed-loop Re": (n, np.sort(roots.real)),

@@ -13,6 +13,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+# numpy loads numpy.random on first use; load it with the package, not
+# inside the first stage that draws (compactness_proxy's default_rng)
+import numpy.random
 
 from .jsonio import canonical_json, config_hash, write_json
 from .spectral_core import (AssumptionVerdict, SpectralBranch, SpectralSystem,
@@ -81,6 +84,21 @@ class GainTrend:
     quartile_ratio: float
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median of a non-empty 1-D float array, bit for bit, from a sort.
+
+    np.median goes through np.partition and loads np.ma; a sort and the
+    mean (a + b) / 2 of the middle pair give the same bits.
+    """
+    s = np.sort(values)
+    if np.isnan(s[-1]):           # sort puts NaN last; np.median returns NaN
+        return float("nan")
+    mid = len(s) // 2
+    if len(s) % 2:
+        return float(s[mid])
+    return float((s[mid - 1] + s[mid]) / 2.0)
+
+
 def gain_trend(gains: BranchGains) -> GainTrend:
     """Boundedness statistics of the gain products.
 
@@ -93,8 +111,8 @@ def gain_trend(gains: BranchGains) -> GainTrend:
     if N < 16:
         raise ValueError(f"gain trend needs N >= 16, got {N}")
     d = np.abs(gains.corrections)
-    head = float(np.median(d[: N // 4]))
-    tail = float(np.median(d[3 * N // 4:]))
+    head = _median(d[: N // 4])
+    tail = _median(d[3 * N // 4:])
     ratio = float("inf") if head == 0 else tail / head
     return GainTrend(sup_product=gains.sup_product,
                      sup_correction=float(np.max(d)),
@@ -118,15 +136,18 @@ def spectrum_match_error(spectrum: np.ndarray, eigenvalues: np.ndarray,
     return float(worst)
 
 
-def secular_match_error(branch: SpectralBranch, gains: BranchGains) -> float:
+def secular_match_error(branch: SpectralBranch, gains: BranchGains,
+                        steps: Optional[np.ndarray] = None) -> float:
     """Max over p of |step_p| / |lambda_p - lam|, the secular spectrum certificate.
 
     step_p is the Newton step from lambda_p - lam to the nearest root of the
     closed-loop secular equation (transform.secular_newton_steps), so this is
     the relative distance from each target to the spectrum, in O(N^2).
+    Pass steps when the caller already has them.
     """
     target = branch.eigenvalues - gains.lam
-    steps = secular_newton_steps(branch, gains)
+    if steps is None:
+        steps = secular_newton_steps(branch, gains)
     return float(np.max(np.abs(steps) / np.maximum(np.abs(target), 1e-30)))
 
 
@@ -198,7 +219,8 @@ def make_report(system: Optional[SpectralSystem] = None, shift=None,
                 gap_sum_tail_max: Optional[float] = None,
                 compactness: Optional[dict] = None, decay_fits=None,
                 classification=None,
-                config: Optional[dict] = None) -> DiagnosticsReport:
+                config: Optional[dict] = None,
+                secular_steps: Optional[dict] = None) -> DiagnosticsReport:
     """Assemble the certification record from pipeline outputs.
 
     system, shift, law and transforms are mandatory; transforms is an
@@ -207,6 +229,8 @@ def make_report(system: Optional[SpectralSystem] = None, shift=None,
     the worst secular_match_error over the branches of system and law.
     Simulation sections are marked absent (null) when not supplied.
     decay_fits maps scenario names to DecayFit objects or plain dicts.
+    secular_steps maps branch indices to their secular_newton_steps, for a
+    caller that needs them too; they are computed here otherwise.
     """
     missing = [name for name, val in
                zip(_MANDATORY, (system, shift, law, transforms)) if val is None]
@@ -217,7 +241,9 @@ def make_report(system: Optional[SpectralSystem] = None, shift=None,
     certificates = tuple(transforms)
     tb = max(c.tb_residual for c in certificates)
     opeq = max(c.opeq_residual for c in certificates)
-    match = max(secular_match_error(b, law.branch(b.index)) for b in system.branches)
+    steps = secular_steps or {}
+    match = max(secular_match_error(b, law.branch(b.index), steps.get(b.index))
+                for b in system.branches)
     trends = [gain_trend(bg) if bg.N >= 16 else None for bg in law.branches]
     gain_doc = {
         "sup_product": max(bg.sup_product for bg in law.branches),
@@ -306,7 +332,7 @@ def svg_line_plot(path, series: dict, title: str, xlabel: str, ylabel: str,
     ]
     for label, (x, y) in clean.items():
         lines.append(f"  series: {label}")
-        for xv, yv in zip(x, y):
+        for xv, yv in zip(x.tolist(), y.tolist()):
             lines.append(f"    {xv!r},{yv!r}")
     lines.append("-->")
     lines.append(f'<rect width="{width}" height="{height}" fill="white"/>')

@@ -5,6 +5,9 @@ two except the constant mode), the linearized Schrodinger system around
 the ground state, a general diffusion operator d/dx(a du/dx) + b u solved
 numerically through its normal-form reduction, and a cubic-spectrum
 non-self-adjoint model.
+
+Only the diffusion-operator functions need scipy (eigh_tridiagonal); they
+import it when they run, so importing this module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.integrate
-import scipy.linalg
 
 from .errors import SolverError
 from .spectral_core import SpectralBranch, SpectralSystem
@@ -59,6 +60,52 @@ class ModelDescriptor:
 def descriptor_from_json(doc: dict) -> ModelDescriptor:
     return ModelDescriptor(kind=str(doc["kind"]), N=int(doc["N"]),
                            params=dict(doc.get("params", {})))
+
+
+# ---------------------------------------------------------------------------
+# quadrature on sample grids (numpy only, bitwise equal to scipy.integrate)
+# ---------------------------------------------------------------------------
+
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """scipy.integrate.simpson(y, x=x) on a 1-D grid of at least 3 distinct nodes.
+
+    An odd sample count is composite Simpson over pairs of intervals; an
+    even one adds Cartwright's correction for the last interval.  The
+    operation order is scipy's, so the result is bit for bit the same.
+    """
+    N = len(y)
+    if N % 2 == 1:
+        return _basic_simpson(y, N - 2, x)
+    result = _basic_simpson(y, N - 3, x)
+    diffs = np.diff(x)
+    # 0-d arrays as in scipy: their ** 3 can differ in the last bit from
+    # the same power of a float64 scalar
+    h0 = np.squeeze(diffs[-2:-1])
+    h1 = np.squeeze(diffs[-1:])
+    alpha = (2 * h1 ** 2 + 3 * h0 * h1) / (6 * (h1 + h0))
+    beta = (h1 ** 2 + 3.0 * h0 * h1) / (6 * h0)
+    eta = (1 * h1 ** 3) / (6 * h0 * (h0 + h1))
+    result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return result + 0.0           # scipy's final "+= val" (0.0): -0.0 -> +0.0
+
+
+def _basic_simpson(y: np.ndarray, stop: int, x: np.ndarray):
+    """Simpson over the interval pairs starting at nodes 0, 2, ..., < stop."""
+    h = np.diff(x)
+    h0 = h[0:stop:2]
+    h1 = h[1:stop + 1:2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = h0 / h1
+    tmp = hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / h0divh1)
+                        + y[1:stop + 1:2] * (hsum * (hsum / hprod))
+                        + y[2:stop + 2:2] * (2.0 - h0divh1))
+    return np.sum(tmp)
+
+
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """scipy.integrate.cumulative_trapezoid(y, x, initial=0.0), bit for bit."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +189,7 @@ def schrodinger_model(N: int, mu_values, eps: float = 0.25,
     phi1 = np.sqrt(2.0) * np.sin(np.pi * x)
     n = np.arange(1, N + 1)
     inner = np.array([
-        scipy.integrate.simpson(mu * phi1 * np.sqrt(2.0) * np.sin(k * np.pi * x), x=x)
+        _simpson(mu * phi1 * np.sqrt(2.0) * np.sin(k * np.pi * x), x)
         for k in n
     ])
     zero = np.nonzero(np.abs(inner) <= floor * max(1.0, np.max(np.abs(inner))))[0]
@@ -273,7 +320,7 @@ def liouville_transform(problem: SturmLiouvilleProblem,
     x = problem.x_grid
     a = problem.a_values
     b = problem.b_values
-    y_of_x = scipy.integrate.cumulative_trapezoid(1.0 / np.sqrt(a), x, initial=0.0)
+    y_of_x = _cumulative_trapezoid(1.0 / np.sqrt(a), x)
     M = float(y_of_x[-1])
     G = y_grid_size if y_grid_size is not None else problem.grid_size
     y = np.linspace(0.0, M, G + 1)
@@ -332,8 +379,9 @@ def _tridiag_robin_eigs(diag_potential: np.ndarray, h: float,
         main[-1] = -2.0 / h ** 2 - 2.0 * c_r1 / (c_r2 * h) + diag_potential[G]
         off[-1] = np.sqrt(2.0) / h ** 2
         scale[-1] = np.sqrt(2.0)
+    from scipy.linalg import eigh_tridiagonal
     try:
-        vals, vecs = scipy.linalg.eigh_tridiagonal(
+        vals, vecs = eigh_tridiagonal(
             main, off, select="i", select_range=(size - n_modes, size - 1))
     except Exception as exc:  # pragma: no cover - LAPACK failure path
         raise SolverError(f"tridiagonal eigensolver failed: {exc}") from exc
@@ -388,8 +436,7 @@ def sturm_liouville_model(problem: SturmLiouvilleProblem, N: int, phi_values,
             f"(relative gap {rel_gap[j]:.2e}); this generator only supports "
             "simple-spectrum boundary configurations")
     x = problem.x_grid
-    y_of_x = scipy.integrate.cumulative_trapezoid(
-        1.0 / np.sqrt(problem.a_values), x, initial=0.0)
+    y_of_x = _cumulative_trapezoid(1.0 / np.sqrt(problem.a_values), x)
     a_quarter_x = problem.a_values ** 0.25
     modes_x = np.empty((len(x), N))
     for j in range(N):
@@ -398,7 +445,7 @@ def sturm_liouville_model(problem: SturmLiouvilleProblem, N: int, phi_values,
     phi = np.asarray(phi_values, dtype=float).ravel()
     if len(phi) != len(x):
         raise ValueError("control shape must be sampled on the problem grid")
-    b = np.array([scipy.integrate.trapezoid(phi * modes_x[:, j], x) for j in range(N)])
+    b = np.array([np.trapezoid(phi * modes_x[:, j], x) for j in range(N)])
     small = np.nonzero(np.abs(b) <= b_floor)[0]
     if small.size:
         raise SolverError(
@@ -449,7 +496,8 @@ def sturm_liouville_eigs_direct(problem: SturmLiouvilleProblem, N: int) -> np.nd
     if keep_right:
         off[-1] *= np.sqrt(2.0)
         scale[-1] = np.sqrt(2.0)
-    vals = scipy.linalg.eigh_tridiagonal(
+    from scipy.linalg import eigh_tridiagonal
+    vals = eigh_tridiagonal(
         main, off, select="i", select_range=(size - N, size - 1))[0]
     return vals[np.argsort(vals)[::-1]]
 

@@ -25,8 +25,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.fft
-import scipy.linalg
+# numpy loads numpy.fft on first use; load it with the package, not inside
+# the first simulate stage
+import numpy.fft
 
 from .errors import IntegratorError
 from .spectral_core import SpectralSystem
@@ -202,13 +203,12 @@ def simulate_closed_loop(system: SpectralSystem, law: FeedbackLaw, u0, times,
     if integrator == "semigroup_exact":
         for b, block in zip(system.branches, blocks):
             T = np.asarray(transform_matrix(b, law.branch(b.index)), dtype=complex)
-            lu = scipy.linalg.lu_factor(T)
             w = T @ block
-            # row k of v is e^{(lambda - lam) t_k} w; v.T is the Fortran-ordered
-            # right-hand side LAPACK solves in place, so no copy is made
+            # row k of v is e^{(lambda - lam) t_k} w: one gesv (LU of T and
+            # the solve) against every sample at once
             v = np.exp(np.outer(times, b.eigenvalues - law.lam))
             v *= w
-            states.append(scipy.linalg.lu_solve(lu, v.T, overwrite_b=True).T)
+            states.append(np.linalg.solve(T, v.T).T)
     else:
         stiff = max(float(np.max(np.abs(b.eigenvalues))) for b in system.branches)
         if stiff > 0 and dt > 2.0 / stiff:
@@ -277,6 +277,30 @@ def _control_fourier(system: SpectralSystem, N: int):
     return phi1, phi2
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 11-smooth integer >= n, as scipy.fft.next_fast_len(n, real=False).
+
+    pocketfft is fastest on lengths whose prime factors are all at most 11.
+    Each 3^a 5^b 7^c 11^d below the running best is raised to n by the
+    least power of two.
+    """
+    best = 1 << (n - 1).bit_length()
+    p11 = 1
+    while p11 < best:
+        p7 = p11
+        while p7 < best:
+            p5 = p7
+            while p5 < best:
+                m = p5
+                while m < best:
+                    best = min(best, m << (-(-n // m) - 1).bit_length())
+                    m *= 3
+                p5 *= 5
+            p7 *= 7
+        p11 *= 11
+    return best
+
+
 def _convolve_fft(work: np.ndarray, N: int, length: int) -> np.ndarray:
     """Coefficients k = -N..N of the self-convolution of work (length 2N + 1).
 
@@ -284,8 +308,8 @@ def _convolve_fft(work: np.ndarray, N: int, length: int) -> np.ndarray:
     wrap-around.  An exactly Hermitian work (a real function) gets an
     exactly Hermitian result, so real data stay real.
     """
-    spec = scipy.fft.fft(work, n=length)
-    conv = scipy.fft.ifft(spec * spec)[N: 3 * N + 1]
+    spec = np.fft.fft(work, n=length)
+    conv = np.fft.ifft(spec * spec)[N: 3 * N + 1]
     if np.array_equal(work, np.conj(work[::-1])):
         conv = 0.5 * (conv + np.conj(conv[::-1]))
     return conv
@@ -352,7 +376,7 @@ def simulate_burgers(system: SpectralSystem, law: Optional[FeedbackLaw], u0, tim
         c = _fourier_from_physical(np.asarray(u0, dtype=float), N)
     k_axis = np.arange(-N, N + 1)
     half_dk = -0.5j * k_axis
-    fft_len = scipy.fft.next_fast_len(3 * N + 1)
+    fft_len = _next_fast_len(3 * N + 1)
     phi1, phi2 = _control_fourier(system, N)
     if law is not None:
         K1 = law.branch(1).gains

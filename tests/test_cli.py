@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import sys
@@ -6,8 +8,10 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fredstab import diagnostics, transform
+from fredstab import cli_io, diagnostics, errors, transform
 from fredstab.cli_io import LIVE_MATRICES, MAX_N, main, parse_config
 from fredstab.errors import ConfigError
 from fredstab.jsonio import write_json
@@ -303,6 +307,74 @@ class TestReportCommand:
         write_config(cfg, r_list=[1.0], scenarios=[{"name": "lin"}])
         assert main(["report", "--config", str(cfg)]) == 0
         assert json.loads(report_path.read_text())["decay_fits"] == {"lin": None}
+
+    def test_secular_steps_once_per_branch(self, tmp_path, monkeypatch):
+        # the spectrum check in report.json and the spectrum plot share them
+        cfg = tmp_path / "config.json"
+        write_config(cfg)
+        assert main(["synthesize", "--config", str(cfg)]) == 0
+        assert main(["verify", "--config", str(cfg)]) == 0
+        verified = (tmp_path / "out" / "report.json").read_bytes()
+        calls = []
+        steps = transform.secular_newton_steps
+
+        def counting_steps(branch, gains):
+            calls.append(branch.index)
+            return steps(branch, gains)
+
+        monkeypatch.setattr(transform, "secular_newton_steps", counting_steps)
+        monkeypatch.setattr(diagnostics, "secular_newton_steps", counting_steps)
+        assert main(["report", "--config", str(cfg)]) == 0
+        assert sorted(calls) == [1, 2]
+        # no scenarios, so no decay fits: the report equals verify's byte for byte
+        assert (tmp_path / "out" / "report.json").read_bytes() == verified
+
+
+# The exit-code contract of the module docstring of cli_io, written out
+# independently of the exit_code attributes.
+_DOCUMENTED_EXIT = {
+    errors.FredstabError: 1,
+    errors.ConfigError: 1,
+    errors.AssumptionError: 2,
+    errors.SolverError: 3,
+    errors.IterationDiverged: 3,
+    errors.IntegratorError: 4,
+}
+
+
+def _error_types(base=errors.FredstabError):
+    found = [base]
+    for sub in base.__subclasses__():
+        found.extend(_error_types(sub))
+    return found
+
+
+class TestExitCodes:
+    def test_every_error_type_has_a_documented_code(self):
+        assert set(_error_types()) == set(_DOCUMENTED_EXIT)
+
+    @pytest.fixture(scope="class")
+    def config_path(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("exit") / "config.json"
+        write_config(path, sweep={"lambda0": [2.5]})
+        return path
+
+    @settings(max_examples=60, deadline=None)
+    @given(error=st.sampled_from(sorted(_DOCUMENTED_EXIT, key=lambda t: t.__name__)),
+           stage=st.sampled_from(["synthesize", "verify", "simulate", "sweep", "report"]),
+           message=st.text(max_size=40))
+    def test_error_in_stage_maps_to_exit_code(self, config_path, error, stage, message):
+        def fail(*args, **kwargs):
+            raise error(message)
+
+        stderr = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(stderr):
+            # every stage calls _out_dir first, inside its cmd_* function
+            mp.setattr(cli_io, "_out_dir", fail)
+            code = main([stage, "--config", str(config_path)])
+        assert code == _DOCUMENTED_EXIT[error]
+        payload = json.loads(stderr.getvalue())
+        assert payload == {"error": error.__name__, "message": message}
 
 
 class TestNoDenseCertificates:

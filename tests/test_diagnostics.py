@@ -184,3 +184,19 @@ class TestSvgPlot:
         assert "data table" in text
         assert "polyline" in text
         assert text.rstrip().endswith("</svg>")
+
+    def test_data_rows_are_plain_floats(self, tmp_path):
+        # numpy scalars once leaked their repr, "np.float64(0.0)", into the table
+        path = tmp_path / "plot.svg"
+        x = np.linspace(0, 1, 16)
+        svg_line_plot(path, {"a": (x, np.exp(-3 * x)), "b": (x, 1.0 + x ** 2)},
+                      "test plot", "t", "norm")
+        text = path.read_text()
+        table = text[text.index("<!-- data table") + 1:text.index("-->")]
+        rows = [line.strip() for line in table.splitlines()[1:]
+                if line.strip() and not line.strip().startswith("series:")]
+        assert len(rows) == 32
+        for row in rows:
+            xv, yv = row.split(",")
+            float(xv), float(yv)
+        assert rows[1] == f"{float(x[1])!r},{float(np.exp(-3 * x[1]))!r}"
