@@ -11,14 +11,13 @@ from .errors import (AssumptionError, ConfigError, FredstabError,
 from .models import (ModelDescriptor, SturmLiouvilleProblem, gribov_model,
                      heat_torus_model, liouville_transform, schrodinger_model,
                      sturm_liouville_eigs_direct, sturm_liouville_model)
-from .simulate import (DecayFit, SimulationTrace, burgers_basin_search,
-                       fit_decay, random_state, simulate_burgers,
-                       simulate_closed_loop, simulate_target)
+from .simulate import (DecayFit, SimulationTrace, fit_decay, random_state,
+                       simulate_burgers, simulate_closed_loop, simulate_target)
 from .spectral_core import (AssumptionVerdict, SpectralBranch, SpectralSystem,
-                            WeightedNorm, admissible_r_interval, branch_split,
-                            classify_controllability, sobolev_norm,
-                            system_from_json, system_to_json, verify_assumptions,
-                            verify_control, verify_gap, verify_growth)
+                            admissible_r_interval, classify_controllability,
+                            sobolev_norm, system_from_json, system_to_json,
+                            verify_assumptions, verify_control, verify_gap,
+                            verify_growth)
 from .synthesis import (BranchGains, FeedbackLaw, ShiftSelection,
                         beta_reduced_gains, inverse_gap_sum_profile,
                         resolvent_matrix, select_shift, solve_gains_direct,
@@ -27,7 +26,7 @@ from .transform import (BranchCertificate, ClosedLoopMatrix, build_transform,
                         closed_loop_matrix, conditioning_profile,
                         conditioning_vs_truncation, operator_equality_residual,
                         secular_newton_steps, transform_matrix)
-from .diagnostics import (DiagnosticsReport, compactness_proxy, gain_trend,
-                          make_report, secular_match_error, spectrum_match_error)
+from .diagnostics import (compactness_proxy, gain_trend, make_report,
+                          secular_match_error, spectrum_match_error)
 
 __version__ = "0.1.0"

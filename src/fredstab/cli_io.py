@@ -11,10 +11,17 @@ its diagonal, column norms, Frobenius norm and residuals), never T itself.
 Stages pass certificates keyed by branch index; verify rebuilds them from
 system.json and law.json and compares them with the stored ones.  The
 consumers of T itself (the conditioning in the report, kappa_0 in the
-sweep) build it with transform.transform_matrix.  Every certificate is
-O(N^2) per branch (closed-form gains, structured opeq, secular spectrum
-check); np.linalg.cond in the conditioning profile is the one dense
-factorization left in the certificates.
+sweep) build it through transform.admissible_conditioning, which keeps
+only the r inside the admissible interval.  Every certificate is O(N^2)
+per branch (closed-form gains, structured opeq, secular spectrum check);
+np.linalg.cond in the conditioning profile is the one dense factorization
+left in the certificates.
+
+verify, simulate and report write report.json through one writer,
+_write_report.  It reads only the output directory (system.json, law.json
+and the traces/*_norms.csv files) and the config, so the three stages
+write the same bytes for the same directory: simulate writes its traces
+first, and the decay fits are refit from them.
 
 Exit codes: 0 success, 2 assumption-verdict failure, 3 solver failure,
 4 integrator guard violation, 1 anything else.  Failures print a
@@ -41,8 +48,7 @@ from . import diagnostics, models, simulate, synthesis, transform
 from .errors import (AssumptionError, ConfigError, FredstabError,
                      SolverError)
 from .jsonio import canonical_json, read_json, write_json
-from .spectral_core import (SpectralSystem, classify_controllability,
-                            system_from_json, system_to_json,
+from .spectral_core import (SpectralSystem, system_from_json, system_to_json,
                             verify_assumptions)
 from .synthesis import law_from_json, law_to_json
 from .transform import transform_from_json, transform_to_json
@@ -222,18 +228,23 @@ def _load_artifacts(out: str):
     return system, law, stored, _build_certificates(system, law)
 
 
+def _drifts(stored, rebuilt, tol: float) -> bool:
+    """True when stored and rebuilt differ by more than tol anywhere, or by NaN."""
+    off = np.abs(np.asarray(stored) - np.asarray(rebuilt))
+    return not np.all(off <= tol)
+
+
 def _certificate_drift(stored, rebuilt) -> list[str]:
     """Names of the stored certificate fields that disagree with the rebuild."""
     if stored is None or stored.N != rebuilt.N:
         return ["transform matrix"]
-    matrix_off = max(np.max(np.abs(stored.diagonal - rebuilt.diagonal)),
-                     np.max(np.abs(stored.column_norms - rebuilt.column_norms)),
-                     abs(stored.frobenius - rebuilt.frobenius))
-    checks = (("transform matrix", matrix_off),
-              ("lambda", abs(stored.lam - rebuilt.lam)),
-              ("tb_residual", abs(stored.tb_residual - rebuilt.tb_residual)),
-              ("opeq_residual", abs(stored.opeq_residual - rebuilt.opeq_residual)))
-    return [name for name, off in checks if off > VERIFY_TOL]
+    checks = (("diagonal", stored.diagonal, rebuilt.diagonal),
+              ("column_norms", stored.column_norms, rebuilt.column_norms),
+              ("frobenius", stored.frobenius, rebuilt.frobenius),
+              ("lambda", stored.lam, rebuilt.lam),
+              ("tb_residual", stored.tb_residual, rebuilt.tb_residual),
+              ("opeq_residual", stored.opeq_residual, rebuilt.opeq_residual))
+    return [name for name, a, b in checks if _drifts(a, b, VERIFY_TOL)]
 
 
 def cmd_verify(cfg: RunConfig, out: Optional[str] = None) -> int:
@@ -241,55 +252,45 @@ def cmd_verify(cfg: RunConfig, out: Optional[str] = None) -> int:
 
     Stored residuals are never trusted; any disagreement beyond 1e-6
     between a stored number (gains, or a field of the transform
-    certificate) and its recomputation flags tampering or version drift.
+    certificate) and its recomputation, or a NaN in either, flags
+    tampering or version drift.
     """
     out = _out_dir(cfg, out)
     system, law, stored, certs = _load_artifacts(out)
     drift = []
     for b in system.branches:
         bg = law.branch(b.index)
-        recomputed = -bg.products / b.control_coeffs
-        if np.max(np.abs(recomputed - bg.gains)) > VERIFY_TOL * max(1.0, np.max(np.abs(bg.gains))):
+        scale = max(1.0, np.max(np.abs(bg.gains)))
+        if _drifts(-bg.products / b.control_coeffs, bg.gains, VERIFY_TOL * scale):
             drift.append(f"branch {b.index}: gains inconsistent with products")
         drift.extend(f"branch {b.index}: {name} drift"
                      for name in _certificate_drift(stored.get(b.index), certs[b.index]))
     if drift:
         raise ConfigError("verification failed: " + "; ".join(drift))
-    report = _assemble_report(cfg, system, law, certs)
-    diagnostics.write_report(report, os.path.join(out, "report.json"))
-    print(f"verified artifacts in {out}: tb={report.tb_residual:.3e} "
-          f"opeq={report.opeq_residual:.3e} match={report.spectrum_match:.3e}")
+    report, _, _ = _write_report(cfg, out, system, law, certs)
+    print(f"verified artifacts in {out}: tb={report['tb_residual']:.3e} "
+          f"opeq={report['opeq_residual']:.3e} "
+          f"match={report['spectrum_match_error']:.3e}")
     return 0
 
 
-def _assemble_report(cfg: RunConfig, system, law, certs, decay_fits=None,
-                     secular_steps=None):
-    """The certification report of the system, its law and its certificates.
+def _write_report(cfg: RunConfig, out: str, system, law, certs):
+    """Write out/report.json; the one report writer of verify, simulate and report.
 
-    secular_steps ({branch index: transform.secular_newton_steps}) saves
-    recomputing them when the caller has them.
+    The secular steps are computed once per branch here, and the decay
+    fits are refit from out/traces.  Returns the document, the steps and
+    the conditioning profile, which the plots of report reuse.
     """
+    steps = {b.index: transform.secular_newton_steps(b, law.branch(b.index))
+             for b in system.branches}
     b0 = system.branches[0]
-    lo, hi = transform.admissible_r_interval(b0.alpha, b0.gamma, beta=b0.beta)
-    conditioning = transform.conditioning_profile(
-        transform.transform_matrix(b0, law.branch(b0.index)),
-        [r for r in cfg.r_list if lo < r < hi], b0.alpha, b0.gamma, beta=b0.beta)
-    _, tail_max = synthesis.inverse_gap_sum_profile(b0, law.lam, 0.0)
-    _, S_c = synthesis.resolvent_matrix(b0, law.lam)
-    eps_hi = min((b0.alpha - 1.0) / 2.0, b0.alpha - 0.5)
-    compact = {"eps": eps_hi / 2.0,
-               "norm": diagnostics.compactness_proxy(S_c, 0.0, eps_hi / 2.0, b0.alpha)}
-    classification = None
-    try:
-        classification = classify_controllability(b0, 0.0)
-    except ValueError:
-        pass
-    return diagnostics.make_report(
-        system=system, shift=law.lam, law=law, transforms=certs.values(),
-        conditioning=conditioning,
-        gap_sum_tail_max=tail_max, compactness=compact,
-        decay_fits=decay_fits, classification=classification, config=cfg.raw,
-        secular_steps=secular_steps)
+    conditioning = transform.admissible_conditioning(b0, law.branch(b0.index),
+                                                     cfg.r_list)
+    report = diagnostics.make_report(
+        system, law, certs.values(), steps, conditioning,
+        _refit_decay(cfg, os.path.join(out, "traces")), cfg.raw)
+    write_json(os.path.join(out, "report.json"), report)
+    return report, steps, conditioning
 
 
 def _linear_u0(system: SpectralSystem, spec: dict):
@@ -337,7 +338,6 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
     system, law, _, certs = _load_artifacts(out)
     traces_dir = os.path.join(out, "traces")
     os.makedirs(traces_dir, exist_ok=True)
-    fits = {}
     for sc in cfg.scenarios:
         name = sc.get("name", "scenario")
         t_end = float(sc.get("t_end", 1.0))
@@ -359,15 +359,9 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
         simulate.trace_to_csv(trace,
                               os.path.join(traces_dir, f"{name}_modes.csv"),
                               os.path.join(traces_dir, f"{name}_norms.csv"))
-        try:
-            fit = simulate.fit_decay(trace, r=cfg.r_list[0])
-            fits[name] = fit
-        except ValueError:
-            fits[name] = None
-    report = _assemble_report(cfg, system, law, certs, decay_fits=fits)
-    diagnostics.write_report(report, os.path.join(out, "report.json"))
-    for name, fit in fits.items():
-        msg = "no fit" if fit is None else f"mu_hat={fit.mu_hat:.4f} r2={fit.r2:.4f}"
+    report, _, _ = _write_report(cfg, out, system, law, certs)
+    for name, fit in (report["decay_fits"] or {}).items():
+        msg = "no fit" if fit is None else f"mu_hat={fit['mu_hat']:.4f} r2={fit['r2']:.4f}"
         print(f"scenario {name}: {msg}")
     return 0
 
@@ -397,16 +391,14 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str] = None,
             trace = simulate.simulate_closed_loop(system, law, u0, times)
             fit = simulate.fit_decay(trace)
             b0 = system.branches[0]
-            kappas = transform.conditioning_profile(
-                transform.transform_matrix(b0, law.branch(b0.index)), [0.0],
-                b0.alpha, b0.gamma)
+            kappas = transform.admissible_conditioning(b0, law.branch(b0.index), [0.0])
             row.update({
                 "lambda": shift.lam,
                 "tb_residual": max(c.tb_residual for c in certs.values()),
                 "opeq_residual": max(c.opeq_residual for c in certs.values()),
                 "spectrum_match": match,
                 "sup_product": max(bg.sup_product for bg in law.branches),
-                "kappa_0": kappas[0.0],
+                "kappa_0": kappas.get(0.0, ""),
                 "mu_hat": fit.mu_hat,
                 "error": "",
             })
@@ -467,14 +459,8 @@ def _refit_decay(cfg: RunConfig, traces_dir: str) -> Optional[dict]:
 def cmd_report(cfg: RunConfig, out: Optional[str] = None) -> int:
     out = _out_dir(cfg, out)
     system, law, _, certs = _load_artifacts(out)
-    traces_dir = os.path.join(out, "traces")
-    # one set of secular steps per branch: the spectrum check and the plot
-    steps = {b.index: transform.secular_newton_steps(b, law.branch(b.index))
-             for b in system.branches}
-    report = _assemble_report(cfg, system, law, certs,
-                              decay_fits=_refit_decay(cfg, traces_dir),
-                              secular_steps=steps)
-    diagnostics.write_report(report, os.path.join(out, "report.json"))
+    # the spectrum plot and the spectrum check share the secular steps
+    _, steps, conditioning = _write_report(cfg, out, system, law, certs)
     plots = os.path.join(out, "plots")
     os.makedirs(plots, exist_ok=True)
     for b in system.branches:
@@ -492,11 +478,11 @@ def cmd_report(cfg: RunConfig, out: Optional[str] = None) -> int:
             {"closed-loop Re": (n, np.sort(roots.real)),
              "shifted target Re": (n, np.sort(target.real))},
             f"spectrum shift, branch {b.index}", "mode (sorted)", "Re")
-    if report.conditioning:
-        rs = sorted(report.conditioning)
+    if conditioning:
+        rs = sorted(conditioning)
         diagnostics.svg_line_plot(
             os.path.join(plots, "conditioning.svg"),
-            {"kappa_r": (np.array(rs), np.array([report.conditioning[r] for r in rs]))},
+            {"kappa_r": (np.array(rs), np.array([conditioning[r] for r in rs]))},
             "weighted conditioning", "r", "kappa")
     b0 = system.branches[0]
     lo, hi = transform.admissible_r_interval(b0.alpha, b0.gamma, beta=b0.beta)
@@ -508,6 +494,7 @@ def cmd_report(cfg: RunConfig, out: Optional[str] = None) -> int:
             {"kappa_0": (np.array(levels, dtype=float),
                          np.array([plateau[n] for n in levels]))},
             "conditioning plateau", "truncation N", "kappa")
+    traces_dir = os.path.join(out, "traces")
     if os.path.isdir(traces_dir):
         for fname in sorted(os.listdir(traces_dir)):
             if fname.endswith("_norms.csv"):

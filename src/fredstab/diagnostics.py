@@ -1,32 +1,35 @@
-"""Aggregated certification reports and plot/table rendering.
+"""The certification report and plot rendering.
 
-The report collects everything a reviewer needs to re-derive the run:
-assumption verdicts, normalization and intertwining residuals, the
-spectrum-shift match, gain-profile statistics, conditioning and
-compactness proxies, and decay fits.  Reports serialize canonically and
-embed the configuration hash so every number is reproducible.
+make_report returns the report.json document: everything needed to
+re-derive the run, namely assumption verdicts, normalization and
+intertwining residuals, the spectrum-shift match, gain-profile
+statistics, conditioning and compactness proxies, decay fits and the
+controllability classification, stamped with the configuration hash.  It
+is a pure function of the system, the law, the certificates and the
+numbers the caller derived from them (secular steps, conditioning, decay
+fits); cli_io's report writer is its one production caller, and
+jsonio.write_json serializes the document canonically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 # numpy loads numpy.random on first use; load it with the package, not
 # inside the first stage that draws (compactness_proxy's default_rng)
 import numpy.random
 
-from .jsonio import canonical_json, config_hash, write_json
+from .jsonio import config_hash
 from .spectral_core import (AssumptionVerdict, SpectralBranch, SpectralSystem,
-                            verify_assumptions)
-from .synthesis import BranchGains, FeedbackLaw
+                            classify_controllability, verify_assumptions)
+from .synthesis import (BranchGains, FeedbackLaw, inverse_gap_sum_profile,
+                        resolvent_matrix)
 from .transform import secular_newton_steps
 
 __all__ = [
     "REPORT_SCHEMA",
     "GainTrend",
-    "DiagnosticsReport",
     "compactness_proxy",
     "gain_trend",
     "spectrum_match_error",
@@ -46,13 +49,19 @@ targets (spectrum_match_error, now a test oracle).
 """
 
 
-def compactness_proxy(S_c: np.ndarray, r: float, eps: float, alpha: float,
-                      power_iters: int = 50, seed: int = 0) -> float:
+POWER_ITERS = 50     # power-iteration steps of compactness_proxy
+POWER_SEED = 0       # seed of its random start vector
+PLOT_WIDTH = 640     # SVG canvas, pixels
+PLOT_HEIGHT = 420
+
+
+def compactness_proxy(S_c: np.ndarray, r: float, eps: float, alpha: float) -> float:
     """Operator-norm estimate of diag(n^(r+eps)) S_c diag(n^-r).
 
     eps must lie in the open interval (0, min((alpha-1)/2, alpha+r-1/2)).
-    Power iteration on the normal matrix; a bounded-in-N profile of this
-    estimate is the finite-truncation compactness proxy.
+    POWER_ITERS steps of power iteration on the normal matrix from a
+    seeded random start; a bounded-in-N profile of this estimate is the
+    finite-truncation compactness proxy.
     """
     hi = min((alpha - 1.0) / 2.0, alpha + r - 0.5)
     if not 0.0 < eps < hi:
@@ -60,12 +69,12 @@ def compactness_proxy(S_c: np.ndarray, r: float, eps: float, alpha: float,
     N = S_c.shape[0]
     n = np.arange(1, N + 1, dtype=float)
     A = (n[:, None] ** (r + eps)) * S_c * (n[None, :] ** (-r))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(POWER_SEED)
     v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     v /= np.linalg.norm(v)
     AH = A.conj().T
     sigma = 0.0
-    for _ in range(power_iters):
+    for _ in range(POWER_ITERS):
         w = AH @ (A @ v)
         nw = np.linalg.norm(w)
         if nw == 0:
@@ -136,18 +145,19 @@ def spectrum_match_error(spectrum: np.ndarray, eigenvalues: np.ndarray,
     return float(worst)
 
 
-def secular_match_error(branch: SpectralBranch, gains: BranchGains,
-                        steps: Optional[np.ndarray] = None) -> float:
+def secular_match_error(branch: SpectralBranch, gains: BranchGains) -> float:
     """Max over p of |step_p| / |lambda_p - lam|, the secular spectrum certificate.
 
     step_p is the Newton step from lambda_p - lam to the nearest root of the
     closed-loop secular equation (transform.secular_newton_steps), so this is
     the relative distance from each target to the spectrum, in O(N^2).
-    Pass steps when the caller already has them.
     """
-    target = branch.eigenvalues - gains.lam
-    if steps is None:
-        steps = secular_newton_steps(branch, gains)
+    return _relative_steps(branch, gains.lam, secular_newton_steps(branch, gains))
+
+
+def _relative_steps(branch: SpectralBranch, lam: float, steps: np.ndarray) -> float:
+    """Max over p of |steps_p| / |lambda_p - lam|."""
+    target = branch.eigenvalues - lam
     return float(np.max(np.abs(steps) / np.maximum(np.abs(target), 1e-30)))
 
 
@@ -172,114 +182,69 @@ def _verdict_json(v: AssumptionVerdict) -> dict:
     return doc
 
 
-@dataclass(frozen=True)
-class DiagnosticsReport:
-    """Full certification record; serialize with .to_json()."""
+def make_report(system: SpectralSystem, law: FeedbackLaw, certificates,
+                secular_steps: dict, conditioning: dict, decay_fits,
+                config: dict) -> dict:
+    """The report.json document of a system, its law and its certificates.
 
-    label: str
-    lam: float
-    config_digest: str
-    verdicts: tuple
-    tb_residual: float
-    opeq_residual: float
-    spectrum_match: float
-    gain: dict
-    conditioning: dict
-    gap_sum_tail_max: Optional[float] = None
-    compactness: Optional[dict] = None
-    decay_fits: Optional[dict] = None
-    classification: Optional[dict] = None
-
-    def to_json(self) -> dict:
-        doc = {
-            "schema": REPORT_SCHEMA,
-            "label": self.label,
-            "lambda": float(self.lam),
-            "config_hash": self.config_digest,
-            "assumptions": [_verdict_json(v) for v in self.verdicts],
-            "tb_residual": float(self.tb_residual),
-            "opeq_residual": float(self.opeq_residual),
-            "spectrum_match_error": float(self.spectrum_match),
-            "gain_profile": self.gain,
-            "conditioning": {f"{r:g}": kappa for r, kappa in self.conditioning.items()},
-            "gap_sum_tail_max": self.gap_sum_tail_max,
-            "compactness": self.compactness,
-            "decay_fits": self.decay_fits,
-            "classification": self.classification,
-        }
-        return doc
-
-
-_MANDATORY = ("system", "shift", "law", "transforms")
-
-
-def make_report(system: Optional[SpectralSystem] = None, shift=None,
-                law: Optional[FeedbackLaw] = None, transforms=None,
-                conditioning: Optional[dict] = None,
-                gap_sum_tail_max: Optional[float] = None,
-                compactness: Optional[dict] = None, decay_fits=None,
-                classification=None,
-                config: Optional[dict] = None,
-                secular_steps: Optional[dict] = None) -> DiagnosticsReport:
-    """Assemble the certification record from pipeline outputs.
-
-    system, shift, law and transforms are mandatory; transforms is an
-    iterable of the branch certificates (transform.BranchCertificate) whose
-    worst tb and opeq residuals the report carries.  The spectrum match is
-    the worst secular_match_error over the branches of system and law.
-    Simulation sections are marked absent (null) when not supplied.
-    decay_fits maps scenario names to DecayFit objects or plain dicts.
-    secular_steps maps branch indices to their secular_newton_steps, for a
-    caller that needs them too; they are computed here otherwise.
+    certificates holds the branch certificates (transform.BranchCertificate)
+    whose worst tb and opeq residuals the report carries.  secular_steps
+    maps each branch index to its transform.secular_newton_steps, and the
+    spectrum match is the worst secular_match_error they give.
+    conditioning maps r to kappa_r of branch 1
+    (transform.admissible_conditioning).  decay_fits maps scenario names
+    to a DecayFit or None (no fit); None for the whole section means no
+    scenario was simulated.  The verdicts, gain trends, inverse-gap tail,
+    compactness proxy and classification are derived here from branch 1
+    and the law; config is hashed into config_hash.
     """
-    missing = [name for name, val in
-               zip(_MANDATORY, (system, shift, law, transforms)) if val is None]
-    if missing:
-        raise ValueError(f"report is missing mandatory sections: {', '.join(missing)}")
-    lam = shift.lam if hasattr(shift, "lam") else float(shift)
-    verdicts = tuple(verify_assumptions(b) for b in system.branches)
-    certificates = tuple(transforms)
-    tb = max(c.tb_residual for c in certificates)
-    opeq = max(c.opeq_residual for c in certificates)
-    steps = secular_steps or {}
-    match = max(secular_match_error(b, law.branch(b.index), steps.get(b.index))
-                for b in system.branches)
+    lam = law.lam
+    b0 = system.branches[0]
+    certificates = tuple(certificates)
     trends = [gain_trend(bg) if bg.N >= 16 else None for bg in law.branches]
-    gain_doc = {
-        "sup_product": max(bg.sup_product for bg in law.branches),
-        "per_branch": [
-            None if tr is None else {
-                "sup_product": tr.sup_product,
-                "sup_correction": tr.sup_correction,
-                "quartile_ratio": tr.quartile_ratio,
-            }
-            for tr in trends
-        ],
-    }
-    fits_doc = None
-    if decay_fits is not None:
-        fits_doc = {}
-        for name, fit in dict(decay_fits).items():
-            if hasattr(fit, "mu_hat"):
-                fits_doc[name] = {"mu_hat": fit.mu_hat, "c_hat": fit.c_hat,
-                                  "r2": fit.r2, "window": list(fit.window)}
-            else:
-                fits_doc[name] = fit
-    cls_doc = None
-    if classification is not None:
-        cls_doc = {
+    _, tail_max = inverse_gap_sum_profile(b0, lam, 0.0)
+    _, S_c = resolvent_matrix(b0, lam)
+    eps_hi = min((b0.alpha - 1.0) / 2.0, b0.alpha - 0.5)
+    try:
+        classification = classify_controllability(b0, 0.0)
+    except ValueError:
+        classification = None
+    return {
+        "schema": REPORT_SCHEMA,
+        "label": system.label,
+        "lambda": float(lam),
+        "config_hash": config_hash(config),
+        "assumptions": [_verdict_json(verify_assumptions(b)) for b in system.branches],
+        "tb_residual": float(max(c.tb_residual for c in certificates)),
+        "opeq_residual": float(max(c.opeq_residual for c in certificates)),
+        "spectrum_match_error": max(
+            _relative_steps(b, lam, secular_steps[b.index]) for b in system.branches),
+        "gain_profile": {
+            "sup_product": max(bg.sup_product for bg in law.branches),
+            "per_branch": [
+                None if tr is None else {
+                    "sup_product": tr.sup_product,
+                    "sup_correction": tr.sup_correction,
+                    "quartile_ratio": tr.quartile_ratio,
+                }
+                for tr in trends
+            ],
+        },
+        "conditioning": {f"{r:g}": kappa for r, kappa in conditioning.items()},
+        "gap_sum_tail_max": tail_max,
+        "compactness": {"eps": eps_hi / 2.0,
+                        "norm": compactness_proxy(S_c, 0.0, eps_hi / 2.0, b0.alpha)},
+        "decay_fits": None if decay_fits is None else {
+            name: None if fit is None else {"mu_hat": fit.mu_hat, "c_hat": fit.c_hat,
+                                            "r2": fit.r2, "window": list(fit.window)}
+            for name, fit in decay_fits.items()},
+        "classification": None if classification is None else {
             "labels": sorted(classification.labels),
             "admissibility_necessary_ok": classification.admissibility_necessary_ok,
             "exact_controllability_necessary_ok":
                 classification.exact_controllability_necessary_ok,
-        }
-    digest = config_hash(config if config is not None else {})
-    return DiagnosticsReport(
-        label=system.label, lam=lam, config_digest=digest, verdicts=verdicts,
-        tb_residual=tb, opeq_residual=opeq, spectrum_match=match,
-        gain=gain_doc, conditioning=conditioning or {},
-        gap_sum_tail_max=gap_sum_tail_max, compactness=compactness,
-        decay_fits=fits_doc, classification=cls_doc)
+        },
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +256,14 @@ def _svg_escape(text: str) -> str:
 
 
 def svg_line_plot(path, series: dict, title: str, xlabel: str, ylabel: str,
-                  logy: bool = False, width: int = 640, height: int = 420) -> None:
-    """Write a minimal SVG 1.1 polyline chart.
+                  logy: bool = False) -> None:
+    """Write a minimal SVG 1.1 polyline chart of PLOT_WIDTH x PLOT_HEIGHT pixels.
 
     series maps a legend label to (x, y) arrays.  The raw data table is
     embedded in an XML comment so the artifact stays diffable and
     self-describing.
     """
+    width, height = PLOT_WIDTH, PLOT_HEIGHT
     margin = 60
     palette = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
     clean = {}
@@ -374,13 +340,3 @@ def svg_line_plot(path, series: dict, title: str, xlabel: str, ylabel: str,
         fh.write("\n".join(lines))
         fh.write("\n")
 
-
-def write_report(report: DiagnosticsReport, path) -> None:
-    write_json(path, report.to_json())
-
-
-def report_roundtrip_identical(report: DiagnosticsReport) -> bool:
-    """Canonical serialization is a fixed point: serialize, parse, re-serialize."""
-    import json as _json
-    text = canonical_json(report.to_json())
-    return canonical_json(_json.loads(text)) == text

@@ -13,7 +13,7 @@ import it when they run, so importing this module loads numpy alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -33,10 +33,15 @@ __all__ = [
     "sturm_liouville_eigs_direct",
     "gribov_model",
     "model_from_descriptor",
-    "descriptor_from_json",
 ]
 
 _KINDS = ("heat_torus", "schrodinger_ground", "sturm_liouville", "gribov")
+
+SCHRODINGER_EPS = 0.25       # relaxation of the n^-3 projection envelope to n^(-7/2+eps)
+SCHRODINGER_FLOOR = 1e-10    # smallest nonzero projection, relative to the largest
+SL_B_FLOOR = 1e-12           # smallest nonzero control projection of a diffusion mode
+SL_DEGENERACY_GAP = 1e-8     # smallest relative gap of a simple numerical spectrum
+GRIBOV_EPS_CAP = 0.1         # largest |eps| that keeps the spectrum cubic
 
 
 @dataclass(frozen=True)
@@ -52,14 +57,6 @@ class ModelDescriptor:
             raise ValueError(f"unknown model kind {self.kind!r}, expected one of {_KINDS}")
         if self.N < 4:
             raise ValueError("truncation N must be at least 4")
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "N": self.N, "params": dict(self.params)}
-
-
-def descriptor_from_json(doc: dict) -> ModelDescriptor:
-    return ModelDescriptor(kind=str(doc["kind"]), N=int(doc["N"]),
-                           params=dict(doc.get("params", {})))
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +165,7 @@ class SchrodingerProjectionReport:
     floor: float
 
 
-def schrodinger_model(N: int, mu_values, eps: float = 0.25,
-                      floor: float = 1e-10):
+def schrodinger_model(N: int, mu_values):
     """Single-branch model of the ground-state-linearized Schrodinger system.
 
     Eigenvalues are purely imaginary, -i pi^2 (n^2 - 1); the control
@@ -178,8 +174,11 @@ def schrodinger_model(N: int, mu_values, eps: float = 0.25,
     Simpson quadrature on the supplied samples of mu over [0, 1].
 
     Returns (system, report); the report carries the empirical check of
-    the n^-3 projection decay and its relaxed n^(-7/2+eps) variant.
+    the n^-3 projection decay and its relaxed n^(-7/2+eps) variant, with
+    eps = SCHRODINGER_EPS.  A projection at or below SCHRODINGER_FLOOR times
+    the largest one is refused.
     """
+    eps, floor = SCHRODINGER_EPS, SCHRODINGER_FLOOR
     mu = np.asarray(mu_values, dtype=float).ravel()
     if len(mu) < 512:
         raise ValueError("mu must be sampled on at least 512 quadrature points")
@@ -308,12 +307,12 @@ def _second_derivative(values: np.ndarray, h: float) -> np.ndarray:
     return d2
 
 
-def liouville_transform(problem: SturmLiouvilleProblem,
-                        y_grid_size: Optional[int] = None) -> LiouvilleData:
+def liouville_transform(problem: SturmLiouvilleProblem) -> LiouvilleData:
     """Reduce d/dx(a du/dx) + b to d^2/dy^2 + Q on [0, M], M = int a^{-1/2}.
 
-    The change of variables y(x) = int_0^x a^{-1/2}, phi = a^{1/4} u keeps
-    the eigenvalues and maps the Robin data to
+    The y grid has as many intervals as the problem's x grid.  The change
+    of variables y(x) = int_0^x a^{-1/2}, phi = a^{1/4} u keeps the
+    eigenvalues and maps the Robin data to
         c~1 = c1 a(0)^{-1/4} - c2 a'(0) / (4 a(0)^{5/4}),  c~2 = c2 a(0)^{-3/4},
     and symmetrically at x = L.
     """
@@ -322,8 +321,7 @@ def liouville_transform(problem: SturmLiouvilleProblem,
     b = problem.b_values
     y_of_x = _cumulative_trapezoid(1.0 / np.sqrt(a), x)
     M = float(y_of_x[-1])
-    G = y_grid_size if y_grid_size is not None else problem.grid_size
-    y = np.linspace(0.0, M, G + 1)
+    y = np.linspace(0.0, M, problem.grid_size + 1)
     x_of_y = np.interp(y, y_of_x, x)
     a_y = np.interp(x_of_y, x, a)
     g = a_y ** 0.25
@@ -408,16 +406,15 @@ class SturmLiouvilleModes:
     liouville: LiouvilleData
 
 
-def sturm_liouville_model(problem: SturmLiouvilleProblem, N: int, phi_values,
-                          b_floor: float = 1e-12,
-                          degeneracy_gap: float = 1e-8):
+def sturm_liouville_model(problem: SturmLiouvilleProblem, N: int, phi_values):
     """Spectral system of a diffusion operator with a distributed control shape.
 
     Solves the normal-form eigenproblem for the N slowest modes, maps the
     eigenfunctions back, and pairs them with the control shape by
-    trapezoid quadrature.  Near-degenerate numerical spectra (gap below
-    degeneracy_gap relative) are rejected; multi-branch boundary
-    configurations are out of scope of this generator.
+    trapezoid quadrature.  Near-degenerate numerical spectra (relative gap
+    below SL_DEGENERACY_GAP) and projections at or below SL_B_FLOOR are
+    rejected; multi-branch boundary configurations are out of scope of
+    this generator.
 
     Returns (system, modes).
     """
@@ -429,7 +426,7 @@ def sturm_liouville_model(problem: SturmLiouvilleProblem, N: int, phi_values,
                                        (data.c_tilde[0], data.c_tilde[1]),
                                        (data.c_tilde[2], data.c_tilde[3]), N)
     rel_gap = np.abs(np.diff(vals)) / np.maximum(np.abs(vals[:-1]), 1.0)
-    if np.any(rel_gap < degeneracy_gap):
+    if np.any(rel_gap < SL_DEGENERACY_GAP):
         j = int(np.argmin(rel_gap))
         raise SolverError(
             f"near-degenerate modes {j + 1}, {j + 2} "
@@ -446,11 +443,11 @@ def sturm_liouville_model(problem: SturmLiouvilleProblem, N: int, phi_values,
     if len(phi) != len(x):
         raise ValueError("control shape must be sampled on the problem grid")
     b = np.array([np.trapezoid(phi * modes_x[:, j], x) for j in range(N)])
-    small = np.nonzero(np.abs(b) <= b_floor)[0]
+    small = np.nonzero(np.abs(b) <= SL_B_FLOOR)[0]
     if small.size:
         raise SolverError(
             f"control projection b_{small[0] + 1} = {b[small[0]]:.2e} vanishes "
-            f"within {b_floor:.0e}")
+            f"within {SL_B_FLOOR:.0e}")
     branch = SpectralBranch(1, vals.astype(complex), b.astype(complex), alpha=2.0)
     system = SpectralSystem(branches=(branch,), label="sturm_liouville")
     modes = SturmLiouvilleModes(eigenvalues=vals, modes_x=modes_x, x_grid=x,
@@ -506,34 +503,21 @@ def sturm_liouville_eigs_direct(problem: SturmLiouvilleProblem, N: int) -> np.nd
 # cubic-spectrum non-self-adjoint model
 # ---------------------------------------------------------------------------
 
-def gribov_model(N: int, eps: complex = 0.0,
-                 perturbation: Optional[Callable[[int], complex]] = None,
-                 control_coeffs=None, r: float = 0.0, gamma: float = 0.0,
-                 eps_cap: float = 0.1) -> SpectralSystem:
-    """Single-branch model with eigenvalues -n^3 + eps * perturbation(n).
+def gribov_model(N: int, eps: complex = 0.0, r: float = 0.0,
+                 gamma: float = 0.0) -> SpectralSystem:
+    """Single-branch model with eigenvalues -n^3 + eps / n.
 
-    The perturbation must stay uniformly bounded by 1 (default 1/n); the
-    coupling eps is capped (default 0.1) to keep the spectrum in the
-    cubic-growth regime.  Control coefficients default to n^r, matching
+    The coupling eps is capped at GRIBOV_EPS_CAP to keep the spectrum in
+    the cubic-growth regime.  The control coefficients are n^r, matching
     the declared envelope c1 n^r <= |b_n| <= c2 n^(r+gamma).
     """
-    if abs(eps) > eps_cap:
-        raise ValueError(f"|eps| = {abs(eps)} exceeds the cap {eps_cap}")
+    if abs(eps) > GRIBOV_EPS_CAP:
+        raise ValueError(f"|eps| = {abs(eps)} exceeds the cap {GRIBOV_EPS_CAP}")
     if N < 4:
         raise ValueError("gribov model needs N >= 4")
-    if perturbation is None:
-        perturbation = lambda n: 1.0 / n
     n_idx = np.arange(1, N + 1)
-    pert = np.array([complex(perturbation(int(k))) for k in n_idx])
-    if np.any(np.abs(pert) > 1.0 + 1e-12):
-        k = int(np.argmax(np.abs(pert) > 1.0 + 1e-12))
-        raise ValueError(f"perturbation({k + 1}) = {pert[k]} exceeds the unit bound")
-    eig = -(n_idx.astype(float) ** 3) + eps * pert
-    if control_coeffs is None:
-        control_coeffs = n_idx.astype(float) ** r
-    b = np.asarray(control_coeffs, dtype=complex)
-    if len(b) != N:
-        raise ValueError("control coefficients must have length N")
+    eig = -(n_idx.astype(float) ** 3) + eps * (1.0 / n_idx).astype(complex)
+    b = (n_idx.astype(float) ** r).astype(complex)
     branch = SpectralBranch(1, eig.astype(complex), b, alpha=3.0,
                             beta=-r, gamma=gamma)
     return SpectralSystem(branches=(branch,), label="gribov")

@@ -41,7 +41,6 @@ __all__ = [
     "simulate_closed_loop",
     "simulate_burgers",
     "fit_decay",
-    "burgers_basin_search",
     "random_state",
     "trace_to_csv",
 ]
@@ -126,18 +125,17 @@ def _states_for(system: SpectralSystem, v0) -> list:
     return parts
 
 
-def random_state(system: SpectralSystem, seed: int = 0, scale: float = 1.0,
-                 ensure_first_mode: bool = True) -> list:
+def random_state(system: SpectralSystem, seed: int = 0, scale: float = 1.0) -> list:
     """Reproducible complex Gaussian initial state, one block per branch.
 
-    ensure_first_mode bumps any near-zero leading coefficient so slow
-    modes (the constant torus mode in particular) participate.
+    A leading coefficient below 0.3 in modulus is set to 1, so slow modes
+    (the constant torus mode in particular) participate.
     """
     rng = np.random.default_rng(seed)
     blocks = []
     for b in system.branches:
         z = rng.standard_normal(b.N) + 1j * rng.standard_normal(b.N)
-        if ensure_first_mode and abs(z[0]) < 0.3:
+        if abs(z[0]) < 0.3:
             z[0] = 1.0 + 0.0j
         blocks.append(scale * z)
     return blocks
@@ -348,16 +346,15 @@ def _blow_up_error(system: SpectralSystem, law: Optional[FeedbackLaw], dt: float
 
 
 def simulate_burgers(system: SpectralSystem, law: Optional[FeedbackLaw], u0, times,
-                     dt: float = 1e-4, r_list=(0.0,),
-                     dealias: bool = False) -> SimulationTrace:
+                     dt: float = 1e-4, r_list=(0.0,)) -> SimulationTrace:
     """Semilinear torus simulation with quadratic convection and feedback.
 
     Requires the two-branch torus system.  State lives in torus Fourier
     coefficients c_k (k = -N..N); the convection term (u^2 / 2)_x is an
-    exact coefficient convolution at truncation (the 2/3-rule cut is
-    available but off by default); diffusion is implicit, convection and
-    feedback explicit, first-order in time.  u0 is either a real physical
-    sample vector or a complex coefficient vector of length 2N + 1.
+    exact coefficient convolution at truncation; diffusion is implicit,
+    convection and feedback explicit, first-order in time.  u0 is either a
+    real physical sample vector or a complex coefficient vector of length
+    2N + 1.
     Non-finite growth aborts the run.  The error names the step size when
     the linear step map (diffusion plus explicit feedback) has spectral
     radius above 1, and otherwise the local stability basin, which the
@@ -381,13 +378,9 @@ def simulate_burgers(system: SpectralSystem, law: Optional[FeedbackLaw], u0, tim
     if law is not None:
         K1 = law.branch(1).gains
         K2 = law.branch(2).gains
-    cut = (np.abs(k_axis) <= (2 * N) // 3) if dealias else None
 
     def rhs_explicit(cv):
-        work = cv * cut if dealias else cv
-        nl = half_dk * _convolve_fft(work, N, fft_len)   # -(i k / 2) (u^2)_k
-        if dealias:
-            nl = nl * cut
+        nl = half_dk * _convolve_fft(cv, N, fft_len)     # -(i k / 2) (u^2)_k
         if law is None:
             return nl
         a1, a2 = _branch_coords(cv, N)
@@ -447,43 +440,6 @@ def fit_decay(trace: SimulationTrace, r: float = 0.0,
     r2 = 1.0 if ss_tot == 0 else max(0.0, 1.0 - ss_res / ss_tot)
     return DecayFit(mu_hat=float(-slope), c_hat=float(np.exp(intercept)),
                     r2=r2, window=(float(lo), float(hi)))
-
-
-def burgers_basin_search(system: SpectralSystem, law, u0_shape, times,
-                         dt: float = 1e-4, lo: float = 1e-4, hi: float = 1.0,
-                         bisections: int = 8) -> dict:
-    """Bisect the initial amplitude between decay and blow-up outcomes.
-
-    u0_shape is a unit-amplitude coefficient or physical profile; the
-    returned dict reports the largest amplitude that decayed and the
-    smallest that blew up (or the bracket end if no blow-up was seen).
-    The threshold is reported, not asserted: it is an empirical proxy for
-    the local basin, not a certified radius.
-    """
-    u0_shape = np.asarray(u0_shape)
-
-    def outcome(amplitude: float) -> bool:
-        try:
-            trace = simulate_burgers(system, law, amplitude * u0_shape, times, dt=dt)
-        except IntegratorError:
-            return False
-        n = trace.norm_series(0.0)
-        return bool(n[-1] <= n[0])
-
-    if not outcome(lo):
-        return {"decayed": None, "blew_up": lo, "evaluations": 1}
-    if outcome(hi):
-        return {"decayed": hi, "blew_up": None, "evaluations": 2}
-    good, bad = lo, hi
-    evals = 2
-    for _ in range(bisections):
-        mid = np.sqrt(good * bad)           # geometric bisection over amplitudes
-        evals += 1
-        if outcome(mid):
-            good = mid
-        else:
-            bad = mid
-    return {"decayed": good, "blew_up": bad, "evaluations": evals}
 
 
 # ---------------------------------------------------------------------------

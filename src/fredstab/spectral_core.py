@@ -10,8 +10,8 @@ never appear explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .jsonio import cpairs, from_cpairs
 __all__ = [
     "SpectralBranch",
     "SpectralSystem",
-    "WeightedNorm",
     "GrowthCheck",
     "GapCheck",
     "ControlCheck",
@@ -34,10 +33,13 @@ __all__ = [
     "verify_assumptions",
     "classify_controllability",
     "admissible_r_interval",
-    "branch_split",
     "system_to_json",
     "system_from_json",
 ]
+
+GROWTH_RATIO_CAP = 100.0     # largest accepted c_high / c_low of the growth sandwich
+GAP_FLOOR = 1e-6             # smallest accepted separation constant
+CLASSIFY_SLOPE_TOL = 0.05    # flatness tolerance of the coefficient-ratio trend
 
 
 def _as_readonly_complex(values, name: str) -> np.ndarray:
@@ -146,25 +148,6 @@ class SpectralSystem:
     def m(self) -> int:
         return len(self.branches)
 
-    @property
-    def N(self) -> int:
-        """Common truncation level (smallest branch length)."""
-        return min(b.N for b in self.branches)
-
-    @property
-    def uniform_truncation(self) -> bool:
-        return len({b.N for b in self.branches}) == 1
-
-
-@dataclass(frozen=True)
-class WeightedNorm:
-    """Coefficient norm (sum n^{2r} |f_n|^2)^{1/2} on the Hilbert scale."""
-
-    r: float
-
-    def __call__(self, coeffs) -> float:
-        return sobolev_norm(coeffs, self.r)
-
 
 def sobolev_norm(coeffs, r: float) -> float:
     """Weighted coefficient norm (sum_n n^{2r} |f_n|^2)^{1/2}, n starting at 1.
@@ -239,12 +222,12 @@ class AssumptionVerdict:
         return bool(parts) and all(p.ok for p in parts)
 
 
-def verify_growth(branch: SpectralBranch, ratio_cap: float = 100.0) -> GrowthCheck:
+def verify_growth(branch: SpectralBranch) -> GrowthCheck:
     """Check |lambda_n| + 1 against the declared n^alpha envelope.
 
     Reports the empirical sandwich constants, their ratio as a stability
-    indicator, and a fitted growth order from a log-log regression on the
-    upper three quarters of indices.
+    indicator (at most GROWTH_RATIO_CAP), and a fitted growth order from a
+    log-log regression on the upper three quarters of indices.
     """
     lam = branch.eigenvalues
     n = branch.mode_indices.astype(float)
@@ -256,22 +239,22 @@ def verify_growth(branch: SpectralBranch, ratio_cap: float = 100.0) -> GrowthChe
     ratio = float("inf") if c_low == 0 else c_high / c_low
     win = _fit_window(branch.N)
     alpha_hat = _loglog_slope(n[win], np.abs(lam[win]))
-    ok = c_low > 0 and np.isfinite(c_high) and ratio <= ratio_cap
+    ok = c_low > 0 and np.isfinite(c_high) and ratio <= GROWTH_RATIO_CAP
     return GrowthCheck(ok=bool(ok), c_low=c_low, c_high=c_high, ratio=ratio,
                        alpha_hat=alpha_hat, witness_low=i_low + 1,
-                       witness_high=i_high + 1, ratio_cap=ratio_cap)
+                       witness_high=i_high + 1, ratio_cap=GROWTH_RATIO_CAP)
 
 
-def verify_gap(branch: SpectralBranch, floor: float = 1e-6) -> GapCheck:
+def verify_gap(branch: SpectralBranch) -> GapCheck:
     """Check the separation |lambda_n - lambda_p| >= C n^(alpha-1) |n-p|.
 
     Returns the worst empirical constant over all ordered pairs and the
-    minimizing pair (n, p).
+    minimizing pair (n, p); the check passes above GAP_FLOOR.
     """
     lam = branch.eigenvalues
     N = branch.N
     if N < 2:
-        return GapCheck(ok=True, constant=float("inf"), witness=(0, 0), floor=floor)
+        return GapCheck(ok=True, constant=float("inf"), witness=(0, 0), floor=GAP_FLOOR)
     n = branch.mode_indices.astype(float)
     diff = np.abs(lam[:, None] - lam[None, :])          # |lambda_n - lambda_p|, rows n
     denom = (n[:, None] ** (branch.alpha - 1.0)) * np.abs(n[:, None] - n[None, :])
@@ -281,8 +264,8 @@ def verify_gap(branch: SpectralBranch, floor: float = 1e-6) -> GapCheck:
     flat = int(np.argmin(quot))
     i, j = divmod(flat, N)
     constant = float(quot[i, j])
-    return GapCheck(ok=bool(constant > floor), constant=constant,
-                    witness=(i + 1, j + 1), floor=floor)
+    return GapCheck(ok=bool(constant > GAP_FLOOR), constant=constant,
+                    witness=(i + 1, j + 1), floor=GAP_FLOOR)
 
 
 def verify_control(branch: SpectralBranch) -> ControlCheck:
@@ -293,9 +276,6 @@ def verify_control(branch: SpectralBranch) -> ControlCheck:
     fitted slack gamma_hat of |b_n| n^beta.
     """
     b = np.abs(branch.control_coeffs)
-    zero = np.nonzero(b == 0)[0]
-    if zero.size:
-        raise AssumptionError(f"control coefficient b_{zero[0] + 1} is zero")
     n = branch.mode_indices.astype(float)
     low = b * n ** branch.beta
     high = b * n ** (branch.beta - branch.gamma)
@@ -310,11 +290,9 @@ def verify_control(branch: SpectralBranch) -> ControlCheck:
                         witness_max=i_max + 1)
 
 
-def verify_assumptions(branch: SpectralBranch, gap_floor: float = 1e-6,
-                       growth_ratio_cap: float = 100.0) -> AssumptionVerdict:
+def verify_assumptions(branch: SpectralBranch) -> AssumptionVerdict:
     """Run all three standing-assumption checks on a branch."""
-    return AssumptionVerdict(growth=verify_growth(branch, ratio_cap=growth_ratio_cap),
-                             gap=verify_gap(branch, floor=gap_floor),
+    return AssumptionVerdict(growth=verify_growth(branch), gap=verify_gap(branch),
                              control=verify_control(branch))
 
 
@@ -340,14 +318,13 @@ class ControllabilityClassification:
     interval: tuple
 
 
-def classify_controllability(branch: SpectralBranch, r: float,
-                             slope_tol: float = 0.05) -> ControllabilityClassification:
+def classify_controllability(branch: SpectralBranch, r: float) -> ControllabilityClassification:
     """Classify the regime of the control coefficients at scale index r.
 
     The two necessary-condition flags test whether |b_n| stays within
     (1 + |Re lambda_n|)^{1/2} envelopes: the growth trend of the ratio
-    |b_n| / (1 + |Re lambda_n|)^{1/2} must be flat (within slope_tol) from
-    above for admissibility and from below for exact controllability.
+    |b_n| / (1 + |Re lambda_n|)^{1/2} must be flat (within CLASSIFY_SLOPE_TOL)
+    from above for admissibility and from below for exact controllability.
     Both flags are invariant under rescaling b by a nonzero scalar.
     """
     lo, hi = admissible_r_interval(branch.alpha, branch.gamma, beta=0.0)
@@ -358,8 +335,8 @@ def classify_controllability(branch: SpectralBranch, r: float,
     ratio = np.abs(branch.control_coeffs) / np.sqrt(
         1.0 + np.abs(branch.eigenvalues.real))
     slope = _loglog_slope(branch.mode_indices.astype(float), ratio)
-    admissible = bool(slope <= slope_tol)
-    exact = bool(slope >= -slope_tol)
+    admissible = bool(slope <= CLASSIFY_SLOPE_TOL)
+    exact = bool(slope >= -CLASSIFY_SLOPE_TOL)
     if r == 0.0 and branch.gamma == 0.0:
         labels = frozenset({"classical"})
     elif r > 0.0:
@@ -370,51 +347,6 @@ def classify_controllability(branch: SpectralBranch, r: float,
         labels=labels, admissibility_necessary_ok=admissible,
         exact_controllability_necessary_ok=exact, ratio_slope=slope,
         r=r, interval=(lo, hi))
-
-
-# ---------------------------------------------------------------------------
-# branch decomposition
-# ---------------------------------------------------------------------------
-
-def branch_split(eigenvalues: Sequence[complex], multiplicities: Sequence[int],
-                 m: int, alpha: float, label: str = "split",
-                 truncate: bool = False) -> SpectralSystem:
-    """Distribute repeated eigenvalues over m branches with simple spectrum.
-
-    A value of multiplicity k is assigned to the last k branches, so branch
-    m collects every value and branch 1 only the fully repeated ones (the
-    torus Laplacian convention: sines in branch 1, cosines plus the
-    constant mode in branch 2).  Control coefficients are set to 1;
-    attach real ones by rebuilding branches afterwards.
-
-    truncate=True trims every branch to the shortest branch length so the
-    result has a uniform truncation level.
-    """
-    eigs = np.asarray(eigenvalues, dtype=complex)
-    mult = [int(k) for k in multiplicities]
-    if len(eigs) != len(mult):
-        raise ValueError("eigenvalues and multiplicities must align")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    buckets: list[list[complex]] = [[] for _ in range(m)]
-    for lam, k in zip(eigs, mult):
-        if k < 1:
-            raise ValueError(f"multiplicity {k} must be positive")
-        if k > m:
-            raise ValueError(
-                f"eigenvalue {lam} has multiplicity {k} exceeding the declared m={m}")
-        for branch_i in range(m - k, m):
-            buckets[branch_i].append(lam)
-    if any(not bucket for bucket in buckets):
-        raise ValueError("some branch received no eigenvalues; lower m")
-    if truncate:
-        n_min = min(len(bucket) for bucket in buckets)
-        buckets = [bucket[:n_min] for bucket in buckets]
-    branches = tuple(
-        SpectralBranch(i + 1, np.asarray(bucket, dtype=complex),
-                       np.ones(len(bucket), dtype=complex), alpha)
-        for i, bucket in enumerate(buckets))
-    return SpectralSystem(branches=branches, label=label)
 
 
 # ---------------------------------------------------------------------------

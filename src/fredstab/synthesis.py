@@ -42,6 +42,9 @@ __all__ = [
     "law_from_json",
 ]
 
+SHIFT_SEARCH_WIDTH = 100.0   # select_shift scans [lambda0, lambda0 + this * delta]
+ITERATION_TOL = 1e-12        # sup of the last correction sweep at convergence
+
 
 @dataclass(frozen=True)
 class ShiftSelection:
@@ -56,13 +59,12 @@ class ShiftSelection:
             raise ValueError("accepted shift must clear the requested margin")
 
 
-def select_shift(system: SpectralSystem, lambda0: float, delta: float,
-                 search_width_factor: float = 100.0) -> ShiftSelection:
+def select_shift(system: SpectralSystem, lambda0: float, delta: float) -> ShiftSelection:
     """Smallest admissible shift >= lambda0 on a delta/2 scan grid.
 
     Accepts lam when min over branches and n, p of |lambda_n - lambda_p
     + lam| >= delta; the grid step delta/2 cannot skip an admissible
-    window of width delta.
+    window of width delta.  The scan ends at lambda0 + SHIFT_SEARCH_WIDTH * delta.
     """
     if lambda0 <= 0 or delta <= 0:
         raise ValueError("lambda0 and delta must be positive")
@@ -71,14 +73,14 @@ def select_shift(system: SpectralSystem, lambda0: float, delta: float,
         for b in system.branches
     ]
     all_diffs = np.concatenate(diffs)
-    steps = int(np.ceil(search_width_factor * delta / (delta / 2.0))) + 1
+    steps = int(np.ceil(SHIFT_SEARCH_WIDTH * delta / (delta / 2.0))) + 1
     for j in range(steps):
         lam = lambda0 + j * delta / 2.0
         dist = float(np.min(np.abs(all_diffs + lam)))
         if dist >= delta:
             return ShiftSelection(lam=lam, delta=delta, min_distance=dist)
     raise SolverError(
-        f"no admissible shift in [{lambda0}, {lambda0 + search_width_factor * delta}]: "
+        f"no admissible shift in [{lambda0}, {lambda0 + SHIFT_SEARCH_WIDTH * delta}]: "
         "eigenvalue differences cluster too densely for the requested margin")
 
 
@@ -227,13 +229,13 @@ def solve_gains_direct(branch: SpectralBranch, lam: float) -> BranchGains:
 
 
 def solve_gains_iterative(branch: SpectralBranch, lam: float,
-                          max_iters: int = 500, tol: float = 1e-12) -> BranchGains:
+                          max_iters: int = 500) -> BranchGains:
     """Fixed-point gain accumulation x = lam + sum of correction sweeps.
 
     Starting from the single-mode value x == lam, each sweep applies
-    e <- -lam * offdiag-resolvent @ e and accumulates.  Converges when the
-    sweep operator contracts; otherwise raises IterationDiverged carrying
-    the observed contraction ratio.
+    e <- -lam * offdiag-resolvent @ e and accumulates.  Converges when a
+    sweep falls below ITERATION_TOL; when the sweep operator does not
+    contract, raises IterationDiverged carrying the observed contraction ratio.
     """
     N = branch.N
     C = cauchy_system_matrix(branch, lam)
@@ -248,7 +250,7 @@ def solve_gains_iterative(branch: SpectralBranch, lam: float,
         x = x + e
         sup_history.append(float(np.max(np.abs(e))))
         iterations = i
-        if sup_history[-1] < tol:
+        if sup_history[-1] < ITERATION_TOL:
             converged = True
             break
     history = np.asarray(sup_history)
@@ -256,7 +258,7 @@ def solve_gains_iterative(branch: SpectralBranch, lam: float,
         tail = history[max(1, len(history) - 6):]
         ratio = float(np.exp(np.mean(np.diff(np.log(tail))))) if np.all(tail > 0) else float("inf")
         raise IterationDiverged(
-            f"gain iteration did not reach tol={tol} within {max_iters} sweeps "
+            f"gain iteration did not reach tol={ITERATION_TOL} within {max_iters} sweeps "
             f"(observed contraction ratio {ratio:.4f})",
             contraction_ratio=ratio, history=history)
     rhs = np.ones(N, dtype=complex)
@@ -265,8 +267,7 @@ def solve_gains_iterative(branch: SpectralBranch, lam: float,
                               iterations=iterations, history=history)
 
 
-def synthesize_feedback(system: SpectralSystem, shift, method: str = "direct",
-                        max_iters: int = 500, tol: float = 1e-12) -> FeedbackLaw:
+def synthesize_feedback(system: SpectralSystem, shift, method: str = "direct") -> FeedbackLaw:
     """Per-branch gain synthesis at a common shift.
 
     shift may be a ShiftSelection or a bare positive float.
@@ -275,11 +276,7 @@ def synthesize_feedback(system: SpectralSystem, shift, method: str = "direct",
     if method not in ("direct", "iterative"):
         raise ValueError(f"unknown method {method!r}")
     solver = solve_gains_direct if method == "direct" else solve_gains_iterative
-    if method == "iterative":
-        gains = tuple(solver(b, lam, max_iters=max_iters, tol=tol)
-                      for b in system.branches)
-    else:
-        gains = tuple(solver(b, lam) for b in system.branches)
+    gains = tuple(solver(b, lam) for b in system.branches)
     return FeedbackLaw(lam=lam, method=method, branches=gains)
 
 

@@ -41,6 +41,7 @@ __all__ = [
     "closed_loop_matrix",
     "operator_equality_residual",
     "conditioning_profile",
+    "admissible_conditioning",
     "conditioning_vs_truncation",
     "transform_to_json",
     "transform_from_json",
@@ -190,15 +191,27 @@ def conditioning_profile(T: np.ndarray, r_list, alpha: float, gamma: float,
     return profile
 
 
-def conditioning_vs_truncation(branch: SpectralBranch, lam: float, r: float,
-                               levels=None) -> dict:
-    """Weighted condition number re-synthesized at nested truncations.
+def admissible_conditioning(branch: SpectralBranch, gains: BranchGains, r_list) -> dict:
+    """Condition numbers of the branch transform at the admissible r of r_list.
 
-    Defaults to N/4, N/2, N.  A plateau (small variation between levels)
-    is the finite-truncation proxy for the isomorphism property.
+    conditioning_profile at the r inside the branch's admissible interval;
+    the others are left out, and T is not built when none is inside.
     """
-    if levels is None:
-        levels = sorted({max(1, branch.N // 4), max(1, branch.N // 2), branch.N})
+    lo, hi = admissible_r_interval(branch.alpha, branch.gamma, beta=branch.beta)
+    inside = [r for r in r_list if lo < r < hi]
+    if not inside:
+        return {}
+    return conditioning_profile(transform_matrix(branch, gains), inside,
+                                branch.alpha, branch.gamma, beta=branch.beta)
+
+
+def conditioning_vs_truncation(branch: SpectralBranch, lam: float, r: float) -> dict:
+    """Weighted condition number re-synthesized at the truncations N/4, N/2, N.
+
+    A plateau (small variation between levels) is the finite-truncation
+    proxy for the isomorphism property.
+    """
+    levels = sorted({max(1, branch.N // 4), max(1, branch.N // 2), branch.N})
     profile = {}
     for n in levels:
         sub = branch.truncated(int(n))

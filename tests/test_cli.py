@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -136,6 +137,30 @@ class TestVerifyCommand:
         assert "verification failed" in err["message"]
         assert "branch 2" in err["message"]
 
+    @pytest.mark.parametrize("field", ["diagonal", "column_norms", "frobenius",
+                                       "tb_residual", "opeq_residual", "gains"])
+    def test_nan_flagged(self, tmp_path, capsys, field):
+        # NaN compares false with everything, so it must count as drift
+        cfg = tmp_path / "config.json"
+        write_config(cfg)
+        main(["synthesize", "--config", str(cfg)])
+        name = "law.json" if field == "gains" else "transform.json"
+        path = tmp_path / "out" / name
+        doc = json.loads(path.read_text())
+        bd = doc["branches"][1]
+        if field in ("diagonal", "gains"):
+            bd[field][3][0] = float("nan")
+        elif field == "column_norms":
+            bd[field][5] = float("nan")
+        else:
+            bd[field] = float("nan")
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--config", str(cfg)]) == 1
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert message.startswith("verification failed")
+        assert f"branch 2: {field}" in message
+
     @pytest.mark.parametrize("command", ["verify", "simulate", "report"])
     def test_schema_1_transform_rejected(self, tmp_path, capsys, command):
         cfg = tmp_path / "config.json"
@@ -258,6 +283,22 @@ class TestSweepCommand:
         assert rows[1].endswith(",")
         assert f"ConfigError: N={MAX_N + 1}" in rows[2]
 
+    def test_kappa_0_left_empty_outside_the_admissible_interval(self, tmp_path):
+        # gribov with r = 3 has beta = -3: r = 0 lies outside (-5.5, -0.5)
+        cfg = tmp_path / "config.json"
+        write_config(cfg, model={"kind": "gribov", "N": 32, "params": {"r": 3}}, N=32,
+                     lambda0=2.0, sweep={"lambda0": [2.0]})
+        assert main(["synthesize", "--config", str(cfg)]) == 0
+        assert main(["verify", "--config", str(cfg)]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["conditioning"] == {}
+        assert main(["sweep", "--config", str(cfg), "--jobs", "1"]) == 0
+        with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["error"] == ""
+        assert row["kappa_0"] == ""
+        assert float(row["tb_residual"]) <= 1e-8
+
     def test_empty_sweep_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         write_config(cfg)
@@ -307,6 +348,25 @@ class TestReportCommand:
         write_config(cfg, r_list=[1.0], scenarios=[{"name": "lin"}])
         assert main(["report", "--config", str(cfg)]) == 0
         assert json.loads(report_path.read_text())["decay_fits"] == {"lin": None}
+
+    def test_one_report_per_directory(self, tmp_path):
+        # verify, simulate and report write report.json through one writer
+        cfg = tmp_path / "config.json"
+        write_config(cfg, r_list=[0.0, 0.5], scenarios=[
+            {"name": "lin", "u0": {"kind": "random", "seed": 0}, "t_end": 1.0,
+             "samples": 16},
+            {"name": "semi", "u0": {"kind": "burgers_random", "l2": 1e-3, "seed": 2},
+             "t_end": 0.2, "samples": 10, "dt": 1e-3, "nonlinear": True}])
+        path = tmp_path / "out" / "report.json"
+        assert main(["synthesize", "--config", str(cfg)]) == 0
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        simulated = path.read_bytes()
+        assert main(["verify", "--config", str(cfg)]) == 0
+        fits = json.loads(path.read_text())["decay_fits"]
+        assert set(fits) == {"lin", "semi"} and fits["lin"]["mu_hat"] > 0
+        assert path.read_bytes() == simulated
+        assert main(["report", "--config", str(cfg)]) == 0
+        assert path.read_bytes() == simulated
 
     def test_secular_steps_once_per_branch(self, tmp_path, monkeypatch):
         # the spectrum check in report.json and the spectrum plot share them

@@ -2,13 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fredstab import (build_transform, closed_loop_matrix,
                       compactness_proxy, fit_decay, gain_trend, make_report,
-                      random_state, simulate_closed_loop, solve_gains_direct,
+                      random_state, secular_match_error, secular_newton_steps,
+                      simulate_closed_loop, solve_gains_direct,
                       spectrum_match_error, synthesize_feedback)
-from fredstab.diagnostics import (REPORT_SCHEMA, report_roundtrip_identical,
-                                  svg_line_plot, write_report)
+from fredstab.diagnostics import REPORT_SCHEMA, svg_line_plot
 from fredstab.jsonio import canonical_json, config_hash
 from fredstab.models import gribov_model, heat_torus_model
 from fredstab.synthesis import inverse_gap_sum_profile, resolvent_matrix
@@ -105,51 +107,53 @@ class TestMakeReport:
     def pipeline(self, N=16):
         system = heat_torus_model(N)
         law = synthesize_feedback(system, 2.5)
-        tr = [build_transform(b, law.branch(b.index)) for b in system.branches]
-        return system, law, tr
+        certs = [build_transform(b, law.branch(b.index)) for b in system.branches]
+        steps = {b.index: secular_newton_steps(b, law.branch(b.index))
+                 for b in system.branches}
+        return system, law, certs, steps
 
     def test_full_report_sections(self):
-        system, law, tr = self.pipeline()
+        system, law, certs, steps = self.pipeline()
         _, tail_max = inverse_gap_sum_profile(system.branches[0], 2.5, 0.0)
         trace = simulate_closed_loop(system, law, random_state(system),
                                      np.linspace(0, 2, 33))
-        report = make_report(system=system, shift=2.5, law=law, transforms=tr,
-                             conditioning={0.0: 5.0},
-                             gap_sum_tail_max=tail_max,
-                             decay_fits={"lin": fit_decay(trace)},
-                             config={"N": 16})
-        doc = report.to_json()
+        doc = make_report(system, law, certs, steps, {0.0: 5.0},
+                          {"lin": fit_decay(trace), "short": None}, {"N": 16})
         assert doc["schema"] == REPORT_SCHEMA
+        assert doc["lambda"] == 2.5
+        assert doc["spectrum_match_error"] == max(
+            secular_match_error(b, law.branch(b.index)) for b in system.branches)
         assert doc["spectrum_match_error"] <= 1e-8
         assert doc["tb_residual"] <= 1e-10
+        assert doc["conditioning"] == {"0": 5.0}
+        assert doc["gap_sum_tail_max"] == tail_max
         assert doc["decay_fits"]["lin"]["mu_hat"] > 0
+        assert doc["decay_fits"]["short"] is None
+        assert doc["classification"]["labels"] == ["classical"]
         assert doc["config_hash"] == config_hash({"N": 16})
 
-    def test_missing_mandatory_sections_named(self):
-        system, law, tr = self.pipeline(8)
-        with pytest.raises(ValueError, match="law, transforms"):
-            make_report(system=system, shift=2.5, law=None, transforms=None)
-
     def test_simulation_sections_absent_when_not_run(self):
-        system, law, tr = self.pipeline(8)
-        report = make_report(system=system, shift=2.5, law=law, transforms=tr)
-        doc = report.to_json()
+        system, law, certs, steps = self.pipeline(8)
+        doc = make_report(system, law, certs, steps, {}, None, {})
         assert doc["decay_fits"] is None
-        assert doc["classification"] is None
+        assert doc["conditioning"] == {}
+        assert doc["gain_profile"]["per_branch"] == [None, None]    # N < 16
 
     def test_roundtrip_bit_identical(self):
-        system, law, tr = self.pipeline(8)
-        report = make_report(system=system, shift=2.5, law=law, transforms=tr,
-                             config={"seed": 1})
-        assert report_roundtrip_identical(report)
+        system, law, certs, steps = self.pipeline(8)
+        text = canonical_json(make_report(system, law, certs, steps, {}, None,
+                                          {"seed": 1}))
+        assert canonical_json(json.loads(text)) == text
 
-    def test_write_report(self, tmp_path):
-        system, law, tr = self.pipeline(8)
-        report = make_report(system=system, shift=2.5, law=law, transforms=tr)
-        path = tmp_path / "report.json"
-        write_report(report, path)
-        doc = json.loads(path.read_text())
-        assert doc["schema"] == REPORT_SCHEMA
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_JSON_DOCS = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), _FINITE, st.text(max_size=8),
+              st.complex_numbers(allow_nan=False, allow_infinity=False)),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.dictionaries(st.text(max_size=6), children,
+                                               max_size=4)),
+    max_leaves=24)
 
 
 class TestCanonicalJson:
@@ -170,6 +174,22 @@ class TestCanonicalJson:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             canonical_json({"x": float("nan")})
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_JSON_DOCS)
+    def test_parse_is_a_fixed_point(self, doc):
+        text = canonical_json(doc)
+        assert canonical_json(json.loads(text)) == text
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=_JSON_DOCS, bad=st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+           where=st.sampled_from(["list", "dict", "complex real", "complex imag"]))
+    def test_nonfinite_anywhere_rejected(self, doc, bad, where):
+        leaf = {"list": [doc, bad], "dict": {"doc": doc, "bad": bad},
+                "complex real": [doc, complex(bad, 0.0)],
+                "complex imag": [doc, complex(0.0, bad)]}[where]
+        with pytest.raises(ValueError, match="non-finite"):
+            canonical_json({"wrapped": leaf})
 
 
 class TestSvgPlot:

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,43 @@ EXPORTING = [
                           for m in pkgutil.iter_modules(fredstab.__path__))
     if hasattr(module, "__all__")]
 
+PACKAGE = Path(fredstab.__file__).parent
+ACCEPTANCE = Path(__file__).parent / "test_acceptance.py"
+
+# Public names that only the test suite calls, each as the independent
+# reference for a production path.
+TEST_ORACLES = {
+    "operator_equality_residual",   # dense intertwining defect of build_transform
+    "simulate_target",              # exact shifted-system trajectories
+    "sobolev_norm",                 # per-sample norm of simulate's norm table
+}
+
+
+def _names(node) -> set:
+    """Identifiers a node reads: bare names and attribute names."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+    return found
+
+
+def _package_uses() -> dict:
+    """Name -> the top-level definitions (or None) of package code that use it.
+
+    Imports and string constants are not uses, so neither __init__'s
+    re-exports nor __all__ nor a docstring keep a name alive.
+    """
+    uses: dict = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(stmt, "name", None)
+            for name in _names(stmt):
+                uses.setdefault(name, set()).add(owner)
+    return uses
+
 
 @pytest.mark.parametrize("module", EXPORTING, ids=lambda m: m.__name__)
 def test_every_exported_name_resolves(module):
@@ -17,3 +56,15 @@ def test_every_exported_name_resolves(module):
     assert len(names) == len(set(names)), f"duplicate names in {module.__name__}.__all__"
     missing = [name for name in names if not hasattr(module, name)]
     assert not missing, f"{module.__name__}.__all__ names undefined {missing}"
+
+
+def test_every_exported_name_is_used():
+    # a public name stays only while package code outside its own
+    # definition, an acceptance criterion or a named test oracle uses it
+    uses = _package_uses()
+    acceptance = _names(ast.parse(ACCEPTANCE.read_text(encoding="utf-8")))
+    unused = sorted(
+        f"{module.__name__}.{name}" for module in EXPORTING for name in module.__all__
+        if not (uses.get(name, set()) - {name}) and name not in acceptance
+        and name not in TEST_ORACLES)
+    assert not unused, f"exported but unused: {unused}"

@@ -4,8 +4,7 @@ import scipy.integrate
 
 from fredstab import AssumptionError, SolverError, verify_control, verify_growth
 from fredstab.models import (ModelDescriptor, SturmLiouvilleProblem,
-                             descriptor_from_json, gribov_model,
-                             heat_torus_model, liouville_transform,
+                             gribov_model, heat_torus_model, liouville_transform,
                              model_from_descriptor, schrodinger_model,
                              sturm_liouville_eigs_direct, sturm_liouville_model)
 from fredstab.spectral_core import classify_controllability
@@ -202,10 +201,6 @@ class TestGribov:
         with pytest.raises(ValueError, match="cap"):
             gribov_model(8, eps=0.2)
 
-    def test_perturbation_bound(self):
-        with pytest.raises(ValueError, match="unit bound"):
-            gribov_model(8, eps=0.05, perturbation=lambda n: 2.0)
-
     def test_r_outside_interval_rejected_by_classifier(self):
         system = gribov_model(16, r=2.6)
         with pytest.raises(ValueError, match="admissible open interval"):
@@ -218,13 +213,11 @@ class TestGribov:
 
 
 class TestDescriptor:
-    def test_roundtrip_and_dispatch(self):
+    def test_dispatch(self):
         desc = ModelDescriptor(kind="heat_torus", N=8, params={"gamma": 0.0})
-        doc = desc.to_json()
-        back = descriptor_from_json(doc)
-        system = model_from_descriptor(back)
+        system = model_from_descriptor(desc)
         assert system.m == 2
-        assert system.N == 8
+        assert [b.N for b in system.branches] == [8, 8]
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown model kind"):

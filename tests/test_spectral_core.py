@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from fredstab import (AssumptionError, SpectralBranch, SpectralSystem,
-                      branch_split, classify_controllability, sobolev_norm,
+                      classify_controllability, sobolev_norm,
                       system_from_json, system_to_json, verify_control,
                       verify_gap, verify_growth)
-from fredstab.spectral_core import WeightedNorm
 
 from conftest import heat_branch, schrodinger_branch
 
@@ -34,9 +33,6 @@ class TestSobolevNorm:
         z = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         for r, r2 in [(-1.0, 0.0), (0.0, 0.5), (0.5, 2.0)]:
             assert sobolev_norm(z, r) <= sobolev_norm(z, r2) + 1e-12
-
-    def test_weighted_norm_callable(self):
-        assert WeightedNorm(1.0)([0, 1]) == pytest.approx(2.0)
 
 
 class TestBranchInvariants:
@@ -157,42 +153,6 @@ class TestClassify:
         assert a.admissibility_necessary_ok == b.admissibility_necessary_ok
         assert (a.exact_controllability_necessary_ok
                 == b.exact_controllability_necessary_ok)
-
-
-class TestBranchSplit:
-    def test_heat_torus_layout(self):
-        K = 4
-        eigs = [0.0] + [-(k ** 2) for k in range(1, K + 1)]
-        mult = [1] + [2] * K
-        system = branch_split(eigs, mult, m=2, alpha=2.0)
-        b1 = system.branches[0].eigenvalues.real.tolist()
-        b2 = system.branches[1].eigenvalues.real.tolist()
-        assert b1 == [-1.0, -4.0, -9.0, -16.0]
-        assert b2 == [0.0, -1.0, -4.0, -9.0, -16.0]
-
-    def test_flatten_recovers_multiset(self):
-        eigs = [0.0, -1.0, -4.0, -9.0]
-        mult = [1, 2, 2, 1]
-        system = branch_split(eigs, mult, m=2, alpha=2.0)
-        flat = sorted(
-            z.real for b in system.branches for z in b.eigenvalues)
-        expected = sorted([0.0, -1.0, -1.0, -4.0, -4.0, -9.0])
-        assert flat == expected
-
-    def test_all_simple_single_branch(self):
-        system = branch_split([-1.0, -4.0, -9.0], [1, 1, 1], m=1, alpha=2.0)
-        assert system.m == 1
-        assert system.branches[0].eigenvalues.real.tolist() == [-1.0, -4.0, -9.0]
-
-    def test_multiplicity_overflow(self):
-        with pytest.raises(ValueError, match="multiplicity"):
-            branch_split([-1.0, -4.0], [3, 1], m=2, alpha=2.0)
-
-    def test_truncate_equalizes(self):
-        eigs = [0.0] + [-(k ** 2) for k in range(1, 5)]
-        system = branch_split(eigs, [1] + [2] * 4, m=2, alpha=2.0, truncate=True)
-        assert system.uniform_truncation
-        assert system.N == 4
 
 
 class TestSerialization:
