@@ -23,6 +23,21 @@ and the traces/*_norms.csv files) and the config, so the three stages
 write the same bytes for the same directory: simulate writes its traces
 first, and the decay fits are refit from them.
 
+simulate formats most of its output in child processes.  After each
+scenario the parent writes the small <name>_norms.csv itself and forks a
+writer child for <name>_modes.csv (one float repr per coordinate and
+sample, nearly all of the stage's CSV time), then integrates the next
+scenario.  At most one writer per usable core (os.sched_getaffinity) is
+alive.  A child runs only simulate.write_modes_csv, pure Python and file
+writes with no BLAS and no threads, and leaves through os._exit, so no
+atexit handler runs and no inherited stdio buffer is flushed twice.  The
+report reads only the norms files, so the parent computes and writes it
+while the writers run, and joins them all before the stage returns.  A
+child's exception comes back pickled through a pipe and is raised in the
+parent, so the exit code and the stderr JSON are those of an inline
+failure.  Without os.fork the writer runs inline, which is also the
+reference the tests compare against.
+
 Exit codes: 0 success, 2 assumption-verdict failure, 3 solver failure,
 4 integrator guard violation, 1 anything else.  Failures print a
 machine-readable JSON object on stderr.
@@ -121,13 +136,23 @@ def parse_config(doc: dict) -> RunConfig:
     N = int(doc.get("N", model.get("N", 0)))
     if N < 1 and "path" not in model:
         raise ConfigError("config.N (or model.N) must be a positive integer")
+    r_list = tuple(float(r) for r in doc.get("r_list", [0.0]))
+    # the norm columns of the traces and the conditioning keys of the
+    # report are named by f"{r:g}", so two r with one label would collide
+    labels = {}
+    for r in r_list:
+        label = f"{r:g}"
+        if label in labels:
+            raise ConfigError(f"config.r_list values {labels[label]!r} and {r!r} "
+                              f"share the label {label!r}")
+        labels[label] = r
     return RunConfig(
         model=model,
         lambda0=float(doc.get("lambda0", 2.0)),
         delta=float(doc.get("delta", 0.25)),
         N=N,
         method=method,
-        r_list=tuple(float(r) for r in doc.get("r_list", [0.0])),
+        r_list=r_list,
         scenarios=tuple(scenarios),
         sweep=dict(sweep) if sweep else None,
         output_dir=str(doc.get("output_dir", "out")),
@@ -333,33 +358,118 @@ def _burgers_u0(system: SpectralSystem, spec: dict) -> np.ndarray:
     raise ConfigError(f"unknown semilinear u0 kind {kind!r}")
 
 
+class _TraceWriters:
+    """Writer children for the traces/<name>_modes.csv files of simulate.
+
+    start() forks a child that runs write(trace, path), which is pure
+    Python and file writes, and leaves through os._exit.  A failing child
+    pickles its exception into a pipe, and join() re-raises the one of the
+    earliest writer, the failure an inline run would have stopped at.  At
+    most one child per usable core is alive: finished ones are reaped
+    first, then the oldest is waited for.  Without os.fork, start() runs
+    the writer inline.
+    """
+
+    def __init__(self):
+        self.limit = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                      else os.cpu_count() or 1)
+        self.started = 0
+        self.pipes = {}     # pid -> (start order, read end of its error pipe)
+        self.errors = {}    # start order -> exception
+
+    def start(self, write, trace, path) -> None:
+        if not hasattr(os, "fork"):
+            write(trace, path)
+            return
+        import pickle
+        for pid in list(self.pipes):
+            self._reap(pid, wait=False)
+        while len(self.pipes) >= self.limit:
+            self._reap(next(iter(self.pipes)), wait=True)
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.close(read_fd)
+                write(trace, path)
+                os._exit(0)
+            except BaseException as exc:
+                with os.fdopen(write_fd, "wb") as pipe:
+                    pickle.dump(exc, pipe)
+            finally:
+                os._exit(1)
+        os.close(write_fd)
+        self.pipes[pid] = (self.started, read_fd)
+        self.started += 1
+
+    def _reap(self, pid: int, wait: bool) -> None:
+        """Reap one child and keep its error; without wait, only if it has exited."""
+        import pickle
+        status = None
+        if not wait:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if not done:
+                return
+        order, read_fd = self.pipes.pop(pid)
+        # read before waiting: EOF comes when the child exits
+        with os.fdopen(read_fd, "rb") as pipe:
+            payload = pipe.read()
+        if status is None:
+            status = os.waitpid(pid, 0)[1]
+        if payload:
+            try:
+                self.errors[order] = pickle.loads(payload)
+            except Exception as exc:
+                self.errors[order] = exc
+        elif status:
+            self.errors[order] = ChildProcessError(
+                f"trace writer {pid} ended with wait status {status}")
+
+    def join(self) -> None:
+        for pid in list(self.pipes):
+            self._reap(pid, wait=True)
+        if self.errors:
+            raise self.errors[min(self.errors)]
+
+
 def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
+    """Integrate every scenario and write its traces and the report.
+
+    The parent writes each <name>_norms.csv and hands <name>_modes.csv to
+    a writer child, then integrates the next scenario; report.json reads
+    only the norms files, so it is written while the writers run.
+    """
     out = _out_dir(cfg, out)
     system, law, _, certs = _load_artifacts(out)
     traces_dir = os.path.join(out, "traces")
     os.makedirs(traces_dir, exist_ok=True)
-    for sc in cfg.scenarios:
-        name = sc.get("name", "scenario")
-        t_end = float(sc.get("t_end", 1.0))
-        samples = int(sc.get("samples", 64))
-        dt = float(sc.get("dt", 1e-4))
-        times = np.linspace(0.0, t_end, samples + 1)
-        if sc.get("nonlinear", False):
-            if not system.label.startswith("heat_torus"):
-                raise ConfigError("nonlinear scenarios need the heat_torus model")
-            u0 = _burgers_u0(system, sc.get("u0", {}))
-            trace = simulate.simulate_burgers(system, law, u0, times, dt=dt,
-                                              r_list=cfg.r_list)
-        else:
-            integrator = sc.get("integrator", "semigroup_exact")
-            u0 = _linear_u0(system, sc.get("u0", {}))
-            trace = simulate.simulate_closed_loop(system, law, u0, times,
-                                                  integrator=integrator, dt=dt,
+    writers = _TraceWriters()
+    try:
+        for sc in cfg.scenarios:
+            name = sc.get("name", "scenario")
+            t_end = float(sc.get("t_end", 1.0))
+            samples = int(sc.get("samples", 64))
+            dt = float(sc.get("dt", 1e-4))
+            times = np.linspace(0.0, t_end, samples + 1)
+            if sc.get("nonlinear", False):
+                if not system.label.startswith("heat_torus"):
+                    raise ConfigError("nonlinear scenarios need the heat_torus model")
+                u0 = _burgers_u0(system, sc.get("u0", {}))
+                trace = simulate.simulate_burgers(system, law, u0, times, dt=dt,
                                                   r_list=cfg.r_list)
-        simulate.trace_to_csv(trace,
-                              os.path.join(traces_dir, f"{name}_modes.csv"),
-                              os.path.join(traces_dir, f"{name}_norms.csv"))
-    report, _, _ = _write_report(cfg, out, system, law, certs)
+            else:
+                integrator = sc.get("integrator", "semigroup_exact")
+                u0 = _linear_u0(system, sc.get("u0", {}))
+                trace = simulate.simulate_closed_loop(system, law, u0, times,
+                                                      integrator=integrator, dt=dt,
+                                                      r_list=cfg.r_list)
+            simulate.write_norms_csv(trace, os.path.join(traces_dir, f"{name}_norms.csv"))
+            writers.start(simulate.write_modes_csv, trace,
+                          os.path.join(traces_dir, f"{name}_modes.csv"))
+            del trace
+        report, _, _ = _write_report(cfg, out, system, law, certs)
+    finally:
+        writers.join()
     for name, fit in (report["decay_fits"] or {}).items():
         msg = "no fit" if fit is None else f"mu_hat={fit['mu_hat']:.4f} r2={fit['r2']:.4f}"
         print(f"scenario {name}: {msg}")

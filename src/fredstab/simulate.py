@@ -43,6 +43,8 @@ __all__ = [
     "fit_decay",
     "random_state",
     "trace_to_csv",
+    "write_modes_csv",
+    "write_norms_csv",
 ]
 
 
@@ -449,14 +451,23 @@ def fit_decay(trace: SimulationTrace, r: float = 0.0,
 def trace_to_csv(trace: SimulationTrace, modes_path, norms_path) -> None:
     """Long-format modal history and a wide norm summary.
 
-    modes: header t,branch,n,re,im.  norms: header t,norm_r{value},...
+    The two files are those of write_modes_csv and write_norms_csv.
+    """
+    write_modes_csv(trace, modes_path)
+    write_norms_csv(trace, norms_path)
+
+
+def write_modes_csv(trace: SimulationTrace, path) -> None:
+    """Modal history, header t,branch,n,re,im, one row per (sample, branch, n).
+
     The bytes are those of csv.writer with repr floats (no field needs
     quoting); the history is written one (sample, branch) block at a time,
-    so memory stays at one block of strings.
+    so memory stays at one block of strings.  Pure Python and file writes:
+    no BLAS call and no thread, so a forked child may run it.
     """
     prefixes = [[f",{i},{n}," for n in range(1, block.shape[1] + 1)]
                 for i, block in enumerate(trace.states, start=1)]
-    with open(modes_path, "w", newline="", encoding="utf-8") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("t,branch,n,re,im\r\n")
         for k, t in enumerate(trace.times.tolist()):
             lead = repr(t)
@@ -464,9 +475,13 @@ def trace_to_csv(trace: SimulationTrace, modes_path, norms_path) -> None:
                 row = block[k]
                 fh.write("".join([f"{lead}{p}{re!r},{im!r}\r\n" for p, re, im
                                   in zip(prefix, row.real.tolist(), row.imag.tolist())]))
+
+
+def write_norms_csv(trace: SimulationTrace, path) -> None:
+    """Norm summary, header t,norm_r{value},... with the r in ascending order."""
     r_keys = sorted(trace.norms)
     columns = [trace.times.tolist()] + [
         np.asarray(trace.norms[r], dtype=float).tolist() for r in r_keys]
-    with open(norms_path, "w", newline="", encoding="utf-8") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(["t"] + [f"norm_r{r:g}" for r in r_keys]) + "\r\n")
         fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in zip(*columns)]))

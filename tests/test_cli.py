@@ -12,7 +12,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fredstab import cli_io, diagnostics, errors, transform
+from fredstab import cli_io, diagnostics, errors, simulate, transform
 from fredstab.cli_io import LIVE_MATRICES, MAX_N, main, parse_config
 from fredstab.errors import ConfigError
 from fredstab.jsonio import write_json
@@ -47,6 +47,26 @@ class TestConfigValidation:
     def test_bad_method(self):
         with pytest.raises(ConfigError, match="method"):
             parse_config({"model": {"kind": "heat_torus", "N": 8}, "method": "x"})
+
+    @pytest.mark.parametrize("r_list", [[0.5, 0.5], [0.1234564, 0.1234561]])
+    def test_r_labels_must_differ(self, r_list):
+        # trace columns and conditioning keys are named f"{r:g}"
+        with pytest.raises(ConfigError, match="share the label"):
+            parse_config({"model": {"kind": "heat_torus", "N": 8}, "r_list": r_list})
+
+    @pytest.mark.parametrize("stage", ["synthesize", "simulate"])
+    def test_r_label_collision_exits_one(self, tmp_path, capsys, stage):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, r_list=[0.1234564, 0.1234561])
+        assert main([stage, "--config", str(cfg)]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ConfigError"
+        assert all(v in payload["message"] for v in ("0.1234564", "0.1234561", "'0.123456'"))
+
+    def test_distinct_r_labels_accepted(self):
+        cfg = parse_config({"model": {"kind": "heat_torus", "N": 8},
+                            "r_list": [0.0, 0.5, 2.0, 0.123456, 0.12346]})
+        assert cfg.r_list == (0.0, 0.5, 2.0, 0.123456, 0.12346)
 
 
 class TestSynthesizeCommand:
@@ -246,6 +266,125 @@ class TestSimulateCommand:
         code = main(["simulate", "--config", str(cfg)])
         assert code == 4
         assert json.loads(capsys.readouterr().err)["error"] == "IntegratorError"
+
+
+# one scenario of each integrator; the writer tests repeat them under new names
+_WRITER_SCENARIOS = [
+    {"name": "lin", "u0": {"kind": "random", "seed": 3}, "t_end": 1.0,
+     "samples": 16, "integrator": "semigroup_exact"},
+    {"name": "rk", "u0": {"kind": "random", "seed": 4}, "t_end": 0.05,
+     "samples": 4, "dt": 1e-3, "integrator": "rk4"},
+    {"name": "semi", "u0": {"kind": "burgers_random", "l2": 1e-3, "seed": 5},
+     "t_end": 0.1, "samples": 5, "dt": 1e-3, "nonlinear": True}]
+
+
+def _writer_config(tmp_path, copies=1):
+    cfg = tmp_path / "config.json"
+    scenarios = [dict(sc, name=f"{sc['name']}{k}")
+                 for k in range(copies) for sc in _WRITER_SCENARIOS]
+    write_config(cfg, r_list=[0.0, 0.5], scenarios=scenarios)
+    assert main(["synthesize", "--config", str(cfg)]) == 0
+    return cfg
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestTraceWriters:
+    """simulate writes *_modes.csv from forked children, at most one per core."""
+
+    @pytest.mark.parametrize("cores, copies", [(1, 1), (2, 1), (2, 3)],
+                             ids=["one-core", "two-cores", "more-scenarios-than-cores"])
+    def test_forked_writers_keep_the_bytes(self, tmp_path, monkeypatch, cores, copies):
+        cfg = _writer_config(tmp_path, copies)
+        traces = []
+        for name in ("simulate_closed_loop", "simulate_burgers"):
+            def recording(*args, _run=getattr(simulate, name), **kwargs):
+                traces.append(_run(*args, **kwargs))
+                return traces[-1]
+            monkeypatch.setattr(simulate, name, recording)
+        # writers alive at each fork, from the parent's own bookkeeping
+        alive, at_fork = set(), []
+        fork, waitpid = os.fork, os.waitpid
+
+        def counting_fork():
+            at_fork.append(len(alive))
+            pid = fork()
+            if pid:
+                alive.add(pid)
+            return pid
+
+        def counting_waitpid(pid, flags):
+            done, status = waitpid(pid, flags)
+            alive.discard(done)
+            return done, status
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(os, "waitpid", counting_waitpid)
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        monkeypatch.undo()
+        _assert_no_child_left()
+        assert len(at_fork) == 3 * copies and max(at_fork) < cores and not alive
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        out = tmp_path / "out" / "traces"
+        for k in range(copies):
+            for sc, trace in zip(_WRITER_SCENARIOS, traces[3 * k:3 * k + 3]):
+                name = f"{sc['name']}{k}"
+                simulate.trace_to_csv(trace, ref / f"{name}_modes.csv",
+                                      ref / f"{name}_norms.csv")
+        written = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert written == {p.name: p.read_bytes() for p in ref.iterdir()}
+
+    def test_inline_without_fork(self, tmp_path, monkeypatch):
+        cfg = _writer_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        forked = {p.name: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        monkeypatch.delattr(os, "fork")
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        assert {p.name: p.read_bytes() for p in out.rglob("*") if p.is_file()} == forked
+
+    def _both_paths(self, tmp_path, monkeypatch, capfd):
+        """Exit code and stderr of simulate, forked and then inline."""
+        cfg = tmp_path / "config.json"
+        results = []
+        for inline in (False, True):
+            with monkeypatch.context() as mp:
+                if inline:
+                    mp.delattr(os, "fork")
+                code = main(["simulate", "--config", str(cfg)])
+            _assert_no_child_left()
+            results.append((code, capfd.readouterr().err))
+        return results
+
+    def test_unwritable_modes_file(self, tmp_path, monkeypatch, capfd):
+        _writer_config(tmp_path)
+        (tmp_path / "out" / "traces").mkdir()
+        (tmp_path / "out" / "traces" / "rk0_modes.csv").mkdir()
+        capfd.readouterr()
+        forked, inline = self._both_paths(tmp_path, monkeypatch, capfd)
+        assert forked == inline
+        code, err = forked
+        assert code == 1 and "Traceback" not in err
+        assert json.loads(err)["error"] == "IsADirectoryError"
+
+    def test_error_in_writer_keeps_type_and_exit_code(self, tmp_path, monkeypatch, capfd):
+        _writer_config(tmp_path)
+
+        def fail(trace, path):
+            raise errors.IntegratorError(f"cannot write {os.path.basename(path)}")
+
+        monkeypatch.setattr(simulate, "write_modes_csv", fail)
+        capfd.readouterr()
+        forked, inline = self._both_paths(tmp_path, monkeypatch, capfd)
+        assert forked == inline
+        assert forked[0] == 4
+        assert json.loads(forked[1]) == {"error": "IntegratorError",
+                                         "message": "cannot write lin0_modes.csv"}
 
 
 class TestSweepCommand:

@@ -21,6 +21,7 @@ TEST_ORACLES = {
     "operator_equality_residual",   # dense intertwining defect of build_transform
     "simulate_target",              # exact shifted-system trajectories
     "sobolev_norm",                 # per-sample norm of simulate's norm table
+    "trace_to_csv",                 # inline bytes of cmd_simulate's trace writers
 }
 
 
