@@ -34,9 +34,12 @@ atexit handler runs and no inherited stdio buffer is flushed twice.  The
 report reads only the norms files, so the parent computes and writes it
 while the writers run, and joins them all before the stage returns.  A
 child's exception comes back pickled through a pipe and is raised in the
-parent, so the exit code and the stderr JSON are those of an inline
-failure.  Without os.fork the writer runs inline, which is also the
-reference the tests compare against.
+parent at the next fork, before the report or at the final join, so the
+exit code and the stderr JSON are those of an inline failure; the parent
+creates each modes file before the fork, so an unwritable path stops the
+stage at the scenario an inline run stops at.  Without os.fork the
+writer runs inline, which is also the reference the tests compare
+against.
 
 Exit codes: 0 success, 2 assumption-verdict failure, 3 solver failure,
 4 integrator guard violation, 1 anything else.  Failures print a
@@ -361,13 +364,16 @@ def _burgers_u0(system: SpectralSystem, spec: dict) -> np.ndarray:
 class _TraceWriters:
     """Writer children for the traces/<name>_modes.csv files of simulate.
 
-    start() forks a child that runs write(trace, path), which is pure
-    Python and file writes, and leaves through os._exit.  A failing child
-    pickles its exception into a pipe, and join() re-raises the one of the
-    earliest writer, the failure an inline run would have stopped at.  At
-    most one child per usable core is alive: finished ones are reaped
-    first, then the oldest is waited for.  Without os.fork, start() runs
-    the writer inline.
+    start() creates the file in the parent, so an unwritable path fails
+    where the inline writer would, then forks a child that runs
+    write(trace, path), which is pure Python and file writes, and leaves
+    through os._exit.  A failing child pickles its exception into a pipe.
+    The earliest error reaped so far is raised by the next start() and by
+    poll(); poll(wait=True) reaps every child first, so it raises the
+    failure an inline run would have stopped at.  At most one
+    child per usable core is alive: finished ones are reaped first, then
+    the oldest is waited for.  Without os.fork, start() runs the writer
+    inline.
     """
 
     def __init__(self):
@@ -382,10 +388,11 @@ class _TraceWriters:
             write(trace, path)
             return
         import pickle
-        for pid in list(self.pipes):
-            self._reap(pid, wait=False)
+        self.poll()
         while len(self.pipes) >= self.limit:
             self._reap(next(iter(self.pipes)), wait=True)
+        self.poll()
+        open(path, "w", encoding="utf-8").close()
         read_fd, write_fd = os.pipe()
         pid = os.fork()
         if pid == 0:
@@ -425,9 +432,10 @@ class _TraceWriters:
             self.errors[order] = ChildProcessError(
                 f"trace writer {pid} ended with wait status {status}")
 
-    def join(self) -> None:
+    def poll(self, wait: bool = False) -> None:
+        """Reap the exited children, or all with wait; raise the earliest error."""
         for pid in list(self.pipes):
-            self._reap(pid, wait=True)
+            self._reap(pid, wait)
         if self.errors:
             raise self.errors[min(self.errors)]
 
@@ -467,9 +475,10 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
             writers.start(simulate.write_modes_csv, trace,
                           os.path.join(traces_dir, f"{name}_modes.csv"))
             del trace
+        writers.poll()
         report, _, _ = _write_report(cfg, out, system, law, certs)
     finally:
-        writers.join()
+        writers.poll(wait=True)
     for name, fit in (report["decay_fits"] or {}).items():
         msg = "no fit" if fit is None else f"mu_hat={fit['mu_hat']:.4f} r2={fit['r2']:.4f}"
         print(f"scenario {name}: {msg}")

@@ -13,10 +13,9 @@ Cost for a branch of N modes and S samples:
   per-sample solve bit for bit.
 - rk4: O(N) per stage, since the closed loop diag(lambda) + b K^T acts as
   lambda * u + b (K . u).  It agrees with a dense matvec to rounding.
-- imex_euler (Burgers): O(N log N) per step, since the convection
-  convolution is a product under an FFT of length next_fast_len(3N + 1).
-  It agrees with a direct convolution to rounding, and exactly Hermitian
-  (real) data stay exactly Hermitian.
+- imex_euler (Burgers): O(N log N) per step on the N + 1 coefficients
+  c_0..c_N of the real field: u^2 is an irfft, a square and an rfft of
+  length next_fast_len(3N + 1), and the feedback two real dot products.
 """
 
 from __future__ import annotations
@@ -301,18 +300,13 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def _convolve_fft(work: np.ndarray, N: int, length: int) -> np.ndarray:
-    """Coefficients k = -N..N of the self-convolution of work (length 2N + 1).
+def _square_half(h: np.ndarray, N: int, length: int) -> np.ndarray:
+    """Coefficients k = 0..N of u^2 for the real u with coefficients h = c_0..c_N.
 
-    A circular convolution of length >= 3N + 1 leaves those indices free of
-    wrap-around.  An exactly Hermitian work (a real function) gets an
-    exactly Hermitian result, so real data stay real.
+    A length >= 3N + 1 leaves those indices free of wrap-around.
     """
-    spec = np.fft.fft(work, n=length)
-    conv = np.fft.ifft(spec * spec)[N: 3 * N + 1]
-    if np.array_equal(work, np.conj(work[::-1])):
-        conv = 0.5 * (conv + np.conj(conv[::-1]))
-    return conv
+    u = np.fft.irfft(h, length, norm="forward")
+    return np.fft.rfft(u * u, norm="forward")[:N + 1]
 
 
 def _linear_step_radius(system: SpectralSystem, law: FeedbackLaw, dt: float) -> float:
@@ -351,12 +345,13 @@ def simulate_burgers(system: SpectralSystem, law: Optional[FeedbackLaw], u0, tim
                      dt: float = 1e-4, r_list=(0.0,)) -> SimulationTrace:
     """Semilinear torus simulation with quadratic convection and feedback.
 
-    Requires the two-branch torus system.  State lives in torus Fourier
-    coefficients c_k (k = -N..N); the convection term (u^2 / 2)_x is an
-    exact coefficient convolution at truncation; diffusion is implicit,
-    convection and feedback explicit, first-order in time.  u0 is either a
-    real physical sample vector or a complex coefficient vector of length
-    2N + 1.
+    Requires the two-branch torus system and real gains.  The state is the
+    half spectrum c_0..c_N of the real field's torus Fourier coefficients
+    (c_{-k} = conj(c_k)); the convection term (u^2 / 2)_x is exact at
+    truncation; diffusion is implicit, convection and feedback explicit,
+    first-order in time.  u0 is either real physical samples, whose k >= 0
+    coefficients are kept, or an exactly Hermitian coefficient vector
+    c_{-N}..c_N (else ValueError).
     Non-finite growth aborts the run.  The error names the step size when
     the linear step map (diffusion plus explicit feedback) has spectral
     radius above 1, and otherwise the local stability basin, which the
@@ -370,29 +365,32 @@ def simulate_burgers(system: SpectralSystem, law: Optional[FeedbackLaw], u0, tim
     times = np.asarray(times, dtype=float)
     u0 = np.asarray(u0)
     if np.iscomplexobj(u0) and len(u0) == 2 * N + 1:
-        c = u0.astype(complex)
+        if not np.array_equal(u0, np.conj(u0[::-1])):
+            raise ValueError("u0 coefficients are not exactly Hermitian (a real field)")
+        c = u0[N:].astype(complex)
     else:
-        c = _fourier_from_physical(np.asarray(u0, dtype=float), N)
-    k_axis = np.arange(-N, N + 1)
+        c = _fourier_from_physical(np.asarray(u0, dtype=float), N)[N:]
+    k_axis = np.arange(N + 1)
     half_dk = -0.5j * k_axis
     fft_len = _next_fast_len(3 * N + 1)
-    phi1, phi2 = _control_fourier(system, N)
+    phi1, phi2 = (phi[N:] for phi in _control_fourier(system, N))
     if law is not None:
-        K1 = law.branch(1).gains
-        K2 = law.branch(2).gains
+        K1, K2 = (np.asarray(law.branch(i).gains) for i in (1, 2))
+        if np.any(K1.imag != 0) or np.any(K2.imag != 0):
+            raise ValueError("semilinear simulation needs exactly real gains")
+        # K1 . a1 = g1 . Im c_{1..N} and K2 . a2 = g2 . Re c_{0..N-1} (_branch_coords)
+        g1 = -2.0 * _SQRT_PI * K1.real
+        g2 = np.r_[_SQRT_2PI * K2[0].real, 2.0 * _SQRT_PI * K2[1:].real]
 
     def rhs_explicit(cv):
-        nl = half_dk * _convolve_fft(cv, N, fft_len)     # -(i k / 2) (u^2)_k
+        nl = half_dk * _square_half(cv, N, fft_len)     # -(i k / 2) (u^2)_k
         if law is None:
             return nl
-        a1, a2 = _branch_coords(cv, N)
-        w1 = np.dot(K1, a1)
-        w2 = np.dot(K2, a2)
-        return nl + w1 * phi1 + w2 * phi2
+        return nl + np.dot(g1, cv.imag[1:]) * phi1 + np.dot(g2, cv.real[:N]) * phi2
 
     k_sq = k_axis.astype(float) ** 2
     implicit = 1.0 / (1.0 + dt * k_sq)
-    hist = np.empty((len(times), 2 * N + 1), dtype=complex)
+    hist = np.empty((len(times), N + 1), dtype=complex)
     hist[0] = c
     t = times[0]
     # Overflow is expected on blow-up and caught by the finiteness check.
@@ -407,6 +405,7 @@ def simulate_burgers(system: SpectralSystem, law: Optional[FeedbackLaw], u0, tim
                 if not np.all(np.isfinite(c)):
                     raise _blow_up_error(system, law, dt, t)
             hist[k] = c
+    hist = np.concatenate([np.conj(hist[:, :0:-1]), hist], axis=1)
     defect = float(np.max(np.abs(hist - np.conj(hist[:, ::-1]))))
     states1, states2 = _branch_coords(hist, N)
     norms = _norm_table((states1, states2), r_list)

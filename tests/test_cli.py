@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import shutil
 import sys
 import time
 
@@ -371,6 +372,54 @@ class TestTraceWriters:
         code, err = forked
         assert code == 1 and "Traceback" not in err
         assert json.loads(err)["error"] == "IsADirectoryError"
+
+    def test_unwritable_modes_file_stops_at_that_scenario(self, tmp_path, monkeypatch,
+                                                          capfd):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, scenarios=[dict(sc, name=name) for sc, name
+                                     in zip(_WRITER_SCENARIOS, "abc")])
+        assert main(["synthesize", "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        (out / "traces").mkdir()
+        (out / "traces" / "a_modes.csv").mkdir()
+        before = sorted(p.name for p in out.iterdir())
+        shutil.copytree(out, tmp_path / "pristine")
+        capfd.readouterr()
+        listings = []
+        with monkeypatch.context() as mp:
+            mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+            for inline in (False, True):
+                shutil.rmtree(out)
+                shutil.copytree(tmp_path / "pristine", out)
+                if inline:
+                    mp.delattr(os, "fork")
+                code = main(["simulate", "--config", str(cfg)])
+                _assert_no_child_left()
+                listings.append((code, capfd.readouterr().err,
+                                 sorted(str(p.relative_to(out)) for p in out.rglob("*"))))
+        assert listings[0] == listings[1]
+        code, err, names = listings[0]
+        assert code == 1 and json.loads(err)["error"] == "IsADirectoryError"
+        assert names == sorted(before + ["traces/a_modes.csv", "traces/a_norms.csv"])
+
+    def test_failed_writer_stops_the_next_scenario(self, tmp_path, monkeypatch, capfd):
+        # on one core the writer of lin0 is joined before rk0's fork, and
+        # its error stops the stage there: no semi0 trace and no report
+        _writer_config(tmp_path)
+
+        def fail(trace, path):
+            raise OSError(f"disk full writing {os.path.basename(path)}")
+
+        monkeypatch.setattr(simulate, "write_modes_csv", fail)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        capfd.readouterr()
+        forked, inline = self._both_paths(tmp_path, monkeypatch, capfd)
+        assert forked == inline
+        assert json.loads(forked[1]) == {"error": "OSError",
+                                         "message": "disk full writing lin0_modes.csv"}
+        out = tmp_path / "out"
+        assert not (out / "report.json").exists()
+        assert not list((out / "traces").glob("semi0_*"))
 
     def test_error_in_writer_keeps_type_and_exit_code(self, tmp_path, monkeypatch, capfd):
         _writer_config(tmp_path)

@@ -1,9 +1,13 @@
 import csv
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.fft
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fredstab import (IntegratorError, SimulationTrace, SpectralBranch,
                       SpectralSystem, fit_decay, random_state, simulate_burgers,
@@ -211,6 +215,20 @@ class TestBurgers:
             simulate_burgers(system, law, 1e-3 * np.sin(x), np.linspace(0, 50.0, 11),
                              dt=0.1)
 
+    def test_non_hermitian_coefficients_rejected(self, heat_system_and_law):
+        system, law = heat_system_and_law
+        c = 1e-3 * hermitian_coeffs(np.random.default_rng(11), 16)
+        c[20] += 1e-9j
+        with pytest.raises(ValueError, match="not exactly Hermitian"):
+            simulate_burgers(system, law, c, [0.0, 0.1], dt=1e-3)
+
+    def test_complex_gains_rejected(self, heat_system_and_law):
+        system, law = heat_system_and_law
+        gains = {i: SimpleNamespace(gains=law.branch(i).gains + 1e-12j) for i in (1, 2)}
+        with pytest.raises(ValueError, match="exactly real gains"):
+            simulate_burgers(system, SimpleNamespace(branch=gains.__getitem__),
+                             np.zeros(33, dtype=complex), [0.0, 0.1], dt=1e-3)
+
     def test_wrong_branch_count_rejected(self):
         system = SpectralSystem(branches=(heat_branch(8),), label="h")
         with pytest.raises(ValueError, match="two-branch"):
@@ -298,6 +316,44 @@ def legacy_convolve(work, N, length=None):
     return np.convolve(work, work)[N: 3 * N + 1]
 
 
+def legacy_fft_convolve(work, N, length):
+    """Complex FFTs of the full spectrum, symmetrised on Hermitian data."""
+    spec = np.fft.fft(work, n=length)
+    conv = np.fft.ifft(spec * spec)[N: 3 * N + 1]
+    if np.array_equal(work, np.conj(work[::-1])):
+        conv = 0.5 * (conv + np.conj(conv[::-1]))
+    return conv
+
+
+def legacy_burgers(system, law, c, times, dt, convolve=legacy_fft_convolve):
+    """The full-spectrum IMEX step on c_{-N}..c_N; returns the (a1, a2) histories."""
+    N = system.branches[0].N
+    k_axis = np.arange(-N, N + 1)
+    half_dk = -0.5j * k_axis
+    length = simulate._next_fast_len(3 * N + 1)
+    phi1, phi2 = simulate._control_fourier(system, N)
+
+    def rhs(cv):
+        nl = half_dk * convolve(cv, N, length)
+        if law is None:
+            return nl
+        a1, a2 = simulate._branch_coords(cv, N)
+        return (nl + np.dot(law.branch(1).gains, a1) * phi1
+                + np.dot(law.branch(2).gains, a2) * phi2)
+
+    k_sq = k_axis.astype(float) ** 2
+    c = np.asarray(c, dtype=complex)
+    hist = [c]
+    t = times[0]
+    for target in times[1:]:
+        while t < target - 1e-12 * max(1.0, abs(target)):
+            step = min(dt, target - t)
+            c = (c + step * rhs(c)) * (1.0 / (1.0 + step * k_sq))
+            t += step
+        hist.append(c)
+    return simulate._branch_coords(np.array(hist), N)
+
+
 def legacy_fourier_from_physical(u_phys, N):
     chat = np.fft.fft(u_phys) / len(u_phys)
     c = np.zeros(2 * N + 1, dtype=complex)
@@ -330,6 +386,27 @@ def hermitian_coeffs(rng, N):
     c[:N] = np.conj(c[N + 1:])[::-1]
     c[N] = rng.standard_normal()
     return c
+
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def hermitian_step_cases(draw):
+    """A heat torus of 4 <= N <= 32 modes, real gains, a Hermitian state and a step."""
+    N = draw(st.integers(4, 32))
+
+    def reals(size, bound):
+        return np.array(draw(st.lists(st.floats(-bound, bound), min_size=size,
+                                      max_size=size)))
+
+    c = np.zeros(2 * N + 1, dtype=complex)
+    c[N + 1:] = reals(N, 1.0) + 1j * reals(N, 1.0)
+    c[:N] = np.conj(c[N + 1:])[::-1]
+    c[N] = draw(st.floats(-1.0, 1.0))
+    gains = {i: SimpleNamespace(gains=reals(N, 10.0).astype(complex)) for i in (1, 2)}
+    law = SimpleNamespace(lam=1.0, branch=gains.__getitem__)
+    return heat_torus_model(N), law, c, draw(st.floats(1e-4, 1e-2))
 
 
 def same_bits(a, b):
@@ -392,35 +469,53 @@ class TestFastPathsMatchReferences:
             want = legacy_rk4_march(A, block, times, 1e-3)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("hermitian", [True, False])
     @pytest.mark.parametrize("dealias", [False, True])
-    def test_fft_convolution_matches_direct(self, hermitian, dealias):
+    def test_rfft_convolution_matches_direct(self, dealias):
         N = 256                                   # 3N + 1 = 769 is prime
-        rng = np.random.default_rng(7)
-        c = hermitian_coeffs(rng, N)
-        if not hermitian:
-            c = c + 1e-3j * rng.standard_normal(2 * N + 1)
+        c = hermitian_coeffs(np.random.default_rng(7), N)
         if dealias:
             c = c * (np.abs(np.arange(-N, N + 1)) <= (2 * N) // 3)
         length = scipy.fft.next_fast_len(3 * N + 1)
-        got = simulate._convolve_fft(c, N, length)
-        want = legacy_convolve(c, N)
+        got = simulate._square_half(c[N:], N, length)
+        want = legacy_convolve(c, N)[N:]
         assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(c) ** 2)
-        if hermitian:
-            assert np.array_equal(got, np.conj(got[::-1]))
 
-    def test_fft_burgers_matches_direct_convolution(self, monkeypatch):
+    def test_fft_burgers_matches_direct_convolution(self):
         system = heat_torus_model(16)
         law = synthesize_feedback(system, 3.25)
         u0 = 1e-2 * hermitian_coeffs(np.random.default_rng(8), 16)
         times = np.linspace(0, 0.05, 6)
         fast = simulate_burgers(system, law, u0, times, dt=1e-3)
-        monkeypatch.setattr(simulate, "_convolve_fft", legacy_convolve)
-        ref = simulate_burgers(system, law, u0, times, dt=1e-3)
-        assert fast.real_defect == 0.0 == ref.real_defect
-        for got, want in zip(fast.states, ref.states):
+        ref = legacy_burgers(system, law, u0, times, 1e-3, convolve=legacy_convolve)
+        assert fast.real_defect == 0.0
+        for got, want in zip(fast.states, ref):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
             assert np.all(got.imag == 0.0)
+
+    @pytest.mark.parametrize("N, dt, times", [
+        (16, 1e-3, [0.0, 0.02, 0.0405]),          # the last step is a half step
+        (256, 1e-4, [0.0, 0.002, 0.00425])], ids=["N16", "N256"])
+    @pytest.mark.parametrize("closed", [True, False], ids=["law", "open"])
+    def test_half_spectrum_matches_full_spectrum_step(self, N, dt, times, closed):
+        system = heat_torus_model(N)
+        law = synthesize_feedback(system, 3.25) if closed else None
+        u0 = 1e-2 * hermitian_coeffs(np.random.default_rng(12), N)
+        trace = simulate_burgers(system, law, u0, times, dt=dt)
+        ref = legacy_burgers(system, law, u0, np.array(times), dt)
+        assert trace.real_defect == 0.0
+        for got, want in zip(trace.states, ref):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            assert np.all(got.imag == 0.0)
+
+    @given(case=hermitian_step_cases())
+    @PROPERTY
+    def test_one_step_matches_full_spectrum_step(self, case):
+        system, law, c, dt = case
+        trace = simulate_burgers(system, law, c, [0.0, dt], dt=dt)
+        ref = legacy_burgers(system, law, c, np.array([0.0, dt]), dt)
+        scale = max(np.max(np.abs(want)) for want in ref)
+        for got, want in zip(trace.states, ref):
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * scale
 
     def test_burgers_helpers_are_bitwise_unchanged(self):
         N = 16
