@@ -10,12 +10,12 @@ transform.build_transform returns (schema fredstab-transform/2: per branch
 its diagonal, column norms, Frobenius norm and residuals), never T itself.
 Stages pass certificates keyed by branch index; verify rebuilds them from
 system.json and law.json and compares them with the stored ones.  The
-consumers of T itself (the conditioning in the report, kappa_0 in the
-sweep) build it through transform.admissible_conditioning, which keeps
-only the r inside the admissible interval.  Every certificate is O(N^2)
-per branch (closed-form gains, structured opeq, secular spectrum check);
-np.linalg.cond in the conditioning profile is the one dense factorization
-left in the certificates.
+conditioning in the report and kappa_0 in the sweep come from
+transform.admissible_conditioning, which keeps only the r inside the
+admissible interval.  Every certificate is O(N^2) per branch (closed-form
+gains, structured opeq, secular spectrum check, and the conditioning from
+the closed-form inverse of T and Lanczos norm estimates); no stage runs an
+SVD.
 
 verify, simulate and report write report.json through one writer,
 _write_report.  It reads only the output directory (system.json, law.json
@@ -37,9 +37,12 @@ child's exception comes back pickled through a pipe and is raised in the
 parent at the next fork, before the report or at the final join, so the
 exit code and the stderr JSON are those of an inline failure; the parent
 creates each modes file before the fork, so an unwritable path stops the
-stage at the scenario an inline run stops at.  Without os.fork the
-writer runs inline, which is also the reference the tests compare
-against.
+stage at the scenario an inline run stops at.  Before it raises, the
+parent waits for every writer and removes the trace files of the
+scenarios that started after the failing one, so the traces left are
+those of the inline run, plus the failed scenario's pre-created modes
+file.  Without os.fork the writer runs inline, which is also the
+reference the tests compare against.
 
 Exit codes: 0 success, 2 assumption-verdict failure, 3 solver failure,
 4 integrator guard violation, 1 anything else.  Failures print a
@@ -49,6 +52,7 @@ machine-readable JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 # argparse's gettext imports locale when main() builds its first parser;
 # importing it here keeps that cost out of the first stage
@@ -368,31 +372,35 @@ class _TraceWriters:
     where the inline writer would, then forks a child that runs
     write(trace, path), which is pure Python and file writes, and leaves
     through os._exit.  A failing child pickles its exception into a pipe.
-    The earliest error reaped so far is raised by the next start() and by
-    poll(); poll(wait=True) reaps every child first, so it raises the
-    failure an inline run would have stopped at.  At most one
-    child per usable core is alive: finished ones are reaped first, then
-    the oldest is waited for.  Without os.fork, start() runs the writer
-    inline.
+    Once an error is reaped, the next start() or poll() waits for every
+    child, removes the trace files of the scenarios started after the
+    earliest failing one (the files their start() was given and wrote),
+    and raises that earliest error, so the traces left behind are those an
+    inline run stops with.  At most one child per usable core is alive:
+    finished ones are reaped first, then the oldest is waited for.
+    Without os.fork, start() runs the writer inline.
     """
 
     def __init__(self):
         self.limit = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                       else os.cpu_count() or 1)
-        self.started = 0
+        self.files = []     # start order -> trace files of that scenario
         self.pipes = {}     # pid -> (start order, read end of its error pipe)
         self.errors = {}    # start order -> exception
 
-    def start(self, write, trace, path) -> None:
+    def start(self, write, trace, path, written) -> None:
+        """Write trace to path; written are the scenario's files already on disk."""
         if not hasattr(os, "fork"):
             write(trace, path)
             return
         import pickle
+        self.files.append(list(written))
         self.poll()
         while len(self.pipes) >= self.limit:
             self._reap(next(iter(self.pipes)), wait=True)
         self.poll()
         open(path, "w", encoding="utf-8").close()
+        self.files[-1].append(path)
         read_fd, write_fd = os.pipe()
         pid = os.fork()
         if pid == 0:
@@ -406,8 +414,7 @@ class _TraceWriters:
             finally:
                 os._exit(1)
         os.close(write_fd)
-        self.pipes[pid] = (self.started, read_fd)
-        self.started += 1
+        self.pipes[pid] = (len(self.files) - 1, read_fd)
 
     def _reap(self, pid: int, wait: bool) -> None:
         """Reap one child and keep its error; without wait, only if it has exited."""
@@ -433,11 +440,23 @@ class _TraceWriters:
                 f"trace writer {pid} ended with wait status {status}")
 
     def poll(self, wait: bool = False) -> None:
-        """Reap the exited children, or all with wait; raise the earliest error."""
+        """Reap the exited children, or all with wait; raise the earliest error.
+
+        Before raising, every child is reaped and the trace files of the
+        scenarios started after the failing one are removed.
+        """
         for pid in list(self.pipes):
             self._reap(pid, wait)
-        if self.errors:
-            raise self.errors[min(self.errors)]
+        if not self.errors:
+            return
+        for pid in list(self.pipes):
+            self._reap(pid, wait=True)
+        first = min(self.errors)
+        for paths in self.files[first + 1:]:
+            for path in paths:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(path)
+        raise self.errors[first]
 
 
 def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
@@ -471,9 +490,10 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
                 trace = simulate.simulate_closed_loop(system, law, u0, times,
                                                       integrator=integrator, dt=dt,
                                                       r_list=cfg.r_list)
-            simulate.write_norms_csv(trace, os.path.join(traces_dir, f"{name}_norms.csv"))
+            norms_path = os.path.join(traces_dir, f"{name}_norms.csv")
+            simulate.write_norms_csv(trace, norms_path)
             writers.start(simulate.write_modes_csv, trace,
-                          os.path.join(traces_dir, f"{name}_modes.csv"))
+                          os.path.join(traces_dir, f"{name}_modes.csv"), (norms_path,))
             del trace
         writers.poll()
         report, _, _ = _write_report(cfg, out, system, law, certs)

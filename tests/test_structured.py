@@ -1,11 +1,13 @@
 """Oracles and properties of the structured O(N^2) certificates.
 
 The direct gains are the closed form of the Cauchy determinant, the
-spectrum check is the secular equation of the rank-one closed loop and
-opeq is the O(N^2) intertwining defect.  Their references here are the
-dense routes they replaced: pivoted LU on the Cauchy matrix, mpmath at 40
-digits, eigvals of the assembled closed loop with the greedy matching of
-spectrum_match_error, and the dense T @ A_cl of operator_equality_residual.
+spectrum check is the secular equation of the rank-one closed loop, opeq
+is the O(N^2) intertwining defect and the weighted conditioning comes from
+the closed-form inverse of T and Lanczos norm estimates.  Their references
+here are the dense routes they replaced: pivoted LU on the Cauchy matrix,
+mpmath at 40 digits, eigvals of the assembled closed loop with the greedy
+matching of spectrum_match_error, the dense T @ A_cl of
+operator_equality_residual and the SVDs of conditioning_profile.
 """
 
 import json
@@ -22,9 +24,10 @@ import fredstab as fs
 from fredstab.cli_io import main
 from fredstab.diagnostics import secular_match_error, spectrum_match_error
 from fredstab.models import gribov_model, heat_torus_model, schrodinger_model
-from fredstab.synthesis import cauchy_system_matrix
+from fredstab.synthesis import _closed_form_products, cauchy_system_matrix
+from fredstab.transform import admissible_conditioning
 
-from conftest import worked_branch
+from conftest import heat_branch, schrodinger_branch, worked_branch
 from test_cli import write_config
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -108,8 +111,8 @@ class TestTypedErrors:
 # negative real axis, the imaginary axis, or a ray in the open left half
 # plane; unit-order complex coefficients; the shift from select_shift.
 @st.composite
-def admissible_branches(draw, kind):
-    N = draw(st.integers(1, 24))
+def admissible_branches(draw, kind, max_n=24):
+    N = draw(st.integers(1, max_n))
     n = np.arange(1, N + 1, dtype=float)
     jitter = np.array(draw(st.lists(st.floats(-0.3, 0.3), min_size=N, max_size=N)))
     base = draw(st.floats(0.5, 3.0)) * (n ** 2 + jitter * n)
@@ -129,6 +132,10 @@ def admissible_branches(draw, kind):
 
 
 any_branch = st.sampled_from(["real", "imaginary", "complex"]).flatmap(admissible_branches)
+branch_to_32 = st.sampled_from(["real", "imaginary", "complex"]).flatmap(
+    lambda kind: admissible_branches(kind, max_n=32))
+# inside the admissible interval (-3/2, 3/2) of alpha = 2
+admissible_r = st.floats(-1.5, 1.5, exclude_min=True, exclude_max=True)
 
 
 class TestStructuredProperties:
@@ -176,6 +183,47 @@ class TestStructuredProperties:
         g1 = fs.solve_gains_direct(branch.rescaled(c), lam)
         assert np.array_equal(g1.products, g0.products)
         np.testing.assert_allclose(g1.gains, g0.gains / c, rtol=1e-14)
+
+
+class TestStructuredConditioning:
+    """kappa_r from the closed-form inverse of T against the dense SVD oracle."""
+
+    @PROPERTY
+    @given(branch_to_32, admissible_r)
+    def test_matches_dense_profile(self, case, r):
+        branch, lam = case
+        g = fs.solve_gains_direct(branch, lam)
+        kappa = admissible_conditioning(branch, g, [r])[r]
+        dense = fs.conditioning_profile(fs.transform_matrix(branch, g), [r], 2.0, 0.0)[r]
+        assert abs(kappa - dense) <= 1e-12 * max(1.0, dense) * dense
+
+    @pytest.mark.parametrize("lam", [2.5, 10.0, 40.25])
+    def test_explicit_inverse_on_heat_256(self, lam):
+        # T^-1 = diag(b) C^T diag(w / b), w the closed form on -lambda_n
+        branch = heat_torus_model(256).branches[0]
+        g = fs.solve_gains_direct(branch, lam)
+        negated = fs.SpectralBranch(1, -branch.eigenvalues, branch.control_coeffs,
+                                    alpha=branch.alpha)
+        w = _closed_form_products(negated, lam)
+        b = branch.control_coeffs
+        T_inv = b[:, None] * cauchy_system_matrix(branch, lam).T * (w / b)[None, :]
+        kappa = admissible_conditioning(branch, g, [0.0])[0.0]
+        defect = np.max(np.abs(T_inv @ fs.transform_matrix(branch, g) - np.eye(256)))
+        assert defect <= 10 * 256 * kappa * np.finfo(float).eps
+
+    def test_single_mode_is_one(self, single_mode):
+        g = fs.solve_gains_direct(single_mode, 2.0)
+        kappas = admissible_conditioning(single_mode, g, [-1.0, 0.0, 1.0])
+        assert kappas == pytest.approx({-1.0: 1.0, 0.0: 1.0, 1.0: 1.0},
+                                       rel=4 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("make_branch", [heat_branch, schrodinger_branch],
+                             ids=["real", "imaginary"])
+    def test_same_bits_on_every_call(self, make_branch):
+        branch = make_branch(64)
+        g = fs.solve_gains_direct(branch, 2.5)
+        first, second = (admissible_conditioning(branch, g, [0.0, 0.5]) for _ in range(2))
+        assert first == second
 
 
 class TestHeatGainLimits:
