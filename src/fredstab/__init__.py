@@ -25,7 +25,7 @@ from .synthesis import (BranchGains, FeedbackLaw, ShiftSelection,
 from .transform import (BranchCertificate, ClosedLoopMatrix, build_transform,
                         closed_loop_matrix, conditioning_profile,
                         conditioning_vs_truncation, operator_equality_residual,
-                        secular_newton_steps, transform_matrix)
+                        transform_matrix)
 from .diagnostics import (compactness_proxy, gain_trend, make_report,
                           secular_match_error, spectrum_match_error)
 

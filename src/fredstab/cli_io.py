@@ -9,19 +9,20 @@ transform.json stores the O(N) certificate of the transform T that
 transform.build_transform returns (schema fredstab-transform/2: per branch
 its diagonal, column norms, Frobenius norm and residuals), never T itself.
 Stages pass certificates keyed by branch index; verify rebuilds them from
-system.json and law.json and compares them with the stored ones.  The
-conditioning in the report and kappa_0 in the sweep come from
-transform.admissible_conditioning, which keeps only the r inside the
-admissible interval.  Every certificate is O(N^2) per branch (closed-form
-gains, structured opeq, secular spectrum check, and the conditioning from
-the closed-form inverse of T and Lanczos norm estimates); no stage runs an
-SVD.
+system.json and law.json and compares them with the stored ones; the
+spectrum check, the spectrum plots and the sweep read the secular steps
+of the rebuilt ones.  The conditioning in the report and kappa_0 in the
+sweep come from transform.admissible_conditioning, which keeps only the r
+inside the admissible interval.  Every certificate is O(N^2) per branch
+(closed-form gains, one Cauchy pass for tb, opeq and the secular steps,
+and the conditioning from the closed-form inverse of T and Lanczos norm
+estimates); no stage runs an SVD.
 
-verify, simulate and report write report.json through one writer,
-_write_report.  It reads only the output directory (system.json, law.json
-and the traces/*_norms.csv files) and the config, so the three stages
-write the same bytes for the same directory: simulate writes its traces
-first, and the decay fits are refit from them.
+verify, simulate and report build report.json with one function, _report.
+It reads only the output directory (system.json, law.json and the
+traces/*_norms.csv files) and the config, so the three stages write the
+same bytes for the same directory: simulate writes its traces first, and
+the decay fits are refit from them.
 
 simulate formats most of its output in child processes.  After each
 scenario the parent writes the small <name>_norms.csv itself and forks a
@@ -31,17 +32,17 @@ scenario.  At most one writer per usable core (os.sched_getaffinity) is
 alive.  A child runs only simulate.write_modes_csv, pure Python and file
 writes with no BLAS and no threads, and leaves through os._exit, so no
 atexit handler runs and no inherited stdio buffer is flushed twice.  The
-report reads only the norms files, so the parent computes and writes it
-while the writers run, and joins them all before the stage returns.  A
-child's exception comes back pickled through a pipe and is raised in the
-parent at the next fork, before the report or at the final join, so the
-exit code and the stderr JSON are those of an inline failure; the parent
-creates each modes file before the fork, so an unwritable path stops the
-stage at the scenario an inline run stops at.  Before it raises, the
-parent waits for every writer and removes the trace files of the
-scenarios that started after the failing one, so the traces left are
-those of the inline run, plus the failed scenario's pre-created modes
-file.  Without os.fork the writer runs inline, which is also the
+report reads only the norms files, so the parent computes it while the
+writers run, joins them all, and only then writes report.json.  A child's
+exception comes back pickled through a pipe and is raised in the parent at
+the next fork, before the report or at the final join, so the exit code,
+the stderr JSON and the report.json left behind are those of an inline
+failure; the parent creates each modes file before the fork, so an
+unwritable path stops the stage at the scenario an inline run stops at.
+Before it raises, the parent waits for every writer and removes the trace
+files of the scenarios that started after the failing one, so the traces
+left are those of the inline run, plus the failed scenario's pre-created
+modes file.  Without os.fork the writer runs inline, which is also the
 reference the tests compare against.
 
 Exit codes: 0 success, 2 assumption-verdict failure, 3 solver failure,
@@ -136,6 +137,10 @@ def parse_config(doc: dict) -> RunConfig:
         _reject_unknown(sc, _SCENARIO_KEYS, f"config.scenarios[{i}]")
         if "u0" in sc:
             _reject_unknown(sc["u0"], _U0_KEYS, f"config.scenarios[{i}].u0")
+        dt = sc.get("dt", 1e-4)     # a zero step never advances the integrators
+        if not (isinstance(dt, (int, float)) and 0 < dt < math.inf):
+            raise ConfigError(f"config.scenarios[{i}] ({sc.get('name', 'scenario')!r}): "
+                              f"dt must be a finite number > 0, got {dt!r}")
         scenarios.append(dict(sc))
     sweep = doc.get("sweep")
     if sweep is not None:
@@ -144,6 +149,8 @@ def parse_config(doc: dict) -> RunConfig:
     if N < 1 and "path" not in model:
         raise ConfigError("config.N (or model.N) must be a positive integer")
     r_list = tuple(float(r) for r in doc.get("r_list", [0.0]))
+    if not r_list:
+        raise ConfigError("config.r_list must hold at least one r")
     # the norm columns of the traces and the conditioning keys of the
     # report are named by f"{r:g}", so two r with one label would collide
     labels = {}
@@ -299,30 +306,27 @@ def cmd_verify(cfg: RunConfig, out: Optional[str] = None) -> int:
                      for name in _certificate_drift(stored.get(b.index), certs[b.index]))
     if drift:
         raise ConfigError("verification failed: " + "; ".join(drift))
-    report, _, _ = _write_report(cfg, out, system, law, certs)
+    report, _ = _report(cfg, out, system, law, certs)
+    write_json(os.path.join(out, "report.json"), report)
     print(f"verified artifacts in {out}: tb={report['tb_residual']:.3e} "
           f"opeq={report['opeq_residual']:.3e} "
           f"match={report['spectrum_match_error']:.3e}")
     return 0
 
 
-def _write_report(cfg: RunConfig, out: str, system, law, certs):
-    """Write out/report.json; the one report writer of verify, simulate and report.
+def _report(cfg: RunConfig, out: str, system, law, certs):
+    """The report.json document of verify, simulate and report, and its conditioning.
 
-    The secular steps are computed once per branch here, and the decay
-    fits are refit from out/traces.  Returns the document, the steps and
-    the conditioning profile, which the plots of report reuse.
+    certs are the certificates _load_artifacts rebuilt, and the decay fits
+    are refit from out/traces.  The conditioning is returned for report's plot.
     """
-    steps = {b.index: transform.secular_newton_steps(b, law.branch(b.index))
-             for b in system.branches}
     b0 = system.branches[0]
     conditioning = transform.admissible_conditioning(b0, law.branch(b0.index),
                                                      cfg.r_list)
     report = diagnostics.make_report(
-        system, law, certs.values(), steps, conditioning,
+        system, law, certs.values(), conditioning,
         _refit_decay(cfg, os.path.join(out, "traces")), cfg.raw)
-    write_json(os.path.join(out, "report.json"), report)
-    return report, steps, conditioning
+    return report, conditioning
 
 
 def _linear_u0(system: SpectralSystem, spec: dict):
@@ -463,8 +467,9 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
     """Integrate every scenario and write its traces and the report.
 
     The parent writes each <name>_norms.csv and hands <name>_modes.csv to
-    a writer child, then integrates the next scenario; report.json reads
-    only the norms files, so it is written while the writers run.
+    a writer child, then integrates the next scenario; the report reads
+    only the norms files, so it is computed while the writers run, and
+    report.json is written once every writer has succeeded.
     """
     out = _out_dir(cfg, out)
     system, law, _, certs = _load_artifacts(out)
@@ -496,9 +501,10 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
                           os.path.join(traces_dir, f"{name}_modes.csv"), (norms_path,))
             del trace
         writers.poll()
-        report, _, _ = _write_report(cfg, out, system, law, certs)
+        report, _ = _report(cfg, out, system, law, certs)
     finally:
         writers.poll(wait=True)
+    write_json(os.path.join(out, "report.json"), report)
     for name, fit in (report["decay_fits"] or {}).items():
         msg = "no fit" if fit is None else f"mu_hat={fit['mu_hat']:.4f} r2={fit['r2']:.4f}"
         print(f"scenario {name}: {msg}")
@@ -523,7 +529,7 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str] = None,
         try:
             system = _build_system(cfg, N=n, gamma=g)
             _, shift, law, certs = _synthesize_pipeline(cfg, system, lambda0=l0)
-            match = max(diagnostics.secular_match_error(b, law.branch(b.index))
+            match = max(diagnostics.secular_match_error(b, certs[b.index])
                         for b in system.branches)
             u0 = simulate.random_state(system, seed=0)
             times = np.linspace(0.0, 1.0, 65)
@@ -598,8 +604,8 @@ def _refit_decay(cfg: RunConfig, traces_dir: str) -> Optional[dict]:
 def cmd_report(cfg: RunConfig, out: Optional[str] = None) -> int:
     out = _out_dir(cfg, out)
     system, law, _, certs = _load_artifacts(out)
-    # the spectrum plot and the spectrum check share the secular steps
-    _, steps, conditioning = _write_report(cfg, out, system, law, certs)
+    report, conditioning = _report(cfg, out, system, law, certs)
+    write_json(os.path.join(out, "report.json"), report)
     plots = os.path.join(out, "plots")
     os.makedirs(plots, exist_ok=True)
     for b in system.branches:
@@ -611,7 +617,8 @@ def cmd_report(cfg: RunConfig, out: Optional[str] = None) -> int:
              "|x_n - lambda|": (n, np.abs(bg.corrections))},
             f"gain profile, branch {b.index}", "n", "magnitude", logy=True)
         target = b.eigenvalues - law.lam
-        roots = target + steps[b.index]
+        # the spectrum plot and the report's spectrum check share the steps
+        roots = target + certs[b.index].secular_steps
         diagnostics.svg_line_plot(
             os.path.join(plots, f"spectrum_branch{b.index}.svg"),
             {"closed-loop Re": (n, np.sort(roots.real)),

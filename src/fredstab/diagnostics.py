@@ -5,10 +5,10 @@ re-derive the run, namely assumption verdicts, normalization and
 intertwining residuals, the spectrum-shift match, gain-profile
 statistics, conditioning and compactness proxies, decay fits and the
 controllability classification, stamped with the configuration hash.  It
-is a pure function of the system, the law, the certificates and the
-numbers the caller derived from them (secular steps, conditioning, decay
-fits); cli_io's report writer is its one production caller, and
-jsonio.write_json serializes the document canonically.
+is a pure function of the system, the law, the certificates of
+transform.build_transform and the numbers the caller derived from them
+(conditioning, decay fits); cli_io's report builder is its one production
+caller, and jsonio.write_json serializes the document canonically.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .spectral_core import (AssumptionVerdict, SpectralBranch, SpectralSystem,
                             classify_controllability, verify_assumptions)
 from .synthesis import (BranchGains, FeedbackLaw, inverse_gap_sum_profile,
                         resolvent_matrix)
-from .transform import secular_newton_steps
+from .transform import BranchCertificate
 
 __all__ = [
     "REPORT_SCHEMA",
@@ -145,20 +145,17 @@ def spectrum_match_error(spectrum: np.ndarray, eigenvalues: np.ndarray,
     return float(worst)
 
 
-def secular_match_error(branch: SpectralBranch, gains: BranchGains) -> float:
+def secular_match_error(branch: SpectralBranch, certificate: BranchCertificate) -> float:
     """Max over p of |step_p| / |lambda_p - lam|, the secular spectrum certificate.
 
     step_p is the Newton step from lambda_p - lam to the nearest root of the
-    closed-loop secular equation (transform.secular_newton_steps), so this is
-    the relative distance from each target to the spectrum, in O(N^2).
+    closed-loop secular equation that transform.build_transform puts in the
+    certificate, so this is the relative distance from each target to the
+    spectrum.  A certificate read back from transform.json has no steps.
     """
-    return _relative_steps(branch, gains.lam, secular_newton_steps(branch, gains))
-
-
-def _relative_steps(branch: SpectralBranch, lam: float, steps: np.ndarray) -> float:
-    """Max over p of |steps_p| / |lambda_p - lam|."""
-    target = branch.eigenvalues - lam
-    return float(np.max(np.abs(steps) / np.maximum(np.abs(target), 1e-30)))
+    target = branch.eigenvalues - certificate.lam
+    return float(np.max(np.abs(certificate.secular_steps)
+                        / np.maximum(np.abs(target), 1e-30)))
 
 
 def _verdict_json(v: AssumptionVerdict) -> dict:
@@ -183,14 +180,12 @@ def _verdict_json(v: AssumptionVerdict) -> dict:
 
 
 def make_report(system: SpectralSystem, law: FeedbackLaw, certificates,
-                secular_steps: dict, conditioning: dict, decay_fits,
-                config: dict) -> dict:
+                conditioning: dict, decay_fits, config: dict) -> dict:
     """The report.json document of a system, its law and its certificates.
 
-    certificates holds the branch certificates (transform.BranchCertificate)
-    whose worst tb and opeq residuals the report carries.  secular_steps
-    maps each branch index to its transform.secular_newton_steps, and the
-    spectrum match is the worst secular_match_error they give.
+    certificates holds one transform.build_transform certificate per
+    branch; the report carries their worst tb and opeq residuals and, as
+    the spectrum match, their worst secular_match_error.
     conditioning maps r to kappa_r of branch 1
     (transform.admissible_conditioning).  decay_fits maps scenario names
     to a DecayFit or None (no fit); None for the whole section means no
@@ -200,7 +195,7 @@ def make_report(system: SpectralSystem, law: FeedbackLaw, certificates,
     """
     lam = law.lam
     b0 = system.branches[0]
-    certificates = tuple(certificates)
+    certificates = {c.branch_index: c for c in certificates}
     trends = [gain_trend(bg) if bg.N >= 16 else None for bg in law.branches]
     _, tail_max = inverse_gap_sum_profile(b0, lam, 0.0)
     _, S_c = resolvent_matrix(b0, lam)
@@ -215,10 +210,10 @@ def make_report(system: SpectralSystem, law: FeedbackLaw, certificates,
         "lambda": float(lam),
         "config_hash": config_hash(config),
         "assumptions": [_verdict_json(verify_assumptions(b)) for b in system.branches],
-        "tb_residual": float(max(c.tb_residual for c in certificates)),
-        "opeq_residual": float(max(c.opeq_residual for c in certificates)),
+        "tb_residual": float(max(c.tb_residual for c in certificates.values())),
+        "opeq_residual": float(max(c.opeq_residual for c in certificates.values())),
         "spectrum_match_error": max(
-            _relative_steps(b, lam, secular_steps[b.index]) for b in system.branches),
+            secular_match_error(b, certificates[b.index]) for b in system.branches),
         "gain_profile": {
             "sup_product": max(bg.sup_product for bg in law.branches),
             "per_branch": [

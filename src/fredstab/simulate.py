@@ -192,10 +192,12 @@ def simulate_closed_loop(system: SpectralSystem, law: FeedbackLaw, u0, times,
     branch by branch, all samples in one solve; rk4 integrates
     du/dt = (diag(lambda) + b K^T) u with a fixed step as an independent
     check.  The step must satisfy
-    dt <= 2 / max |lambda_N| or the run is refused.
+    0 < dt <= 2 / max |lambda_N| or the run is refused.
     """
     if integrator not in ("semigroup_exact", "rk4"):
         raise ValueError(f"unknown linear integrator {integrator!r}")
+    if integrator == "rk4" and not 0 < dt < np.inf:     # dt = 0 never advances t
+        raise ValueError(f"rk4 step dt={dt} must be finite and > 0")
     times = np.asarray(times, dtype=float)
     blocks = _states_for(system, u0)
     states = []
@@ -349,9 +351,9 @@ def simulate_burgers(system: SpectralSystem, law: Optional[FeedbackLaw], u0, tim
     half spectrum c_0..c_N of the real field's torus Fourier coefficients
     (c_{-k} = conj(c_k)); the convection term (u^2 / 2)_x is exact at
     truncation; diffusion is implicit, convection and feedback explicit,
-    first-order in time.  u0 is either real physical samples, whose k >= 0
-    coefficients are kept, or an exactly Hermitian coefficient vector
-    c_{-N}..c_N (else ValueError).
+    first-order in time with a finite step dt > 0 (else ValueError).  u0 is
+    either real physical samples, whose k >= 0 coefficients are kept, or an
+    exactly Hermitian coefficient vector c_{-N}..c_N (else ValueError).
     Non-finite growth aborts the run.  The error names the step size when
     the linear step map (diffusion plus explicit feedback) has spectral
     radius above 1, and otherwise the local stability basin, which the
@@ -359,6 +361,8 @@ def simulate_burgers(system: SpectralSystem, law: Optional[FeedbackLaw], u0, tim
     """
     if system.m != 2:
         raise ValueError("semilinear simulation expects the two-branch torus model")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"step dt={dt} must be finite and > 0")
     N = system.branches[0].N
     if system.branches[1].N != N:
         raise ValueError("torus branches must share the truncation level")

@@ -1,30 +1,32 @@
 """Truncated transform assembly and certification of the operator identities.
 
 The transform column for mode n is the gain-weighted, coefficient-weighted
-resolvent sum: T[p][n] = -K_n b_p / (lambda_n - lambda_p + lam).  At
-truncation it satisfies T b = b and the intertwining identity
-T (A + b K^T) = (A - lam I) T exactly, so both residuals are rounding-level
-certificates of a correct build.
+resolvent sum: T[p][n] = -K_n b_p / (lambda_n - lambda_p + lam), so
+T = diag(b) C diag(-K) with the Cauchy matrix C.  At truncation it
+satisfies T b = b and the intertwining identity T (A + b K^T) = (A - lam I) T
+exactly, so both residuals are rounding-level certificates of a correct
+build.
 
 T is fixed by O(N) data per branch, and no object keeps it: transform_matrix
 builds it on demand, and build_transform returns its O(N) certificate
 (BranchCertificate), the record transform.json stores.  Every reader that
 needs T rebuilds it from the branch and its gains.
 
-The closed loop A_cl = diag(lambda) + b K^T is a rank-one update, so its
-certificates need no N x N closed-loop matrix: the intertwining defect is
-T diag(lambda) + (T b) K^T - (diag(lambda) - lam) T, and the spectrum check
-is the secular equation det(z - A_cl) = det(z - diag(lambda)) (1 + sum_n
-x_n / (z - lambda_n)), whose value at z_p = lambda_p - lam is 1 - (C x)_p.
+build_transform certifies a branch in one pass over C, from the residual
+r = 1 - C x of the gain products x.  The closed loop A_cl = diag(lambda)
++ b K^T is a rank-one update, so T b - b = -b o r, the intertwining defect
+is (T b - b) K^T, and the secular equation det(z - A_cl) = det(z -
+diag(lambda)) (1 + sum_n x_n / (z - lambda_n)) has the value r_p at
+z_p = lambda_p - lam: tb, opeq and the spectrum check are three weightings
+of r.
 
-T = diag(b) C diag(-K) has the explicit inverse T^-1 = diag(b) C^T
-diag(w / b), where w = C^-T 1 is the closed-form product of the negated
-spectrum, so the weighted condition number kappa_r needs no factorization:
-admissible_conditioning takes ||W T W^-1||_2 and ||W T^-1 W^-1||_2,
-W = diag(n^r), from Golub-Kahan-Lanczos bidiagonalizations that only
-multiply by C and C^T.  closed_loop_matrix, operator_equality_residual and
-conditioning_profile (an SVD per r) are the dense O(N^3) forms, kept as
-test oracles.
+T has the explicit inverse T^-1 = diag(b) C^T diag(w / b), where w = C^-T 1
+is the closed-form product of the negated spectrum, so the weighted
+condition number kappa_r needs no factorization: admissible_conditioning
+takes ||W T W^-1||_2 and ||W T^-1 W^-1||_2, W = diag(n^r), from
+Golub-Kahan-Lanczos bidiagonalizations that only multiply by C and C^T.
+closed_loop_matrix, operator_equality_residual and conditioning_profile
+(an SVD per r) are the dense O(N^3) forms, kept as test oracles.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ __all__ = [
     "TRANSFORM_SCHEMA",
     "transform_matrix",
     "build_transform",
-    "secular_newton_steps",
     "closed_loop_matrix",
     "operator_equality_residual",
     "conditioning_profile",
@@ -61,7 +62,8 @@ class BranchCertificate:
 
     T itself is not kept: it is a pure function of the branch and its gains
     (transform_matrix), so a reader rebuilds it from system.json and
-    law.json and compares the rebuild against this certificate.
+    law.json and compares the rebuild against this certificate.  The
+    secular_steps of build_transform are not stored (None when read back).
     """
 
     branch_index: int
@@ -71,6 +73,7 @@ class BranchCertificate:
     frobenius: float
     tb_residual: float
     opeq_residual: float
+    secular_steps: np.ndarray | None = None
 
     @property
     def N(self) -> int:
@@ -115,6 +118,14 @@ def operator_equality_residual(T: np.ndarray, A_cl: np.ndarray,
     return float(num / den) if den > 0 else 0.0
 
 
+def _transform(C: np.ndarray, b: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """T = diag(b) C diag(-K) as a new array; C is left as it is."""
+    # In place (one N x N temporary fewer), keeping the operand order of
+    # (-K) * (b C): with complex gains, the bytes of transform.json depend on it.
+    T = b[:, None] * C
+    return np.multiply(-K[None, :], T, out=T)
+
+
 def transform_matrix(branch: SpectralBranch, gains: BranchGains) -> np.ndarray:
     """Uncertified transform matrix T[p][n] = -K_n b_p / (lambda_n - lambda_p + lam).
 
@@ -122,59 +133,41 @@ def transform_matrix(branch: SpectralBranch, gains: BranchGains) -> np.ndarray:
     """
     if gains.N != branch.N:
         raise ValueError("gains and branch truncation differ")
-    # In place (one N x N temporary fewer), keeping the operand order of
-    # (-K) * (b C): with complex gains, the bytes of transform.json depend on it.
-    T = branch.control_coeffs[:, None] * cauchy_system_matrix(branch, gains.lam)
-    return np.multiply(-gains.gains[None, :], T, out=T)
+    return _transform(cauchy_system_matrix(branch, gains.lam), branch.control_coeffs,
+                      gains.gains)
 
 
 def build_transform(branch: SpectralBranch, gains: BranchGains) -> BranchCertificate:
-    """Build T from the gains and return its O(N) certificate; T is not kept.
+    """Certify a branch from one Cauchy matrix C and r = 1 - C x, x = gains.products.
 
-    tb_residual is ||T b - b|| / ||b||.  opeq_residual is the intertwining
-    defect ||T diag(lambda) + (T b) K^T - (diag(lambda) - lam) T||_F divided
-    by ||T||_F ||A_cl||_F, in O(N^2): ||A_cl||_F^2 = ||lambda||^2
-    + 2 Re sum conj(lambda_n) b_n K_n + ||b||^2 ||K||^2, so A_cl is never formed.
-    """
-    T = transform_matrix(branch, gains)
-    lam = gains.lam
-    b = branch.control_coeffs
-    ev = branch.eigenvalues
-    K = gains.gains
-    Tb = T @ b
-    tb = float(np.linalg.norm(Tb - b) / np.linalg.norm(b))
-    diagonal = np.diagonal(T).copy()
-    column_norms = np.linalg.norm(T, axis=0)
-    frobenius = float(np.linalg.norm(T))
-    # The defect overwrites T, so at most two N x N matrices are live.
-    tmp = T * (ev - lam)[:, None]
-    defect = np.multiply(T, ev[None, :], out=T)
-    defect -= tmp
-    defect += np.multiply(Tb[:, None], K[None, :], out=tmp)
-    a_cl_sq = (np.linalg.norm(ev) ** 2 + 2.0 * float(np.real(np.sum(np.conj(ev) * b * K)))
-               + (np.linalg.norm(b) * np.linalg.norm(K)) ** 2)
-    den = frobenius * np.sqrt(max(a_cl_sq, 0.0))
-    opeq = float(np.linalg.norm(defect) / den) if den > 0 else 0.0
-    return BranchCertificate(branch_index=branch.index, lam=lam, diagonal=diagonal,
-                             column_norms=column_norms, frobenius=frobenius,
-                             tb_residual=tb, opeq_residual=opeq)
-
-
-def secular_newton_steps(branch: SpectralBranch, gains: BranchGains) -> np.ndarray:
-    """Newton steps from each target lambda_p - lam to the nearest closed-loop root.
-
-    With f(z) = 1 + sum_n x_n / (z - lambda_n), the secular function of
-    A_cl = diag(lambda) + b K^T, f(z_p) = 1 - (C x)_p and f'(z_p) =
-    -((C o C) x)_p at z_p = lambda_p - lam, so step_p = (1 - (C x)_p) /
-    ((C o C) x)_p and z_p + step_p is the Newton-refined root.  O(N^2).
+    T = diag(b) C diag(-K) gives the diagonal, column norms and ||T||_F and
+    is not kept.  tb_residual = ||b o r|| / ||b|| = ||T b - b|| / ||b||, and
+    opeq_residual = ||K|| ||b o r|| / (||T||_F ||A_cl||_F) is the norm of the
+    intertwining defect (T b - b) K^T, with ||A_cl||_F^2 = ||lambda||^2
+    + 2 Re sum conj(lambda_n) b_n K_n + ||b||^2 ||K||^2.  secular_steps =
+    r / ((C o C) x) are the Newton steps from each target lambda_p - lam to
+    the nearest root of the closed-loop secular function.  O(N^2).
     """
     if gains.N != branch.N:
         raise ValueError("gains and branch truncation differ")
+    ev, b = branch.eigenvalues, branch.control_coeffs
+    K, x = gains.gains, gains.products
     C = cauchy_system_matrix(branch, gains.lam)
-    x = gains.products
     residual = 1.0 - C @ x
-    slope = np.square(C, out=C) @ x
-    return residual / slope
+    T = _transform(C, b, K)
+    steps = residual / (np.square(C, out=C) @ x)
+    diagonal = np.diagonal(T).copy()
+    column_norms = np.linalg.norm(T, axis=0)
+    frobenius = float(np.linalg.norm(T))
+    defect = np.linalg.norm(b * residual)     # ||T b - b|| = ||b o r||
+    tb = float(defect / np.linalg.norm(b))
+    a_cl_sq = (np.linalg.norm(ev) ** 2 + 2.0 * float(np.real(np.sum(np.conj(ev) * b * K)))
+               + (np.linalg.norm(b) * np.linalg.norm(K)) ** 2)
+    den = frobenius * np.sqrt(max(a_cl_sq, 0.0))
+    opeq = float(np.linalg.norm(K) * defect / den) if den > 0 else 0.0
+    return BranchCertificate(branch_index=branch.index, lam=gains.lam, diagonal=diagonal,
+                             column_norms=column_norms, frobenius=frobenius,
+                             tb_residual=tb, opeq_residual=opeq, secular_steps=steps)
 
 
 def conditioning_profile(T: np.ndarray, r_list, alpha: float, gamma: float,

@@ -13,7 +13,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fredstab import cli_io, diagnostics, errors, simulate, transform
+from fredstab import cli_io, diagnostics, errors, simulate, synthesis, transform
 from fredstab.cli_io import LIVE_MATRICES, MAX_N, main, parse_config
 from fredstab.errors import ConfigError
 from fredstab.jsonio import write_json
@@ -63,6 +63,34 @@ class TestConfigValidation:
         payload = json.loads(capsys.readouterr().err)
         assert payload["error"] == "ConfigError"
         assert all(v in payload["message"] for v in ("0.1234564", "0.1234561", "'0.123456'"))
+
+    def test_empty_r_list_refused(self, tmp_path, capsys):
+        # verify used to end in an IndexError from r_list[0]
+        with pytest.raises(ConfigError, match="r_list"):
+            parse_config({"model": {"kind": "heat_torus", "N": 8}, "r_list": []})
+        cfg = tmp_path / "config.json"
+        write_config(cfg, r_list=[])
+        assert main(["synthesize", "--config", str(cfg)]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ConfigError" and "r_list" in payload["message"]
+        assert not (tmp_path / "out" / "law.json").exists()
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan"), float("inf"), None, "x"])
+    def test_scenario_dt_must_be_finite_and_positive(self, dt):
+        with pytest.raises(ConfigError, match=r"scenarios\[1\] \('rk'\): dt"):
+            parse_config({"model": {"kind": "heat_torus", "N": 8}, "scenarios": [
+                {"name": "lin"}, {"name": "rk", "integrator": "rk4", "dt": dt}]})
+
+    @pytest.mark.parametrize("nonlinear", [False, True])
+    def test_zero_dt_exits_one(self, tmp_path, capsys, nonlinear):
+        # a zero step used to hang simulate in rk4 and Burgers alike
+        cfg = tmp_path / "config.json"
+        kind = {"nonlinear": True} if nonlinear else {"integrator": "rk4"}
+        write_config(cfg, scenarios=[dict(name="z", dt=0.0, t_end=0.1, samples=2, **kind)])
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ConfigError"
+        assert "'z'" in payload["message"] and "dt" in payload["message"]
 
     def test_distinct_r_labels_accepted(self):
         cfg = parse_config({"model": {"kind": "heat_torus", "N": 8},
@@ -448,6 +476,46 @@ class TestTraceWriters:
         assert "traces/lin0_norms.csv" in inline
         assert forked == sorted(inline + ["traces/lin0_modes.csv"])
 
+    def test_writer_failing_at_the_final_join_leaves_the_inline_report(
+            self, tmp_path, monkeypatch, capfd):
+        # lin1's writer is still running when the report is computed; its
+        # error is reaped only at the final join, so no report.json may be
+        # written, and verify's report stays as the inline run leaves it
+        cfg = tmp_path / "config.json"
+        write_config(cfg, scenarios=[
+            {"name": f"lin{k}", "u0": {"kind": "random", "seed": k}, "t_end": 1.0,
+             "samples": 16} for k in range(2)])
+        assert main(["synthesize", "--config", str(cfg)]) == 0
+        assert main(["verify", "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        shutil.copytree(out, tmp_path / "pristine")
+        write = simulate.write_modes_csv
+
+        def fail_second(trace, path):
+            if os.path.basename(path) != "lin1_modes.csv":
+                return write(trace, path)
+            time.sleep(0.5)
+            raise OSError(f"disk full writing {os.path.basename(path)}")
+
+        runs = []
+        with monkeypatch.context() as mp:
+            mp.setattr(simulate, "write_modes_csv", fail_second)
+            mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+            for inline in (False, True):
+                shutil.rmtree(out)
+                shutil.copytree(tmp_path / "pristine", out)
+                if inline:
+                    mp.delattr(os, "fork")
+                code = main(["simulate", "--config", str(cfg)])
+                _assert_no_child_left()
+                runs.append((code, capfd.readouterr().err, sorted(os.listdir(out)),
+                             (out / "report.json").read_bytes()))
+        forked, inline = runs
+        assert forked == inline
+        assert forked[0] == 1 and json.loads(forked[1]) == {
+            "error": "OSError", "message": "disk full writing lin1_modes.csv"}
+        assert forked[3] == (tmp_path / "pristine" / "report.json").read_bytes()
+
     def test_error_in_writer_keeps_type_and_exit_code(self, tmp_path, monkeypatch, capfd):
         _writer_config(tmp_path)
 
@@ -583,26 +651,35 @@ class TestReportCommand:
         assert main(["report", "--config", str(cfg)]) == 0
         assert path.read_bytes() == simulated
 
-    def test_secular_steps_once_per_branch(self, tmp_path, monkeypatch):
-        # the spectrum check in report.json and the spectrum plot share them
+    def test_cauchy_builds_per_stage(self, tmp_path, monkeypatch):
+        # build_transform certifies a branch (tb, opeq and the secular steps
+        # of the spectrum check and plot) from one Cauchy matrix.  On two
+        # branches: 2 for the gains, 2 for the certificates, 2 for T in the
+        # semigroup, 1 for the branch-1 conditioning, 2 for the report's
+        # gap-sum profile and compactness proxy, 3 for report's plateau.
+        # synthesize = 2 + 2, verify = 2 + 1 + 2, simulate = 2 + 2 + 1 + 2,
+        # report = 2 + 1 + 2 + 3, one sweep point = 2 + 2 + 2 + 1.
         cfg = tmp_path / "config.json"
-        write_config(cfg)
-        assert main(["synthesize", "--config", str(cfg)]) == 0
-        assert main(["verify", "--config", str(cfg)]) == 0
-        verified = (tmp_path / "out" / "report.json").read_bytes()
+        write_config(cfg, N=64, model={"kind": "heat_torus", "N": 64, "params": {}},
+                     sweep={"lambda0": [2.5]}, scenarios=[
+                         {"name": "lin", "u0": {"kind": "random", "seed": 0},
+                          "t_end": 1.0, "samples": 16}])
         calls = []
-        steps = transform.secular_newton_steps
+        build = synthesis.cauchy_system_matrix
 
-        def counting_steps(branch, gains):
+        def counting_build(branch, lam):
             calls.append(branch.index)
-            return steps(branch, gains)
+            return build(branch, lam)
 
-        monkeypatch.setattr(transform, "secular_newton_steps", counting_steps)
-        monkeypatch.setattr(diagnostics, "secular_newton_steps", counting_steps)
-        assert main(["report", "--config", str(cfg)]) == 0
-        assert sorted(calls) == [1, 2]
-        # no scenarios, so no decay fits: the report equals verify's byte for byte
-        assert (tmp_path / "out" / "report.json").read_bytes() == verified
+        monkeypatch.setattr(synthesis, "cauchy_system_matrix", counting_build)
+        monkeypatch.setattr(transform, "cauchy_system_matrix", counting_build)
+        counts = {}
+        for stage in ("synthesize", "verify", "simulate", "report", "sweep"):
+            calls.clear()
+            assert main([stage, "--config", str(cfg), "--jobs", "1"]) == 0, stage
+            counts[stage] = len(calls)
+        assert counts == {"synthesize": 4, "verify": 5, "simulate": 7, "report": 8,
+                          "sweep": 7}
 
 
 # The exit-code contract of the module docstring of cli_io, written out

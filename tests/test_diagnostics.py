@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fredstab import (build_transform, closed_loop_matrix,
                       compactness_proxy, fit_decay, gain_trend, make_report,
-                      random_state, secular_match_error, secular_newton_steps,
+                      random_state, secular_match_error,
                       simulate_closed_loop, solve_gains_direct,
                       spectrum_match_error, synthesize_feedback)
 from fredstab.diagnostics import REPORT_SCHEMA, svg_line_plot
@@ -108,21 +108,19 @@ class TestMakeReport:
         system = heat_torus_model(N)
         law = synthesize_feedback(system, 2.5)
         certs = [build_transform(b, law.branch(b.index)) for b in system.branches]
-        steps = {b.index: secular_newton_steps(b, law.branch(b.index))
-                 for b in system.branches}
-        return system, law, certs, steps
+        return system, law, certs
 
     def test_full_report_sections(self):
-        system, law, certs, steps = self.pipeline()
+        system, law, certs = self.pipeline()
         _, tail_max = inverse_gap_sum_profile(system.branches[0], 2.5, 0.0)
         trace = simulate_closed_loop(system, law, random_state(system),
                                      np.linspace(0, 2, 33))
-        doc = make_report(system, law, certs, steps, {0.0: 5.0},
+        doc = make_report(system, law, certs, {0.0: 5.0},
                           {"lin": fit_decay(trace), "short": None}, {"N": 16})
         assert doc["schema"] == REPORT_SCHEMA
         assert doc["lambda"] == 2.5
         assert doc["spectrum_match_error"] == max(
-            secular_match_error(b, law.branch(b.index)) for b in system.branches)
+            secular_match_error(b, c) for b, c in zip(system.branches, certs))
         assert doc["spectrum_match_error"] <= 1e-8
         assert doc["tb_residual"] <= 1e-10
         assert doc["conditioning"] == {"0": 5.0}
@@ -133,15 +131,15 @@ class TestMakeReport:
         assert doc["config_hash"] == config_hash({"N": 16})
 
     def test_simulation_sections_absent_when_not_run(self):
-        system, law, certs, steps = self.pipeline(8)
-        doc = make_report(system, law, certs, steps, {}, None, {})
+        system, law, certs = self.pipeline(8)
+        doc = make_report(system, law, certs, {}, None, {})
         assert doc["decay_fits"] is None
         assert doc["conditioning"] == {}
         assert doc["gain_profile"]["per_branch"] == [None, None]    # N < 16
 
     def test_roundtrip_bit_identical(self):
-        system, law, certs, steps = self.pipeline(8)
-        text = canonical_json(make_report(system, law, certs, steps, {}, None,
+        system, law, certs = self.pipeline(8)
+        text = canonical_json(make_report(system, law, certs, {}, None,
                                           {"seed": 1}))
         assert canonical_json(json.loads(text)) == text
 

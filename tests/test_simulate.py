@@ -95,6 +95,15 @@ class TestClosedLoop:
             simulate_closed_loop(system, law, random_state(system), [0.0, 1.0],
                                  integrator="rk4", dt=0.1)
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan")])
+    def test_rk4_refuses_a_step_that_never_advances(self, dt):
+        # a zero step left t where it was and the march never returned
+        system = heat_torus_model(8)
+        law = synthesize_feedback(system, 2.5)
+        with pytest.raises(ValueError, match="dt"):
+            simulate_closed_loop(system, law, random_state(system), [0.0, 1.0],
+                                 integrator="rk4", dt=dt)
+
     def test_decay_rate_bounded_by_spectral_abscissa(self):
         system = heat_torus_model(16)
         law = synthesize_feedback(system, 2.5)
@@ -228,6 +237,13 @@ class TestBurgers:
         with pytest.raises(ValueError, match="exactly real gains"):
             simulate_burgers(system, SimpleNamespace(branch=gains.__getitem__),
                              np.zeros(33, dtype=complex), [0.0, 0.1], dt=1e-3)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan")])
+    def test_step_must_be_finite_and_positive(self, heat_system_and_law, dt):
+        # dt = 0 never advanced t; dt = nan ended in a LinAlgError
+        system, law = heat_system_and_law
+        with pytest.raises(ValueError, match="dt"):
+            simulate_burgers(system, law, np.zeros(33, dtype=complex), [0.0, 0.1], dt=dt)
 
     def test_wrong_branch_count_rejected(self):
         system = SpectralSystem(branches=(heat_branch(8),), label="h")

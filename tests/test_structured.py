@@ -1,12 +1,13 @@
 """Oracles and properties of the structured O(N^2) certificates.
 
-The direct gains are the closed form of the Cauchy determinant, the
-spectrum check is the secular equation of the rank-one closed loop, opeq
-is the O(N^2) intertwining defect and the weighted conditioning comes from
-the closed-form inverse of T and Lanczos norm estimates.  Their references
-here are the dense routes they replaced: pivoted LU on the Cauchy matrix,
-mpmath at 40 digits, eigvals of the assembled closed loop with the greedy
-matching of spectrum_match_error, the dense T @ A_cl of
+The direct gains are the closed form of the Cauchy determinant; tb, opeq
+and the spectrum check (the secular equation of the rank-one closed loop)
+all come from the one residual r = 1 - C x of build_transform; and the
+weighted conditioning comes from the closed-form inverse of T and Lanczos
+norm estimates.  Their references here are the dense routes they
+replaced: pivoted LU on the Cauchy matrix, mpmath at 40 digits, eigvals
+of the assembled closed loop with the greedy matching of
+spectrum_match_error, the dense product T b, the dense T @ A_cl of
 operator_equality_residual and the SVDs of conditioning_profile.
 """
 
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fredstab as fs
-from fredstab.cli_io import main
+from fredstab.cli_io import TB_GATE, main
 from fredstab.diagnostics import secular_match_error, spectrum_match_error
 from fredstab.models import gribov_model, heat_torus_model, schrodinger_model
 from fredstab.synthesis import _closed_form_products, cauchy_system_matrix
@@ -151,7 +152,7 @@ class TestStructuredProperties:
     def test_secular_and_dense_spectrum_at_rounding_level(self, case):
         branch, lam = case
         g = fs.solve_gains_direct(branch, lam)
-        assert secular_match_error(branch, g) <= 1e-12
+        assert secular_match_error(branch, fs.build_transform(branch, g)) <= 1e-12
         dense = fs.closed_loop_matrix(branch, g).spectrum
         assert spectrum_match_error(dense, branch.eigenvalues, lam) <= 1e-9
 
@@ -162,7 +163,18 @@ class TestStructuredProperties:
         x = fs.solve_gains_direct(branch, lam).products.copy()
         x[0] *= 1.0 + 1e-3
         edited = fs.BranchGains(1, lam, "direct", -x / branch.control_coeffs, x, 0.0)
-        assert secular_match_error(branch, edited) > 1e-6
+        cert = fs.build_transform(branch, edited)
+        assert secular_match_error(branch, cert) > 1e-6
+        assert cert.tb_residual > TB_GATE
+
+    @PROPERTY
+    @given(any_branch)
+    def test_structured_tb_matches_dense(self, case):
+        branch, lam = case
+        g = fs.solve_gains_direct(branch, lam)
+        b = branch.control_coeffs
+        dense = np.linalg.norm(fs.transform_matrix(branch, g) @ b - b) / np.linalg.norm(b)
+        assert abs(fs.build_transform(branch, g).tb_residual - dense) <= 1e-14
 
     @PROPERTY
     @given(any_branch)
