@@ -11,12 +11,11 @@ its diagonal, column norms, Frobenius norm and residuals), never T itself.
 Stages pass certificates keyed by branch index; verify rebuilds them from
 system.json and law.json and compares them with the stored ones; the
 spectrum check, the spectrum plots and the sweep read the secular steps
-of the rebuilt ones.  The conditioning in the report and kappa_0 in the
-sweep come from transform.admissible_conditioning, which keeps only the r
-inside the admissible interval.  Every certificate is O(N^2) per branch
-(closed-form gains, one Cauchy pass for tb, opeq and the secular steps,
-and the conditioning from the closed-form inverse of T and Lanczos norm
-estimates); no stage runs an SVD.
+of the rebuilt ones, law.json the norm of their residual r = 1 - C x, and
+the report and the sweep's kappa_0 the conditioning of branch 1's
+certificate (the admissible r of config.r_list; the sweep's r = 0).  Each certificate is
+one O(N^2) pass over one Cauchy matrix (the gains are closed-form and
+build none); no stage runs an SVD.
 
 verify, simulate and report build report.json with one function, _report.
 It reads only the output directory (system.json, law.json and the
@@ -32,8 +31,9 @@ scenario.  At most one writer per usable core (os.sched_getaffinity) is
 alive.  A child runs only simulate.write_modes_csv, pure Python and file
 writes with no BLAS and no threads, and leaves through os._exit, so no
 atexit handler runs and no inherited stdio buffer is flushed twice.  The
-report reads only the norms files, so the parent computes it while the
-writers run, joins them all, and only then writes report.json.  A child's
+report reads only the norms files, so the parent computes it and the
+certificates while the writers run, joins them all, and only then writes
+report.json.  A child's
 exception comes back pickled through a pipe and is raised in the parent at
 the next fork, before the report or at the final join, so the exit code,
 the stderr JSON and the report.json left behind are those of an inline
@@ -79,7 +79,7 @@ from .transform import transform_from_json, transform_to_json
 TB_GATE = 1e-8
 OPEQ_GATE = 1e-8
 VERIFY_TOL = 1e-6
-# Peak RSS growth of one stage is about 7.1, 4.3 and 4.6 N x N complex
+# Peak RSS growth of one stage is about 7.1, 3.2 and 3.8 N x N complex
 # matrices in synthesize, verify and report (heat torus, N = 1024); the
 # synthesize peak is select_shift's table of all eigenvalue differences.
 # With LIVE_MATRICES of them in the budget, MAX_N is 3344.  A larger
@@ -137,10 +137,14 @@ def parse_config(doc: dict) -> RunConfig:
         _reject_unknown(sc, _SCENARIO_KEYS, f"config.scenarios[{i}]")
         if "u0" in sc:
             _reject_unknown(sc["u0"], _U0_KEYS, f"config.scenarios[{i}].u0")
-        dt = sc.get("dt", 1e-4)     # a zero step never advances the integrators
-        if not (isinstance(dt, (int, float)) and 0 < dt < math.inf):
-            raise ConfigError(f"config.scenarios[{i}] ({sc.get('name', 'scenario')!r}): "
-                              f"dt must be a finite number > 0, got {dt!r}")
+        where = f"config.scenarios[{i}] ({sc.get('name', 'scenario')!r})"
+        # a zero step never advances the integrators; a NaN t_end gives NaN times
+        for key, value in (("dt", sc.get("dt", 1e-4)), ("t_end", sc.get("t_end", 1.0))):
+            if not (isinstance(value, (int, float)) and 0 < value < math.inf):
+                raise ConfigError(f"{where}: {key} must be a finite number > 0, got {value!r}")
+        samples = sc.get("samples", 64)
+        if isinstance(samples, bool) or not (isinstance(samples, int) and samples >= 1):
+            raise ConfigError(f"{where}: samples must be an integer >= 1, got {samples!r}")
         scenarios.append(dict(sc))
     sweep = doc.get("sweep")
     if sweep is not None:
@@ -205,7 +209,7 @@ def _out_dir(cfg: RunConfig, override: Optional[str]) -> str:
     return out
 
 
-def _synthesize_pipeline(cfg: RunConfig, system: SpectralSystem,
+def _synthesize_pipeline(cfg: RunConfig, system: SpectralSystem, r_list,
                          lambda0: Optional[float] = None):
     """Shared synthesis path: verdicts -> shift -> gains -> certificates.
 
@@ -228,21 +232,24 @@ def _synthesize_pipeline(cfg: RunConfig, system: SpectralSystem,
                 raise SolverError(
                     f"direct and iterative gains disagree by {gap:.3e} on "
                     f"branch {bg.branch_index}")
-    certs = _build_certificates(system, law)
+    certs = _build_certificates(system, law, r_list)
     return verdicts, shift, law, certs
 
 
-def _build_certificates(system: SpectralSystem, law) -> dict:
-    return {b.index: transform.build_transform(b, law.branch(b.index))
+def _build_certificates(system: SpectralSystem, law, r_list) -> dict:
+    """One certificate per branch; kappa_r of r_list on branch 1 only."""
+    first = system.branches[0].index
+    return {b.index: transform.build_transform(b, law.branch(b.index),
+                                               r_list if b.index == first else ())
             for b in system.branches}
 
 
 def cmd_synthesize(cfg: RunConfig, out: Optional[str] = None) -> int:
     out = _out_dir(cfg, out)
     system = _build_system(cfg)
-    verdicts, shift, law, certs = _synthesize_pipeline(cfg, system)
+    verdicts, shift, law, certs = _synthesize_pipeline(cfg, system, ())
     write_json(os.path.join(out, "system.json"), system_to_json(system))
-    write_json(os.path.join(out, "law.json"), law_to_json(law))
+    write_json(os.path.join(out, "law.json"), law_to_json(law, certs.values()))
     write_json(os.path.join(out, "transform.json"),
                transform_to_json(law.lam, certs.values()))
     worst_tb = max(c.tb_residual for c in certs.values())
@@ -257,14 +264,13 @@ def cmd_synthesize(cfg: RunConfig, out: Optional[str] = None) -> int:
 
 
 def _load_artifacts(out: str):
-    """System, law, stored certificates, and the certificates rebuilt from the law."""
+    """System, law and the stored certificates of an output directory."""
     for name in ("system.json", "law.json", "transform.json"):
         if not os.path.exists(os.path.join(out, name)):
             raise ConfigError(f"missing artifact {name} in {out}")
     system = system_from_json(read_json(os.path.join(out, "system.json")))
     law = law_from_json(read_json(os.path.join(out, "law.json")))
-    stored = transform_from_json(read_json(os.path.join(out, "transform.json")))
-    return system, law, stored, _build_certificates(system, law)
+    return system, law, transform_from_json(read_json(os.path.join(out, "transform.json")))
 
 
 def _drifts(stored, rebuilt, tol: float) -> bool:
@@ -295,7 +301,8 @@ def cmd_verify(cfg: RunConfig, out: Optional[str] = None) -> int:
     tampering or version drift.
     """
     out = _out_dir(cfg, out)
-    system, law, stored, certs = _load_artifacts(out)
+    system, law, stored = _load_artifacts(out)
+    certs = _build_certificates(system, law, cfg.r_list)
     drift = []
     for b in system.branches:
         bg = law.branch(b.index)
@@ -306,7 +313,7 @@ def cmd_verify(cfg: RunConfig, out: Optional[str] = None) -> int:
                      for name in _certificate_drift(stored.get(b.index), certs[b.index]))
     if drift:
         raise ConfigError("verification failed: " + "; ".join(drift))
-    report, _ = _report(cfg, out, system, law, certs)
+    report = _report(cfg, out, system, law, certs)
     write_json(os.path.join(out, "report.json"), report)
     print(f"verified artifacts in {out}: tb={report['tb_residual']:.3e} "
           f"opeq={report['opeq_residual']:.3e} "
@@ -314,19 +321,15 @@ def cmd_verify(cfg: RunConfig, out: Optional[str] = None) -> int:
     return 0
 
 
-def _report(cfg: RunConfig, out: str, system, law, certs):
-    """The report.json document of verify, simulate and report, and its conditioning.
+def _report(cfg: RunConfig, out: str, system, law, certs) -> dict:
+    """The report.json document of verify, simulate and report.
 
-    certs are the certificates _load_artifacts rebuilt, and the decay fits
-    are refit from out/traces.  The conditioning is returned for report's plot.
+    certs are the certificates rebuilt from system and law, the
+    conditioning is branch 1's, and the decay fits are refit from out/traces.
     """
-    b0 = system.branches[0]
-    conditioning = transform.admissible_conditioning(b0, law.branch(b0.index),
-                                                     cfg.r_list)
-    report = diagnostics.make_report(
-        system, law, certs.values(), conditioning,
+    return diagnostics.make_report(
+        system, law, certs.values(), certs[system.branches[0].index].conditioning,
         _refit_decay(cfg, os.path.join(out, "traces")), cfg.raw)
-    return report, conditioning
 
 
 def _linear_u0(system: SpectralSystem, spec: dict):
@@ -468,11 +471,12 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
 
     The parent writes each <name>_norms.csv and hands <name>_modes.csv to
     a writer child, then integrates the next scenario; the report reads
-    only the norms files, so it is computed while the writers run, and
-    report.json is written once every writer has succeeded.
+    only the norms files, so it and the certificates it needs are computed
+    while the writers run, and report.json is written once every writer
+    has succeeded.
     """
     out = _out_dir(cfg, out)
-    system, law, _, certs = _load_artifacts(out)
+    system, law, _ = _load_artifacts(out)
     traces_dir = os.path.join(out, "traces")
     os.makedirs(traces_dir, exist_ok=True)
     writers = _TraceWriters()
@@ -501,7 +505,8 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
                           os.path.join(traces_dir, f"{name}_modes.csv"), (norms_path,))
             del trace
         writers.poll()
-        report, _ = _report(cfg, out, system, law, certs)
+        report = _report(cfg, out, system, law,
+                         _build_certificates(system, law, cfg.r_list))
     finally:
         writers.poll(wait=True)
     write_json(os.path.join(out, "report.json"), report)
@@ -528,15 +533,14 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str] = None,
         row = {"lambda0": l0, "N": n, "gamma": "" if g is None else g}
         try:
             system = _build_system(cfg, N=n, gamma=g)
-            _, shift, law, certs = _synthesize_pipeline(cfg, system, lambda0=l0)
+            _, shift, law, certs = _synthesize_pipeline(cfg, system, [0.0], lambda0=l0)
             match = max(diagnostics.secular_match_error(b, certs[b.index])
                         for b in system.branches)
             u0 = simulate.random_state(system, seed=0)
             times = np.linspace(0.0, 1.0, 65)
             trace = simulate.simulate_closed_loop(system, law, u0, times)
             fit = simulate.fit_decay(trace)
-            b0 = system.branches[0]
-            kappas = transform.admissible_conditioning(b0, law.branch(b0.index), [0.0])
+            kappas = certs[system.branches[0].index].conditioning
             row.update({
                 "lambda": shift.lam,
                 "tb_residual": max(c.tb_residual for c in certs.values()),
@@ -603,9 +607,9 @@ def _refit_decay(cfg: RunConfig, traces_dir: str) -> Optional[dict]:
 
 def cmd_report(cfg: RunConfig, out: Optional[str] = None) -> int:
     out = _out_dir(cfg, out)
-    system, law, _, certs = _load_artifacts(out)
-    report, conditioning = _report(cfg, out, system, law, certs)
-    write_json(os.path.join(out, "report.json"), report)
+    system, law, _ = _load_artifacts(out)
+    certs = _build_certificates(system, law, cfg.r_list)
+    write_json(os.path.join(out, "report.json"), _report(cfg, out, system, law, certs))
     plots = os.path.join(out, "plots")
     os.makedirs(plots, exist_ok=True)
     for b in system.branches:
@@ -624,13 +628,14 @@ def cmd_report(cfg: RunConfig, out: Optional[str] = None) -> int:
             {"closed-loop Re": (n, np.sort(roots.real)),
              "shifted target Re": (n, np.sort(target.real))},
             f"spectrum shift, branch {b.index}", "mode (sorted)", "Re")
+    b0 = system.branches[0]
+    conditioning = certs[b0.index].conditioning
     if conditioning:
         rs = sorted(conditioning)
         diagnostics.svg_line_plot(
             os.path.join(plots, "conditioning.svg"),
             {"kappa_r": (np.array(rs), np.array([conditioning[r] for r in rs]))},
             "weighted conditioning", "r", "kappa")
-    b0 = system.branches[0]
     lo, hi = transform.admissible_r_interval(b0.alpha, b0.gamma, beta=b0.beta)
     if lo < 0.0 < hi and b0.N >= 8:
         plateau = transform.conditioning_vs_truncation(b0, law.lam, 0.0)

@@ -186,19 +186,19 @@ def make_report(system: SpectralSystem, law: FeedbackLaw, certificates,
     certificates holds one transform.build_transform certificate per
     branch; the report carries their worst tb and opeq residuals and, as
     the spectrum match, their worst secular_match_error.
-    conditioning maps r to kappa_r of branch 1
-    (transform.admissible_conditioning).  decay_fits maps scenario names
-    to a DecayFit or None (no fit); None for the whole section means no
-    scenario was simulated.  The verdicts, gain trends, inverse-gap tail,
-    compactness proxy and classification are derived here from branch 1
-    and the law; config is hashed into config_hash.
+    conditioning maps r to kappa_r of branch 1 (its certificate's).
+    decay_fits maps scenario names to a DecayFit or None (no fit); None for
+    the whole section means no scenario was simulated.  The verdicts, gain
+    trends, inverse-gap tail, compactness proxy and classification are
+    derived here from branch 1 and the law, the tail and the proxy from one
+    resolvent_matrix S_c; config is hashed into config_hash.
     """
     lam = law.lam
     b0 = system.branches[0]
     certificates = {c.branch_index: c for c in certificates}
     trends = [gain_trend(bg) if bg.N >= 16 else None for bg in law.branches]
-    _, tail_max = inverse_gap_sum_profile(b0, lam, 0.0)
-    _, S_c = resolvent_matrix(b0, lam)
+    S_c = resolvent_matrix(b0, lam)
+    _, tail_max = inverse_gap_sum_profile(b0, S_c, 0.0)
     eps_hi = min((b0.alpha - 1.0) / 2.0, b0.alpha - 0.5)
     try:
         classification = classify_controllability(b0, 0.0)

@@ -10,9 +10,10 @@ resolvent sums.  Its solution has a closed form (the Cauchy determinant),
 
     x_n = lambda * prod_{p != n} (1 + lambda / (lambda_n - lambda_p)),
 
-which the direct method evaluates in log space in O(N^2).  The fixed-point
-accumulation x = lambda * 1 + sum of correction sweeps is the independent
-iterative route.
+which the direct method evaluates in log space in O(N^2) without C.  The
+fixed-point accumulation x = lambda * 1 + sum of correction sweeps is the
+independent iterative route.  The residual r = 1 - C x of either comes
+from the branch's one Cauchy pass, transform.build_transform.
 """
 
 from __future__ import annotations
@@ -98,21 +99,19 @@ def cauchy_system_matrix(branch: SpectralBranch, lam: float) -> np.ndarray:
     return 1.0 / denom
 
 
-def resolvent_matrix(branch: SpectralBranch, lam: float):
-    """The resolvent-sum operator and its split (identity/lam, zero-diagonal rest)."""
-    S = cauchy_system_matrix(branch, lam)
-    S_c = S - np.eye(branch.N) / lam
-    return S, S_c
+def resolvent_matrix(branch: SpectralBranch, lam: float) -> np.ndarray:
+    """Zero-diagonal part S_c of the resolvent-sum operator C = I / lam + S_c."""
+    S_c = cauchy_system_matrix(branch, lam)
+    np.fill_diagonal(S_c, 0.0)
+    return S_c
 
 
 def _products_to_gains(branch: SpectralBranch, lam: float, x: np.ndarray,
-                       method: str, tb_residual: float,
-                       iterations: Optional[int] = None,
+                       method: str, iterations: Optional[int] = None,
                        history: Optional[np.ndarray] = None) -> "BranchGains":
     gains = -x / branch.control_coeffs
     return BranchGains(branch_index=branch.index, lam=float(lam), method=method,
-                       gains=gains, products=x, tb_residual=float(tb_residual),
-                       iterations=iterations, history=history)
+                       gains=gains, products=x, iterations=iterations, history=history)
 
 
 @dataclass(frozen=True)
@@ -130,7 +129,6 @@ class BranchGains:
     method: str
     gains: np.ndarray
     products: np.ndarray
-    tb_residual: float
     iterations: Optional[int] = None
     history: Optional[np.ndarray] = None
 
@@ -219,13 +217,9 @@ def _closed_form_products(branch: SpectralBranch, lam: float) -> np.ndarray:
 def solve_gains_direct(branch: SpectralBranch, lam: float) -> BranchGains:
     """Exact products of the truncated normalization system, in closed form.
 
-    tb_residual is ||C x - 1|| / sqrt(N) against the Cauchy matrix C.
     Raises SolverError where _closed_form_products does.
     """
-    x = _closed_form_products(branch, lam)
-    C = cauchy_system_matrix(branch, lam)
-    residual = np.linalg.norm(C @ x - 1.0) / np.sqrt(branch.N)
-    return _products_to_gains(branch, lam, x, "direct", residual)
+    return _products_to_gains(branch, lam, _closed_form_products(branch, lam), "direct")
 
 
 def solve_gains_iterative(branch: SpectralBranch, lam: float,
@@ -238,8 +232,9 @@ def solve_gains_iterative(branch: SpectralBranch, lam: float,
     contract, raises IterationDiverged carrying the observed contraction ratio.
     """
     N = branch.N
-    C = cauchy_system_matrix(branch, lam)
-    sweep = -lam * (C - np.eye(N) / lam)          # zero-diagonal part scaled by -lam
+    sweep = cauchy_system_matrix(branch, lam)
+    sweep *= -lam
+    np.fill_diagonal(sweep, 0.0)                  # zero-diagonal part scaled by -lam
     e = np.full(N, lam, dtype=complex)
     x = e.copy()
     sup_history = [float(np.max(np.abs(e)))]
@@ -261,9 +256,7 @@ def solve_gains_iterative(branch: SpectralBranch, lam: float,
             f"gain iteration did not reach tol={ITERATION_TOL} within {max_iters} sweeps "
             f"(observed contraction ratio {ratio:.4f})",
             contraction_ratio=ratio, history=history)
-    rhs = np.ones(N, dtype=complex)
-    residual = np.linalg.norm(C @ x - rhs) / np.sqrt(N)
-    return _products_to_gains(branch, lam, x, "iterative", residual,
+    return _products_to_gains(branch, lam, x, "iterative",
                               iterations=iterations, history=history)
 
 
@@ -296,24 +289,22 @@ def beta_reduced_gains(branch: SpectralBranch, lam: float) -> BranchGains:
     gains = reduced.gains * n ** branch.beta
     x = -gains * branch.control_coeffs
     return BranchGains(branch_index=branch.index, lam=float(lam),
-                       method="direct", gains=gains, products=x,
-                       tb_residual=reduced.tb_residual)
+                       method="direct", gains=gains, products=x)
 
 
-def inverse_gap_sum_profile(branch: SpectralBranch, lam: float, s: float):
+def inverse_gap_sum_profile(branch: SpectralBranch, S_c: np.ndarray, s: float):
     """Off-diagonal inverse-gap sums measured against their envelope.
 
-    For each p computes sum_{n != p} n^s / |lambda_n - lambda_p + lam|
-    divided by p^(1-alpha+s) log(max(p,2)) + p^-alpha.  Returns
-    (ratios, max over p in [8, N]).  Requires s < alpha - 1.
+    S_c is the branch's resolvent_matrix at the shift lam.  For each p
+    computes sum_{n != p} n^s / |lambda_n - lambda_p + lam| divided by
+    p^(1-alpha+s) log(max(p,2)) + p^-alpha.  Returns (ratios, max over
+    p in [8, N]).  Requires s < alpha - 1.
     """
     if s >= branch.alpha - 1.0:
         raise ValueError(f"s={s} must be below alpha-1={branch.alpha - 1.0}")
     N = branch.N
     n = branch.mode_indices.astype(float)
-    inv = np.abs(cauchy_system_matrix(branch, lam))     # rows p, cols n
-    np.fill_diagonal(inv, 0.0)
-    lhs = inv @ (n ** s)
+    lhs = np.abs(S_c) @ (n ** s)                        # rows p, cols n
     p = n
     envelope = p ** (1.0 - branch.alpha + s) * np.log(np.maximum(p, 2.0)) + p ** (-branch.alpha)
     ratios = lhs / envelope
@@ -325,7 +316,9 @@ def inverse_gap_sum_profile(branch: SpectralBranch, lam: float, s: float):
 # serialization
 # ---------------------------------------------------------------------------
 
-def law_to_json(law: FeedbackLaw) -> dict:
+def law_to_json(law: FeedbackLaw, certificates) -> dict:
+    """law.json document; tb_residual is ||r|| / sqrt(N), r of each branch's certificate."""
+    residuals = {c.branch_index: c.residual for c in certificates}
     return {
         "lambda": float(law.lam),
         "method": law.method,
@@ -334,7 +327,8 @@ def law_to_json(law: FeedbackLaw) -> dict:
                 "i": bg.branch_index,
                 "gains": cpairs(bg.gains),
                 "products_x": cpairs(bg.products),
-                "tb_residual": float(bg.tb_residual),
+                "tb_residual": float(np.linalg.norm(residuals[bg.branch_index])
+                                     / np.sqrt(bg.N)),
             }
             for bg in law.branches
         ],
@@ -348,8 +342,7 @@ def law_from_json(doc: dict) -> FeedbackLaw:
             BranchGains(branch_index=int(bd["i"]), lam=lam,
                         method=str(doc["method"]),
                         gains=from_cpairs(bd["gains"]),
-                        products=from_cpairs(bd["products_x"]),
-                        tb_residual=float(bd["tb_residual"]))
+                        products=from_cpairs(bd["products_x"]))
             for bd in doc["branches"]
         )
     except KeyError as exc:

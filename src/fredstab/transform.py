@@ -12,21 +12,23 @@ builds it on demand, and build_transform returns its O(N) certificate
 (BranchCertificate), the record transform.json stores.  Every reader that
 needs T rebuilds it from the branch and its gains.
 
-build_transform certifies a branch in one pass over C, from the residual
-r = 1 - C x of the gain products x.  The closed loop A_cl = diag(lambda)
-+ b K^T is a rank-one update, so T b - b = -b o r, the intertwining defect
-is (T b - b) K^T, and the secular equation det(z - A_cl) = det(z -
+build_transform is the one pass over the Cauchy matrix C of a branch: it
+builds C once and certifies the branch from the residual r = 1 - C x of
+the gain products x.  The closed loop A_cl = diag(lambda) + b K^T is a
+rank-one update, so T b - b = -b o r, the intertwining defect is
+(T b - b) K^T, and the secular equation det(z - A_cl) = det(z -
 diag(lambda)) (1 + sum_n x_n / (z - lambda_n)) has the value r_p at
 z_p = lambda_p - lam: tb, opeq and the spectrum check are three weightings
-of r.
+of r, and law.json's tb_residual is ||r|| / sqrt(N).
 
 T has the explicit inverse T^-1 = diag(b) C^T diag(w / b), where w = C^-T 1
 is the closed-form product of the negated spectrum, so the weighted
-condition number kappa_r needs no factorization: admissible_conditioning
-takes ||W T W^-1||_2 and ||W T^-1 W^-1||_2, W = diag(n^r), from
-Golub-Kahan-Lanczos bidiagonalizations that only multiply by C and C^T.
-closed_loop_matrix, operator_equality_residual and conditioning_profile
-(an SVD per r) are the dense O(N^3) forms, kept as test oracles.
+condition number kappa_r needs no factorization: the same pass takes
+||W T W^-1||_2 and ||W T^-1 W^-1||_2, W = diag(n^r), for the admissible r
+it is given, from Golub-Kahan-Lanczos bidiagonalizations that only
+multiply by C and C^T.  closed_loop_matrix, operator_equality_residual and
+conditioning_profile (an SVD per r) are the dense O(N^3) forms, kept as
+test oracles.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ __all__ = [
     "closed_loop_matrix",
     "operator_equality_residual",
     "conditioning_profile",
-    "admissible_conditioning",
     "conditioning_vs_truncation",
     "transform_to_json",
     "transform_from_json",
@@ -63,7 +64,8 @@ class BranchCertificate:
     T itself is not kept: it is a pure function of the branch and its gains
     (transform_matrix), so a reader rebuilds it from system.json and
     law.json and compares the rebuild against this certificate.  The
-    secular_steps of build_transform are not stored (None when read back).
+    residual r = 1 - C x, the secular_steps and the conditioning of
+    build_transform are not stored (None when read back).
     """
 
     branch_index: int
@@ -73,7 +75,9 @@ class BranchCertificate:
     frobenius: float
     tb_residual: float
     opeq_residual: float
+    residual: np.ndarray | None = None
     secular_steps: np.ndarray | None = None
+    conditioning: dict | None = None
 
     @property
     def N(self) -> int:
@@ -137,7 +141,8 @@ def transform_matrix(branch: SpectralBranch, gains: BranchGains) -> np.ndarray:
                       gains.gains)
 
 
-def build_transform(branch: SpectralBranch, gains: BranchGains) -> BranchCertificate:
+def build_transform(branch: SpectralBranch, gains: BranchGains,
+                    r_list=()) -> BranchCertificate:
     """Certify a branch from one Cauchy matrix C and r = 1 - C x, x = gains.products.
 
     T = diag(b) C diag(-K) gives the diagonal, column norms and ||T||_F and
@@ -146,7 +151,16 @@ def build_transform(branch: SpectralBranch, gains: BranchGains) -> BranchCertifi
     intertwining defect (T b - b) K^T, with ||A_cl||_F^2 = ||lambda||^2
     + 2 Re sum conj(lambda_n) b_n K_n + ||b||^2 ||K||^2.  secular_steps =
     r / ((C o C) x) are the Newton steps from each target lambda_p - lam to
-    the nearest root of the closed-loop secular function.  O(N^2).
+    the nearest root of the closed-loop secular function.  conditioning
+    maps each r of r_list inside the branch's admissible interval to
+    kappa_r = ||W T W^-1||_2 ||W T^-1 W^-1||_2, W = diag(n^r), from the
+    closed-form inverse of T and two Lanczos norm estimates (about 10 steps
+    per norm on Schrodinger, 30 on heat); it is empty when no r is inside.
+    Each norm is converged to a few ulps; against the dense
+    conditioning_profile, whose SVD is itself accurate to about
+    eps * kappa, kappa_r agrees to 1e-12 * max(1, kappa) relative on random
+    admissible branches (N <= 32) and to about 1e-15 on the heat and
+    Schrodinger sizes of the benchmark.  O(N^2) per Lanczos step.
     """
     if gains.N != branch.N:
         raise ValueError("gains and branch truncation differ")
@@ -155,10 +169,14 @@ def build_transform(branch: SpectralBranch, gains: BranchGains) -> BranchCertifi
     C = cauchy_system_matrix(branch, gains.lam)
     residual = 1.0 - C @ x
     T = _transform(C, b, K)
-    steps = residual / (np.square(C, out=C) @ x)
     diagonal = np.diagonal(T).copy()
     column_norms = np.linalg.norm(T, axis=0)
     frobenius = float(np.linalg.norm(T))
+    del T                                     # C and its real copy suffice below
+    lo, hi = admissible_r_interval(branch.alpha, branch.gamma, beta=branch.beta)
+    conditioning = _weighted_conditioning(branch, C, gains.lam, K,
+                                          [r for r in r_list if lo < r < hi])
+    steps = residual / (np.square(C, out=C) @ x)
     defect = np.linalg.norm(b * residual)     # ||T b - b|| = ||b o r||
     tb = float(defect / np.linalg.norm(b))
     a_cl_sq = (np.linalg.norm(ev) ** 2 + 2.0 * float(np.real(np.sum(np.conj(ev) * b * K)))
@@ -167,7 +185,8 @@ def build_transform(branch: SpectralBranch, gains: BranchGains) -> BranchCertifi
     opeq = float(np.linalg.norm(K) * defect / den) if den > 0 else 0.0
     return BranchCertificate(branch_index=branch.index, lam=gains.lam, diagonal=diagonal,
                              column_norms=column_norms, frobenius=frobenius,
-                             tb_residual=tb, opeq_residual=opeq, secular_steps=steps)
+                             tb_residual=tb, opeq_residual=opeq, residual=residual,
+                             secular_steps=steps, conditioning=conditioning)
 
 
 def conditioning_profile(T: np.ndarray, r_list, alpha: float, gamma: float,
@@ -176,7 +195,8 @@ def conditioning_profile(T: np.ndarray, r_list, alpha: float, gamma: float,
 
     Every r must lie inside the open isomorphism interval; a bounded,
     N-stable profile is the finite-truncation proxy for the isomorphism
-    property.  Dense O(N^3) oracle (an SVD per r) of admissible_conditioning.
+    property.  Dense O(N^3) oracle (an SVD per r) of build_transform's
+    conditioning.
     """
     lo, hi = admissible_r_interval(alpha, gamma, beta=beta)
     N = T.shape[0]
@@ -251,19 +271,21 @@ def _orthogonalized(z: np.ndarray, basis: list) -> np.ndarray:
     return z
 
 
-def _weighted_conditioning(branch: SpectralBranch, lam: float, gains: np.ndarray,
-                           r_list) -> dict:
+def _weighted_conditioning(branch: SpectralBranch, C: np.ndarray, lam: float,
+                           gains: np.ndarray, r_list) -> dict:
     """kappa_r = ||W T W^-1||_2 ||W T^-1 W^-1||_2, W = diag(n^r), for each r.
 
     T = diag(b) C diag(-K) and its explicit inverse T^-1 = diag(b) C^T
     diag(w / b), where w are the closed-form products of the negated
-    spectrum, share the one Cauchy matrix C built here; both norms are
-    Lanczos estimates (_spectral_norm), real when lambda, b and K are.
+    spectrum, share the branch's Cauchy matrix C, which is left as it is;
+    both norms are Lanczos estimates (_spectral_norm), real when lambda, b
+    and K are.  Nothing is computed for an empty r_list.
     """
+    if not r_list:
+        return {}
     negated = SpectralBranch(branch.index, -branch.eigenvalues, branch.control_coeffs,
                              branch.alpha, branch.beta, branch.gamma)
     w = _closed_form_products(negated, lam)
-    C = cauchy_system_matrix(branch, lam)
     b, K = branch.control_coeffs, gains
     if not (np.any(branch.eigenvalues.imag) or np.any(b.imag) or np.any(K.imag)):
         C, b, K, w = np.ascontiguousarray(C.real), b.real, K.real, w.real
@@ -276,36 +298,14 @@ def _weighted_conditioning(branch: SpectralBranch, lam: float, gains: np.ndarray
     return profile
 
 
-def admissible_conditioning(branch: SpectralBranch, gains: BranchGains, r_list) -> dict:
-    """Condition numbers kappa_r of the weighted branch transform, r in r_list.
-
-    Only the r inside the branch's admissible interval are kept; nothing is
-    built when none is.  kappa_r = ||W T W^-1||_2 ||W T^-1 W^-1||_2 with
-    W = diag(n^r), from the closed-form inverse of T and two Lanczos norm
-    estimates in O(N^2) per step (about 10 steps per norm on Schrodinger,
-    30 on heat).  Each norm is converged to a few ulps; against the dense
-    conditioning_profile, whose SVD is itself accurate to about eps * kappa,
-    the result agrees to 1e-12 * max(1, kappa) relative on random
-    admissible branches (N <= 32) and to about 1e-15 on the heat and
-    Schrodinger sizes of the benchmark.
-    """
-    lo, hi = admissible_r_interval(branch.alpha, branch.gamma, beta=branch.beta)
-    inside = [r for r in r_list if lo < r < hi]
-    if not inside:
-        return {}
-    if gains.N != branch.N:
-        raise ValueError("gains and branch truncation differ")
-    return _weighted_conditioning(branch, gains.lam, gains.gains, inside)
-
-
 def conditioning_vs_truncation(branch: SpectralBranch, lam: float, r: float) -> dict:
     """Weighted condition number re-synthesized at the truncations N/4, N/2, N.
 
     A plateau (small variation between levels) is the finite-truncation
     proxy for the isomorphism property.  Each level takes the closed-form
-    gains of its truncation and the structured kappa_r of
-    admissible_conditioning; r outside the admissible interval raises
-    ValueError.
+    gains of its truncation and the structured kappa_r of build_transform,
+    from one Cauchy matrix per level; r outside the admissible interval
+    raises ValueError.
     """
     lo, hi = admissible_r_interval(branch.alpha, branch.gamma, beta=branch.beta)
     if not lo < r < hi:
@@ -315,7 +315,8 @@ def conditioning_vs_truncation(branch: SpectralBranch, lam: float, r: float) -> 
     for n in levels:
         sub = branch.truncated(int(n))
         gains = -_closed_form_products(sub, lam) / sub.control_coeffs
-        profile[int(n)] = _weighted_conditioning(sub, lam, gains, [r])[float(r)]
+        profile[int(n)] = _weighted_conditioning(sub, cauchy_system_matrix(sub, lam), lam,
+                                                 gains, [r])[float(r)]
     return profile
 
 

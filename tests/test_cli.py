@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from fredstab import cli_io, diagnostics, errors, simulate, synthesis, transform
 from fredstab.cli_io import LIVE_MATRICES, MAX_N, main, parse_config
 from fredstab.errors import ConfigError
-from fredstab.jsonio import write_json
+from fredstab.jsonio import from_cpairs, write_json
+from fredstab.spectral_core import system_from_json
 
 
 def write_config(path, **overrides):
@@ -92,6 +93,38 @@ class TestConfigValidation:
         assert payload["error"] == "ConfigError"
         assert "'z'" in payload["message"] and "dt" in payload["message"]
 
+    @pytest.mark.parametrize("t_end", [0.0, -1.0, float("nan"), float("inf"), None, "1"])
+    def test_scenario_t_end_must_be_finite_and_positive(self, t_end):
+        with pytest.raises(ConfigError, match=r"scenarios\[1\] \('rk'\): t_end"):
+            parse_config({"model": {"kind": "heat_torus", "N": 8}, "scenarios": [
+                {"name": "lin"}, {"name": "rk", "integrator": "rk4", "t_end": t_end}]})
+
+    @pytest.mark.parametrize("samples", [0, -3, 2.5, True, None, "8"])
+    def test_scenario_samples_must_be_a_positive_integer(self, samples):
+        with pytest.raises(ConfigError, match=r"scenarios\[0\] \('lin'\): samples"):
+            parse_config({"model": {"kind": "heat_torus", "N": 8},
+                          "scenarios": [{"name": "lin", "samples": samples}]})
+
+    @pytest.mark.parametrize("key, value, integrator", [
+        ("t_end", float("nan"), "semigroup_exact"), ("t_end", float("nan"), "rk4"),
+        ("t_end", -1.0, "semigroup_exact"), ("samples", 0, "semigroup_exact")])
+    def test_bad_span_exits_one(self, tmp_path, capsys, key, value, integrator):
+        # a NaN t_end used to exit 4 blaming a blow-up (semigroup) or exit 1
+        # on a NaN in report.json (rk4); a negative t_end or zero samples
+        # ended in a bare ValueError
+        cfg = tmp_path / "config.json"
+        doc = write_config(cfg)
+        assert main(["synthesize", "--config", str(cfg)]) == 0
+        doc["scenarios"] = [{"name": "z", "integrator": integrator, "t_end": 0.1,
+                             "samples": 2, key: value}]
+        cfg.write_text(json.dumps(doc))     # json, not write_json: it refuses NaN
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ConfigError"
+        assert "scenarios[0] ('z')" in payload["message"] and key in payload["message"]
+        assert not (tmp_path / "out" / "traces").exists()
+
     def test_distinct_r_labels_accepted(self):
         cfg = parse_config({"model": {"kind": "heat_torus", "N": 8},
                             "r_list": [0.0, 0.5, 2.0, 0.123456, 0.12346]})
@@ -129,6 +162,26 @@ class TestSynthesizeCommand:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "AssumptionError"
+
+    @pytest.mark.parametrize("kind, method", [("heat_torus", "direct"),
+                                              ("schrodinger_ground", "direct"),
+                                              ("schrodinger_ground", "iterative")])
+    def test_law_tb_residual_is_the_normalization_residual(self, tmp_path, kind, method):
+        # law.json's tb_residual comes from the certificate's r = 1 - C x and
+        # equals ||C x - 1|| / sqrt(N) of the stored products bit for bit
+        cfg = tmp_path / "config.json"
+        write_config(cfg, model={"kind": kind, "N": 16, "params": {}}, lambda0=1.0,
+                     method=method)
+        assert main(["synthesize", "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        system = system_from_json(json.loads((out / "system.json").read_text()))
+        law = json.loads((out / "law.json").read_text())
+        assert law["method"] == method
+        assert len(law["branches"]) == len(system.branches)
+        for b, bd in zip(system.branches, law["branches"]):
+            x = from_cpairs(bd["products_x"])
+            C = synthesis.cauchy_system_matrix(b, law["lambda"])
+            assert bd["tb_residual"] == np.linalg.norm(C @ x - 1.0) / np.sqrt(b.N)
 
     def test_iterative_divergence_exits_three(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
@@ -652,13 +705,13 @@ class TestReportCommand:
         assert path.read_bytes() == simulated
 
     def test_cauchy_builds_per_stage(self, tmp_path, monkeypatch):
-        # build_transform certifies a branch (tb, opeq and the secular steps
-        # of the spectrum check and plot) from one Cauchy matrix.  On two
-        # branches: 2 for the gains, 2 for the certificates, 2 for T in the
-        # semigroup, 1 for the branch-1 conditioning, 2 for the report's
-        # gap-sum profile and compactness proxy, 3 for report's plateau.
-        # synthesize = 2 + 2, verify = 2 + 1 + 2, simulate = 2 + 2 + 1 + 2,
-        # report = 2 + 1 + 2 + 3, one sweep point = 2 + 2 + 2 + 1.
+        # build_transform certifies a branch (tb, opeq, the secular steps of
+        # the spectrum check and plot, and on branch 1 the conditioning)
+        # from one Cauchy matrix, and the closed-form gains build none.  On
+        # two branches: 2 for the certificates, 2 for T in the semigroup,
+        # 1 for the report's S_c (gap-sum profile and compactness proxy),
+        # 3 for report's plateau.  synthesize = 2, verify = 2 + 1,
+        # simulate = 2 + 2 + 1, report = 2 + 1 + 3, one sweep point = 2 + 2.
         cfg = tmp_path / "config.json"
         write_config(cfg, N=64, model={"kind": "heat_torus", "N": 64, "params": {}},
                      sweep={"lambda0": [2.5]}, scenarios=[
@@ -671,15 +724,20 @@ class TestReportCommand:
             calls.append(branch.index)
             return build(branch, lam)
 
-        monkeypatch.setattr(synthesis, "cauchy_system_matrix", counting_build)
-        monkeypatch.setattr(transform, "cauchy_system_matrix", counting_build)
+        # count at every binding, so an import of the name elsewhere is seen
+        bound = [module for name, module in sorted(sys.modules.items())
+                 if name.split(".")[0] == "fredstab"
+                 and getattr(module, "cauchy_system_matrix", None) is build]
+        assert synthesis in bound and transform in bound
+        for module in bound:
+            monkeypatch.setattr(module, "cauchy_system_matrix", counting_build)
         counts = {}
         for stage in ("synthesize", "verify", "simulate", "report", "sweep"):
             calls.clear()
             assert main([stage, "--config", str(cfg), "--jobs", "1"]) == 0, stage
             counts[stage] = len(calls)
-        assert counts == {"synthesize": 4, "verify": 5, "simulate": 7, "report": 8,
-                          "sweep": 7}
+        assert counts == {"synthesize": 2, "verify": 3, "simulate": 5, "report": 6,
+                          "sweep": 4}
 
 
 # The exit-code contract of the module docstring of cli_io, written out

@@ -22,12 +22,12 @@ class TestCompactnessProxy:
     def test_single_mode_zero(self):
         from fredstab import SpectralBranch
         br = SpectralBranch(1, [-1.0], [1.0], alpha=2.0)
-        _, S_c = resolvent_matrix(br, 2.0)
+        S_c = resolvent_matrix(br, 2.0)
         assert compactness_proxy(S_c, 0.0, 0.4, 2.0) == 0.0
 
     def test_power_iteration_matches_svd(self):
         br = heat_branch(48)
-        _, S_c = resolvent_matrix(br, 2.5)
+        S_c = resolvent_matrix(br, 2.5)
         n = np.arange(1, 49, dtype=float)
         weighted = (n[:, None] ** 0.4) * S_c * (n[None, :] ** 0.0)
         oracle = float(np.linalg.norm(weighted, 2))
@@ -37,12 +37,12 @@ class TestCompactnessProxy:
     def test_bounded_in_truncation(self):
         norms = {}
         for N in (64, 128):
-            _, S_c = resolvent_matrix(heat_branch(N), 2.5)
+            S_c = resolvent_matrix(heat_branch(N), 2.5)
             norms[N] = compactness_proxy(S_c, 0.0, 0.4, 2.0)
         assert norms[128] / norms[64] <= 1.5
 
     def test_eps_boundary_rejected(self):
-        _, S_c = resolvent_matrix(heat_branch(8), 2.5)
+        S_c = resolvent_matrix(heat_branch(8), 2.5)
         with pytest.raises(ValueError, match="open interval"):
             compactness_proxy(S_c, 0.0, 0.5, 2.0)
 
@@ -112,7 +112,8 @@ class TestMakeReport:
 
     def test_full_report_sections(self):
         system, law, certs = self.pipeline()
-        _, tail_max = inverse_gap_sum_profile(system.branches[0], 2.5, 0.0)
+        br = system.branches[0]
+        _, tail_max = inverse_gap_sum_profile(br, resolvent_matrix(br, 2.5), 0.0)
         trace = simulate_closed_loop(system, law, random_state(system),
                                      np.linspace(0, 2, 33))
         doc = make_report(system, law, certs, {0.0: 5.0},

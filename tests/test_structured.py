@@ -26,7 +26,6 @@ from fredstab.cli_io import TB_GATE, main
 from fredstab.diagnostics import secular_match_error, spectrum_match_error
 from fredstab.models import gribov_model, heat_torus_model, schrodinger_model
 from fredstab.synthesis import _closed_form_products, cauchy_system_matrix
-from fredstab.transform import admissible_conditioning
 
 from conftest import heat_branch, schrodinger_branch, worked_branch
 from test_cli import write_config
@@ -205,7 +204,7 @@ class TestStructuredConditioning:
     def test_matches_dense_profile(self, case, r):
         branch, lam = case
         g = fs.solve_gains_direct(branch, lam)
-        kappa = admissible_conditioning(branch, g, [r])[r]
+        kappa = fs.build_transform(branch, g, [r]).conditioning[r]
         dense = fs.conditioning_profile(fs.transform_matrix(branch, g), [r], 2.0, 0.0)[r]
         assert abs(kappa - dense) <= 1e-12 * max(1.0, dense) * dense
 
@@ -219,13 +218,13 @@ class TestStructuredConditioning:
         w = _closed_form_products(negated, lam)
         b = branch.control_coeffs
         T_inv = b[:, None] * cauchy_system_matrix(branch, lam).T * (w / b)[None, :]
-        kappa = admissible_conditioning(branch, g, [0.0])[0.0]
+        kappa = fs.build_transform(branch, g, [0.0]).conditioning[0.0]
         defect = np.max(np.abs(T_inv @ fs.transform_matrix(branch, g) - np.eye(256)))
         assert defect <= 10 * 256 * kappa * np.finfo(float).eps
 
     def test_single_mode_is_one(self, single_mode):
         g = fs.solve_gains_direct(single_mode, 2.0)
-        kappas = admissible_conditioning(single_mode, g, [-1.0, 0.0, 1.0])
+        kappas = fs.build_transform(single_mode, g, [-1.0, 0.0, 1.0]).conditioning
         assert kappas == pytest.approx({-1.0: 1.0, 0.0: 1.0, 1.0: 1.0},
                                        rel=4 * np.finfo(float).eps)
 
@@ -234,8 +233,17 @@ class TestStructuredConditioning:
     def test_same_bits_on_every_call(self, make_branch):
         branch = make_branch(64)
         g = fs.solve_gains_direct(branch, 2.5)
-        first, second = (admissible_conditioning(branch, g, [0.0, 0.5]) for _ in range(2))
+        first, second = (fs.build_transform(branch, g, [0.0, 0.5]).conditioning
+                         for _ in range(2))
         assert first == second
+
+    def test_only_admissible_r_are_kept(self):
+        # heat branch 1: the admissible interval is (-3/2, 3/2)
+        branch = heat_branch(32)
+        g = fs.solve_gains_direct(branch, 2.5)
+        assert list(fs.build_transform(branch, g, [-2.0, 0.5, 1.5]).conditioning) == [0.5]
+        assert fs.build_transform(branch, g, [2.0]).conditioning == {}
+        assert fs.build_transform(branch, g).conditioning == {}
 
 
 class TestHeatGainLimits:
