@@ -15,7 +15,12 @@ of the rebuilt ones, law.json the norm of their residual r = 1 - C x, and
 the report and the sweep's kappa_0 the conditioning of branch 1's
 certificate (the admissible r of config.r_list; the sweep's r = 0).  Each certificate is
 one O(N^2) pass over one Cauchy matrix (the gains are closed-form and
-build none); no stage runs an SVD.
+build none).  No stage runs an SVD or a factorization: the semigroup of
+simulate applies the closed-form T^-1 that also gives the conditioning,
+and transform.transform_matrix, the dense T, is a test oracle only.
+verify also checks law.json's tb_residual against the rebuilt residual.
+The sweep maps its points on a thread pool of --jobs workers, or in the
+calling thread when there is one.
 
 verify, simulate and report build report.json with one function, _report.
 It reads only the output directory (system.json, law.json and the
@@ -264,13 +269,14 @@ def cmd_synthesize(cfg: RunConfig, out: Optional[str] = None) -> int:
 
 
 def _load_artifacts(out: str):
-    """System, law and the stored certificates of an output directory."""
+    """System, law, stored certificates and law document of an output directory."""
     for name in ("system.json", "law.json", "transform.json"):
         if not os.path.exists(os.path.join(out, name)):
             raise ConfigError(f"missing artifact {name} in {out}")
     system = system_from_json(read_json(os.path.join(out, "system.json")))
-    law = law_from_json(read_json(os.path.join(out, "law.json")))
-    return system, law, transform_from_json(read_json(os.path.join(out, "transform.json")))
+    law_doc = read_json(os.path.join(out, "law.json"))
+    stored = transform_from_json(read_json(os.path.join(out, "transform.json")))
+    return system, law_from_json(law_doc), stored, law_doc
 
 
 def _drifts(stored, rebuilt, tol: float) -> bool:
@@ -296,19 +302,25 @@ def cmd_verify(cfg: RunConfig, out: Optional[str] = None) -> int:
     """Recompute every residual from the stored system and law.
 
     Stored residuals are never trusted; any disagreement beyond 1e-6
-    between a stored number (gains, or a field of the transform
-    certificate) and its recomputation, or a NaN in either, flags
-    tampering or version drift.
+    between a stored number (gains, law.json's tb_residual, or a field of
+    the transform certificate) and its recomputation, a NaN in either, or
+    a missing tb_residual flags tampering or version drift.
     """
     out = _out_dir(cfg, out)
-    system, law, stored = _load_artifacts(out)
+    system, law, stored, law_doc = _load_artifacts(out)
     certs = _build_certificates(system, law, cfg.r_list)
+    law_tb = {int(bd["i"]): bd.get("tb_residual") for bd in law_doc["branches"]}
+    rebuilt_tb = {bd["i"]: bd["tb_residual"]
+                  for bd in law_to_json(law, certs.values())["branches"]}
     drift = []
     for b in system.branches:
         bg = law.branch(b.index)
         scale = max(1.0, np.max(np.abs(bg.gains)))
         if _drifts(-bg.products / b.control_coeffs, bg.gains, VERIFY_TOL * scale):
             drift.append(f"branch {b.index}: gains inconsistent with products")
+        tb = law_tb.get(b.index)
+        if not isinstance(tb, (int, float)) or _drifts(tb, rebuilt_tb[b.index], VERIFY_TOL):
+            drift.append(f"branch {b.index}: law.json tb_residual drift")
         drift.extend(f"branch {b.index}: {name} drift"
                      for name in _certificate_drift(stored.get(b.index), certs[b.index]))
     if drift:
@@ -476,7 +488,7 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
     has succeeded.
     """
     out = _out_dir(cfg, out)
-    system, law, _ = _load_artifacts(out)
+    system, law, *_ = _load_artifacts(out)
     traces_dir = os.path.join(out, "traces")
     os.makedirs(traces_dir, exist_ok=True)
     writers = _TraceWriters()
@@ -558,8 +570,12 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str] = None,
         return row
 
     workers = jobs or os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(run_point, grid))
+    if workers == 1:
+        # no worker thread: its own malloc arena would lift the peak RSS
+        rows = [run_point(point) for point in grid]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(run_point, grid))
     fieldnames = ["lambda0", "N", "gamma", "lambda", "tb_residual",
                   "opeq_residual", "spectrum_match", "sup_product", "kappa_0",
                   "mu_hat", "error"]
@@ -607,7 +623,7 @@ def _refit_decay(cfg: RunConfig, traces_dir: str) -> Optional[dict]:
 
 def cmd_report(cfg: RunConfig, out: Optional[str] = None) -> int:
     out = _out_dir(cfg, out)
-    system, law, _ = _load_artifacts(out)
+    system, law, *_ = _load_artifacts(out)
     certs = _build_certificates(system, law, cfg.r_list)
     write_json(os.path.join(out, "report.json"), _report(cfg, out, system, law, certs))
     plots = os.path.join(out, "plots")

@@ -1,16 +1,16 @@
 """Closed-loop and target dynamics in spectral coordinates.
 
-Linear trajectories come either from the conjugated semigroup (exact up to
-one batched linear solve per branch) or from fixed-step RK4 as an
+Linear trajectories come either from the conjugated semigroup, with the
+closed-form inverse of the transform, or from fixed-step RK4 as an
 independent cross-check.  The semilinear torus model is integrated by a
 Fourier-Galerkin scheme with implicit diagonal diffusion and explicit
 convection and feedback.
 
 Cost for a branch of N modes and S samples:
 
-- semigroup_exact: one LU of the transform T, O(N^3), and one solve
-  against all S right-hand sides, O(N^2 S).  The trajectory equals the
-  per-sample solve bit for bit.
+- semigroup_exact: O(N^2) for the Cauchy matrix C and the weights w of
+  T^-1 = diag(b) C^T diag(w / b), and O(N^2 S) for one product of all S
+  samples with C.  No factorization.
 - rk4: O(N) per stage, since the closed loop diag(lambda) + b K^T acts as
   lambda * u + b (K . u).  It agrees with a dense matvec to rounding.
 - imex_euler (Burgers): O(N log N) per step on the N + 1 coefficients
@@ -30,8 +30,7 @@ import numpy.fft
 
 from .errors import IntegratorError
 from .spectral_core import SpectralSystem
-from .synthesis import FeedbackLaw
-from .transform import transform_matrix
+from .synthesis import FeedbackLaw, _inverse_weights, cauchy_system_matrix
 
 __all__ = [
     "SimulationTrace",
@@ -146,11 +145,8 @@ def simulate_target(system: SpectralSystem, lam: float, v0, times,
                     r_list=(0.0,)) -> SimulationTrace:
     """Exact modal solution of the shifted system: v_n(t) = e^{(lambda_n - lam) t} v_n(0)."""
     times = np.asarray(times, dtype=float)
-    blocks = _states_for(system, v0)
-    states = []
-    for b, block in zip(system.branches, blocks):
-        decay = np.exp((b.eigenvalues[None, :] - lam) * times[:, None])
-        states.append(decay * block[None, :])
+    states = [np.exp((b.eigenvalues[None, :] - lam) * times[:, None]) * block[None, :]
+              for b, block in zip(system.branches, _states_for(system, v0))]
     norms = _norm_table(states, r_list)
     return SimulationTrace(times=times, states=tuple(states), norms=norms,
                            integrator="semigroup_exact", dt=0.0)
@@ -159,8 +155,6 @@ def simulate_target(system: SpectralSystem, lam: float, v0, times,
 def _rk4_march(eigenvalues: np.ndarray, b: np.ndarray, K: np.ndarray,
                u0: np.ndarray, times: np.ndarray, dt: float):
     """Fixed-step RK4 for du/dt = diag(lambda) u + b (K . u), O(N) per stage."""
-    b = np.asarray(b, dtype=complex)
-    K = np.asarray(K, dtype=complex)
 
     def A(u):
         return eigenvalues * u + b * (K @ u)
@@ -189,7 +183,9 @@ def simulate_closed_loop(system: SpectralSystem, law: FeedbackLaw, u0, times,
     """Closed-loop trajectories under the synthesized feedback.
 
     semigroup_exact evaluates u(t) = T^{-1} diag(e^{(lambda_n - lam) t}) T u0
-    branch by branch, all samples in one solve; rk4 integrates
+    branch by branch with the closed-form T^{-1} of the exact products
+    (iterative gains move u by up to about kappa_0 ||1 - C x||), all samples
+    in one product; rk4 integrates
     du/dt = (diag(lambda) + b K^T) u with a fixed step as an independent
     check.  The step must satisfy
     0 < dt <= 2 / max |lambda_N| or the run is refused.
@@ -203,13 +199,12 @@ def simulate_closed_loop(system: SpectralSystem, law: FeedbackLaw, u0, times,
     states = []
     if integrator == "semigroup_exact":
         for b, block in zip(system.branches, blocks):
-            T = np.asarray(transform_matrix(b, law.branch(b.index)), dtype=complex)
-            w = T @ block
-            # row k of v is e^{(lambda - lam) t_k} w: one gesv (LU of T and
-            # the solve) against every sample at once
+            # T = diag(b) C diag(-K) and T^-1 = diag(b) C^T diag(w / b) share C:
+            # T^-1 e^{(lambda - lam) t_k} T u0 = b o (v_k C), one product for all k
+            C = cauchy_system_matrix(b, law.lam)
             v = np.exp(np.outer(times, b.eigenvalues - law.lam))
-            v *= w
-            states.append(np.linalg.solve(T, v.T).T)
+            v *= (C @ (-law.branch(b.index).gains * block)) * _inverse_weights(b, law.lam)
+            states.append(np.multiply(v @ C, b.control_coeffs, out=v))
     else:
         stiff = max(float(np.max(np.abs(b.eigenvalues))) for b in system.branches)
         if stiff > 0 and dt > 2.0 / stiff:

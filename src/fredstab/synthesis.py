@@ -18,7 +18,7 @@ from the branch's one Cauchy pass, transform.build_transform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -91,12 +91,11 @@ def cauchy_system_matrix(branch: SpectralBranch, lam: float) -> np.ndarray:
     Column n is the shifted resolvent sum of mode n; the diagonal is the
     constant 1/lam.
     """
-    lam_n = branch.eigenvalues[None, :]
-    lam_p = branch.eigenvalues[:, None]
-    denom = lam_n - lam_p + lam
+    denom = branch.eigenvalues[None, :] - branch.eigenvalues[:, None]
+    denom += lam
     if np.any(denom == 0):
         raise SolverError(f"shift {lam} hits an eigenvalue difference exactly")
-    return 1.0 / denom
+    return np.divide(1.0, denom, out=denom)       # in place, as in the products
 
 
 def resolvent_matrix(branch: SpectralBranch, lam: float) -> np.ndarray:
@@ -133,13 +132,11 @@ class BranchGains:
     history: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        g = np.asarray(self.gains, dtype=complex).copy()
-        x = np.asarray(self.products, dtype=complex).copy()
-        g.flags.writeable = False
-        x.flags.writeable = False
-        object.__setattr__(self, "gains", g)
-        object.__setattr__(self, "products", x)
-        if g.shape != x.shape:
+        for name in ("gains", "products"):
+            arr = np.asarray(getattr(self, name), dtype=complex).copy()
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        if self.gains.shape != self.products.shape:
             raise ValueError("gains and products must align")
 
     @property
@@ -193,16 +190,18 @@ def _closed_form_products(branch: SpectralBranch, lam: float) -> np.ndarray:
     if np.any(d == -lam):
         raise SolverError(f"shift {lam} hits an eigenvalue difference exactly")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        q = lam / d
+        # in place: a fresh N x N temporary per step costs more than the logs
+        q = np.divide(lam, d, out=d)
         if real:
             neg = q < -1.0
             # log1p(-2 - q) = log|1 + q| on the negative factors
-            log_sum = np.sum(np.log1p(np.where(neg, -2.0 - q, q)), axis=1)
+            np.subtract(-2.0, q, out=q, where=neg)
+            log_sum = np.sum(np.log1p(q, out=q), axis=1)
             sign = np.where(np.count_nonzero(neg, axis=1) % 2, -1.0, 1.0)
             x = (lam * sign * np.exp(log_sum)).astype(complex)
         else:
             # numpy's complex log1p loses digits that log(1 + q) keeps
-            log_sum = np.sum(np.log(1.0 + q), axis=1)
+            log_sum = np.sum(np.log(np.add(q, 1.0, out=q), out=q), axis=1)
             x = lam * np.exp(log_sum)
     if not (np.all(np.isfinite(log_sum)) and np.all(np.isfinite(x))
             and np.all(x != 0)):
@@ -212,6 +211,11 @@ def _closed_form_products(branch: SpectralBranch, lam: float) -> np.ndarray:
             f"{float(np.max(np.abs(log_sum))):.4g}; a repeated eigenvalue or a "
             "factor past the float range")
     return x
+
+
+def _inverse_weights(branch: SpectralBranch, lam: float) -> np.ndarray:
+    """w = C^-T 1 of T^-1 = diag(b) C^T diag(w / b): the closed form on -lambda_n."""
+    return _closed_form_products(replace(branch, eigenvalues=-branch.eigenvalues), lam)
 
 
 def solve_gains_direct(branch: SpectralBranch, lam: float) -> BranchGains:

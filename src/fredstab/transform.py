@@ -7,10 +7,10 @@ satisfies T b = b and the intertwining identity T (A + b K^T) = (A - lam I) T
 exactly, so both residuals are rounding-level certificates of a correct
 build.
 
-T is fixed by O(N) data per branch, and no object keeps it: transform_matrix
-builds it on demand, and build_transform returns its O(N) certificate
-(BranchCertificate), the record transform.json stores.  Every reader that
-needs T rebuilds it from the branch and its gains.
+T is fixed by O(N) data per branch, and no object keeps it:
+build_transform returns its O(N) certificate (BranchCertificate), the
+record transform.json stores, and transform_matrix, which builds T on
+demand, is the dense oracle of the tests.
 
 build_transform is the one pass over the Cauchy matrix C of a branch: it
 builds C once and certifies the branch from the residual r = 1 - C x of
@@ -22,13 +22,13 @@ z_p = lambda_p - lam: tb, opeq and the spectrum check are three weightings
 of r, and law.json's tb_residual is ||r|| / sqrt(N).
 
 T has the explicit inverse T^-1 = diag(b) C^T diag(w / b), where w = C^-T 1
-is the closed-form product of the negated spectrum, so the weighted
-condition number kappa_r needs no factorization: the same pass takes
-||W T W^-1||_2 and ||W T^-1 W^-1||_2, W = diag(n^r), for the admissible r
-it is given, from Golub-Kahan-Lanczos bidiagonalizations that only
-multiply by C and C^T.  closed_loop_matrix, operator_equality_residual and
-conditioning_profile (an SVD per r) are the dense O(N^3) forms, kept as
-test oracles.
+is the closed-form product of the negated spectrum (_inverse_weights), so
+neither the weighted condition number kappa_r nor simulate's semigroup
+factorizes: this pass takes ||W T W^-1||_2 and ||W T^-1 W^-1||_2,
+W = diag(n^r), for the admissible r it is given, from Golub-Kahan-Lanczos
+bidiagonalizations that only multiply by C and C^T.  closed_loop_matrix,
+operator_equality_residual and conditioning_profile (an SVD per r) are the
+dense O(N^3) forms, kept as test oracles.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ import numpy as np
 from .errors import ConfigError
 from .jsonio import cpairs, from_cpairs
 from .spectral_core import SpectralBranch, admissible_r_interval
-from .synthesis import BranchGains, _closed_form_products, cauchy_system_matrix
+from .synthesis import (BranchGains, _closed_form_products, _inverse_weights,
+                        cauchy_system_matrix)
 
 __all__ = [
     "ClosedLoopMatrix",
@@ -276,16 +277,14 @@ def _weighted_conditioning(branch: SpectralBranch, C: np.ndarray, lam: float,
     """kappa_r = ||W T W^-1||_2 ||W T^-1 W^-1||_2, W = diag(n^r), for each r.
 
     T = diag(b) C diag(-K) and its explicit inverse T^-1 = diag(b) C^T
-    diag(w / b), where w are the closed-form products of the negated
-    spectrum, share the branch's Cauchy matrix C, which is left as it is;
+    diag(w / b), w from _inverse_weights, share the branch's Cauchy matrix
+    C, which is left as it is;
     both norms are Lanczos estimates (_spectral_norm), real when lambda, b
     and K are.  Nothing is computed for an empty r_list.
     """
     if not r_list:
         return {}
-    negated = SpectralBranch(branch.index, -branch.eigenvalues, branch.control_coeffs,
-                             branch.alpha, branch.beta, branch.gamma)
-    w = _closed_form_products(negated, lam)
+    w = _inverse_weights(branch, lam)
     b, K = branch.control_coeffs, gains
     if not (np.any(branch.eigenvalues.imag) or np.any(b.imag) or np.any(K.imag)):
         C, b, K, w = np.ascontiguousarray(C.real), b.real, K.real, w.real
@@ -303,20 +302,21 @@ def conditioning_vs_truncation(branch: SpectralBranch, lam: float, r: float) -> 
 
     A plateau (small variation between levels) is the finite-truncation
     proxy for the isomorphism property.  Each level takes the closed-form
-    gains of its truncation and the structured kappa_r of build_transform,
-    from one Cauchy matrix per level; r outside the admissible interval
-    raises ValueError.
+    gains of its truncation and the structured kappa_r of build_transform;
+    the Cauchy matrix of a truncation to n modes is the leading n x n block
+    of the full one, which is built once.  r outside the admissible
+    interval raises ValueError.
     """
     lo, hi = admissible_r_interval(branch.alpha, branch.gamma, beta=branch.beta)
     if not lo < r < hi:
         raise ValueError(f"r={r} outside the admissible open interval ({lo}, {hi})")
     levels = sorted({max(1, branch.N // 4), max(1, branch.N // 2), branch.N})
+    C = cauchy_system_matrix(branch, lam)
     profile = {}
     for n in levels:
         sub = branch.truncated(int(n))
         gains = -_closed_form_products(sub, lam) / sub.control_coeffs
-        profile[int(n)] = _weighted_conditioning(sub, cauchy_system_matrix(sub, lam), lam,
-                                                 gains, [r])[float(r)]
+        profile[int(n)] = _weighted_conditioning(sub, C[:n, :n], lam, gains, [r])[float(r)]
     return profile
 
 

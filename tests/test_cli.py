@@ -263,6 +263,26 @@ class TestVerifyCommand:
         assert message.startswith("verification failed")
         assert f"branch 2: {field}" in message
 
+    @pytest.mark.parametrize("value", [0.5, None])
+    def test_law_tb_residual_checked(self, tmp_path, capsys, value):
+        # law.json's tb_residual must be ||r|| / sqrt(N) of the rebuilt
+        # certificate; a missing one counts as drift too
+        cfg = tmp_path / "config.json"
+        write_config(cfg)
+        assert main(["synthesize", "--config", str(cfg)]) == 0
+        assert main(["verify", "--config", str(cfg)]) == 0
+        path = tmp_path / "out" / "law.json"
+        doc = json.loads(path.read_text())
+        if value is None:
+            del doc["branches"][0]["tb_residual"]
+        else:
+            doc["branches"][0]["tb_residual"] = value
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--config", str(cfg)]) == 1
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert message == "verification failed: branch 1: law.json tb_residual drift"
+
     @pytest.mark.parametrize("command", ["verify", "simulate", "report"])
     def test_schema_1_transform_rejected(self, tmp_path, capsys, command):
         cfg = tmp_path / "config.json"
@@ -635,6 +655,22 @@ class TestSweepCommand:
         assert row["kappa_0"] == ""
         assert float(row["tb_residual"]) <= 1e-8
 
+    def test_one_job_runs_without_a_thread_pool(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, sweep={"lambda0": [1.0, 2.0, 4.0]}, N=12,
+                     model={"kind": "heat_torus", "N": 12, "params": {}})
+        path = tmp_path / "out" / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg), "--jobs", "2"]) == 0
+        pooled = path.read_bytes()
+        path.unlink()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("thread pool constructed")
+
+        monkeypatch.setattr(cli_io, "ThreadPoolExecutor", refuse)
+        assert main(["sweep", "--config", str(cfg), "--jobs", "1"]) == 0
+        assert path.read_bytes() == pooled
+
     def test_empty_sweep_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         write_config(cfg)
@@ -708,10 +744,12 @@ class TestReportCommand:
         # build_transform certifies a branch (tb, opeq, the secular steps of
         # the spectrum check and plot, and on branch 1 the conditioning)
         # from one Cauchy matrix, and the closed-form gains build none.  On
-        # two branches: 2 for the certificates, 2 for T in the semigroup,
-        # 1 for the report's S_c (gap-sum profile and compactness proxy),
-        # 3 for report's plateau.  synthesize = 2, verify = 2 + 1,
-        # simulate = 2 + 2 + 1, report = 2 + 1 + 3, one sweep point = 2 + 2.
+        # two branches: 2 for the certificates, 2 for the semigroup (T and
+        # its closed-form inverse share one C per branch), 1 for the
+        # report's S_c (gap-sum profile and compactness proxy), 1 for the
+        # report's plateau (its levels take leading blocks of the full C).
+        # synthesize = 2, verify = 2 + 1, simulate = 2 + 2 + 1,
+        # report = 2 + 1 + 1, one sweep point = 2 + 2.
         cfg = tmp_path / "config.json"
         write_config(cfg, N=64, model={"kind": "heat_torus", "N": 64, "params": {}},
                      sweep={"lambda0": [2.5]}, scenarios=[
@@ -736,7 +774,7 @@ class TestReportCommand:
             calls.clear()
             assert main([stage, "--config", str(cfg), "--jobs", "1"]) == 0, stage
             counts[stage] = len(calls)
-        assert counts == {"synthesize": 2, "verify": 3, "simulate": 5, "report": 6,
+        assert counts == {"synthesize": 2, "verify": 3, "simulate": 5, "report": 4,
                           "sweep": 4}
 
 
@@ -790,12 +828,15 @@ class TestExitCodes:
 class TestNoDenseCertificates:
     def test_stages_use_only_structured_certificates(self, tmp_path, monkeypatch):
         # No stage may reach eigvals, the dense closed loop, the dense
-        # intertwining product, an LU of the Cauchy matrix or an SVD: the
-        # conditioning is the structured Lanczos estimate, not np.linalg.cond.
+        # intertwining product, a factorization or an SVD: the conditioning
+        # is the structured Lanczos estimate, not np.linalg.cond, and the
+        # semigroup applies the closed-form T^-1, not an LU of T.
         def refuse(*args, **kwargs):
             raise AssertionError("dense certificate called")
 
         for target, name in ((np.linalg, "eigvals"), (scipy.linalg, "solve"),
+                             (np.linalg, "solve"), (np.linalg, "inv"),
+                             (scipy.linalg, "lu_factor"),
                              (transform, "closed_loop_matrix"),
                              (transform, "operator_equality_residual"),
                              (diagnostics, "spectrum_match_error")):

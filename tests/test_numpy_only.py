@@ -15,13 +15,10 @@ import numpy as np
 import pytest
 import scipy.fft
 import scipy.integrate
-import scipy.linalg
 
 import fredstab
 from fredstab import diagnostics, models, simulate
-from fredstab.models import SturmLiouvilleProblem, heat_torus_model
-from fredstab.synthesis import select_shift, synthesize_feedback
-from fredstab.transform import transform_matrix
+from fredstab.models import SturmLiouvilleProblem
 
 _STAGES_SCRIPT = textwrap.dedent("""
     import json, os, sys
@@ -127,32 +124,6 @@ def test_trapezoid_rules_match_scipy_on_sturm_liouville_grid():
         f = (1.0 + x) * modes.modes_x[:, j]
         assert (np.float64(np.trapezoid(f, x)).tobytes()
                 == np.float64(scipy.integrate.trapezoid(f, x)).tobytes())
-
-
-def _semigroup_oracle(system, law, blocks, times):
-    """The lu_factor / lu_solve route the semigroup used before."""
-    states = []
-    for b, block in zip(system.branches, blocks):
-        T = np.asarray(transform_matrix(b, law.branch(b.index)), dtype=complex)
-        lu = scipy.linalg.lu_factor(T)
-        v = np.exp(np.outer(times, b.eigenvalues - law.lam)) * (T @ block)
-        states.append(scipy.linalg.lu_solve(lu, v.T).T)
-    return states
-
-
-@pytest.mark.parametrize("kind", ["heat", "schrodinger"])
-def test_semigroup_solve_matches_lu_route(kind):
-    if kind == "heat":
-        system = heat_torus_model(64)
-    else:
-        x = np.linspace(0.0, 1.0, 2049)
-        system, _ = models.schrodinger_model(48, x ** 2)
-    law = synthesize_feedback(system, select_shift(system, 2.5, 0.25))
-    u0 = simulate.random_state(system, seed=2)
-    times = np.linspace(0.0, 2.0, 33)
-    trace = simulate.simulate_closed_loop(system, law, u0, times)
-    for got, want in zip(trace.states, _semigroup_oracle(system, law, u0, times)):
-        assert got.tobytes() == want.tobytes()
 
 
 def test_sort_median_matches_np_median():

@@ -25,7 +25,7 @@ import fredstab as fs
 from fredstab.cli_io import TB_GATE, main
 from fredstab.diagnostics import secular_match_error, spectrum_match_error
 from fredstab.models import gribov_model, heat_torus_model, schrodinger_model
-from fredstab.synthesis import _closed_form_products, cauchy_system_matrix
+from fredstab.synthesis import _inverse_weights, cauchy_system_matrix
 
 from conftest import heat_branch, schrodinger_branch, worked_branch
 from test_cli import write_config
@@ -213,9 +213,7 @@ class TestStructuredConditioning:
         # T^-1 = diag(b) C^T diag(w / b), w the closed form on -lambda_n
         branch = heat_torus_model(256).branches[0]
         g = fs.solve_gains_direct(branch, lam)
-        negated = fs.SpectralBranch(1, -branch.eigenvalues, branch.control_coeffs,
-                                    alpha=branch.alpha)
-        w = _closed_form_products(negated, lam)
+        w = _inverse_weights(branch, lam)
         b = branch.control_coeffs
         T_inv = b[:, None] * cauchy_system_matrix(branch, lam).T * (w / b)[None, :]
         kappa = fs.build_transform(branch, g, [0.0]).conditioning[0.0]
