@@ -18,7 +18,7 @@ from .spectral_core import (AssumptionVerdict, SpectralBranch, SpectralSystem,
                             sobolev_norm, system_from_json, system_to_json,
                             verify_assumptions, verify_control, verify_gap,
                             verify_growth)
-from .synthesis import (BranchGains, FeedbackLaw, ShiftSelection,
+from .synthesis import (BranchGains, BranchKernel, FeedbackLaw, ShiftSelection,
                         beta_reduced_gains, inverse_gap_sum_profile,
                         resolvent_matrix, select_shift, solve_gains_direct,
                         solve_gains_iterative, synthesize_feedback)

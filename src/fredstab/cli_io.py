@@ -13,11 +13,11 @@ system.json and law.json and compares them with the stored ones; the
 spectrum check, the spectrum plots and the sweep read the secular steps
 of the rebuilt ones, law.json the norm of their residual r = 1 - C x, and
 the report and the sweep's kappa_0 the conditioning of branch 1's
-certificate (the admissible r of config.r_list; the sweep's r = 0).  Each certificate is
-one O(N^2) pass over one Cauchy matrix (the gains are closed-form and
-build none).  No stage runs an SVD or a factorization: the semigroup of
-simulate applies the closed-form T^-1 that also gives the conditioning,
-and transform.transform_matrix, the dense T, is a test oracle only.
+certificate (the admissible r of config.r_list; the sweep's r = 0).  A stage
+builds one synthesis.BranchKernel per branch once it knows the shift, and
+the certificates (one O(N^2) pass each), semigroups, S_c and plateau read
+its C and the w of the closed-form T^-1.  No stage runs an SVD or a
+factorization, and transform.transform_matrix is a test oracle only.
 verify also checks law.json's tb_residual against the rebuilt residual.
 The sweep maps its points on a thread pool of --jobs workers, or in the
 calling thread when there is one.
@@ -84,9 +84,10 @@ from .transform import transform_from_json, transform_to_json
 TB_GATE = 1e-8
 OPEQ_GATE = 1e-8
 VERIFY_TOL = 1e-6
-# Peak RSS growth of one stage is about 7.1, 3.2 and 3.8 N x N complex
-# matrices in synthesize, verify and report (heat torus, N = 1024); the
-# synthesize peak is select_shift's table of all eigenvalue differences.
+# Peak RSS growth of one stage, in N x N complex matrices (heat torus,
+# N = 1024, one 64-sample semigroup scenario): 7.1 in synthesize and sweep
+# (select_shift's table of all eigenvalue differences) and 5.3 in verify,
+# simulate and report, two of them the stage's kernels held to its end.
 # With LIVE_MATRICES of them in the budget, MAX_N is 3344.  A larger
 # truncation is refused before any model or matrix is built.
 MATRIX_BUDGET_BYTES = 2 << 30
@@ -105,6 +106,13 @@ def _reject_unknown(doc: dict, allowed: set, where: str) -> None:
     unknown = set(doc) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _positive(value, where: str) -> float:
+    """value as a float, or a ConfigError naming where if it is not finite and > 0."""
+    if isinstance(value, bool) or not (isinstance(value, (int, float)) and 0 < value < math.inf):
+        raise ConfigError(f"{where} must be a finite number > 0, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -145,8 +153,7 @@ def parse_config(doc: dict) -> RunConfig:
         where = f"config.scenarios[{i}] ({sc.get('name', 'scenario')!r})"
         # a zero step never advances the integrators; a NaN t_end gives NaN times
         for key, value in (("dt", sc.get("dt", 1e-4)), ("t_end", sc.get("t_end", 1.0))):
-            if not (isinstance(value, (int, float)) and 0 < value < math.inf):
-                raise ConfigError(f"{where}: {key} must be a finite number > 0, got {value!r}")
+            _positive(value, f"{where}: {key}")
         samples = sc.get("samples", 64)
         if isinstance(samples, bool) or not (isinstance(samples, int) and samples >= 1):
             raise ConfigError(f"{where}: samples must be an integer >= 1, got {samples!r}")
@@ -154,6 +161,8 @@ def parse_config(doc: dict) -> RunConfig:
     sweep = doc.get("sweep")
     if sweep is not None:
         _reject_unknown(sweep, _SWEEP_KEYS, "config.sweep")
+        for i, value in enumerate(sweep.get("lambda0", [])):
+            _positive(value, f"config.sweep.lambda0[{i}]")
     N = int(doc.get("N", model.get("N", 0)))
     if N < 1 and "path" not in model:
         raise ConfigError("config.N (or model.N) must be a positive integer")
@@ -171,8 +180,8 @@ def parse_config(doc: dict) -> RunConfig:
         labels[label] = r
     return RunConfig(
         model=model,
-        lambda0=float(doc.get("lambda0", 2.0)),
-        delta=float(doc.get("delta", 0.25)),
+        lambda0=_positive(doc.get("lambda0", 2.0), "config.lambda0"),
+        delta=_positive(doc.get("delta", 0.25), "config.delta"),
         N=N,
         method=method,
         r_list=r_list,
@@ -214,19 +223,18 @@ def _out_dir(cfg: RunConfig, override: Optional[str]) -> str:
     return out
 
 
-def _synthesize_pipeline(cfg: RunConfig, system: SpectralSystem, r_list,
-                         lambda0: Optional[float] = None):
-    """Shared synthesis path: verdicts -> shift -> gains -> certificates.
+def _synthesize_pipeline(cfg: RunConfig, system: SpectralSystem, r_list, lambda0: float):
+    """Shared synthesis path: verdicts -> shift -> kernels -> gains -> certificates.
 
-    The certificates are {branch index: BranchCertificate}.
+    Returns (shift, law, kernels, {branch index: BranchCertificate}).
     """
-    verdicts = [verify_assumptions(b) for b in system.branches]
-    bad = [i + 1 for i, v in enumerate(verdicts) if not v.ok]
+    bad = [b.index for b in system.branches if not verify_assumptions(b).ok]
     if bad:
         raise AssumptionError(
             f"standing assumptions failed on branch(es) {bad}; "
             "see the verdict details in the report")
-    shift = synthesis.select_shift(system, lambda0 or cfg.lambda0, cfg.delta)
+    shift = synthesis.select_shift(system, lambda0, cfg.delta)
+    kernels = _kernels(system, shift.lam)
     method = "direct" if cfg.method == "both" else cfg.method
     law = synthesis.synthesize_feedback(system, shift, method=method)
     if cfg.method == "both":
@@ -237,22 +245,26 @@ def _synthesize_pipeline(cfg: RunConfig, system: SpectralSystem, r_list,
                 raise SolverError(
                     f"direct and iterative gains disagree by {gap:.3e} on "
                     f"branch {bg.branch_index}")
-    certs = _build_certificates(system, law, r_list)
-    return verdicts, shift, law, certs
+    certs = _build_certificates(kernels, law, r_list)
+    return shift, law, kernels, certs
 
 
-def _build_certificates(system: SpectralSystem, law, r_list) -> dict:
-    """One certificate per branch; kappa_r of r_list on branch 1 only."""
-    first = system.branches[0].index
-    return {b.index: transform.build_transform(b, law.branch(b.index),
-                                               r_list if b.index == first else ())
-            for b in system.branches}
+def _kernels(system: SpectralSystem, lam: float) -> tuple:
+    """The stage's BranchKernel of every branch at lam, in branch order."""
+    return tuple(synthesis.BranchKernel(b, lam) for b in system.branches)
+
+
+def _build_certificates(kernels, law, r_list) -> dict:
+    """One certificate per branch kernel; kappa_r of r_list on branch 1 only."""
+    return {k.branch.index: transform.build_transform(k, law.branch(k.branch.index),
+                                                      r_list if k is kernels[0] else ())
+            for k in kernels}
 
 
 def cmd_synthesize(cfg: RunConfig, out: Optional[str] = None) -> int:
     out = _out_dir(cfg, out)
     system = _build_system(cfg)
-    verdicts, shift, law, certs = _synthesize_pipeline(cfg, system, ())
+    shift, law, _, certs = _synthesize_pipeline(cfg, system, (), cfg.lambda0)
     write_json(os.path.join(out, "system.json"), system_to_json(system))
     write_json(os.path.join(out, "law.json"), law_to_json(law, certs.values()))
     write_json(os.path.join(out, "transform.json"),
@@ -308,7 +320,8 @@ def cmd_verify(cfg: RunConfig, out: Optional[str] = None) -> int:
     """
     out = _out_dir(cfg, out)
     system, law, stored, law_doc = _load_artifacts(out)
-    certs = _build_certificates(system, law, cfg.r_list)
+    kernels = _kernels(system, law.lam)
+    certs = _build_certificates(kernels, law, cfg.r_list)
     law_tb = {int(bd["i"]): bd.get("tb_residual") for bd in law_doc["branches"]}
     rebuilt_tb = {bd["i"]: bd["tb_residual"]
                   for bd in law_to_json(law, certs.values())["branches"]}
@@ -325,7 +338,7 @@ def cmd_verify(cfg: RunConfig, out: Optional[str] = None) -> int:
                      for name in _certificate_drift(stored.get(b.index), certs[b.index]))
     if drift:
         raise ConfigError("verification failed: " + "; ".join(drift))
-    report = _report(cfg, out, system, law, certs)
+    report = _report(cfg, out, system, law, kernels, certs)
     write_json(os.path.join(out, "report.json"), report)
     print(f"verified artifacts in {out}: tb={report['tb_residual']:.3e} "
           f"opeq={report['opeq_residual']:.3e} "
@@ -333,14 +346,14 @@ def cmd_verify(cfg: RunConfig, out: Optional[str] = None) -> int:
     return 0
 
 
-def _report(cfg: RunConfig, out: str, system, law, certs) -> dict:
+def _report(cfg: RunConfig, out: str, system, law, kernels, certs) -> dict:
     """The report.json document of verify, simulate and report.
 
-    certs are the certificates rebuilt from system and law, the
-    conditioning is branch 1's, and the decay fits are refit from out/traces.
+    certs are rebuilt from the kernels and law, the conditioning and S_c
+    are branch 1's, and the decay fits are refit from out/traces.
     """
     return diagnostics.make_report(
-        system, law, certs.values(), certs[system.branches[0].index].conditioning,
+        system, law, certs.values(), kernels[0], certs[kernels[0].branch.index].conditioning,
         _refit_decay(cfg, os.path.join(out, "traces")), cfg.raw)
 
 
@@ -485,10 +498,11 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
     a writer child, then integrates the next scenario; the report reads
     only the norms files, so it and the certificates it needs are computed
     while the writers run, and report.json is written once every writer
-    has succeeded.
+    has succeeded.  The semigroups, certificates and report share the kernels.
     """
     out = _out_dir(cfg, out)
     system, law, *_ = _load_artifacts(out)
+    kernels = _kernels(system, law.lam)
     traces_dir = os.path.join(out, "traces")
     os.makedirs(traces_dir, exist_ok=True)
     writers = _TraceWriters()
@@ -508,7 +522,7 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
             else:
                 integrator = sc.get("integrator", "semigroup_exact")
                 u0 = _linear_u0(system, sc.get("u0", {}))
-                trace = simulate.simulate_closed_loop(system, law, u0, times,
+                trace = simulate.simulate_closed_loop(kernels, law, u0, times,
                                                       integrator=integrator, dt=dt,
                                                       r_list=cfg.r_list)
             norms_path = os.path.join(traces_dir, f"{name}_norms.csv")
@@ -517,8 +531,8 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
                           os.path.join(traces_dir, f"{name}_modes.csv"), (norms_path,))
             del trace
         writers.poll()
-        report = _report(cfg, out, system, law,
-                         _build_certificates(system, law, cfg.r_list))
+        report = _report(cfg, out, system, law, kernels,
+                         _build_certificates(kernels, law, cfg.r_list))
     finally:
         writers.poll(wait=True)
     write_json(os.path.join(out, "report.json"), report)
@@ -545,12 +559,12 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str] = None,
         row = {"lambda0": l0, "N": n, "gamma": "" if g is None else g}
         try:
             system = _build_system(cfg, N=n, gamma=g)
-            _, shift, law, certs = _synthesize_pipeline(cfg, system, [0.0], lambda0=l0)
+            shift, law, kernels, certs = _synthesize_pipeline(cfg, system, [0.0], l0)
             match = max(diagnostics.secular_match_error(b, certs[b.index])
                         for b in system.branches)
             u0 = simulate.random_state(system, seed=0)
             times = np.linspace(0.0, 1.0, 65)
-            trace = simulate.simulate_closed_loop(system, law, u0, times)
+            trace = simulate.simulate_closed_loop(kernels, law, u0, times)
             fit = simulate.fit_decay(trace)
             kappas = certs[system.branches[0].index].conditioning
             row.update({
@@ -624,8 +638,10 @@ def _refit_decay(cfg: RunConfig, traces_dir: str) -> Optional[dict]:
 def cmd_report(cfg: RunConfig, out: Optional[str] = None) -> int:
     out = _out_dir(cfg, out)
     system, law, *_ = _load_artifacts(out)
-    certs = _build_certificates(system, law, cfg.r_list)
-    write_json(os.path.join(out, "report.json"), _report(cfg, out, system, law, certs))
+    kernels = _kernels(system, law.lam)
+    certs = _build_certificates(kernels, law, cfg.r_list)
+    write_json(os.path.join(out, "report.json"),
+               _report(cfg, out, system, law, kernels, certs))
     plots = os.path.join(out, "plots")
     os.makedirs(plots, exist_ok=True)
     for b in system.branches:
@@ -654,7 +670,7 @@ def cmd_report(cfg: RunConfig, out: Optional[str] = None) -> int:
             "weighted conditioning", "r", "kappa")
     lo, hi = transform.admissible_r_interval(b0.alpha, b0.gamma, beta=b0.beta)
     if lo < 0.0 < hi and b0.N >= 8:
-        plateau = transform.conditioning_vs_truncation(b0, law.lam, 0.0)
+        plateau = transform.conditioning_vs_truncation(kernels[0], 0.0)
         levels = sorted(plateau)
         diagnostics.svg_line_plot(
             os.path.join(plots, "conditioning_vs_N.svg"),

@@ -5,10 +5,10 @@ re-derive the run, namely assumption verdicts, normalization and
 intertwining residuals, the spectrum-shift match, gain-profile
 statistics, conditioning and compactness proxies, decay fits and the
 controllability classification, stamped with the configuration hash.  It
-is a pure function of the system, the law, the certificates of
-transform.build_transform and the numbers the caller derived from them
-(conditioning, decay fits); cli_io's report builder is its one production
-caller, and jsonio.write_json serializes the document canonically.
+is a pure function of the system, the law, branch 1's kernel, the
+certificates of transform.build_transform and the numbers the caller
+derived from them (conditioning, decay fits); cli_io's report builder is
+its one production caller, and jsonio.write_json serializes it canonically.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import numpy.random
 from .jsonio import config_hash
 from .spectral_core import (AssumptionVerdict, SpectralBranch, SpectralSystem,
                             classify_controllability, verify_assumptions)
-from .synthesis import (BranchGains, FeedbackLaw, inverse_gap_sum_profile,
-                        resolvent_matrix)
+from .synthesis import (BranchGains, BranchKernel, FeedbackLaw,
+                        inverse_gap_sum_profile, resolvent_matrix)
 from .transform import BranchCertificate
 
 __all__ = [
@@ -180,7 +180,7 @@ def _verdict_json(v: AssumptionVerdict) -> dict:
 
 
 def make_report(system: SpectralSystem, law: FeedbackLaw, certificates,
-                conditioning: dict, decay_fits, config: dict) -> dict:
+                kernel: BranchKernel, conditioning: dict, decay_fits, config: dict) -> dict:
     """The report.json document of a system, its law and its certificates.
 
     certificates holds one transform.build_transform certificate per
@@ -191,13 +191,13 @@ def make_report(system: SpectralSystem, law: FeedbackLaw, certificates,
     the whole section means no scenario was simulated.  The verdicts, gain
     trends, inverse-gap tail, compactness proxy and classification are
     derived here from branch 1 and the law, the tail and the proxy from one
-    resolvent_matrix S_c; config is hashed into config_hash.
+    resolvent_matrix S_c of kernel (branch 1's); config is hashed into config_hash.
     """
     lam = law.lam
     b0 = system.branches[0]
     certificates = {c.branch_index: c for c in certificates}
     trends = [gain_trend(bg) if bg.N >= 16 else None for bg in law.branches]
-    S_c = resolvent_matrix(b0, lam)
+    S_c = resolvent_matrix(kernel)
     _, tail_max = inverse_gap_sum_profile(b0, S_c, 0.0)
     eps_hi = min((b0.alpha - 1.0) / 2.0, b0.alpha - 0.5)
     try:

@@ -8,9 +8,9 @@ convection and feedback.
 
 Cost for a branch of N modes and S samples:
 
-- semigroup_exact: O(N^2) for the Cauchy matrix C and the weights w of
-  T^-1 = diag(b) C^T diag(w / b), and O(N^2 S) for one product of all S
-  samples with C.  No factorization.
+- semigroup_exact: O(N^2 S) for one product of all S samples with the
+  Cauchy matrix C of the branch's synthesis.BranchKernel, and O(N^2) for
+  its weights w of T^-1 = diag(b) C^T diag(w / b).  No factorization.
 - rk4: O(N) per stage, since the closed loop diag(lambda) + b K^T acts as
   lambda * u + b (K . u).  It agrees with a dense matvec to rounding.
 - imex_euler (Burgers): O(N log N) per step on the N + 1 coefficients
@@ -30,7 +30,7 @@ import numpy.fft
 
 from .errors import IntegratorError
 from .spectral_core import SpectralSystem
-from .synthesis import FeedbackLaw, _inverse_weights, cauchy_system_matrix
+from .synthesis import FeedbackLaw
 
 __all__ = [
     "SimulationTrace",
@@ -111,14 +111,14 @@ def _norm_table(states, r_list):
     return table
 
 
-def _states_for(system: SpectralSystem, v0) -> list:
+def _states_for(branches, v0) -> list:
     if isinstance(v0, (list, tuple)):
         parts = [np.asarray(p, dtype=complex) for p in v0]
     else:
         parts = [np.asarray(v0, dtype=complex)]
-    if len(parts) != system.m:
-        raise ValueError(f"initial state needs {system.m} branch blocks")
-    for part, b in zip(parts, system.branches):
+    if len(parts) != len(branches):
+        raise ValueError(f"initial state needs {len(branches)} branch blocks")
+    for part, b in zip(parts, branches):
         if len(part) != b.N:
             raise ValueError(
                 f"branch {b.index} initial block has {len(part)} entries, expected {b.N}")
@@ -146,7 +146,7 @@ def simulate_target(system: SpectralSystem, lam: float, v0, times,
     """Exact modal solution of the shifted system: v_n(t) = e^{(lambda_n - lam) t} v_n(0)."""
     times = np.asarray(times, dtype=float)
     states = [np.exp((b.eigenvalues[None, :] - lam) * times[:, None]) * block[None, :]
-              for b, block in zip(system.branches, _states_for(system, v0))]
+              for b, block in zip(system.branches, _states_for(system.branches, v0))]
     norms = _norm_table(states, r_list)
     return SimulationTrace(times=times, states=tuple(states), norms=norms,
                            integrator="semigroup_exact", dt=0.0)
@@ -177,41 +177,42 @@ def _rk4_march(eigenvalues: np.ndarray, b: np.ndarray, K: np.ndarray,
     return out
 
 
-def simulate_closed_loop(system: SpectralSystem, law: FeedbackLaw, u0, times,
+def simulate_closed_loop(kernels, law: FeedbackLaw, u0, times,
                          integrator: str = "semigroup_exact",
                          dt: float = 1e-4, r_list=(0.0,)) -> SimulationTrace:
     """Closed-loop trajectories under the synthesized feedback.
 
-    semigroup_exact evaluates u(t) = T^{-1} diag(e^{(lambda_n - lam) t}) T u0
-    branch by branch with the closed-form T^{-1} of the exact products
-    (iterative gains move u by up to about kappa_0 ||1 - C x||), all samples
-    in one product; rk4 integrates
-    du/dt = (diag(lambda) + b K^T) u with a fixed step as an independent
-    check.  The step must satisfy
-    0 < dt <= 2 / max |lambda_N| or the run is refused.
+    kernels are the synthesis.BranchKernel of every branch at law.lam, in
+    branch order.  semigroup_exact evaluates u(t) = T^{-1} diag(e^{(lambda_n
+    - lam) t}) T u0 branch by branch with the closed-form T^{-1} of the
+    exact products (iterative gains move u by up to about kappa_0 ||1 - C
+    x||), all samples in one product; rk4 integrates du/dt = (diag(lambda)
+    + b K^T) u with a fixed step as an independent check.  The step must
+    satisfy 0 < dt <= 2 / max |lambda_N| or the run is refused.
     """
     if integrator not in ("semigroup_exact", "rk4"):
         raise ValueError(f"unknown linear integrator {integrator!r}")
     if integrator == "rk4" and not 0 < dt < np.inf:     # dt = 0 never advances t
         raise ValueError(f"rk4 step dt={dt} must be finite and > 0")
     times = np.asarray(times, dtype=float)
-    blocks = _states_for(system, u0)
+    branches = [kernel.branch for kernel in kernels]
+    blocks = _states_for(branches, u0)
     states = []
     if integrator == "semigroup_exact":
-        for b, block in zip(system.branches, blocks):
+        for kernel, block in zip(kernels, blocks):
             # T = diag(b) C diag(-K) and T^-1 = diag(b) C^T diag(w / b) share C:
             # T^-1 e^{(lambda - lam) t_k} T u0 = b o (v_k C), one product for all k
-            C = cauchy_system_matrix(b, law.lam)
+            b, C = kernel.branch, kernel.C
             v = np.exp(np.outer(times, b.eigenvalues - law.lam))
-            v *= (C @ (-law.branch(b.index).gains * block)) * _inverse_weights(b, law.lam)
+            v *= (C @ (-law.branch(b.index).gains * block)) * kernel.w
             states.append(np.multiply(v @ C, b.control_coeffs, out=v))
     else:
-        stiff = max(float(np.max(np.abs(b.eigenvalues))) for b in system.branches)
+        stiff = max(float(np.max(np.abs(b.eigenvalues))) for b in branches)
         if stiff > 0 and dt > 2.0 / stiff:
             raise IntegratorError(
                 f"rk4 step dt={dt} exceeds the stability guard 2/|lambda_N| = "
                 f"{2.0 / stiff:.3e}; reduce dt or the truncation")
-        for b, block in zip(system.branches, blocks):
+        for b, block in zip(branches, blocks):
             states.append(_rk4_march(b.eigenvalues, b.control_coeffs,
                                      law.branch(b.index).gains, block, times, dt))
     norms = _norm_table(states, r_list)

@@ -12,13 +12,14 @@ resolvent sums.  Its solution has a closed form (the Cauchy determinant),
 
 which the direct method evaluates in log space in O(N^2) without C.  The
 fixed-point accumulation x = lambda * 1 + sum of correction sweeps is the
-independent iterative route.  The residual r = 1 - C x of either comes
-from the branch's one Cauchy pass, transform.build_transform.
+independent iterative route and builds its own C.  Every other consumer
+reads C from the branch's BranchKernel, which a stage builds once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -30,6 +31,7 @@ from .spectral_core import SpectralBranch, SpectralSystem
 __all__ = [
     "ShiftSelection",
     "BranchGains",
+    "BranchKernel",
     "FeedbackLaw",
     "select_shift",
     "resolvent_matrix",
@@ -98,9 +100,9 @@ def cauchy_system_matrix(branch: SpectralBranch, lam: float) -> np.ndarray:
     return np.divide(1.0, denom, out=denom)       # in place, as in the products
 
 
-def resolvent_matrix(branch: SpectralBranch, lam: float) -> np.ndarray:
-    """Zero-diagonal part S_c of the resolvent-sum operator C = I / lam + S_c."""
-    S_c = cauchy_system_matrix(branch, lam)
+def resolvent_matrix(kernel: "BranchKernel") -> np.ndarray:
+    """Zero-diagonal part S_c of C = I / lam + S_c, from a copy of the kernel's C."""
+    S_c = kernel.C.copy()
     np.fill_diagonal(S_c, 0.0)
     return S_c
 
@@ -213,9 +215,27 @@ def _closed_form_products(branch: SpectralBranch, lam: float) -> np.ndarray:
     return x
 
 
-def _inverse_weights(branch: SpectralBranch, lam: float) -> np.ndarray:
-    """w = C^-T 1 of T^-1 = diag(b) C^T diag(w / b): the closed form on -lambda_n."""
-    return _closed_form_products(replace(branch, eigenvalues=-branch.eigenvalues), lam)
+class BranchKernel:
+    """A branch's Cauchy matrix C at lam, from one build and read-only, and T^-1's w."""
+
+    def __init__(self, branch: SpectralBranch, lam: float):
+        self.branch, self.lam = branch, float(lam)
+        self.C = cauchy_system_matrix(branch, lam)
+        self.C.flags.writeable = False
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        """w = C^-T 1 of T^-1 = diag(b) C^T diag(w / b): the closed form on -lambda_n."""
+        negated = replace(self.branch, eigenvalues=-self.branch.eigenvalues)
+        return _closed_form_products(negated, self.lam)
+
+    def truncated(self, n: int) -> "BranchKernel":
+        """Kernel of the first n modes; its C is the view C[:n, :n], nothing is built."""
+        if n == self.branch.N:
+            return self
+        sub = object.__new__(BranchKernel)
+        sub.branch, sub.lam, sub.C = self.branch.truncated(n), self.lam, self.C[:n, :n]
+        return sub
 
 
 def solve_gains_direct(branch: SpectralBranch, lam: float) -> BranchGains:

@@ -12,17 +12,17 @@ build_transform returns its O(N) certificate (BranchCertificate), the
 record transform.json stores, and transform_matrix, which builds T on
 demand, is the dense oracle of the tests.
 
-build_transform is the one pass over the Cauchy matrix C of a branch: it
-builds C once and certifies the branch from the residual r = 1 - C x of
-the gain products x.  The closed loop A_cl = diag(lambda) + b K^T is a
-rank-one update, so T b - b = -b o r, the intertwining defect is
-(T b - b) K^T, and the secular equation det(z - A_cl) = det(z -
+build_transform is the one pass over the Cauchy matrix C of a branch, read
+from its synthesis.BranchKernel: it certifies the branch from the residual
+r = 1 - C x of the gain products x.  The closed loop A_cl = diag(lambda) +
+b K^T is a rank-one update, so T b - b = -b o r, the intertwining defect
+is (T b - b) K^T, and the secular equation det(z - A_cl) = det(z -
 diag(lambda)) (1 + sum_n x_n / (z - lambda_n)) has the value r_p at
 z_p = lambda_p - lam: tb, opeq and the spectrum check are three weightings
 of r, and law.json's tb_residual is ||r|| / sqrt(N).
 
 T has the explicit inverse T^-1 = diag(b) C^T diag(w / b), where w = C^-T 1
-is the closed-form product of the negated spectrum (_inverse_weights), so
+is the closed-form product of the negated spectrum (the kernel's w), so
 neither the weighted condition number kappa_r nor simulate's semigroup
 factorizes: this pass takes ||W T W^-1||_2 and ||W T^-1 W^-1||_2,
 W = diag(n^r), for the admissible r it is given, from Golub-Kahan-Lanczos
@@ -40,7 +40,7 @@ import numpy as np
 from .errors import ConfigError
 from .jsonio import cpairs, from_cpairs
 from .spectral_core import SpectralBranch, admissible_r_interval
-from .synthesis import (BranchGains, _closed_form_products, _inverse_weights,
+from .synthesis import (BranchGains, BranchKernel, _closed_form_products,
                         cauchy_system_matrix)
 
 __all__ = [
@@ -142,9 +142,9 @@ def transform_matrix(branch: SpectralBranch, gains: BranchGains) -> np.ndarray:
                       gains.gains)
 
 
-def build_transform(branch: SpectralBranch, gains: BranchGains,
+def build_transform(kernel: BranchKernel, gains: BranchGains,
                     r_list=()) -> BranchCertificate:
-    """Certify a branch from one Cauchy matrix C and r = 1 - C x, x = gains.products.
+    """Certify a branch from its kernel's C and r = 1 - C x, x = gains.products.
 
     T = diag(b) C diag(-K) gives the diagonal, column norms and ||T||_F and
     is not kept.  tb_residual = ||b o r|| / ||b|| = ||T b - b|| / ||b||, and
@@ -163,21 +163,20 @@ def build_transform(branch: SpectralBranch, gains: BranchGains,
     admissible branches (N <= 32) and to about 1e-15 on the heat and
     Schrodinger sizes of the benchmark.  O(N^2) per Lanczos step.
     """
-    if gains.N != branch.N:
-        raise ValueError("gains and branch truncation differ")
+    branch, C = kernel.branch, kernel.C
+    if gains.N != branch.N or gains.lam != kernel.lam:
+        raise ValueError("gains and kernel differ in truncation or shift")
     ev, b = branch.eigenvalues, branch.control_coeffs
     K, x = gains.gains, gains.products
-    C = cauchy_system_matrix(branch, gains.lam)
     residual = 1.0 - C @ x
     T = _transform(C, b, K)
     diagonal = np.diagonal(T).copy()
     column_norms = np.linalg.norm(T, axis=0)
     frobenius = float(np.linalg.norm(T))
+    steps = residual / (np.square(C, out=T) @ x)   # in T's storage: C is read-only
     del T                                     # C and its real copy suffice below
     lo, hi = admissible_r_interval(branch.alpha, branch.gamma, beta=branch.beta)
-    conditioning = _weighted_conditioning(branch, C, gains.lam, K,
-                                          [r for r in r_list if lo < r < hi])
-    steps = residual / (np.square(C, out=C) @ x)
+    conditioning = _weighted_conditioning(kernel, K, [r for r in r_list if lo < r < hi])
     defect = np.linalg.norm(b * residual)     # ||T b - b|| = ||b o r||
     tb = float(defect / np.linalg.norm(b))
     a_cl_sq = (np.linalg.norm(ev) ** 2 + 2.0 * float(np.real(np.sum(np.conj(ev) * b * K)))
@@ -272,19 +271,17 @@ def _orthogonalized(z: np.ndarray, basis: list) -> np.ndarray:
     return z
 
 
-def _weighted_conditioning(branch: SpectralBranch, C: np.ndarray, lam: float,
-                           gains: np.ndarray, r_list) -> dict:
+def _weighted_conditioning(kernel: BranchKernel, gains: np.ndarray, r_list) -> dict:
     """kappa_r = ||W T W^-1||_2 ||W T^-1 W^-1||_2, W = diag(n^r), for each r.
 
     T = diag(b) C diag(-K) and its explicit inverse T^-1 = diag(b) C^T
-    diag(w / b), w from _inverse_weights, share the branch's Cauchy matrix
-    C, which is left as it is;
+    diag(w / b) share the kernel's C and w, which are left as they are;
     both norms are Lanczos estimates (_spectral_norm), real when lambda, b
     and K are.  Nothing is computed for an empty r_list.
     """
     if not r_list:
         return {}
-    w = _inverse_weights(branch, lam)
+    branch, C, w = kernel.branch, kernel.C, kernel.w
     b, K = branch.control_coeffs, gains
     if not (np.any(branch.eigenvalues.imag) or np.any(b.imag) or np.any(K.imag)):
         C, b, K, w = np.ascontiguousarray(C.real), b.real, K.real, w.real
@@ -297,26 +294,26 @@ def _weighted_conditioning(branch: SpectralBranch, C: np.ndarray, lam: float,
     return profile
 
 
-def conditioning_vs_truncation(branch: SpectralBranch, lam: float, r: float) -> dict:
+def conditioning_vs_truncation(kernel: BranchKernel, r: float) -> dict:
     """Weighted condition number re-synthesized at the truncations N/4, N/2, N.
 
     A plateau (small variation between levels) is the finite-truncation
     proxy for the isomorphism property.  Each level takes the closed-form
-    gains of its truncation and the structured kappa_r of build_transform;
-    the Cauchy matrix of a truncation to n modes is the leading n x n block
-    of the full one, which is built once.  r outside the admissible
+    gains of its truncation and the structured kappa_r of build_transform
+    from kernel.truncated: its C is the leading block of the kernel's, and
+    the full level reuses the kernel's w.  r outside the admissible
     interval raises ValueError.
     """
+    branch = kernel.branch
     lo, hi = admissible_r_interval(branch.alpha, branch.gamma, beta=branch.beta)
     if not lo < r < hi:
         raise ValueError(f"r={r} outside the admissible open interval ({lo}, {hi})")
     levels = sorted({max(1, branch.N // 4), max(1, branch.N // 2), branch.N})
-    C = cauchy_system_matrix(branch, lam)
     profile = {}
     for n in levels:
-        sub = branch.truncated(int(n))
-        gains = -_closed_form_products(sub, lam) / sub.control_coeffs
-        profile[int(n)] = _weighted_conditioning(sub, C[:n, :n], lam, gains, [r])[float(r)]
+        sub = kernel.truncated(int(n))
+        gains = -_closed_form_products(sub.branch, kernel.lam) / sub.branch.control_coeffs
+        profile[int(n)] = _weighted_conditioning(sub, gains, [r])[float(r)]
     return profile
 
 

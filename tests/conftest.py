@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fredstab import SpectralBranch, SpectralSystem
+from fredstab import BranchKernel, SpectralBranch, SpectralSystem
 from fredstab.models import heat_torus_model
 
 
@@ -17,6 +17,11 @@ def schrodinger_branch(N, b=None):
     n = np.arange(1, N + 1, dtype=float)
     coeffs = np.ones(N, dtype=complex) if b is None else np.asarray(b, dtype=complex)
     return SpectralBranch(1, -1j * np.pi ** 2 * (n ** 2 - 1), coeffs, alpha=2.0)
+
+
+def kernels(system, lam):
+    """The BranchKernel of every branch of system at lam, in branch order."""
+    return tuple(BranchKernel(b, lam) for b in system.branches)
 
 
 def worked_branch():

@@ -83,7 +83,7 @@ def test_criterion_03_truncated_conjugacy():
         worst_eig = worst_opeq = worst_tb = 0.0
         for b in system.branches:
             bg = law.branch(b.index)
-            T = fs.build_transform(b, bg)
+            T = fs.build_transform(fs.BranchKernel(b, law.lam), bg)
             cl = fs.closed_loop_matrix(b, bg)
             worst_eig = max(worst_eig,
                             spectrum_match_error(cl.spectrum, b.eigenvalues, law.lam))
@@ -169,7 +169,8 @@ def test_criterion_05_scaling_covariance_and_beta_reduction():
 
 def test_criterion_06_inverse_gap_sum_envelope():
     br = heat_torus_model(256).branches[0]
-    ratios, tail_max = fs.inverse_gap_sum_profile(br, fs.resolvent_matrix(br, 2.5), 0.0)
+    S_c = fs.resolvent_matrix(fs.BranchKernel(br, 2.5))
+    ratios, tail_max = fs.inverse_gap_sum_profile(br, S_c, 0.0)
     checks = [
         ("profile finite", bool(np.isfinite(tail_max)),
          f"max ratio over p in [8, 256] = {tail_max:.4f}"),
@@ -209,11 +210,12 @@ def test_criterion_08_closed_loop_decay():
     law = fs.synthesize_feedback(system, lam)
     u0 = fs.random_state(system, seed=0)     # leading entries kept nonzero
     times = np.linspace(0, 6, 385)
-    trace = fs.simulate_closed_loop(system, law, u0, times)
+    kernels = [fs.BranchKernel(b, law.lam) for b in system.branches]
+    trace = fs.simulate_closed_loop(kernels, law, u0, times)
     fit = fs.fit_decay(trace, window=(3.0, 6.0))
     times1 = np.linspace(0, 1, 33)
-    tr_ex = fs.simulate_closed_loop(system, law, u0, times1)
-    tr_rk = fs.simulate_closed_loop(system, law, u0, times1,
+    tr_ex = fs.simulate_closed_loop(kernels, law, u0, times1)
+    tr_rk = fs.simulate_closed_loop(kernels, law, u0, times1,
                                     integrator="rk4", dt=1e-4)
     dev = 0.0
     for a, b in zip(tr_rk.states, tr_ex.states):

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -124,6 +125,40 @@ class TestConfigValidation:
         assert payload["error"] == "ConfigError"
         assert "scenarios[0] ('z')" in payload["message"] and key in payload["message"]
         assert not (tmp_path / "out" / "traces").exists()
+
+    @pytest.mark.parametrize("stage", ["synthesize", "sweep"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0, -1, True, "2"],
+                             ids=["nan", "inf", "zero", "negative", "true", "string"])
+    @pytest.mark.parametrize("key", ["lambda0", "delta", "sweep.lambda0"])
+    def test_shift_and_margin_must_be_finite_and_positive(self, tmp_path, capsys, key,
+                                                           value, stage):
+        # a NaN or infinite lambda0 exited 3 from the shift search or the
+        # gains, a NaN or infinite delta exited 1 with a bare ValueError
+        # from int(), and a zero sweep lambda0 ran at config.lambda0
+        cfg = tmp_path / "config.json"
+        doc = write_config(cfg, sweep={"lambda0": [2.5]})
+        if key == "sweep.lambda0":
+            doc["sweep"]["lambda0"] = [2.5, value]
+        else:
+            doc[key] = value
+        cfg.write_text(json.dumps(doc))     # json, not write_json: it refuses NaN
+        assert main([stage, "--config", str(cfg)]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ConfigError"
+        where = "config.sweep.lambda0[1]" if key == "sweep.lambda0" else f"config.{key}"
+        assert payload["message"].startswith(f"{where} must be a finite number > 0")
+        assert not (tmp_path / "out" / "law.json").exists()
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_sweep_point_runs_at_its_own_shift(self, tmp_path):
+        # lambda0 = 0 used to fall back to config.lambda0 (a falsy `or`);
+        # the pipeline now takes the point's shift as it is
+        cfg = parse_config({"model": {"kind": "heat_torus", "N": 16}, "lambda0": 2.5})
+        system = cli_io._build_system(cfg)
+        with pytest.raises(ValueError, match="lambda0 and delta must be positive"):
+            cli_io._synthesize_pipeline(cfg, system, [0.0], 0.0)
+        shift, *_ = cli_io._synthesize_pipeline(cfg, system, [0.0], 2.25)
+        assert shift.lam == 2.25
 
     def test_distinct_r_labels_accepted(self):
         cfg = parse_config({"model": {"kind": "heat_torus", "N": 8},
@@ -741,26 +776,34 @@ class TestReportCommand:
         assert path.read_bytes() == simulated
 
     def test_cauchy_builds_per_stage(self, tmp_path, monkeypatch):
-        # build_transform certifies a branch (tb, opeq, the secular steps of
-        # the spectrum check and plot, and on branch 1 the conditioning)
-        # from one Cauchy matrix, and the closed-form gains build none.  On
-        # two branches: 2 for the certificates, 2 for the semigroup (T and
-        # its closed-form inverse share one C per branch), 1 for the
-        # report's S_c (gap-sum profile and compactness proxy), 1 for the
-        # report's plateau (its levels take leading blocks of the full C).
-        # synthesize = 2, verify = 2 + 1, simulate = 2 + 2 + 1,
-        # report = 2 + 1 + 1, one sweep point = 2 + 2.
+        # Each stage builds one BranchKernel per branch as soon as it knows
+        # the shift, and every consumer reads its C: the certificates (tb,
+        # opeq, the secular steps of the spectrum check and plot, and on
+        # branch 1 the conditioning), the semigroup, the report's S_c and
+        # its plateau (leading blocks of the full C).  The gains build
+        # none, so on two branches every stage builds 2.
+        # The weights w of T^-1 are computed once per kernel, on first use:
+        # synthesize = 0 (no conditioning), verify = 1 (branch 1's
+        # conditioning), simulate = 2 (the semigroup on both branches; the
+        # conditioning reuses branch 1's), report = 1 + 2 (the plateau's
+        # N/4 and N/2 levels; its level N reuses the kernel's w), one sweep
+        # point = 2 (as simulate).
         cfg = tmp_path / "config.json"
         write_config(cfg, N=64, model={"kind": "heat_torus", "N": 64, "params": {}},
                      sweep={"lambda0": [2.5]}, scenarios=[
                          {"name": "lin", "u0": {"kind": "random", "seed": 0},
                           "t_end": 1.0, "samples": 16}])
-        calls = []
+        calls, weights = [], []
         build = synthesis.cauchy_system_matrix
+        closed_form = synthesis.BranchKernel.w.func
 
         def counting_build(branch, lam):
             calls.append(branch.index)
             return build(branch, lam)
+
+        def counting_weights(kernel):
+            weights.append(kernel.branch.index)
+            return closed_form(kernel)
 
         # count at every binding, so an import of the name elsewhere is seen
         bound = [module for name, module in sorted(sys.modules.items())
@@ -769,13 +812,20 @@ class TestReportCommand:
         assert synthesis in bound and transform in bound
         for module in bound:
             monkeypatch.setattr(module, "cauchy_system_matrix", counting_build)
-        counts = {}
+        counted = functools.cached_property(counting_weights)
+        counted.__set_name__(synthesis.BranchKernel, "w")
+        monkeypatch.setattr(synthesis.BranchKernel, "w", counted)
+        counts, w_counts = {}, {}
         for stage in ("synthesize", "verify", "simulate", "report", "sweep"):
             calls.clear()
+            weights.clear()
             assert main([stage, "--config", str(cfg), "--jobs", "1"]) == 0, stage
             counts[stage] = len(calls)
-        assert counts == {"synthesize": 2, "verify": 3, "simulate": 5, "report": 4,
-                          "sweep": 4}
+            w_counts[stage] = len(weights)
+        assert counts == {"synthesize": 2, "verify": 2, "simulate": 2, "report": 2,
+                          "sweep": 2}
+        assert w_counts == {"synthesize": 0, "verify": 1, "simulate": 2, "report": 3,
+                            "sweep": 2}
 
 
 # The exit-code contract of the module docstring of cli_io, written out

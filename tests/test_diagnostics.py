@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fredstab import (build_transform, closed_loop_matrix,
+from fredstab import (BranchKernel, build_transform, closed_loop_matrix,
                       compactness_proxy, fit_decay, gain_trend, make_report,
                       random_state, secular_match_error,
                       simulate_closed_loop, solve_gains_direct,
@@ -15,19 +15,19 @@ from fredstab.jsonio import canonical_json, config_hash
 from fredstab.models import gribov_model, heat_torus_model
 from fredstab.synthesis import inverse_gap_sum_profile, resolvent_matrix
 
-from conftest import heat_branch
+from conftest import heat_branch, kernels
 
 
 class TestCompactnessProxy:
     def test_single_mode_zero(self):
         from fredstab import SpectralBranch
         br = SpectralBranch(1, [-1.0], [1.0], alpha=2.0)
-        S_c = resolvent_matrix(br, 2.0)
+        S_c = resolvent_matrix(BranchKernel(br, 2.0))
         assert compactness_proxy(S_c, 0.0, 0.4, 2.0) == 0.0
 
     def test_power_iteration_matches_svd(self):
         br = heat_branch(48)
-        S_c = resolvent_matrix(br, 2.5)
+        S_c = resolvent_matrix(BranchKernel(br, 2.5))
         n = np.arange(1, 49, dtype=float)
         weighted = (n[:, None] ** 0.4) * S_c * (n[None, :] ** 0.0)
         oracle = float(np.linalg.norm(weighted, 2))
@@ -37,12 +37,12 @@ class TestCompactnessProxy:
     def test_bounded_in_truncation(self):
         norms = {}
         for N in (64, 128):
-            S_c = resolvent_matrix(heat_branch(N), 2.5)
+            S_c = resolvent_matrix(BranchKernel(heat_branch(N), 2.5))
             norms[N] = compactness_proxy(S_c, 0.0, 0.4, 2.0)
         assert norms[128] / norms[64] <= 1.5
 
     def test_eps_boundary_rejected(self):
-        S_c = resolvent_matrix(heat_branch(8), 2.5)
+        S_c = resolvent_matrix(BranchKernel(heat_branch(8), 2.5))
         with pytest.raises(ValueError, match="open interval"):
             compactness_proxy(S_c, 0.0, 0.5, 2.0)
 
@@ -107,16 +107,17 @@ class TestMakeReport:
     def pipeline(self, N=16):
         system = heat_torus_model(N)
         law = synthesize_feedback(system, 2.5)
-        certs = [build_transform(b, law.branch(b.index)) for b in system.branches]
-        return system, law, certs
+        ks = kernels(system, law.lam)
+        certs = [build_transform(k, law.branch(k.branch.index)) for k in ks]
+        return system, law, ks, certs
 
     def test_full_report_sections(self):
-        system, law, certs = self.pipeline()
+        system, law, ks, certs = self.pipeline()
         br = system.branches[0]
-        _, tail_max = inverse_gap_sum_profile(br, resolvent_matrix(br, 2.5), 0.0)
-        trace = simulate_closed_loop(system, law, random_state(system),
+        _, tail_max = inverse_gap_sum_profile(br, resolvent_matrix(BranchKernel(br, 2.5)), 0.0)
+        trace = simulate_closed_loop(ks, law, random_state(system),
                                      np.linspace(0, 2, 33))
-        doc = make_report(system, law, certs, {0.0: 5.0},
+        doc = make_report(system, law, certs, ks[0], {0.0: 5.0},
                           {"lin": fit_decay(trace), "short": None}, {"N": 16})
         assert doc["schema"] == REPORT_SCHEMA
         assert doc["lambda"] == 2.5
@@ -132,15 +133,15 @@ class TestMakeReport:
         assert doc["config_hash"] == config_hash({"N": 16})
 
     def test_simulation_sections_absent_when_not_run(self):
-        system, law, certs = self.pipeline(8)
-        doc = make_report(system, law, certs, {}, None, {})
+        system, law, ks, certs = self.pipeline(8)
+        doc = make_report(system, law, certs, ks[0], {}, None, {})
         assert doc["decay_fits"] is None
         assert doc["conditioning"] == {}
         assert doc["gain_profile"]["per_branch"] == [None, None]    # N < 16
 
     def test_roundtrip_bit_identical(self):
-        system, law, certs = self.pipeline(8)
-        text = canonical_json(make_report(system, law, certs, {}, None,
+        system, law, ks, certs = self.pipeline(8)
+        text = canonical_json(make_report(system, law, certs, ks[0], {}, None,
                                           {"seed": 1}))
         assert canonical_json(json.loads(text)) == text
 

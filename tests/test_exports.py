@@ -69,3 +69,29 @@ def test_every_exported_name_is_used():
         if not (uses.get(name, set()) - {name}) and name not in acceptance
         and name not in TEST_ORACLES)
     assert not unused, f"exported but unused: {unused}"
+
+
+# The stages build C only in the kernel; the fixed-point gain route and the
+# dense transform oracle keep their own, as independent references.
+CAUCHY_BUILDERS = {"BranchKernel", "solve_gains_iterative", "transform_matrix"}
+
+
+def _negates_eigenvalues(node) -> bool:
+    """True for -x where x reads eigenvalues: the spectrum of the weights w."""
+    return (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+            and "eigenvalues" in _names(node.operand))
+
+
+def test_cauchy_matrix_built_only_by_the_kernel():
+    builders = _package_uses().get("cauchy_system_matrix", set()) - {"cauchy_system_matrix"}
+    assert builders == CAUCHY_BUILDERS
+
+
+def test_weights_taken_only_by_the_kernel():
+    # w = C^-T 1 is the closed-form product of the negated spectrum
+    owners = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if any(_negates_eigenvalues(node) for node in ast.walk(stmt)):
+                owners.add(getattr(stmt, "name", None))
+    assert owners == {"BranchKernel"}

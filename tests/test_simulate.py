@@ -9,7 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fredstab import (IntegratorError, SimulationTrace, SpectralBranch,
+from fredstab import (BranchKernel, IntegratorError, SimulationTrace, SpectralBranch,
                       SpectralSystem, fit_decay, random_state, simulate_burgers,
                       simulate_closed_loop, simulate_target, synthesize_feedback,
                       build_transform, transform_matrix)
@@ -18,7 +18,7 @@ from fredstab.models import heat_torus_model
 from fredstab.spectral_core import sobolev_norm
 from fredstab.simulate import trace_to_csv
 
-from conftest import heat_branch, schrodinger_branch
+from conftest import heat_branch, kernels, schrodinger_branch
 
 
 def single_mode_system():
@@ -57,7 +57,7 @@ class TestClosedLoop:
         u0 = [np.array([1.0 + 0.0j])]
         exact = np.exp(-3.0 * times)
         for integrator in ("semigroup_exact", "rk4"):
-            trace = simulate_closed_loop(system, law, u0, times,
+            trace = simulate_closed_loop(kernels(system, law.lam), law, u0, times,
                                          integrator=integrator, dt=1e-3)
             np.testing.assert_allclose(trace.states[0][:, 0], exact, atol=1e-6)
 
@@ -66,8 +66,8 @@ class TestClosedLoop:
         law = synthesize_feedback(system, 2.5)
         u0 = random_state(system, seed=0)
         times = np.linspace(0, 1, 33)
-        tr_ex = simulate_closed_loop(system, law, u0, times)
-        tr_rk = simulate_closed_loop(system, law, u0, times,
+        tr_ex = simulate_closed_loop(kernels(system, law.lam), law, u0, times)
+        tr_rk = simulate_closed_loop(kernels(system, law.lam), law, u0, times,
                                      integrator="rk4", dt=1e-4)
         for a, b in zip(tr_rk.states, tr_ex.states):
             for k in range(len(times)):
@@ -80,7 +80,7 @@ class TestClosedLoop:
         law = synthesize_feedback(system, 2.5)
         u0 = random_state(system, seed=1)
         times = np.linspace(0, 1, 9)
-        trace = simulate_closed_loop(system, law, u0, times)
+        trace = simulate_closed_loop(kernels(system, law.lam), law, u0, times)
         for b, block0, hist in zip(system.branches, u0, trace.states):
             T = transform_matrix(b, law.branch(b.index))
             w0 = T @ block0
@@ -92,8 +92,8 @@ class TestClosedLoop:
         system = heat_torus_model(16)
         law = synthesize_feedback(system, 2.5)
         with pytest.raises(IntegratorError, match="stability guard"):
-            simulate_closed_loop(system, law, random_state(system), [0.0, 1.0],
-                                 integrator="rk4", dt=0.1)
+            simulate_closed_loop(kernels(system, law.lam), law, random_state(system),
+                                 [0.0, 1.0], integrator="rk4", dt=0.1)
 
     @pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan")])
     def test_rk4_refuses_a_step_that_never_advances(self, dt):
@@ -101,15 +101,15 @@ class TestClosedLoop:
         system = heat_torus_model(8)
         law = synthesize_feedback(system, 2.5)
         with pytest.raises(ValueError, match="dt"):
-            simulate_closed_loop(system, law, random_state(system), [0.0, 1.0],
-                                 integrator="rk4", dt=dt)
+            simulate_closed_loop(kernels(system, law.lam), law, random_state(system),
+                                 [0.0, 1.0], integrator="rk4", dt=dt)
 
     def test_decay_rate_bounded_by_spectral_abscissa(self):
         system = heat_torus_model(16)
         law = synthesize_feedback(system, 2.5)
         u0 = random_state(system, seed=2)
         times = np.linspace(0, 6, 193)
-        trace = simulate_closed_loop(system, law, u0, times)
+        trace = simulate_closed_loop(kernels(system, law.lam), law, u0, times)
         fit = fit_decay(trace, window=(3.0, 6.0))
         assert fit.mu_hat >= 2.5 - 0.05
 
@@ -255,8 +255,8 @@ class TestCsvExport:
     def test_headers_and_shape(self, tmp_path):
         system = heat_torus_model(4)
         law = synthesize_feedback(system, 2.5)
-        trace = simulate_closed_loop(system, law, random_state(system), [0.0, 0.5, 1.0],
-                                     r_list=(0.0, 1.0))
+        trace = simulate_closed_loop(kernels(system, law.lam), law, random_state(system),
+                                     [0.0, 0.5, 1.0], r_list=(0.0, 1.0))
         modes = tmp_path / "m.csv"
         norms = tmp_path / "n.csv"
         trace_to_csv(trace, modes, norms)
@@ -458,11 +458,12 @@ class TestFastPathsMatchReferences:
         law = synthesize_feedback(system, lam)
         u0 = random_state(system, seed=5)
         times = np.linspace(0, 2, 17)
-        trace = simulate_closed_loop(system, law, u0, times, r_list=(0.0, 0.5))
+        trace = simulate_closed_loop(kernels(system, law.lam), law, u0, times,
+                                     r_list=(0.0, 0.5))
         ref = legacy_semigroup(system, law, u0, times)
         for b, got, want in zip(system.branches, trace.states, ref):
             bound = rel or 10 * b.N * np.finfo(float).eps * build_transform(
-                b, law.branch(b.index), [0.0]).conditioning[0.0]
+                BranchKernel(b, lam), law.branch(b.index), [0.0]).conditioning[0.0]
             assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
         for r in (0.0, 0.5):
             want = legacy_norm_series(times, trace.states, r)
@@ -486,7 +487,8 @@ class TestFastPathsMatchReferences:
         law = synthesize_feedback(system, 2.5)
         u0 = random_state(system, seed=6)
         times = np.array([0.0, 0.004, 0.0105])   # 0.0105 ends on a half step
-        trace = simulate_closed_loop(system, law, u0, times, integrator="rk4", dt=1e-3)
+        trace = simulate_closed_loop(kernels(system, law.lam), law, u0, times,
+                                     integrator="rk4", dt=1e-3)
         for b, block, got in zip(system.branches, u0, trace.states):
             A = np.diag(b.eigenvalues) + np.outer(b.control_coeffs, law.branch(b.index).gains)
             want = legacy_rk4_march(A, block, times, 1e-3)

@@ -25,7 +25,7 @@ import fredstab as fs
 from fredstab.cli_io import TB_GATE, main
 from fredstab.diagnostics import secular_match_error, spectrum_match_error
 from fredstab.models import gribov_model, heat_torus_model, schrodinger_model
-from fredstab.synthesis import _inverse_weights, cauchy_system_matrix
+from fredstab.synthesis import cauchy_system_matrix
 
 from conftest import heat_branch, schrodinger_branch, worked_branch
 from test_cli import write_config
@@ -37,6 +37,11 @@ def lu_products(branch, lam):
     """The replaced direct route: pivoted LU on the Cauchy matrix."""
     return scipy.linalg.solve(cauchy_system_matrix(branch, lam),
                               np.ones(branch.N, dtype=complex))
+
+
+def certify(branch, gains, r_list=()):
+    """build_transform on a fresh kernel of the branch at the gains' shift."""
+    return fs.build_transform(fs.BranchKernel(branch, gains.lam), gains, r_list)
 
 
 def mpmath_products(branch, lam, digits=40):
@@ -151,7 +156,7 @@ class TestStructuredProperties:
     def test_secular_and_dense_spectrum_at_rounding_level(self, case):
         branch, lam = case
         g = fs.solve_gains_direct(branch, lam)
-        assert secular_match_error(branch, fs.build_transform(branch, g)) <= 1e-12
+        assert secular_match_error(branch, certify(branch, g)) <= 1e-12
         dense = fs.closed_loop_matrix(branch, g).spectrum
         assert spectrum_match_error(dense, branch.eigenvalues, lam) <= 1e-9
 
@@ -162,7 +167,7 @@ class TestStructuredProperties:
         x = fs.solve_gains_direct(branch, lam).products.copy()
         x[0] *= 1.0 + 1e-3
         edited = fs.BranchGains(1, lam, "direct", -x / branch.control_coeffs, x, 0.0)
-        cert = fs.build_transform(branch, edited)
+        cert = certify(branch, edited)
         assert secular_match_error(branch, cert) > 1e-6
         assert cert.tb_residual > TB_GATE
 
@@ -173,7 +178,7 @@ class TestStructuredProperties:
         g = fs.solve_gains_direct(branch, lam)
         b = branch.control_coeffs
         dense = np.linalg.norm(fs.transform_matrix(branch, g) @ b - b) / np.linalg.norm(b)
-        assert abs(fs.build_transform(branch, g).tb_residual - dense) <= 1e-14
+        assert abs(certify(branch, g).tb_residual - dense) <= 1e-14
 
     @PROPERTY
     @given(any_branch)
@@ -183,7 +188,7 @@ class TestStructuredProperties:
         dense = fs.operator_equality_residual(
             fs.transform_matrix(branch, g), fs.closed_loop_matrix(branch, g).matrix,
             branch, lam)
-        assert abs(fs.build_transform(branch, g).opeq_residual - dense) <= 1e-14
+        assert abs(certify(branch, g).opeq_residual - dense) <= 1e-14
 
     @PROPERTY
     @given(any_branch, st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0,
@@ -204,7 +209,7 @@ class TestStructuredConditioning:
     def test_matches_dense_profile(self, case, r):
         branch, lam = case
         g = fs.solve_gains_direct(branch, lam)
-        kappa = fs.build_transform(branch, g, [r]).conditioning[r]
+        kappa = certify(branch, g, [r]).conditioning[r]
         dense = fs.conditioning_profile(fs.transform_matrix(branch, g), [r], 2.0, 0.0)[r]
         assert abs(kappa - dense) <= 1e-12 * max(1.0, dense) * dense
 
@@ -213,16 +218,16 @@ class TestStructuredConditioning:
         # T^-1 = diag(b) C^T diag(w / b), w the closed form on -lambda_n
         branch = heat_torus_model(256).branches[0]
         g = fs.solve_gains_direct(branch, lam)
-        w = _inverse_weights(branch, lam)
+        kernel = fs.BranchKernel(branch, lam)
         b = branch.control_coeffs
-        T_inv = b[:, None] * cauchy_system_matrix(branch, lam).T * (w / b)[None, :]
-        kappa = fs.build_transform(branch, g, [0.0]).conditioning[0.0]
+        T_inv = b[:, None] * cauchy_system_matrix(branch, lam).T * (kernel.w / b)[None, :]
+        kappa = fs.build_transform(kernel, g, [0.0]).conditioning[0.0]
         defect = np.max(np.abs(T_inv @ fs.transform_matrix(branch, g) - np.eye(256)))
         assert defect <= 10 * 256 * kappa * np.finfo(float).eps
 
     def test_single_mode_is_one(self, single_mode):
         g = fs.solve_gains_direct(single_mode, 2.0)
-        kappas = fs.build_transform(single_mode, g, [-1.0, 0.0, 1.0]).conditioning
+        kappas = certify(single_mode, g, [-1.0, 0.0, 1.0]).conditioning
         assert kappas == pytest.approx({-1.0: 1.0, 0.0: 1.0, 1.0: 1.0},
                                        rel=4 * np.finfo(float).eps)
 
@@ -231,7 +236,7 @@ class TestStructuredConditioning:
     def test_same_bits_on_every_call(self, make_branch):
         branch = make_branch(64)
         g = fs.solve_gains_direct(branch, 2.5)
-        first, second = (fs.build_transform(branch, g, [0.0, 0.5]).conditioning
+        first, second = (certify(branch, g, [0.0, 0.5]).conditioning
                          for _ in range(2))
         assert first == second
 
@@ -239,9 +244,9 @@ class TestStructuredConditioning:
         # heat branch 1: the admissible interval is (-3/2, 3/2)
         branch = heat_branch(32)
         g = fs.solve_gains_direct(branch, 2.5)
-        assert list(fs.build_transform(branch, g, [-2.0, 0.5, 1.5]).conditioning) == [0.5]
-        assert fs.build_transform(branch, g, [2.0]).conditioning == {}
-        assert fs.build_transform(branch, g).conditioning == {}
+        assert list(certify(branch, g, [-2.0, 0.5, 1.5]).conditioning) == [0.5]
+        assert certify(branch, g, [2.0]).conditioning == {}
+        assert certify(branch, g).conditioning == {}
 
 
 class TestHeatGainLimits:

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from fredstab import (SolverError, SpectralBranch, SpectralSystem,
-                      beta_reduced_gains, inverse_gap_sum_profile,
-                      resolvent_matrix, select_shift, solve_gains_direct,
+from fredstab import (BranchKernel, SolverError, SpectralBranch, SpectralSystem,
+                      beta_reduced_gains, build_transform, conditioning_vs_truncation,
+                      inverse_gap_sum_profile, random_state, resolvent_matrix,
+                      select_shift, simulate_closed_loop, solve_gains_direct,
                       solve_gains_iterative, synthesize_feedback)
 from fredstab.errors import IterationDiverged
 from fredstab.models import heat_torus_model
 from fredstab.synthesis import cauchy_system_matrix
 
-from conftest import heat_branch, schrodinger_branch, worked_branch
+from conftest import heat_branch, kernels, schrodinger_branch, worked_branch
 
 
 def normalization_residual(branch, gains):
@@ -61,7 +62,7 @@ class TestResolvent:
 
     def test_matrix_and_split(self):
         S = cauchy_system_matrix(worked_branch(), 2.0)
-        S_c = resolvent_matrix(worked_branch(), 2.0)
+        S_c = resolvent_matrix(BranchKernel(worked_branch(), 2.0))
         np.testing.assert_allclose(S, [[0.5, -1.0], [0.2, 0.5]], atol=1e-15)
         np.testing.assert_allclose(np.diag(S), [0.5, 0.5], atol=1e-15)
         np.testing.assert_allclose(np.diag(S_c), [0.0, 0.0], atol=1e-15)
@@ -173,19 +174,53 @@ class TestBetaReduction:
 class TestInverseGapProfile:
     def test_heat_profile_bounded(self):
         br = heat_branch(256)
-        ratios, tail_max = inverse_gap_sum_profile(br, resolvent_matrix(br, 2.5), 0.0)
+        S_c = resolvent_matrix(BranchKernel(br, 2.5))
+        ratios, tail_max = inverse_gap_sum_profile(br, S_c, 0.0)
         assert np.isfinite(tail_max)
         assert ratios[127] <= 2.0 * ratios[15]
 
     def test_s_at_alpha_minus_one_rejected(self):
         with pytest.raises(ValueError, match="alpha-1"):
             br = heat_branch(16)
-            inverse_gap_sum_profile(br, resolvent_matrix(br, 2.5), 1.0)
+            inverse_gap_sum_profile(br, resolvent_matrix(BranchKernel(br, 2.5)), 1.0)
 
     def test_single_mode_empty_sum(self):
         br = SpectralBranch(1, [-1.0], [1.0], alpha=2.0)
-        ratios, _ = inverse_gap_sum_profile(br, resolvent_matrix(br, 2.0), 0.0)
+        ratios, _ = inverse_gap_sum_profile(br, resolvent_matrix(BranchKernel(br, 2.0)), 0.0)
         assert ratios[0] == 0.0
+
+
+class TestBranchKernel:
+    @pytest.mark.parametrize("system", [
+        heat_torus_model(32),
+        SpectralSystem(branches=(schrodinger_branch(32),), label="schrodinger")],
+        ids=["heat", "schrodinger"])
+    def test_consumers_leave_the_kernel_intact(self, system):
+        law = synthesize_feedback(system, 2.5)
+        ks = kernels(system, law.lam)
+        for k in ks:
+            with pytest.raises(ValueError, match="read-only"):
+                k.C[0, 0] = 0.0
+        for k in ks:
+            build_transform(k, law.branch(k.branch.index), [0.0, 0.5])
+        for integrator in ("semigroup_exact", "rk4"):
+            simulate_closed_loop(ks, law, random_state(system), [0.0, 0.01, 0.02],
+                                 integrator=integrator, dt=1e-4)
+        resolvent_matrix(ks[0])
+        conditioning_vs_truncation(ks[0], 0.0)
+        for k in ks:
+            assert k.C.tobytes() == cauchy_system_matrix(k.branch, law.lam).tobytes()
+
+    def test_truncation_is_a_view_of_the_leading_block(self):
+        branch = schrodinger_branch(24)
+        kernel = BranchKernel(branch, 2.5)
+        assert kernel.truncated(24) is kernel
+        sub = kernel.truncated(6)
+        assert sub.branch.N == 6 and sub.lam == kernel.lam
+        assert np.shares_memory(sub.C, kernel.C)
+        assert sub.C.tobytes() == cauchy_system_matrix(branch.truncated(6), 2.5).tobytes()
+        assert sub.w.tobytes() == BranchKernel(branch.truncated(6), 2.5).w.tobytes()
+        assert len(kernel.w) == 24
 
 
 class TestSynthesizeFeedback:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fredstab import (ConfigError, SpectralBranch, SpectralSystem,
+from fredstab import (BranchKernel, ConfigError, SpectralBranch, SpectralSystem,
                       build_transform, closed_loop_matrix,
                       conditioning_profile, operator_equality_residual,
                       solve_gains_direct, synthesize_feedback, transform_matrix)
@@ -42,7 +42,7 @@ class TestBuildTransform:
 
     def test_heat_tb_residual(self):
         br = heat_branch(64)
-        T = build_transform(br, solve_gains_direct(br, 2.5))
+        T = build_transform(BranchKernel(br, 2.5), solve_gains_direct(br, 2.5))
         assert T.tb_residual <= 1e-10
 
 
@@ -94,18 +94,18 @@ class TestOperatorEquality:
     def test_single_mode_zero(self):
         br = SpectralBranch(1, [-1.0], [1.0], alpha=2.0)
         g = solve_gains_direct(br, 2.0)
-        T = build_transform(br, g)
+        T = build_transform(BranchKernel(br, g.lam), g)
         assert T.opeq_residual == pytest.approx(0.0, abs=1e-16)
 
     def test_worked_case_rounding_level(self):
         br = worked_branch()
-        T = build_transform(br, solve_gains_direct(br, 2.0))
+        T = build_transform(BranchKernel(br, 2.0), solve_gains_direct(br, 2.0))
         assert T.opeq_residual <= 1e-15
 
     def test_heat_128(self):
         br = heat_branch(128)
         g = solve_gains_direct(br, 2.5)
-        T = build_transform(br, g)
+        T = build_transform(BranchKernel(br, g.lam), g)
         assert T.opeq_residual <= 1e-8
         cl = closed_loop_matrix(br, g)
         manual = operator_equality_residual(transform_matrix(br, g), cl.matrix, br, 2.5)
@@ -136,7 +136,7 @@ class TestConditioning:
 
     def test_nested_truncation_plateau(self):
         from fredstab import conditioning_vs_truncation
-        prof = conditioning_vs_truncation(heat_branch(128), 2.5, 0.0)
+        prof = conditioning_vs_truncation(BranchKernel(heat_branch(128), 2.5), 0.0)
         assert sorted(prof) == [32, 64, 128]
         vals = [prof[n] for n in sorted(prof)]
         assert max(vals) / min(vals) < 2.0
@@ -150,7 +150,8 @@ def _two_systems():
 
 
 def _certificates(system, law):
-    return [build_transform(b, law.branch(b.index)) for b in system.branches]
+    return [build_transform(BranchKernel(b, law.lam), law.branch(b.index))
+            for b in system.branches]
 
 
 def _round_trip(law, certs):
