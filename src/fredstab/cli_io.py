@@ -19,8 +19,11 @@ the certificates (one O(N^2) pass each), semigroups, S_c and plateau read
 its C and the w of the closed-form T^-1.  No stage runs an SVD or a
 factorization, and transform.transform_matrix is a test oracle only.
 verify also checks law.json's tb_residual against the rebuilt residual.
-The sweep maps its points on a thread pool of --jobs workers, or in the
-calling thread when there is one.
+The sweep builds each distinct (N, gamma) model once per stage, in the
+calling thread and in grid order, then maps its (lambda0, N, gamma)
+points on a thread pool of --jobs (>= 1) workers, or in the calling
+thread when there is one; each point of a model that failed to build gets
+that build's error row.
 
 verify, simulate and report build report.json with one function, _report.
 It reads only the output directory (system.json, law.json and the
@@ -108,11 +111,19 @@ def _reject_unknown(doc: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _positive(value, where: str) -> float:
-    """value as a float, or a ConfigError naming where if it is not finite and > 0."""
-    if isinstance(value, bool) or not (isinstance(value, (int, float)) and 0 < value < math.inf):
-        raise ConfigError(f"{where} must be a finite number > 0, got {value!r}")
-    return float(value)
+def _number(value, where: str, low=0, what: str = "a finite number > 0",
+            kind=(int, float)):
+    """value, or a ConfigError naming where unless it is a kind (no bool), finite and > low."""
+    if isinstance(value, bool) or not (isinstance(value, kind) and low < value < math.inf):
+        raise ConfigError(f"{where} must be {what}, got {value!r}")
+    return value
+
+
+# (low, what, kind) of the entries of each sweep list; ModelDescriptor
+# refuses N < 4, and a non-finite gamma fails in the model build
+_SWEEP_ENTRIES = {"lambda0": (0, "a finite number > 0", (int, float)),
+                  "N": (3, "an integer >= 4", int),
+                  "gamma": (-math.inf, "a finite number", (int, float))}
 
 
 @dataclass(frozen=True)
@@ -153,16 +164,22 @@ def parse_config(doc: dict) -> RunConfig:
         where = f"config.scenarios[{i}] ({sc.get('name', 'scenario')!r})"
         # a zero step never advances the integrators; a NaN t_end gives NaN times
         for key, value in (("dt", sc.get("dt", 1e-4)), ("t_end", sc.get("t_end", 1.0))):
-            _positive(value, f"{where}: {key}")
-        samples = sc.get("samples", 64)
-        if isinstance(samples, bool) or not (isinstance(samples, int) and samples >= 1):
-            raise ConfigError(f"{where}: samples must be an integer >= 1, got {samples!r}")
+            _number(value, f"{where}: {key}")
+        _number(sc.get("samples", 64), f"{where}: samples", 0, "an integer >= 1", int)
         scenarios.append(dict(sc))
     sweep = doc.get("sweep")
     if sweep is not None:
+        # checked before any model is built: a bad N or gamma raised a bare
+        # ValueError in the model build, which aborted the whole sweep
+        if not isinstance(sweep, dict):
+            raise ConfigError(f"config.sweep must be an object, got {sweep!r}")
         _reject_unknown(sweep, _SWEEP_KEYS, "config.sweep")
-        for i, value in enumerate(sweep.get("lambda0", [])):
-            _positive(value, f"config.sweep.lambda0[{i}]")
+        for key, entry in _SWEEP_ENTRIES.items():
+            values = sweep.get(key, [])
+            if not isinstance(values, list):
+                raise ConfigError(f"config.sweep.{key} must be a list, got {values!r}")
+            for i, value in enumerate(values):
+                _number(value, f"config.sweep.{key}[{i}]", *entry)
     N = int(doc.get("N", model.get("N", 0)))
     if N < 1 and "path" not in model:
         raise ConfigError("config.N (or model.N) must be a positive integer")
@@ -180,8 +197,8 @@ def parse_config(doc: dict) -> RunConfig:
         labels[label] = r
     return RunConfig(
         model=model,
-        lambda0=_positive(doc.get("lambda0", 2.0), "config.lambda0"),
-        delta=_positive(doc.get("delta", 0.25), "config.delta"),
+        lambda0=float(_number(doc.get("lambda0", 2.0), "config.lambda0")),
+        delta=float(_number(doc.get("delta", 0.25), "config.delta")),
         N=N,
         method=method,
         r_list=r_list,
@@ -542,23 +559,46 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
     return 0
 
 
+_SWEEP_FIELDS = ("lambda0", "N", "gamma", "lambda", "tb_residual", "opeq_residual",
+                 "spectrum_match", "sup_product", "kappa_0", "mu_hat", "error")
+
+
 def cmd_sweep(cfg: RunConfig, out: Optional[str] = None,
               jobs: Optional[int] = None) -> int:
+    if jobs is not None and jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     out = _out_dir(cfg, out)
     if not cfg.sweep:
         raise ConfigError("config.sweep is empty")
     lambdas = list(cfg.sweep.get("lambda0", [cfg.lambda0]))
-    n_values = [int(v) for v in cfg.sweep.get("N", [cfg.N])]
+    n_values = list(cfg.sweep.get("N", [cfg.N]))
     gammas = list(cfg.sweep.get("gamma", [None]))
     grid = [(l0, n, g) for l0 in lambdas for n in n_values for g in gammas]
     if not grid:
         raise ConfigError("sweep grid is empty")
 
+    def error_text(exc: FredstabError) -> str:
+        return f"{type(exc).__name__}: {exc}"
+
+    # A model depends on (N, gamma) only, so each is built once, here, in
+    # grid order; a failed build leaves the error text of its points' rows.
+    systems = {}
+    for _, n, g in grid:
+        if (n, g) not in systems:
+            try:
+                systems[n, g] = _build_system(cfg, N=n, gamma=g)
+            except FredstabError as exc:
+                systems[n, g] = error_text(exc)
+
     def run_point(point):
         l0, n, g = point
-        row = {"lambda0": l0, "N": n, "gamma": "" if g is None else g}
+        row = dict.fromkeys(_SWEEP_FIELDS, "")
+        row.update(lambda0=l0, N=n, gamma="" if g is None else g)
+        system = systems[n, g]
+        if isinstance(system, str):
+            row["error"] = system
+            return row
         try:
-            system = _build_system(cfg, N=n, gamma=g)
             shift, law, kernels, certs = _synthesize_pipeline(cfg, system, [0.0], l0)
             match = max(diagnostics.secular_match_error(b, certs[b.index])
                         for b in system.branches)
@@ -575,27 +615,21 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str] = None,
                 "sup_product": max(bg.sup_product for bg in law.branches),
                 "kappa_0": kappas.get(0.0, ""),
                 "mu_hat": fit.mu_hat,
-                "error": "",
             })
         except FredstabError as exc:
-            row.update({"lambda": "", "tb_residual": "", "opeq_residual": "",
-                        "spectrum_match": "", "sup_product": "", "kappa_0": "",
-                        "mu_hat": "", "error": f"{type(exc).__name__}: {exc}"})
+            row["error"] = error_text(exc)
         return row
 
-    workers = jobs or os.cpu_count() or 1
+    workers = jobs if jobs is not None else (os.cpu_count() or 1)
     if workers == 1:
         # no worker thread: its own malloc arena would lift the peak RSS
         rows = [run_point(point) for point in grid]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(run_point, grid))
-    fieldnames = ["lambda0", "N", "gamma", "lambda", "tb_residual",
-                  "opeq_residual", "spectrum_match", "sup_product", "kappa_0",
-                  "mu_hat", "error"]
     path = os.path.join(out, "sweep.csv")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=_SWEEP_FIELDS)
         writer.writeheader()
         writer.writerows(rows)
     failures = sum(1 for r in rows if r["error"])
@@ -702,7 +736,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--out", default=None, help="output directory override")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="parallel workers for sweep (default: logical cores)")
+                        help="parallel workers for sweep, >= 1 (default: logical cores)")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)

@@ -6,6 +6,7 @@ import json
 import os
 import shutil
 import sys
+import threading
 import time
 
 import numpy as np
@@ -148,6 +149,52 @@ class TestConfigValidation:
         where = "config.sweep.lambda0[1]" if key == "sweep.lambda0" else f"config.{key}"
         assert payload["message"].startswith(f"{where} must be a finite number > 0")
         assert not (tmp_path / "out" / "law.json").exists()
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("sweep, where, what", [
+        ([], "config.sweep", "an object"),                     # AttributeError
+        ({"lambda0": 2.5}, "config.sweep.lambda0", "a list"),  # TypeError
+        ({"N": 16}, "config.sweep.N", "a list"),
+        ({"N": [0]}, "config.sweep.N[0]", "an integer >= 4"),  # ValueError, model build
+        ({"N": [16, "x"]}, "config.sweep.N[1]", "an integer >= 4"),  # ValueError, int()
+        ({"N": [16.0]}, "config.sweep.N[0]", "an integer >= 4"),
+        ({"N": [True]}, "config.sweep.N[0]", "an integer >= 4"),
+        ({"gamma": [float("nan")]}, "config.sweep.gamma[0]", "a finite number"),
+        ({"gamma": [0.0, float("-inf")]}, "config.sweep.gamma[1]", "a finite number"),
+        ({"gamma": ["0"]}, "config.sweep.gamma[0]", "a finite number"),
+        ({"gamma": [False]}, "config.sweep.gamma[0]", "a finite number"),
+        ({"gamma": 0.0}, "config.sweep.gamma", "a list"),
+    ], ids=["list", "scalar-lambda0", "scalar-N", "N-zero", "N-string", "N-float",
+            "N-bool", "gamma-nan", "gamma-inf", "gamma-string", "gamma-bool",
+            "scalar-gamma"])
+    @pytest.mark.parametrize("stage", ["synthesize", "sweep"])
+    def test_sweep_block_refused_before_any_build(self, tmp_path, capsys, monkeypatch,
+                                                  sweep, where, what, stage):
+        # each case failed with a raw exception (named in its comment), or
+        # aborted the whole sweep, or was accepted
+        def refuse(desc):
+            raise AssertionError("model built")
+
+        monkeypatch.setattr(cli_io.models, "model_from_descriptor", refuse)
+        cfg = tmp_path / "config.json"
+        doc = write_config(cfg)
+        doc["sweep"] = sweep
+        cfg.write_text(json.dumps(doc))     # json, not write_json: it refuses NaN
+        assert main([stage, "--config", str(cfg)]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ConfigError"
+        assert payload["message"].startswith(f"{where} must be {what}, got ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_refused(self, tmp_path, capsys, jobs):
+        # -1 exited 1 with a bare ValueError from the thread pool; 0 ran on
+        # os.cpu_count() workers
+        cfg = tmp_path / "config.json"
+        write_config(cfg, sweep={"lambda0": [2.5]})
+        assert main(["sweep", "--config", str(cfg), "--jobs", jobs]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {"error": "ConfigError", "message": f"--jobs must be >= 1, got {jobs}"}
         assert not (tmp_path / "out" / "sweep.csv").exists()
 
     def test_sweep_point_runs_at_its_own_shift(self, tmp_path):
@@ -664,15 +711,69 @@ class TestSweepCommand:
         rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
         assert "IterationDiverged" in rows[1]
 
-    def test_point_past_matrix_budget_is_error_row(self, tmp_path):
+    def test_point_past_matrix_budget_is_error_row(self, tmp_path, monkeypatch):
+        # the model past the budget is tried once; each of its points gets
+        # the error row and the other model's points still run
+        tried = []
+        build = cli_io._build_system
+
+        def counting_build(cfg, N=None, gamma=None):
+            tried.append(N)
+            return build(cfg, N=N, gamma=gamma)
+
+        monkeypatch.setattr(cli_io, "_build_system", counting_build)
         cfg = tmp_path / "config.json"
-        write_config(cfg, sweep={"lambda0": [2.5], "N": [12, MAX_N + 1]}, N=12,
+        write_config(cfg, sweep={"lambda0": [2.5, 3.0], "N": [12, MAX_N + 1]}, N=12,
                      model={"kind": "heat_torus", "N": 12, "params": {}})
+        for jobs in ("1", "2"):
+            tried.clear()
+            assert main(["sweep", "--config", str(cfg), "--jobs", jobs]) == 0
+            with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert [(row["lambda0"], row["N"]) for row in rows] == [
+                ("2.5", "12"), ("2.5", str(MAX_N + 1)), ("3.0", "12"), ("3.0", str(MAX_N + 1))]
+            assert rows[0]["error"] == rows[2]["error"] == ""
+            assert float(rows[0]["tb_residual"]) <= 1e-8
+            for row in rows[1::2]:
+                assert row["error"].startswith(f"ConfigError: N={MAX_N + 1} would need")
+                assert row["tb_residual"] == row["mu_hat"] == ""
+            assert tried == [12, MAX_N + 1], jobs
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_each_model_built_once(self, tmp_path, monkeypatch, jobs):
+        # a model depends on (N, gamma) only: 3 lambda0 x 2 N is 2 builds,
+        # made in the calling thread in grid order, before the points run
+        built = []
+        build = cli_io.models.model_from_descriptor
+
+        def counting_build(desc):
+            built.append((desc.N, threading.current_thread() is threading.main_thread()))
+            return build(desc)
+
+        monkeypatch.setattr(cli_io.models, "model_from_descriptor", counting_build)
+        cfg = tmp_path / "config.json"
+        write_config(cfg, sweep={"lambda0": [1.0, 2.0, 4.0], "N": [12, 16]}, N=12,
+                     model={"kind": "heat_torus", "N": 12, "params": {}})
+        assert main(["sweep", "--config", str(cfg), "--jobs", jobs]) == 0
+        assert built == [(12, True), (16, True)]
+        with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 6 and not any(row["error"] for row in rows)
+
+    def test_schrodinger_bytes_do_not_depend_on_jobs(self, tmp_path):
+        # the points of one model share its system across the threads
+        cfg = tmp_path / "config.json"
+        write_config(cfg, sweep={"lambda0": [1.0, 2.5], "N": [8, 12]}, N=8,
+                     model={"kind": "schrodinger_ground", "N": 8, "params": {"points": 512}})
+        path = tmp_path / "out" / "sweep.csv"
         assert main(["sweep", "--config", str(cfg), "--jobs", "1"]) == 0
-        rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
-        assert len(rows) == 3
-        assert rows[1].endswith(",")
-        assert f"ConfigError: N={MAX_N + 1}" in rows[2]
+        serial = path.read_bytes()
+        path.unlink()
+        assert main(["sweep", "--config", str(cfg), "--jobs", "2"]) == 0
+        assert path.read_bytes() == serial
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4 and not any(row["error"] for row in rows)
 
     def test_kappa_0_left_empty_outside_the_admissible_interval(self, tmp_path):
         # gribov with r = 3 has beta = -3: r = 0 lies outside (-5.5, -0.5)
