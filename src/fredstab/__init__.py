@@ -20,8 +20,8 @@ from .spectral_core import (AssumptionVerdict, SpectralBranch, SpectralSystem,
                             verify_growth)
 from .synthesis import (BranchGains, BranchKernel, FeedbackLaw, ShiftSelection,
                         beta_reduced_gains, inverse_gap_sum_profile,
-                        resolvent_matrix, select_shift, solve_gains_direct,
-                        solve_gains_iterative, synthesize_feedback)
+                        select_shift, solve_gains_direct, solve_gains_iterative,
+                        synthesize_feedback)
 from .transform import (BranchCertificate, ClosedLoopMatrix, build_transform,
                         closed_loop_matrix, conditioning_profile,
                         conditioning_vs_truncation, operator_equality_residual,

@@ -15,15 +15,17 @@ of the rebuilt ones, law.json the norm of their residual r = 1 - C x, and
 the report and the sweep's kappa_0 the conditioning of branch 1's
 certificate (the admissible r of config.r_list; the sweep's r = 0).  A stage
 builds one synthesis.BranchKernel per branch once it knows the shift, and
-the certificates (one O(N^2) pass each), semigroups, S_c and plateau read
-its C and the w of the closed-form T^-1.  No stage runs an SVD or a
-factorization, and transform.transform_matrix is a test oracle only.
+the certificates (one O(N^2) pass each), semigroups, the report's gap
+tail and compactness proxy, and the plateau read its C and the w of the
+closed-form T^-1.  No stage runs an SVD or a factorization, and
+transform.transform_matrix is a test oracle only.
 verify also checks law.json's tb_residual against the rebuilt residual.
 The sweep builds each distinct (N, gamma) model once per stage, in the
 calling thread and in grid order, then maps its (lambda0, N, gamma)
 points on a thread pool of --jobs (>= 1) workers, or in the calling
 thread when there is one; each point of a model that failed to build gets
-that build's error row.
+that build's error row.  A stored system (model.path) has one N and gamma,
+so a sweep over either is refused at parse, and its rows carry its own N.
 
 verify, simulate and report build report.json with one function, _report.
 It reads only the output directory (system.json, law.json and the
@@ -97,7 +99,9 @@ MATRIX_BUDGET_BYTES = 2 << 30
 LIVE_MATRICES = 12
 MAX_N = math.isqrt(MATRIX_BUDGET_BYTES // (16 * LIVE_MATRICES))
 
-_SCENARIO_KEYS = {"name", "u0", "t_end", "samples", "dt", "integrator", "nonlinear"}
+# every scenario key and its default; parse_config fills the defaults in
+_SCENARIO_DEFAULTS = {"name": "scenario", "u0": {}, "t_end": 1.0, "samples": 64,
+                      "dt": 1e-4, "integrator": "semigroup_exact", "nonlinear": False}
 _CONFIG_KEYS = {"model", "lambda0", "delta", "N", "method", "r_list",
                 "scenarios", "sweep", "output_dir"}
 _MODEL_KEYS = {"kind", "N", "params", "path"}
@@ -141,8 +145,7 @@ class RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    doc = read_json(path)
-    return parse_config(doc)
+    return parse_config(read_json(path))
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -157,16 +160,26 @@ def parse_config(doc: dict) -> RunConfig:
     if method not in ("direct", "iterative", "both"):
         raise ConfigError(f"config.method must be direct|iterative|both, got {method!r}")
     scenarios = []
-    for i, sc in enumerate(doc.get("scenarios", [])):
-        _reject_unknown(sc, _SCENARIO_KEYS, f"config.scenarios[{i}]")
-        if "u0" in sc:
-            _reject_unknown(sc["u0"], _U0_KEYS, f"config.scenarios[{i}].u0")
-        where = f"config.scenarios[{i}] ({sc.get('name', 'scenario')!r})"
+    for i, given in enumerate(doc.get("scenarios", [])):
+        _reject_unknown(given, _SCENARIO_DEFAULTS.keys(), f"config.scenarios[{i}]")
+        sc = {**_SCENARIO_DEFAULTS, **given}
+        _reject_unknown(sc["u0"], _U0_KEYS, f"config.scenarios[{i}].u0")
+        name = sc["name"]
+        # the name is the stem of the scenario's trace files and its decay-fit key
+        if not (isinstance(name, str) and name and "\0" not in name
+                and os.path.basename(name) == name):
+            raise ConfigError(f"config.scenarios[{i}].name must be one path component, "
+                              f"got {name!r}")
+        if name in (other["name"] for other in scenarios):
+            raise ConfigError(f"config.scenarios[{i}].name {name!r} is already taken")
+        where = f"config.scenarios[{i}] ({name!r})"
         # a zero step never advances the integrators; a NaN t_end gives NaN times
-        for key, value in (("dt", sc.get("dt", 1e-4)), ("t_end", sc.get("t_end", 1.0))):
-            _number(value, f"{where}: {key}")
-        _number(sc.get("samples", 64), f"{where}: samples", 0, "an integer >= 1", int)
-        scenarios.append(dict(sc))
+        for key in ("dt", "t_end"):
+            _number(sc[key], f"{where}: {key}")
+        _number(sc["samples"], f"{where}: samples", 0, "an integer >= 1", int)
+        if not sc["nonlinear"] and sc["integrator"] not in simulate.LINEAR_INTEGRATORS:
+            raise ConfigError(f"{where}: unknown linear integrator {sc['integrator']!r}")
+        scenarios.append(sc)
     sweep = doc.get("sweep")
     if sweep is not None:
         # checked before any model is built: a bad N or gamma raised a bare
@@ -175,15 +188,20 @@ def parse_config(doc: dict) -> RunConfig:
             raise ConfigError(f"config.sweep must be an object, got {sweep!r}")
         _reject_unknown(sweep, _SWEEP_KEYS, "config.sweep")
         for key, entry in _SWEEP_ENTRIES.items():
+            if key != "lambda0" and key in sweep and "path" in model:
+                raise ConfigError(f"config.sweep.{key} cannot vary a stored system "
+                                  "(config.model.path): it has one N and gamma")
             values = sweep.get(key, [])
             if not isinstance(values, list):
                 raise ConfigError(f"config.sweep.{key} must be a list, got {values!r}")
             for i, value in enumerate(values):
                 _number(value, f"config.sweep.{key}[{i}]", *entry)
-    N = int(doc.get("N", model.get("N", 0)))
-    if N < 1 and "path" not in model:
-        raise ConfigError("config.N (or model.N) must be a positive integer")
-    r_list = tuple(float(r) for r in doc.get("r_list", [0.0]))
+    N = 0                           # a stored system brings its own N
+    if "N" in doc or "N" in model or "path" not in model:
+        N = _number(doc.get("N", model.get("N")), "config.N (or model.N)", 0,
+                    "a positive integer", int)
+    r_list = tuple(float(_number(r, f"config.r_list[{i}]", -math.inf, "a finite number"))
+                   for i, r in enumerate(doc.get("r_list", [0.0])))
     if not r_list:
         raise ConfigError("config.r_list must hold at least one r")
     # the norm columns of the traces and the conditioning keys of the
@@ -366,8 +384,9 @@ def cmd_verify(cfg: RunConfig, out: Optional[str] = None) -> int:
 def _report(cfg: RunConfig, out: str, system, law, kernels, certs) -> dict:
     """The report.json document of verify, simulate and report.
 
-    certs are rebuilt from the kernels and law, the conditioning and S_c
-    are branch 1's, and the decay fits are refit from out/traces.
+    certs are rebuilt from the kernels and law, the conditioning and the
+    kernel of the gap tail and compactness proxy are branch 1's, and the
+    decay fits are refit from out/traces.
     """
     return diagnostics.make_report(
         system, law, certs.values(), kernels[0], certs[kernels[0].branch.index].conditioning,
@@ -525,22 +544,18 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
     writers = _TraceWriters()
     try:
         for sc in cfg.scenarios:
-            name = sc.get("name", "scenario")
-            t_end = float(sc.get("t_end", 1.0))
-            samples = int(sc.get("samples", 64))
-            dt = float(sc.get("dt", 1e-4))
-            times = np.linspace(0.0, t_end, samples + 1)
-            if sc.get("nonlinear", False):
+            name, dt = sc["name"], float(sc["dt"])
+            times = np.linspace(0.0, float(sc["t_end"]), int(sc["samples"]) + 1)
+            if sc["nonlinear"]:
                 if not system.label.startswith("heat_torus"):
                     raise ConfigError("nonlinear scenarios need the heat_torus model")
-                u0 = _burgers_u0(system, sc.get("u0", {}))
+                u0 = _burgers_u0(system, sc["u0"])
                 trace = simulate.simulate_burgers(system, law, u0, times, dt=dt,
                                                   r_list=cfg.r_list)
             else:
-                integrator = sc.get("integrator", "semigroup_exact")
-                u0 = _linear_u0(system, sc.get("u0", {}))
+                u0 = _linear_u0(system, sc["u0"])
                 trace = simulate.simulate_closed_loop(kernels, law, u0, times,
-                                                      integrator=integrator, dt=dt,
+                                                      integrator=sc["integrator"], dt=dt,
                                                       r_list=cfg.r_list)
             norms_path = os.path.join(traces_dir, f"{name}_norms.csv")
             simulate.write_norms_csv(trace, norms_path)
@@ -608,6 +623,7 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str] = None,
             fit = simulate.fit_decay(trace)
             kappas = certs[system.branches[0].index].conditioning
             row.update({
+                "N": system.branches[0].N,       # a stored system's own, not config.N
                 "lambda": shift.lam,
                 "tb_residual": max(c.tb_residual for c in certs.values()),
                 "opeq_residual": max(c.opeq_residual for c in certs.values()),
@@ -654,7 +670,7 @@ def _refit_decay(cfg: RunConfig, traces_dir: str) -> Optional[dict]:
     r = cfg.r_list[0]
     fits = {}
     for sc in cfg.scenarios:
-        name = sc.get("name", "scenario")
+        name = sc["name"]
         path = os.path.join(traces_dir, f"{name}_norms.csv")
         if not os.path.exists(path):
             continue
@@ -749,14 +765,10 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, args.out, jobs=args.jobs)
         return cmd_report(cfg, args.out)
-    except FredstabError as exc:
+    except (FredstabError, OSError, ValueError, KeyError, IndexError, TypeError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         print(canonical_json(payload), file=sys.stderr)
-        return exc.exit_code
-    except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
-        print(canonical_json(payload), file=sys.stderr)
-        return 1
+        return exc.exit_code if isinstance(exc, FredstabError) else 1
 
 
 if __name__ == "__main__":

@@ -9,6 +9,9 @@ is a pure function of the system, the law, branch 1's kernel, the
 certificates of transform.build_transform and the numbers the caller
 derived from them (conditioning, decay fits); cli_io's report builder is
 its one production caller, and jsonio.write_json serializes it canonically.
+The inverse-gap tail and the compactness proxy read the kernel's C itself:
+the proxy is transform's Lanczos norm estimate with the diagonal shift
+-1/lam, so the off-diagonal resolvent S_c = C - I / lam is never formed.
 """
 
 from __future__ import annotations
@@ -16,16 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-# numpy loads numpy.random on first use; load it with the package, not
-# inside the first stage that draws (compactness_proxy's default_rng)
-import numpy.random
 
 from .jsonio import config_hash
 from .spectral_core import (AssumptionVerdict, SpectralBranch, SpectralSystem,
                             classify_controllability, verify_assumptions)
 from .synthesis import (BranchGains, BranchKernel, FeedbackLaw,
-                        inverse_gap_sum_profile, resolvent_matrix)
-from .transform import BranchCertificate
+                        inverse_gap_sum_profile)
+from .transform import BranchCertificate, _spectral_norm
 
 __all__ = [
     "REPORT_SCHEMA",
@@ -49,39 +49,23 @@ targets (spectrum_match_error, now a test oracle).
 """
 
 
-POWER_ITERS = 50     # power-iteration steps of compactness_proxy
-POWER_SEED = 0       # seed of its random start vector
 PLOT_WIDTH = 640     # SVG canvas, pixels
 PLOT_HEIGHT = 420
 
 
-def compactness_proxy(S_c: np.ndarray, r: float, eps: float, alpha: float) -> float:
-    """Operator-norm estimate of diag(n^(r+eps)) S_c diag(n^-r).
+def compactness_proxy(kernel: BranchKernel, r: float, eps: float, alpha: float) -> float:
+    """||diag(n^(r+eps)) S_c diag(n^-r)||_2 of the kernel's S_c = C - I / lam.
 
     eps must lie in the open interval (0, min((alpha-1)/2, alpha+r-1/2)).
-    POWER_ITERS steps of power iteration on the normal matrix from a
-    seeded random start; a bounded-in-N profile of this estimate is the
-    finite-truncation compactness proxy.
+    The Lanczos estimate of transform's certificates, on C with the
+    diagonal shift -1/lam, so S_c is never formed; a bounded-in-N profile
+    of this norm is the finite-truncation compactness proxy.
     """
     hi = min((alpha - 1.0) / 2.0, alpha + r - 0.5)
     if not 0.0 < eps < hi:
         raise ValueError(f"eps={eps} outside the open interval (0, {hi})")
-    N = S_c.shape[0]
-    n = np.arange(1, N + 1, dtype=float)
-    A = (n[:, None] ** (r + eps)) * S_c * (n[None, :] ** (-r))
-    rng = np.random.default_rng(POWER_SEED)
-    v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-    v /= np.linalg.norm(v)
-    AH = A.conj().T
-    sigma = 0.0
-    for _ in range(POWER_ITERS):
-        w = AH @ (A @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0
-        v = w / nw
-        sigma = nw
-    return float(np.sqrt(sigma))
+    n = kernel.branch.mode_indices.astype(float)
+    return _spectral_norm(kernel.C, n ** (r + eps), n ** (-r), shift=-1.0 / kernel.lam)
 
 
 @dataclass(frozen=True)
@@ -190,15 +174,14 @@ def make_report(system: SpectralSystem, law: FeedbackLaw, certificates,
     decay_fits maps scenario names to a DecayFit or None (no fit); None for
     the whole section means no scenario was simulated.  The verdicts, gain
     trends, inverse-gap tail, compactness proxy and classification are
-    derived here from branch 1 and the law, the tail and the proxy from one
-    resolvent_matrix S_c of kernel (branch 1's); config is hashed into config_hash.
+    derived here from branch 1 and the law, the tail and the proxy from
+    kernel (branch 1's) without forming its S_c; config is hashed into config_hash.
     """
     lam = law.lam
     b0 = system.branches[0]
     certificates = {c.branch_index: c for c in certificates}
     trends = [gain_trend(bg) if bg.N >= 16 else None for bg in law.branches]
-    S_c = resolvent_matrix(kernel)
-    _, tail_max = inverse_gap_sum_profile(b0, S_c, 0.0)
+    _, tail_max = inverse_gap_sum_profile(kernel, 0.0)
     eps_hi = min((b0.alpha - 1.0) / 2.0, b0.alpha - 0.5)
     try:
         classification = classify_controllability(b0, 0.0)
@@ -228,7 +211,7 @@ def make_report(system: SpectralSystem, law: FeedbackLaw, certificates,
         "conditioning": {f"{r:g}": kappa for r, kappa in conditioning.items()},
         "gap_sum_tail_max": tail_max,
         "compactness": {"eps": eps_hi / 2.0,
-                        "norm": compactness_proxy(S_c, 0.0, eps_hi / 2.0, b0.alpha)},
+                        "norm": compactness_proxy(kernel, 0.0, eps_hi / 2.0, b0.alpha)},
         "decay_fits": None if decay_fits is None else {
             name: None if fit is None else {"mu_hat": fit.mu_hat, "c_hat": fit.c_hat,
                                             "r2": fit.r2, "window": list(fit.window)}

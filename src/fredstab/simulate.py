@@ -24,9 +24,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-# numpy loads numpy.fft on first use; load it with the package, not inside
-# the first simulate stage
+# numpy loads numpy.fft and numpy.random on first use; load them with the
+# package, not inside the first simulate stage (random_state draws)
 import numpy.fft
+import numpy.random
 
 from .errors import IntegratorError
 from .spectral_core import SpectralSystem
@@ -44,6 +45,9 @@ __all__ = [
     "write_modes_csv",
     "write_norms_csv",
 ]
+
+
+LINEAR_INTEGRATORS = ("semigroup_exact", "rk4")   # of simulate_closed_loop
 
 
 @dataclass(frozen=True)
@@ -190,7 +194,7 @@ def simulate_closed_loop(kernels, law: FeedbackLaw, u0, times,
     + b K^T) u with a fixed step as an independent check.  The step must
     satisfy 0 < dt <= 2 / max |lambda_N| or the run is refused.
     """
-    if integrator not in ("semigroup_exact", "rk4"):
+    if integrator not in LINEAR_INTEGRATORS:
         raise ValueError(f"unknown linear integrator {integrator!r}")
     if integrator == "rk4" and not 0 < dt < np.inf:     # dt = 0 never advances t
         raise ValueError(f"rk4 step dt={dt} must be finite and > 0")

@@ -34,7 +34,6 @@ __all__ = [
     "BranchKernel",
     "FeedbackLaw",
     "select_shift",
-    "resolvent_matrix",
     "cauchy_system_matrix",
     "solve_gains_direct",
     "solve_gains_iterative",
@@ -98,13 +97,6 @@ def cauchy_system_matrix(branch: SpectralBranch, lam: float) -> np.ndarray:
     if np.any(denom == 0):
         raise SolverError(f"shift {lam} hits an eigenvalue difference exactly")
     return np.divide(1.0, denom, out=denom)       # in place, as in the products
-
-
-def resolvent_matrix(kernel: "BranchKernel") -> np.ndarray:
-    """Zero-diagonal part S_c of C = I / lam + S_c, from a copy of the kernel's C."""
-    S_c = kernel.C.copy()
-    np.fill_diagonal(S_c, 0.0)
-    return S_c
 
 
 def _products_to_gains(branch: SpectralBranch, lam: float, x: np.ndarray,
@@ -316,24 +308,24 @@ def beta_reduced_gains(branch: SpectralBranch, lam: float) -> BranchGains:
                        method="direct", gains=gains, products=x)
 
 
-def inverse_gap_sum_profile(branch: SpectralBranch, S_c: np.ndarray, s: float):
-    """Off-diagonal inverse-gap sums measured against their envelope.
+def inverse_gap_sum_profile(kernel: BranchKernel, s: float):
+    """Off-diagonal inverse-gap sums of a kernel's branch measured against their envelope.
 
-    S_c is the branch's resolvent_matrix at the shift lam.  For each p
-    computes sum_{n != p} n^s / |lambda_n - lambda_p + lam| divided by
-    p^(1-alpha+s) log(max(p,2)) + p^-alpha.  Returns (ratios, max over
-    p in [8, N]).  Requires s < alpha - 1.
+    For each p computes sum_{n != p} n^s / |lambda_n - lambda_p + lam|
+    from the kernel's C at the shift lam, as |C| n^s - p^s / |lam|
+    (|C_pp| = 1 / |lam| exactly), divided by p^(1-alpha+s) log(max(p,2))
+    + p^-alpha.  Returns (ratios, max over p in [8, N]).  Requires
+    s < alpha - 1.
     """
+    branch = kernel.branch
     if s >= branch.alpha - 1.0:
         raise ValueError(f"s={s} must be below alpha-1={branch.alpha - 1.0}")
-    N = branch.N
     n = branch.mode_indices.astype(float)
-    lhs = np.abs(S_c) @ (n ** s)                        # rows p, cols n
-    p = n
-    envelope = p ** (1.0 - branch.alpha + s) * np.log(np.maximum(p, 2.0)) + p ** (-branch.alpha)
+    weights = n ** s
+    lhs = np.abs(kernel.C) @ weights - weights / abs(kernel.lam)
+    envelope = n ** (1.0 - branch.alpha + s) * np.log(np.maximum(n, 2.0)) + n ** (-branch.alpha)
     ratios = lhs / envelope
-    tail_max = float(np.max(ratios[7:])) if N >= 8 else float(np.max(ratios))
-    return ratios, tail_max
+    return ratios, float(np.max(ratios[7:] if branch.N >= 8 else ratios))
 
 
 # ---------------------------------------------------------------------------

@@ -221,17 +221,20 @@ def _start_vector(N: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _spectral_norm(M: np.ndarray, left: np.ndarray, right: np.ndarray) -> float:
-    """||diag(left) M diag(right)||_2 by Golub-Kahan-Lanczos bidiagonalization.
+def _spectral_norm(M: np.ndarray, left: np.ndarray, right: np.ndarray,
+                   shift: float = 0.0) -> float:
+    """||diag(left) (M + shift I) diag(right)||_2 by Golub-Kahan-Lanczos bidiagonalization.
 
-    A = diag(left) M diag(right) is applied as left * (M @ (right * v)) and
-    A^H as conj(right * (M^T @ (left * conj(u)))), so A is never formed.
-    Both Lanczos bases are fully reorthogonalized (two Gram-Schmidt passes)
-    and start from _start_vector, so every run gives the same bits.  After
-    k steps A V_k = U_k B_k with B_k upper bidiagonal; the top Ritz value is
-    the square root of the largest eigenvalue of the tridiagonal B_k^T B_k.
-    The iteration stops when that value moves by at most RITZ_ULPS ulps,
-    when the Krylov space is invariant, or after N steps.
+    A is applied as left * (M x + shift x), x = right * v, and A^H as
+    conj(right * (M^T y + shift y)), y = left * conj(u), so neither A nor
+    M + shift I is formed.  Both Lanczos bases are fully reorthogonalized
+    (two Gram-Schmidt passes) and start from _start_vector, so every run
+    gives the same bits.  After k steps A V_k = U_k B_k with B_k upper
+    bidiagonal; the top Ritz value is the square root of the largest
+    eigenvalue of the tridiagonal B_k^T B_k.  The iteration stops when that
+    value moves by at most RITZ_ULPS ulps, when the Krylov space is
+    invariant, or after N steps; a zero alpha (the zero operator) ends it
+    with the Ritz value so far, 0.0 at the first step.
     """
     N = M.shape[0]
     eps = np.finfo(float).eps
@@ -240,15 +243,19 @@ def _spectral_norm(M: np.ndarray, left: np.ndarray, right: np.ndarray) -> float:
     alphas, betas = [], []
     sigma = 0.0
     for _ in range(N):
-        u = left * (M @ (right * v))
+        x = right * v
+        u = left * (M @ x + shift * x)
         if U:
             u -= betas[-1] * U[-1]
             u = _orthogonalized(u, U)
         alpha = float(np.linalg.norm(u))
+        if alpha == 0.0:
+            return sigma
         u /= alpha
         U.append(u)
         alphas.append(alpha)
-        z = np.conj(right * (M.T @ (left * np.conj(u)))) - alpha * v
+        y = left * np.conj(u)
+        z = np.conj(right * (M.T @ y + shift * y)) - alpha * v
         z = _orthogonalized(z, V)
         beta = float(np.linalg.norm(z))
         a, b = np.array(alphas), np.array(betas)

@@ -169,8 +169,7 @@ def test_criterion_05_scaling_covariance_and_beta_reduction():
 
 def test_criterion_06_inverse_gap_sum_envelope():
     br = heat_torus_model(256).branches[0]
-    S_c = fs.resolvent_matrix(fs.BranchKernel(br, 2.5))
-    ratios, tail_max = fs.inverse_gap_sum_profile(br, S_c, 0.0)
+    ratios, tail_max = fs.inverse_gap_sum_profile(fs.BranchKernel(br, 2.5), 0.0)
     checks = [
         ("profile finite", bool(np.isfinite(tail_max)),
          f"max ratio over p in [8, 256] = {tail_max:.4f}"),

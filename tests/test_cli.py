@@ -207,6 +207,69 @@ class TestConfigValidation:
         shift, *_ = cli_io._synthesize_pipeline(cfg, system, [0.0], 2.25)
         assert shift.lam == 2.25
 
+    @pytest.mark.parametrize("overrides, where", [
+        ({"N": 16.7}, "config.N (or model.N) must be a positive integer, got 16.7"),
+        ({"N": "16"}, "config.N (or model.N) must be a positive integer, got '16'"),
+        ({"N": None}, "config.N (or model.N) must be a positive integer, got None"),
+        ({"N": True}, "config.N (or model.N) must be a positive integer, got True"),
+        ({"N": 0}, "config.N (or model.N) must be a positive integer, got 0"),
+        ({"r_list": [float("nan")]}, "config.r_list[0] must be a finite number, got nan"),
+        ({"r_list": [0.0, "a"]}, "config.r_list[1] must be a finite number, got 'a'"),
+        ({"scenarios": [{"name": "e", "integrator": "euler"}]},
+         "config.scenarios[0] ('e'): unknown linear integrator 'euler'"),
+    ], ids=["N-float", "N-string", "N-null", "N-bool", "N-zero", "r-nan", "r-string",
+            "integrator"])
+    def test_late_failures_refused_at_parse(self, tmp_path, capsys, overrides, where):
+        # a float N ran truncated, a string N was accepted, a null N ended in
+        # a raw TypeError; the integrator and the NaN r passed synthesize and
+        # failed in simulate with a raw ValueError
+        cfg = tmp_path / "config.json"
+        doc = write_config(cfg)
+        doc.update(overrides)
+        cfg.write_text(json.dumps(doc))     # json, not write_json: it refuses NaN
+        assert main(["synthesize", "--config", str(cfg)]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "ConfigError",
+                                                       "message": where}
+        assert not (tmp_path / "out").exists()
+
+    def test_model_n_checked_and_integrator_of_nonlinear_ignored(self):
+        with pytest.raises(ConfigError, match=r"config.N \(or model.N\) .* got 16.7"):
+            parse_config({"model": {"kind": "heat_torus", "N": 16.7}})
+        cfg = parse_config({"model": {"kind": "heat_torus", "N": 16}, "scenarios": [
+            {"name": "b", "nonlinear": True, "integrator": "euler"}]})
+        assert cfg.N == 16 and cfg.scenarios[0]["integrator"] == "euler"
+
+    @pytest.mark.parametrize("name", ["x/y", "/abs", "", "a\0b", 7, None])
+    def test_scenario_name_must_be_one_path_component(self, tmp_path, capsys, name):
+        # "x/y" passed synthesize, then simulate exited 1 with a raw
+        # FileNotFoundError on the trace path
+        cfg = tmp_path / "config.json"
+        write_config(cfg, scenarios=[{"name": "ok"}, {"name": name}])
+        assert main(["synthesize", "--config", str(cfg)]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ConfigError"
+        assert payload["message"] == (f"config.scenarios[1].name must be one path "
+                                      f"component, got {name!r}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scenarios", [
+        [{"name": "a"}, {"name": "b", "integrator": "rk4"}, {"name": "a", "t_end": 2.0}],
+        [{"t_end": 1.0}, {"name": "b"}, {"t_end": 2.0}]], ids=["named", "default"])
+    def test_scenario_names_must_differ(self, tmp_path, capsys, scenarios):
+        # two scenarios named a exited 0, the second overwriting the first's
+        # traces and decay fit; two unnamed ones share the name "scenario"
+        cfg = tmp_path / "config.json"
+        write_config(cfg)
+        assert main(["synthesize", "--config", str(cfg)]) == 0
+        write_config(cfg, scenarios=scenarios)
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        name = scenarios[2].get("name", "scenario")
+        assert payload == {"error": "ConfigError", "message":
+                           f"config.scenarios[2].name {name!r} is already taken"}
+        assert not (tmp_path / "out" / "traces").exists()
+
     def test_distinct_r_labels_accepted(self):
         cfg = parse_config({"model": {"kind": "heat_torus", "N": 8},
                             "r_list": [0.0, 0.5, 2.0, 0.123456, 0.12346]})
@@ -1033,6 +1096,33 @@ class TestMatrixBudget:
 
 
 class TestSystemFromPath:
+    @pytest.mark.parametrize("key, values", [("N", [8, 16]), ("gamma", [0.0]),
+                                             ("N", [])])
+    def test_sweep_cannot_vary_a_stored_system(self, tmp_path, capsys, key, values):
+        # a 12-mode system.json swept over N = [8, 16] gave two rows labelled
+        # N=8 and N=16 with identical numbers: the stored system has one N,
+        # and its rows carry that N, not config.N (16 here)
+        cfg1 = tmp_path / "c1.json"
+        write_config(cfg1, N=12, model={"kind": "heat_torus", "N": 12, "params": {}})
+        assert main(["synthesize", "--config", str(cfg1)]) == 0
+        cfg2 = tmp_path / "c2.json"
+        path = str(tmp_path / "out" / "system.json")
+        write_config(cfg2, model={"path": path}, output_dir=str(tmp_path / "out2"),
+                     sweep={"lambda0": [2.5], key: values})
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(cfg2)]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ConfigError"
+        assert payload["message"].startswith(f"config.sweep.{key} cannot vary a stored "
+                                             "system (config.model.path)")
+        assert not (tmp_path / "out2").exists()
+        write_config(cfg2, model={"path": path}, output_dir=str(tmp_path / "out2"),
+                     sweep={"lambda0": [2.5, 3.0]})
+        assert main(["sweep", "--config", str(cfg2), "--jobs", "1"]) == 0
+        with open(tmp_path / "out2" / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["N"], r["error"]) for r in rows] == [("12", ""), ("12", "")]
+
     def test_model_loaded_from_artifact(self, tmp_path):
         cfg1 = tmp_path / "c1.json"
         write_config(cfg1)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -13,38 +14,54 @@ from fredstab import (BranchKernel, build_transform, closed_loop_matrix,
 from fredstab.diagnostics import REPORT_SCHEMA, svg_line_plot
 from fredstab.jsonio import canonical_json, config_hash
 from fredstab.models import gribov_model, heat_torus_model
-from fredstab.synthesis import inverse_gap_sum_profile, resolvent_matrix
+from fredstab.synthesis import inverse_gap_sum_profile
 
-from conftest import heat_branch, kernels
+from conftest import heat_branch, kernels, schrodinger_branch
+
+
+def dense_proxy(kernel, r, eps):
+    """Dense oracle: the SVD norm of diag(n^(r+eps)) (C - I / lam) diag(n^-r)."""
+    S_c = kernel.C.copy()
+    np.fill_diagonal(S_c, 0.0)
+    n = np.arange(1, kernel.branch.N + 1, dtype=float)
+    return float(np.linalg.norm((n[:, None] ** (r + eps)) * S_c * (n[None, :] ** -r), 2))
 
 
 class TestCompactnessProxy:
     def test_single_mode_zero(self):
         from fredstab import SpectralBranch
         br = SpectralBranch(1, [-1.0], [1.0], alpha=2.0)
-        S_c = resolvent_matrix(BranchKernel(br, 2.0))
-        assert compactness_proxy(S_c, 0.0, 0.4, 2.0) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert compactness_proxy(BranchKernel(br, 2.0), 0.0, 0.4, 2.0) == 0.0
 
-    def test_power_iteration_matches_svd(self):
-        br = heat_branch(48)
-        S_c = resolvent_matrix(BranchKernel(br, 2.5))
-        n = np.arange(1, 49, dtype=float)
-        weighted = (n[:, None] ** 0.4) * S_c * (n[None, :] ** 0.0)
-        oracle = float(np.linalg.norm(weighted, 2))
-        estimate = compactness_proxy(S_c, 0.0, 0.4, 2.0)
-        assert estimate == pytest.approx(oracle, rel=1e-2)
+    @pytest.mark.parametrize("branch, r", [
+        (heat_torus_model(96).branches[0], 0.0),
+        (heat_torus_model(96).branches[0], 0.5),
+        (schrodinger_branch(128), 0.0),
+        (gribov_model(96).branches[0], 0.0)],
+        ids=["heat", "heat-r0.5", "schrodinger", "gribov"])
+    def test_matches_dense_svd(self, branch, r):
+        kernel = BranchKernel(branch, 2.5)
+        eps = min((branch.alpha - 1.0) / 2.0, branch.alpha + r - 0.5) / 2.0
+        estimate = compactness_proxy(kernel, r, eps, branch.alpha)
+        assert estimate == pytest.approx(dense_proxy(kernel, r, eps), rel=1e-12, abs=0)
+
+    def test_two_calls_equal_bits(self):
+        kernel = BranchKernel(schrodinger_branch(64), 2.5)
+        first = compactness_proxy(kernel, 0.0, 0.25, 2.0)
+        assert np.float64(first).tobytes() == np.float64(
+            compactness_proxy(kernel, 0.0, 0.25, 2.0)).tobytes()
 
     def test_bounded_in_truncation(self):
         norms = {}
         for N in (64, 128):
-            S_c = resolvent_matrix(BranchKernel(heat_branch(N), 2.5))
-            norms[N] = compactness_proxy(S_c, 0.0, 0.4, 2.0)
+            norms[N] = compactness_proxy(BranchKernel(heat_branch(N), 2.5), 0.0, 0.4, 2.0)
         assert norms[128] / norms[64] <= 1.5
 
     def test_eps_boundary_rejected(self):
-        S_c = resolvent_matrix(BranchKernel(heat_branch(8), 2.5))
         with pytest.raises(ValueError, match="open interval"):
-            compactness_proxy(S_c, 0.0, 0.5, 2.0)
+            compactness_proxy(BranchKernel(heat_branch(8), 2.5), 0.0, 0.5, 2.0)
 
 
 class TestGainTrend:
@@ -114,7 +131,7 @@ class TestMakeReport:
     def test_full_report_sections(self):
         system, law, ks, certs = self.pipeline()
         br = system.branches[0]
-        _, tail_max = inverse_gap_sum_profile(br, resolvent_matrix(BranchKernel(br, 2.5)), 0.0)
+        _, tail_max = inverse_gap_sum_profile(BranchKernel(br, 2.5), 0.0)
         trace = simulate_closed_loop(ks, law, random_state(system),
                                      np.linspace(0, 2, 33))
         doc = make_report(system, law, certs, ks[0], {0.0: 5.0},

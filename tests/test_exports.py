@@ -95,3 +95,17 @@ def test_weights_taken_only_by_the_kernel():
             if any(_negates_eigenvalues(node) for node in ast.walk(stmt)):
                 owners.add(getattr(stmt, "name", None))
     assert owners == {"BranchKernel"}
+
+
+def test_diagnostics_draws_nothing():
+    # the compactness proxy is a deterministic Lanczos estimate: no power
+    # iteration, its step count or seed, and no numpy.random in diagnostics
+    tree = ast.parse((PACKAGE / "diagnostics.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module or "" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)}
+    names = _names(tree)
+    assert not [m for m in imported if m.startswith("numpy.random")]
+    assert "random" not in names
+    assert not [name for name in names if name.startswith("POWER_")]

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from fredstab import (BranchKernel, SolverError, SpectralBranch, SpectralSystem,
-                      beta_reduced_gains, build_transform, conditioning_vs_truncation,
-                      inverse_gap_sum_profile, random_state, resolvent_matrix,
-                      select_shift, simulate_closed_loop, solve_gains_direct,
-                      solve_gains_iterative, synthesize_feedback)
+                      beta_reduced_gains, build_transform, compactness_proxy,
+                      conditioning_vs_truncation, inverse_gap_sum_profile,
+                      random_state, select_shift, simulate_closed_loop,
+                      solve_gains_direct, solve_gains_iterative, synthesize_feedback)
 from fredstab.errors import IterationDiverged
 from fredstab.models import heat_torus_model
 from fredstab.synthesis import cauchy_system_matrix
@@ -62,11 +62,12 @@ class TestResolvent:
 
     def test_matrix_and_split(self):
         S = cauchy_system_matrix(worked_branch(), 2.0)
-        S_c = resolvent_matrix(BranchKernel(worked_branch(), 2.0))
         np.testing.assert_allclose(S, [[0.5, -1.0], [0.2, 0.5]], atol=1e-15)
         np.testing.assert_allclose(np.diag(S), [0.5, 0.5], atol=1e-15)
-        np.testing.assert_allclose(np.diag(S_c), [0.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(S - S_c, np.eye(2) / 2.0, atol=1e-15)
+        # C = I / lam + S_c with |C_pp| = 1 / |lam| exactly: the gap sums
+        # and the compactness proxy take S_c from C on that identity
+        for branch in (worked_branch(), heat_branch(16), schrodinger_branch(16)):
+            assert np.all(np.abs(np.diag(cauchy_system_matrix(branch, 2.5))) == 1.0 / 2.5)
 
 
 class TestDirectSolve:
@@ -173,20 +174,17 @@ class TestBetaReduction:
 
 class TestInverseGapProfile:
     def test_heat_profile_bounded(self):
-        br = heat_branch(256)
-        S_c = resolvent_matrix(BranchKernel(br, 2.5))
-        ratios, tail_max = inverse_gap_sum_profile(br, S_c, 0.0)
+        ratios, tail_max = inverse_gap_sum_profile(BranchKernel(heat_branch(256), 2.5), 0.0)
         assert np.isfinite(tail_max)
         assert ratios[127] <= 2.0 * ratios[15]
 
     def test_s_at_alpha_minus_one_rejected(self):
         with pytest.raises(ValueError, match="alpha-1"):
-            br = heat_branch(16)
-            inverse_gap_sum_profile(br, resolvent_matrix(BranchKernel(br, 2.5)), 1.0)
+            inverse_gap_sum_profile(BranchKernel(heat_branch(16), 2.5), 1.0)
 
     def test_single_mode_empty_sum(self):
         br = SpectralBranch(1, [-1.0], [1.0], alpha=2.0)
-        ratios, _ = inverse_gap_sum_profile(br, resolvent_matrix(BranchKernel(br, 2.0)), 0.0)
+        ratios, _ = inverse_gap_sum_profile(BranchKernel(br, 2.0), 0.0)
         assert ratios[0] == 0.0
 
 
@@ -206,7 +204,8 @@ class TestBranchKernel:
         for integrator in ("semigroup_exact", "rk4"):
             simulate_closed_loop(ks, law, random_state(system), [0.0, 0.01, 0.02],
                                  integrator=integrator, dt=1e-4)
-        resolvent_matrix(ks[0])
+        inverse_gap_sum_profile(ks[0], 0.0)
+        compactness_proxy(ks[0], 0.0, 0.25, ks[0].branch.alpha)
         conditioning_vs_truncation(ks[0], 0.0)
         for k in ks:
             assert k.C.tobytes() == cauchy_system_matrix(k.branch, law.lam).tobytes()
