@@ -33,9 +33,10 @@ __all__ = [
     "sturm_liouville_eigs_direct",
     "gribov_model",
     "model_from_descriptor",
+    "MODEL_KINDS",
 ]
 
-_KINDS = ("heat_torus", "schrodinger_ground", "sturm_liouville", "gribov")
+MODEL_KINDS = ("heat_torus", "schrodinger_ground", "sturm_liouville", "gribov")
 
 SCHRODINGER_EPS = 0.25       # relaxation of the n^-3 projection envelope to n^(-7/2+eps)
 SCHRODINGER_FLOOR = 1e-10    # smallest nonzero projection, relative to the largest
@@ -53,8 +54,9 @@ class ModelDescriptor:
     params: dict
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}, expected one of {_KINDS}")
+        if self.kind not in MODEL_KINDS:
+            raise ValueError(f"unknown model kind {self.kind!r}, expected one of "
+                             f"{MODEL_KINDS}")
         if self.N < 4:
             raise ValueError("truncation N must be at least 4")
 
@@ -548,20 +550,27 @@ def _sampled_param(value, x: np.ndarray, default):
     return np.asarray(value, dtype=float) * np.ones_like(x)
 
 
+def _no_other_params(p: dict, kind: str) -> None:
+    """Refuse the params that the kind's model did not take."""
+    if p:
+        raise ValueError(f"unknown {kind} params: {sorted(p)}")
+
+
 def model_from_descriptor(desc: ModelDescriptor) -> SpectralSystem:
-    """Instantiate a system from a serializable descriptor."""
+    """Instantiate a system from a serializable descriptor; unknown params are refused."""
     p = dict(desc.params)
     if desc.kind == "heat_torus":
-        return heat_torus_model(
-            desc.N,
-            sobolev_index=float(p.pop("m", 0.0)),
-            phi1_coeffs=_coeff_param(p.pop("phi1_coeffs", None)),
-            phi2_coeffs=_coeff_param(p.pop("phi2_coeffs", None)),
-            gamma=float(p.pop("gamma", 0.0)))
+        args = dict(sobolev_index=float(p.pop("m", 0.0)),
+                    phi1_coeffs=_coeff_param(p.pop("phi1_coeffs", None)),
+                    phi2_coeffs=_coeff_param(p.pop("phi2_coeffs", None)),
+                    gamma=float(p.pop("gamma", 0.0)))
+        _no_other_params(p, desc.kind)
+        return heat_torus_model(desc.N, **args)
     if desc.kind == "schrodinger_ground":
         points = int(p.pop("points", 2048))
         x = np.linspace(0.0, 1.0, points + 1)
         mu = _sampled_param(p.pop("mu", None), x, 0.0)
+        _no_other_params(p, desc.kind)
         if not np.any(mu):
             mu = x ** 2
         system, _ = schrodinger_model(desc.N, mu)
@@ -574,17 +583,16 @@ def model_from_descriptor(desc: ModelDescriptor) -> SpectralSystem:
         bb = _sampled_param(p.pop("b", None), x, 0.0)
         phi = p.pop("phi", None)
         phi = (1.0 + x) if phi is None else _sampled_param(phi, x, 1.0)
-        problem = SturmLiouvilleProblem(
-            a_values=a, b_values=bb, L=L,
-            c1=float(p.pop("c1", 1.0)), c2=float(p.pop("c2", 0.0)),
-            c3=float(p.pop("c3", 1.0)), c4=float(p.pop("c4", 0.0)),
-            grid_size=grid)
+        robin = {c: float(p.pop(c, d)) for c, d in (("c1", 1.0), ("c2", 0.0),
+                                                    ("c3", 1.0), ("c4", 0.0))}
+        _no_other_params(p, desc.kind)
+        problem = SturmLiouvilleProblem(a_values=a, b_values=bb, L=L, grid_size=grid,
+                                        **robin)
         system, _ = sturm_liouville_model(problem, desc.N, phi)
         return system
     if desc.kind == "gribov":
-        return gribov_model(
-            desc.N,
-            eps=complex(p.pop("eps", 0.0)),
-            r=float(p.pop("r", 0.0)),
-            gamma=float(p.pop("gamma", 0.0)))
+        args = dict(eps=complex(p.pop("eps", 0.0)), r=float(p.pop("r", 0.0)),
+                    gamma=float(p.pop("gamma", 0.0)))
+        _no_other_params(p, desc.kind)
+        return gribov_model(desc.N, **args)
     raise ValueError(f"unknown model kind {desc.kind!r}")

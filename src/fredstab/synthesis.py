@@ -75,7 +75,7 @@ def select_shift(system: SpectralSystem, lambda0: float, delta: float) -> ShiftS
         for b in system.branches
     ]
     all_diffs = np.concatenate(diffs)
-    steps = int(np.ceil(SHIFT_SEARCH_WIDTH * delta / (delta / 2.0))) + 1
+    steps = int(2 * SHIFT_SEARCH_WIDTH) + 1        # delta / 2 apart, over WIDTH * delta
     for j in range(steps):
         lam = lambda0 + j * delta / 2.0
         dist = float(np.min(np.abs(all_diffs + lam)))

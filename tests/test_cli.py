@@ -3,9 +3,11 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import shutil
 import sys
+import tempfile
 import threading
 import time
 
@@ -22,7 +24,7 @@ from fredstab.jsonio import from_cpairs, write_json
 from fredstab.spectral_core import system_from_json
 
 
-def write_config(path, **overrides):
+def write_config(path, drop=(), **overrides):
     doc = {
         "model": {"kind": "heat_torus", "N": 16, "params": {}},
         "lambda0": 2.5,
@@ -34,8 +36,31 @@ def write_config(path, **overrides):
         "output_dir": str(path.parent / "out"),
     }
     doc.update(overrides)
+    for key in drop:
+        del doc[key]
     write_json(path, doc)
     return doc
+
+
+# (path of the section in a valid config, key): every key of the config
+# schema, and one unknown key per section
+_SECTION_PATHS = {"config": (), "config.model": ("model",), "scenario": ("scenarios", 0),
+                  "u0": ("scenarios", 0, "u0"), "u0 (nonlinear)": ("scenarios", 0, "u0"),
+                  "config.sweep": ("sweep",)}
+_CONFIG_KEYS = sorted({(*path, key) for section, path in _SECTION_PATHS.items()
+                       for key in (*cli_io._SCHEMA[section], "typo")})
+# JSON values of every type: null, bools, zero, negative, small and huge
+# ints, non-finite and plain floats, strings, lists and objects; a small
+# int stays <= 8, so a model it sizes stays small
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 8), st.integers(2 ** 53, 2 ** 80),
+    st.sampled_from([0.0, 0.5, -1.5, 1e308, math.nan, math.inf, -math.inf]),
+    st.sampled_from(["", "a", "x/y", "16", "rk4", "basis", "burgers_sine", "gribov",
+                     "iterative"]),
+    st.lists(st.one_of(st.none(), st.integers(-1, 8), st.floats(), st.text(max_size=2)),
+             max_size=3),
+    st.dictionaries(st.sampled_from(["a", "N", "gamma", "kind"]), st.integers(0, 3),
+                    max_size=2))
 
 
 class TestConfigValidation:
@@ -217,12 +242,45 @@ class TestConfigValidation:
         ({"r_list": [0.0, "a"]}, "config.r_list[1] must be a finite number, got 'a'"),
         ({"scenarios": [{"name": "e", "integrator": "euler"}]},
          "config.scenarios[0] ('e'): unknown linear integrator 'euler'"),
+        ({"scenarios": [1]}, "config.scenarios[0] must be an object, got 1"),
+        ({"scenarios": 5}, "config.scenarios must be a list, got 5"),
+        ({"model": {"kind": "nope", "N": 16}}, "config.model.kind must be "
+         "heat_torus|schrodinger_ground|sturm_liouville|gribov, got 'nope'"),
+        ({"model": {"path": 5}}, "config.model.path must be a string, got 5"),
+        ({"scenarios": [{"name": "s", "u0": {"seed": "x"}}]},
+         "config.scenarios[0] ('s'): u0.seed must be an integer >= 0, got 'x'"),
+        ({"scenarios": [{"name": "s", "u0": {"kind": "basis", "amplitude": "q"}}]},
+         "config.scenarios[0] ('s'): u0.amplitude must be a finite number, got 'q'"),
+        ({"scenarios": [{"name": "s", "nonlinear": True, "u0": {"l2": "x"}}]},
+         "config.scenarios[0] ('s'): u0.l2 must be a finite number > 0, got 'x'"),
+        ({"scenarios": [{"name": "s", "u0": {"kind": "burgers_sine"}}]},
+         "config.scenarios[0] ('s'): u0.kind must be random|basis, got 'burgers_sine'"),
+        ({"scenarios": [{"name": "s", "u0": {"kind": "basis", "n": 0}}]},
+         "config.scenarios[0] ('s'): u0.n must be a positive integer, got 0"),
+        ({"scenarios": [{"name": "s", "nonlinear": "yes"}]},
+         "config.scenarios[0] ('s'): nonlinear must be true or false, got 'yes'"),
+        ({"output_dir": 7}, "config.output_dir must be a string, got 7"),
+        ({"model": {"kind": "heat_torus", "N": 16, "params": []}},
+         "config.model.params must be an object, got []"),
+        ({"model": {"kind": "heat_torus", "N": 8, "params": {}}},
+         "config.N 16 and config.model.N 8 differ"),
+        ({"model": {"path": "system.json"}}, "config.model.path stands alone: a stored "
+         "system brings its own model and N, so config.N and config.model's other keys "
+         "are refused"),
     ], ids=["N-float", "N-string", "N-null", "N-bool", "N-zero", "r-nan", "r-string",
-            "integrator"])
+            "integrator", "scenario-int", "scenarios-int", "model-kind", "model-path-int",
+            "u0-seed", "u0-amplitude", "u0-l2", "u0-kind", "u0-n-zero", "nonlinear-string",
+            "output-dir-int", "params-list", "N-differs", "N-with-path"])
     def test_late_failures_refused_at_parse(self, tmp_path, capsys, overrides, where):
         # a float N ran truncated, a string N was accepted, a null N ended in
         # a raw TypeError; the integrator and the NaN r passed synthesize and
-        # failed in simulate with a raw ValueError
+        # failed in simulate with a raw ValueError.  A list of ints for
+        # scenarios gave a raw TypeError, an unknown model kind a raw
+        # ValueError (and simulate exited 0), a path of 5 read file
+        # descriptor 5; the bad u0 values failed in simulate with a raw
+        # ValueError, a wrong u0 kind only there, and u0.n = 0 excited mode
+        # N; "yes" ran Burgers; output_dir 7, params [], a model.N beside a
+        # different N or beside a path were accepted.
         cfg = tmp_path / "config.json"
         doc = write_config(cfg)
         doc.update(overrides)
@@ -274,6 +332,48 @@ class TestConfigValidation:
         cfg = parse_config({"model": {"kind": "heat_torus", "N": 8},
                             "r_list": [0.0, 0.5, 2.0, 0.123456, 0.12346]})
         assert cfg.r_list == (0.0, 0.5, 2.0, 0.123456, 0.12346)
+
+    @settings(max_examples=60, deadline=None)
+    @given(changes=st.lists(st.tuples(st.sampled_from(_CONFIG_KEYS), _JSON_VALUES),
+                            min_size=1, max_size=3))
+    def test_any_json_value_is_run_or_refused(self, changes):
+        # every key of a valid config (N = 8), its model, one scenario, that
+        # scenario's u0 and the sweep takes any JSON value: parse_config
+        # refuses only with a ConfigError, and synthesize exits 0 or with the
+        # code of a FredstabError and its JSON on stderr, never a traceback
+        doc = {"model": {"kind": "heat_torus", "N": 8, "params": {}}, "N": 8,
+               "lambda0": 2.5, "r_list": [0.0],
+               "scenarios": [{"name": "s", "u0": {"kind": "random", "seed": 0},
+                              "t_end": 0.01, "samples": 2}],
+               "sweep": {"lambda0": [2.5], "N": [8], "gamma": [0.0]}}
+        for (*path, key), value in changes:
+            section = doc
+            for step in path:       # an earlier change may have replaced a section
+                section = (section.get(step) if isinstance(section, dict) else
+                           section[step] if isinstance(section, list) and section else None)
+            if isinstance(section, dict):
+                section[key] = value
+        text = json.dumps(doc)      # NaN and Infinity as JSON's reader reads them
+        try:
+            parse_config(json.loads(text))
+            refused = None
+        except ConfigError as exc:
+            refused = exc
+        stderr = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+            with open("config.json", "w") as fh:
+                fh.write(text)
+            with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["synthesize", "--config", "config.json", "--out", "out"])
+        # numpy's overflow warnings may come first, once per process
+        assert "Traceback" not in stderr.getvalue()
+        if code == 0:
+            assert refused is None
+        else:
+            payload = json.loads(stderr.getvalue().splitlines()[-1])
+            assert code == _DOCUMENTED_EXIT[getattr(errors, payload["error"])]
+            assert refused is None or payload == {"error": "ConfigError",
+                                                  "message": str(refused)}
 
 
 class TestSynthesizeCommand:
@@ -336,6 +436,22 @@ class TestSynthesizeCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "IterationDiverged"
         assert "contraction" in err["message"]
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("delta", 1e308, "gain products on branch 1 are not finite"),
+        ("lambda0", 1.75e20, "residual gates failed: tb=inf (gate 1e-08), opeq=nan"),
+    ], ids=["delta-overflows-the-scan", "residuals-overflow"])
+    def test_huge_shift_or_margin_exits_three(self, tmp_path, capsys, key, value, message):
+        # delta = 1e308 ended in an OverflowError traceback from the scan's
+        # step count; a NaN residual passed the gates and the law.json
+        # writer raised a bare ValueError, after system.json was written
+        cfg = tmp_path / "config.json"
+        write_config(cfg, **{key: value})
+        with np.errstate(all="ignore"):
+            assert main(["synthesize", "--config", str(cfg)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SolverError" and err["message"].startswith(message)
+        assert not (tmp_path / "out" / "system.json").exists()
 
 
 class TestVerifyCommand:
@@ -503,6 +619,43 @@ class TestSimulateCommand:
             runs.append({p.name: p.read_bytes() for p in sorted(traces.glob("*.csv"))})
         assert len(runs[0]) == 6
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("scenario, message", [
+        ({"u0": {"kind": "basis", "branch": 9}}, "u0.branch must be at most 2, got 9"),
+        ({"u0": {"kind": "basis", "n": 999}}, "u0.n must be at most 16, got 999"),
+        ({"u0": {"kind": "burgers_sine", "mode": 99}, "nonlinear": True, "dt": 1e-3},
+         "u0.mode must be at most 16, got 99"),
+    ], ids=["branch", "n", "mode"])
+    def test_u0_index_past_the_system_refused(self, tmp_path, capsys, scenario, message):
+        # each ended in a raw IndexError
+        cfg = tmp_path / "config.json"
+        write_config(cfg, scenarios=[dict(name="u", t_end=0.01, samples=2, **scenario)])
+        assert main(["synthesize", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ConfigError", "message": f"config.scenarios[0] ('u'): {message}"}
+
+    @pytest.mark.parametrize("model, message", [
+        ({"kind": "heat_torus", "params": {"gamma": "x"}},
+         "ValueError: could not convert string to float: 'x'"),
+        ({"kind": "heat_torus", "params": {"gamma": 5}},
+         "ValueError: gamma=5.0 outside [0, (alpha-1)/2) = [0, 0.5)"),
+        ({"kind": "heat_torus", "params": {"gama": 0.1}},
+         "ValueError: unknown heat_torus params: ['gama']"),
+        ({"kind": "gribov", "params": {"eps": 1.0}},
+         "ValueError: |eps| = 1.0 exceeds the cap 0.1"),
+        ({"kind": "schrodinger_ground", "params": {"points": 10}},
+         "ValueError: mu must be sampled on at least 512 quadrature points"),
+    ], ids=["gamma-string", "gamma-5", "unknown-param", "gribov-eps", "schrodinger-points"])
+    def test_failed_model_build_is_a_config_error(self, tmp_path, capsys, model, message):
+        # each was a raw ValueError; an unknown params key was ignored
+        cfg = tmp_path / "config.json"
+        write_config(cfg, model={"N": 16, **model})
+        assert main(["synthesize", "--config", str(cfg)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ConfigError", "message": f"config.model: {message}"}
+        assert not (tmp_path / "out" / "system.json").exists()
 
     def test_rk4_guard_exits_four(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
@@ -870,6 +1023,19 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg), "--jobs", "1"]) == 0
         assert path.read_bytes() == pooled
 
+    def test_failed_model_build_gives_error_rows(self, tmp_path):
+        # gamma = 5.0 is outside [0, 0.5) on the torus: its model build
+        # raised a raw ValueError that aborted the whole sweep
+        cfg = tmp_path / "config.json"
+        write_config(cfg, sweep={"lambda0": [2.5], "gamma": [0.1, 5.0]})
+        assert main(["sweep", "--config", str(cfg), "--jobs", "1"]) == 0
+        with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["gamma"], row["error"]) for row in rows] == [
+            ("0.1", ""), ("5.0", "ConfigError: config.model: ValueError: "
+                                 "gamma=5.0 outside [0, (alpha-1)/2) = [0, 0.5)")]
+        assert float(rows[0]["tb_residual"]) <= 1e-8
+
     def test_empty_sweep_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         write_config(cfg)
@@ -1107,7 +1273,8 @@ class TestSystemFromPath:
         assert main(["synthesize", "--config", str(cfg1)]) == 0
         cfg2 = tmp_path / "c2.json"
         path = str(tmp_path / "out" / "system.json")
-        write_config(cfg2, model={"path": path}, output_dir=str(tmp_path / "out2"),
+        # a stored system brings its own N, so the config gives none
+        write_config(cfg2, drop=["N"], model={"path": path}, output_dir=str(tmp_path / "out2"),
                      sweep={"lambda0": [2.5], key: values})
         capsys.readouterr()
         assert main(["sweep", "--config", str(cfg2)]) == 1
@@ -1116,7 +1283,7 @@ class TestSystemFromPath:
         assert payload["message"].startswith(f"config.sweep.{key} cannot vary a stored "
                                              "system (config.model.path)")
         assert not (tmp_path / "out2").exists()
-        write_config(cfg2, model={"path": path}, output_dir=str(tmp_path / "out2"),
+        write_config(cfg2, drop=["N"], model={"path": path}, output_dir=str(tmp_path / "out2"),
                      sweep={"lambda0": [2.5, 3.0]})
         assert main(["sweep", "--config", str(cfg2), "--jobs", "1"]) == 0
         with open(tmp_path / "out2" / "sweep.csv", newline="") as fh:
@@ -1128,7 +1295,7 @@ class TestSystemFromPath:
         write_config(cfg1)
         main(["synthesize", "--config", str(cfg1)])
         cfg2 = tmp_path / "c2.json"
-        write_config(cfg2, model={"path": str(tmp_path / "out" / "system.json")},
+        write_config(cfg2, drop=["N"], model={"path": str(tmp_path / "out" / "system.json")},
                      output_dir=str(tmp_path / "out2"))
         assert main(["synthesize", "--config", str(cfg2)]) == 0
         a = (tmp_path / "out" / "law.json").read_bytes()
