@@ -258,7 +258,7 @@ def _build_system(cfg: RunConfig, N: Optional[int] = None,
             _check_matrix_budget(N)
             system = models.model_from_descriptor(
                 models.ModelDescriptor(kind=cfg.model["kind"], N=N, params=params))
-    except (OSError, ValueError, TypeError, KeyError) as exc:
+    except (OSError, ValueError, TypeError, KeyError, MemoryError) as exc:
         raise ConfigError(f"config.model: {type(exc).__name__}: {exc}") from exc
     for b in system.branches:
         _check_matrix_budget(b.N)
@@ -266,7 +266,7 @@ def _build_system(cfg: RunConfig, N: Optional[int] = None,
 
 
 def _out_dir(cfg: RunConfig, override: Optional[str]) -> str:
-    out = override or os.environ.get("OUTPUT_DIR") or cfg.output_dir
+    out = override or cfg.output_dir
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -550,6 +550,14 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
     """
     out = _out_dir(cfg, out)
     system, law, *_ = _load_artifacts(out)
+    for i, sc in enumerate(cfg.scenarios):
+        width = (2 * system.branches[0].N + 1 if sc["nonlinear"]
+                 else sum(b.N for b in system.branches))
+        need = (sc["samples"] + 1) * width * 16
+        if need > MATRIX_BUDGET_BYTES:
+            raise ConfigError(
+                f"config.scenarios[{i}] ({sc['name']!r}): samples={sc['samples']} would "
+                f"need {need} bytes for the trace; the budget is {MATRIX_BUDGET_BYTES} bytes")
     kernels = _kernels(system, law.lam)
     traces_dir = os.path.join(out, "traces")
     os.makedirs(traces_dir, exist_ok=True)

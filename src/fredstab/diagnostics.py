@@ -160,6 +160,11 @@ def _verdict_json(v: AssumptionVerdict) -> dict:
             "ok": v.control.ok, "c1_hat": v.control.c1_hat, "c2_hat": v.control.c2_hat,
             "beta_hat": v.control.beta_hat, "gamma_hat": v.control.gamma_hat,
         }
+    # too few modes for a fit (N < 3) leaves NaN slopes, and N = 1 an infinite gap
+    for section in doc.values():
+        if isinstance(section, dict):
+            section.update({k: None for k, x in section.items()
+                            if isinstance(x, float) and not np.isfinite(x)})
     return doc
 
 

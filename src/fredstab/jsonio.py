@@ -1,15 +1,15 @@
 """Canonical JSON serialization shared by all artifact writers.
 
 Artifacts must be byte-identical across runs for the same inputs, so the
-writer fixes key order (sorted), float formatting (17 significant digits)
-and complex encoding ([re, im] pairs).  The reader is plain ``json``.
+stdlib encoder runs with sorted keys, fixed separators, ``repr`` floats (the
+shortest text that reads back to the same double, as in every CSV and SVG)
+and complex numbers as [re, im] pairs; a non-finite float is refused.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from typing import Any
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 def cpairs(values) -> list[list[float]]:
     """Encode a complex sequence as [[re, im], ...]."""
     arr = np.asarray(values, dtype=complex).ravel()
-    return [[float(z.real), float(z.imag)] for z in arr]
+    return np.stack((arr.real, arr.imag), axis=1).tolist()
 
 
 def from_cpairs(pairs) -> np.ndarray:
@@ -35,64 +35,31 @@ def from_cpairs(pairs) -> np.ndarray:
     return out
 
 
-def _fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError("non-finite float cannot be serialized canonically")
-    if x == int(x) and abs(x) < 1e16:
-        # keep integral floats compact but unambiguous
-        return f"{x:.1f}"
-    return format(x, ".17g")
-
-
-def _canon(obj: Any, out: list[str]) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_fmt_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
-    elif isinstance(obj, (complex, np.complexfloating)):
-        _canon([float(obj.real), float(obj.imag)], out)
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if not isinstance(key, str):
-                raise TypeError(f"non-string key {key!r}")
-            if i:
-                out.append(",")
-            out.append(json.dumps(key, ensure_ascii=False))
-            out.append(":")
-            _canon(obj[key], out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        out.append("[")
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        for i, item in enumerate(seq):
-            if i:
-                out.append(",")
-            _canon(item, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _plain(obj: Any) -> Any:
+    """The JSON value of a numpy array or scalar, or of a complex number."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (np.integer, np.floating)):
+        return obj.item()
+    if isinstance(obj, (complex, np.complexfloating)):
+        return [obj.real, obj.imag]
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def canonical_json(obj: Any) -> str:
-    """Serialize to deterministic JSON text (sorted keys, 17-digit floats)."""
-    out: list[str] = []
-    _canon(obj, out)
-    return "".join(out)
+    """Serialize to deterministic JSON text (sorted keys, repr floats)."""
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False,
+                          allow_nan=False, default=_plain)
+    except ValueError as exc:
+        raise ValueError("non-finite float cannot be serialized canonically") from exc
 
 
 def write_json(path, obj: Any) -> None:
-    """Write canonical JSON, newline-terminated."""
+    """Write canonical JSON and a newline; if serializing fails, the file is untouched."""
+    text = canonical_json(obj) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(obj) + "\n")
+        fh.write(text)
 
 
 def read_json(path) -> Any:

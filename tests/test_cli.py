@@ -386,6 +386,14 @@ class TestSynthesizeCommand:
         for name in ("system.json", "law.json", "transform.json"):
             assert (out / name).exists()
 
+    def test_output_dir_env_is_not_read(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OUTPUT_DIR", str(tmp_path / "elsewhere"))
+        cfg = tmp_path / "config.json"
+        write_config(cfg)
+        assert main(["synthesize", "--config", str(cfg)]) == 0
+        assert (tmp_path / "out" / "system.json").exists()
+        assert not (tmp_path / "elsewhere").exists()
+
     def test_deterministic_artifacts(self, tmp_path):
         cfg = tmp_path / "config.json"
         write_config(cfg)
@@ -1260,6 +1268,38 @@ class TestMatrixBudget:
         assert str(LIVE_MATRICES * 16 * 10 ** 12) in err["message"]
         assert not (tmp_path / "out" / "system.json").exists()
 
+    # 10**12 values only: numpy refuses them without allocating anything
+    @pytest.mark.parametrize("nonlinear, width", [(False, 16), (True, 17)])
+    def test_huge_samples_refused_before_integrating(self, tmp_path, capsys, nonlinear, width):
+        cfg = tmp_path / "config.json"
+        scenario = {"name": "big", "t_end": 1.0, "samples": 10 ** 12, "nonlinear": nonlinear,
+                    "u0": {"kind": "burgers_random" if nonlinear else "random", "seed": 0}}
+        write_config(cfg, N=8, model={"kind": "heat_torus", "N": 8, "params": {}},
+                     scenarios=[scenario])
+        assert main(["synthesize", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(
+            f"config.scenarios[0] ('big'): samples={10 ** 12} would need "
+            f"{(10 ** 12 + 1) * width * 16} bytes")
+        assert not (tmp_path / "out" / "traces").exists()
+
+    def test_huge_quadrature_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, N=8, model={"kind": "schrodinger_ground", "N": 8,
+                                      "params": {"points": 10 ** 12}},
+                     sweep={"lambda0": [2.5]})
+        assert main(["synthesize", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith("config.model: ")
+        assert main(["sweep", "--config", str(cfg), "--jobs", "1"]) == 0
+        with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 1 and rows[0]["error"].startswith("ConfigError: config.model: ")
+
 
 class TestSystemFromPath:
     @pytest.mark.parametrize("key, values", [("N", [8, 16]), ("gamma", [0.0]),
@@ -1301,3 +1341,27 @@ class TestSystemFromPath:
         a = (tmp_path / "out" / "law.json").read_bytes()
         b = (tmp_path / "out2" / "law.json").read_bytes()
         assert a == b
+
+    @pytest.mark.parametrize("eigenvalues", [[-1.0], [-1.0, -4.0]])
+    def test_one_and_two_mode_systems(self, tmp_path, eigenvalues):
+        # too few modes for the growth and control slope fits (NaN) and, at
+        # N = 1, for a gap constant (inf): the report writes them as null
+        N = len(eigenvalues)
+        path = tmp_path / "system.json"
+        write_json(path, {"label": "stored", "m": 1, "branches": [
+            {"i": 1, "alpha": 2.0, "beta": 0.0, "gamma": 0.0,
+             "eigenvalues": [[e, 0.0] for e in eigenvalues],
+             "control_coeffs": [[1.0, 0.0]] * N}]})
+        cfg = tmp_path / "config.json"
+        write_config(cfg, drop=["N"], model={"path": str(path)}, scenarios=[
+            {"name": "lin", "u0": {"kind": "random", "seed": 0}, "t_end": 1.0,
+             "samples": 8, "integrator": "semigroup_exact"}])
+        for stage in ("synthesize", "verify", "simulate", "report"):
+            assert main([stage, "--config", str(cfg)]) == 0, stage
+        out = tmp_path / "out"
+        assert all(f.stat().st_size > 0 for f in out.rglob("*") if f.is_file())
+        verdict = json.loads((out / "report.json").read_text())["assumptions"][0]
+        assert verdict["ok"]
+        assert verdict["growth"]["alpha_hat"] is None
+        assert verdict["control"]["beta_hat"] is None
+        assert (verdict["gap"]["constant"] is None) == (N == 1)

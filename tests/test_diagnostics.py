@@ -12,7 +12,7 @@ from fredstab import (BranchKernel, build_transform, closed_loop_matrix,
                       simulate_closed_loop, solve_gains_direct,
                       spectrum_match_error, synthesize_feedback)
 from fredstab.diagnostics import REPORT_SCHEMA, svg_line_plot
-from fredstab.jsonio import canonical_json, config_hash
+from fredstab.jsonio import canonical_json, config_hash, cpairs, from_cpairs, write_json
 from fredstab.models import gribov_model, heat_torus_model
 from fredstab.synthesis import inverse_gap_sum_profile
 
@@ -163,7 +163,8 @@ class TestMakeReport:
         assert canonical_json(json.loads(text)) == text
 
 
-_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)   # subnormals and -0.0 too
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 _JSON_DOCS = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(), _FINITE, st.text(max_size=8),
               st.complex_numbers(allow_nan=False, allow_infinity=False)),
@@ -176,7 +177,37 @@ _JSON_DOCS = st.recursive(
 class TestCanonicalJson:
     def test_sorted_keys_and_float_format(self):
         text = canonical_json({"b": 0.1, "a": 2})
-        assert text == '{"a":2,"b":0.10000000000000001}'
+        assert text == '{"a":2,"b":0.1}'
+
+    @pytest.mark.parametrize("x", [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                                   1e16, 1e22, 9007199254740992.0, 0.1, -0.0])
+    def test_float_text_is_repr_and_round_trips(self, x):
+        text = canonical_json([x])
+        assert text == f"[{x!r}]"
+        assert json.loads(text)[0].hex() == x.hex()
+
+    @PROPERTY
+    @given(xs=st.lists(_FINITE, max_size=16))
+    def test_floats_round_trip_bit_for_bit(self, xs):
+        back = json.loads(canonical_json(xs))
+        assert [v.hex() for v in back] == [v.hex() for v in xs]
+
+    @PROPERTY
+    @given(parts=st.lists(st.tuples(_FINITE, _FINITE), max_size=16))
+    def test_complex_pairs_round_trip_bit_for_bit(self, parts):
+        z = np.empty(len(parts), dtype=complex)
+        z.real = [re for re, _ in parts]
+        z.imag = [im for _, im in parts]
+        back = from_cpairs(json.loads(canonical_json(cpairs(z))))
+        assert back.view(np.uint64).tolist() == z.view(np.uint64).tolist()
+
+    def test_write_json_failure_keeps_the_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        write_json(path, {"ok": 1.0})
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="non-finite"):
+            write_json(path, {"ok": float("nan")})
+        assert path.read_bytes() == before
 
     def test_numpy_types(self):
         text = canonical_json({"x": np.float64(1.5), "n": np.int64(3),

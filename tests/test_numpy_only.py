@@ -69,7 +69,6 @@ def test_cli_stages_run_on_numpy_alone(tmp_path):
     """
     src = os.path.dirname(os.path.dirname(os.path.abspath(fredstab.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    env.pop("OUTPUT_DIR", None)
     proc = subprocess.run([sys.executable, "-c", _STAGES_SCRIPT, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
