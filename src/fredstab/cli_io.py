@@ -22,14 +22,15 @@ config.r_list; the sweep's r = 0).  A stage builds one
 synthesis.BranchKernel per branch once it knows the shift, and every
 consumer reads its C and the w of the closed-form T^-1.  No stage runs an
 SVD or a factorization; transform.transform_matrix is a test oracle only.
-The sweep builds each distinct (N, gamma) model once, then maps its points
-on --jobs (>= 1) threads, or in the calling thread for one.
+The sweep builds and gates each distinct (N, gamma) model once, then maps
+its points on --jobs (>= 1) threads, or in the calling thread for one.
 
 verify, simulate and report build report.json with one function, _report,
 from the output directory and the config alone, so the three stages write
-the same bytes for the same directory.  simulate hands each
-traces/<name>_modes.csv to a forked writer child (_TraceWriters) while it
-integrates the next scenario, and writes report.json once every writer has
+the same bytes for the same directory.  simulate checks every scenario and
+builds its u0 before the first integrates, then hands each
+traces/<name>_modes.csv to a forked writer (_TraceWriters) while it
+integrates the next, and writes report.json once every writer has
 succeeded; a failed writer leaves the exit code and files of an inline run.
 
 Exit codes: 0 success, 2 assumption-verdict failure, 3 solver failure,
@@ -67,11 +68,11 @@ TB_GATE = 1e-8
 OPEQ_GATE = 1e-8
 VERIFY_TOL = 1e-6
 # Peak RSS growth of one stage, in N x N complex matrices (heat torus,
-# N = 1024, one 64-sample semigroup scenario): 7.1 in synthesize and sweep
-# (select_shift's table of all eigenvalue differences) and 5.3 in verify,
-# simulate and report, two of them the stage's kernels held to its end.
-# With LIVE_MATRICES of them in the budget, MAX_N is 3344.  A larger
-# truncation is refused before any model or matrix is built.
+# N = 1024, one 64-sample semigroup scenario, one stage per process): 4.1
+# in synthesize and sweep, 4.2 in verify and report and 4.8 in simulate,
+# two of them the stage's kernels held to its end.  With LIVE_MATRICES of
+# them in the budget, MAX_N is 3344.  A larger truncation is refused before
+# any model or matrix is built.
 MATRIX_BUDGET_BYTES = 2 << 30
 LIVE_MATRICES = 12
 MAX_N = math.isqrt(MATRIX_BUDGET_BYTES // (16 * LIVE_MATRICES))
@@ -246,7 +247,7 @@ def _check_matrix_budget(N: int) -> None:
 
 def _build_system(cfg: RunConfig, N: Optional[int] = None,
                   gamma: Optional[float] = None) -> SpectralSystem:
-    """config.model's system, at N and gamma when given; a failed build is a ConfigError."""
+    """config.model's gated system, at N and gamma when given; a failed build is a ConfigError."""
     try:
         if cfg.model["path"] is not None:
             system = system_from_json(read_json(cfg.model["path"]))
@@ -262,6 +263,9 @@ def _build_system(cfg: RunConfig, N: Optional[int] = None,
         raise ConfigError(f"config.model: {type(exc).__name__}: {exc}") from exc
     for b in system.branches:
         _check_matrix_budget(b.N)
+    if bad := [b.index for b in system.branches if not verify_assumptions(b).ok]:
+        raise AssumptionError(f"standing assumptions failed on branch(es) {bad}; "
+                              "see the verdict details in the report")
     return system
 
 
@@ -272,15 +276,10 @@ def _out_dir(cfg: RunConfig, override: Optional[str]) -> str:
 
 
 def _synthesize_pipeline(cfg: RunConfig, system: SpectralSystem, r_list, lambda0: float):
-    """Shared synthesis path: verdicts -> shift -> kernels -> gains -> certificates.
+    """Shared synthesis path of a gated system: shift -> kernels -> gains -> certificates.
 
     Returns (shift, law, kernels, {branch index: BranchCertificate}).
     """
-    bad = [b.index for b in system.branches if not verify_assumptions(b).ok]
-    if bad:
-        raise AssumptionError(
-            f"standing assumptions failed on branch(es) {bad}; "
-            "see the verdict details in the report")
     shift = synthesis.select_shift(system, lambda0, cfg.delta)
     kernels = _kernels(system, shift.lam)
     method = "direct" if cfg.method == "both" else cfg.method
@@ -402,9 +401,8 @@ def _report(cfg: RunConfig, out: str, system, law, kernels, certs) -> dict:
     kernel of the gap tail and compactness proxy are branch 1's, and the
     decay fits are refit from out/traces.
     """
-    return diagnostics.make_report(
-        system, law, certs.values(), kernels[0], certs[kernels[0].branch.index].conditioning,
-        _refit_decay(cfg, os.path.join(out, "traces")), cfg.raw)
+    return diagnostics.make_report(system, law, certs.values(), kernels[0],
+                                   _refit_decay(cfg, os.path.join(out, "traces")), cfg.raw)
 
 
 def _u0_index(u0: dict, key: str, size: int, where: str) -> int:
@@ -550,38 +548,39 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
     """
     out = _out_dir(cfg, out)
     system, law, *_ = _load_artifacts(out)
+    # check every scenario and build its u0 before any integrates: a refusal leaves no trace
+    u0s = []
     for i, sc in enumerate(cfg.scenarios):
+        where = f"config.scenarios[{i}] ({sc['name']!r})"
         width = (2 * system.branches[0].N + 1 if sc["nonlinear"]
                  else sum(b.N for b in system.branches))
         need = (sc["samples"] + 1) * width * 16
         if need > MATRIX_BUDGET_BYTES:
             raise ConfigError(
-                f"config.scenarios[{i}] ({sc['name']!r}): samples={sc['samples']} would "
-                f"need {need} bytes for the trace; the budget is {MATRIX_BUDGET_BYTES} bytes")
+                f"{where}: samples={sc['samples']} would need {need} bytes for the "
+                f"trace; the budget is {MATRIX_BUDGET_BYTES} bytes")
+        if sc["nonlinear"] and not system.label.startswith("heat_torus"):
+            raise ConfigError(f"{where}: nonlinear scenarios need the heat_torus model")
+        u0s.append(_burgers_u0(system, sc["u0"], where) if sc["nonlinear"]
+                   else _linear_u0(system, sc["u0"], where))
     kernels = _kernels(system, law.lam)
     traces_dir = os.path.join(out, "traces")
     os.makedirs(traces_dir, exist_ok=True)
     writers = _TraceWriters()
     try:
-        for i, sc in enumerate(cfg.scenarios):
-            name, dt = sc["name"], sc["dt"]
-            where = f"config.scenarios[{i}] ({name!r})"
+        for sc, u0 in zip(cfg.scenarios, u0s):
             times = np.linspace(0.0, sc["t_end"], sc["samples"] + 1)
             if sc["nonlinear"]:
-                if not system.label.startswith("heat_torus"):
-                    raise ConfigError("nonlinear scenarios need the heat_torus model")
-                u0 = _burgers_u0(system, sc["u0"], where)
-                trace = simulate.simulate_burgers(system, law, u0, times, dt=dt,
+                trace = simulate.simulate_burgers(system, law, u0, times, dt=sc["dt"],
                                                   r_list=cfg.r_list)
             else:
-                u0 = _linear_u0(system, sc["u0"], where)
                 trace = simulate.simulate_closed_loop(kernels, law, u0, times,
-                                                      integrator=sc["integrator"], dt=dt,
-                                                      r_list=cfg.r_list)
-            norms_path = os.path.join(traces_dir, f"{name}_norms.csv")
+                                                      integrator=sc["integrator"],
+                                                      dt=sc["dt"], r_list=cfg.r_list)
+            norms_path = os.path.join(traces_dir, f"{sc['name']}_norms.csv")
             simulate.write_norms_csv(trace, norms_path)
             writers.start(simulate.write_modes_csv, trace,
-                          os.path.join(traces_dir, f"{name}_modes.csv"), (norms_path,))
+                          os.path.join(traces_dir, f"{sc['name']}_modes.csv"), (norms_path,))
             del trace
         writers.poll()
         report = _report(cfg, out, system, law, kernels,
@@ -614,8 +613,8 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str] = None,
     def error_text(exc: FredstabError) -> str:
         return f"{type(exc).__name__}: {exc}"
 
-    # A model depends on (N, gamma) only, so each is built once, here, in
-    # grid order; a failed build leaves the error text of its points' rows.
+    # A model and its standing assumptions depend on (N, gamma) only, not on the
+    # shift: each is built and gated here once, in grid order; a failure is its rows' error.
     systems = {}
     for _, n, g in grid:
         if (n, g) not in systems:

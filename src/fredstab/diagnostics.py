@@ -169,13 +169,13 @@ def _verdict_json(v: AssumptionVerdict) -> dict:
 
 
 def make_report(system: SpectralSystem, law: FeedbackLaw, certificates,
-                kernel: BranchKernel, conditioning: dict, decay_fits, config: dict) -> dict:
+                kernel: BranchKernel, decay_fits, config: dict) -> dict:
     """The report.json document of a system, its law and its certificates.
 
     certificates holds one transform.build_transform certificate per
     branch; the report carries their worst tb and opeq residuals and, as
     the spectrum match, their worst secular_match_error.
-    conditioning maps r to kappa_r of branch 1 (its certificate's).
+    The conditioning, r -> kappa_r, is that of kernel's branch certificate.
     decay_fits maps scenario names to a DecayFit or None (no fit); None for
     the whole section means no scenario was simulated.  The verdicts, gain
     trends, inverse-gap tail, compactness proxy and classification are
@@ -213,7 +213,8 @@ def make_report(system: SpectralSystem, law: FeedbackLaw, certificates,
                 for tr in trends
             ],
         },
-        "conditioning": {f"{r:g}": kappa for r, kappa in conditioning.items()},
+        "conditioning": {f"{r:g}": kappa for r, kappa
+                         in certificates[kernel.branch.index].conditioning.items()},
         "gap_sum_tail_max": tail_max,
         "compactness": {"eps": eps_hi / 2.0,
                         "norm": compactness_proxy(kernel, 0.0, eps_hi / 2.0, b0.alpha)},

@@ -70,15 +70,11 @@ def select_shift(system: SpectralSystem, lambda0: float, delta: float) -> ShiftS
     """
     if lambda0 <= 0 or delta <= 0:
         raise ValueError("lambda0 and delta must be positive")
-    diffs = [
-        (b.eigenvalues[:, None] - b.eigenvalues[None, :]).ravel()
-        for b in system.branches
-    ]
-    all_diffs = np.concatenate(diffs)
+    diffs = [b.eigenvalues[:, None] - b.eigenvalues[None, :] for b in system.branches]
     steps = int(2 * SHIFT_SEARCH_WIDTH) + 1        # delta / 2 apart, over WIDTH * delta
     for j in range(steps):
         lam = lambda0 + j * delta / 2.0
-        dist = float(np.min(np.abs(all_diffs + lam)))
+        dist = float(np.min([np.min(np.abs(d + lam)) for d in diffs]))
         if dist >= delta:
             return ShiftSelection(lam=lam, delta=delta, min_distance=dist)
     raise SolverError(

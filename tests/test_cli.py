@@ -360,11 +360,13 @@ class TestConfigValidation:
         except ConfigError as exc:
             refused = exc
         stderr = io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-            with open("config.json", "w") as fh:
+        with tempfile.TemporaryDirectory() as tmp:
+            config = os.path.join(tmp, "config.json")
+            with open(config, "w") as fh:
                 fh.write(text)
             with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
-                code = main(["synthesize", "--config", "config.json", "--out", "out"])
+                code = main(["synthesize", "--config", config,
+                             "--out", os.path.join(tmp, "out")])
         # numpy's overflow warnings may come first, once per process
         assert "Traceback" not in stderr.getvalue()
         if code == 0:
@@ -643,6 +645,33 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg)]) == 1
         assert json.loads(capsys.readouterr().err) == {
             "error": "ConfigError", "message": f"config.scenarios[0] ('u'): {message}"}
+
+    @pytest.mark.parametrize("model, scenario, message", [
+        (None, {"u0": {"kind": "basis", "n": 99}}, "u0.n must be at most 16, got 99"),
+        (None, {"u0": {"kind": "basis", "branch": 3}}, "u0.branch must be at most 2, got 3"),
+        (None, {"u0": {"kind": "burgers_sine", "mode": 17}, "nonlinear": True, "dt": 1e-3},
+         "u0.mode must be at most 16, got 17"),
+        ({"kind": "gribov", "N": 16, "params": {}}, {"nonlinear": True, "dt": 1e-3},
+         "nonlinear scenarios need the heat_torus model"),
+        (None, {"samples": 10 ** 12}, f"samples={10 ** 12} would need"),
+    ], ids=["n", "branch", "mode", "gribov-nonlinear", "samples"])
+    def test_refused_second_scenario_leaves_no_trace(self, tmp_path, capsys, model,
+                                                     scenario, message):
+        # every scenario is checked before the first one integrates; the
+        # u0 and heat_torus refusals came after the first one's traces
+        cfg = tmp_path / "config.json"
+        first = {"name": "lin", "u0": {"kind": "random", "seed": 0}, "t_end": 0.1,
+                 "samples": 4}
+        write_config(cfg, **({"model": model} if model else {}),
+                     scenarios=[first, {"name": "bad", "t_end": 0.01, "samples": 2, **scenario}])
+        assert main(["synthesize", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(f"config.scenarios[1] ('bad'): {message}")
+        assert not (tmp_path / "out" / "traces").exists()
+        assert not (tmp_path / "out" / "report.json").exists()
 
     @pytest.mark.parametrize("model, message", [
         ({"kind": "heat_torus", "params": {"gamma": "x"}},
@@ -966,20 +995,28 @@ class TestSweepCommand:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_each_model_built_once(self, tmp_path, monkeypatch, jobs):
         # a model depends on (N, gamma) only: 3 lambda0 x 2 N is 2 builds,
-        # made in the calling thread in grid order, before the points run
-        built = []
+        # made in the calling thread in grid order, before the points run,
+        # and the standing assumptions are checked once per branch of each
+        built, checked = [], []
         build = cli_io.models.model_from_descriptor
+        check = cli_io.verify_assumptions
 
         def counting_build(desc):
             built.append((desc.N, threading.current_thread() is threading.main_thread()))
             return build(desc)
 
+        def counting_check(branch):
+            checked.append((branch.N, branch.index))
+            return check(branch)
+
         monkeypatch.setattr(cli_io.models, "model_from_descriptor", counting_build)
+        monkeypatch.setattr(cli_io, "verify_assumptions", counting_check)
         cfg = tmp_path / "config.json"
         write_config(cfg, sweep={"lambda0": [1.0, 2.0, 4.0], "N": [12, 16]}, N=12,
                      model={"kind": "heat_torus", "N": 12, "params": {}})
         assert main(["sweep", "--config", str(cfg), "--jobs", jobs]) == 0
         assert built == [(12, True), (16, True)]
+        assert checked == [(12, 1), (12, 2), (16, 1), (16, 2)]
         with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 6 and not any(row["error"] for row in rows)
@@ -1043,6 +1080,36 @@ class TestSweepCommand:
             ("0.1", ""), ("5.0", "ConfigError: config.model: ValueError: "
                                  "gamma=5.0 outside [0, (alpha-1)/2) = [0, 0.5)")]
         assert float(rows[0]["tb_residual"]) <= 1e-8
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_gate_gives_error_rows(self, tmp_path, monkeypatch, jobs):
+        # branch 2 grows like n^5 against a declared n^2: the gate fails,
+        # once for the model, and each point's row carries its text
+        checked = []
+        check = cli_io.verify_assumptions
+
+        def counting_check(branch):
+            checked.append(branch.index)
+            return check(branch)
+
+        monkeypatch.setattr(cli_io, "verify_assumptions", counting_check)
+        path = tmp_path / "system.json"
+        write_json(path, {"label": "stored", "m": 2, "branches": [
+            {"i": i, "alpha": 2.0, "beta": 0.0, "gamma": 0.0,
+             "eigenvalues": [[-float(n) ** power, 0.0] for n in range(1, 9)],
+             "control_coeffs": [[1.0, 0.0]] * 8} for i, power in ((1, 2), (2, 5))]})
+        cfg = tmp_path / "config.json"
+        write_config(cfg, drop=["N"], model={"path": str(path)},
+                     sweep={"lambda0": [2.5, 3.0]})
+        assert main(["sweep", "--config", str(cfg), "--jobs", jobs]) == 0
+        with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        gate = ("AssumptionError: standing assumptions failed on branch(es) [2]; "
+                "see the verdict details in the report")
+        assert [(row["lambda0"], row["error"]) for row in rows] == [("2.5", gate),
+                                                                    ("3.0", gate)]
+        assert all(row["tb_residual"] == row["mu_hat"] == "" for row in rows)
+        assert checked == [1, 2]
 
     def test_empty_sweep_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

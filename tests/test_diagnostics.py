@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -134,7 +135,8 @@ class TestMakeReport:
         _, tail_max = inverse_gap_sum_profile(BranchKernel(br, 2.5), 0.0)
         trace = simulate_closed_loop(ks, law, random_state(system),
                                      np.linspace(0, 2, 33))
-        doc = make_report(system, law, certs, ks[0], {0.0: 5.0},
+        certs[0] = dataclasses.replace(certs[0], conditioning={0.0: 5.0})
+        doc = make_report(system, law, certs, ks[0],
                           {"lin": fit_decay(trace), "short": None}, {"N": 16})
         assert doc["schema"] == REPORT_SCHEMA
         assert doc["lambda"] == 2.5
@@ -151,15 +153,14 @@ class TestMakeReport:
 
     def test_simulation_sections_absent_when_not_run(self):
         system, law, ks, certs = self.pipeline(8)
-        doc = make_report(system, law, certs, ks[0], {}, None, {})
+        doc = make_report(system, law, certs, ks[0], None, {})
         assert doc["decay_fits"] is None
         assert doc["conditioning"] == {}
         assert doc["gain_profile"]["per_branch"] == [None, None]    # N < 16
 
     def test_roundtrip_bit_identical(self):
         system, law, ks, certs = self.pipeline(8)
-        text = canonical_json(make_report(system, law, certs, ks[0], {}, None,
-                                          {"seed": 1}))
+        text = canonical_json(make_report(system, law, certs, ks[0], None, {"seed": 1}))
         assert canonical_json(json.loads(text)) == text
 
 

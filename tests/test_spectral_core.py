@@ -99,6 +99,25 @@ class TestGap:
         assert check.constant == pytest.approx(worst, rel=1e-12)
         assert check.constant >= np.pi ** 2 - 1e-9
 
+    @pytest.mark.parametrize("N", [63, 64, 65, 200])
+    @pytest.mark.parametrize("kind", ["heat", "schrodinger", "random"])
+    def test_row_blocks_keep_the_bits_of_one_table(self, kind, N):
+        # the dense table of all quotients: same constant, bit for bit,
+        # and the first minimizing pair in row order
+        rng = np.random.default_rng(N)
+        br = {"heat": heat_branch(N), "schrodinger": schrodinger_branch(N),
+              "random": SpectralBranch(1, rng.standard_normal(N) + 1j * np.arange(N),
+                                       np.ones(N), alpha=1.5)}[kind]
+        lam, n = br.eigenvalues, np.arange(1.0, N + 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            quot = (np.abs(lam[:, None] - lam[None, :])
+                    / (n[:, None] ** (br.alpha - 1.0) * np.abs(n[:, None] - n[None, :])))
+        np.fill_diagonal(quot, np.inf)
+        i, j = divmod(int(np.argmin(quot)), N)
+        check = verify_gap(br)
+        assert check.constant.hex() == float(quot[i, j]).hex()
+        assert check.witness == (i + 1, j + 1)
+
 
 class TestControl:
     def test_unit_coefficients(self):

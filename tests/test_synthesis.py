@@ -7,8 +7,8 @@ from fredstab import (BranchKernel, SolverError, SpectralBranch, SpectralSystem,
                       random_state, select_shift, simulate_closed_loop,
                       solve_gains_direct, solve_gains_iterative, synthesize_feedback)
 from fredstab.errors import IterationDiverged
-from fredstab.models import heat_torus_model
-from fredstab.synthesis import cauchy_system_matrix
+from fredstab.models import gribov_model, heat_torus_model
+from fredstab.synthesis import SHIFT_SEARCH_WIDTH, cauchy_system_matrix
 
 from conftest import heat_branch, kernels, schrodinger_branch, worked_branch
 
@@ -49,6 +49,28 @@ class TestSelectShift:
         system = SpectralSystem(branches=(br,), label="dense")
         with pytest.raises(SolverError, match="no admissible shift"):
             select_shift(system, 1.0, 1.0)
+
+
+    @pytest.mark.parametrize("system, lambda0, rejects", [
+        (heat_torus_model(32), 2.5, False),
+        (heat_torus_model(32), 3.0, True),          # 3 = 2^2 - 1^2
+        (SpectralSystem(branches=(schrodinger_branch(32),), label="s"), 1.0, False),
+        (gribov_model(24, eps=0.05 + 0.05j), 2.0, False),
+        (gribov_model(24, eps=0.05 + 0.05j), 7.0, True),   # 7 = 2^3 - 1^3, off by eps/2
+    ], ids=["heat", "heat-rejects", "schrodinger", "gribov", "gribov-rejects"])
+    def test_bits_of_the_brute_force_over_all_branches(self, system, lambda0, rejects):
+        # the minimum over one table of every branch's differences
+        diffs = np.concatenate([(b.eigenvalues[:, None] - b.eigenvalues[None, :]).ravel()
+                                for b in system.branches])
+        for j in range(int(2 * SHIFT_SEARCH_WIDTH) + 1):
+            lam = lambda0 + j * 0.25 / 2.0
+            dist = float(np.min(np.abs(diffs + lam)))
+            if dist >= 0.25:
+                break
+        sel = select_shift(system, lambda0, 0.25)
+        assert (sel.lam > lambda0) == rejects
+        assert sel.lam.hex() == lam.hex()
+        assert sel.min_distance.hex() == dist.hex()
 
 
 class TestResolvent:
