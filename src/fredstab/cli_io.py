@@ -8,11 +8,13 @@ the filled-in, typed values.  The rules that tie keys together follow in
 parse_config.  A model that cannot be read or built and a u0 index past the
 system are ConfigErrors naming the key too.  Artifacts land in
 out/{system.json, law.json, transform.json, report.json, traces/, plots/}
-and are byte-identical across runs of the same config and version.
+and are byte-identical across runs of the same config and version, at any
+BLAS thread count.
 
-transform.json stores the O(N) certificate of the transform T that
-transform.build_transform returns (schema fredstab-transform/2: per branch
-its diagonal, column norms, Frobenius norm and residuals), never T itself.
+No stage forms the transform T: transform.json stores the O(N) certificate
+that transform.build_transform takes in one row-blocked pass over C (schema
+fredstab-transform/2: per branch its diagonal, column norms, Frobenius norm
+sqrt(sum of squared column norms) and residuals).
 Stages pass certificates keyed by branch index; verify rebuilds them from
 system.json and law.json and compares them, and law.json's tb_residual,
 with the stored ones; the spectrum check, the spectrum plots and the sweep
@@ -68,8 +70,8 @@ TB_GATE = 1e-8
 OPEQ_GATE = 1e-8
 VERIFY_TOL = 1e-6
 # Peak RSS growth of one stage, in N x N complex matrices (heat torus,
-# N = 1024, one 64-sample semigroup scenario, one stage per process): 4.1
-# in synthesize and sweep, 4.2 in verify and report and 4.8 in simulate,
+# N = 1024, one 64-sample semigroup scenario, one stage per process): 3.6
+# in synthesize and sweep, 2.9 in verify and report and 3.0 in simulate,
 # two of them the stage's kernels held to its end.  With LIVE_MATRICES of
 # them in the budget, MAX_N is 3344.  A larger truncation is refused before
 # any model or matrix is built.
@@ -610,7 +612,7 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str] = None,
     if not grid:
         raise ConfigError("sweep grid is empty")
 
-    def error_text(exc: FredstabError) -> str:
+    def error_text(exc: Exception) -> str:
         return f"{type(exc).__name__}: {exc}"
 
     # A model and its standing assumptions depend on (N, gamma) only, not on the
@@ -638,7 +640,10 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str] = None,
             u0 = simulate.random_state(system, seed=0)
             times = np.linspace(0.0, 1.0, 65)
             trace = simulate.simulate_closed_loop(kernels, law, u0, times)
-            fit = simulate.fit_decay(trace)
+            try:
+                mu_hat = simulate.fit_decay(trace).mu_hat
+            except ValueError as exc:           # say, a norm that underflowed to 0
+                mu_hat, row["error"] = "", f"decay fit failed: {error_text(exc)}"
             kappas = certs[system.branches[0].index].conditioning
             row.update({
                 "N": system.branches[0].N,       # a stored system's own, not config.N
@@ -648,7 +653,7 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str] = None,
                 "spectrum_match": match,
                 "sup_product": max(bg.sup_product for bg in law.branches),
                 "kappa_0": kappas.get(0.0, ""),
-                "mu_hat": fit.mu_hat,
+                "mu_hat": mu_hat,
             })
         except FredstabError as exc:
             row["error"] = error_text(exc)
@@ -671,12 +676,19 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str] = None,
     return 0
 
 
-def _read_norms_csv(path) -> dict:
-    """Columns of a traces/<name>_norms.csv file by header name, t first."""
-    with open(path, newline="") as fh:
-        header, *rows = csv.reader(fh)
-    return {name: np.array([float(r[j]) for r in rows])
-            for j, name in enumerate(header)}
+def _decay_traces(cfg: RunConfig, traces_dir: str):
+    """(name, column, t, norms) of each configured scenario with a norms file.
+
+    column is norm_r of config.r_list[0]; t or norms is None if the file lacks it.
+    """
+    column = f"norm_r{cfg.r_list[0]:g}"
+    for sc in cfg.scenarios:
+        path = os.path.join(traces_dir, f"{sc['name']}_norms.csv")
+        if os.path.exists(path):
+            with open(path, newline="") as fh:
+                header, *rows = csv.reader(fh)
+            columns = {k: np.array([float(r[j]) for r in rows]) for j, k in enumerate(header)}
+            yield sc["name"], column, columns.get("t"), columns.get(column)
 
 
 def _refit_decay(cfg: RunConfig, traces_dir: str) -> Optional[dict]:
@@ -685,21 +697,13 @@ def _refit_decay(cfg: RunConfig, traces_dir: str) -> Optional[dict]:
     The traces hold repr floats, so each fit equals the one simulate made.
     None when no configured scenario has a norms file.
     """
-    r = cfg.r_list[0]
-    fits = {}
-    for sc in cfg.scenarios:
-        name = sc["name"]
-        path = os.path.join(traces_dir, f"{name}_norms.csv")
-        if not os.path.exists(path):
-            continue
-        columns = _read_norms_csv(path)
-        try:
-            trace = simulate.SimulationTrace(
-                times=columns["t"], states=(), norms={r: columns[f"norm_r{r:g}"]},
-                integrator="csv", dt=0.0)
-            fits[name] = simulate.fit_decay(trace, r=r)
-        except (KeyError, ValueError):
-            fits[name] = None
+    r, fits = cfg.r_list[0], {}
+    for name, _, t, y in _decay_traces(cfg, traces_dir):
+        fits[name] = None
+        if t is not None and y is not None:
+            with contextlib.suppress(ValueError):        # too few or nonpositive norms
+                fits[name] = simulate.fit_decay(simulate.SimulationTrace(
+                    times=t, states=(), norms={r: y}, integrator="csv", dt=0.0), r=r)
     return fits or None
 
 
@@ -745,18 +749,12 @@ def cmd_report(cfg: RunConfig, out: Optional[str] = None) -> int:
             {"kappa_0": (np.array(levels, dtype=float),
                          np.array([plateau[n] for n in levels]))},
             "conditioning plateau", "truncation N", "kappa")
-    traces_dir = os.path.join(out, "traces")
-    if os.path.isdir(traces_dir):
-        for fname in sorted(os.listdir(traces_dir)):
-            if fname.endswith("_norms.csv"):
-                columns = _read_norms_csv(os.path.join(traces_dir, fname))
-                label, y = list(columns.items())[1]
-                if len(y) > 1:
-                    diagnostics.svg_line_plot(
-                        os.path.join(plots, fname.replace("_norms.csv", "_decay.svg")),
-                        {label: (columns["t"], y)},
-                        f"decay: {fname.replace('_norms.csv', '')}",
-                        "t", "norm", logy=True)
+    # the traces and the column that report.json's decay fits read
+    for name, column, t, y in _decay_traces(cfg, os.path.join(out, "traces")):
+        if t is not None and y is not None and len(y) > 1:
+            diagnostics.svg_line_plot(os.path.join(plots, f"{name}_decay.svg"),
+                                      {column: (t, y)}, f"decay: {name}", "t", "norm",
+                                      logy=True)
     print(f"report written to {os.path.join(out, 'report.json')}")
     return 0
 

@@ -40,6 +40,7 @@ __all__ = [
 GROWTH_RATIO_CAP = 100.0     # largest accepted c_high / c_low of the growth sandwich
 GAP_FLOOR = 1e-6             # smallest accepted separation constant
 CLASSIFY_SLOPE_TOL = 0.05    # flatness tolerance of the coefficient-ratio trend
+ROW_BLOCK = 64               # rows per block of the passes that form no N x N array
 
 
 def _as_readonly_complex(values, name: str) -> np.ndarray:
@@ -257,10 +258,10 @@ def verify_gap(branch: SpectralBranch) -> GapCheck:
         return GapCheck(ok=True, constant=float("inf"), witness=(0, 0), floor=GAP_FLOOR)
     n = branch.mode_indices.astype(float)
     constant, witness = np.inf, (0, 0)
-    # 64 rows n at a time: no N x N temporary, and the first minimum in row order wins
-    for i in range(0, N, 64):
-        rows = n[i:i + 64, None]
-        diff = np.abs(lam[i:i + 64, None] - lam[None, :])     # |lambda_n - lambda_p|
+    # ROW_BLOCK rows n at a time: the first minimum in row order wins
+    for i in range(0, N, ROW_BLOCK):
+        rows = n[i:i + ROW_BLOCK, None]
+        diff = np.abs(lam[i:i + ROW_BLOCK, None] - lam[None, :])   # |lambda_n - lambda_p|
         with np.errstate(divide="ignore", invalid="ignore"):
             quot = diff / ((rows ** (branch.alpha - 1.0)) * np.abs(rows - n[None, :]))
         np.fill_diagonal(quot[:, i:], np.inf)

@@ -7,16 +7,14 @@ satisfies T b = b and the intertwining identity T (A + b K^T) = (A - lam I) T
 exactly, so both residuals are rounding-level certificates of a correct
 build.
 
-T is fixed by O(N) data per branch, and no object keeps it:
-build_transform returns its O(N) certificate (BranchCertificate), the
-record transform.json stores, and transform_matrix, which builds T on
-demand, is the dense oracle of the tests.
-
-build_transform is the one pass over the Cauchy matrix C of a branch, read
-from its synthesis.BranchKernel: it certifies the branch from the residual
+T is fixed by O(N) data per branch, and no stage forms it whole:
+build_transform returns its O(N) certificate (BranchCertificate, the record
+transform.json stores) from one row-blocked pass over the Cauchy matrix C
+of the branch's synthesis.BranchKernel; transform_matrix, all of T, is the
+dense oracle of the tests.  The certificate rests on the residual
 r = 1 - C x of the gain products x.  The closed loop A_cl = diag(lambda) +
-b K^T is a rank-one update, so T b - b = -b o r, the intertwining defect
-is (T b - b) K^T, and the secular equation det(z - A_cl) = det(z -
+b K^T is a rank-one update, so T b - b = -b o r, the intertwining defect is
+(T b - b) K^T, and the secular equation det(z - A_cl) = det(z -
 diag(lambda)) (1 + sum_n x_n / (z - lambda_n)) has the value r_p at
 z_p = lambda_p - lam: tb, opeq and the spectrum check are three weightings
 of r, and law.json's tb_residual is ||r|| / sqrt(N).
@@ -24,7 +22,7 @@ of r, and law.json's tb_residual is ||r|| / sqrt(N).
 T has the explicit inverse T^-1 = diag(b) C^T diag(w / b), where w = C^-T 1
 is the closed-form product of the negated spectrum (the kernel's w), so
 neither the weighted condition number kappa_r nor simulate's semigroup
-factorizes: this pass takes ||W T W^-1||_2 and ||W T^-1 W^-1||_2,
+factorizes: build_transform takes ||W T W^-1||_2 and ||W T^-1 W^-1||_2,
 W = diag(n^r), for the admissible r it is given, from Golub-Kahan-Lanczos
 bidiagonalizations that only multiply by C and C^T.  closed_loop_matrix,
 operator_equality_residual and conditioning_profile (an SVD per r) are the
@@ -39,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .jsonio import cpairs, from_cpairs
-from .spectral_core import SpectralBranch, admissible_r_interval
+from .spectral_core import ROW_BLOCK, SpectralBranch, admissible_r_interval
 from .synthesis import (BranchGains, BranchKernel, _closed_form_products,
                         cauchy_system_matrix)
 
@@ -123,58 +121,61 @@ def operator_equality_residual(T: np.ndarray, A_cl: np.ndarray,
     return float(num / den) if den > 0 else 0.0
 
 
-def _transform(C: np.ndarray, b: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """T = diag(b) C diag(-K) as a new array; C is left as it is."""
-    # In place (one N x N temporary fewer), keeping the operand order of
-    # (-K) * (b C): with complex gains, the bytes of transform.json depend on it.
-    T = b[:, None] * C
-    return np.multiply(-K[None, :], T, out=T)
-
-
 def transform_matrix(branch: SpectralBranch, gains: BranchGains) -> np.ndarray:
-    """Uncertified transform matrix T[p][n] = -K_n b_p / (lambda_n - lambda_p + lam).
-
-    Real when the spectrum, coefficients and gains are real.
-    """
+    """Uncertified transform matrix T[p][n] = -K_n b_p / (lambda_n - lambda_p + lam)."""
     if gains.N != branch.N:
         raise ValueError("gains and branch truncation differ")
-    return _transform(cauchy_system_matrix(branch, gains.lam), branch.control_coeffs,
-                      gains.gains)
+    # (-K) * (b C), in this operand order, as build_transform forms its rows:
+    # with complex gains, the bytes of transform.json depend on it
+    return -gains.gains * (branch.control_coeffs[:, None]
+                           * cauchy_system_matrix(branch, gains.lam))
 
 
 def build_transform(kernel: BranchKernel, gains: BranchGains,
                     r_list=()) -> BranchCertificate:
     """Certify a branch from its kernel's C and r = 1 - C x, x = gains.products.
 
-    T = diag(b) C diag(-K) gives the diagonal, column norms and ||T||_F and
-    is not kept.  tb_residual = ||b o r|| / ||b|| = ||T b - b|| / ||b||, and
-    opeq_residual = ||K|| ||b o r|| / (||T||_F ||A_cl||_F) is the norm of the
-    intertwining defect (T b - b) K^T, with ||A_cl||_F^2 = ||lambda||^2
+    One pass over C, in blocks of at most ROW_BLOCK rows, forms each block
+    of T = diag(b) C diag(-K) and fills r, (C o C) x, T's diagonal and the
+    column sums of |T|^2: no N x N array.  Stacking each block under the
+    running sums keeps the row order, so column_norms has the bits of
+    np.linalg.norm(T, axis=0).  frobenius = sqrt(sum(column_norms^2)) is a
+    numpy sum, not the BLAS dot of np.linalg.norm(T) that OpenBLAS splits
+    over threads.  tb_residual = ||b o r|| / ||b|| = ||T b - b|| / ||b||;
+    opeq_residual = ||K|| ||b o r|| / (||T||_F ||A_cl||_F) is the norm of
+    the intertwining defect (T b - b) K^T, with ||A_cl||_F^2 = ||lambda||^2
     + 2 Re sum conj(lambda_n) b_n K_n + ||b||^2 ||K||^2.  secular_steps =
     r / ((C o C) x) are the Newton steps from each target lambda_p - lam to
     the nearest root of the closed-loop secular function.  conditioning
-    maps each r of r_list inside the branch's admissible interval to
-    kappa_r = ||W T W^-1||_2 ||W T^-1 W^-1||_2, W = diag(n^r), from the
-    closed-form inverse of T and two Lanczos norm estimates (about 10 steps
-    per norm on Schrodinger, 30 on heat); it is empty when no r is inside.
-    Each norm is converged to a few ulps; against the dense
-    conditioning_profile, whose SVD is itself accurate to about
-    eps * kappa, kappa_r agrees to 1e-12 * max(1, kappa) relative on random
-    admissible branches (N <= 32) and to about 1e-15 on the heat and
-    Schrodinger sizes of the benchmark.  O(N^2) per Lanczos step.
+    maps each r of r_list inside the admissible interval to kappa_r =
+    ||W T W^-1||_2 ||W T^-1 W^-1||_2, W = diag(n^r), from two Lanczos norm
+    estimates (_weighted_conditioning; about 10 steps per norm on
+    Schrodinger, 30 on heat), and is empty when none is.  It agrees with the
+    dense conditioning_profile to 1e-12 * max(1, kappa) relative on random
+    admissible branches (N <= 32), and to about 1e-15 at the benchmark sizes.
     """
     branch, C = kernel.branch, kernel.C
     if gains.N != branch.N or gains.lam != kernel.lam:
         raise ValueError("gains and kernel differ in truncation or shift")
-    ev, b = branch.eigenvalues, branch.control_coeffs
+    ev, b, N = branch.eigenvalues, branch.control_coeffs, branch.N
     K, x = gains.gains, gains.products
-    residual = 1.0 - C @ x
-    T = _transform(C, b, K)
-    diagonal = np.diagonal(T).copy()
-    column_norms = np.linalg.norm(T, axis=0)
-    frobenius = float(np.linalg.norm(T))
-    steps = residual / (np.square(C, out=T) @ x)   # in T's storage: C is read-only
-    del T                                     # C and its real copy suffice below
+    # near-equal blocks: a one-row block would take numpy's dot, whose sum
+    # order differs from the matrix-vector product of the longer blocks
+    blocks = -(-N // ROW_BLOCK)
+    edges = [N * k // blocks for k in range(blocks + 1)]
+    Cx, CCx, diagonal, sums = [], [], [], np.zeros(N)
+    for i, j in zip(edges, edges[1:]):
+        rows = C[i:j]
+        Cx.append(rows @ x)
+        CCx.append(np.square(rows) @ x)
+        T = -K * (b[i:j, None] * rows)          # the operand order of transform_matrix
+        diagonal.append(np.diagonal(T, offset=i).copy())   # a view would keep T
+        sums = np.add.reduce(np.vstack((sums, (T.conj() * T).real)), axis=0)
+    residual = 1.0 - np.concatenate(Cx)
+    steps = residual / np.concatenate(CCx)
+    diagonal = np.concatenate(diagonal)
+    column_norms = np.sqrt(sums)
+    frobenius = float(np.sqrt(np.sum(column_norms ** 2)))
     lo, hi = admissible_r_interval(branch.alpha, branch.gamma, beta=branch.beta)
     conditioning = _weighted_conditioning(kernel, K, [r for r in r_list if lo < r < hi])
     defect = np.linalg.norm(b * residual)     # ||T b - b|| = ||b o r||

@@ -964,6 +964,20 @@ class TestSweepCommand:
         rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
         assert "IterationDiverged" in rows[1]
 
+    def test_failed_decay_fit_is_error_row(self, tmp_path):
+        # at lambda0 = 800 the state underflows to norm 0 inside the fit
+        # window; that point's row names the failed fit and keeps its
+        # certificates, and the other point and the stage still succeed
+        cfg = tmp_path / "config.json"
+        write_config(cfg, sweep={"lambda0": [2.0, 800.0]})
+        assert main(["sweep", "--config", str(cfg), "--jobs", "1"]) == 0
+        with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows[0]["error"] == "" and float(rows[0]["mu_hat"]) > 0
+        assert rows[1]["error"] == ("decay fit failed: ValueError: nonpositive norms "
+                                    "in the fit window (zero state?)")
+        assert rows[1]["mu_hat"] == "" and rows[1]["tb_residual"] != ""
+
     def test_point_past_matrix_budget_is_error_row(self, tmp_path, monkeypatch):
         # the model past the budget is tried once; each of its points gets
         # the error row and the other model's points still run
@@ -1160,6 +1174,24 @@ class TestReportCommand:
         write_config(cfg, r_list=[1.0], scenarios=[{"name": "lin"}])
         assert main(["report", "--config", str(cfg)]) == 0
         assert json.loads(report_path.read_text())["decay_fits"] == {"lin": None}
+
+    def test_decay_plots_follow_the_fits(self, tmp_path):
+        # a decay plot draws the column the fit reads, norm_r of r_list[0]
+        # (not the smallest r), and only for a configured scenario
+        cfg = tmp_path / "config.json"
+        lin = {"name": "lin", "u0": {"kind": "random", "seed": 0}, "t_end": 1.0,
+               "samples": 16}
+        write_config(cfg, r_list=[0.5, 0.0], scenarios=[lin])
+        for stage in ("synthesize", "simulate", "report"):
+            assert main([stage, "--config", str(cfg)]) == 0
+        plots = tmp_path / "out" / "plots"
+        svg = (plots / "lin_decay.svg").read_text()
+        assert "series: norm_r0.5\n" in svg and "series: norm_r0\n" not in svg
+        shutil.rmtree(plots)
+        write_config(cfg, r_list=[0.5, 0.0], scenarios=[dict(lin, name="renamed")])
+        assert main(["report", "--config", str(cfg)]) == 0
+        assert not [name for name in os.listdir(plots) if name.endswith("_decay.svg")]
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["decay_fits"] is None
 
     def test_one_report_per_directory(self, tmp_path):
         # verify, simulate and report write report.json through one writer

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from fredstab import (BranchKernel, ConfigError, SpectralBranch, SpectralSystem,
                       conditioning_profile, operator_equality_residual,
                       solve_gains_direct, synthesize_feedback, transform_matrix)
 from fredstab.jsonio import canonical_json
-from fredstab.models import heat_torus_model
+from fredstab.models import gribov_model, heat_torus_model
 from fredstab.synthesis import cauchy_system_matrix
 from fredstab.transform import (TRANSFORM_SCHEMA, transform_from_json,
                                 transform_to_json)
@@ -44,6 +45,42 @@ class TestBuildTransform:
         br = heat_branch(64)
         T = build_transform(BranchKernel(br, 2.5), solve_gains_direct(br, 2.5))
         assert T.tb_residual <= 1e-10
+
+
+class TestBlockedPass:
+    @pytest.mark.parametrize("N", [63, 64, 65, 200])
+    def test_bits_match_dense_route(self, N):
+        # the row-blocked pass keeps every bit of the full-matrix products,
+        # on real and complex b, imaginary and complex spectra; N = 65 would
+        # leave a one-row block of 64-row blocks
+        rng = np.random.default_rng(N)
+        b = rng.standard_normal(N) + 1j * rng.standard_normal(N) + 2.0
+        for br in (heat_branch(N), heat_branch(N, b=b), schrodinger_branch(N),
+                   gribov_model(N, eps=0.05 + 0.05j).branches[0]):
+            g = solve_gains_direct(br, 2.5)
+            cert = build_transform(BranchKernel(br, 2.5), g)
+            C = cauchy_system_matrix(br, 2.5)
+            T = transform_matrix(br, g)
+            residual = 1.0 - C @ g.products
+            assert cert.residual.tobytes() == residual.tobytes()
+            assert cert.diagonal.tobytes() == np.diagonal(T).tobytes()
+            assert cert.column_norms.tobytes() == np.linalg.norm(T, axis=0).tobytes()
+            steps = residual / (np.square(C) @ g.products)
+            assert cert.secular_steps.tobytes() == steps.tobytes()
+            assert cert.frobenius == float(np.sqrt(np.sum(cert.column_norms ** 2)))
+
+    def test_peak_memory_below_one_matrix(self):
+        # no N x N array: the pass holds a few row blocks at a time
+        br = heat_branch(512)
+        g = solve_gains_direct(br, 2.5)
+        kernel = BranchKernel(br, 2.5)
+        tracemalloc.start()
+        try:
+            build_transform(kernel, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * br.N ** 2
 
 
 class TestNormalizedResolvent:
@@ -171,7 +208,7 @@ class TestCertificate:
                 assert c.branch_index == b.index and c.N == b.N
                 assert c.diagonal.tobytes() == np.diagonal(T).tobytes()
                 assert c.column_norms.tobytes() == np.linalg.norm(T, axis=0).tobytes()
-                assert c.frobenius == float(np.linalg.norm(T))
+                assert c.frobenius == float(np.sqrt(np.sum(np.linalg.norm(T, axis=0) ** 2)))
 
     def test_residuals_round_trip(self):
         system = heat_torus_model(16)
