@@ -12,7 +12,7 @@ from .models import (ModelDescriptor, SturmLiouvilleProblem, gribov_model,
                      heat_torus_model, liouville_transform, schrodinger_model,
                      sturm_liouville_eigs_direct, sturm_liouville_model)
 from .simulate import (DecayFit, SimulationTrace, fit_decay, random_state,
-                       simulate_burgers, simulate_closed_loop, simulate_target)
+                       simulate_burgers, simulate_closed_loop)
 from .spectral_core import (AssumptionVerdict, SpectralBranch, SpectralSystem,
                             admissible_r_interval, classify_controllability,
                             sobolev_norm, system_from_json, system_to_json,
@@ -24,8 +24,7 @@ from .synthesis import (BranchGains, BranchKernel, FeedbackLaw, ShiftSelection,
                         synthesize_feedback)
 from .transform import (BranchCertificate, ClosedLoopMatrix, build_transform,
                         closed_loop_matrix, conditioning_profile,
-                        conditioning_vs_truncation, operator_equality_residual,
-                        transform_matrix)
+                        conditioning_vs_truncation, transform_matrix)
 from .diagnostics import (compactness_proxy, gain_trend, make_report,
                           secular_match_error, spectrum_match_error)
 

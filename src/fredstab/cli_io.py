@@ -25,7 +25,9 @@ synthesis.BranchKernel per branch once it knows the shift, and every
 consumer reads its C and the w of the closed-form T^-1.  No stage runs an
 SVD or a factorization; transform.transform_matrix is a test oracle only.
 The sweep builds and gates each distinct (N, gamma) model once, then maps
-its points on --jobs (>= 1) threads, or in the calling thread for one.
+its points on --jobs (>= 1) threads, or in the calling thread for one; a
+point that fails synthesize's residual gates keeps its certificate columns
+and gets synthesize's message as its error.
 
 verify, simulate and report build report.json with one function, _report,
 from the output directory and the config alone, so the three stages write
@@ -70,9 +72,9 @@ TB_GATE = 1e-8
 OPEQ_GATE = 1e-8
 VERIFY_TOL = 1e-6
 # Peak RSS growth of one stage, in N x N complex matrices (heat torus,
-# N = 1024, one 64-sample semigroup scenario, one stage per process): 3.6
-# in synthesize and sweep, 2.9 in verify and report and 3.0 in simulate,
-# two of them the stage's kernels held to its end.  With LIVE_MATRICES of
+# N = 1024, one 64-sample semigroup scenario, one stage per process): 2.3
+# in synthesize, 2.9 in verify, report and sweep and 3.0 in simulate, two of
+# them the stage's kernels held to its end.  With LIVE_MATRICES of
 # them in the budget, MAX_N is 3344.  A larger truncation is refused before
 # any model or matrix is built.
 MATRIX_BUDGET_BYTES = 2 << 30
@@ -278,12 +280,13 @@ def _out_dir(cfg: RunConfig, override: Optional[str]) -> str:
 
 
 def _synthesize_pipeline(cfg: RunConfig, system: SpectralSystem, r_list, lambda0: float):
-    """Shared synthesis path of a gated system: shift -> kernels -> gains -> certificates.
+    """Shared synthesis path of a gated system: shift -> gains -> kernels -> certificates.
 
-    Returns (shift, law, kernels, {branch index: BranchCertificate}).
+    The kernels come after the gain routes, so the fixed-point route's own C
+    is gone before the kernels' C exist.  Returns (shift, law, kernels,
+    {branch index: BranchCertificate}).
     """
     shift = synthesis.select_shift(system, lambda0, cfg.delta)
-    kernels = _kernels(system, shift.lam)
     method = "direct" if cfg.method == "both" else cfg.method
     law = synthesis.synthesize_feedback(system, shift, method=method)
     if cfg.method == "both":
@@ -294,8 +297,23 @@ def _synthesize_pipeline(cfg: RunConfig, system: SpectralSystem, r_list, lambda0
                 raise SolverError(
                     f"direct and iterative gains disagree by {gap:.3e} on "
                     f"branch {bg.branch_index}")
+    kernels = _kernels(system, shift.lam)
     certs = _build_certificates(kernels, law, r_list)
     return shift, law, kernels, certs
+
+
+def _worst_residuals(certs) -> tuple:
+    """The worst tb_residual and opeq_residual over the certificates; np.max keeps a NaN."""
+    return (float(np.max([c.tb_residual for c in certs.values()])),
+            float(np.max([c.opeq_residual for c in certs.values()])))
+
+
+def _gate_failure(tb: float, opeq: float) -> Optional[str]:
+    """synthesize's residual-gate message, or None when tb and opeq pass (a NaN fails)."""
+    if tb <= TB_GATE and opeq <= OPEQ_GATE:
+        return None
+    return (f"residual gates failed: tb={tb:.3e} (gate {TB_GATE:.0e}), "
+            f"opeq={opeq:.3e} (gate {OPEQ_GATE:.0e})")
 
 
 def _kernels(system: SpectralSystem, lam: float) -> tuple:
@@ -314,13 +332,10 @@ def cmd_synthesize(cfg: RunConfig, out: Optional[str] = None) -> int:
     out = _out_dir(cfg, out)
     system = _build_system(cfg)
     shift, law, _, certs = _synthesize_pipeline(cfg, system, (), cfg.lambda0)
-    # np.max keeps a NaN, which fails the gates before it reaches the JSON writer
-    worst_tb = float(np.max([c.tb_residual for c in certs.values()]))
-    worst_opeq = float(np.max([c.opeq_residual for c in certs.values()]))
-    if not (worst_tb <= TB_GATE and worst_opeq <= OPEQ_GATE):
-        raise SolverError(
-            f"residual gates failed: tb={worst_tb:.3e} (gate {TB_GATE:.0e}), "
-            f"opeq={worst_opeq:.3e} (gate {OPEQ_GATE:.0e})")
+    worst_tb, worst_opeq = _worst_residuals(certs)
+    failed = _gate_failure(worst_tb, worst_opeq)
+    if failed:                          # before the JSON writer meets a NaN
+        raise SolverError(failed)
     write_json(os.path.join(out, "system.json"), system_to_json(system))
     write_json(os.path.join(out, "law.json"), law_to_json(law, certs.values()))
     write_json(os.path.join(out, "transform.json"),
@@ -637,24 +652,29 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str] = None,
             shift, law, kernels, certs = _synthesize_pipeline(cfg, system, [0.0], l0)
             match = max(diagnostics.secular_match_error(b, certs[b.index])
                         for b in system.branches)
-            u0 = simulate.random_state(system, seed=0)
-            times = np.linspace(0.0, 1.0, 65)
-            trace = simulate.simulate_closed_loop(kernels, law, u0, times)
-            try:
-                mu_hat = simulate.fit_decay(trace).mu_hat
-            except ValueError as exc:           # say, a norm that underflowed to 0
-                mu_hat, row["error"] = "", f"decay fit failed: {error_text(exc)}"
+            worst_tb, worst_opeq = _worst_residuals(certs)
             kappas = certs[system.branches[0].index].conditioning
             row.update({
                 "N": system.branches[0].N,       # a stored system's own, not config.N
                 "lambda": shift.lam,
-                "tb_residual": max(c.tb_residual for c in certs.values()),
-                "opeq_residual": max(c.opeq_residual for c in certs.values()),
+                "tb_residual": worst_tb,
+                "opeq_residual": worst_opeq,
                 "spectrum_match": match,
                 "sup_product": max(bg.sup_product for bg in law.branches),
                 "kappa_0": kappas.get(0.0, ""),
-                "mu_hat": mu_hat,
             })
+            # a point that fails synthesize's gates keeps its certificates, not a decay rate
+            failed = _gate_failure(worst_tb, worst_opeq)
+            if failed:
+                row["error"] = error_text(SolverError(failed))
+                return row
+            u0 = simulate.random_state(system, seed=0)
+            times = np.linspace(0.0, 1.0, 65)
+            trace = simulate.simulate_closed_loop(kernels, law, u0, times)
+            try:
+                row["mu_hat"] = simulate.fit_decay(trace).mu_hat
+            except ValueError as exc:           # say, a norm that underflowed to 0
+                row["error"] = f"decay fit failed: {error_text(exc)}"
         except FredstabError as exc:
             row["error"] = error_text(exc)
         return row

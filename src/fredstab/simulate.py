@@ -1,4 +1,4 @@
-"""Closed-loop and target dynamics in spectral coordinates.
+"""Closed-loop dynamics in spectral coordinates.
 
 Linear trajectories come either from the conjugated semigroup, with the
 closed-form inverse of the transform, or from fixed-step RK4 as an
@@ -36,12 +36,10 @@ from .synthesis import FeedbackLaw
 __all__ = [
     "SimulationTrace",
     "DecayFit",
-    "simulate_target",
     "simulate_closed_loop",
     "simulate_burgers",
     "fit_decay",
     "random_state",
-    "trace_to_csv",
     "write_modes_csv",
     "write_norms_csv",
 ]
@@ -143,17 +141,6 @@ def random_state(system: SpectralSystem, seed: int = 0, scale: float = 1.0) -> l
             z[0] = 1.0 + 0.0j
         blocks.append(scale * z)
     return blocks
-
-
-def simulate_target(system: SpectralSystem, lam: float, v0, times,
-                    r_list=(0.0,)) -> SimulationTrace:
-    """Exact modal solution of the shifted system: v_n(t) = e^{(lambda_n - lam) t} v_n(0)."""
-    times = np.asarray(times, dtype=float)
-    states = [np.exp((b.eigenvalues[None, :] - lam) * times[:, None]) * block[None, :]
-              for b, block in zip(system.branches, _states_for(system.branches, v0))]
-    norms = _norm_table(states, r_list)
-    return SimulationTrace(times=times, states=tuple(states), norms=norms,
-                           integrator="semigroup_exact", dt=0.0)
 
 
 def _rk4_march(eigenvalues: np.ndarray, b: np.ndarray, K: np.ndarray,
@@ -450,15 +437,6 @@ def fit_decay(trace: SimulationTrace, r: float = 0.0,
 # ---------------------------------------------------------------------------
 # CSV export
 # ---------------------------------------------------------------------------
-
-def trace_to_csv(trace: SimulationTrace, modes_path, norms_path) -> None:
-    """Long-format modal history and a wide norm summary.
-
-    The two files are those of write_modes_csv and write_norms_csv.
-    """
-    write_modes_csv(trace, modes_path)
-    write_norms_csv(trace, norms_path)
-
 
 def write_modes_csv(trace: SimulationTrace, path) -> None:
     """Modal history, header t,branch,n,re,im, one row per (sample, branch, n).

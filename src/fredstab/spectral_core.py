@@ -40,7 +40,20 @@ __all__ = [
 GROWTH_RATIO_CAP = 100.0     # largest accepted c_high / c_low of the growth sandwich
 GAP_FLOOR = 1e-6             # smallest accepted separation constant
 CLASSIFY_SLOPE_TOL = 0.05    # flatness tolerance of the coefficient-ratio trend
-ROW_BLOCK = 64               # rows per block of the passes that form no N x N array
+ROW_BLOCK = 64               # most rows in a block of row_blocks
+
+
+def row_blocks(N: int) -> list:
+    """Near-equal (start, stop) row ranges of at most ROW_BLOCK rows, covering range(N).
+
+    Every pairwise O(N^2) pass goes over its N rows in these blocks, so
+    none forms an N x N array.  No block is a single row when N >= 2: numpy
+    takes a one-row (1, N) @ (N,) product with a dot, whose sum order
+    differs from the matrix-vector product of the longer blocks.
+    """
+    blocks = max(1, -(-N // ROW_BLOCK))
+    edges = [N * k // blocks for k in range(blocks + 1)]
+    return list(zip(edges, edges[1:]))
 
 
 def _as_readonly_complex(values, name: str) -> np.ndarray:
@@ -258,16 +271,16 @@ def verify_gap(branch: SpectralBranch) -> GapCheck:
         return GapCheck(ok=True, constant=float("inf"), witness=(0, 0), floor=GAP_FLOOR)
     n = branch.mode_indices.astype(float)
     constant, witness = np.inf, (0, 0)
-    # ROW_BLOCK rows n at a time: the first minimum in row order wins
-    for i in range(0, N, ROW_BLOCK):
-        rows = n[i:i + ROW_BLOCK, None]
-        diff = np.abs(lam[i:i + ROW_BLOCK, None] - lam[None, :])   # |lambda_n - lambda_p|
+    # the first minimum in row order wins
+    for i, j in row_blocks(N):
+        rows = n[i:j, None]
+        diff = np.abs(lam[i:j, None] - lam[None, :])   # |lambda_n - lambda_p|
         with np.errstate(divide="ignore", invalid="ignore"):
             quot = diff / ((rows ** (branch.alpha - 1.0)) * np.abs(rows - n[None, :]))
         np.fill_diagonal(quot[:, i:], np.inf)
-        k, j = divmod(int(np.argmin(quot)), N)
-        if quot[k, j] < constant:
-            constant, witness = float(quot[k, j]), (i + k + 1, j + 1)
+        k, p = divmod(int(np.argmin(quot)), N)
+        if quot[k, p] < constant:
+            constant, witness = float(quot[k, p]), (i + k + 1, p + 1)
     return GapCheck(ok=bool(constant > GAP_FLOOR), constant=constant, witness=witness,
                     floor=GAP_FLOOR)
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import IterationDiverged, SolverError
 from .jsonio import cpairs, from_cpairs
-from .spectral_core import SpectralBranch, SpectralSystem
+from .spectral_core import SpectralBranch, SpectralSystem, row_blocks
 
 __all__ = [
     "ShiftSelection",
@@ -70,16 +70,33 @@ def select_shift(system: SpectralSystem, lambda0: float, delta: float) -> ShiftS
     """
     if lambda0 <= 0 or delta <= 0:
         raise ValueError("lambda0 and delta must be positive")
-    diffs = [b.eigenvalues[:, None] - b.eigenvalues[None, :] for b in system.branches]
     steps = int(2 * SHIFT_SEARCH_WIDTH) + 1        # delta / 2 apart, over WIDTH * delta
     for j in range(steps):
         lam = lambda0 + j * delta / 2.0
-        dist = float(np.min([np.min(np.abs(d + lam)) for d in diffs]))
+        dist = _clearance(system, lam, delta)
         if dist >= delta:
             return ShiftSelection(lam=lam, delta=delta, min_distance=dist)
     raise SolverError(
         f"no admissible shift in [{lambda0}, {lambda0 + SHIFT_SEARCH_WIDTH * delta}]: "
         "eigenvalue differences cluster too densely for the requested margin")
+
+
+def _clearance(system: SpectralSystem, lam: float, delta: float) -> float:
+    """min over branches and n, p of |(lambda_n - lambda_p) + lam|, row block by row block.
+
+    Stops at the first block below delta, whose minimum it then returns.
+    """
+    dist = np.inf
+    for b in system.branches:
+        ev = b.eigenvalues
+        for i, j in row_blocks(b.N):
+            d = ev[i:j, None] - ev[None, :]
+            d += lam
+            dist = min(dist, float(np.min(np.abs(d))))
+            del d                                   # before the next block's d exists
+            if dist < delta:
+                return dist
+    return dist
 
 
 def cauchy_system_matrix(branch: SpectralBranch, lam: float) -> np.ndarray:
@@ -164,34 +181,41 @@ class FeedbackLaw:
 def _closed_form_products(branch: SpectralBranch, lam: float) -> np.ndarray:
     """Products x = C^-1 1 from the Cauchy determinant, summed in log space.
 
-    x_n = lam * prod_{p != n} (1 + lam / (lambda_n - lambda_p)).  A real
-    spectrum takes real logs log|1 + q| and a count of negative factors
-    for the sign, so its products are exactly real.  Raises SolverError on
-    a shift that hits an eigenvalue difference exactly (a zero factor) and
-    when a log-sum or a product is not finite or a product vanishes, which
-    covers a repeated eigenvalue (an infinite factor).
+    x_n = lam * prod_{p != n} (1 + lam / (lambda_n - lambda_p)), one block
+    of rows n at a time.  A real spectrum takes real logs log|1 + q| and a
+    count of negative factors for the sign, so its products are exactly
+    real.  Raises SolverError on a shift that hits an eigenvalue difference
+    exactly (a zero factor) and when a log-sum or a product is not finite
+    or a product vanishes, which covers a repeated eigenvalue (an infinite
+    factor).
     """
     ev = branch.eigenvalues
     real = bool(np.all(ev.imag == 0))
     if real:
         ev = ev.real
-    d = ev[:, None] - ev[None, :]                   # d[n][p] = lambda_n - lambda_p
-    np.fill_diagonal(d, np.inf)                     # p == n contributes log 1 = 0
-    if np.any(d == -lam):
-        raise SolverError(f"shift {lam} hits an eigenvalue difference exactly")
+    log_sum = np.empty(branch.N, dtype=ev.dtype)
+    odd = np.zeros(branch.N, dtype=bool)            # an odd count of negative factors
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # in place: a fresh N x N temporary per step costs more than the logs
-        q = np.divide(lam, d, out=d)
+        for i, j in row_blocks(branch.N):
+            d = ev[i:j, None] - ev[None, :]         # d[n - i][p] = lambda_n - lambda_p
+            np.fill_diagonal(d[:, i:], np.inf)      # p == n contributes log 1 = 0
+            if np.any(d == -lam):
+                raise SolverError(f"shift {lam} hits an eigenvalue difference exactly")
+            # in place: a fresh temporary per step costs more than the logs
+            q = np.divide(lam, d, out=d)
+            if real:
+                neg = q < -1.0
+                # log1p(-2 - q) = log|1 + q| on the negative factors
+                np.subtract(-2.0, q, out=q, where=neg)
+                log_sum[i:j] = np.sum(np.log1p(q, out=q), axis=1)
+                odd[i:j] = np.count_nonzero(neg, axis=1) % 2
+            else:
+                # numpy's complex log1p loses digits that log(1 + q) keeps
+                log_sum[i:j] = np.sum(np.log(np.add(q, 1.0, out=q), out=q), axis=1)
+            del d, q                                # before the next block's d exists
         if real:
-            neg = q < -1.0
-            # log1p(-2 - q) = log|1 + q| on the negative factors
-            np.subtract(-2.0, q, out=q, where=neg)
-            log_sum = np.sum(np.log1p(q, out=q), axis=1)
-            sign = np.where(np.count_nonzero(neg, axis=1) % 2, -1.0, 1.0)
-            x = (lam * sign * np.exp(log_sum)).astype(complex)
+            x = (lam * np.where(odd, -1.0, 1.0) * np.exp(log_sum)).astype(complex)
         else:
-            # numpy's complex log1p loses digits that log(1 + q) keeps
-            log_sum = np.sum(np.log(np.add(q, 1.0, out=q), out=q), axis=1)
             x = lam * np.exp(log_sum)
     if not (np.all(np.isfinite(log_sum)) and np.all(np.isfinite(x))
             and np.all(x != 0)):

@@ -24,9 +24,9 @@ is the closed-form product of the negated spectrum (the kernel's w), so
 neither the weighted condition number kappa_r nor simulate's semigroup
 factorizes: build_transform takes ||W T W^-1||_2 and ||W T^-1 W^-1||_2,
 W = diag(n^r), for the admissible r it is given, from Golub-Kahan-Lanczos
-bidiagonalizations that only multiply by C and C^T.  closed_loop_matrix,
-operator_equality_residual and conditioning_profile (an SVD per r) are the
-dense O(N^3) forms, kept as test oracles.
+bidiagonalizations that only multiply by C and C^T.  closed_loop_matrix and
+conditioning_profile (an SVD per r) are the dense O(N^3) forms, kept as
+test oracles.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .jsonio import cpairs, from_cpairs
-from .spectral_core import ROW_BLOCK, SpectralBranch, admissible_r_interval
+from .spectral_core import SpectralBranch, admissible_r_interval, row_blocks
 from .synthesis import (BranchGains, BranchKernel, _closed_form_products,
                         cauchy_system_matrix)
 
@@ -48,7 +48,6 @@ __all__ = [
     "transform_matrix",
     "build_transform",
     "closed_loop_matrix",
-    "operator_equality_residual",
     "conditioning_profile",
     "conditioning_vs_truncation",
     "transform_to_json",
@@ -109,18 +108,6 @@ def closed_loop_matrix(branch: SpectralBranch, gains: BranchGains) -> ClosedLoop
                             open_loop=branch.eigenvalues)
 
 
-def operator_equality_residual(T: np.ndarray, A_cl: np.ndarray,
-                               branch: SpectralBranch, lam: float) -> float:
-    """Frobenius-normalized residual of T A_cl = (diag(lambda_p) - lam I) T.
-
-    Dense O(N^3) oracle of the opeq_residual that build_transform computes.
-    """
-    shifted = np.diag(branch.eigenvalues - lam)
-    num = np.linalg.norm(T @ A_cl - shifted @ T)
-    den = np.linalg.norm(T) * np.linalg.norm(A_cl)
-    return float(num / den) if den > 0 else 0.0
-
-
 def transform_matrix(branch: SpectralBranch, gains: BranchGains) -> np.ndarray:
     """Uncertified transform matrix T[p][n] = -K_n b_p / (lambda_n - lambda_p + lam)."""
     if gains.N != branch.N:
@@ -135,9 +122,9 @@ def build_transform(kernel: BranchKernel, gains: BranchGains,
                     r_list=()) -> BranchCertificate:
     """Certify a branch from its kernel's C and r = 1 - C x, x = gains.products.
 
-    One pass over C, in blocks of at most ROW_BLOCK rows, forms each block
-    of T = diag(b) C diag(-K) and fills r, (C o C) x, T's diagonal and the
-    column sums of |T|^2: no N x N array.  Stacking each block under the
+    One pass over C, in the blocks of spectral_core.row_blocks, forms each
+    block of T = diag(b) C diag(-K) and fills r, (C o C) x, T's diagonal
+    and the column sums of |T|^2: no N x N array.  Stacking each block under the
     running sums keeps the row order, so column_norms has the bits of
     np.linalg.norm(T, axis=0).  frobenius = sqrt(sum(column_norms^2)) is a
     numpy sum, not the BLAS dot of np.linalg.norm(T) that OpenBLAS splits
@@ -159,12 +146,8 @@ def build_transform(kernel: BranchKernel, gains: BranchGains,
         raise ValueError("gains and kernel differ in truncation or shift")
     ev, b, N = branch.eigenvalues, branch.control_coeffs, branch.N
     K, x = gains.gains, gains.products
-    # near-equal blocks: a one-row block would take numpy's dot, whose sum
-    # order differs from the matrix-vector product of the longer blocks
-    blocks = -(-N // ROW_BLOCK)
-    edges = [N * k // blocks for k in range(blocks + 1)]
     Cx, CCx, diagonal, sums = [], [], [], np.zeros(N)
-    for i, j in zip(edges, edges[1:]):
+    for i, j in row_blocks(N):
         rows = C[i:j]
         Cx.append(rows @ x)
         CCx.append(np.square(rows) @ x)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from fredstab import BranchKernel, SpectralBranch, SpectralSystem
+from fredstab import BranchKernel, SimulationTrace, SpectralBranch, SpectralSystem
 from fredstab.models import heat_torus_model
+from fredstab.simulate import _norm_table, _states_for, write_modes_csv, write_norms_csv
 
 
 def heat_branch(N, lam_scale=1.0, b=None):
@@ -27,6 +28,32 @@ def kernels(system, lam):
 def worked_branch():
     """The hand-checkable 2x2 case: eigenvalues (-1, -4), unit coefficients."""
     return SpectralBranch(1, [-1.0, -4.0], [1.0, 1.0], alpha=2.0)
+
+
+def simulate_target(system, lam, v0, times, r_list=(0.0,)):
+    """Exact modal solution of the shifted system: v_n(t) = e^{(lambda_n - lam) t} v_n(0)."""
+    times = np.asarray(times, dtype=float)
+    states = [np.exp((b.eigenvalues[None, :] - lam) * times[:, None]) * block[None, :]
+              for b, block in zip(system.branches, _states_for(system.branches, v0))]
+    return SimulationTrace(times=times, states=tuple(states), norms=_norm_table(states, r_list),
+                           integrator="semigroup_exact", dt=0.0)
+
+
+def trace_to_csv(trace, modes_path, norms_path):
+    """The modes and norms files of a trace, written inline: the bytes of simulate's writers."""
+    write_modes_csv(trace, modes_path)
+    write_norms_csv(trace, norms_path)
+
+
+def operator_equality_residual(T, A_cl, branch, lam):
+    """Frobenius-normalized residual of T A_cl = (diag(lambda_p) - lam I) T.
+
+    Dense O(N^3) oracle of the opeq_residual that build_transform computes.
+    """
+    shifted = np.diag(branch.eigenvalues - lam)
+    num = np.linalg.norm(T @ A_cl - shifted @ T)
+    den = np.linalg.norm(T) * np.linalg.norm(A_cl)
+    return float(num / den) if den > 0 else 0.0
 
 
 @pytest.fixture

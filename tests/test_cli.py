@@ -23,6 +23,8 @@ from fredstab.errors import ConfigError
 from fredstab.jsonio import from_cpairs, write_json
 from fredstab.spectral_core import system_from_json
 
+from conftest import trace_to_csv
+
 
 def write_config(path, drop=(), **overrides):
     doc = {
@@ -771,8 +773,7 @@ class TestTraceWriters:
         for k in range(copies):
             for sc, trace in zip(_WRITER_SCENARIOS, traces[3 * k:3 * k + 3]):
                 name = f"{sc['name']}{k}"
-                simulate.trace_to_csv(trace, ref / f"{name}_modes.csv",
-                                      ref / f"{name}_norms.csv")
+                trace_to_csv(trace, ref / f"{name}_modes.csv", ref / f"{name}_norms.csv")
         written = {p.name: p.read_bytes() for p in out.iterdir()}
         assert written == {p.name: p.read_bytes() for p in ref.iterdir()}
 
@@ -965,18 +966,47 @@ class TestSweepCommand:
         assert "IterationDiverged" in rows[1]
 
     def test_failed_decay_fit_is_error_row(self, tmp_path):
-        # at lambda0 = 800 the state underflows to norm 0 inside the fit
-        # window; that point's row names the failed fit and keeps its
-        # certificates, and the other point and the stage still succeed
+        # Schrodinger N=16 at lambda0 = 800 passes the residual gates, but its
+        # state underflows to norm 0 inside the fit window; that point's row
+        # names the failed fit and keeps its certificates, and the other
+        # point and the stage still succeed
         cfg = tmp_path / "config.json"
-        write_config(cfg, sweep={"lambda0": [2.0, 800.0]})
+        write_config(cfg, model={"kind": "schrodinger_ground", "N": 16, "params": {}},
+                     sweep={"lambda0": [2.0, 800.0]})
         assert main(["sweep", "--config", str(cfg), "--jobs", "1"]) == 0
         with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["error"] == "" and float(rows[0]["mu_hat"]) > 0
+        assert float(rows[1]["tb_residual"]) <= cli_io.TB_GATE
         assert rows[1]["error"] == ("decay fit failed: ValueError: nonpositive norms "
                                     "in the fit window (zero state?)")
-        assert rows[1]["mu_hat"] == "" and rows[1]["tb_residual"] != ""
+        assert rows[1]["mu_hat"] == "" and rows[1]["kappa_0"] != ""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_residual_gates_fail_the_row(self, tmp_path, capsys, jobs):
+        # heat N=16 at lambda0 = 800: synthesize exits 3 on tb = 8.8e5, which
+        # opeq (1e-15) does not flag; the sweep row of that point carries
+        # synthesize's message, keeps its certificate columns and fits no decay
+        cfg = tmp_path / "config.json"
+        write_config(cfg, lambda0=800.0)
+        assert main(["synthesize", "--config", str(cfg)]) == 3
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert message.startswith("residual gates failed: tb=8.815e+05 (gate 1e-08), opeq=")
+        write_config(cfg, sweep={"lambda0": [2.0, 800.0]})
+        assert main(["sweep", "--config", str(cfg), "--jobs", jobs]) == 0
+        with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows[0]["error"] == "" and float(rows[0]["mu_hat"]) > 0
+        assert rows[1]["error"] == f"SolverError: {message}"
+        assert rows[1]["mu_hat"] == ""
+        assert float(rows[1]["tb_residual"]) > 8e5
+        assert all(rows[1][key] != "" for key in ("lambda", "opeq_residual", "spectrum_match",
+                                                  "sup_product", "kappa_0"))
+
+    def test_nan_residual_fails_the_gates(self):
+        assert cli_io._gate_failure(1e-16, 1e-16) is None
+        for tb, opeq in ((math.nan, 0.0), (0.0, math.nan), (2e-8, 0.0), (0.0, 2e-8)):
+            assert cli_io._gate_failure(tb, opeq).startswith("residual gates failed: tb=")
 
     def test_point_past_matrix_budget_is_error_row(self, tmp_path, monkeypatch):
         # the model past the budget is tried once; each of its points gets
@@ -1314,8 +1344,8 @@ class TestExitCodes:
 
 class TestNoDenseCertificates:
     def test_stages_use_only_structured_certificates(self, tmp_path, monkeypatch):
-        # No stage may reach eigvals, the dense closed loop, the dense
-        # intertwining product, a factorization or an SVD: the conditioning
+        # No stage may reach eigvals, the dense closed loop, a factorization
+        # or an SVD (the dense intertwining product lives in the tests): the conditioning
         # is the structured Lanczos estimate, not np.linalg.cond, and the
         # semigroup applies the closed-form T^-1, not an LU of T.
         def refuse(*args, **kwargs):
@@ -1325,7 +1355,6 @@ class TestNoDenseCertificates:
                              (np.linalg, "solve"), (np.linalg, "inv"),
                              (scipy.linalg, "lu_factor"),
                              (transform, "closed_loop_matrix"),
-                             (transform, "operator_equality_residual"),
                              (diagnostics, "spectrum_match_error")):
             monkeypatch.setattr(target, name, refuse)
         callers = []

@@ -18,10 +18,7 @@ ACCEPTANCE = Path(__file__).parent / "test_acceptance.py"
 # Public names that only the test suite calls, each as the independent
 # reference for a production path.
 TEST_ORACLES = {
-    "operator_equality_residual",   # dense intertwining defect of build_transform
-    "simulate_target",              # exact shifted-system trajectories
     "sobolev_norm",                 # per-sample norm of simulate's norm table
-    "trace_to_csv",                 # inline bytes of cmd_simulate's trace writers
 }
 
 
@@ -76,6 +73,84 @@ def test_every_exported_name_is_used():
 CAUCHY_BUILDERS = {"BranchKernel", "solve_gains_iterative", "transform_matrix"}
 
 
+# Only the Cauchy builder forms a full outer difference x[:, None] - x[None, :]
+# (either order), an N x N table; every other pairwise pass takes the rows
+# i:j of spectral_core.row_blocks.
+OUTER_DIFFERENCE_OWNERS = {"cauchy_system_matrix"}
+
+
+def _axes(node):
+    """(first, second) of a two-axis subscript x[first, second], else None."""
+    if (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)
+            and len(node.slice.elts) == 2):
+        return tuple(node.slice.elts)
+    return None
+
+
+def _is_none(node) -> bool:
+    return isinstance(node, ast.Constant) and node.value is None
+
+
+def _is_full(node) -> bool:
+    return (isinstance(node, ast.Slice) and node.lower is None and node.upper is None
+            and node.step is None)
+
+
+def _spread(node):
+    """'column' for x[:, None], 'row' for x[None, :], None for anything else."""
+    axes = _axes(node)
+    if axes and _is_full(axes[0]) and _is_none(axes[1]):
+        return "column"
+    if axes and _is_none(axes[0]) and _is_full(axes[1]):
+        return "row"
+    return None
+
+
+def _outer_difference(node) -> bool:
+    """True for a[:, None] - b[None, :] or a[None, :] - b[:, None]."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and {_spread(node.left), _spread(node.right)} == {"column", "row"})
+
+
+def _row_block(node) -> bool:
+    """True for x[i:j, None], the rows i:j of a vector spread over a block's columns."""
+    axes = _axes(node)
+    return bool(axes and isinstance(axes[0], ast.Slice) and axes[0].lower is not None
+                and axes[0].upper is not None and _is_none(axes[1]))
+
+
+def _definitions():
+    """(name, node) of every top-level statement of the package; name None for module code."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            yield getattr(stmt, "name", None), stmt
+
+
+def _owners(predicate) -> set:
+    """Top-level definitions of the package with a node matching predicate."""
+    return {name for name, stmt in _definitions()
+            if any(predicate(node) for node in ast.walk(stmt))}
+
+
+def test_outer_difference_guard_sees_both_orders():
+    def found(source):
+        return any(_outer_difference(n) for n in ast.walk(ast.parse(source)))
+    assert found("ev[:, None] - ev[None, :]") and found("ev[None, :] - ev[:, None]")
+    assert not found("ev[i:j, None] - ev[None, :]")
+    assert not found("ev[:, None] * ev[None, :]") and not found("ev[:, None] - ev")
+
+
+def test_full_outer_difference_only_in_the_cauchy_builder():
+    assert _owners(_outer_difference) == OUTER_DIFFERENCE_OWNERS
+
+
+def test_row_blocks_are_the_only_blocking():
+    # every pass that slices rows i:j of a vector takes them from row_blocks
+    blocked = {name: "row_blocks" in _names(stmt) for name, stmt in _definitions()
+               if any(_row_block(node) for node in ast.walk(stmt))}
+    assert blocked and all(blocked.values()), blocked
+
+
 def _negates_eigenvalues(node) -> bool:
     """True for -x where x reads eigenvalues: the spectrum of the weights w."""
     return (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
@@ -89,12 +164,7 @@ def test_cauchy_matrix_built_only_by_the_kernel():
 
 def test_weights_taken_only_by_the_kernel():
     # w = C^-T 1 is the closed-form product of the negated spectrum
-    owners = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            if any(_negates_eigenvalues(node) for node in ast.walk(stmt)):
-                owners.add(getattr(stmt, "name", None))
-    assert owners == {"BranchKernel"}
+    assert _owners(_negates_eigenvalues) == {"BranchKernel"}
 
 
 def test_diagnostics_draws_nothing():

@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 
 from fredstab import (BranchKernel, IntegratorError, SimulationTrace, SpectralBranch,
                       SpectralSystem, fit_decay, random_state, simulate_burgers,
-                      simulate_closed_loop, simulate_target, synthesize_feedback,
+                      simulate_closed_loop, synthesize_feedback,
                       build_transform, transform_matrix)
 from fredstab import simulate
 from fredstab.models import heat_torus_model
 from fredstab.spectral_core import sobolev_norm
-from fredstab.simulate import trace_to_csv
 
-from conftest import heat_branch, kernels, schrodinger_branch
+from conftest import (heat_branch, kernels, schrodinger_branch, simulate_target,
+                      trace_to_csv)
 
 
 def single_mode_system():

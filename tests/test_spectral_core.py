@@ -5,6 +5,7 @@ from fredstab import (AssumptionError, SpectralBranch, SpectralSystem,
                       classify_controllability, sobolev_norm,
                       system_from_json, system_to_json, verify_control,
                       verify_gap, verify_growth)
+from fredstab.spectral_core import ROW_BLOCK, row_blocks
 
 from conftest import heat_branch, schrodinger_branch
 
@@ -117,6 +118,18 @@ class TestGap:
         check = verify_gap(br)
         assert check.constant.hex() == float(quot[i, j]).hex()
         assert check.witness == (i + 1, j + 1)
+
+
+class TestRowBlocks:
+    def test_cover_every_row_in_order(self):
+        for N in [*range(1, 600), 1023, 1024, 1025, 3344]:
+            blocks = row_blocks(N)
+            assert [k for i, j in blocks for k in range(i, j)] == list(range(N))
+            sizes = [j - i for i, j in blocks]
+            assert max(sizes) <= ROW_BLOCK
+            # near-equal, and never one row (numpy's dot) past N = 1
+            assert max(sizes) - min(sizes) <= 1
+            assert N < 2 or min(sizes) >= 2
 
 
 class TestControl:

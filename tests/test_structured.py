@@ -27,7 +27,8 @@ from fredstab.diagnostics import secular_match_error, spectrum_match_error
 from fredstab.models import gribov_model, heat_torus_model, schrodinger_model
 from fredstab.synthesis import cauchy_system_matrix
 
-from conftest import heat_branch, schrodinger_branch, worked_branch
+from conftest import (heat_branch, operator_equality_residual, schrodinger_branch,
+                      worked_branch)
 from test_cli import write_config
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -185,7 +186,7 @@ class TestStructuredProperties:
     def test_structured_opeq_matches_dense(self, case):
         branch, lam = case
         g = fs.solve_gains_direct(branch, lam)
-        dense = fs.operator_equality_residual(
+        dense = operator_equality_residual(
             fs.transform_matrix(branch, g), fs.closed_loop_matrix(branch, g).matrix,
             branch, lam)
         assert abs(certify(branch, g).opeq_residual - dense) <= 1e-14

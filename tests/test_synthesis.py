@@ -1,6 +1,10 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from fredstab import cli_io
 from fredstab import (BranchKernel, SolverError, SpectralBranch, SpectralSystem,
                       beta_reduced_gains, build_transform, compactness_proxy,
                       conditioning_vs_truncation, inverse_gap_sum_profile,
@@ -8,7 +12,8 @@ from fredstab import (BranchKernel, SolverError, SpectralBranch, SpectralSystem,
                       solve_gains_direct, solve_gains_iterative, synthesize_feedback)
 from fredstab.errors import IterationDiverged
 from fredstab.models import gribov_model, heat_torus_model
-from fredstab.synthesis import SHIFT_SEARCH_WIDTH, cauchy_system_matrix
+from fredstab.synthesis import (SHIFT_SEARCH_WIDTH, _closed_form_products,
+                                cauchy_system_matrix)
 
 from conftest import heat_branch, kernels, schrodinger_branch, worked_branch
 
@@ -17,6 +22,90 @@ def normalization_residual(branch, gains):
     """||C x - 1|| / sqrt(N) of the gain products against the Cauchy matrix."""
     C = cauchy_system_matrix(branch, gains.lam)
     return np.linalg.norm(C @ gains.products - 1.0) / np.sqrt(branch.N)
+
+
+def dense_select_shift(system, lambda0, delta):
+    """(lam, min_distance) of the shift scan over one N x N difference table per branch."""
+    diffs = [b.eigenvalues[:, None] - b.eigenvalues[None, :] for b in system.branches]
+    for j in range(int(2 * SHIFT_SEARCH_WIDTH) + 1):
+        lam = lambda0 + j * delta / 2.0
+        dist = float(np.min([np.min(np.abs(d + lam)) for d in diffs]))
+        if dist >= delta:
+            return lam, dist
+    raise SolverError("no admissible shift")
+
+
+def dense_closed_form_products(branch, lam):
+    """The closed-form products from one N x N log table (no error checks)."""
+    ev = branch.eigenvalues
+    real = bool(np.all(ev.imag == 0))
+    if real:
+        ev = ev.real
+    d = ev[:, None] - ev[None, :]
+    np.fill_diagonal(d, np.inf)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        q = np.divide(lam, d, out=d)
+        if real:
+            neg = q < -1.0
+            np.subtract(-2.0, q, out=q, where=neg)
+            log_sum = np.sum(np.log1p(q, out=q), axis=1)
+            sign = np.where(np.count_nonzero(neg, axis=1) % 2, -1.0, 1.0)
+            return (lam * sign * np.exp(log_sum)).astype(complex)
+        log_sum = np.sum(np.log(np.add(q, 1.0, out=q), out=q), axis=1)
+        return lam * np.exp(log_sum)
+
+
+# Models of every spectrum kind: real (heat, gribov at real eps), purely
+# imaginary (Schrodinger) and complex (gribov at complex eps).
+ORACLE_MODELS = {
+    "heat": heat_torus_model,
+    "schrodinger": lambda N: SpectralSystem(branches=(schrodinger_branch(N),), label="s"),
+    "gribov-real": lambda N: gribov_model(N, eps=0.05),
+    "gribov-complex": lambda N: gribov_model(N, eps=0.05 + 0.05j),
+}
+ORACLE_SIZES = [4, 5, 63, 64, 65, 129, 257, 513]
+
+
+def peak_matrices(fn, *args) -> float:
+    """tracemalloc peak of fn(*args), in 512 x 512 complex matrices."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (16 * 512 ** 2)
+
+
+class TestRowBlockedPasses:
+    """The closed form keeps the bits of its dense table; no pass holds an N x N table."""
+
+    @pytest.mark.parametrize("N", ORACLE_SIZES)
+    @pytest.mark.parametrize("model", ORACLE_MODELS)
+    @pytest.mark.parametrize("lam", [2.5, 40.25])
+    def test_products_and_weights(self, model, N, lam):
+        # the gains' products, and the kernel's w: those of the negated spectrum
+        for branch in ORACLE_MODELS[model](N).branches:
+            for br in (branch, replace(branch, eigenvalues=-branch.eigenvalues)):
+                got = _closed_form_products(br, lam)
+                assert got.tobytes() == dense_closed_form_products(br, lam).tobytes()
+
+    def test_schrodinger_512_holds_no_table(self):
+        # each pass holds a few row blocks, not an N x N table (the dense
+        # forms peak at 2.5 and 1.06 N x N complex matrices)
+        system = ORACLE_MODELS["schrodinger"](512)
+        assert peak_matrices(select_shift, system, 1.0, 0.25) <= 0.25
+        assert peak_matrices(_closed_form_products, system.branches[0], 2.5) <= 0.25
+
+    def test_schrodinger_512_pipeline_peak(self, tmp_path):
+        # the fixed-point route's C is freed before the kernel's C is built:
+        # the kernel, one row-blocked pass and O(N) data, not two C at once
+        cfg = cli_io.parse_config({
+            "model": {"kind": "schrodinger_ground", "N": 512, "params": {}},
+            "N": 512, "lambda0": 2.5, "delta": 0.25, "method": "both",
+            "r_list": [0.0], "output_dir": str(tmp_path)})
+        system = cli_io._build_system(cfg)
+        assert peak_matrices(cli_io._synthesize_pipeline, cfg, system, [0.0], 2.5) <= 1.6
 
 
 class TestSelectShift:
@@ -51,22 +140,20 @@ class TestSelectShift:
             select_shift(system, 1.0, 1.0)
 
 
-    @pytest.mark.parametrize("system, lambda0, rejects", [
-        (heat_torus_model(32), 2.5, False),
-        (heat_torus_model(32), 3.0, True),          # 3 = 2^2 - 1^2
-        (SpectralSystem(branches=(schrodinger_branch(32),), label="s"), 1.0, False),
-        (gribov_model(24, eps=0.05 + 0.05j), 2.0, False),
-        (gribov_model(24, eps=0.05 + 0.05j), 7.0, True),   # 7 = 2^3 - 1^3, off by eps/2
-    ], ids=["heat", "heat-rejects", "schrodinger", "gribov", "gribov-rejects"])
-    def test_bits_of_the_brute_force_over_all_branches(self, system, lambda0, rejects):
-        # the minimum over one table of every branch's differences
-        diffs = np.concatenate([(b.eigenvalues[:, None] - b.eigenvalues[None, :]).ravel()
-                                for b in system.branches])
-        for j in range(int(2 * SHIFT_SEARCH_WIDTH) + 1):
-            lam = lambda0 + j * 0.25 / 2.0
-            dist = float(np.min(np.abs(diffs + lam)))
-            if dist >= 0.25:
-                break
+    @pytest.mark.parametrize("N", ORACLE_SIZES)
+    @pytest.mark.parametrize("model, lambda0, rejects", [
+        ("heat", 2.5, False),
+        ("heat", 3.0, True),                    # 3 = 2^2 - 1^2
+        ("schrodinger", 1.0, False),
+        ("gribov-real", 7.0, True),             # 7 = 2^3 - 1^3, off by eps/2
+        ("gribov-complex", 2.0, False),
+        ("gribov-complex", 7.0, True),
+    ], ids=["heat", "heat-rejects", "schrodinger", "gribov", "gribov-complex",
+            "gribov-complex-rejects"])
+    def test_bits_of_the_brute_force_over_all_branches(self, model, lambda0, rejects, N):
+        # the scan over one N x N difference table per branch, row blocks or not
+        system = ORACLE_MODELS[model](N)
+        lam, dist = dense_select_shift(system, lambda0, 0.25)
         sel = select_shift(system, lambda0, 0.25)
         assert (sel.lam > lambda0) == rejects
         assert sel.lam.hex() == lam.hex()

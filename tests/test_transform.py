@@ -6,7 +6,7 @@ import pytest
 
 from fredstab import (BranchKernel, ConfigError, SpectralBranch, SpectralSystem,
                       build_transform, closed_loop_matrix,
-                      conditioning_profile, operator_equality_residual,
+                      conditioning_profile,
                       solve_gains_direct, synthesize_feedback, transform_matrix)
 from fredstab.jsonio import canonical_json
 from fredstab.models import gribov_model, heat_torus_model
@@ -14,7 +14,8 @@ from fredstab.synthesis import cauchy_system_matrix
 from fredstab.transform import (TRANSFORM_SCHEMA, transform_from_json,
                                 transform_to_json)
 
-from conftest import heat_branch, schrodinger_branch, worked_branch
+from conftest import (heat_branch, operator_equality_residual, schrodinger_branch,
+                      worked_branch)
 
 
 class TestBuildTransform:
