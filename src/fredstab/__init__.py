@@ -8,7 +8,7 @@ closed-loop dynamics (including the semilinear torus example).
 
 from .errors import (AssumptionError, ConfigError, FredstabError,
                      IntegratorError, IterationDiverged, SolverError)
-from .models import (ModelDescriptor, SturmLiouvilleProblem, gribov_model,
+from .models import (SturmLiouvilleProblem, build_model, gribov_model,
                      heat_torus_model, liouville_transform, schrodinger_model,
                      sturm_liouville_eigs_direct, sturm_liouville_model)
 from .simulate import (DecayFit, SimulationTrace, fit_decay, random_state,

@@ -65,7 +65,7 @@ from .errors import (AssumptionError, ConfigError, FredstabError,
 from .jsonio import canonical_json, read_json, write_json
 from .spectral_core import (SpectralSystem, system_from_json, system_to_json,
                             verify_assumptions)
-from .synthesis import law_from_json, law_to_json
+from .synthesis import law_from_json, law_tb_residual, law_to_json
 from .transform import transform_from_json, transform_to_json
 
 TB_GATE = 1e-8
@@ -261,8 +261,7 @@ def _build_system(cfg: RunConfig, N: Optional[int] = None,
                 params["gamma"] = gamma
             N = cfg.N if N is None else N
             _check_matrix_budget(N)
-            system = models.model_from_descriptor(
-                models.ModelDescriptor(kind=cfg.model["kind"], N=N, params=params))
+            system = models.build_model(cfg.model["kind"], N, params)
     except (OSError, ValueError, TypeError, KeyError, MemoryError) as exc:
         raise ConfigError(f"config.model: {type(exc).__name__}: {exc}") from exc
     for b in system.branches:
@@ -271,6 +270,13 @@ def _build_system(cfg: RunConfig, N: Optional[int] = None,
         raise AssumptionError(f"standing assumptions failed on branch(es) {bad}; "
                               "see the verdict details in the report")
     return system
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _out_dir(cfg: RunConfig, override: Optional[str]) -> str:
@@ -303,9 +309,9 @@ def _synthesize_pipeline(cfg: RunConfig, system: SpectralSystem, r_list, lambda0
 
 
 def _worst_residuals(certs) -> tuple:
-    """The worst tb_residual and opeq_residual over the certificates; np.max keeps a NaN."""
-    return (float(np.max([c.tb_residual for c in certs.values()])),
-            float(np.max([c.opeq_residual for c in certs.values()])))
+    """The worst tb_residual and opeq_residual over the certificates, a NaN kept."""
+    return (diagnostics.worst(c.tb_residual for c in certs.values()),
+            diagnostics.worst(c.opeq_residual for c in certs.values()))
 
 
 def _gate_failure(tb: float, opeq: float) -> Optional[str]:
@@ -388,8 +394,6 @@ def cmd_verify(cfg: RunConfig, out: Optional[str] = None) -> int:
     kernels = _kernels(system, law.lam)
     certs = _build_certificates(kernels, law, cfg.r_list)
     law_tb = {int(bd["i"]): bd.get("tb_residual") for bd in law_doc["branches"]}
-    rebuilt_tb = {bd["i"]: bd["tb_residual"]
-                  for bd in law_to_json(law, certs.values())["branches"]}
     drift = []
     for b in system.branches:
         bg = law.branch(b.index)
@@ -397,7 +401,8 @@ def cmd_verify(cfg: RunConfig, out: Optional[str] = None) -> int:
         if _drifts(-bg.products / b.control_coeffs, bg.gains, VERIFY_TOL * scale):
             drift.append(f"branch {b.index}: gains inconsistent with products")
         tb = law_tb.get(b.index)
-        if not isinstance(tb, (int, float)) or _drifts(tb, rebuilt_tb[b.index], VERIFY_TOL):
+        if (not isinstance(tb, (int, float))
+                or _drifts(tb, law_tb_residual(certs[b.index].residual), VERIFY_TOL)):
             drift.append(f"branch {b.index}: law.json tb_residual drift")
         drift.extend(f"branch {b.index}: {name} drift"
                      for name in _certificate_drift(stored.get(b.index), certs[b.index]))
@@ -477,8 +482,7 @@ class _TraceWriters:
     """
 
     def __init__(self):
-        self.limit = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                      else os.cpu_count() or 1)
+        self.limit = _usable_cores()
         self.files = []     # start order -> trace files of that scenario
         self.pipes = {}     # pid -> (start order, read end of its error pipe)
         self.errors = {}    # start order -> exception
@@ -650,8 +654,8 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str] = None,
             return row
         try:
             shift, law, kernels, certs = _synthesize_pipeline(cfg, system, [0.0], l0)
-            match = max(diagnostics.secular_match_error(b, certs[b.index])
-                        for b in system.branches)
+            match = diagnostics.worst(diagnostics.secular_match_error(b, certs[b.index])
+                                      for b in system.branches)
             worst_tb, worst_opeq = _worst_residuals(certs)
             kappas = certs[system.branches[0].index].conditioning
             row.update({
@@ -660,7 +664,7 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str] = None,
                 "tb_residual": worst_tb,
                 "opeq_residual": worst_opeq,
                 "spectrum_match": match,
-                "sup_product": max(bg.sup_product for bg in law.branches),
+                "sup_product": diagnostics.worst(bg.sup_product for bg in law.branches),
                 "kappa_0": kappas.get(0.0, ""),
             })
             # a point that fails synthesize's gates keeps its certificates, not a decay rate
@@ -672,14 +676,14 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str] = None,
             times = np.linspace(0.0, 1.0, 65)
             trace = simulate.simulate_closed_loop(kernels, law, u0, times)
             try:
-                row["mu_hat"] = simulate.fit_decay(trace).mu_hat
+                row["mu_hat"] = simulate.fit_decay(trace.times, trace.norms[0.0]).mu_hat
             except ValueError as exc:           # say, a norm that underflowed to 0
                 row["error"] = f"decay fit failed: {error_text(exc)}"
         except FredstabError as exc:
             row["error"] = error_text(exc)
         return row
 
-    workers = jobs if jobs is not None else (os.cpu_count() or 1)
+    workers = jobs if jobs is not None else _usable_cores()
     if workers == 1:
         # no worker thread: its own malloc arena would lift the peak RSS
         rows = [run_point(point) for point in grid]
@@ -717,13 +721,12 @@ def _refit_decay(cfg: RunConfig, traces_dir: str) -> Optional[dict]:
     The traces hold repr floats, so each fit equals the one simulate made.
     None when no configured scenario has a norms file.
     """
-    r, fits = cfg.r_list[0], {}
+    fits = {}
     for name, _, t, y in _decay_traces(cfg, traces_dir):
         fits[name] = None
         if t is not None and y is not None:
             with contextlib.suppress(ValueError):        # too few or nonpositive norms
-                fits[name] = simulate.fit_decay(simulate.SimulationTrace(
-                    times=t, states=(), norms={r: y}, integrator="csv", dt=0.0), r=r)
+                fits[name] = simulate.fit_decay(t, y)
     return fits or None
 
 
@@ -788,7 +791,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--out", default=None, help="output directory override")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="parallel workers for sweep, >= 1 (default: logical cores)")
+                        help="parallel workers for sweep, >= 1 (default: usable cores)")
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(read_json(args.config))

@@ -35,6 +35,7 @@ __all__ = [
     "spectrum_match_error",
     "secular_match_error",
     "make_report",
+    "worst",
     "svg_line_plot",
 ]
 
@@ -142,24 +143,32 @@ def secular_match_error(branch: SpectralBranch, certificate: BranchCertificate) 
                         / np.maximum(np.abs(target), 1e-30)))
 
 
+def worst(values) -> float:
+    """The largest of the per-branch values; a NaN among them is the result.
+
+    The builtin max keeps whichever value comes first when one is NaN, so a
+    NaN branch could hide behind a clean one; np.max propagates it.
+    """
+    return float(np.max(list(values)))
+
+
 def _verdict_json(v: AssumptionVerdict) -> dict:
-    doc: dict = {"ok": v.ok}
-    if v.growth is not None:
-        doc["growth"] = {
+    doc = {
+        "ok": v.ok,
+        "growth": {
             "ok": v.growth.ok, "c_low": v.growth.c_low, "c_high": v.growth.c_high,
             "ratio": v.growth.ratio, "alpha_hat": v.growth.alpha_hat,
             "witness_low": v.growth.witness_low, "witness_high": v.growth.witness_high,
-        }
-    if v.gap is not None:
-        doc["gap"] = {
+        },
+        "gap": {
             "ok": v.gap.ok, "constant": v.gap.constant,
             "witness": list(v.gap.witness), "floor": v.gap.floor,
-        }
-    if v.control is not None:
-        doc["control"] = {
+        },
+        "control": {
             "ok": v.control.ok, "c1_hat": v.control.c1_hat, "c2_hat": v.control.c2_hat,
             "beta_hat": v.control.beta_hat, "gamma_hat": v.control.gamma_hat,
-        }
+        },
+    }
     # too few modes for a fit (N < 3) leaves NaN slopes, and N = 1 an infinite gap
     for section in doc.values():
         if isinstance(section, dict):
@@ -174,7 +183,8 @@ def make_report(system: SpectralSystem, law: FeedbackLaw, certificates,
 
     certificates holds one transform.build_transform certificate per
     branch; the report carries their worst tb and opeq residuals and, as
-    the spectrum match, their worst secular_match_error.
+    the spectrum match, their worst secular_match_error (worst: a NaN
+    branch makes the value NaN, which the JSON writer refuses).
     The conditioning, r -> kappa_r, is that of kernel's branch certificate.
     decay_fits maps scenario names to a DecayFit or None (no fit); None for
     the whole section means no scenario was simulated.  The verdicts, gain
@@ -198,12 +208,12 @@ def make_report(system: SpectralSystem, law: FeedbackLaw, certificates,
         "lambda": float(lam),
         "config_hash": config_hash(config),
         "assumptions": [_verdict_json(verify_assumptions(b)) for b in system.branches],
-        "tb_residual": float(max(c.tb_residual for c in certificates.values())),
-        "opeq_residual": float(max(c.opeq_residual for c in certificates.values())),
-        "spectrum_match_error": max(
+        "tb_residual": worst(c.tb_residual for c in certificates.values()),
+        "opeq_residual": worst(c.opeq_residual for c in certificates.values()),
+        "spectrum_match_error": worst(
             secular_match_error(b, certificates[b.index]) for b in system.branches),
         "gain_profile": {
-            "sup_product": max(bg.sup_product for bg in law.branches),
+            "sup_product": worst(bg.sup_product for bg in law.branches),
             "per_branch": [
                 None if tr is None else {
                     "sup_product": tr.sup_product,

@@ -21,7 +21,6 @@ from .errors import SolverError
 from .spectral_core import SpectralBranch, SpectralSystem
 
 __all__ = [
-    "ModelDescriptor",
     "SturmLiouvilleProblem",
     "LiouvilleData",
     "SturmLiouvilleModes",
@@ -32,7 +31,7 @@ __all__ = [
     "sturm_liouville_model",
     "sturm_liouville_eigs_direct",
     "gribov_model",
-    "model_from_descriptor",
+    "build_model",
     "MODEL_KINDS",
 ]
 
@@ -43,22 +42,6 @@ SCHRODINGER_FLOOR = 1e-10    # smallest nonzero projection, relative to the larg
 SL_B_FLOOR = 1e-12           # smallest nonzero control projection of a diffusion mode
 SL_DEGENERACY_GAP = 1e-8     # smallest relative gap of a simple numerical spectrum
 GRIBOV_EPS_CAP = 0.1         # largest |eps| that keeps the spectrum cubic
-
-
-@dataclass(frozen=True)
-class ModelDescriptor:
-    """Serializable recipe for one of the built-in model families."""
-
-    kind: str
-    N: int
-    params: dict
-
-    def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}, expected one of "
-                             f"{MODEL_KINDS}")
-        if self.N < 4:
-            raise ValueError("truncation N must be at least 4")
 
 
 # ---------------------------------------------------------------------------
@@ -152,19 +135,15 @@ class SchrodingerProjectionReport:
     """Empirical decay profile of the control-shape projections.
 
     inner_products : the L2 pairings of mu * (ground state) with each mode.
-    c_cubic        : min over n of |inner_n| n^3 (strict-decay constant).
-    cubic_ok       : the strict n^-3 lower envelope is met above the floor.
-    c_relaxed      : min over n of |inner_n| n^(7/2 - eps).
-    relaxed_ok     : the relaxed envelope is met above the floor.
+    cubic_ok       : min over n of |inner_n| n^3 is above SCHRODINGER_FLOOR
+                     (the strict n^-3 lower envelope).
+    relaxed_ok     : min over n of |inner_n| n^(7/2 - eps) is above the
+                     floor, eps = SCHRODINGER_EPS (the relaxed envelope).
     """
 
     inner_products: np.ndarray
-    c_cubic: float
     cubic_ok: bool
-    c_relaxed: float
     relaxed_ok: bool
-    eps: float
-    floor: float
 
 
 def schrodinger_model(N: int, mu_values):
@@ -207,9 +186,8 @@ def schrodinger_model(N: int, mu_values):
     c_cubic = float(np.min(np.abs(inner) * nf ** 3))
     c_relaxed = float(np.min(np.abs(inner) * nf ** (3.5 - eps)))
     report = SchrodingerProjectionReport(
-        inner_products=inner, c_cubic=c_cubic, cubic_ok=bool(c_cubic > floor),
-        c_relaxed=c_relaxed, relaxed_ok=bool(c_relaxed > floor),
-        eps=eps, floor=floor)
+        inner_products=inner, cubic_ok=bool(c_cubic > floor),
+        relaxed_ok=bool(c_relaxed > floor))
     return system, report
 
 
@@ -273,17 +251,14 @@ class SturmLiouvilleProblem:
 class LiouvilleData:
     """Normal form of a diffusion operator: potential Q on [0, M].
 
-    y_grid holds the uniform grid on [0, M]; x_of_y maps it back to the
-    original coordinate; Q_values samples the reduced potential
-    b(x(y)) - (d^2/dy^2 a^{1/4}) / a^{1/4}; c_tilde are the transformed
-    boundary coefficients.
+    y_grid holds the uniform grid on [0, M]; Q_values samples the reduced
+    potential b(x(y)) - (d^2/dy^2 a^{1/4}) / a^{1/4}; c_tilde are the
+    transformed boundary coefficients.
     """
 
     M: float
     y_grid: np.ndarray
-    x_of_y: np.ndarray
     Q_values: np.ndarray
-    a_quarter: np.ndarray
     c_tilde: tuple
 
 
@@ -325,8 +300,6 @@ def liouville_transform(problem: SturmLiouvilleProblem) -> LiouvilleData:
     M = float(y_of_x[-1])
     y = np.linspace(0.0, M, problem.grid_size + 1)
     x_of_y = np.interp(y, y_of_x, x)
-    a_y = np.interp(x_of_y, x, a)
-    g = a_y ** 0.25
     # curvature (d^2/dy^2 a^{1/4}) / a^{1/4} in x coordinates via the chain
     # rule d/dy = sqrt(a) d/dx: equals a''/4 - (a')^2/(16 a).  Differentiating
     # the smooth samples of a (not an interpolant) keeps the result O(h^2).
@@ -342,8 +315,7 @@ def liouville_transform(problem: SturmLiouvilleProblem) -> LiouvilleData:
     ct2 = problem.c2 * a[0] ** -0.75
     ct3 = problem.c3 * a[-1] ** -0.25 - problem.c4 * a_prime_L / (4 * a[-1] ** 1.25)
     ct4 = problem.c4 * a[-1] ** -0.75
-    return LiouvilleData(M=M, y_grid=y, x_of_y=x_of_y, Q_values=Q,
-                         a_quarter=g, c_tilde=(ct1, ct2, ct3, ct4))
+    return LiouvilleData(M=M, y_grid=y, Q_values=Q, c_tilde=(ct1, ct2, ct3, ct4))
 
 
 def _tridiag_robin_eigs(diag_potential: np.ndarray, h: float,
@@ -405,7 +377,6 @@ class SturmLiouvilleModes:
     eigenvalues: np.ndarray
     modes_x: np.ndarray          # (grid_size + 1, N), L2(0, L)-normalized
     x_grid: np.ndarray
-    liouville: LiouvilleData
 
 
 def sturm_liouville_model(problem: SturmLiouvilleProblem, N: int, phi_values):
@@ -452,8 +423,7 @@ def sturm_liouville_model(problem: SturmLiouvilleProblem, N: int, phi_values):
             f"within {SL_B_FLOOR:.0e}")
     branch = SpectralBranch(1, vals.astype(complex), b.astype(complex), alpha=2.0)
     system = SpectralSystem(branches=(branch,), label="sturm_liouville")
-    modes = SturmLiouvilleModes(eigenvalues=vals, modes_x=modes_x, x_grid=x,
-                                liouville=data)
+    modes = SturmLiouvilleModes(eigenvalues=vals, modes_x=modes_x, x_grid=x)
     return system, modes
 
 
@@ -470,31 +440,20 @@ def sturm_liouville_eigs_direct(problem: SturmLiouvilleProblem, N: int) -> np.nd
     h = x[1] - x[0]
     G = problem.grid_size
     a_mid = 0.5 * (a[:-1] + a[1:])               # a at half nodes i+1/2
-    keep_left = problem.c2 != 0.0
-    keep_right = problem.c4 != 0.0
-    start = 0 if keep_left else 1
-    stop = G + 1 if keep_right else G
-    idx = np.arange(start, stop)
-    size = len(idx)
-    main = np.empty(size)
-    off = np.empty(size - 1)
-    for row, i in enumerate(idx):
-        if i == 0:
-            main[row] = -2.0 * a_mid[0] / h ** 2 + 2.0 * a[0] * problem.c1 / (problem.c2 * h) + b[0]
-        elif i == G:
-            main[row] = -2.0 * a_mid[-1] / h ** 2 - 2.0 * a[-1] * problem.c3 / (problem.c4 * h) + b[G]
-        else:
-            main[row] = -(a_mid[i - 1] + a_mid[i]) / h ** 2 + b[i]
-    for row in range(size - 1):
-        i = idx[row]
-        off[row] = a_mid[i] / h ** 2
-    scale = np.ones(size)
-    if keep_left:
+    # a Dirichlet end drops its node; a kept one has the ghost-point row
+    start = 0 if problem.c2 != 0.0 else 1
+    stop = G + 1 if problem.c4 != 0.0 else G
+    size = stop - start
+    main = -(a_mid[:-1] + a_mid[1:]) / h ** 2 + b[1:G]      # interior nodes 1..G-1
+    off = a_mid[start:stop - 1] / h ** 2
+    if start == 0:
+        left = -2.0 * a_mid[0] / h ** 2 + 2.0 * a[0] * problem.c1 / (problem.c2 * h) + b[0]
+        main = np.concatenate(([left], main))
         off[0] *= np.sqrt(2.0)
-        scale[0] = np.sqrt(2.0)
-    if keep_right:
+    if stop == G + 1:
+        right = -2.0 * a_mid[-1] / h ** 2 - 2.0 * a[-1] * problem.c3 / (problem.c4 * h) + b[G]
+        main = np.concatenate((main, [right]))
         off[-1] *= np.sqrt(2.0)
-        scale[-1] = np.sqrt(2.0)
     from scipy.linalg import eigh_tridiagonal
     vals = eigh_tridiagonal(
         main, off, select="i", select_range=(size - N, size - 1))[0]
@@ -526,7 +485,7 @@ def gribov_model(N: int, eps: complex = 0.0, r: float = 0.0,
 
 
 # ---------------------------------------------------------------------------
-# descriptor dispatch
+# construction from a config's kind, N and params
 # ---------------------------------------------------------------------------
 
 def _coeff_param(value):
@@ -556,26 +515,32 @@ def _no_other_params(p: dict, kind: str) -> None:
         raise ValueError(f"unknown {kind} params: {sorted(p)}")
 
 
-def model_from_descriptor(desc: ModelDescriptor) -> SpectralSystem:
-    """Instantiate a system from a serializable descriptor; unknown params are refused."""
-    p = dict(desc.params)
-    if desc.kind == "heat_torus":
+def build_model(kind: str, N: int, params: dict) -> SpectralSystem:
+    """The system of one built-in model family at truncation N; unknown params are refused.
+
+    A Schrodinger mu defaults to x^2 on [0, 1] only when params has none.
+    """
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {kind!r}, expected one of {MODEL_KINDS}")
+    if N < 4:
+        raise ValueError("truncation N must be at least 4")
+    p = dict(params)
+    if kind == "heat_torus":
         args = dict(sobolev_index=float(p.pop("m", 0.0)),
                     phi1_coeffs=_coeff_param(p.pop("phi1_coeffs", None)),
                     phi2_coeffs=_coeff_param(p.pop("phi2_coeffs", None)),
                     gamma=float(p.pop("gamma", 0.0)))
-        _no_other_params(p, desc.kind)
-        return heat_torus_model(desc.N, **args)
-    if desc.kind == "schrodinger_ground":
+        _no_other_params(p, kind)
+        return heat_torus_model(N, **args)
+    if kind == "schrodinger_ground":
         points = int(p.pop("points", 2048))
         x = np.linspace(0.0, 1.0, points + 1)
-        mu = _sampled_param(p.pop("mu", None), x, 0.0)
-        _no_other_params(p, desc.kind)
-        if not np.any(mu):
-            mu = x ** 2
-        system, _ = schrodinger_model(desc.N, mu)
+        mu = p.pop("mu", None)
+        mu = x ** 2 if mu is None else _sampled_param(mu, x, 0.0)
+        _no_other_params(p, kind)
+        system, _ = schrodinger_model(N, mu)
         return system
-    if desc.kind == "sturm_liouville":
+    if kind == "sturm_liouville":
         grid = int(p.pop("grid_size", 2000))
         L = float(p.pop("L", 1.0))
         x = np.linspace(0.0, L, grid + 1)
@@ -585,14 +550,12 @@ def model_from_descriptor(desc: ModelDescriptor) -> SpectralSystem:
         phi = (1.0 + x) if phi is None else _sampled_param(phi, x, 1.0)
         robin = {c: float(p.pop(c, d)) for c, d in (("c1", 1.0), ("c2", 0.0),
                                                     ("c3", 1.0), ("c4", 0.0))}
-        _no_other_params(p, desc.kind)
+        _no_other_params(p, kind)
         problem = SturmLiouvilleProblem(a_values=a, b_values=bb, L=L, grid_size=grid,
                                         **robin)
-        system, _ = sturm_liouville_model(problem, desc.N, phi)
+        system, _ = sturm_liouville_model(problem, N, phi)
         return system
-    if desc.kind == "gribov":
-        args = dict(eps=complex(p.pop("eps", 0.0)), r=float(p.pop("r", 0.0)),
-                    gamma=float(p.pop("gamma", 0.0)))
-        _no_other_params(p, desc.kind)
-        return gribov_model(desc.N, **args)
-    raise ValueError(f"unknown model kind {desc.kind!r}")
+    args = dict(eps=complex(p.pop("eps", 0.0)), r=float(p.pop("r", 0.0)),
+                gamma=float(p.pop("gamma", 0.0)))
+    _no_other_params(p, kind)
+    return gribov_model(N, **args)

@@ -52,15 +52,14 @@ LINEAR_INTEGRATORS = ("semigroup_exact", "rk4")   # of simulate_closed_loop
 class SimulationTrace:
     """Time grid, per-branch modal coefficients, and tracked norms.
 
-    states[i] has shape (len(times), N_i).  norms maps a scale index r to
+    states[i] has shape (len(times), N_i).  norms maps each r of r_list to
     the combined norm sequence (sum over branches in quadrature).
+    real_defect is the Burgers run's distance from a real field.
     """
 
     times: np.ndarray
     states: tuple
     norms: dict
-    integrator: str
-    dt: float
     real_defect: Optional[float] = None
 
     def __post_init__(self):
@@ -75,12 +74,6 @@ class SimulationTrace:
                 raise IntegratorError("non-finite state in trace (blow-up?)")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", states)
-
-    def norm_series(self, r: float) -> np.ndarray:
-        key = float(r)
-        if key in self.norms:
-            return self.norms[key]
-        return _norm_table(self.states, (key,))[key]
 
 
 @dataclass(frozen=True)
@@ -207,8 +200,7 @@ def simulate_closed_loop(kernels, law: FeedbackLaw, u0, times,
             states.append(_rk4_march(b.eigenvalues, b.control_coeffs,
                                      law.branch(b.index).gains, block, times, dt))
     norms = _norm_table(states, r_list)
-    return SimulationTrace(times=times, states=tuple(states), norms=norms,
-                           integrator=integrator, dt=dt if integrator == "rk4" else 0.0)
+    return SimulationTrace(times=times, states=tuple(states), norms=norms)
 
 
 # ---------------------------------------------------------------------------
@@ -269,24 +261,16 @@ def _next_fast_len(n: int) -> int:
     """Smallest 11-smooth integer >= n, as scipy.fft.next_fast_len(n, real=False).
 
     pocketfft is fastest on lengths whose prime factors are all at most 11.
-    Each 3^a 5^b 7^c 11^d below the running best is raised to n by the
-    least power of two.
     """
-    best = 1 << (n - 1).bit_length()
-    p11 = 1
-    while p11 < best:
-        p7 = p11
-        while p7 < best:
-            p5 = p7
-            while p5 < best:
-                m = p5
-                while m < best:
-                    best = min(best, m << (-(-n // m) - 1).bit_length())
-                    m *= 3
-                p5 *= 5
-            p7 *= 7
-        p11 *= 11
-    return best
+    m = max(n, 1)
+    while True:
+        rest = m
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
 
 
 def _square_half(h: np.ndarray, N: int, length: int) -> np.ndarray:
@@ -401,19 +385,18 @@ def simulate_burgers(system: SpectralSystem, law: Optional[FeedbackLaw], u0, tim
     states1, states2 = _branch_coords(hist, N)
     norms = _norm_table((states1, states2), r_list)
     return SimulationTrace(times=times, states=(states1, states2), norms=norms,
-                           integrator="imex_euler", dt=dt, real_defect=defect)
+                           real_defect=defect)
 
 
-def fit_decay(trace: SimulationTrace, r: float = 0.0,
-              window: Optional[tuple] = None) -> DecayFit:
-    """Fit ||u(t)|| ~ c e^{-mu t} on a window of the trace.
+def fit_decay(times, norms, window: Optional[tuple] = None) -> DecayFit:
+    """Fit ||u(t)|| ~ c e^{-mu t} to the norms sampled at times on a window.
 
     Default window drops the first 10% of the horizon to let the
     conjugation transient settle.  Requires at least 4 samples with
     strictly positive norms.
     """
-    t = trace.times
-    norms = trace.norm_series(r)
+    t = np.asarray(times, dtype=float)
+    norms = np.asarray(norms, dtype=float)
     if window is None:
         span = t[-1] - t[0]
         window = (t[0] + 0.1 * span, t[-1])

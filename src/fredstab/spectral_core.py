@@ -11,8 +11,6 @@ never appear explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .errors import AssumptionError
@@ -220,20 +218,17 @@ class ControlCheck:
     c2_hat: float
     beta_hat: float
     gamma_hat: float
-    witness_min: int
-    witness_max: int
 
 
 @dataclass(frozen=True)
 class AssumptionVerdict:
-    growth: Optional[GrowthCheck] = None
-    gap: Optional[GapCheck] = None
-    control: Optional[ControlCheck] = None
+    growth: GrowthCheck
+    gap: GapCheck
+    control: ControlCheck
 
     @property
     def ok(self) -> bool:
-        parts = [p for p in (self.growth, self.gap, self.control) if p is not None]
-        return bool(parts) and all(p.ok for p in parts)
+        return self.growth.ok and self.gap.ok and self.control.ok
 
 
 def verify_growth(branch: SpectralBranch) -> GrowthCheck:
@@ -296,15 +291,12 @@ def verify_control(branch: SpectralBranch) -> ControlCheck:
     n = branch.mode_indices.astype(float)
     low = b * n ** branch.beta
     high = b * n ** (branch.beta - branch.gamma)
-    i_min = int(np.argmin(low))
-    i_max = int(np.argmax(high))
+    c1_hat, c2_hat = float(np.min(low)), float(np.max(high))
     win = _fit_window(branch.N)
     beta_hat = -_loglog_slope(n[win], b[win])
     gamma_hat = max(0.0, _loglog_slope(n[win], low[win])) if branch.N >= 4 else 0.0
-    return ControlCheck(ok=bool(low[i_min] > 0), c1_hat=float(low[i_min]),
-                        c2_hat=float(high[i_max]), beta_hat=beta_hat,
-                        gamma_hat=gamma_hat, witness_min=i_min + 1,
-                        witness_max=i_max + 1)
+    return ControlCheck(ok=c1_hat > 0, c1_hat=c1_hat, c2_hat=c2_hat, beta_hat=beta_hat,
+                        gamma_hat=gamma_hat)
 
 
 def verify_assumptions(branch: SpectralBranch) -> AssumptionVerdict:
@@ -331,8 +323,6 @@ class ControllabilityClassification:
     admissibility_necessary_ok: bool
     exact_controllability_necessary_ok: bool
     ratio_slope: float
-    r: float
-    interval: tuple
 
 
 def classify_controllability(branch: SpectralBranch, r: float) -> ControllabilityClassification:
@@ -362,8 +352,7 @@ def classify_controllability(branch: SpectralBranch, r: float) -> Controllabilit
         labels = frozenset({"not-exactly-controllable-in-X"})
     return ControllabilityClassification(
         labels=labels, admissibility_necessary_ok=admissible,
-        exact_controllability_necessary_ok=exact, ratio_slope=slope,
-        r=r, interval=(lo, hi))
+        exact_controllability_necessary_ok=exact, ratio_slope=slope)
 
 
 # ---------------------------------------------------------------------------

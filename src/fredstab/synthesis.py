@@ -40,6 +40,7 @@ __all__ = [
     "synthesize_feedback",
     "beta_reduced_gains",
     "inverse_gap_sum_profile",
+    "law_tb_residual",
     "law_to_json",
     "law_from_json",
 ]
@@ -352,8 +353,13 @@ def inverse_gap_sum_profile(kernel: BranchKernel, s: float):
 # serialization
 # ---------------------------------------------------------------------------
 
+def law_tb_residual(residual: np.ndarray) -> float:
+    """law.json's tb_residual of a branch: ||r|| / sqrt(N) of its certificate's r = 1 - C x."""
+    return float(np.linalg.norm(residual) / np.sqrt(len(residual)))
+
+
 def law_to_json(law: FeedbackLaw, certificates) -> dict:
-    """law.json document; tb_residual is ||r|| / sqrt(N), r of each branch's certificate."""
+    """law.json document; tb_residual is law_tb_residual of each branch's certificate."""
     residuals = {c.branch_index: c.residual for c in certificates}
     return {
         "lambda": float(law.lam),
@@ -363,8 +369,7 @@ def law_to_json(law: FeedbackLaw, certificates) -> dict:
                 "i": bg.branch_index,
                 "gains": cpairs(bg.gains),
                 "products_x": cpairs(bg.products),
-                "tb_residual": float(np.linalg.norm(residuals[bg.branch_index])
-                                     / np.sqrt(bg.N)),
+                "tb_residual": law_tb_residual(residuals[bg.branch_index]),
             }
             for bg in law.branches
         ],

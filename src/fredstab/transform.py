@@ -155,7 +155,8 @@ def build_transform(kernel: BranchKernel, gains: BranchGains,
         diagonal.append(np.diagonal(T, offset=i).copy())   # a view would keep T
         sums = np.add.reduce(np.vstack((sums, (T.conj() * T).real)), axis=0)
     residual = 1.0 - np.concatenate(Cx)
-    steps = residual / np.concatenate(CCx)
+    with np.errstate(invalid="ignore"):     # NaN gains give NaN steps, refused downstream
+        steps = residual / np.concatenate(CCx)
     diagonal = np.concatenate(diagonal)
     column_norms = np.sqrt(sums)
     frobenius = float(np.sqrt(np.sum(column_norms ** 2)))

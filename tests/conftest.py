@@ -35,8 +35,7 @@ def simulate_target(system, lam, v0, times, r_list=(0.0,)):
     times = np.asarray(times, dtype=float)
     states = [np.exp((b.eigenvalues[None, :] - lam) * times[:, None]) * block[None, :]
               for b, block in zip(system.branches, _states_for(system.branches, v0))]
-    return SimulationTrace(times=times, states=tuple(states), norms=_norm_table(states, r_list),
-                           integrator="semigroup_exact", dt=0.0)
+    return SimulationTrace(times=times, states=tuple(states), norms=_norm_table(states, r_list))
 
 
 def trace_to_csv(trace, modes_path, norms_path):

@@ -211,7 +211,7 @@ def test_criterion_08_closed_loop_decay():
     times = np.linspace(0, 6, 385)
     kernels = [fs.BranchKernel(b, law.lam) for b in system.branches]
     trace = fs.simulate_closed_loop(kernels, law, u0, times)
-    fit = fs.fit_decay(trace, window=(3.0, 6.0))
+    fit = fs.fit_decay(trace.times, trace.norms[0.0], window=(3.0, 6.0))
     times1 = np.linspace(0, 1, 33)
     tr_ex = fs.simulate_closed_loop(kernels, law, u0, times1)
     tr_rk = fs.simulate_closed_loop(kernels, law, u0, times1,
@@ -261,7 +261,7 @@ def test_criterion_10_semilinear_local_stabilization():
     c *= 1e-3 / np.sqrt(2 * np.pi * np.sum(np.abs(c) ** 2))
     times = np.linspace(0, 1, 101)
     trace = fs.simulate_burgers(system, law, c, times, dt=1e-4)
-    fit = fs.fit_decay(trace, window=(0.1, 1.0))
+    fit = fs.fit_decay(trace.times, trace.norms[0.0], window=(0.1, 1.0))
     zero_trace = fs.simulate_burgers(system, law, np.zeros(2 * N + 1, dtype=complex),
                                      np.linspace(0, 0.1, 6), dt=1e-3)
     zero_max = max(float(np.max(np.abs(s))) for s in zero_trace.states)

@@ -10,6 +10,7 @@ import sys
 import tempfile
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -199,10 +200,10 @@ class TestConfigValidation:
                                                   sweep, where, what, stage):
         # each case failed with a raw exception (named in its comment), or
         # aborted the whole sweep, or was accepted
-        def refuse(desc):
+        def refuse(kind, N, params):
             raise AssertionError("model built")
 
-        monkeypatch.setattr(cli_io.models, "model_from_descriptor", refuse)
+        monkeypatch.setattr(cli_io.models, "build_model", refuse)
         cfg = tmp_path / "config.json"
         doc = write_config(cfg)
         doc["sweep"] = sweep
@@ -463,6 +464,20 @@ class TestSynthesizeCommand:
             assert main(["synthesize", "--config", str(cfg)]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "SolverError" and err["message"].startswith(message)
+        assert not (tmp_path / "out" / "system.json").exists()
+
+
+    @pytest.mark.parametrize("mu", [0.0, 1e-300, {"grid": [0.0, 1.0], "values": [0.0, 0.0]}],
+                             ids=["zero", "tiny", "zero-samples"])
+    def test_vanishing_schrodinger_mu_exits_three(self, tmp_path, capsys, mu):
+        # an all-zero mu ran the default x^2 profile, while 1e-300 was refused
+        cfg = tmp_path / "config.json"
+        write_config(cfg, N=8, model={"kind": "schrodinger_ground", "N": 8,
+                                      "params": {"mu": mu, "points": 512}})
+        assert main(["synthesize", "--config", str(cfg)]) == 3
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "SolverError", "message": "quadrature projection b_1 vanishes; "
+                                               "the chosen mu does not excite every mode"}
         assert not (tmp_path / "out" / "system.json").exists()
 
 
@@ -1042,18 +1057,18 @@ class TestSweepCommand:
         # made in the calling thread in grid order, before the points run,
         # and the standing assumptions are checked once per branch of each
         built, checked = [], []
-        build = cli_io.models.model_from_descriptor
+        build = cli_io.models.build_model
         check = cli_io.verify_assumptions
 
-        def counting_build(desc):
-            built.append((desc.N, threading.current_thread() is threading.main_thread()))
-            return build(desc)
+        def counting_build(kind, N, params):
+            built.append((N, threading.current_thread() is threading.main_thread()))
+            return build(kind, N, params)
 
         def counting_check(branch):
             checked.append((branch.N, branch.index))
             return check(branch)
 
-        monkeypatch.setattr(cli_io.models, "model_from_descriptor", counting_build)
+        monkeypatch.setattr(cli_io.models, "build_model", counting_build)
         monkeypatch.setattr(cli_io, "verify_assumptions", counting_check)
         cfg = tmp_path / "config.json"
         write_config(cfg, sweep={"lambda0": [1.0, 2.0, 4.0], "N": [12, 16]}, N=12,
@@ -1155,6 +1170,34 @@ class TestSweepCommand:
         assert all(row["tb_residual"] == row["mu_hat"] == "" for row in rows)
         assert checked == [1, 2]
 
+    @pytest.mark.parametrize("mu", [0.0, {"grid": [0.0, 1.0], "values": [0.0, 0.0]}],
+                             ids=["zero", "zero-samples"])
+    def test_vanishing_schrodinger_mu_gives_error_rows(self, tmp_path, mu):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, N=8, model={"kind": "schrodinger_ground", "N": 8,
+                                      "params": {"mu": mu, "points": 512}},
+                     sweep={"lambda0": [1.0, 2.0]})
+        assert main(["sweep", "--config", str(cfg), "--jobs", "1"]) == 0
+        with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["error"] for row in rows] == [
+            "SolverError: quadrature projection b_1 vanishes; "
+            "the chosen mu does not excite every mode"] * 2
+
+    def test_default_jobs_are_the_usable_cores(self, tmp_path, monkeypatch):
+        # --jobs defaulted to os.cpu_count(), every core of the host, while
+        # the trace writers counted the affinity mask
+        def refuse(*args, **kwargs):
+            raise AssertionError("thread pool constructed")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(cli_io, "ThreadPoolExecutor", refuse)
+        cfg = tmp_path / "config.json"
+        write_config(cfg, sweep={"lambda0": [2.0, 2.5]})
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        assert cli_io._TraceWriters().limit == 1
+
     def test_empty_sweep_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         write_config(cfg)
@@ -1162,6 +1205,28 @@ class TestSweepCommand:
 
 
 class TestReportCommand:
+    def test_nan_certificate_is_refused(self, tmp_path, capsys):
+        # the worst over branches took the builtin max, which keeps the first
+        # value when the other is NaN: report wrote branch 1's clean tb and
+        # sup_product over branch 2's NaN and exited 0, while verify exited 1
+        cfg = tmp_path / "config.json"
+        write_config(cfg, N=8, model={"kind": "heat_torus", "N": 8, "params": {}})
+        out = tmp_path / "out"
+        assert main(["synthesize", "--config", str(cfg)]) == 0
+        assert main(["report", "--config", str(cfg)]) == 0
+        before = (out / "report.json").read_bytes()
+        law = json.loads((out / "law.json").read_text())
+        for key in ("products_x", "gains"):
+            law["branches"][1][key][2] = [math.nan, 0.0]
+        (out / "law.json").write_text(json.dumps(law))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["report", "--config", str(cfg)]) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+        assert (out / "report.json").read_bytes() == before
+
     def test_plots_emitted(self, tmp_path):
         cfg = tmp_path / "config.json"
         write_config(cfg, r_list=[0.0, 1.0], scenarios=[

@@ -136,8 +136,8 @@ class TestMakeReport:
         trace = simulate_closed_loop(ks, law, random_state(system),
                                      np.linspace(0, 2, 33))
         certs[0] = dataclasses.replace(certs[0], conditioning={0.0: 5.0})
-        doc = make_report(system, law, certs, ks[0],
-                          {"lin": fit_decay(trace), "short": None}, {"N": 16})
+        fit = fit_decay(trace.times, trace.norms[0.0])
+        doc = make_report(system, law, certs, ks[0], {"lin": fit, "short": None}, {"N": 16})
         assert doc["schema"] == REPORT_SCHEMA
         assert doc["lambda"] == 2.5
         assert doc["spectrum_match_error"] == max(

@@ -13,7 +13,8 @@ EXPORTING = [
     if hasattr(module, "__all__")]
 
 PACKAGE = Path(fredstab.__file__).parent
-ACCEPTANCE = Path(__file__).parent / "test_acceptance.py"
+TESTS = Path(__file__).parent
+ACCEPTANCE = TESTS / "test_acceptance.py"
 
 # Public names that only the test suite calls, each as the independent
 # reference for a production path.
@@ -66,6 +67,42 @@ def test_every_exported_name_is_used():
         if not (uses.get(name, set()) - {name}) and name not in acceptance
         and name not in TEST_ORACLES)
     assert not unused, f"exported but unused: {unused}"
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any("dataclass" in _names(decorator) for decorator in cls.decorator_list)
+
+
+def _attribute_reads(tree) -> dict:
+    """Attribute name -> the top-level definitions of tree that read it as x.name."""
+    reads: dict = {}
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, set()).add(getattr(stmt, "name", None))
+    return reads
+
+
+def test_every_dataclass_field_is_read():
+    # a field stays only while package code outside its own class or a
+    # test reads it as an attribute; the match is by name, so a field that
+    # shares its name with a read attribute elsewhere passes
+    fields, package_reads = [], {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        fields += [(cls.name, stmt.target.id) for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+                   for stmt in cls.body
+                   if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+        for name, owners in _attribute_reads(tree).items():
+            package_reads.setdefault(name, set()).update(owners)
+    test_reads = set()
+    for path in sorted(TESTS.glob("*.py")):
+        test_reads |= set(_attribute_reads(ast.parse(path.read_text(encoding="utf-8"))))
+    assert fields
+    unread = [f"{cls}.{name}" for cls, name in fields
+              if not (package_reads.get(name, set()) - {cls}) and name not in test_reads]
+    assert not unread, f"dataclass fields that nothing reads: {unread}"
 
 
 # The stages build C only in the kernel; the fixed-point gain route and the

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 
 from fredstab import AssumptionError, SolverError, verify_control, verify_growth
-from fredstab.models import (ModelDescriptor, SturmLiouvilleProblem,
-                             gribov_model, heat_torus_model, liouville_transform,
-                             model_from_descriptor, schrodinger_model,
+from fredstab.models import (SturmLiouvilleProblem, build_model, gribov_model,
+                             heat_torus_model, liouville_transform, schrodinger_model,
                              sturm_liouville_eigs_direct, sturm_liouville_model)
 from fredstab.spectral_core import classify_controllability
 
@@ -127,7 +127,56 @@ class TestLiouvilleTransform:
                                   c1=1.0, c2=0.0, c3=1.0, c4=0.0, grid_size=255)
 
 
+def looped_eigs_direct(problem, N):
+    """sturm_liouville_eigs_direct as it was written first, one row per loop pass."""
+    x = problem.x_grid
+    a = problem.a_values
+    b = problem.b_values
+    h = x[1] - x[0]
+    G = problem.grid_size
+    a_mid = 0.5 * (a[:-1] + a[1:])
+    keep_left = problem.c2 != 0.0
+    keep_right = problem.c4 != 0.0
+    idx = np.arange(0 if keep_left else 1, G + 1 if keep_right else G)
+    size = len(idx)
+    main = np.empty(size)
+    off = np.empty(size - 1)
+    for row, i in enumerate(idx):
+        if i == 0:
+            main[row] = -2.0 * a_mid[0] / h ** 2 + 2.0 * a[0] * problem.c1 / (problem.c2 * h) + b[0]
+        elif i == G:
+            main[row] = -2.0 * a_mid[-1] / h ** 2 - 2.0 * a[-1] * problem.c3 / (problem.c4 * h) + b[G]
+        else:
+            main[row] = -(a_mid[i - 1] + a_mid[i]) / h ** 2 + b[i]
+    for row in range(size - 1):
+        off[row] = a_mid[idx[row]] / h ** 2
+    if keep_left:
+        off[0] *= np.sqrt(2.0)
+    if keep_right:
+        off[-1] *= np.sqrt(2.0)
+    vals = scipy.linalg.eigh_tridiagonal(
+        main, off, select="i", select_range=(size - N, size - 1))[0]
+    return vals[np.argsort(vals)[::-1]]
+
+
 class TestSturmLiouvilleModel:
+    def test_x_grid_spans_zero_to_L(self):
+        p = uniform_problem(lambda x: np.ones_like(x), lambda x: np.zeros_like(x),
+                            2.5, (1.0, 0.0, 1.0, 0.0), grid_size=400)
+        assert p.x_grid[0] == 0.0 and p.x_grid[-1] == p.L and len(p.x_grid) == 401
+
+    @pytest.mark.parametrize("a_fun, b_fun, bc, N", [
+        # acceptance criterion 11: Dirichlet Laplacian on [0, 1]
+        (lambda x: np.ones_like(x), lambda x: np.zeros_like(x), (1.0, 0.0, 1.0, 0.0), 10),
+        (lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x), lambda x: np.cos(2 * np.pi * x),
+         (1.0, 0.5, 2.0, 0.3), 12),
+        (lambda x: (1 + x) ** 2, lambda x: np.zeros_like(x), (1.0, 0.0, 0.0, 1.0), 8),
+    ], ids=["criterion-11", "robin", "dirichlet-neumann"])
+    def test_direct_eigenvalues_keep_the_bits_of_the_row_loop(self, a_fun, b_fun, bc, N):
+        p = uniform_problem(a_fun, b_fun, 1.0, bc)
+        got = sturm_liouville_eigs_direct(p, N)
+        assert got.tobytes() == looped_eigs_direct(p, N).tobytes()
+
     def test_dirichlet_laplacian_oracle(self):
         p = uniform_problem(lambda x: np.ones_like(x), lambda x: np.zeros_like(x),
                             1.0, (1.0, 0.0, 1.0, 0.0))
@@ -212,35 +261,40 @@ class TestGribov:
         assert "not-necessarily-admissible" in cls.labels
 
 
-class TestDescriptor:
+class TestBuildModel:
     def test_dispatch(self):
-        desc = ModelDescriptor(kind="heat_torus", N=8, params={"gamma": 0.0})
-        system = model_from_descriptor(desc)
+        system = build_model("heat_torus", 8, {"gamma": 0.0})
         assert system.m == 2
         assert [b.N for b in system.branches] == [8, 8]
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown model kind"):
-            ModelDescriptor(kind="wave", N=8, params={})
+        with pytest.raises(ValueError, match=r"unknown model kind 'wave', expected one of "):
+            build_model("wave", 8, {})
 
     def test_minimum_truncation(self):
-        with pytest.raises(ValueError, match="at least 4"):
-            ModelDescriptor(kind="heat_torus", N=2, params={})
+        with pytest.raises(ValueError, match="truncation N must be at least 4"):
+            build_model("heat_torus", 2, {})
 
     def test_gribov_dispatch(self):
-        system = model_from_descriptor(
-            ModelDescriptor(kind="gribov", N=8, params={"eps": 0.05}))
+        system = build_model("gribov", 8, {"eps": 0.05})
         assert system.branches[0].alpha == 3.0
+
+    def test_default_schrodinger_mu_is_x_squared(self):
+        # only an absent mu takes this default; an explicit zero mu is refused
+        # (tests/test_cli.py, test_vanishing_schrodinger_mu_*)
+        x = np.linspace(0.0, 1.0, 2049)
+        built = build_model("schrodinger_ground", 8, {}).branches[0]
+        direct = schrodinger_model(8, x ** 2)[0].branches[0]
+        assert np.array_equal(built.control_coeffs, direct.control_coeffs)
 
     def test_sampled_function_params(self):
         # sampled functions travel as {grid, values} and are re-interpolated
         grid = np.linspace(0, 1, 11).tolist()
-        desc = ModelDescriptor(kind="sturm_liouville", N=4, params={
+        system = build_model("sturm_liouville", 4, {
             "grid_size": 400, "L": 1.0,
             "a": {"grid": grid, "values": [1.0] * 11},
             "phi": {"grid": grid, "values": (1.0 + np.linspace(0, 1, 11)).tolist()},
         })
-        system = model_from_descriptor(desc)
         exact = -(np.arange(1, 5) * np.pi) ** 2
         rel = np.abs(system.branches[0].eigenvalues.real - exact) / np.abs(exact)
         assert rel.max() < 1e-3

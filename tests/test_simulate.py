@@ -45,7 +45,7 @@ class TestTarget:
         system = SpectralSystem(branches=(heat_branch(8),), label="h")
         v0 = [np.ones(8, dtype=complex)]
         trace = simulate_target(system, 2.0, v0, np.linspace(0, 1, 17))
-        norms = trace.norm_series(0.0)
+        norms = trace.norms[0.0]
         assert np.all(np.diff(norms) < 0)
 
 
@@ -110,7 +110,7 @@ class TestClosedLoop:
         u0 = random_state(system, seed=2)
         times = np.linspace(0, 6, 193)
         trace = simulate_closed_loop(kernels(system, law.lam), law, u0, times)
-        fit = fit_decay(trace, window=(3.0, 6.0))
+        fit = fit_decay(trace.times, trace.norms[0.0], window=(3.0, 6.0))
         assert fit.mu_hat >= 2.5 - 0.05
 
 
@@ -119,7 +119,7 @@ class TestFitDecay:
         system = SpectralSystem(branches=(heat_branch(4),), label="h")
         trace = simulate_target(system, 2.5, [np.array([1, 0, 0, 0], dtype=complex)],
                                 np.linspace(0, 1, 33))
-        fit = fit_decay(trace)
+        fit = fit_decay(trace.times, trace.norms[0.0])
         assert fit.mu_hat == pytest.approx(3.5, abs=1e-6)
         assert fit.r2 > 1 - 1e-12
 
@@ -128,14 +128,14 @@ class TestFitDecay:
         trace = simulate_target(system, 2.5, [np.zeros(4, dtype=complex)],
                                 np.linspace(0, 1, 9))
         with pytest.raises(ValueError, match="nonpositive norms"):
-            fit_decay(trace)
+            fit_decay(trace.times, trace.norms[0.0])
 
     def test_too_few_samples_rejected(self):
         system = SpectralSystem(branches=(heat_branch(4),), label="h")
         trace = simulate_target(system, 2.5, [np.ones(4, dtype=complex)],
                                 np.linspace(0, 1, 9))
         with pytest.raises(ValueError, match="< 4"):
-            fit_decay(trace, window=(0.9, 1.0))
+            fit_decay(trace.times, trace.norms[0.0], window=(0.9, 1.0))
 
 
 @pytest.fixture(scope="module")
@@ -159,7 +159,7 @@ class TestBurgers:
         u0[17] = -0.5e-3 * 1j
         u0[15] = 0.5e-3 * 1j
         trace = simulate_burgers(system, None, u0, np.linspace(0, 1, 51), dt=1e-3)
-        fit = fit_decay(trace, window=(0.1, 1.0))
+        fit = fit_decay(trace.times, trace.norms[0.0], window=(0.1, 1.0))
         assert fit.mu_hat == pytest.approx(1.0, abs=0.02)
 
     def test_open_loop_constant_mode_undamped(self, heat_system_and_law):
@@ -178,7 +178,7 @@ class TestBurgers:
         u0_phys = 1e-3 * np.sin(np.linspace(0, 2 * np.pi, 128, endpoint=False))
         trace = simulate_burgers(system, law, u0_phys, np.linspace(0, 1, 41),
                                  dt=2e-4)
-        fit = fit_decay(trace, window=(0.1, 1.0))
+        fit = fit_decay(trace.times, trace.norms[0.0], window=(0.1, 1.0))
         assert fit.mu_hat >= 3.25 - 1.0 - 0.1
         assert trace.real_defect <= 1e-10
 
@@ -203,7 +203,7 @@ class TestBurgers:
         fits = []
         for amp in (1e-3, 0.5e-3):
             trace = simulate_burgers(system, law, amp * shape, times, dt=2e-4)
-            fits.append(fit_decay(trace, window=(0.1, 1.0)).mu_hat)
+            fits.append(fit_decay(trace.times, trace.norms[0.0], window=(0.1, 1.0)).mu_hat)
         assert fits[1] >= fits[0] - 0.05
 
     def test_blow_up_detected(self, heat_system_and_law):
@@ -438,8 +438,7 @@ class TestFastPathsMatchReferences:
         times = np.array([0.0, 1e-05, 1 / 3])
         trace = SimulationTrace(times=times, states=(b1, b2),
                                 norms={0.0: np.array(special[1:4]),
-                                       0.5: np.array([-0.0, 1e16, 1 / 3])},
-                                integrator="semigroup_exact", dt=0.0)
+                                       0.5: np.array([-0.0, 1e16, 1 / 3])})
         trace_to_csv(trace, tmp_path / "m.csv", tmp_path / "n.csv")
         legacy_trace_to_csv(trace, tmp_path / "m0.csv", tmp_path / "n0.csv")
         assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "m0.csv").read_bytes()
@@ -468,8 +467,9 @@ class TestFastPathsMatchReferences:
         for r in (0.0, 0.5):
             want = legacy_norm_series(times, trace.states, r)
             assert same_bits(trace.norms[r], want)
-            assert same_bits(trace.norm_series(r), want)
-        assert same_bits(trace.norm_series(1.5), legacy_norm_series(times, trace.states, 1.5))
+            assert same_bits(simulate._norm_table(trace.states, (r,))[r], want)
+        assert same_bits(simulate._norm_table(trace.states, (1.5,))[1.5],
+                         legacy_norm_series(times, trace.states, 1.5))
 
     def test_norm_table_matches_per_sample_loop_bitwise(self):
         # enough samples that a square rounded differently from Python's
