@@ -22,7 +22,8 @@ read the secular steps of the rebuilt ones, and the report and the sweep's
 kappa_0 the conditioning of branch 1's certificate (the admissible r of
 config.r_list; the sweep's r = 0).  A stage builds one
 synthesis.BranchKernel per branch once it knows the shift, and every
-consumer reads its C and the w of the closed-form T^-1.  No stage runs an
+consumer reads its C and the w of the closed-form T^-1: both gain routes,
+the certificates, the semigroup and the report.  No stage runs an
 SVD or a factorization; transform.transform_matrix is a test oracle only.
 The sweep builds and gates each distinct (N, gamma) model once, then maps
 its points on --jobs (>= 1) threads, or in the calling thread for one; a
@@ -31,11 +32,14 @@ and gets synthesize's message as its error.
 
 verify, simulate and report build report.json with one function, _report,
 from the output directory and the config alone, so the three stages write
-the same bytes for the same directory.  simulate checks every scenario and
-builds its u0 before the first integrates, then hands each
-traces/<name>_modes.csv to a forked writer (_TraceWriters) while it
-integrates the next, and writes report.json once every writer has
-succeeded; a failed writer leaves the exit code and files of an inline run.
+the same bytes for the same directory.  report and simulate refuse a law
+with a non-finite gain or product, naming the branch and field, before any
+work.  simulate checks every scenario, with the integrators' own checks
+(simulate.check_run), and builds its u0 before the first integrates, then
+hands each traces/<name>_modes.csv to a forked writer (_TraceWriters)
+while it integrates the next, and writes report.json once every writer
+has succeeded; a failed writer leaves the exit code and files of an
+inline run.
 
 Exit codes: 0 success, 2 assumption-verdict failure, 3 solver failure,
 4 integrator guard violation, 1 anything else.  Failures print a
@@ -61,7 +65,7 @@ import numpy as np
 
 from . import diagnostics, models, simulate, synthesis, transform
 from .errors import (AssumptionError, ConfigError, FredstabError,
-                     SolverError)
+                     IntegratorError, SolverError)
 from .jsonio import canonical_json, read_json, write_json
 from .spectral_core import (SpectralSystem, system_from_json, system_to_json,
                             verify_assumptions)
@@ -286,24 +290,22 @@ def _out_dir(cfg: RunConfig, override: Optional[str]) -> str:
 
 
 def _synthesize_pipeline(cfg: RunConfig, system: SpectralSystem, r_list, lambda0: float):
-    """Shared synthesis path of a gated system: shift -> gains -> kernels -> certificates.
+    """Shared synthesis path of a gated system: shift -> kernels -> gains -> certificates.
 
-    The kernels come after the gain routes, so the fixed-point route's own C
-    is gone before the kernels' C exist.  Returns (shift, law, kernels,
-    {branch index: BranchCertificate}).
+    Returns (shift, law, kernels, {branch index: BranchCertificate}).
     """
     shift = synthesis.select_shift(system, lambda0, cfg.delta)
+    kernels = _kernels(system, shift.lam)
     method = "direct" if cfg.method == "both" else cfg.method
-    law = synthesis.synthesize_feedback(system, shift, method=method)
+    law = synthesis.synthesize_feedback(kernels, method=method)
     if cfg.method == "both":
-        other = synthesis.synthesize_feedback(system, shift, method="iterative")
+        other = synthesis.synthesize_feedback(kernels, method="iterative")
         for bg, bo in zip(law.branches, other.branches):
             gap = float(np.max(np.abs(bg.products - bo.products)))
             if gap > 1e-8:
                 raise SolverError(
                     f"direct and iterative gains disagree by {gap:.3e} on "
                     f"branch {bg.branch_index}")
-    kernels = _kernels(system, shift.lam)
     certs = _build_certificates(kernels, law, r_list)
     return shift, law, kernels, certs
 
@@ -369,16 +371,19 @@ def _drifts(stored, rebuilt, tol: float) -> bool:
 
 
 def _certificate_drift(stored, rebuilt) -> list[str]:
-    """Names of the stored certificate fields that disagree with the rebuild."""
-    if stored is None or stored.N != rebuilt.N:
-        return ["transform matrix"]
+    """How the stored certificate disagrees with the rebuild: it is missing, has another N,
+    or names the fields that drift."""
+    if stored is None:
+        return ["certificate missing from transform.json"]
+    if stored.N != rebuilt.N:
+        return [f"certificate has N={stored.N}, the system has N={rebuilt.N}"]
     checks = (("diagonal", stored.diagonal, rebuilt.diagonal),
               ("column_norms", stored.column_norms, rebuilt.column_norms),
               ("frobenius", stored.frobenius, rebuilt.frobenius),
               ("lambda", stored.lam, rebuilt.lam),
               ("tb_residual", stored.tb_residual, rebuilt.tb_residual),
               ("opeq_residual", stored.opeq_residual, rebuilt.opeq_residual))
-    return [name for name, a, b in checks if _drifts(a, b, VERIFY_TOL)]
+    return [f"{name} drift" for name, a, b in checks if _drifts(a, b, VERIFY_TOL)]
 
 
 def cmd_verify(cfg: RunConfig, out: Optional[str] = None) -> int:
@@ -404,8 +409,8 @@ def cmd_verify(cfg: RunConfig, out: Optional[str] = None) -> int:
         if (not isinstance(tb, (int, float))
                 or _drifts(tb, law_tb_residual(certs[b.index].residual), VERIFY_TOL)):
             drift.append(f"branch {b.index}: law.json tb_residual drift")
-        drift.extend(f"branch {b.index}: {name} drift"
-                     for name in _certificate_drift(stored.get(b.index), certs[b.index]))
+        drift.extend(f"branch {b.index}: {what}"
+                     for what in _certificate_drift(stored.get(b.index), certs[b.index]))
     if drift:
         raise ConfigError("verification failed: " + "; ".join(drift))
     report = _report(cfg, out, system, law, kernels, certs)
@@ -414,6 +419,19 @@ def cmd_verify(cfg: RunConfig, out: Optional[str] = None) -> int:
           f"opeq={report['opeq_residual']:.3e} "
           f"match={report['spectrum_match_error']:.3e}")
     return 0
+
+
+def _finite_law(law) -> None:
+    """Refuse a law with a non-finite gain or product, naming its branch and field.
+
+    report and simulate check this before any work; verify instead names
+    each field of the rebuild that the NaN makes drift.
+    """
+    bad = [f"branch {bg.branch_index}: {name}" for bg in law.branches
+           for name, values in (("gains", bg.gains), ("products_x", bg.products))
+           if not np.all(np.isfinite(values))]
+    if bad:
+        raise ValueError("law.json holds non-finite values: " + "; ".join(bad))
 
 
 def _report(cfg: RunConfig, out: str, system, law, kernels, certs) -> dict:
@@ -469,7 +487,8 @@ class _TraceWriters:
 
     start() creates the file in the parent, so an unwritable path fails
     where the inline writer would, then forks a child that runs
-    write(trace, path), which is pure Python and file writes, and leaves
+    simulate.write_modes_csv(trace, path), looked up when start() runs,
+    which is pure Python and file writes, and leaves
     through os._exit, so no atexit handler runs and no inherited stdio
     buffer is flushed twice.  A failing child pickles its exception into a pipe.
     Once an error is reaped, the next start() or poll() waits for every
@@ -487,10 +506,10 @@ class _TraceWriters:
         self.pipes = {}     # pid -> (start order, read end of its error pipe)
         self.errors = {}    # start order -> exception
 
-    def start(self, write, trace, path, written) -> None:
+    def start(self, trace, path, written) -> None:
         """Write trace to path; written are the scenario's files already on disk."""
         if not hasattr(os, "fork"):
-            write(trace, path)
+            simulate.write_modes_csv(trace, path)
             return
         import pickle
         self.files.append(list(written))
@@ -505,7 +524,7 @@ class _TraceWriters:
         if pid == 0:
             try:
                 os.close(read_fd)
-                write(trace, path)
+                simulate.write_modes_csv(trace, path)
                 os._exit(0)
             except BaseException as exc:
                 with os.fdopen(write_fd, "wb") as pipe:
@@ -569,6 +588,7 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
     """
     out = _out_dir(cfg, out)
     system, law, *_ = _load_artifacts(out)
+    _finite_law(law)
     # check every scenario and build its u0 before any integrates: a refusal leaves no trace
     u0s = []
     for i, sc in enumerate(cfg.scenarios):
@@ -582,6 +602,11 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
                 f"trace; the budget is {MATRIX_BUDGET_BYTES} bytes")
         if sc["nonlinear"] and not system.label.startswith("heat_torus"):
             raise ConfigError(f"{where}: nonlinear scenarios need the heat_torus model")
+        try:
+            simulate.check_run(system.branches, law, sc["dt"], sc["integrator"],
+                               sc["nonlinear"])
+        except (ValueError, IntegratorError) as exc:
+            raise type(exc)(f"{where}: {exc}") from exc
         u0s.append(_burgers_u0(system, sc["u0"], where) if sc["nonlinear"]
                    else _linear_u0(system, sc["u0"], where))
     kernels = _kernels(system, law.lam)
@@ -600,8 +625,8 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
                                                       dt=sc["dt"], r_list=cfg.r_list)
             norms_path = os.path.join(traces_dir, f"{sc['name']}_norms.csv")
             simulate.write_norms_csv(trace, norms_path)
-            writers.start(simulate.write_modes_csv, trace,
-                          os.path.join(traces_dir, f"{sc['name']}_modes.csv"), (norms_path,))
+            writers.start(trace, os.path.join(traces_dir, f"{sc['name']}_modes.csv"),
+                          (norms_path,))
             del trace
         writers.poll()
         report = _report(cfg, out, system, law, kernels,
@@ -733,6 +758,7 @@ def _refit_decay(cfg: RunConfig, traces_dir: str) -> Optional[dict]:
 def cmd_report(cfg: RunConfig, out: Optional[str] = None) -> int:
     out = _out_dir(cfg, out)
     system, law, *_ = _load_artifacts(out)
+    _finite_law(law)
     kernels = _kernels(system, law.lam)
     certs = _build_certificates(kernels, law, cfg.r_list)
     write_json(os.path.join(out, "report.json"),
@@ -795,15 +821,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(read_json(args.config))
-        if args.command == "synthesize":
-            return cmd_synthesize(cfg, args.out)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.out)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, args.out)
         if args.command == "sweep":
             return cmd_sweep(cfg, args.out, jobs=args.jobs)
-        return cmd_report(cfg, args.out)
+        return {"synthesize": cmd_synthesize, "verify": cmd_verify, "simulate": cmd_simulate,
+                "report": cmd_report}[args.command](cfg, args.out)
     except (FredstabError, OSError, ValueError, KeyError, IndexError, TypeError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         print(canonical_json(payload), file=sys.stderr)

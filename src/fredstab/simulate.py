@@ -161,6 +161,35 @@ def _rk4_march(eigenvalues: np.ndarray, b: np.ndarray, K: np.ndarray,
     return out
 
 
+def check_run(branches, law: Optional[FeedbackLaw], dt: float,
+              integrator: str = "semigroup_exact", nonlinear: bool = False) -> None:
+    """Refuse a run of simulate_closed_loop, or with nonlinear of simulate_burgers, up front.
+
+    Both integrators call it first, and so can a caller that must refuse a
+    run before any other starts.  A ValueError names an unknown integrator,
+    a step dt of rk4 or Burgers that is not finite and > 0, a torus system
+    that is not two branches of one N, or Burgers gains that are not
+    exactly real; an rk4 step past the guard 2 / max |lambda_n| is an
+    IntegratorError.
+    """
+    if not nonlinear and integrator not in LINEAR_INTEGRATORS:
+        raise ValueError(f"unknown linear integrator {integrator!r}")
+    rk4 = not nonlinear and integrator == "rk4"
+    if (nonlinear or rk4) and not 0 < dt < np.inf:      # dt = 0 never advances t
+        raise ValueError(f"step dt={dt} must be finite and > 0")
+    if nonlinear and (len(branches) != 2 or branches[1].N != branches[0].N):
+        raise ValueError("semilinear simulation expects the two-branch torus model, "
+                         "with one N on both branches")
+    if nonlinear and law is not None and any(np.any(law.branch(i).gains.imag != 0)
+                                             for i in (1, 2)):
+        raise ValueError("semilinear simulation needs exactly real gains")
+    stiff = max(float(np.max(np.abs(b.eigenvalues))) for b in branches) if rk4 else 0.0
+    if stiff > 0 and dt > 2.0 / stiff:
+        raise IntegratorError(
+            f"rk4 step dt={dt} exceeds the stability guard 2/|lambda_N| = "
+            f"{2.0 / stiff:.3e}; reduce dt or the truncation")
+
+
 def simulate_closed_loop(kernels, law: FeedbackLaw, u0, times,
                          integrator: str = "semigroup_exact",
                          dt: float = 1e-4, r_list=(0.0,)) -> SimulationTrace:
@@ -174,12 +203,9 @@ def simulate_closed_loop(kernels, law: FeedbackLaw, u0, times,
     + b K^T) u with a fixed step as an independent check.  The step must
     satisfy 0 < dt <= 2 / max |lambda_N| or the run is refused.
     """
-    if integrator not in LINEAR_INTEGRATORS:
-        raise ValueError(f"unknown linear integrator {integrator!r}")
-    if integrator == "rk4" and not 0 < dt < np.inf:     # dt = 0 never advances t
-        raise ValueError(f"rk4 step dt={dt} must be finite and > 0")
-    times = np.asarray(times, dtype=float)
     branches = [kernel.branch for kernel in kernels]
+    check_run(branches, law, dt, integrator)
+    times = np.asarray(times, dtype=float)
     blocks = _states_for(branches, u0)
     states = []
     if integrator == "semigroup_exact":
@@ -191,11 +217,6 @@ def simulate_closed_loop(kernels, law: FeedbackLaw, u0, times,
             v *= (C @ (-law.branch(b.index).gains * block)) * kernel.w
             states.append(np.multiply(v @ C, b.control_coeffs, out=v))
     else:
-        stiff = max(float(np.max(np.abs(b.eigenvalues))) for b in branches)
-        if stiff > 0 and dt > 2.0 / stiff:
-            raise IntegratorError(
-                f"rk4 step dt={dt} exceeds the stability guard 2/|lambda_N| = "
-                f"{2.0 / stiff:.3e}; reduce dt or the truncation")
         for b, block in zip(branches, blocks):
             states.append(_rk4_march(b.eigenvalues, b.control_coeffs,
                                      law.branch(b.index).gains, block, times, dt))
@@ -330,13 +351,8 @@ def simulate_burgers(system: SpectralSystem, law: Optional[FeedbackLaw], u0, tim
     radius above 1, and otherwise the local stability basin, which the
     initial data left.
     """
-    if system.m != 2:
-        raise ValueError("semilinear simulation expects the two-branch torus model")
-    if not 0 < dt < np.inf:
-        raise ValueError(f"step dt={dt} must be finite and > 0")
+    check_run(system.branches, law, dt, nonlinear=True)
     N = system.branches[0].N
-    if system.branches[1].N != N:
-        raise ValueError("torus branches must share the truncation level")
     times = np.asarray(times, dtype=float)
     u0 = np.asarray(u0)
     if np.iscomplexobj(u0) and len(u0) == 2 * N + 1:
@@ -350,9 +366,7 @@ def simulate_burgers(system: SpectralSystem, law: Optional[FeedbackLaw], u0, tim
     fft_len = _next_fast_len(3 * N + 1)
     phi1, phi2 = (phi[N:] for phi in _control_fourier(system, N))
     if law is not None:
-        K1, K2 = (np.asarray(law.branch(i).gains) for i in (1, 2))
-        if np.any(K1.imag != 0) or np.any(K2.imag != 0):
-            raise ValueError("semilinear simulation needs exactly real gains")
+        K1, K2 = (law.branch(i).gains for i in (1, 2))
         # K1 . a1 = g1 . Im c_{1..N} and K2 . a2 = g2 . Re c_{0..N-1} (_branch_coords)
         g1 = -2.0 * _SQRT_PI * K1.real
         g2 = np.r_[_SQRT_2PI * K2[0].real, 2.0 * _SQRT_PI * K2[1:].real]

@@ -12,8 +12,8 @@ resolvent sums.  Its solution has a closed form (the Cauchy determinant),
 
 which the direct method evaluates in log space in O(N^2) without C.  The
 fixed-point accumulation x = lambda * 1 + sum of correction sweeps is the
-independent iterative route and builds its own C.  Every other consumer
-reads C from the branch's BranchKernel, which a stage builds once.
+independent iterative route.  It and every other consumer read C from the
+branch's BranchKernel, which a stage builds once.
 """
 
 from __future__ import annotations
@@ -51,15 +51,10 @@ ITERATION_TOL = 1e-12        # sup of the last correction sweep at convergence
 
 @dataclass(frozen=True)
 class ShiftSelection:
-    """An accepted spectral shift and the clearance it achieves."""
+    """An accepted spectral shift and the clearance (at least the requested delta) it achieves."""
 
     lam: float
-    delta: float
     min_distance: float
-
-    def __post_init__(self):
-        if self.min_distance < self.delta:
-            raise ValueError("accepted shift must clear the requested margin")
 
 
 def select_shift(system: SpectralSystem, lambda0: float, delta: float) -> ShiftSelection:
@@ -76,7 +71,7 @@ def select_shift(system: SpectralSystem, lambda0: float, delta: float) -> ShiftS
         lam = lambda0 + j * delta / 2.0
         dist = _clearance(system, lam, delta)
         if dist >= delta:
-            return ShiftSelection(lam=lam, delta=delta, min_distance=dist)
+            return ShiftSelection(lam=lam, min_distance=dist)
     raise SolverError(
         f"no admissible shift in [{lambda0}, {lambda0 + SHIFT_SEARCH_WIDTH * delta}]: "
         "eigenvalue differences cluster too densely for the requested margin")
@@ -259,55 +254,47 @@ def solve_gains_direct(branch: SpectralBranch, lam: float) -> BranchGains:
     return _products_to_gains(branch, lam, _closed_form_products(branch, lam), "direct")
 
 
-def solve_gains_iterative(branch: SpectralBranch, lam: float,
-                          max_iters: int = 500) -> BranchGains:
-    """Fixed-point gain accumulation x = lam + sum of correction sweeps.
+def solve_gains_iterative(kernel: BranchKernel, max_iters: int = 500) -> BranchGains:
+    """Fixed-point gain accumulation x = lam + sum of correction sweeps, on the kernel's C.
 
     Starting from the single-mode value x == lam, each sweep applies
-    e <- -lam * offdiag-resolvent @ e and accumulates.  Converges when a
-    sweep falls below ITERATION_TOL; when the sweep operator does not
-    contract, raises IterationDiverged carrying the observed contraction ratio.
+    e <- e - lam * (C @ e) and accumulates: since C_pp = 1/lam, the diagonal
+    term cancels e up to rounding, so this is the off-diagonal sweep
+    -lam * offdiag(C) @ e with no copy of C.  Converges when a sweep falls
+    below ITERATION_TOL; when the sweep operator does not contract, raises
+    IterationDiverged carrying the observed contraction ratio.
     """
-    N = branch.N
-    sweep = cauchy_system_matrix(branch, lam)
-    sweep *= -lam
-    np.fill_diagonal(sweep, 0.0)                  # zero-diagonal part scaled by -lam
-    e = np.full(N, lam, dtype=complex)
+    lam, C = kernel.lam, kernel.C
+    e = np.full(kernel.branch.N, lam, dtype=complex)
     x = e.copy()
     sup_history = [float(np.max(np.abs(e)))]
-    converged = False
-    iterations = 0
     for i in range(1, max_iters + 1):
-        e = sweep @ e
+        e = e - lam * (C @ e)
         x = x + e
         sup_history.append(float(np.max(np.abs(e))))
-        iterations = i
         if sup_history[-1] < ITERATION_TOL:
-            converged = True
-            break
+            return _products_to_gains(kernel.branch, lam, x, "iterative",
+                                      iterations=i, history=np.asarray(sup_history))
     history = np.asarray(sup_history)
-    if not converged and N > 1:
-        tail = history[max(1, len(history) - 6):]
-        ratio = float(np.exp(np.mean(np.diff(np.log(tail))))) if np.all(tail > 0) else float("inf")
-        raise IterationDiverged(
-            f"gain iteration did not reach tol={ITERATION_TOL} within {max_iters} sweeps "
-            f"(observed contraction ratio {ratio:.4f})",
-            contraction_ratio=ratio, history=history)
-    return _products_to_gains(branch, lam, x, "iterative",
-                              iterations=iterations, history=history)
+    tail = history[max(1, len(history) - 6):]
+    ratio = float(np.exp(np.mean(np.diff(np.log(tail))))) if np.all(tail > 0) else float("inf")
+    raise IterationDiverged(
+        f"gain iteration did not reach tol={ITERATION_TOL} within {max_iters} sweeps "
+        f"(observed contraction ratio {ratio:.4f})",
+        contraction_ratio=ratio, history=history)
 
 
-def synthesize_feedback(system: SpectralSystem, shift, method: str = "direct") -> FeedbackLaw:
-    """Per-branch gain synthesis at a common shift.
+def synthesize_feedback(kernels, method: str = "direct") -> FeedbackLaw:
+    """Per-branch gain synthesis on a stage's kernels, at their common shift.
 
-    shift may be a ShiftSelection or a bare positive float.
+    kernels are the BranchKernel of every branch, in branch order; the
+    direct route reads only their branch and lam.
     """
-    lam = shift.lam if isinstance(shift, ShiftSelection) else float(shift)
     if method not in ("direct", "iterative"):
         raise ValueError(f"unknown method {method!r}")
-    solver = solve_gains_direct if method == "direct" else solve_gains_iterative
-    gains = tuple(solver(b, lam) for b in system.branches)
-    return FeedbackLaw(lam=lam, method=method, branches=gains)
+    gains = tuple(solve_gains_direct(k.branch, k.lam) if method == "direct"
+                  else solve_gains_iterative(k) for k in kernels)
+    return FeedbackLaw(lam=kernels[0].lam, method=method, branches=gains)
 
 
 def beta_reduced_gains(branch: SpectralBranch, lam: float) -> BranchGains:

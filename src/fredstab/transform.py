@@ -38,8 +38,8 @@ import numpy as np
 from .errors import ConfigError
 from .jsonio import cpairs, from_cpairs
 from .spectral_core import SpectralBranch, admissible_r_interval, row_blocks
-from .synthesis import (BranchGains, BranchKernel, _closed_form_products,
-                        cauchy_system_matrix)
+from .synthesis import (BranchGains, BranchKernel, cauchy_system_matrix,
+                        solve_gains_direct)
 
 __all__ = [
     "ClosedLoopMatrix",
@@ -304,7 +304,7 @@ def conditioning_vs_truncation(kernel: BranchKernel, r: float) -> dict:
     profile = {}
     for n in levels:
         sub = kernel.truncated(int(n))
-        gains = -_closed_form_products(sub.branch, kernel.lam) / sub.branch.control_coeffs
+        gains = solve_gains_direct(sub.branch, kernel.lam).gains
         profile[int(n)] = _weighted_conditioning(sub, gains, [r])[float(r)]
     return profile
 

@@ -15,6 +15,8 @@ from fredstab.models import (SturmLiouvilleProblem, gribov_model,
                              sturm_liouville_eigs_direct, sturm_liouville_model)
 from fredstab.diagnostics import gain_trend, spectrum_match_error
 
+from conftest import kernels
+
 
 def _finish(k, label, checks):
     ok = all(passed for _, passed, _ in checks)
@@ -79,7 +81,7 @@ def test_criterion_03_truncated_conjugacy():
 
     def run(label, system):
         shift = fs.select_shift(system, 2.0, 0.25)
-        law = fs.synthesize_feedback(system, shift)
+        law = fs.synthesize_feedback(kernels(system, shift.lam))
         worst_eig = worst_opeq = worst_tb = 0.0
         for b in system.branches:
             bg = law.branch(b.index)
@@ -111,11 +113,12 @@ def test_criterion_03_truncated_conjugacy():
 def test_criterion_04_gain_structure_heat_256():
     lam = 2.5
     system = heat_torus_model(256)
-    law = fs.synthesize_feedback(system, lam)
+    ks = kernels(system, lam)
+    law = fs.synthesize_feedback(ks)
     sup_x = max(bg.sup_product for bg in law.branches)
     ratios = [gain_trend(bg).quartile_ratio for bg in law.branches]
     try:
-        other = fs.synthesize_feedback(system, lam, method="iterative")
+        other = fs.synthesize_feedback(ks, method="iterative")
         agreement = max(
             float(np.max(np.abs(a.products - b.products)))
             for a, b in zip(law.branches, other.branches))
@@ -206,15 +209,15 @@ def test_criterion_07_isomorphism_proxy():
 def test_criterion_08_closed_loop_decay():
     lam = 2.5
     system = heat_torus_model(32)
-    law = fs.synthesize_feedback(system, lam)
+    ks = kernels(system, lam)
+    law = fs.synthesize_feedback(ks)
     u0 = fs.random_state(system, seed=0)     # leading entries kept nonzero
     times = np.linspace(0, 6, 385)
-    kernels = [fs.BranchKernel(b, law.lam) for b in system.branches]
-    trace = fs.simulate_closed_loop(kernels, law, u0, times)
+    trace = fs.simulate_closed_loop(ks, law, u0, times)
     fit = fs.fit_decay(trace.times, trace.norms[0.0], window=(3.0, 6.0))
     times1 = np.linspace(0, 1, 33)
-    tr_ex = fs.simulate_closed_loop(kernels, law, u0, times1)
-    tr_rk = fs.simulate_closed_loop(kernels, law, u0, times1,
+    tr_ex = fs.simulate_closed_loop(ks, law, u0, times1)
+    tr_rk = fs.simulate_closed_loop(ks, law, u0, times1,
                                     integrator="rk4", dt=1e-4)
     dev = 0.0
     for a, b in zip(tr_rk.states, tr_ex.states):
@@ -236,7 +239,7 @@ def test_criterion_09_imaginary_spectrum_shift():
     x = np.linspace(0, 1, 4097)
     system, _ = schrodinger_model(64, x ** 2)
     shift = fs.select_shift(system, 1.0, 0.25)
-    law = fs.synthesize_feedback(system, shift)
+    law = fs.synthesize_feedback(kernels(system, shift.lam))
     cl = fs.closed_loop_matrix(system.branches[0], law.branch(1))
     worst = float(np.max(np.abs(cl.spectrum.real + shift.lam)))
     checks = [
@@ -250,7 +253,7 @@ def test_criterion_10_semilinear_local_stabilization():
     N = 32
     system = heat_torus_model(N)
     shift = fs.select_shift(system, 3.0, 0.25)      # 3.0 itself hits a difference
-    law = fs.synthesize_feedback(system, shift)
+    law = fs.synthesize_feedback(kernels(system, shift.lam))
     rng = np.random.default_rng(0)
     c = np.zeros(2 * N + 1, dtype=complex)
     c[N] = 0.4

@@ -22,7 +22,8 @@ from fredstab import cli_io, diagnostics, errors, simulate, synthesis, transform
 from fredstab.cli_io import LIVE_MATRICES, MAX_N, main, parse_config
 from fredstab.errors import ConfigError
 from fredstab.jsonio import from_cpairs, write_json
-from fredstab.spectral_core import system_from_json
+from fredstab.models import heat_torus_model
+from fredstab.spectral_core import system_from_json, system_to_json
 
 from conftest import trace_to_csv
 
@@ -571,6 +572,27 @@ class TestVerifyCommand:
         message = json.loads(capsys.readouterr().err)["message"]
         assert message == "verification failed: branch 1: law.json tb_residual drift"
 
+    @pytest.mark.parametrize("cut, message", [
+        (lambda bd: None, "branch 2: certificate missing from transform.json"),
+        (lambda bd: {**bd, "N": 8, "diagonal": bd["diagonal"][:8],
+                     "column_norms": bd["column_norms"][:8]},
+         "branch 2: certificate has N=8, the system has N=16"),
+    ], ids=["missing", "other-N"])
+    def test_certificate_missing_or_of_another_n(self, tmp_path, capsys, cut, message):
+        # both were reported as a "transform matrix drift", but transform.json
+        # stores no matrix
+        cfg = tmp_path / "config.json"
+        write_config(cfg)
+        assert main(["synthesize", "--config", str(cfg)]) == 0
+        path = tmp_path / "out" / "transform.json"
+        doc = json.loads(path.read_text())
+        doc["branches"] = [bd for bd in doc["branches"][:1] + [cut(doc["branches"][1])] if bd]
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--config", str(cfg)]) == 1
+        assert json.loads(capsys.readouterr().err)["message"] == (
+            f"verification failed: {message}")
+
     @pytest.mark.parametrize("command", ["verify", "simulate", "report"])
     def test_schema_1_transform_rejected(self, tmp_path, capsys, command):
         cfg = tmp_path / "config.json"
@@ -663,29 +685,55 @@ class TestSimulateCommand:
         assert json.loads(capsys.readouterr().err) == {
             "error": "ConfigError", "message": f"config.scenarios[0] ('u'): {message}"}
 
-    @pytest.mark.parametrize("model, scenario, message", [
-        (None, {"u0": {"kind": "basis", "n": 99}}, "u0.n must be at most 16, got 99"),
-        (None, {"u0": {"kind": "basis", "branch": 3}}, "u0.branch must be at most 2, got 3"),
+    @pytest.mark.parametrize("model, scenario, error, code, message", [
+        (None, {"u0": {"kind": "basis", "n": 99}}, "ConfigError", 1,
+         "u0.n must be at most 16, got 99"),
+        (None, {"u0": {"kind": "basis", "branch": 3}}, "ConfigError", 1,
+         "u0.branch must be at most 2, got 3"),
         (None, {"u0": {"kind": "burgers_sine", "mode": 17}, "nonlinear": True, "dt": 1e-3},
-         "u0.mode must be at most 16, got 17"),
+         "ConfigError", 1, "u0.mode must be at most 16, got 17"),
         ({"kind": "gribov", "N": 16, "params": {}}, {"nonlinear": True, "dt": 1e-3},
-         "nonlinear scenarios need the heat_torus model"),
-        (None, {"samples": 10 ** 12}, f"samples={10 ** 12} would need"),
-    ], ids=["n", "branch", "mode", "gribov-nonlinear", "samples"])
+         "ConfigError", 1, "nonlinear scenarios need the heat_torus model"),
+        (None, {"samples": 10 ** 12}, "ConfigError", 1, f"samples={10 ** 12} would need"),
+        ({"kind": "heat_torus", "N": 16, "params": {"phi1_coeffs": [[1.0, 0.5]] * 16}},
+         {"nonlinear": True, "samples": 8, "t_end": 0.1, "dt": 1e-3}, "ValueError", 1,
+         "semilinear simulation needs exactly real gains"),
+        (None, {"integrator": "rk4", "samples": 8, "t_end": 0.1, "dt": 0.5},
+         "IntegratorError", 4, "rk4 step dt=0.5 exceeds the stability guard"),
+        (lambda branches: branches[:1], {"nonlinear": True, "dt": 1e-3}, "ValueError", 1,
+         "semilinear simulation expects the two-branch torus model"),
+        (lambda branches: [branches[0], {**branches[1], "eigenvalues": branches[1][
+            "eigenvalues"][:8], "control_coeffs": branches[1]["control_coeffs"][:8]}],
+         {"nonlinear": True, "dt": 1e-3}, "ValueError", 1,
+         "semilinear simulation expects the two-branch torus model, with one N"),
+    ], ids=["n", "branch", "mode", "gribov-nonlinear", "samples", "complex-gains",
+            "rk4-guard", "stored-one-branch", "stored-uneven-N"])
     def test_refused_second_scenario_leaves_no_trace(self, tmp_path, capsys, model,
-                                                     scenario, message):
+                                                     scenario, error, code, message):
         # every scenario is checked before the first one integrates; the
-        # u0 and heat_torus refusals came after the first one's traces
+        # u0 and heat_torus refusals, and those of the integrators (complex
+        # gains, the rk4 guard, a stored torus system of other than two
+        # branches of one N), came after the first one's traces.  A callable
+        # model cuts the branches of a stored heat_torus N=16 system.
         cfg = tmp_path / "config.json"
+        overrides = {}
+        if callable(model):
+            doc = system_to_json(heat_torus_model(16))
+            doc["branches"] = model(doc["branches"])
+            doc["m"] = len(doc["branches"])
+            write_json(tmp_path / "system.json", doc)
+            overrides = {"drop": ["N"], "model": {"path": str(tmp_path / "system.json")}}
+        elif model:
+            overrides = {"model": model}
         first = {"name": "lin", "u0": {"kind": "random", "seed": 0}, "t_end": 0.1,
                  "samples": 4}
-        write_config(cfg, **({"model": model} if model else {}),
+        write_config(cfg, **overrides,
                      scenarios=[first, {"name": "bad", "t_end": 0.01, "samples": 2, **scenario}])
         assert main(["synthesize", "--config", str(cfg)]) == 0
         capsys.readouterr()
-        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert main(["simulate", "--config", str(cfg)]) == code
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ConfigError"
+        assert err["error"] == error
         assert err["message"].startswith(f"config.scenarios[1] ('bad'): {message}")
         assert not (tmp_path / "out" / "traces").exists()
         assert not (tmp_path / "out" / "report.json").exists()
@@ -1224,8 +1272,34 @@ class TestReportCommand:
             warnings.simplefilter("always")
             assert main(["report", "--config", str(cfg)]) == 1
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+        # it then exited 1 with the JSON writer's "non-finite float cannot be
+        # serialized canonically"; verify named the branch and field
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "message": "law.json holds non-finite values: "
+                                              "branch 2: gains; branch 2: products_x"}
         assert (out / "report.json").read_bytes() == before
+
+    def test_simulate_names_a_nan_law(self, tmp_path, capsys):
+        # as report: simulate exited 1 with the JSON writer's text once the
+        # traces were written
+        cfg = tmp_path / "config.json"
+        write_config(cfg, N=8, model={"kind": "heat_torus", "N": 8, "params": {}},
+                     scenarios=[{"name": "lin", "samples": 8}])
+        out = tmp_path / "out"
+        assert main(["synthesize", "--config", str(cfg)]) == 0
+        assert main(["report", "--config", str(cfg)]) == 0
+        before = (out / "report.json").read_bytes()
+        law = json.loads((out / "law.json").read_text())
+        for key in ("products_x", "gains"):
+            law["branches"][1][key][2] = [math.nan, 0.0]
+        (out / "law.json").write_text(json.dumps(law))
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "message": "law.json holds non-finite values: "
+                                              "branch 2: gains; branch 2: products_x"}
+        assert (out / "report.json").read_bytes() == before
+        assert not (out / "traces").exists()
 
     def test_plots_emitted(self, tmp_path):
         cfg = tmp_path / "config.json"
@@ -1307,21 +1381,29 @@ class TestReportCommand:
         assert main(["report", "--config", str(cfg)]) == 0
         assert path.read_bytes() == simulated
 
-    def test_cauchy_builds_per_stage(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("kind, method, builds, weights_taken", [
+        ("heat_torus", "direct", 2, {"synthesize": 0, "verify": 1, "simulate": 2,
+                                     "report": 3, "sweep": 2}),
+        ("schrodinger_ground", "both", 1, {"synthesize": 0, "verify": 1, "simulate": 1,
+                                           "report": 3, "sweep": 1}),
+    ], ids=["heat", "schrodinger-both"])
+    def test_cauchy_builds_per_stage(self, tmp_path, monkeypatch, kind, method, builds,
+                                     weights_taken):
         # Each stage builds one BranchKernel per branch as soon as it knows
-        # the shift, and every consumer reads its C: the certificates (tb,
-        # opeq, the secular steps of the spectrum check and plot, and on
-        # branch 1 the conditioning), the semigroup, the report's S_c and
-        # its plateau (leading blocks of the full C).  The gains build
-        # none, so on two branches every stage builds 2.
+        # the shift, and every consumer reads its C: both gain routes (the
+        # fixed-point sweeps too), the certificates (tb, opeq, the secular
+        # steps of the spectrum check and plot, and on branch 1 the
+        # conditioning), the semigroup, the report's S_c and its plateau
+        # (leading blocks of the full C).  So every stage, and each sweep
+        # point, builds one C per branch: 2 on heat, 1 on Schrodinger.
         # The weights w of T^-1 are computed once per kernel, on first use:
         # synthesize = 0 (no conditioning), verify = 1 (branch 1's
-        # conditioning), simulate = 2 (the semigroup on both branches; the
+        # conditioning), simulate = one per branch (the semigroup; the
         # conditioning reuses branch 1's), report = 1 + 2 (the plateau's
         # N/4 and N/2 levels; its level N reuses the kernel's w), one sweep
-        # point = 2 (as simulate).
+        # point = as simulate.
         cfg = tmp_path / "config.json"
-        write_config(cfg, N=64, model={"kind": "heat_torus", "N": 64, "params": {}},
+        write_config(cfg, N=64, model={"kind": kind, "N": 64, "params": {}}, method=method,
                      sweep={"lambda0": [2.5]}, scenarios=[
                          {"name": "lin", "u0": {"kind": "random", "seed": 0},
                           "t_end": 1.0, "samples": 16}])
@@ -1354,10 +1436,9 @@ class TestReportCommand:
             assert main([stage, "--config", str(cfg), "--jobs", "1"]) == 0, stage
             counts[stage] = len(calls)
             w_counts[stage] = len(weights)
-        assert counts == {"synthesize": 2, "verify": 2, "simulate": 2, "report": 2,
-                          "sweep": 2}
-        assert w_counts == {"synthesize": 0, "verify": 1, "simulate": 2, "report": 3,
-                            "sweep": 2}
+        assert counts == dict.fromkeys(("synthesize", "verify", "simulate", "report",
+                                        "sweep"), builds)
+        assert w_counts == weights_taken
 
 
 # The exit-code contract of the module docstring of cli_io, written out

@@ -102,7 +102,7 @@ class TestGainTrend:
         trend = gain_trend(direct)
         assert trend.sup_product <= 2 * lam
         assert trend.quartile_ratio < 0.5
-        iterative = solve_gains_iterative(br, lam)
+        iterative = solve_gains_iterative(BranchKernel(br, lam))
         assert np.max(np.abs(iterative.products - direct.products)) <= 1e-8
 
 
@@ -124,7 +124,7 @@ class TestSpectrumMatch:
 class TestMakeReport:
     def pipeline(self, N=16):
         system = heat_torus_model(N)
-        law = synthesize_feedback(system, 2.5)
+        law = synthesize_feedback(kernels(system, 2.5))
         ks = kernels(system, law.lam)
         certs = [build_transform(k, law.branch(k.branch.index)) for k in ks]
         return system, law, ks, certs

@@ -105,9 +105,10 @@ def test_every_dataclass_field_is_read():
     assert not unread, f"dataclass fields that nothing reads: {unread}"
 
 
-# The stages build C only in the kernel; the fixed-point gain route and the
-# dense transform oracle keep their own, as independent references.
-CAUCHY_BUILDERS = {"BranchKernel", "solve_gains_iterative", "transform_matrix"}
+# The stages build C only in the kernel, and every gain route reads it
+# there (the fixed-point route sweeps the kernel's C); only the dense
+# transform oracle keeps its own, as an independent reference.
+CAUCHY_BUILDERS = {"BranchKernel", "transform_matrix"}
 
 
 # Only the Cauchy builder forms a full outer difference x[:, None] - x[None, :]

@@ -52,7 +52,7 @@ class TestTarget:
 class TestClosedLoop:
     def test_single_mode_both_integrators(self):
         system = single_mode_system()
-        law = synthesize_feedback(system, 2.0)
+        law = synthesize_feedback(kernels(system, 2.0))
         times = np.linspace(0, 1, 11)
         u0 = [np.array([1.0 + 0.0j])]
         exact = np.exp(-3.0 * times)
@@ -63,7 +63,7 @@ class TestClosedLoop:
 
     def test_exact_vs_rk4_heat(self):
         system = heat_torus_model(32)
-        law = synthesize_feedback(system, 2.5)
+        law = synthesize_feedback(kernels(system, 2.5))
         u0 = random_state(system, seed=0)
         times = np.linspace(0, 1, 33)
         tr_ex = simulate_closed_loop(kernels(system, law.lam), law, u0, times)
@@ -77,7 +77,7 @@ class TestClosedLoop:
     def test_conjugacy_to_target(self):
         # T u(t) must follow the shifted diagonal flow started from T u0
         system = heat_torus_model(16)
-        law = synthesize_feedback(system, 2.5)
+        law = synthesize_feedback(kernels(system, 2.5))
         u0 = random_state(system, seed=1)
         times = np.linspace(0, 1, 9)
         trace = simulate_closed_loop(kernels(system, law.lam), law, u0, times)
@@ -90,7 +90,7 @@ class TestClosedLoop:
 
     def test_rk4_step_guard(self):
         system = heat_torus_model(16)
-        law = synthesize_feedback(system, 2.5)
+        law = synthesize_feedback(kernels(system, 2.5))
         with pytest.raises(IntegratorError, match="stability guard"):
             simulate_closed_loop(kernels(system, law.lam), law, random_state(system),
                                  [0.0, 1.0], integrator="rk4", dt=0.1)
@@ -99,14 +99,14 @@ class TestClosedLoop:
     def test_rk4_refuses_a_step_that_never_advances(self, dt):
         # a zero step left t where it was and the march never returned
         system = heat_torus_model(8)
-        law = synthesize_feedback(system, 2.5)
+        law = synthesize_feedback(kernels(system, 2.5))
         with pytest.raises(ValueError, match="dt"):
             simulate_closed_loop(kernels(system, law.lam), law, random_state(system),
                                  [0.0, 1.0], integrator="rk4", dt=dt)
 
     def test_decay_rate_bounded_by_spectral_abscissa(self):
         system = heat_torus_model(16)
-        law = synthesize_feedback(system, 2.5)
+        law = synthesize_feedback(kernels(system, 2.5))
         u0 = random_state(system, seed=2)
         times = np.linspace(0, 6, 193)
         trace = simulate_closed_loop(kernels(system, law.lam), law, u0, times)
@@ -141,7 +141,7 @@ class TestFitDecay:
 @pytest.fixture(scope="module")
 def heat_system_and_law():
     system = heat_torus_model(16)
-    law = synthesize_feedback(system, 3.25)
+    law = synthesize_feedback(kernels(system, 3.25))
     return system, law
 
 
@@ -254,7 +254,7 @@ class TestBurgers:
 class TestCsvExport:
     def test_headers_and_shape(self, tmp_path):
         system = heat_torus_model(4)
-        law = synthesize_feedback(system, 2.5)
+        law = synthesize_feedback(kernels(system, 2.5))
         trace = simulate_closed_loop(kernels(system, law.lam), law, random_state(system),
                                      [0.0, 0.5, 1.0], r_list=(0.0, 1.0))
         modes = tmp_path / "m.csv"
@@ -454,7 +454,7 @@ class TestFastPathsMatchReferences:
                      1e-13, id="system1"),
         pytest.param(heat_torus_model(64), 40.25, None, id="heat64-lam40.25")])
     def test_batched_semigroup_matches_per_sample(self, system, lam, rel):
-        law = synthesize_feedback(system, lam)
+        law = synthesize_feedback(kernels(system, lam))
         u0 = random_state(system, seed=5)
         times = np.linspace(0, 2, 17)
         trace = simulate_closed_loop(kernels(system, law.lam), law, u0, times,
@@ -484,7 +484,7 @@ class TestFastPathsMatchReferences:
 
     def test_structured_rk4_matches_dense(self):
         system = heat_torus_model(16)
-        law = synthesize_feedback(system, 2.5)
+        law = synthesize_feedback(kernels(system, 2.5))
         u0 = random_state(system, seed=6)
         times = np.array([0.0, 0.004, 0.0105])   # 0.0105 ends on a half step
         trace = simulate_closed_loop(kernels(system, law.lam), law, u0, times,
@@ -507,7 +507,7 @@ class TestFastPathsMatchReferences:
 
     def test_fft_burgers_matches_direct_convolution(self):
         system = heat_torus_model(16)
-        law = synthesize_feedback(system, 3.25)
+        law = synthesize_feedback(kernels(system, 3.25))
         u0 = 1e-2 * hermitian_coeffs(np.random.default_rng(8), 16)
         times = np.linspace(0, 0.05, 6)
         fast = simulate_burgers(system, law, u0, times, dt=1e-3)
@@ -523,7 +523,7 @@ class TestFastPathsMatchReferences:
     @pytest.mark.parametrize("closed", [True, False], ids=["law", "open"])
     def test_half_spectrum_matches_full_spectrum_step(self, N, dt, times, closed):
         system = heat_torus_model(N)
-        law = synthesize_feedback(system, 3.25) if closed else None
+        law = synthesize_feedback(kernels(system, 3.25)) if closed else None
         u0 = 1e-2 * hermitian_coeffs(np.random.default_rng(12), N)
         trace = simulate_burgers(system, law, u0, times, dt=dt)
         ref = legacy_burgers(system, law, u0, np.array(times), dt)

@@ -27,8 +27,8 @@ from fredstab.diagnostics import secular_match_error, spectrum_match_error
 from fredstab.models import gribov_model, heat_torus_model, schrodinger_model
 from fredstab.synthesis import cauchy_system_matrix
 
-from conftest import (heat_branch, operator_equality_residual, schrodinger_branch,
-                      worked_branch)
+from conftest import (heat_branch, kernels, operator_equality_residual,
+                      schrodinger_branch, worked_branch)
 from test_cli import write_config
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -267,7 +267,7 @@ class TestHeatGainLimits:
                 self.LAM * np.sinh(np.pi * a2) / (np.pi * a2))
 
     def shortfalls(self, N):
-        law = fs.synthesize_feedback(heat_torus_model(N), self.LAM)
+        law = fs.synthesize_feedback(kernels(heat_torus_model(N), self.LAM))
         return [(lim - bg.products[0].real) / lim
                 for bg, lim in zip(law.branches, self.limits())]
 

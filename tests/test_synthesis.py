@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 from dataclasses import replace
 
@@ -216,18 +217,18 @@ class TestDirectSolve:
 class TestIterativeSolve:
     def test_single_mode(self):
         br = SpectralBranch(1, [-1.0], [1.0], alpha=2.0)
-        g = solve_gains_iterative(br, 2.0)
+        g = solve_gains_iterative(BranchKernel(br, 2.0))
         assert g.products[0] == pytest.approx(2.0, abs=1e-14)
 
     def test_worked_case_matches_direct(self):
         br = worked_branch()
-        gi = solve_gains_iterative(br, 2.0)
+        gi = solve_gains_iterative(BranchKernel(br, 2.0))
         gd = solve_gains_direct(br, 2.0)
         assert np.max(np.abs(gi.products - gd.products)) < 1e-8
 
     def test_imaginary_spectrum_converges_fast(self):
         br = schrodinger_branch(64)
-        gi = solve_gains_iterative(br, 1.0)
+        gi = solve_gains_iterative(BranchKernel(br, 1.0))
         gd = solve_gains_direct(br, 1.0)
         assert np.max(np.abs(gi.products - gd.products)) < 1e-8
         assert gi.iterations < 20
@@ -236,12 +237,28 @@ class TestIterativeSolve:
         # heat at this shift has an expanding sweep operator; the failure
         # must carry the observed ratio instead of returning garbage
         with pytest.raises(IterationDiverged) as info:
-            solve_gains_iterative(heat_branch(64), 2.5, max_iters=80)
+            solve_gains_iterative(BranchKernel(heat_branch(64), 2.5), max_iters=80)
         assert info.value.contraction_ratio > 1.0
         assert info.value.history is not None
 
+    @pytest.mark.parametrize("N, lam", [(1, 2.0), (16, 1.0), (256, 3.7)])
+    def test_kernel_sweep_matches_the_zero_diagonal_sweep(self, N, lam):
+        # e - lam C e cancels the diagonal term up to rounding, so it keeps
+        # the step count and the products of a sweep by -lam offdiag(C)
+        kernel = BranchKernel(schrodinger_branch(N), lam)
+        sweep = -lam * np.array(kernel.C)
+        np.fill_diagonal(sweep, 0.0)
+        e = np.full(N, lam, dtype=complex)
+        x, steps = e.copy(), 0
+        while np.max(np.abs(e)) >= 1e-12:
+            e = sweep @ e
+            x, steps = x + e, steps + 1
+        g = solve_gains_iterative(kernel)
+        assert g.iterations == steps
+        assert np.max(np.abs(g.products - x) / np.abs(x)) <= 1e-14
+
     def test_history_decays_when_contractive(self):
-        g = solve_gains_iterative(schrodinger_branch(32), 1.0)
+        g = solve_gains_iterative(BranchKernel(schrodinger_branch(32), 1.0))
         assert g.history[-1] < g.history[1]
 
 
@@ -303,11 +320,13 @@ class TestBranchKernel:
         SpectralSystem(branches=(schrodinger_branch(32),), label="schrodinger")],
         ids=["heat", "schrodinger"])
     def test_consumers_leave_the_kernel_intact(self, system):
-        law = synthesize_feedback(system, 2.5)
-        ks = kernels(system, law.lam)
+        ks = kernels(system, 2.5)
+        law = synthesize_feedback(ks)
         for k in ks:
             with pytest.raises(ValueError, match="read-only"):
                 k.C[0, 0] = 0.0
+        with contextlib.suppress(IterationDiverged):      # heat's sweeps do not contract
+            synthesize_feedback(ks, method="iterative")
         for k in ks:
             build_transform(k, law.branch(k.branch.index), [0.0, 0.5])
         for integrator in ("semigroup_exact", "rk4"):
@@ -334,7 +353,7 @@ class TestBranchKernel:
 class TestSynthesizeFeedback:
     def test_two_branch_law(self):
         system = heat_torus_model(16)
-        law = synthesize_feedback(system, 2.5)
+        law = synthesize_feedback(kernels(system, 2.5))
         assert law.lam == 2.5
         assert {bg.branch_index for bg in law.branches} == {1, 2}
         for b, bg in zip(system.branches, law.branches):
@@ -342,4 +361,4 @@ class TestSynthesizeFeedback:
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="method"):
-            synthesize_feedback(heat_torus_model(8), 2.5, method="magic")
+            synthesize_feedback(kernels(heat_torus_model(8), 2.5), method="magic")

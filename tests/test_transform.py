@@ -14,8 +14,8 @@ from fredstab.synthesis import cauchy_system_matrix
 from fredstab.transform import (TRANSFORM_SCHEMA, transform_from_json,
                                 transform_to_json)
 
-from conftest import (heat_branch, operator_equality_residual, schrodinger_branch,
-                      worked_branch)
+from conftest import (heat_branch, kernels, operator_equality_residual,
+                      schrodinger_branch, worked_branch)
 
 
 class TestBuildTransform:
@@ -183,8 +183,8 @@ class TestConditioning:
 def _two_systems():
     heat = heat_torus_model(24)
     schr = SpectralSystem(branches=(schrodinger_branch(24),), label="schrodinger")
-    return [(heat, synthesize_feedback(heat, 2.5)),
-            (schr, synthesize_feedback(schr, 2.5))]
+    return [(heat, synthesize_feedback(kernels(heat, 2.5))),
+            (schr, synthesize_feedback(kernels(schr, 2.5)))]
 
 
 def _certificates(system, law):
@@ -213,7 +213,7 @@ class TestCertificate:
 
     def test_residuals_round_trip(self):
         system = heat_torus_model(16)
-        law = synthesize_feedback(system, 2.5)
+        law = synthesize_feedback(kernels(system, 2.5))
         certs = _certificates(system, law)
         stored = _round_trip(law, certs)
         for cert in certs:
@@ -223,7 +223,7 @@ class TestCertificate:
 
     def test_no_matrix_stored(self):
         system = heat_torus_model(8)
-        law = synthesize_feedback(system, 2.5)
+        law = synthesize_feedback(kernels(system, 2.5))
         doc = transform_to_json(law.lam, _certificates(system, law))
         assert all(set(bd) == {"i", "N", "diagonal", "column_norms", "frobenius",
                                "tb_residual", "opeq_residual"}
@@ -241,7 +241,7 @@ class TestCertificate:
 
     def test_inconsistent_lengths_rejected(self):
         system = heat_torus_model(8)
-        law = synthesize_feedback(system, 2.5)
+        law = synthesize_feedback(kernels(system, 2.5))
         doc = transform_to_json(law.lam, _certificates(system, law))
         doc["branches"][0]["column_norms"] = doc["branches"][0]["column_norms"][:-1]
         with pytest.raises(ValueError, match="column norms"):
