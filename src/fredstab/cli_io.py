@@ -18,13 +18,14 @@ sqrt(sum of squared column norms) and residuals).
 Stages pass certificates keyed by branch index; verify rebuilds them from
 system.json and law.json and compares them, and law.json's tb_residual,
 with the stored ones; the spectrum check, the spectrum plots and the sweep
-read the secular steps of the rebuilt ones, and the report and the sweep's
-kappa_0 the conditioning of branch 1's certificate (the admissible r of
-config.r_list; the sweep's r = 0).  A stage builds one
-synthesis.BranchKernel per branch once it knows the shift, and every
-consumer reads its C and the w of the closed-form T^-1: both gain routes,
-the certificates, the semigroup and the report.  No stage runs an
-SVD or a factorization; transform.transform_matrix is a test oracle only.
+read the secular steps of the rebuilt ones, and the report (the top level
+of its kappa_0 plateau too) and the sweep's kappa_0 the conditioning of
+branch 1's certificate (the admissible r of config.r_list; the sweep's
+r = 0).  A stage builds one synthesis.BranchKernel per branch once it
+knows the shift, and every consumer reads its C and the w of the
+closed-form T^-1: both gain routes, the certificates, the semigroup and
+the report.  No stage runs an SVD or a factorization;
+transform.transform_matrix is a test oracle only.
 The sweep builds and gates each distinct (N, gamma) model once, then maps
 its points on --jobs (>= 1) threads, or in the calling thread for one; a
 point that fails synthesize's residual gates keeps its certificate columns
@@ -791,7 +792,7 @@ def cmd_report(cfg: RunConfig, out: Optional[str] = None) -> int:
             "weighted conditioning", "r", "kappa")
     lo, hi = transform.admissible_r_interval(b0.alpha, b0.gamma, beta=b0.beta)
     if lo < 0.0 < hi and b0.N >= 8:
-        plateau = transform.conditioning_vs_truncation(kernels[0], 0.0)
+        plateau = transform.conditioning_vs_truncation(kernels[0], certs[b0.index])
         levels = sorted(plateau)
         diagnostics.svg_line_plot(
             os.path.join(plots, "conditioning_vs_N.svg"),

@@ -54,14 +54,16 @@ PLOT_WIDTH = 640     # SVG canvas, pixels
 PLOT_HEIGHT = 420
 
 
-def compactness_proxy(kernel: BranchKernel, r: float, eps: float, alpha: float) -> float:
+def compactness_proxy(kernel: BranchKernel, r: float, eps: float) -> float:
     """||diag(n^(r+eps)) S_c diag(n^-r)||_2 of the kernel's S_c = C - I / lam.
 
-    eps must lie in the open interval (0, min((alpha-1)/2, alpha+r-1/2)).
-    The Lanczos estimate of transform's certificates, on C with the
-    diagonal shift -1/lam, so S_c is never formed; a bounded-in-N profile
-    of this norm is the finite-truncation compactness proxy.
+    eps must lie in the open interval (0, min((alpha-1)/2, alpha+r-1/2)),
+    alpha the growth order of the kernel's branch.  The Lanczos estimate
+    of transform's certificates, on C with the diagonal shift -1/lam, so
+    S_c is never formed; a bounded-in-N profile of this norm is the
+    finite-truncation compactness proxy.
     """
+    alpha = kernel.branch.alpha
     hi = min((alpha - 1.0) / 2.0, alpha + r - 0.5)
     if not 0.0 < eps < hi:
         raise ValueError(f"eps={eps} outside the open interval (0, {hi})")
@@ -196,7 +198,7 @@ def make_report(system: SpectralSystem, law: FeedbackLaw, certificates,
     b0 = system.branches[0]
     certificates = {c.branch_index: c for c in certificates}
     trends = [gain_trend(bg) if bg.N >= 16 else None for bg in law.branches]
-    _, tail_max = inverse_gap_sum_profile(kernel, 0.0)
+    _, tail_max = inverse_gap_sum_profile(kernel)
     eps_hi = min((b0.alpha - 1.0) / 2.0, b0.alpha - 0.5)
     try:
         classification = classify_controllability(b0, 0.0)
@@ -227,7 +229,7 @@ def make_report(system: SpectralSystem, law: FeedbackLaw, certificates,
                          in certificates[kernel.branch.index].conditioning.items()},
         "gap_sum_tail_max": tail_max,
         "compactness": {"eps": eps_hi / 2.0,
-                        "norm": compactness_proxy(kernel, 0.0, eps_hi / 2.0, b0.alpha)},
+                        "norm": compactness_proxy(kernel, 0.0, eps_hi / 2.0)},
         "decay_fits": None if decay_fits is None else {
             name: None if fit is None else {"mu_hat": fit.mu_hat, "c_hat": fit.c_hat,
                                             "r2": fit.r2, "window": list(fit.window)}

@@ -24,7 +24,6 @@ __all__ = [
     "SturmLiouvilleProblem",
     "LiouvilleData",
     "SturmLiouvilleModes",
-    "SchrodingerProjectionReport",
     "heat_torus_model",
     "schrodinger_model",
     "liouville_transform",
@@ -37,7 +36,6 @@ __all__ = [
 
 MODEL_KINDS = ("heat_torus", "schrodinger_ground", "sturm_liouville", "gribov")
 
-SCHRODINGER_EPS = 0.25       # relaxation of the n^-3 projection envelope to n^(-7/2+eps)
 SCHRODINGER_FLOOR = 1e-10    # smallest nonzero projection, relative to the largest
 SL_B_FLOOR = 1e-12           # smallest nonzero control projection of a diffusion mode
 SL_DEGENERACY_GAP = 1e-8     # smallest relative gap of a simple numerical spectrum
@@ -130,36 +128,16 @@ def heat_torus_model(N: int, sobolev_index: float = 0.0,
 # linearized Schrodinger equation around the ground state
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SchrodingerProjectionReport:
-    """Empirical decay profile of the control-shape projections.
-
-    inner_products : the L2 pairings of mu * (ground state) with each mode.
-    cubic_ok       : min over n of |inner_n| n^3 is above SCHRODINGER_FLOOR
-                     (the strict n^-3 lower envelope).
-    relaxed_ok     : min over n of |inner_n| n^(7/2 - eps) is above the
-                     floor, eps = SCHRODINGER_EPS (the relaxed envelope).
-    """
-
-    inner_products: np.ndarray
-    cubic_ok: bool
-    relaxed_ok: bool
-
-
-def schrodinger_model(N: int, mu_values):
+def schrodinger_model(N: int, mu_values) -> SpectralSystem:
     """Single-branch model of the ground-state-linearized Schrodinger system.
 
     Eigenvalues are purely imaginary, -i pi^2 (n^2 - 1); the control
     coefficients are the graph-norm projections sigma_n^{3/2} <mu Phi_1,
     Phi_n> with Phi_n the Dirichlet sine modes, evaluated by composite
-    Simpson quadrature on the supplied samples of mu over [0, 1].
-
-    Returns (system, report); the report carries the empirical check of
-    the n^-3 projection decay and its relaxed n^(-7/2+eps) variant, with
-    eps = SCHRODINGER_EPS.  A projection at or below SCHRODINGER_FLOOR times
-    the largest one is refused.
+    Simpson quadrature on the supplied samples of mu over [0, 1].  A
+    projection at or below SCHRODINGER_FLOOR times the largest one is
+    refused.
     """
-    eps, floor = SCHRODINGER_EPS, SCHRODINGER_FLOOR
     mu = np.asarray(mu_values, dtype=float).ravel()
     if len(mu) < 512:
         raise ValueError("mu must be sampled on at least 512 quadrature points")
@@ -172,7 +150,7 @@ def schrodinger_model(N: int, mu_values):
         _simpson(mu * phi1 * np.sqrt(2.0) * np.sin(k * np.pi * x), x)
         for k in n
     ])
-    zero = np.nonzero(np.abs(inner) <= floor * max(1.0, np.max(np.abs(inner))))[0]
+    zero = np.nonzero(np.abs(inner) <= SCHRODINGER_FLOOR * max(1.0, np.max(np.abs(inner))))[0]
     if zero.size:
         raise SolverError(
             f"quadrature projection b_{zero[0] + 1} vanishes; "
@@ -181,14 +159,7 @@ def schrodinger_model(N: int, mu_values):
     b = sigma ** 1.5 * inner
     lam = -1j * (sigma - sigma[0])      # lambda_1 = 0: the shifted ground state
     branch = SpectralBranch(1, lam.astype(complex), b.astype(complex), alpha=2.0)
-    system = SpectralSystem(branches=(branch,), label="schrodinger_ground")
-    nf = n.astype(float)
-    c_cubic = float(np.min(np.abs(inner) * nf ** 3))
-    c_relaxed = float(np.min(np.abs(inner) * nf ** (3.5 - eps)))
-    report = SchrodingerProjectionReport(
-        inner_products=inner, cubic_ok=bool(c_cubic > floor),
-        relaxed_ok=bool(c_relaxed > floor))
-    return system, report
+    return SpectralSystem(branches=(branch,), label="schrodinger_ground")
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +509,7 @@ def build_model(kind: str, N: int, params: dict) -> SpectralSystem:
         mu = p.pop("mu", None)
         mu = x ** 2 if mu is None else _sampled_param(mu, x, 0.0)
         _no_other_params(p, kind)
-        system, _ = schrodinger_model(N, mu)
-        return system
+        return schrodinger_model(N, mu)
     if kind == "sturm_liouville":
         grid = int(p.pop("grid_size", 2000))
         L = float(p.pop("L", 1.0))

@@ -107,10 +107,7 @@ def _norm_table(states, r_list):
 
 
 def _states_for(branches, v0) -> list:
-    if isinstance(v0, (list, tuple)):
-        parts = [np.asarray(p, dtype=complex) for p in v0]
-    else:
-        parts = [np.asarray(v0, dtype=complex)]
+    parts = [np.asarray(p, dtype=complex) for p in v0]
     if len(parts) != len(branches):
         raise ValueError(f"initial state needs {len(branches)} branch blocks")
     for part, b in zip(parts, branches):
@@ -161,7 +158,7 @@ def _rk4_march(eigenvalues: np.ndarray, b: np.ndarray, K: np.ndarray,
     return out
 
 
-def check_run(branches, law: Optional[FeedbackLaw], dt: float,
+def check_run(branches, law: FeedbackLaw, dt: float,
               integrator: str = "semigroup_exact", nonlinear: bool = False) -> None:
     """Refuse a run of simulate_closed_loop, or with nonlinear of simulate_burgers, up front.
 
@@ -180,8 +177,7 @@ def check_run(branches, law: Optional[FeedbackLaw], dt: float,
     if nonlinear and (len(branches) != 2 or branches[1].N != branches[0].N):
         raise ValueError("semilinear simulation expects the two-branch torus model, "
                          "with one N on both branches")
-    if nonlinear and law is not None and any(np.any(law.branch(i).gains.imag != 0)
-                                             for i in (1, 2)):
+    if nonlinear and any(np.any(law.branch(i).gains.imag != 0) for i in (1, 2)):
         raise ValueError("semilinear simulation needs exactly real gains")
     stiff = max(float(np.max(np.abs(b.eigenvalues))) for b in branches) if rk4 else 0.0
     if stiff > 0 and dt > 2.0 / stiff:
@@ -196,11 +192,12 @@ def simulate_closed_loop(kernels, law: FeedbackLaw, u0, times,
     """Closed-loop trajectories under the synthesized feedback.
 
     kernels are the synthesis.BranchKernel of every branch at law.lam, in
-    branch order.  semigroup_exact evaluates u(t) = T^{-1} diag(e^{(lambda_n
-    - lam) t}) T u0 branch by branch with the closed-form T^{-1} of the
-    exact products (iterative gains move u by up to about kappa_0 ||1 - C
-    x||), all samples in one product; rk4 integrates du/dt = (diag(lambda)
-    + b K^T) u with a fixed step as an independent check.  The step must
+    branch order, and u0 holds one block per branch.  semigroup_exact
+    evaluates u(t) = T^{-1} diag(e^{(lambda_n - lam) t}) T u0 branch by
+    branch with the closed-form T^{-1} of the exact products (iterative
+    gains move u by up to about kappa_0 ||1 - C x||), all samples in one
+    product; rk4 integrates du/dt = (diag(lambda) + b K^T) u with a fixed
+    step as an independent check.  The step must
     satisfy 0 < dt <= 2 / max |lambda_N| or the run is refused.
     """
     branches = [kernel.branch for kernel in kernels]
@@ -230,18 +227,6 @@ def simulate_closed_loop(kernels, law: FeedbackLaw, u0, times,
 
 _SQRT_PI = np.sqrt(np.pi)
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
-
-
-def _fourier_from_physical(u_phys: np.ndarray, N: int) -> np.ndarray:
-    """Coefficients c_k, k = -N..N, of u = sum c_k e^{ikx} from grid samples."""
-    grid = len(u_phys)
-    if grid < 2 * N + 1:
-        raise ValueError("physical grid too coarse for the requested modes")
-    chat = np.fft.fft(u_phys) / grid
-    c = np.empty(2 * N + 1, dtype=complex)
-    c[N:] = chat[:N + 1]
-    c[:N] = chat[grid - N:]
-    return c
 
 
 def _branch_coords(c: np.ndarray, N: int):
@@ -321,10 +306,10 @@ def _linear_step_radius(system: SpectralSystem, law: FeedbackLaw, dt: float) -> 
     return float(np.max(np.abs(np.linalg.eigvals(step_map))))
 
 
-def _blow_up_error(system: SpectralSystem, law: Optional[FeedbackLaw], dt: float,
+def _blow_up_error(system: SpectralSystem, law: FeedbackLaw, dt: float,
                    t: float) -> IntegratorError:
     """Blame the step size if the linear step map expands, else the basin."""
-    radius = 0.0 if law is None else _linear_step_radius(system, law, dt)
+    radius = _linear_step_radius(system, law, dt)
     if radius > 1.0:
         return IntegratorError(
             f"semilinear state blew up near t={t:.4g}: the step dt={dt:g} is "
@@ -335,7 +320,7 @@ def _blow_up_error(system: SpectralSystem, law: Optional[FeedbackLaw], dt: float
         "outside the local stability basin")
 
 
-def simulate_burgers(system: SpectralSystem, law: Optional[FeedbackLaw], u0, times,
+def simulate_burgers(system: SpectralSystem, law: FeedbackLaw, u0, times,
                      dt: float = 1e-4, r_list=(0.0,)) -> SimulationTrace:
     """Semilinear torus simulation with quadratic convection and feedback.
 
@@ -344,37 +329,31 @@ def simulate_burgers(system: SpectralSystem, law: Optional[FeedbackLaw], u0, tim
     (c_{-k} = conj(c_k)); the convection term (u^2 / 2)_x is exact at
     truncation; diffusion is implicit, convection and feedback explicit,
     first-order in time with a finite step dt > 0 (else ValueError).  u0 is
-    either real physical samples, whose k >= 0 coefficients are kept, or an
-    exactly Hermitian coefficient vector c_{-N}..c_N (else ValueError).
-    Non-finite growth aborts the run.  The error names the step size when
-    the linear step map (diffusion plus explicit feedback) has spectral
-    radius above 1, and otherwise the local stability basin, which the
-    initial data left.
+    the exactly Hermitian coefficient vector c_{-N}..c_N (else ValueError);
+    the open loop is a law of zero gains.  Non-finite growth aborts the
+    run.  The error names the step size when the linear step map
+    (diffusion plus explicit feedback) has spectral radius above 1, and
+    otherwise the local stability basin, which the initial data left.
     """
     check_run(system.branches, law, dt, nonlinear=True)
     N = system.branches[0].N
     times = np.asarray(times, dtype=float)
     u0 = np.asarray(u0)
-    if np.iscomplexobj(u0) and len(u0) == 2 * N + 1:
-        if not np.array_equal(u0, np.conj(u0[::-1])):
-            raise ValueError("u0 coefficients are not exactly Hermitian (a real field)")
-        c = u0[N:].astype(complex)
-    else:
-        c = _fourier_from_physical(np.asarray(u0, dtype=float), N)[N:]
+    if u0.shape != (2 * N + 1,) or not np.array_equal(u0, np.conj(u0[::-1])):
+        raise ValueError(f"u0 is not exactly Hermitian: it must be the {2 * N + 1} "
+                         "coefficients c_-N..c_N of a real field")
+    c = u0[N:].astype(complex)
     k_axis = np.arange(N + 1)
     half_dk = -0.5j * k_axis
     fft_len = _next_fast_len(3 * N + 1)
     phi1, phi2 = (phi[N:] for phi in _control_fourier(system, N))
-    if law is not None:
-        K1, K2 = (law.branch(i).gains for i in (1, 2))
-        # K1 . a1 = g1 . Im c_{1..N} and K2 . a2 = g2 . Re c_{0..N-1} (_branch_coords)
-        g1 = -2.0 * _SQRT_PI * K1.real
-        g2 = np.r_[_SQRT_2PI * K2[0].real, 2.0 * _SQRT_PI * K2[1:].real]
+    K1, K2 = (law.branch(i).gains for i in (1, 2))
+    # K1 . a1 = g1 . Im c_{1..N} and K2 . a2 = g2 . Re c_{0..N-1} (_branch_coords)
+    g1 = -2.0 * _SQRT_PI * K1.real
+    g2 = np.r_[_SQRT_2PI * K2[0].real, 2.0 * _SQRT_PI * K2[1:].real]
 
     def rhs_explicit(cv):
         nl = half_dk * _square_half(cv, N, fft_len)     # -(i k / 2) (u^2)_k
-        if law is None:
-            return nl
         return nl + np.dot(g1, cv.imag[1:]) * phi1 + np.dot(g2, cv.real[:N]) * phi2
 
     k_sq = k_axis.astype(float) ** 2

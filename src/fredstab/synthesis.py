@@ -47,6 +47,7 @@ __all__ = [
 
 SHIFT_SEARCH_WIDTH = 100.0   # select_shift scans [lambda0, lambda0 + this * delta]
 ITERATION_TOL = 1e-12        # sup of the last correction sweep at convergence
+MAX_SWEEPS = 500             # correction sweeps of solve_gains_iterative before it gives up
 
 
 @dataclass(frozen=True)
@@ -254,33 +255,39 @@ def solve_gains_direct(branch: SpectralBranch, lam: float) -> BranchGains:
     return _products_to_gains(branch, lam, _closed_form_products(branch, lam), "direct")
 
 
-def solve_gains_iterative(kernel: BranchKernel, max_iters: int = 500) -> BranchGains:
+def solve_gains_iterative(kernel: BranchKernel) -> BranchGains:
     """Fixed-point gain accumulation x = lam + sum of correction sweeps, on the kernel's C.
 
     Starting from the single-mode value x == lam, each sweep applies
     e <- e - lam * (C @ e) and accumulates: since C_pp = 1/lam, the diagonal
     term cancels e up to rounding, so this is the off-diagonal sweep
     -lam * offdiag(C) @ e with no copy of C.  Converges when a sweep falls
-    below ITERATION_TOL; when the sweep operator does not contract, raises
+    below ITERATION_TOL.  Otherwise, after MAX_SWEEPS sweeps or at the first
+    sweep that is not finite (contraction ratio inf), raises
     IterationDiverged carrying the observed contraction ratio.
     """
     lam, C = kernel.lam, kernel.C
     e = np.full(kernel.branch.N, lam, dtype=complex)
     x = e.copy()
     sup_history = [float(np.max(np.abs(e)))]
-    for i in range(1, max_iters + 1):
-        e = e - lam * (C @ e)
-        x = x + e
-        sup_history.append(float(np.max(np.abs(e))))
-        if sup_history[-1] < ITERATION_TOL:
-            return _products_to_gains(kernel.branch, lam, x, "iterative",
-                                      iterations=i, history=np.asarray(sup_history))
-    history = np.asarray(sup_history)
-    tail = history[max(1, len(history) - 6):]
-    ratio = float(np.exp(np.mean(np.diff(np.log(tail))))) if np.all(tail > 0) else float("inf")
+    # a sweep that does not contract overflows; it stops at the first non-finite sup
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, MAX_SWEEPS + 1):
+            e = e - lam * (C @ e)
+            x = x + e
+            sup_history.append(float(np.max(np.abs(e))))
+            if sup_history[-1] < ITERATION_TOL:
+                return _products_to_gains(kernel.branch, lam, x, "iterative",
+                                          iterations=i, history=np.asarray(sup_history))
+            if not np.isfinite(sup_history[-1]):
+                break
+        history = np.asarray(sup_history)
+        tail = history[max(1, len(history) - 6):]
+        ratio = (float(np.exp(np.mean(np.diff(np.log(tail)))))
+                 if np.all(tail > 0) and np.isfinite(tail[-1]) else float("inf"))
     raise IterationDiverged(
-        f"gain iteration did not reach tol={ITERATION_TOL} within {max_iters} sweeps "
-        f"(observed contraction ratio {ratio:.4f})",
+        f"gain iteration did not reach tol={ITERATION_TOL} in {i} sweeps "
+        f"(MAX_SWEEPS = {MAX_SWEEPS}; observed contraction ratio {ratio:.4f})",
         contraction_ratio=ratio, history=history)
 
 
@@ -316,22 +323,20 @@ def beta_reduced_gains(branch: SpectralBranch, lam: float) -> BranchGains:
                        method="direct", gains=gains, products=x)
 
 
-def inverse_gap_sum_profile(kernel: BranchKernel, s: float):
+def inverse_gap_sum_profile(kernel: BranchKernel):
     """Off-diagonal inverse-gap sums of a kernel's branch measured against their envelope.
 
-    For each p computes sum_{n != p} n^s / |lambda_n - lambda_p + lam|
-    from the kernel's C at the shift lam, as |C| n^s - p^s / |lam|
-    (|C_pp| = 1 / |lam| exactly), divided by p^(1-alpha+s) log(max(p,2))
-    + p^-alpha.  Returns (ratios, max over p in [8, N]).  Requires
-    s < alpha - 1.
+    For each p computes sum_{n != p} 1 / |lambda_n - lambda_p + lam| from
+    the kernel's C at the shift lam, as |C| 1 - 1 / |lam| (|C_pp| = 1 / |lam|
+    exactly), divided by p^(1-alpha) log(max(p,2)) + p^-alpha.  Returns
+    (ratios, max over p in [8, N]).
     """
     branch = kernel.branch
-    if s >= branch.alpha - 1.0:
-        raise ValueError(f"s={s} must be below alpha-1={branch.alpha - 1.0}")
     n = branch.mode_indices.astype(float)
-    weights = n ** s
-    lhs = np.abs(kernel.C) @ weights - weights / abs(kernel.lam)
-    envelope = n ** (1.0 - branch.alpha + s) * np.log(np.maximum(n, 2.0)) + n ** (-branch.alpha)
+    ones = np.ones(branch.N)
+    # |C| @ 1 rather than a row sum: the matvec gives report.json's bits
+    lhs = np.abs(kernel.C) @ ones - ones / abs(kernel.lam)
+    envelope = n ** (1.0 - branch.alpha) * np.log(np.maximum(n, 2.0)) + n ** (-branch.alpha)
     ratios = lhs / envelope
     return ratios, float(np.max(ratios[7:] if branch.N >= 8 else ratios))
 

@@ -140,12 +140,17 @@ def build_transform(kernel: BranchKernel, gains: BranchGains,
     Schrodinger, 30 on heat), and is empty when none is.  It agrees with the
     dense conditioning_profile to 1e-12 * max(1, kappa) relative on random
     admissible branches (N <= 32), and to about 1e-15 at the benchmark sizes.
+
+    T, tb and opeq are taken from b 2^-k and K 2^k, k the binary exponent
+    of max |b| (_ldexp, exact): they leave T as it is, and no norm of b or
+    K under- or overflows, so the certificate does not see the scale of b.
     """
     branch, C = kernel.branch, kernel.C
     if gains.N != branch.N or gains.lam != kernel.lam:
         raise ValueError("gains and kernel differ in truncation or shift")
-    ev, b, N = branch.eigenvalues, branch.control_coeffs, branch.N
-    K, x = gains.gains, gains.products
+    ev, N, x = branch.eigenvalues, branch.N, gains.products
+    k = int(np.frexp(np.max(np.abs(branch.control_coeffs)))[1])
+    b, K = _ldexp(branch.control_coeffs, -k), _ldexp(gains.gains, k)
     Cx, CCx, diagonal, sums = [], [], [], np.zeros(N)
     for i, j in row_blocks(N):
         rows = C[i:j]
@@ -161,7 +166,8 @@ def build_transform(kernel: BranchKernel, gains: BranchGains,
     column_norms = np.sqrt(sums)
     frobenius = float(np.sqrt(np.sum(column_norms ** 2)))
     lo, hi = admissible_r_interval(branch.alpha, branch.gamma, beta=branch.beta)
-    conditioning = _weighted_conditioning(kernel, K, [r for r in r_list if lo < r < hi])
+    conditioning = _weighted_conditioning(kernel, gains.gains,
+                                          [r for r in r_list if lo < r < hi])
     defect = np.linalg.norm(b * residual)     # ||T b - b|| = ||b o r||
     tb = float(defect / np.linalg.norm(b))
     a_cl_sq = (np.linalg.norm(ev) ** 2 + 2.0 * float(np.real(np.sum(np.conj(ev) * b * K)))
@@ -172,6 +178,15 @@ def build_transform(kernel: BranchKernel, gains: BranchGains,
                              column_norms=column_norms, frobenius=frobenius,
                              tb_residual=tb, opeq_residual=opeq, residual=residual,
                              secular_steps=steps, conditioning=conditioning)
+
+
+def _ldexp(z: np.ndarray, k: int) -> np.ndarray:
+    """z 2^k, from np.ldexp on the float view: exact unless a part underflows.
+
+    z * 2.0 ** k would go through numpy's complex-by-real loop, which flips
+    the sign of some zero imaginary parts.
+    """
+    return np.ldexp(np.ascontiguousarray(z).view(float), k).view(complex)
 
 
 def conditioning_profile(T: np.ndarray, r_list, alpha: float, gamma: float,
@@ -286,26 +301,30 @@ def _weighted_conditioning(kernel: BranchKernel, gains: np.ndarray, r_list) -> d
     return profile
 
 
-def conditioning_vs_truncation(kernel: BranchKernel, r: float) -> dict:
-    """Weighted condition number re-synthesized at the truncations N/4, N/2, N.
+def conditioning_vs_truncation(kernel: BranchKernel, certificate: BranchCertificate) -> dict:
+    """kappa_0 re-synthesized at the truncations N/4, N/2, N.
 
     A plateau (small variation between levels) is the finite-truncation
-    proxy for the isomorphism property.  Each level takes the closed-form
-    gains of its truncation and the structured kappa_r of build_transform
-    from kernel.truncated: its C is the leading block of the kernel's, and
-    the full level reuses the kernel's w.  r outside the admissible
-    interval raises ValueError.
+    proxy for the isomorphism property.  certificate is build_transform's
+    of the kernel's branch: the level N is its kappa_0 when it has one.
+    Every other level takes the closed-form gains of its truncation and
+    the structured kappa_0 of build_transform from kernel.truncated, whose
+    C is the leading block of the kernel's (the full level reuses the
+    kernel's w).  r = 0 outside the admissible interval raises ValueError.
     """
     branch = kernel.branch
     lo, hi = admissible_r_interval(branch.alpha, branch.gamma, beta=branch.beta)
-    if not lo < r < hi:
-        raise ValueError(f"r={r} outside the admissible open interval ({lo}, {hi})")
+    if not lo < 0.0 < hi:
+        raise ValueError(f"r=0 outside the admissible open interval ({lo}, {hi})")
     levels = sorted({max(1, branch.N // 4), max(1, branch.N // 2), branch.N})
     profile = {}
     for n in levels:
-        sub = kernel.truncated(int(n))
+        if n == branch.N and 0.0 in certificate.conditioning:
+            profile[n] = certificate.conditioning[0.0]
+            continue
+        sub = kernel.truncated(n)
         gains = solve_gains_direct(sub.branch, kernel.lam).gains
-        profile[int(n)] = _weighted_conditioning(sub, gains, [r])[float(r)]
+        profile[n] = _weighted_conditioning(sub, gains, [0.0])[0.0]
     return profile
 
 

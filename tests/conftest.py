@@ -1,9 +1,23 @@
-import numpy as np
-import pytest
+import contextlib
+import importlib.util
+import io
+import sys
+import warnings
+from pathlib import Path
 
-from fredstab import BranchKernel, SimulationTrace, SpectralBranch, SpectralSystem
-from fredstab.models import heat_torus_model
-from fredstab.simulate import _norm_table, _states_for, write_modes_csv, write_norms_csv
+# a checkout runs without an install; an installed or PYTHONPATH fredstab comes first
+if importlib.util.find_spec("fredstab") is None:
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from fredstab import (BranchGains, BranchKernel, FeedbackLaw,  # noqa: E402
+                      SimulationTrace, SpectralBranch, SpectralSystem)
+from fredstab.cli_io import main  # noqa: E402
+from fredstab.models import heat_torus_model  # noqa: E402
+from fredstab.simulate import (_norm_table, _states_for,  # noqa: E402
+                               write_modes_csv, write_norms_csv)
 
 
 def heat_branch(N, lam_scale=1.0, b=None):
@@ -25,6 +39,27 @@ def kernels(system, lam):
     return tuple(BranchKernel(b, lam) for b in system.branches)
 
 
+def zero_law(system, lam=1.0):
+    """The open loop as a law: zero gains and products on every branch."""
+    return FeedbackLaw(lam=lam, method="direct", branches=tuple(
+        BranchGains(branch_index=b.index, lam=lam, method="direct",
+                    gains=np.zeros(b.N), products=np.zeros(b.N))
+        for b in system.branches))
+
+
+def fourier_from_samples(u_phys, N):
+    """Exactly Hermitian torus coefficients c_-N..c_N of real samples on a uniform grid.
+
+    The FFT of real data is Hermitian only to rounding, so c_k, k >= 0, are
+    kept and c_-k = conj(c_k).
+    """
+    chat = np.fft.fft(u_phys) / len(u_phys)
+    c = np.zeros(2 * N + 1, dtype=complex)
+    c[N:] = chat[:N + 1]
+    c[:N] = np.conj(chat[1:N + 1])[::-1]
+    return c
+
+
 def worked_branch():
     """The hand-checkable 2x2 case: eigenvalues (-1, -4), unit coefficients."""
     return SpectralBranch(1, [-1.0, -4.0], [1.0, 1.0], alpha=2.0)
@@ -42,6 +77,19 @@ def trace_to_csv(trace, modes_path, norms_path):
     """The modes and norms files of a trace, written inline: the bytes of simulate's writers."""
     write_modes_csv(trace, modes_path)
     write_norms_csv(trace, norms_path)
+
+
+def run_stage(*argv):
+    """fredstab's CLI on argv: (exit code, stderr text, messages of the warnings raised).
+
+    Every warning is recorded, not shown, so stderr holds only what main prints.
+    """
+    err = io.StringIO()
+    with (warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err),
+          contextlib.redirect_stdout(io.StringIO())):
+        warnings.simplefilter("always")
+        code = main(list(argv))
+    return code, err.getvalue(), [str(w.message) for w in caught]
 
 
 def operator_equality_residual(T, A_cl, branch, lam):

@@ -101,7 +101,7 @@ def test_criterion_03_truncated_conjugacy():
     for N in (32, 64, 128):
         run(f"heat N={N}", heat_torus_model(N))
     x = np.linspace(0, 1, 4097)
-    run("schrodinger N=64", schrodinger_model(64, x ** 2)[0])
+    run("schrodinger N=64", schrodinger_model(64, x ** 2))
     p = SturmLiouvilleProblem.from_callables(
         lambda x: np.ones_like(x), lambda x: np.zeros_like(x),
         1.0, 1.0, 0.0, 1.0, 0.0, grid_size=2000)
@@ -172,7 +172,7 @@ def test_criterion_05_scaling_covariance_and_beta_reduction():
 
 def test_criterion_06_inverse_gap_sum_envelope():
     br = heat_torus_model(256).branches[0]
-    ratios, tail_max = fs.inverse_gap_sum_profile(fs.BranchKernel(br, 2.5), 0.0)
+    ratios, tail_max = fs.inverse_gap_sum_profile(fs.BranchKernel(br, 2.5))
     checks = [
         ("profile finite", bool(np.isfinite(tail_max)),
          f"max ratio over p in [8, 256] = {tail_max:.4f}"),
@@ -237,7 +237,7 @@ def test_criterion_08_closed_loop_decay():
 
 def test_criterion_09_imaginary_spectrum_shift():
     x = np.linspace(0, 1, 4097)
-    system, _ = schrodinger_model(64, x ** 2)
+    system = schrodinger_model(64, x ** 2)
     shift = fs.select_shift(system, 1.0, 0.25)
     law = fs.synthesize_feedback(kernels(system, shift.lam))
     cl = fs.closed_loop_matrix(system.branches[0], law.branch(1))
@@ -304,7 +304,7 @@ def test_criterion_11_diffusion_pipeline():
 
 def test_criterion_12_controllability_classifier():
     x = np.linspace(0, 1, 4097)
-    system, _ = schrodinger_model(64, x ** 2)
+    system = schrodinger_model(64, x ** 2)
     n = np.arange(1, 65, dtype=float)
     unit = fs.SpectralBranch(1, system.branches[0].eigenvalues, np.ones(64),
                              alpha=2.0)

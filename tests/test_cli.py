@@ -11,6 +11,7 @@ import tempfile
 import threading
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from fredstab.jsonio import from_cpairs, write_json
 from fredstab.models import heat_torus_model
 from fredstab.spectral_core import system_from_json, system_to_json
 
-from conftest import trace_to_csv
+from conftest import run_stage, trace_to_csv
 
 
 def write_config(path, drop=(), **overrides):
@@ -450,6 +451,39 @@ class TestSynthesizeCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "IterationDiverged"
         assert "contraction" in err["message"]
+
+    def test_overflowing_iteration_prints_one_json_line(self, tmp_path):
+        # the overflowing sweep put two numpy RuntimeWarnings on stderr before
+        # the JSON object
+        cfg = tmp_path / "config.json"
+        write_config(cfg, N=64, model={"kind": "heat_torus", "N": 64, "params": {}},
+                     lambda0=40.0, method="iterative")
+        code, err, caught = run_stage("synthesize", "--config", str(cfg))
+        assert (code, caught, len(err.splitlines())) == (3, [], 1)
+        payload = json.loads(err)
+        assert payload["error"] == "IterationDiverged"
+        assert "observed contraction ratio inf" in payload["message"]
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-160, 1e150])
+    def test_stored_b_at_an_extreme_scale(self, tmp_path, scale):
+        # at 1e-150 tb and opeq read exactly 0; at 1e-160 the stage exited 3
+        # on a NaN opeq, with numpy RuntimeWarnings on stderr
+        worst = {}
+        for s in (1.0, scale):
+            system = heat_torus_model(16)
+            branches = tuple(replace(b, control_coeffs=b.control_coeffs * s)
+                             for b in system.branches)
+            write_json(tmp_path / "system.json", system_to_json(
+                replace(system, branches=branches)))
+            cfg = tmp_path / "config.json"
+            write_config(cfg, drop=["N"], model={"path": str(tmp_path / "system.json")},
+                         output_dir=str(tmp_path / f"out{s:g}"))
+            assert run_stage("synthesize", "--config", str(cfg)) == (0, "", [])
+            doc = json.loads((tmp_path / f"out{s:g}" / "transform.json").read_text())
+            worst[s] = [max(bd[key] for bd in doc["branches"])
+                        for key in ("tb_residual", "opeq_residual")]
+        assert worst[scale] == pytest.approx(worst[1.0], rel=1e-12, abs=0)
+        assert 0 < worst[1.0][0] and 0 < worst[1.0][1]
 
     @pytest.mark.parametrize("key, value, message", [
         ("delta", 1e308, "gain products on branch 1 are not finite"),
@@ -1318,6 +1352,27 @@ class TestReportCommand:
         assert "lin_decay.svg" in names
         for n in names:
             assert (plots / n).read_text().startswith("<?xml")
+
+    def test_plateau_reads_kappa_0_from_the_certificate(self, tmp_path, monkeypatch):
+        # the plateau's level N is branch 1's kappa_0, which the report's
+        # certificate holds; it was computed a second time, from direct gains
+        cfg = tmp_path / "config.json"
+        write_config(cfg, N=64, model={"kind": "heat_torus", "N": 64, "params": {}})
+        assert main(["synthesize", "--config", str(cfg)]) == 0
+        levels = []
+        weighted = transform._weighted_conditioning
+
+        def counting(kernel, gains, r_list):
+            levels.extend([kernel.branch.N] if r_list else [])
+            return weighted(kernel, gains, r_list)
+
+        monkeypatch.setattr(transform, "_weighted_conditioning", counting)
+        assert main(["report", "--config", str(cfg)]) == 0
+        assert sorted(levels) == [16, 32, 64]
+        out = tmp_path / "out"
+        kappa_0 = json.loads((out / "report.json").read_text())["conditioning"]["0"]
+        svg = (out / "plots" / "conditioning_vs_N.svg").read_text().splitlines()
+        assert svg[svg.index("  series: kappa_0") + 3] == f"    64.0,{kappa_0!r}"
 
     def test_decay_fits_survive_report(self, tmp_path):
         # r_list[0] = 0.5 is the second norm column; "short" is too short to fit

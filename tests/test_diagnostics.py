@@ -34,7 +34,7 @@ class TestCompactnessProxy:
         br = SpectralBranch(1, [-1.0], [1.0], alpha=2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert compactness_proxy(BranchKernel(br, 2.0), 0.0, 0.4, 2.0) == 0.0
+            assert compactness_proxy(BranchKernel(br, 2.0), 0.0, 0.4) == 0.0
 
     @pytest.mark.parametrize("branch, r", [
         (heat_torus_model(96).branches[0], 0.0),
@@ -45,24 +45,24 @@ class TestCompactnessProxy:
     def test_matches_dense_svd(self, branch, r):
         kernel = BranchKernel(branch, 2.5)
         eps = min((branch.alpha - 1.0) / 2.0, branch.alpha + r - 0.5) / 2.0
-        estimate = compactness_proxy(kernel, r, eps, branch.alpha)
+        estimate = compactness_proxy(kernel, r, eps)
         assert estimate == pytest.approx(dense_proxy(kernel, r, eps), rel=1e-12, abs=0)
 
     def test_two_calls_equal_bits(self):
         kernel = BranchKernel(schrodinger_branch(64), 2.5)
-        first = compactness_proxy(kernel, 0.0, 0.25, 2.0)
+        first = compactness_proxy(kernel, 0.0, 0.25)
         assert np.float64(first).tobytes() == np.float64(
-            compactness_proxy(kernel, 0.0, 0.25, 2.0)).tobytes()
+            compactness_proxy(kernel, 0.0, 0.25)).tobytes()
 
     def test_bounded_in_truncation(self):
         norms = {}
         for N in (64, 128):
-            norms[N] = compactness_proxy(BranchKernel(heat_branch(N), 2.5), 0.0, 0.4, 2.0)
+            norms[N] = compactness_proxy(BranchKernel(heat_branch(N), 2.5), 0.0, 0.4)
         assert norms[128] / norms[64] <= 1.5
 
     def test_eps_boundary_rejected(self):
         with pytest.raises(ValueError, match="open interval"):
-            compactness_proxy(BranchKernel(heat_branch(8), 2.5), 0.0, 0.5, 2.0)
+            compactness_proxy(BranchKernel(heat_branch(8), 2.5), 0.0, 0.5)
 
 
 class TestGainTrend:
@@ -132,7 +132,7 @@ class TestMakeReport:
     def test_full_report_sections(self):
         system, law, ks, certs = self.pipeline()
         br = system.branches[0]
-        _, tail_max = inverse_gap_sum_profile(BranchKernel(br, 2.5), 0.0)
+        _, tail_max = inverse_gap_sum_profile(BranchKernel(br, 2.5))
         trace = simulate_closed_loop(ks, law, random_state(system),
                                      np.linspace(0, 2, 33))
         certs[0] = dataclasses.replace(certs[0], conditioning={0.0: 5.0})

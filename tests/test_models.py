@@ -48,16 +48,22 @@ class TestHeatTorus:
         assert check.gamma_hat <= 0.3 + 0.02
 
 
+def projections(system):
+    """The pairings <mu Phi_1, Phi_n> of a Schrodinger system: b_n / sigma_n^1.5."""
+    sigma = (np.pi * system.branches[0].mode_indices) ** 2.0
+    return system.branches[0].control_coeffs.real / sigma ** 1.5
+
+
 class TestSchrodinger:
     def test_third_eigenvalue(self):
         x = np.linspace(0, 1, 1025)
-        system, _ = schrodinger_model(8, x ** 2)
+        system = schrodinger_model(8, x ** 2)
         assert system.branches[0].eigenvalues[2] == pytest.approx(
             -1j * np.pi ** 2 * 8.0, abs=1e-12)
 
     def test_purely_imaginary_spectrum(self):
         x = np.linspace(0, 1, 1025)
-        system, _ = schrodinger_model(16, x ** 2)
+        system = schrodinger_model(16, x ** 2)
         assert np.max(np.abs(system.branches[0].eigenvalues.real)) == 0.0
 
     def test_projections_against_high_resolution_oracle(self):
@@ -70,16 +76,14 @@ class TestSchrodinger:
                                     x=x_hi)
             for n in range(1, 33)])
         x = np.linspace(0, 1, 4097)
-        _, report = schrodinger_model(32, x ** 2)
-        np.testing.assert_allclose(report.inner_products, oracle, rtol=1e-7)
-        assert report.cubic_ok
-        assert report.relaxed_ok
+        np.testing.assert_allclose(projections(schrodinger_model(32, x ** 2)), oracle,
+                                   rtol=1e-7)
 
     def test_cubic_decay_rate_for_quadratic_mu(self):
         x = np.linspace(0, 1, 8193)
-        _, report = schrodinger_model(64, x ** 2)
+        inner = projections(schrodinger_model(64, x ** 2))
         n = np.arange(2, 65, dtype=float)
-        scaled = np.abs(report.inner_products[1:]) * n ** 3
+        scaled = np.abs(inner[1:]) * n ** 3
         # classical integration-by-parts rate: n^3 |<mu Phi_1, Phi_n>| settles
         assert scaled.max() / scaled.min() < 3.0
 
@@ -284,7 +288,7 @@ class TestBuildModel:
         # (tests/test_cli.py, test_vanishing_schrodinger_mu_*)
         x = np.linspace(0.0, 1.0, 2049)
         built = build_model("schrodinger_ground", 8, {}).branches[0]
-        direct = schrodinger_model(8, x ** 2)[0].branches[0]
+        direct = schrodinger_model(8, x ** 2).branches[0]
         assert np.array_equal(built.control_coeffs, direct.control_coeffs)
 
     def test_sampled_function_params(self):

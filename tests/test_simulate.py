@@ -17,8 +17,8 @@ from fredstab import simulate
 from fredstab.models import heat_torus_model
 from fredstab.spectral_core import sobolev_norm
 
-from conftest import (heat_branch, kernels, schrodinger_branch, simulate_target,
-                      trace_to_csv)
+from conftest import (fourier_from_samples, heat_branch, kernels, schrodinger_branch,
+                      simulate_target, trace_to_csv, zero_law)
 
 
 def single_mode_system():
@@ -158,7 +158,8 @@ class TestBurgers:
         u0 = np.zeros(33, dtype=complex)
         u0[17] = -0.5e-3 * 1j
         u0[15] = 0.5e-3 * 1j
-        trace = simulate_burgers(system, None, u0, np.linspace(0, 1, 51), dt=1e-3)
+        trace = simulate_burgers(system, zero_law(system), u0, np.linspace(0, 1, 51),
+                                 dt=1e-3)
         fit = fit_decay(trace.times, trace.norms[0.0], window=(0.1, 1.0))
         assert fit.mu_hat == pytest.approx(1.0, abs=0.02)
 
@@ -168,32 +169,19 @@ class TestBurgers:
         u0[16] = 1e-3          # constant mode
         u0[17] = -0.25e-3 * 1j
         u0[15] = 0.25e-3 * 1j
-        trace = simulate_burgers(system, None, u0, np.linspace(0, 1, 11), dt=1e-3)
+        trace = simulate_burgers(system, zero_law(system), u0, np.linspace(0, 1, 11),
+                                 dt=1e-3)
         const = trace.states[1][:, 0]
         np.testing.assert_allclose(const, const[0] * np.ones_like(const), rtol=1e-6)
 
     def test_closed_loop_small_data_decay(self, heat_system_and_law):
         system, law = heat_system_and_law
-        rng = np.random.default_rng(0)
         u0_phys = 1e-3 * np.sin(np.linspace(0, 2 * np.pi, 128, endpoint=False))
-        trace = simulate_burgers(system, law, u0_phys, np.linspace(0, 1, 41),
-                                 dt=2e-4)
+        trace = simulate_burgers(system, law, fourier_from_samples(u0_phys, 16),
+                                 np.linspace(0, 1, 41), dt=2e-4)
         fit = fit_decay(trace.times, trace.norms[0.0], window=(0.1, 1.0))
         assert fit.mu_hat >= 3.25 - 1.0 - 0.1
         assert trace.real_defect <= 1e-10
-
-    def test_physical_and_modal_input_agree(self, heat_system_and_law):
-        system, law = heat_system_and_law
-        x = np.linspace(0, 2 * np.pi, 256, endpoint=False)
-        u0_phys = 1e-3 * (np.sin(x) + 0.5 * np.cos(2 * x))
-        c = np.zeros(33, dtype=complex)
-        c[17], c[15] = -0.5e-3 * 1j, 0.5e-3 * 1j
-        c[18] = c[14] = 0.25e-3
-        times = np.linspace(0, 0.2, 5)
-        t1 = simulate_burgers(system, law, u0_phys, times, dt=1e-3)
-        t2 = simulate_burgers(system, law, c, times, dt=1e-3)
-        for a, b in zip(t1.states, t2.states):
-            np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_halving_amplitude_does_not_hurt_rate(self, heat_system_and_law):
         system, law = heat_system_and_law
@@ -202,16 +190,17 @@ class TestBurgers:
         times = np.linspace(0, 1, 41)
         fits = []
         for amp in (1e-3, 0.5e-3):
-            trace = simulate_burgers(system, law, amp * shape, times, dt=2e-4)
+            trace = simulate_burgers(system, law, fourier_from_samples(amp * shape, 16),
+                                     times, dt=2e-4)
             fits.append(fit_decay(trace.times, trace.norms[0.0], window=(0.1, 1.0)).mu_hat)
         assert fits[1] >= fits[0] - 0.05
 
     def test_blow_up_detected(self, heat_system_and_law):
         system, _ = heat_system_and_law
-        # strong anti-diffusive push: feedback with huge positive gains
+        # large data in the open loop: convection outruns the diffusion
         x = np.linspace(0, 2 * np.pi, 128, endpoint=False)
-        with pytest.raises(IntegratorError, match="basin|blew up"):
-            simulate_burgers(system, None, 2e3 * np.sin(x),
+        with pytest.raises(IntegratorError, match="outside the local stability basin"):
+            simulate_burgers(system, zero_law(system), fourier_from_samples(2e3 * np.sin(x), 16),
                              np.linspace(0, 2.0, 21), dt=5e-3)
 
     def test_unstable_step_blamed_not_basin(self, heat_system_and_law):
@@ -221,8 +210,8 @@ class TestBurgers:
         assert simulate._linear_step_radius(system, law, 0.1) > 1.0
         x = np.linspace(0, 2 * np.pi, 128, endpoint=False)
         with pytest.raises(IntegratorError, match="blew up.*step dt=0.1 is unstable"):
-            simulate_burgers(system, law, 1e-3 * np.sin(x), np.linspace(0, 50.0, 11),
-                             dt=0.1)
+            simulate_burgers(system, law, fourier_from_samples(1e-3 * np.sin(x), 16),
+                             np.linspace(0, 50.0, 11), dt=0.1)
 
     def test_non_hermitian_coefficients_rejected(self, heat_system_and_law):
         system, law = heat_system_and_law
@@ -248,7 +237,17 @@ class TestBurgers:
     def test_wrong_branch_count_rejected(self):
         system = SpectralSystem(branches=(heat_branch(8),), label="h")
         with pytest.raises(ValueError, match="two-branch"):
-            simulate_burgers(system, None, np.zeros(17, dtype=complex), [0.0, 0.1])
+            simulate_burgers(system, zero_law(system), np.zeros(17, dtype=complex), [0.0, 0.1])
+
+    @pytest.mark.parametrize("u0", [
+        pytest.param(np.zeros(32, dtype=complex), id="2N-coefficients"),
+        pytest.param(np.zeros(128), id="physical-samples"),
+        pytest.param(np.zeros((1, 33), dtype=complex), id="a-row")])
+    def test_only_hermitian_coefficients_accepted(self, heat_system_and_law, u0):
+        system, law = heat_system_and_law
+        message = "not exactly Hermitian: it must be the 33 coefficients"
+        with pytest.raises(ValueError, match=message):
+            simulate_burgers(system, law, u0, [0.0, 0.1], dt=1e-3)
 
 
 class TestCsvExport:
@@ -351,8 +350,6 @@ def legacy_burgers(system, law, c, times, dt, convolve=legacy_fft_convolve):
 
     def rhs(cv):
         nl = half_dk * convolve(cv, N, length)
-        if law is None:
-            return nl
         a1, a2 = simulate._branch_coords(cv, N)
         return (nl + np.dot(law.branch(1).gains, a1) * phi1
                 + np.dot(law.branch(2).gains, a2) * phi2)
@@ -368,16 +365,6 @@ def legacy_burgers(system, law, c, times, dt, convolve=legacy_fft_convolve):
             t += step
         hist.append(c)
     return simulate._branch_coords(np.array(hist), N)
-
-
-def legacy_fourier_from_physical(u_phys, N):
-    chat = np.fft.fft(u_phys) / len(u_phys)
-    c = np.zeros(2 * N + 1, dtype=complex)
-    c[N] = chat[0]
-    for k in range(1, N + 1):
-        c[N + k] = chat[k]
-        c[N - k] = chat[-k]
-    return c
 
 
 def legacy_control_fourier(system, N):
@@ -523,7 +510,7 @@ class TestFastPathsMatchReferences:
     @pytest.mark.parametrize("closed", [True, False], ids=["law", "open"])
     def test_half_spectrum_matches_full_spectrum_step(self, N, dt, times, closed):
         system = heat_torus_model(N)
-        law = synthesize_feedback(kernels(system, 3.25)) if closed else None
+        law = synthesize_feedback(kernels(system, 3.25)) if closed else zero_law(system)
         u0 = 1e-2 * hermitian_coeffs(np.random.default_rng(12), N)
         trace = simulate_burgers(system, law, u0, times, dt=dt)
         ref = legacy_burgers(system, law, u0, np.array(times), dt)
@@ -546,9 +533,6 @@ class TestFastPathsMatchReferences:
         N = 16
         system = heat_torus_model(N)
         rng = np.random.default_rng(9)
-        u_phys = rng.standard_normal(64)
-        assert same_bits(simulate._fourier_from_physical(u_phys, N),
-                         legacy_fourier_from_physical(u_phys, N))
         for got, want in zip(simulate._control_fourier(system, N),
                              legacy_control_fourier(system, N)):
             assert same_bits(got, want)

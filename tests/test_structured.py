@@ -60,7 +60,7 @@ def _small_branches():
     return [
         pytest.param(heat.branches[0], 2.5, id="heat-sine"),
         pytest.param(heat.branches[1], 2.5, id="heat-constant"),
-        pytest.param(schrodinger_model(24, x ** 2)[0].branches[0], 1.0, id="schrodinger"),
+        pytest.param(schrodinger_model(24, x ** 2).branches[0], 1.0, id="schrodinger"),
         pytest.param(gribov_model(24, eps=0.05 + 0.05j).branches[0], 2.0, id="gribov"),
     ]
 

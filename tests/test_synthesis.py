@@ -1,5 +1,6 @@
 import contextlib
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from fredstab import (BranchKernel, SolverError, SpectralBranch, SpectralSystem,
                       solve_gains_direct, solve_gains_iterative, synthesize_feedback)
 from fredstab.errors import IterationDiverged
 from fredstab.models import gribov_model, heat_torus_model
-from fredstab.synthesis import (SHIFT_SEARCH_WIDTH, _closed_form_products,
+from fredstab.synthesis import (MAX_SWEEPS, SHIFT_SEARCH_WIDTH, _closed_form_products,
                                 cauchy_system_matrix)
 
 from conftest import heat_branch, kernels, schrodinger_branch, worked_branch
@@ -237,9 +238,23 @@ class TestIterativeSolve:
         # heat at this shift has an expanding sweep operator; the failure
         # must carry the observed ratio instead of returning garbage
         with pytest.raises(IterationDiverged) as info:
-            solve_gains_iterative(BranchKernel(heat_branch(64), 2.5), max_iters=80)
+            solve_gains_iterative(BranchKernel(heat_branch(64), 2.5))
         assert info.value.contraction_ratio > 1.0
         assert info.value.history is not None
+
+    def test_overflowing_sweep_stops_with_ratio_inf(self):
+        # heat N=64 at lambda0 = 40 expands until the sweep overflows; it went
+        # on sweeping NaN to the last sweep, with numpy warnings on stderr
+        system = heat_torus_model(64)
+        kernel = BranchKernel(system.branches[0], select_shift(system, 40.0, 0.25).lam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IterationDiverged, match="ratio inf") as info:
+                solve_gains_iterative(kernel)
+        history = info.value.history
+        assert info.value.contraction_ratio == np.inf
+        assert len(history) < MAX_SWEEPS + 1
+        assert np.all(np.isfinite(history[:-1])) and not np.isfinite(history[-1])
 
     @pytest.mark.parametrize("N, lam", [(1, 2.0), (16, 1.0), (256, 3.7)])
     def test_kernel_sweep_matches_the_zero_diagonal_sweep(self, N, lam):
@@ -300,17 +315,13 @@ class TestBetaReduction:
 
 class TestInverseGapProfile:
     def test_heat_profile_bounded(self):
-        ratios, tail_max = inverse_gap_sum_profile(BranchKernel(heat_branch(256), 2.5), 0.0)
+        ratios, tail_max = inverse_gap_sum_profile(BranchKernel(heat_branch(256), 2.5))
         assert np.isfinite(tail_max)
         assert ratios[127] <= 2.0 * ratios[15]
 
-    def test_s_at_alpha_minus_one_rejected(self):
-        with pytest.raises(ValueError, match="alpha-1"):
-            inverse_gap_sum_profile(BranchKernel(heat_branch(16), 2.5), 1.0)
-
     def test_single_mode_empty_sum(self):
         br = SpectralBranch(1, [-1.0], [1.0], alpha=2.0)
-        ratios, _ = inverse_gap_sum_profile(BranchKernel(br, 2.0), 0.0)
+        ratios, _ = inverse_gap_sum_profile(BranchKernel(br, 2.0))
         assert ratios[0] == 0.0
 
 
@@ -327,14 +338,13 @@ class TestBranchKernel:
                 k.C[0, 0] = 0.0
         with contextlib.suppress(IterationDiverged):      # heat's sweeps do not contract
             synthesize_feedback(ks, method="iterative")
-        for k in ks:
-            build_transform(k, law.branch(k.branch.index), [0.0, 0.5])
+        certs = [build_transform(k, law.branch(k.branch.index), [0.0, 0.5]) for k in ks]
         for integrator in ("semigroup_exact", "rk4"):
             simulate_closed_loop(ks, law, random_state(system), [0.0, 0.01, 0.02],
                                  integrator=integrator, dt=1e-4)
-        inverse_gap_sum_profile(ks[0], 0.0)
-        compactness_proxy(ks[0], 0.0, 0.25, ks[0].branch.alpha)
-        conditioning_vs_truncation(ks[0], 0.0)
+        inverse_gap_sum_profile(ks[0])
+        compactness_proxy(ks[0], 0.0, 0.25)
+        conditioning_vs_truncation(ks[0], certs[0])
         for k in ks:
             assert k.C.tobytes() == cauchy_system_matrix(k.branch, law.lam).tobytes()
 

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from fredstab import (BranchKernel, ConfigError, SpectralBranch, SpectralSystem,
                       conditioning_profile,
                       solve_gains_direct, synthesize_feedback, transform_matrix)
 from fredstab.jsonio import canonical_json
-from fredstab.models import gribov_model, heat_torus_model
+from fredstab.models import gribov_model, heat_torus_model, schrodinger_model
 from fredstab.synthesis import cauchy_system_matrix
 from fredstab.transform import (TRANSFORM_SCHEMA, transform_from_json,
                                 transform_to_json)
@@ -174,7 +175,9 @@ class TestConditioning:
 
     def test_nested_truncation_plateau(self):
         from fredstab import conditioning_vs_truncation
-        prof = conditioning_vs_truncation(BranchKernel(heat_branch(128), 2.5), 0.0)
+        kernel = BranchKernel(heat_branch(128), 2.5)
+        cert = build_transform(kernel, solve_gains_direct(kernel.branch, 2.5))
+        prof = conditioning_vs_truncation(kernel, cert)
         assert sorted(prof) == [32, 64, 128]
         vals = [prof[n] for n in sorted(prof)]
         assert max(vals) / min(vals) < 2.0
@@ -256,3 +259,24 @@ class TestScalingCovariance:
         T0 = transform_matrix(br, solve_gains_direct(br, 2.5))
         T1 = transform_matrix(scaled, solve_gains_direct(scaled, 2.5))
         np.testing.assert_allclose(T1, T0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [-500, -300, -1, 1, 300, 500])
+    @pytest.mark.parametrize("system", [
+        heat_torus_model(16),
+        schrodinger_model(16, np.linspace(0.0, 1.0, 1025) ** 2)], ids=["heat", "schrodinger"])
+    def test_certificates_do_not_see_the_scale_of_b(self, system, k):
+        # b -> 2^k b, K -> 2^-k K leaves T as it is; numpy's unscaled vector
+        # norm of b under- and overflowed past 1e+-154, so tb and opeq read
+        # exactly 0 at |b| ~ 1e-150 and opeq NaN at 1e-160
+        def certificates(branches):
+            return [build_transform(BranchKernel(b, 2.5), solve_gains_direct(b, 2.5))
+                    for b in branches]
+
+        scaled = [replace(b, control_coeffs=np.ldexp(b.control_coeffs.view(float), k)
+                          .view(complex)) for b in system.branches]
+        for want, got in zip(certificates(system.branches), certificates(scaled)):
+            for name in ("tb_residual", "opeq_residual", "frobenius"):
+                assert np.float64(getattr(got, name)).tobytes() == \
+                    np.float64(getattr(want, name)).tobytes(), name
+            assert got.diagonal.tobytes() == want.diagonal.tobytes()
+            assert got.column_norms.tobytes() == want.column_norms.tobytes()
