@@ -8,8 +8,8 @@ closed-loop dynamics (including the semilinear torus example).
 
 from .errors import (AssumptionError, ConfigError, FredstabError,
                      IntegratorError, IterationDiverged, SolverError)
-from .models import (SturmLiouvilleProblem, build_model, gribov_model,
-                     heat_torus_model, liouville_transform, schrodinger_model,
+from .models import (SturmLiouvilleProblem, gribov_model, heat_torus_model,
+                     liouville_transform, schrodinger_model,
                      sturm_liouville_eigs_direct, sturm_liouville_model)
 from .simulate import (DecayFit, SimulationTrace, fit_decay, random_state,
                        simulate_burgers, simulate_closed_loop)
@@ -18,10 +18,9 @@ from .spectral_core import (AssumptionVerdict, SpectralBranch, SpectralSystem,
                             sobolev_norm, system_from_json, system_to_json,
                             verify_assumptions, verify_control, verify_gap,
                             verify_growth)
-from .synthesis import (BranchGains, BranchKernel, FeedbackLaw, ShiftSelection,
-                        beta_reduced_gains, inverse_gap_sum_profile,
-                        select_shift, solve_gains_direct, solve_gains_iterative,
-                        synthesize_feedback)
+from .synthesis import (BranchGains, BranchKernel, FeedbackLaw, beta_reduced_gains,
+                        inverse_gap_sum_profile, select_shift, solve_gains_direct,
+                        solve_gains_iterative, synthesize_feedback)
 from .transform import (BranchCertificate, ClosedLoopMatrix, build_transform,
                         closed_loop_matrix, conditioning_profile,
                         conditioning_vs_truncation, transform_matrix)

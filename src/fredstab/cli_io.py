@@ -4,9 +4,11 @@ One JSON config document drives everything.  parse_config reads it against
 one table, _SCHEMA (section -> key -> default and kind of value), before any
 model is built: a section that is not an object, an unknown key or a value
 of the wrong kind is a ConfigError that names the key, and every stage reads
-the filled-in, typed values.  The rules that tie keys together follow in
-parse_config.  A model that cannot be read or built and a u0 index past the
-system are ConfigErrors naming the key too.  Artifacts land in
+the filled-in, typed values.  config.model.params is the section of its
+model kind, and _model hands those values to the kind's generator in
+models.  The rules that tie keys together follow in parse_config.  A model
+that cannot be read or built and a u0 index past the system are
+ConfigErrors naming the key too.  Artifacts land in
 out/{system.json, law.json, transform.json, report.json, traces/, plots/}
 and are byte-identical across runs of the same config and version, at any
 BLAS thread count.
@@ -104,11 +106,37 @@ def _path_component(name):
         return name
 
 
+def _complex(v):
+    """Test: a finite number or an [re, im] pair of them, of finite modulus, as a complex."""
+    re, im = map(_FINITE[0], v if isinstance(v, list) and len(v) == 2 else (v, 0.0))
+    if None not in (re, im) and math.hypot(re, im) <= sys.float_info.max:
+        return complex(re, im)
+
+
+def _numbers(v):
+    """Test: a list of finite numbers, as floats."""
+    if isinstance(v, list) and None not in (typed := list(map(_FINITE[0], v))):
+        return typed
+
+
+def _sampled(v):
+    """Test: a finite number, a list of them, or exactly {"grid": [...], "values": [...]}."""
+    if not isinstance(v, dict):
+        return (_numbers if isinstance(v, list) else _FINITE[0])(v)
+    typed = {key: _numbers(values) for key, values in v.items()}
+    if set(typed) == {"grid", "values"} and None not in typed.values():
+        return typed
+
+
 # a kind of value: (test, what the value must be); a test returns the typed
 # value, or None to refuse it
 _POSITIVE, _FINITE = (_number(0), "a finite number > 0"), (_number(), "a finite number")
 _COUNT, _SEED = (_number(0, int), "a positive integer"), (_number(-1, int), "an integer >= 0")
+_TRUNCATION = (_number(3, int), "an integer >= 4")
 _OBJECT, _STRING = (_of(dict), "an object"), (_of(str), "a string")
+_COMPLEX = (_complex, "a complex number (a finite number or an [re, im] pair)")
+_SAMPLED = (_sampled, 'a sampled function (a finite number, a list of them or '
+                      '{"grid": [...], "values": [...]})')
 
 
 def _each(kind):
@@ -120,19 +148,35 @@ def _choice(*choices):
     return _of(str, choices), "|".join(choices)
 
 
+# model kind -> its params, the section of config.model.params; a None
+# default is the model's own (n^gamma controls, mu = x^2, phi = 1 + x)
+_PARAMS = {
+    "heat_torus": {
+        "m": (0.0, _FINITE), "gamma": (0.0, _FINITE),
+        "phi1_coeffs": (None, _each(_COMPLEX)), "phi2_coeffs": (None, _each(_COMPLEX))},
+    "schrodinger_ground": {"points": (2048, _COUNT), "mu": (None, _SAMPLED)},
+    "sturm_liouville": {
+        "L": (1.0, _POSITIVE), "grid_size": (2000, _COUNT),
+        "a": (None, _SAMPLED), "b": (None, _SAMPLED), "phi": (None, _SAMPLED),
+        "c1": (1.0, _FINITE), "c2": (0.0, _FINITE), "c3": (1.0, _FINITE), "c4": (0.0, _FINITE)},
+    "gribov": {"eps": (0j, _COMPLEX), "r": (0.0, _FINITE), "gamma": (0.0, _FINITE)},
+}
 # section -> key -> (default, kind).  parse_config fills in the None defaults
 # that other keys decide (N and the model's kind, the sweep's lambda0 and N);
-# a scenario's u0 is a "u0", or a "u0 (nonlinear)" in a nonlinear scenario.
+# a scenario's u0 is a "u0", or a "u0 (nonlinear)" in a nonlinear scenario,
+# and config.model.params the section of config.model.kind.
 _SCHEMA = {
     "config": {
-        "model": (None, _OBJECT), "N": (None, _COUNT),
+        "model": (None, _OBJECT), "N": (None, _TRUNCATION),
         "lambda0": (2.0, _POSITIVE), "delta": (0.25, _POSITIVE),
         "method": ("direct", _choice("direct", "iterative", "both")),
         "r_list": ((0.0,), _each(_FINITE)), "scenarios": ((), _each(_OBJECT)),
-        "sweep": (None, _OBJECT), "output_dir": ("out", _STRING)},
+        "sweep": (None, _OBJECT),
+        "output_dir": ("out", (lambda v: _of(str)(v) or None, "a non-empty string"))},
     "config.model": {
-        "kind": (None, _choice(*models.MODEL_KINDS)), "N": (None, _COUNT),
+        "kind": (None, _choice(*_PARAMS)), "N": (None, _TRUNCATION),
         "params": ({}, _OBJECT), "path": (None, _STRING)},
+    **_PARAMS,
     "scenario": {
         "name": ("scenario", (_path_component, "one path component")), "u0": ({}, _OBJECT),
         "t_end": (1.0, _POSITIVE), "samples": (64, _COUNT), "dt": (1e-4, _POSITIVE),
@@ -148,7 +192,7 @@ _SCHEMA = {
         "amplitude": (1e-3, _FINITE)},
     "config.sweep": {
         "lambda0": (None, _each(_POSITIVE)),
-        "N": (None, _each((_number(3, int), "an integer >= 4"))),
+        "N": (None, _each(_TRUNCATION)),
         "gamma": ((None,), _each(_FINITE))},
 }
 # config.N and model.N are one N
@@ -208,6 +252,8 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError("config.model needs a path, or a kind and config.N (or model.N)")
     if model["N"] not in (None, N):
         raise ConfigError(f"config.N {N} and config.model.N {model['N']} differ")
+    if not stored:
+        model["params"] = _fill(model["kind"], model["params"], "config.model.params")
     scenarios = []
     for i, given in enumerate(cfg["scenarios"]):
         sc = _fill("scenario", given, f"config.scenarios[{i}]", lambda key, sc: (
@@ -227,6 +273,9 @@ def parse_config(doc: dict) -> RunConfig:
             if stored and key in cfg["sweep"]:
                 raise ConfigError(f"config.sweep.{key} cannot vary a stored system "
                                   "(config.model.path): it has one N and gamma")
+        if not stored and "gamma" in cfg["sweep"] and "gamma" not in model["params"]:
+            raise ConfigError(f"config.sweep.gamma cannot vary a {model['kind']} model: "
+                              "its params have no gamma")
         # the grid takes the config's shift and truncation unless it varies them
         for key, value in (("lambda0", cfg["lambda0"]), ("N", N)):
             sweep[key] = [value] if sweep[key] is None else sweep[key]
@@ -254,6 +303,36 @@ def _check_matrix_budget(N: int) -> None:
             f"matrices; the budget is {MATRIX_BUDGET_BYTES} bytes (N <= {MAX_N})")
 
 
+def _sampled_param(value, x: np.ndarray, default):
+    """Sampled-function parameter: scalar, value array, or {grid, values}."""
+    if value is None:
+        return default * np.ones_like(x)
+    if isinstance(value, dict):
+        grid = np.asarray(value["grid"], dtype=float)
+        vals = np.asarray(value["values"], dtype=float)
+        return np.interp(x, grid, vals)
+    return np.asarray(value, dtype=float) * np.ones_like(x)
+
+
+def _model(kind: str, N: int, p: dict) -> SpectralSystem:
+    """The built-in model of kind at truncation N, from its filled-in params."""
+    if kind == "heat_torus":
+        return models.heat_torus_model(N, p["m"], p["phi1_coeffs"], p["phi2_coeffs"],
+                                       p["gamma"])
+    if kind == "schrodinger_ground":
+        x = np.linspace(0.0, 1.0, p["points"] + 1)
+        return models.schrodinger_model(
+            N, x ** 2 if p["mu"] is None else _sampled_param(p["mu"], x, 0.0))
+    if kind == "gribov":
+        return models.gribov_model(N, p["eps"], p["r"], p["gamma"])
+    x = np.linspace(0.0, p["L"], p["grid_size"] + 1)
+    problem = models.SturmLiouvilleProblem(
+        a_values=_sampled_param(p["a"], x, 1.0), b_values=_sampled_param(p["b"], x, 0.0),
+        L=p["L"], c1=p["c1"], c2=p["c2"], c3=p["c3"], c4=p["c4"], grid_size=p["grid_size"])
+    phi = (1.0 + x) if p["phi"] is None else _sampled_param(p["phi"], x, 1.0)
+    return models.sturm_liouville_model(problem, N, phi)[0]
+
+
 def _build_system(cfg: RunConfig, N: Optional[int] = None,
                   gamma: Optional[float] = None) -> SpectralSystem:
     """config.model's gated system, at N and gamma when given; a failed build is a ConfigError."""
@@ -261,12 +340,11 @@ def _build_system(cfg: RunConfig, N: Optional[int] = None,
         if cfg.model["path"] is not None:
             system = system_from_json(read_json(cfg.model["path"]))
         else:
-            params = dict(cfg.model["params"])
-            if gamma is not None:
-                params["gamma"] = gamma
+            params = cfg.model["params"] if gamma is None else {**cfg.model["params"],
+                                                                 "gamma": gamma}
             N = cfg.N if N is None else N
             _check_matrix_budget(N)
-            system = models.build_model(cfg.model["kind"], N, params)
+            system = _model(cfg.model["kind"], N, params)
     except (OSError, ValueError, TypeError, KeyError, MemoryError) as exc:
         raise ConfigError(f"config.model: {type(exc).__name__}: {exc}") from exc
     for b in system.branches:
@@ -293,10 +371,9 @@ def _out_dir(cfg: RunConfig, override: Optional[str]) -> str:
 def _synthesize_pipeline(cfg: RunConfig, system: SpectralSystem, r_list, lambda0: float):
     """Shared synthesis path of a gated system: shift -> kernels -> gains -> certificates.
 
-    Returns (shift, law, kernels, {branch index: BranchCertificate}).
+    Returns (law, kernels, {branch index: BranchCertificate}).
     """
-    shift = synthesis.select_shift(system, lambda0, cfg.delta)
-    kernels = _kernels(system, shift.lam)
+    kernels = _kernels(system, synthesis.select_shift(system, lambda0, cfg.delta))
     method = "direct" if cfg.method == "both" else cfg.method
     law = synthesis.synthesize_feedback(kernels, method=method)
     if cfg.method == "both":
@@ -307,8 +384,7 @@ def _synthesize_pipeline(cfg: RunConfig, system: SpectralSystem, r_list, lambda0
                 raise SolverError(
                     f"direct and iterative gains disagree by {gap:.3e} on "
                     f"branch {bg.branch_index}")
-    certs = _build_certificates(kernels, law, r_list)
-    return shift, law, kernels, certs
+    return law, kernels, _build_certificates(kernels, law, r_list)
 
 
 def _worst_residuals(certs) -> tuple:
@@ -340,7 +416,7 @@ def _build_certificates(kernels, law, r_list) -> dict:
 def cmd_synthesize(cfg: RunConfig, out: Optional[str] = None) -> int:
     out = _out_dir(cfg, out)
     system = _build_system(cfg)
-    shift, law, _, certs = _synthesize_pipeline(cfg, system, (), cfg.lambda0)
+    law, _, certs = _synthesize_pipeline(cfg, system, (), cfg.lambda0)
     worst_tb, worst_opeq = _worst_residuals(certs)
     failed = _gate_failure(worst_tb, worst_opeq)
     if failed:                          # before the JSON writer meets a NaN
@@ -349,7 +425,7 @@ def cmd_synthesize(cfg: RunConfig, out: Optional[str] = None) -> int:
     write_json(os.path.join(out, "law.json"), law_to_json(law, certs.values()))
     write_json(os.path.join(out, "transform.json"),
                transform_to_json(law.lam, certs.values()))
-    print(f"synthesized {system.label}: lambda={shift.lam:g} "
+    print(f"synthesized {system.label}: lambda={law.lam:g} "
           f"tb={worst_tb:.3e} opeq={worst_opeq:.3e} -> {out}")
     return 0
 
@@ -679,14 +755,14 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str] = None,
             row["error"] = system
             return row
         try:
-            shift, law, kernels, certs = _synthesize_pipeline(cfg, system, [0.0], l0)
+            law, kernels, certs = _synthesize_pipeline(cfg, system, [0.0], l0)
             match = diagnostics.worst(diagnostics.secular_match_error(b, certs[b.index])
                                       for b in system.branches)
             worst_tb, worst_opeq = _worst_residuals(certs)
             kappas = certs[system.branches[0].index].conditioning
             row.update({
                 "N": system.branches[0].N,       # a stored system's own, not config.N
-                "lambda": shift.lam,
+                "lambda": law.lam,
                 "tb_residual": worst_tb,
                 "opeq_residual": worst_opeq,
                 "spectrum_match": match,

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -21,13 +23,28 @@ def cpairs(values) -> list[list[float]]:
     return np.stack((arr.real, arr.imag), axis=1).tolist()
 
 
-def from_cpairs(pairs) -> np.ndarray:
-    """Decode [[re, im], ...] into a complex array."""
-    arr = np.asarray(pairs, dtype=float)
-    if arr.size == 0:
-        return np.zeros(0, dtype=complex)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("complex pairs must be an Nx2 array of [re, im]")
+def _all_numbers(values) -> bool:
+    """True when every value is a JSON number that reads as a float: a float, or an int in
+    the float range (a bool is neither).  The types are tested at C speed."""
+    types = set(map(type, values))
+    return types <= {float, int} and (int not in types or all(
+        abs(v) <= sys.float_info.max for v in values if type(v) is int))
+
+
+def from_number(value, kind, where: str):
+    """Decode a JSON number of kind (float, or int: an integer); a refusal names where."""
+    if not (_all_numbers([value]) and (kind is float or type(value) is int)):
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{where} must be {what}, got {value!r}")
+    return kind(value)
+
+
+def from_cpairs(pairs, where: str = "complex pairs") -> np.ndarray:
+    """Decode [[re, im], ...] into a complex array; an entry that is not a number is refused."""
+    if not (type(pairs) is list and set(map(type, pairs)) <= {list}
+            and set(map(len, pairs)) <= {2} and _all_numbers(list(chain.from_iterable(pairs)))):
+        raise ValueError(f"{where} must be a list of [re, im] lists of numbers")
+    arr = np.array(pairs, dtype=float).reshape(-1, 2)
     # re + 1j * im would turn an imaginary -0.0 into 0.0; cpairs must round-trip
     out = np.empty(arr.shape[0], dtype=complex)
     out.real = arr[:, 0]

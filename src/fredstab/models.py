@@ -12,6 +12,7 @@ import it when they run, so importing this module loads numpy alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,11 +31,7 @@ __all__ = [
     "sturm_liouville_model",
     "sturm_liouville_eigs_direct",
     "gribov_model",
-    "build_model",
-    "MODEL_KINDS",
 ]
-
-MODEL_KINDS = ("heat_torus", "schrodinger_ground", "sturm_liouville", "gribov")
 
 SCHRODINGER_FLOOR = 1e-10    # smallest nonzero projection, relative to the largest
 SL_B_FLOOR = 1e-12           # smallest nonzero control projection of a diffusion mode
@@ -197,7 +194,7 @@ class SturmLiouvilleProblem:
             raise ValueError(f"a must be strictly positive (a[{bad}] = {a[bad]})")
         if self.L <= 0:
             raise ValueError("L must be positive")
-        if self.c1 ** 2 + self.c2 ** 2 == 0 or self.c3 ** 2 + self.c4 ** 2 == 0:
+        if math.hypot(self.c1, self.c2) == 0 or math.hypot(self.c3, self.c4) == 0:
             raise ValueError("degenerate boundary coefficients")
         a.flags.writeable = False
         b.flags.writeable = False
@@ -454,78 +451,3 @@ def gribov_model(N: int, eps: complex = 0.0, r: float = 0.0,
                             beta=-r, gamma=gamma)
     return SpectralSystem(branches=(branch,), label="gribov")
 
-
-# ---------------------------------------------------------------------------
-# construction from a config's kind, N and params
-# ---------------------------------------------------------------------------
-
-def _coeff_param(value):
-    """Accept coefficient sequences as numbers or JSON [re, im] pairs."""
-    if value is None:
-        return None
-    arr = np.asarray(value)
-    if arr.ndim == 2 and arr.shape[1] == 2:
-        return arr[:, 0] + 1j * arr[:, 1]
-    return arr.astype(complex)
-
-
-def _sampled_param(value, x: np.ndarray, default):
-    """Sampled-function parameter: scalar, value array, or {grid, values}."""
-    if value is None:
-        return default * np.ones_like(x)
-    if isinstance(value, dict):
-        grid = np.asarray(value["grid"], dtype=float)
-        vals = np.asarray(value["values"], dtype=float)
-        return np.interp(x, grid, vals)
-    return np.asarray(value, dtype=float) * np.ones_like(x)
-
-
-def _no_other_params(p: dict, kind: str) -> None:
-    """Refuse the params that the kind's model did not take."""
-    if p:
-        raise ValueError(f"unknown {kind} params: {sorted(p)}")
-
-
-def build_model(kind: str, N: int, params: dict) -> SpectralSystem:
-    """The system of one built-in model family at truncation N; unknown params are refused.
-
-    A Schrodinger mu defaults to x^2 on [0, 1] only when params has none.
-    """
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r}, expected one of {MODEL_KINDS}")
-    if N < 4:
-        raise ValueError("truncation N must be at least 4")
-    p = dict(params)
-    if kind == "heat_torus":
-        args = dict(sobolev_index=float(p.pop("m", 0.0)),
-                    phi1_coeffs=_coeff_param(p.pop("phi1_coeffs", None)),
-                    phi2_coeffs=_coeff_param(p.pop("phi2_coeffs", None)),
-                    gamma=float(p.pop("gamma", 0.0)))
-        _no_other_params(p, kind)
-        return heat_torus_model(N, **args)
-    if kind == "schrodinger_ground":
-        points = int(p.pop("points", 2048))
-        x = np.linspace(0.0, 1.0, points + 1)
-        mu = p.pop("mu", None)
-        mu = x ** 2 if mu is None else _sampled_param(mu, x, 0.0)
-        _no_other_params(p, kind)
-        return schrodinger_model(N, mu)
-    if kind == "sturm_liouville":
-        grid = int(p.pop("grid_size", 2000))
-        L = float(p.pop("L", 1.0))
-        x = np.linspace(0.0, L, grid + 1)
-        a = _sampled_param(p.pop("a", None), x, 1.0)
-        bb = _sampled_param(p.pop("b", None), x, 0.0)
-        phi = p.pop("phi", None)
-        phi = (1.0 + x) if phi is None else _sampled_param(phi, x, 1.0)
-        robin = {c: float(p.pop(c, d)) for c, d in (("c1", 1.0), ("c2", 0.0),
-                                                    ("c3", 1.0), ("c4", 0.0))}
-        _no_other_params(p, kind)
-        problem = SturmLiouvilleProblem(a_values=a, b_values=bb, L=L, grid_size=grid,
-                                        **robin)
-        system, _ = sturm_liouville_model(problem, N, phi)
-        return system
-    args = dict(eps=complex(p.pop("eps", 0.0)), r=float(p.pop("r", 0.0)),
-                gamma=float(p.pop("gamma", 0.0)))
-    _no_other_params(p, kind)
-    return gribov_model(N, **args)

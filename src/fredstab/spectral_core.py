@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionError
-from .jsonio import cpairs, from_cpairs
+from .jsonio import cpairs, from_cpairs, from_number
 
 __all__ = [
     "SpectralBranch",
@@ -378,21 +378,25 @@ def system_to_json(system: SpectralSystem) -> dict:
 
 
 def system_from_json(doc: dict) -> SpectralSystem:
+    """The system of a system.json document.
+
+    Every field must have its JSON type: an integer i and m, numbers alpha,
+    beta and gamma, [re, im] pairs of numbers and a string label.  A refusal
+    names the field and, by its position, the branch.
+    """
     try:
-        branches = tuple(
-            SpectralBranch(
-                index=int(bd["i"]),
-                eigenvalues=from_cpairs(bd["eigenvalues"]),
-                control_coeffs=from_cpairs(bd["control_coeffs"]),
-                alpha=float(bd["alpha"]),
-                beta=float(bd["beta"]),
-                gamma=float(bd["gamma"]),
-            )
-            for bd in doc["branches"]
-        )
-        system = SpectralSystem(branches=branches, label=str(doc.get("label", "")))
+        branches = []
+        for k, bd in enumerate(doc["branches"]):
+            at = f"system branches[{k}]."
+            branches.append(SpectralBranch(
+                from_number(bd["i"], int, at + "i"),
+                *(from_cpairs(bd[name], at + name) for name in ("eigenvalues", "control_coeffs")),
+                *(from_number(bd[name], float, at + name) for name in ("alpha", "beta", "gamma"))))
     except KeyError as exc:
         raise ValueError(f"system document missing field {exc}") from exc
-    if int(doc.get("m", system.m)) != system.m:
+    if not isinstance(label := doc.get("label", ""), str):
+        raise ValueError(f"system label must be a string, got {label!r}")
+    system = SpectralSystem(branches=branches, label=label)
+    if from_number(doc.get("m", system.m), int, "system m") != system.m:
         raise ValueError("declared m does not match the number of branches")
     return system

@@ -29,7 +29,6 @@ from .jsonio import cpairs, from_cpairs
 from .spectral_core import SpectralBranch, SpectralSystem, row_blocks
 
 __all__ = [
-    "ShiftSelection",
     "BranchGains",
     "BranchKernel",
     "FeedbackLaw",
@@ -50,15 +49,7 @@ ITERATION_TOL = 1e-12        # sup of the last correction sweep at convergence
 MAX_SWEEPS = 500             # correction sweeps of solve_gains_iterative before it gives up
 
 
-@dataclass(frozen=True)
-class ShiftSelection:
-    """An accepted spectral shift and the clearance (at least the requested delta) it achieves."""
-
-    lam: float
-    min_distance: float
-
-
-def select_shift(system: SpectralSystem, lambda0: float, delta: float) -> ShiftSelection:
+def select_shift(system: SpectralSystem, lambda0: float, delta: float) -> float:
     """Smallest admissible shift >= lambda0 on a delta/2 scan grid.
 
     Accepts lam when min over branches and n, p of |lambda_n - lambda_p
@@ -70,9 +61,8 @@ def select_shift(system: SpectralSystem, lambda0: float, delta: float) -> ShiftS
     steps = int(2 * SHIFT_SEARCH_WIDTH) + 1        # delta / 2 apart, over WIDTH * delta
     for j in range(steps):
         lam = lambda0 + j * delta / 2.0
-        dist = _clearance(system, lam, delta)
-        if dist >= delta:
-            return ShiftSelection(lam=lam, min_distance=dist)
+        if _clearance(system, lam, delta) >= delta:
+            return lam
     raise SolverError(
         f"no admissible shift in [{lambda0}, {lambda0 + SHIFT_SEARCH_WIDTH * delta}]: "
         "eigenvalue differences cluster too densely for the requested margin")

@@ -80,8 +80,8 @@ def test_criterion_03_truncated_conjugacy():
     checks = []
 
     def run(label, system):
-        shift = fs.select_shift(system, 2.0, 0.25)
-        law = fs.synthesize_feedback(kernels(system, shift.lam))
+        lam = fs.select_shift(system, 2.0, 0.25)
+        law = fs.synthesize_feedback(kernels(system, lam))
         worst_eig = worst_opeq = worst_tb = 0.0
         for b in system.branches:
             bg = law.branch(b.index)
@@ -238,13 +238,13 @@ def test_criterion_08_closed_loop_decay():
 def test_criterion_09_imaginary_spectrum_shift():
     x = np.linspace(0, 1, 4097)
     system = schrodinger_model(64, x ** 2)
-    shift = fs.select_shift(system, 1.0, 0.25)
-    law = fs.synthesize_feedback(kernels(system, shift.lam))
+    lam = fs.select_shift(system, 1.0, 0.25)
+    law = fs.synthesize_feedback(kernels(system, lam))
     cl = fs.closed_loop_matrix(system.branches[0], law.branch(1))
-    worst = float(np.max(np.abs(cl.spectrum.real + shift.lam)))
+    worst = float(np.max(np.abs(cl.spectrum.real + lam)))
     checks = [
         ("all Re(eig) = -lambda", worst <= 1e-6,
-         f"max |Re + lambda| = {worst:.2e} at lambda = {shift.lam}"),
+         f"max |Re + lambda| = {worst:.2e} at lambda = {lam}"),
     ]
     _finish(9, "imaginary-spectrum real-part shift", checks)
 
@@ -252,8 +252,8 @@ def test_criterion_09_imaginary_spectrum_shift():
 def test_criterion_10_semilinear_local_stabilization():
     N = 32
     system = heat_torus_model(N)
-    shift = fs.select_shift(system, 3.0, 0.25)      # 3.0 itself hits a difference
-    law = fs.synthesize_feedback(kernels(system, shift.lam))
+    lam = fs.select_shift(system, 3.0, 0.25)        # 3.0 itself hits a difference
+    law = fs.synthesize_feedback(kernels(system, lam))
     rng = np.random.default_rng(0)
     c = np.zeros(2 * N + 1, dtype=complex)
     c[N] = 0.4
@@ -270,7 +270,7 @@ def test_criterion_10_semilinear_local_stabilization():
     zero_max = max(float(np.max(np.abs(s))) for s in zero_trace.states)
     checks = [
         ("fitted decay >= 1.9", fit.mu_hat >= 1.9,
-         f"mu_hat = {fit.mu_hat:.4f} at lambda = {shift.lam} (ask >= 1.9)"),
+         f"mu_hat = {fit.mu_hat:.4f} at lambda = {lam} (ask >= 1.9)"),
         ("zero state stays zero", zero_max <= 1e-14, f"max = {zero_max:.2e}"),
         ("real-valuedness defect", trace.real_defect <= 1e-10,
          f"defect = {trace.real_defect:.2e}"),

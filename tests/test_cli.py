@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -12,6 +13,7 @@ import threading
 import time
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,8 @@ from fredstab import cli_io, diagnostics, errors, simulate, synthesis, transform
 from fredstab.cli_io import LIVE_MATRICES, MAX_N, main, parse_config
 from fredstab.errors import ConfigError
 from fredstab.jsonio import from_cpairs, write_json
-from fredstab.models import heat_torus_model
+from fredstab.models import (SturmLiouvilleProblem, gribov_model, heat_torus_model,
+                             schrodinger_model, sturm_liouville_model)
 from fredstab.spectral_core import system_from_json, system_to_json
 
 from conftest import run_stage, trace_to_csv
@@ -47,13 +50,17 @@ def write_config(path, drop=(), **overrides):
     return doc
 
 
-# (path of the section in a valid config, key): every key of the config
-# schema, and one unknown key per section
+# section -> its path in a valid config; _CONFIG_KEYS: model kind -> (path,
+# key) of every key of the config schema that a config of that kind holds
+# (its own params section only), and one unknown key per section
 _SECTION_PATHS = {"config": (), "config.model": ("model",), "scenario": ("scenarios", 0),
                   "u0": ("scenarios", 0, "u0"), "u0 (nonlinear)": ("scenarios", 0, "u0"),
-                  "config.sweep": ("sweep",)}
-_CONFIG_KEYS = sorted({(*path, key) for section, path in _SECTION_PATHS.items()
-                       for key in (*cli_io._SCHEMA[section], "typo")})
+                  "config.sweep": ("sweep",),
+                  **dict.fromkeys(cli_io._PARAMS, ("model", "params"))}
+_CONFIG_KEYS = {kind: sorted({(*path, key) for section, path in _SECTION_PATHS.items()
+                              if section not in cli_io._PARAMS or section == kind
+                              for key in (*cli_io._SCHEMA[section], "typo")})
+                for kind in cli_io._PARAMS}
 # JSON values of every type: null, bools, zero, negative, small and huge
 # ints, non-finite and plain floats, strings, lists and objects; a small
 # int stays <= 8, so a model it sizes stays small
@@ -205,7 +212,7 @@ class TestConfigValidation:
         def refuse(kind, N, params):
             raise AssertionError("model built")
 
-        monkeypatch.setattr(cli_io.models, "build_model", refuse)
+        monkeypatch.setattr(cli_io, "_model", refuse)
         cfg = tmp_path / "config.json"
         doc = write_config(cfg)
         doc["sweep"] = sweep
@@ -234,15 +241,15 @@ class TestConfigValidation:
         system = cli_io._build_system(cfg)
         with pytest.raises(ValueError, match="lambda0 and delta must be positive"):
             cli_io._synthesize_pipeline(cfg, system, [0.0], 0.0)
-        shift, *_ = cli_io._synthesize_pipeline(cfg, system, [0.0], 2.25)
-        assert shift.lam == 2.25
+        law, *_ = cli_io._synthesize_pipeline(cfg, system, [0.0], 2.25)
+        assert law.lam == 2.25
 
     @pytest.mark.parametrize("overrides, where", [
-        ({"N": 16.7}, "config.N (or model.N) must be a positive integer, got 16.7"),
-        ({"N": "16"}, "config.N (or model.N) must be a positive integer, got '16'"),
-        ({"N": None}, "config.N (or model.N) must be a positive integer, got None"),
-        ({"N": True}, "config.N (or model.N) must be a positive integer, got True"),
-        ({"N": 0}, "config.N (or model.N) must be a positive integer, got 0"),
+        ({"N": 16.7}, "config.N (or model.N) must be an integer >= 4, got 16.7"),
+        ({"N": "16"}, "config.N (or model.N) must be an integer >= 4, got '16'"),
+        ({"N": None}, "config.N (or model.N) must be an integer >= 4, got None"),
+        ({"N": True}, "config.N (or model.N) must be an integer >= 4, got True"),
+        ({"N": 0}, "config.N (or model.N) must be an integer >= 4, got 0"),
         ({"r_list": [float("nan")]}, "config.r_list[0] must be a finite number, got nan"),
         ({"r_list": [0.0, "a"]}, "config.r_list[1] must be a finite number, got 'a'"),
         ({"scenarios": [{"name": "e", "integrator": "euler"}]},
@@ -264,7 +271,12 @@ class TestConfigValidation:
          "config.scenarios[0] ('s'): u0.n must be a positive integer, got 0"),
         ({"scenarios": [{"name": "s", "nonlinear": "yes"}]},
          "config.scenarios[0] ('s'): nonlinear must be true or false, got 'yes'"),
-        ({"output_dir": 7}, "config.output_dir must be a string, got 7"),
+        ({"N": 2}, "config.N (or model.N) must be an integer >= 4, got 2"),
+        ({"N": 3}, "config.N (or model.N) must be an integer >= 4, got 3"),
+        ({"model": {"kind": "heat_torus", "N": 2}},
+         "config.N (or model.N) must be an integer >= 4, got 2"),
+        ({"output_dir": 7}, "config.output_dir must be a non-empty string, got 7"),
+        ({"output_dir": ""}, "config.output_dir must be a non-empty string, got ''"),
         ({"model": {"kind": "heat_torus", "N": 16, "params": []}},
          "config.model.params must be an object, got []"),
         ({"model": {"kind": "heat_torus", "N": 8, "params": {}}},
@@ -275,7 +287,8 @@ class TestConfigValidation:
     ], ids=["N-float", "N-string", "N-null", "N-bool", "N-zero", "r-nan", "r-string",
             "integrator", "scenario-int", "scenarios-int", "model-kind", "model-path-int",
             "u0-seed", "u0-amplitude", "u0-l2", "u0-kind", "u0-n-zero", "nonlinear-string",
-            "output-dir-int", "params-list", "N-differs", "N-with-path"])
+            "N-two", "N-three", "model-N-two", "output-dir-int", "output-dir-empty", "params-list",
+            "N-differs", "N-with-path"])
     def test_late_failures_refused_at_parse(self, tmp_path, capsys, overrides, where):
         # a float N ran truncated, a string N was accepted, a null N ended in
         # a raw TypeError; the integrator and the NaN r passed synthesize and
@@ -285,7 +298,9 @@ class TestConfigValidation:
         # descriptor 5; the bad u0 values failed in simulate with a raw
         # ValueError, a wrong u0 kind only there, and u0.n = 0 excited mode
         # N; "yes" ran Burgers; output_dir 7, params [], a model.N beside a
-        # different N or beside a path were accepted.
+        # different N or beside a path were accepted.  An N of 2 or 3 was
+        # refused only by the model build, and an empty output_dir by
+        # makedirs with a FileNotFoundError that named no key.
         cfg = tmp_path / "config.json"
         doc = write_config(cfg)
         doc.update(overrides)
@@ -338,24 +353,31 @@ class TestConfigValidation:
                             "r_list": [0.0, 0.5, 2.0, 0.123456, 0.12346]})
         assert cfg.r_list == (0.0, 0.5, 2.0, 0.123456, 0.12346)
 
-    @settings(max_examples=60, deadline=None)
-    @given(changes=st.lists(st.tuples(st.sampled_from(_CONFIG_KEYS), _JSON_VALUES),
-                            min_size=1, max_size=3))
-    def test_any_json_value_is_run_or_refused(self, changes):
-        # every key of a valid config (N = 8), its model, one scenario, that
-        # scenario's u0 and the sweep takes any JSON value: parse_config
-        # refuses only with a ConfigError, and synthesize exits 0 or with the
-        # code of a FredstabError and its JSON on stderr, never a traceback
-        doc = {"model": {"kind": "heat_torus", "N": 8, "params": {}}, "N": 8,
+    @settings(max_examples=100, deadline=None)
+    @given(kind_changes=st.sampled_from(sorted(_CONFIG_KEYS)).flatmap(
+        lambda kind: st.tuples(st.just(kind), st.lists(
+            st.tuples(st.sampled_from(_CONFIG_KEYS[kind]), _JSON_VALUES),
+            min_size=1, max_size=3))))
+    def test_any_json_value_is_run_or_refused(self, kind_changes):
+        # every key of a valid config (N = 8) of each model kind, its model
+        # and params, one scenario, that scenario's u0 and the sweep takes
+        # any JSON value: parse_config refuses only with a ConfigError, and
+        # synthesize exits 0 or with the code of a FredstabError and its JSON
+        # on stderr, never a traceback
+        kind, changes = kind_changes
+        doc = {"model": {"kind": kind, "N": 8, "params": {}}, "N": 8,
                "lambda0": 2.5, "r_list": [0.0],
                "scenarios": [{"name": "s", "u0": {"kind": "random", "seed": 0},
                               "t_end": 0.01, "samples": 2}],
-               "sweep": {"lambda0": [2.5], "N": [8], "gamma": [0.0]}}
+               "sweep": {"lambda0": [2.5], "N": [8]}}
+        if "gamma" in cli_io._PARAMS[kind]:
+            doc["sweep"]["gamma"] = [0.0]
         for (*path, key), value in changes:
             section = doc
             for step in path:       # an earlier change may have replaced a section
                 section = (section.get(step) if isinstance(section, dict) else
-                           section[step] if isinstance(section, list) and section else None)
+                           section[step] if isinstance(section, list) and section
+                           and isinstance(step, int) else None)
             if isinstance(section, dict):
                 section[key] = value
         text = json.dumps(doc)      # NaN and Infinity as JSON's reader reads them
@@ -774,23 +796,23 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("model, message", [
         ({"kind": "heat_torus", "params": {"gamma": "x"}},
-         "ValueError: could not convert string to float: 'x'"),
+         "config.model.params.gamma must be a finite number, got 'x'"),
         ({"kind": "heat_torus", "params": {"gamma": 5}},
-         "ValueError: gamma=5.0 outside [0, (alpha-1)/2) = [0, 0.5)"),
+         "config.model: ValueError: gamma=5.0 outside [0, (alpha-1)/2) = [0, 0.5)"),
         ({"kind": "heat_torus", "params": {"gama": 0.1}},
-         "ValueError: unknown heat_torus params: ['gama']"),
+         "unknown keys in config.model.params: ['gama']"),
         ({"kind": "gribov", "params": {"eps": 1.0}},
-         "ValueError: |eps| = 1.0 exceeds the cap 0.1"),
+         "config.model: ValueError: |eps| = 1.0 exceeds the cap 0.1"),
         ({"kind": "schrodinger_ground", "params": {"points": 10}},
-         "ValueError: mu must be sampled on at least 512 quadrature points"),
+         "config.model: ValueError: mu must be sampled on at least 512 quadrature points"),
     ], ids=["gamma-string", "gamma-5", "unknown-param", "gribov-eps", "schrodinger-points"])
     def test_failed_model_build_is_a_config_error(self, tmp_path, capsys, model, message):
         # each was a raw ValueError; an unknown params key was ignored
         cfg = tmp_path / "config.json"
         write_config(cfg, model={"N": 16, **model})
         assert main(["synthesize", "--config", str(cfg)]) == 1
-        assert json.loads(capsys.readouterr().err) == {
-            "error": "ConfigError", "message": f"config.model: {message}"}
+        assert json.loads(capsys.readouterr().err) == {"error": "ConfigError",
+                                                       "message": message}
         assert not (tmp_path / "out" / "system.json").exists()
 
     def test_rk4_guard_exits_four(self, tmp_path, capsys):
@@ -1139,7 +1161,7 @@ class TestSweepCommand:
         # made in the calling thread in grid order, before the points run,
         # and the standing assumptions are checked once per branch of each
         built, checked = [], []
-        build = cli_io.models.build_model
+        build = cli_io._model
         check = cli_io.verify_assumptions
 
         def counting_build(kind, N, params):
@@ -1150,7 +1172,7 @@ class TestSweepCommand:
             checked.append((branch.N, branch.index))
             return check(branch)
 
-        monkeypatch.setattr(cli_io.models, "build_model", counting_build)
+        monkeypatch.setattr(cli_io, "_model", counting_build)
         monkeypatch.setattr(cli_io, "verify_assumptions", counting_check)
         cfg = tmp_path / "config.json"
         write_config(cfg, sweep={"lambda0": [1.0, 2.0, 4.0], "N": [12, 16]}, N=12,
@@ -1659,6 +1681,51 @@ class TestSystemFromPath:
             rows = list(csv.DictReader(fh))
         assert [(r["N"], r["error"]) for r in rows] == [("12", ""), ("12", "")]
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["branches"][0].update(alpha="2"),
+         "system branches[0].alpha must be a number, got '2'"),
+        (lambda d: d["branches"][0].update(i=True),
+         "system branches[0].i must be an integer, got True"),
+        (lambda d: d["branches"][1].update(i=2.0),
+         "system branches[1].i must be an integer, got 2.0"),
+        (lambda d: d["branches"][0].update(eigenvalues=[[str(re), str(im)] for re, im
+                                                        in d["branches"][0]["eigenvalues"]]),
+         "system branches[0].eigenvalues must be a list of [re, im] lists of numbers"),
+        (lambda d: d["branches"][1].update(control_coeffs=[[True, 0.0]] * 8),
+         "system branches[1].control_coeffs must be a list of [re, im] lists of numbers"),
+        (lambda d: d["branches"][0].update(gamma="0"),
+         "system branches[0].gamma must be a number, got '0'"),
+        (lambda d: d.update(m=2.0), "system m must be an integer, got 2.0"),
+        (lambda d: d.update(label=7), "system label must be a string, got 7"),
+    ], ids=["alpha-string", "i-true", "i-float", "eigenvalue-strings", "coeff-bools",
+            "gamma-string", "m-float", "label-int"])
+    def test_stored_field_of_the_wrong_type_refused(self, tmp_path, capsys, edit, message):
+        # each ran: float() and int() read strings, booleans and 2.0, and
+        # str() any label
+        doc = system_to_json(heat_torus_model(8))
+        edit(doc)
+        write_json(tmp_path / "system.json", doc)
+        cfg = tmp_path / "config.json"
+        write_config(cfg, drop=["N"], model={"path": str(tmp_path / "system.json")})
+        assert main(["synthesize", "--config", str(cfg)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ConfigError", "message": f"config.model: ValueError: {message}"}
+        assert not (tmp_path / "out" / "system.json").exists()
+
+    def test_stored_law_of_the_wrong_type_refused(self, tmp_path, capsys):
+        # law.json and transform.json read their pairs through the same decoder
+        cfg = tmp_path / "config.json"
+        write_config(cfg)
+        assert main(["synthesize", "--config", str(cfg)]) == 0
+        law = json.loads((tmp_path / "out" / "law.json").read_text())
+        law["branches"][1]["gains"][3] = [str(v) for v in law["branches"][1]["gains"][3]]
+        write_json(tmp_path / "out" / "law.json", law)
+        capsys.readouterr()
+        assert main(["verify", "--config", str(cfg)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError",
+            "message": "complex pairs must be a list of [re, im] lists of numbers"}
+
     def test_model_loaded_from_artifact(self, tmp_path):
         cfg1 = tmp_path / "c1.json"
         write_config(cfg1)
@@ -1694,3 +1761,147 @@ class TestSystemFromPath:
         assert verdict["growth"]["alpha_hat"] is None
         assert verdict["control"]["beta_hat"] is None
         assert (verdict["gap"]["constant"] is None) == (N == 1)
+
+
+# a config that sets every params key of each kind, and the same model from
+# its generator
+_EVERY_PARAM = {
+    "heat_torus": (
+        {"m": 2, "gamma": 0.1, "phi1_coeffs": [[n ** 0.1, 0.0] for n in range(1, 9)],
+         "phi2_coeffs": [1, *(n ** 0.1 for n in range(1, 8))]},
+        lambda: heat_torus_model(8, 2.0, [n ** 0.1 for n in range(1, 9)],
+                                 [1.0, *(n ** 0.1 for n in range(1, 8))], gamma=0.1)),
+    "schrodinger_ground": (
+        {"points": 600, "mu": {"grid": [0.0, 0.5, 1.0], "values": [0.1, 0.3, 1.0]}},
+        lambda: schrodinger_model(8, np.interp(np.linspace(0.0, 1.0, 601), [0.0, 0.5, 1.0],
+                                               [0.1, 0.3, 1.0]))),
+    "sturm_liouville": (
+        {"L": 2.0, "grid_size": 400, "a": (1.0 + np.linspace(0.0, 2.0, 401)).tolist(),
+         "b": 0.5, "phi": {"grid": [0.0, 2.0], "values": [1.0, 2.0]},
+         "c1": 1.0, "c2": 0.5, "c3": 2, "c4": 0.0},
+        lambda: sturm_liouville_model(SturmLiouvilleProblem(
+            a_values=1.0 + np.linspace(0.0, 2.0, 401), b_values=np.full(401, 0.5), L=2.0,
+            c1=1.0, c2=0.5, c3=2.0, c4=0.0, grid_size=400),
+            8, np.interp(np.linspace(0.0, 2.0, 401), [0.0, 2.0], [1.0, 2.0]))[0]),
+    "gribov": ({"eps": [0.05, -0.02], "r": 0.5, "gamma": 0.1},
+               lambda: gribov_model(8, complex(0.05, -0.02), r=0.5, gamma=0.1)),
+}
+
+
+def _bits(system) -> list:
+    return [(b.index, b.alpha, b.beta, b.gamma, b.eigenvalues.tobytes(),
+             b.control_coeffs.tobytes()) for b in system.branches] + [system.label]
+
+
+def _built(kind, N, params):
+    return cli_io._build_system(parse_config({"model": {"kind": kind, "N": N,
+                                                        "params": params}}))
+
+
+class TestModelParams:
+    def test_heat_dispatch(self):
+        system = _built("heat_torus", 8, {"gamma": 0.0})
+        assert system.m == 2
+        assert [b.N for b in system.branches] == [8, 8]
+
+    def test_unknown_kind(self):
+        with pytest.raises(ConfigError, match=r"config.model.kind must be heat_torus\|"
+                                              r"schrodinger_ground\|sturm_liouville\|gribov, "
+                                              r"got 'wave'"):
+            parse_config({"model": {"kind": "wave", "N": 8}})
+
+    def test_minimum_truncation(self):
+        with pytest.raises(ConfigError, match=r"must be an integer >= 4, got 2"):
+            parse_config({"model": {"kind": "heat_torus", "N": 2}})
+
+    def test_gribov_dispatch(self):
+        system = _built("gribov", 8, {"eps": 0.05})
+        assert system.branches[0].alpha == 3.0
+        assert _bits(system) == _bits(gribov_model(8, eps=0.05))
+
+    def test_default_gribov_eps_is_complex_zero(self):
+        assert cli_io._PARAMS["gribov"]["eps"][0] == complex(0.0)
+        assert _bits(_built("gribov", 8, {})) == _bits(gribov_model(8, eps=complex(0.0)))
+
+    def test_default_schrodinger_mu_is_x_squared(self):
+        # only an absent mu takes this default; an explicit zero mu is refused
+        # (test_vanishing_schrodinger_mu_*)
+        x = np.linspace(0.0, 1.0, 2049)
+        built = _built("schrodinger_ground", 8, {}).branches[0]
+        direct = schrodinger_model(8, x ** 2).branches[0]
+        assert np.array_equal(built.control_coeffs, direct.control_coeffs)
+
+    def test_sampled_function_params(self):
+        # sampled functions travel as {grid, values} and are re-interpolated
+        grid = np.linspace(0, 1, 11).tolist()
+        system = _built("sturm_liouville", 4, {
+            "grid_size": 400, "L": 1.0,
+            "a": {"grid": grid, "values": [1.0] * 11},
+            "phi": {"grid": grid, "values": (1.0 + np.linspace(0, 1, 11)).tolist()},
+        })
+        exact = -(np.arange(1, 5) * np.pi) ** 2
+        rel = np.abs(system.branches[0].eigenvalues.real - exact) / np.abs(exact)
+        assert rel.max() < 1e-3
+
+    def test_huge_robin_coefficient_builds(self):
+        # c1 ** 2 raised an OverflowError out of the degeneracy check, a
+        # traceback past main; with c2 = 0 the left end is Dirichlet whatever c1
+        assert (_bits(_built("sturm_liouville", 8, {"c1": 1e308}))
+                == _bits(_built("sturm_liouville", 8, {})))
+
+    @pytest.mark.parametrize("kind", sorted(_EVERY_PARAM))
+    def test_every_params_key_builds_the_generators_model(self, kind):
+        params, direct = _EVERY_PARAM[kind]
+        assert set(params) == set(cli_io._PARAMS[kind])
+        assert _bits(_built(kind, 8, params)) == _bits(direct())
+
+    @pytest.mark.parametrize("kind, params", [
+        ("heat_torus", {"gamma": "0.1"}), ("heat_torus", {"m": "2"}),
+        ("heat_torus", {"m": True}), ("heat_torus", {"phi1_coeffs": "1111111111111111"}),
+        ("heat_torus", {"phi2_coeffs": [1.0, [0.0, "1"]]}),
+        ("schrodinger_ground", {"points": 1000.9}), ("schrodinger_ground", {"points": "600"}),
+        ("schrodinger_ground", {"points": True}),
+        ("schrodinger_ground", {"mu": {"grid": [0.0, 1.0]}}),
+        ("schrodinger_ground", {"mu": {"grid": [0.0, 1.0], "values": [1.0, 2.0], "x": 1}}),
+        ("gribov", {"eps": "0.05j"}), ("gribov", {"r": "1"}), ("gribov", {"eps": True}),
+        ("gribov", {"eps": [1.7e308, 1.7e308]}), ("gribov", {"eps": [0.0, 1.0, 2.0]}),
+        ("sturm_liouville", {"grid_size": 400.5}), ("sturm_liouville", {"L": "2"}),
+        ("sturm_liouville", {"c1": True}), ("sturm_liouville", {"a": "3"}),
+        ("sturm_liouville", {"phi": [1.0, None]}),
+    ], ids=lambda v: v if isinstance(v, str) else "-".join(v))
+    def test_params_of_the_wrong_kind_refused(self, tmp_path, capsys, kind, params):
+        # each exited 0, or exited 1 with a message that named no key
+        cfg = tmp_path / "config.json"
+        write_config(cfg, model={"kind": kind, "N": 16, "params": params})
+        assert main(["synthesize", "--config", str(cfg)]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ConfigError"
+        assert payload["message"].startswith(f"config.model.params.{next(iter(params))}")
+        assert " must be " in payload["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["schrodinger_ground", "sturm_liouville"])
+    @pytest.mark.parametrize("stage", ["synthesize", "sweep"])
+    def test_sweep_cannot_vary_a_gamma_the_model_lacks(self, tmp_path, capsys, kind, stage):
+        # each row read "config.model: ValueError: unknown schrodinger_ground
+        # params: ['gamma']" and the sweep exited 0
+        cfg = tmp_path / "config.json"
+        write_config(cfg, model={"kind": kind, "N": 16, "params": {}},
+                     sweep={"lambda0": [2.5], "gamma": [0.0, 0.1]})
+        assert main([stage, "--config", str(cfg)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ConfigError", "message": f"config.sweep.gamma cannot vary a {kind} "
+                                               "model: its params have no gamma"}
+        assert not (tmp_path / "out").exists()
+
+
+def test_readme_config_table_names_every_key():
+    # README's Config keys section says it mirrors _SCHEMA: every key of every
+    # section appears there in backticks
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config keys", 1)[1].split("\n#", 1)[0]
+    named = {word for span in re.findall(r"`([^`]*)`", section)
+             for word in re.findall(r"\w+", span)}
+    missing = sorted({f"{name}.{key}" for name, keys in cli_io._SCHEMA.items()
+                      for key in keys if key not in named})
+    assert not missing, f"README's Config keys section does not name {missing}"

@@ -4,8 +4,8 @@ import scipy.integrate
 import scipy.linalg
 
 from fredstab import AssumptionError, SolverError, verify_control, verify_growth
-from fredstab.models import (SturmLiouvilleProblem, build_model, gribov_model,
-                             heat_torus_model, liouville_transform, schrodinger_model,
+from fredstab.models import (SturmLiouvilleProblem, gribov_model, heat_torus_model,
+                             liouville_transform, schrodinger_model,
                              sturm_liouville_eigs_direct, sturm_liouville_model)
 from fredstab.spectral_core import classify_controllability
 
@@ -264,41 +264,3 @@ class TestGribov:
         cls = classify_controllability(system.branches[0], r=2.0)
         assert "not-necessarily-admissible" in cls.labels
 
-
-class TestBuildModel:
-    def test_dispatch(self):
-        system = build_model("heat_torus", 8, {"gamma": 0.0})
-        assert system.m == 2
-        assert [b.N for b in system.branches] == [8, 8]
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match=r"unknown model kind 'wave', expected one of "):
-            build_model("wave", 8, {})
-
-    def test_minimum_truncation(self):
-        with pytest.raises(ValueError, match="truncation N must be at least 4"):
-            build_model("heat_torus", 2, {})
-
-    def test_gribov_dispatch(self):
-        system = build_model("gribov", 8, {"eps": 0.05})
-        assert system.branches[0].alpha == 3.0
-
-    def test_default_schrodinger_mu_is_x_squared(self):
-        # only an absent mu takes this default; an explicit zero mu is refused
-        # (tests/test_cli.py, test_vanishing_schrodinger_mu_*)
-        x = np.linspace(0.0, 1.0, 2049)
-        built = build_model("schrodinger_ground", 8, {}).branches[0]
-        direct = schrodinger_model(8, x ** 2).branches[0]
-        assert np.array_equal(built.control_coeffs, direct.control_coeffs)
-
-    def test_sampled_function_params(self):
-        # sampled functions travel as {grid, values} and are re-interpolated
-        grid = np.linspace(0, 1, 11).tolist()
-        system = build_model("sturm_liouville", 4, {
-            "grid_size": 400, "L": 1.0,
-            "a": {"grid": grid, "values": [1.0] * 11},
-            "phi": {"grid": grid, "values": (1.0 + np.linspace(0, 1, 11)).tolist()},
-        })
-        exact = -(np.arange(1, 5) * np.pi) ** 2
-        rel = np.abs(system.branches[0].eigenvalues.real - exact) / np.abs(exact)
-        assert rel.max() < 1e-3

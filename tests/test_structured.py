@@ -133,7 +133,7 @@ def admissible_branches(draw, kind, max_n=24):
     b = np.array(mags) * np.exp(1j * np.array(phases))
     branch = fs.SpectralBranch(1, ev, b, alpha=2.0)
     system = fs.SpectralSystem((branch,), "random")
-    lam = fs.select_shift(system, draw(st.floats(0.5, 5.0)), 0.25).lam
+    lam = fs.select_shift(system, draw(st.floats(0.5, 5.0)), 0.25)
     return branch, lam
 
 

@@ -14,8 +14,8 @@ from fredstab import (BranchKernel, SolverError, SpectralBranch, SpectralSystem,
                       solve_gains_direct, solve_gains_iterative, synthesize_feedback)
 from fredstab.errors import IterationDiverged
 from fredstab.models import gribov_model, heat_torus_model
-from fredstab.synthesis import (MAX_SWEEPS, SHIFT_SEARCH_WIDTH, _closed_form_products,
-                                cauchy_system_matrix)
+from fredstab.synthesis import (MAX_SWEEPS, SHIFT_SEARCH_WIDTH, _clearance,
+                                _closed_form_products, cauchy_system_matrix)
 
 from conftest import heat_branch, kernels, schrodinger_branch, worked_branch
 
@@ -114,24 +114,23 @@ class TestSelectShift:
     def test_single_mode(self):
         system = SpectralSystem(
             branches=(SpectralBranch(1, [-1.0], [1.0], alpha=2.0),), label="s")
-        sel = select_shift(system, 5.0, 0.1)
-        assert sel.lam == pytest.approx(5.0)
+        assert select_shift(system, 5.0, 0.1) == pytest.approx(5.0)
 
     def test_heat_accepts_two(self):
         system = SpectralSystem(branches=(heat_branch(32),), label="h")
-        sel = select_shift(system, 2.0, 0.25)
-        assert sel.lam == pytest.approx(2.0)
+        shift = select_shift(system, 2.0, 0.25)
+        assert shift == pytest.approx(2.0)
         # brute-force oracle over all pairs
         lam = system.branches[0].eigenvalues
         worst = min(abs(lam[n] - lam[p] + 2.0) for n in range(32) for p in range(32))
-        assert sel.min_distance == pytest.approx(worst, rel=1e-12)
-        assert sel.min_distance == pytest.approx(1.0)
+        assert _clearance(system, shift, 0.25) == pytest.approx(worst, rel=1e-12)
+        assert _clearance(system, shift, 0.25) == pytest.approx(1.0)
 
     def test_imaginary_differences_clear_immediately(self):
         system = SpectralSystem(branches=(schrodinger_branch(32),), label="s")
-        sel = select_shift(system, 1.0, 0.25)
-        assert sel.lam == pytest.approx(1.0)
-        assert sel.min_distance == pytest.approx(1.0)
+        shift = select_shift(system, 1.0, 0.25)
+        assert shift == pytest.approx(1.0)
+        assert _clearance(system, shift, 0.25) == pytest.approx(1.0)
 
     def test_exhaustion_on_dense_differences(self):
         # integer eigenvalue differences cover every grid point at delta = 1
@@ -156,10 +155,10 @@ class TestSelectShift:
         # the scan over one N x N difference table per branch, row blocks or not
         system = ORACLE_MODELS[model](N)
         lam, dist = dense_select_shift(system, lambda0, 0.25)
-        sel = select_shift(system, lambda0, 0.25)
-        assert (sel.lam > lambda0) == rejects
-        assert sel.lam.hex() == lam.hex()
-        assert sel.min_distance.hex() == dist.hex()
+        shift = select_shift(system, lambda0, 0.25)
+        assert (shift > lambda0) == rejects
+        assert shift.hex() == lam.hex()
+        assert _clearance(system, shift, 0.25).hex() == dist.hex()
 
 
 class TestResolvent:
@@ -246,7 +245,7 @@ class TestIterativeSolve:
         # heat N=64 at lambda0 = 40 expands until the sweep overflows; it went
         # on sweeping NaN to the last sweep, with numpy warnings on stderr
         system = heat_torus_model(64)
-        kernel = BranchKernel(system.branches[0], select_shift(system, 40.0, 0.25).lam)
+        kernel = BranchKernel(system.branches[0], select_shift(system, 40.0, 0.25))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IterationDiverged, match="ratio inf") as info:
@@ -281,15 +280,15 @@ class TestShiftLowerBound:
     def test_accepted_shift_keeps_difference_proportionality(self):
         br = heat_branch(32)
         system = SpectralSystem(branches=(br,), label="h")
-        sel = select_shift(system, 2.0, 0.25)
+        shift = select_shift(system, 2.0, 0.25)
         lam_seq = br.eigenvalues
         diffs = np.array([
             lam_seq[n] - lam_seq[p]
             for n in range(32) for p in range(32) if n != p])
         min_gap = np.min(np.abs(diffs))
-        c_lambda = 1.0 - sel.lam / min_gap
+        c_lambda = 1.0 - shift / min_gap
         if c_lambda > 0:
-            assert np.all(np.abs(diffs + sel.lam) >= c_lambda * np.abs(diffs) - 1e-12)
+            assert np.all(np.abs(diffs + shift) >= c_lambda * np.abs(diffs) - 1e-12)
 
 
 class TestScalingCovariance:
