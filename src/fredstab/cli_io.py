@@ -11,7 +11,8 @@ that cannot be read or built and a u0 index past the system are
 ConfigErrors naming the key too.  Artifacts land in
 out/{system.json, law.json, transform.json, report.json, traces/, plots/}
 and are byte-identical across runs of the same config and version, at any
-BLAS thread count.
+BLAS thread count.  synthesize and sweep create out only once their inputs
+have passed, so a refused stage leaves no empty directory.
 
 No stage forms the transform T: transform.json stores the O(N) certificate
 that transform.build_transform takes in one row-blocked pass over C (schema
@@ -363,9 +364,9 @@ def _usable_cores() -> int:
 
 
 def _out_dir(cfg: RunConfig, override: Optional[str]) -> str:
-    out = override or cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-    return out
+    """The stage's output directory, not created here: synthesize and sweep make it
+    only once their inputs have passed, so a refused stage leaves no empty one."""
+    return override or cfg.output_dir
 
 
 def _synthesize_pipeline(cfg: RunConfig, system: SpectralSystem, r_list, lambda0: float):
@@ -421,6 +422,7 @@ def cmd_synthesize(cfg: RunConfig, out: Optional[str] = None) -> int:
     failed = _gate_failure(worst_tb, worst_opeq)
     if failed:                          # before the JSON writer meets a NaN
         raise SolverError(failed)
+    os.makedirs(out, exist_ok=True)
     write_json(os.path.join(out, "system.json"), system_to_json(system))
     write_json(os.path.join(out, "law.json"), law_to_json(law, certs.values()))
     write_json(os.path.join(out, "transform.json"),
@@ -792,6 +794,7 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str] = None,
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(run_point, grid))
+    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "sweep.csv")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=_SWEEP_FIELDS)

@@ -39,6 +39,13 @@ def from_number(value, kind, where: str):
     return kind(value)
 
 
+def from_numbers(values, where: str) -> np.ndarray:
+    """Decode a JSON list of numbers into a float array; a refusal names where."""
+    if not (type(values) is list and _all_numbers(values)):
+        raise ValueError(f"{where} must be a list of numbers")
+    return np.array(values, dtype=float)
+
+
 def from_cpairs(pairs, where: str = "complex pairs") -> np.ndarray:
     """Decode [[re, im], ...] into a complex array; an entry that is not a number is refused."""
     if not (type(pairs) is list and set(map(type, pairs)) <= {list}

@@ -10,10 +10,15 @@ resolvent sums.  Its solution has a closed form (the Cauchy determinant),
 
     x_n = lambda * prod_{p != n} (1 + lambda / (lambda_n - lambda_p)),
 
-which the direct method evaluates in log space in O(N^2) without C.  The
-fixed-point accumulation x = lambda * 1 + sum of correction sweeps is the
-independent iterative route.  It and every other consumer read C from the
-branch's BranchKernel, which a stage builds once.
+which the direct method evaluates in log space in O(N^2) without C.  On a
+purely imaginary spectrum lambda_n = i y_n at a real shift (a skew-adjoint
+branch, such as Schrodinger's) each factor is 1 - i s with s = lambda /
+(y_n - y_p) real, so the log-sum is real arithmetic, ½ log1p(s^2) -
+i atan(s), with no branch cut and no zero factor.  The fixed-point
+accumulation x = lambda * 1 + sum of correction sweeps is the independent
+iterative route.  It and every other consumer read C from the branch's
+BranchKernel, which a stage builds once; the kernel also holds the closed
+form's products, computed once on first use.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import IterationDiverged, SolverError
-from .jsonio import cpairs, from_cpairs
+from .jsonio import cpairs, from_cpairs, from_number
 from .spectral_core import SpectralBranch, SpectralSystem, row_blocks
 
 __all__ = [
@@ -165,28 +170,41 @@ class FeedbackLaw:
         raise KeyError(f"no gains for branch {index}")
 
 
+def _real_pairs(eigenvalues: np.ndarray, lam) -> bool:
+    """True on a skew-adjoint branch: a purely imaginary spectrum, not all zero, at a
+    real nonzero shift.  There every closed-form factor is 1 - i s with s real."""
+    return (np.isrealobj(lam) and lam != 0 and not np.any(eigenvalues.real)
+            and bool(np.any(eigenvalues.imag)))
+
+
 def _closed_form_products(branch: SpectralBranch, lam: float) -> np.ndarray:
     """Products x = C^-1 1 from the Cauchy determinant, summed in log space.
 
     x_n = lam * prod_{p != n} (1 + lam / (lambda_n - lambda_p)), one block
     of rows n at a time.  A real spectrum takes real logs log|1 + q| and a
     count of negative factors for the sign, so its products are exactly
-    real.  Raises SolverError on a shift that hits an eigenvalue difference
-    exactly (a zero factor) and when a log-sum or a product is not finite
-    or a product vanishes, which covers a repeated eigenvalue (an infinite
-    factor).
+    real.  A skew-adjoint branch (_real_pairs: lambda_n = i y_n, a real
+    shift) takes the real pair s = lam / (y_n - y_p): its factor 1 - i s has
+    log ½ log1p(s^2) - i atan(s), whose real part 1 puts it off the branch
+    cut and away from zero.  Raises SolverError on a shift that hits an
+    eigenvalue difference exactly (a zero factor) and when a log-sum or a
+    product is not finite or a product vanishes, which covers a repeated
+    eigenvalue (an infinite factor).
     """
     ev = branch.eigenvalues
+    pairs = _real_pairs(ev, lam)
     real = bool(np.all(ev.imag == 0))
     if real:
         ev = ev.real
-    log_sum = np.empty(branch.N, dtype=ev.dtype)
+    elif pairs:
+        ev = ev.imag
+    log_sum = np.empty(branch.N, dtype=float if real else complex)
     odd = np.zeros(branch.N, dtype=bool)            # an odd count of negative factors
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for i, j in row_blocks(branch.N):
             d = ev[i:j, None] - ev[None, :]         # d[n - i][p] = lambda_n - lambda_p
             np.fill_diagonal(d[:, i:], np.inf)      # p == n contributes log 1 = 0
-            if np.any(d == -lam):
+            if not pairs and np.any(d == -lam):
                 raise SolverError(f"shift {lam} hits an eigenvalue difference exactly")
             # in place: a fresh temporary per step costs more than the logs
             q = np.divide(lam, d, out=d)
@@ -196,6 +214,13 @@ def _closed_form_products(branch: SpectralBranch, lam: float) -> np.ndarray:
                 np.subtract(-2.0, q, out=q, where=neg)
                 log_sum[i:j] = np.sum(np.log1p(q, out=q), axis=1)
                 odd[i:j] = np.count_nonzero(neg, axis=1) % 2
+            elif pairs:
+                # q = s: log(1 - i s) = ½ log1p(s^2) - i atan(s).  The terms are
+                # good to an ulp; summed in double, their rounding left the
+                # products less accurate than the complex logs', so long double
+                log_sum.imag[i:j] = -np.sum(np.arctan(q), axis=1, dtype=np.longdouble)
+                log_sum.real[i:j] = 0.5 * np.sum(np.log1p(np.square(q, out=q), out=q),
+                                                 axis=1, dtype=np.longdouble)
             else:
                 # numpy's complex log1p loses digits that log(1 + q) keeps
                 log_sum[i:j] = np.sum(np.log(np.add(q, 1.0, out=q), out=q), axis=1)
@@ -215,7 +240,8 @@ def _closed_form_products(branch: SpectralBranch, lam: float) -> np.ndarray:
 
 
 class BranchKernel:
-    """A branch's Cauchy matrix C at lam, from one build and read-only, and T^-1's w."""
+    """A branch's Cauchy matrix C at lam, from one build and read-only, and the
+    closed form's products x and T^-1's w, each computed once on first use."""
 
     def __init__(self, branch: SpectralBranch, lam: float):
         self.branch, self.lam = branch, float(lam)
@@ -223,8 +249,25 @@ class BranchKernel:
         self.C.flags.writeable = False
 
     @cached_property
+    def skew_adjoint(self) -> bool:
+        """True on a purely imaginary spectrum, not all zero (_real_pairs at lam)."""
+        return _real_pairs(self.branch.eigenvalues, self.lam)
+
+    @cached_property
+    def products(self) -> np.ndarray:
+        """x = C^-1 1, the closed form of the branch at lam (read-only)."""
+        x = _closed_form_products(self.branch, self.lam)
+        x.flags.writeable = False
+        return x
+
+    @cached_property
     def w(self) -> np.ndarray:
-        """w = C^-T 1 of T^-1 = diag(b) C^T diag(w / b): the closed form on -lambda_n."""
+        """w = C^-T 1 of T^-1 = diag(b) C^T diag(w / b): the closed form on -lambda_n.
+
+        On a skew-adjoint branch -lambda_n = conj(lambda_n), so w = conj(x).
+        """
+        if self.skew_adjoint:
+            return np.conj(self.products)
         negated = replace(self.branch, eigenvalues=-self.branch.eigenvalues)
         return _closed_form_products(negated, self.lam)
 
@@ -285,12 +328,12 @@ def synthesize_feedback(kernels, method: str = "direct") -> FeedbackLaw:
     """Per-branch gain synthesis on a stage's kernels, at their common shift.
 
     kernels are the BranchKernel of every branch, in branch order; the
-    direct route reads only their branch and lam.
+    direct route reads their closed-form products.
     """
     if method not in ("direct", "iterative"):
         raise ValueError(f"unknown method {method!r}")
-    gains = tuple(solve_gains_direct(k.branch, k.lam) if method == "direct"
-                  else solve_gains_iterative(k) for k in kernels)
+    gains = tuple(_products_to_gains(k.branch, k.lam, k.products, "direct")
+                  if method == "direct" else solve_gains_iterative(k) for k in kernels)
     return FeedbackLaw(lam=kernels[0].lam, method=method, branches=gains)
 
 
@@ -359,15 +402,21 @@ def law_to_json(law: FeedbackLaw, certificates) -> dict:
 
 
 def law_from_json(doc: dict) -> FeedbackLaw:
+    """The law of a law.json document.
+
+    lambda must be a number, method a string and each branch's i an
+    integer; a refusal names the field and, by its position, the branch.
+    """
     try:
-        lam = float(doc["lambda"])
+        lam = from_number(doc["lambda"], float, "law lambda")
+        if not isinstance(method := doc["method"], str):
+            raise ValueError(f"law method must be a string, got {method!r}")
         branches = tuple(
-            BranchGains(branch_index=int(bd["i"]), lam=lam,
-                        method=str(doc["method"]),
-                        gains=from_cpairs(bd["gains"]),
+            BranchGains(branch_index=from_number(bd["i"], int, f"law branches[{k}].i"),
+                        lam=lam, method=method, gains=from_cpairs(bd["gains"]),
                         products=from_cpairs(bd["products_x"]))
-            for bd in doc["branches"]
+            for k, bd in enumerate(doc["branches"])
         )
     except KeyError as exc:
         raise ValueError(f"law document missing field {exc}") from exc
-    return FeedbackLaw(lam=lam, method=str(doc["method"]), branches=branches)
+    return FeedbackLaw(lam=lam, method=method, branches=branches)

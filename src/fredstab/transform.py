@@ -24,9 +24,12 @@ is the closed-form product of the negated spectrum (the kernel's w), so
 neither the weighted condition number kappa_r nor simulate's semigroup
 factorizes: build_transform takes ||W T W^-1||_2 and ||W T^-1 W^-1||_2,
 W = diag(n^r), for the admissible r it is given, from Golub-Kahan-Lanczos
-bidiagonalizations that only multiply by C and C^T.  closed_loop_matrix and
-conditioning_profile (an SVD per r) are the dense O(N^3) forms, kept as
-test oracles.
+bidiagonalizations that only multiply by C and C^T.  On a skew-adjoint
+branch (a purely imaginary spectrum at a real shift) C is Hermitian and
+w = conj(x), so T^-1 is conj(T) up to the unitary diagonal similarity
+diag(b / conj(b)), ||W T^-1 W^-1||_2 = ||W T W^-1||_2, and one Lanczos norm
+gives kappa_r.  closed_loop_matrix and conditioning_profile (an SVD per r)
+are the dense O(N^3) forms, kept as test oracles.
 """
 
 from __future__ import annotations
@@ -36,10 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .jsonio import cpairs, from_cpairs
+from .jsonio import cpairs, from_cpairs, from_number, from_numbers
 from .spectral_core import SpectralBranch, admissible_r_interval, row_blocks
-from .synthesis import (BranchGains, BranchKernel, cauchy_system_matrix,
-                        solve_gains_direct)
+from .synthesis import BranchGains, BranchKernel, cauchy_system_matrix
 
 __all__ = [
     "ClosedLoopMatrix",
@@ -136,8 +138,9 @@ def build_transform(kernel: BranchKernel, gains: BranchGains,
     the nearest root of the closed-loop secular function.  conditioning
     maps each r of r_list inside the admissible interval to kappa_r =
     ||W T W^-1||_2 ||W T^-1 W^-1||_2, W = diag(n^r), from two Lanczos norm
-    estimates (_weighted_conditioning; about 10 steps per norm on
-    Schrodinger, 30 on heat), and is empty when none is.  It agrees with the
+    estimates, or from one squared on a skew-adjoint branch
+    (_weighted_conditioning; about 10 steps per norm on Schrodinger, 30 on
+    heat), and is empty when none is.  It agrees with the
     dense conditioning_profile to 1e-12 * max(1, kappa) relative on random
     admissible branches (N <= 32), and to about 1e-15 at the benchmark sizes.
 
@@ -284,20 +287,24 @@ def _weighted_conditioning(kernel: BranchKernel, gains: np.ndarray, r_list) -> d
     T = diag(b) C diag(-K) and its explicit inverse T^-1 = diag(b) C^T
     diag(w / b) share the kernel's C and w, which are left as they are;
     both norms are Lanczos estimates (_spectral_norm), real when lambda, b
-    and K are.  Nothing is computed for an empty r_list.
+    and K are.  On a skew-adjoint branch (kernel.skew_adjoint) the two norms
+    are equal, so kappa_r is the first one squared and w is not read.
+    Nothing is computed for an empty r_list.
     """
     if not r_list:
         return {}
-    branch, C, w = kernel.branch, kernel.C, kernel.w
+    branch, C = kernel.branch, kernel.C
     b, K = branch.control_coeffs, gains
+    w = None if kernel.skew_adjoint else kernel.w
     if not (np.any(branch.eigenvalues.imag) or np.any(b.imag) or np.any(K.imag)):
         C, b, K, w = np.ascontiguousarray(C.real), b.real, K.real, w.real
     n = branch.mode_indices.astype(float)
     profile = {}
     for r in r_list:
         scale = n ** r
-        profile[float(r)] = (_spectral_norm(C, scale * b, -K / scale)
-                             * _spectral_norm(C.T, scale * b, w / (b * scale)))
+        norm = _spectral_norm(C, scale * b, -K / scale)
+        profile[float(r)] = (norm ** 2 if w is None
+                             else norm * _spectral_norm(C.T, scale * b, w / (b * scale)))
     return profile
 
 
@@ -309,8 +316,9 @@ def conditioning_vs_truncation(kernel: BranchKernel, certificate: BranchCertific
     of the kernel's branch: the level N is its kappa_0 when it has one.
     Every other level takes the closed-form gains of its truncation and
     the structured kappa_0 of build_transform from kernel.truncated, whose
-    C is the leading block of the kernel's (the full level reuses the
-    kernel's w).  r = 0 outside the admissible interval raises ValueError.
+    C is the leading block of the kernel's and whose cached products give
+    the gains (at the full level, the kernel's own).  r = 0 outside the
+    admissible interval raises ValueError.
     """
     branch = kernel.branch
     lo, hi = admissible_r_interval(branch.alpha, branch.gamma, beta=branch.beta)
@@ -323,7 +331,7 @@ def conditioning_vs_truncation(kernel: BranchKernel, certificate: BranchCertific
             profile[n] = certificate.conditioning[0.0]
             continue
         sub = kernel.truncated(n)
-        gains = solve_gains_direct(sub.branch, kernel.lam).gains
+        gains = -sub.products / sub.branch.control_coeffs     # as solve_gains_direct
         profile[n] = _weighted_conditioning(sub, gains, [0.0])[0.0]
     return profile
 
@@ -341,7 +349,7 @@ def transform_to_json(lam: float, certificates) -> dict:
         "i": cert.branch_index,
         "N": cert.N,
         "diagonal": cpairs(cert.diagonal),
-        "column_norms": cert.column_norms,
+        "column_norms": cert.column_norms.tolist(),
         "frobenius": cert.frobenius,
         "tb_residual": float(cert.tb_residual),
         "opeq_residual": float(cert.opeq_residual),
@@ -353,7 +361,10 @@ def transform_from_json(doc: dict) -> dict[int, BranchCertificate]:
     """Stored branch certificates of a transform document, keyed by branch index.
 
     Documents without the current schema tag, including the schema-1 files
-    that stored all of T, are refused with a ConfigError.
+    that stored all of T, are refused with a ConfigError.  Every field must
+    have its JSON type: a number lambda, frobenius and residual, an integer
+    i and N, a list of numbers for the column norms; a refusal (ValueError)
+    names the field and, by its position, the branch.
     """
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != TRANSFORM_SCHEMA:
@@ -362,16 +373,16 @@ def transform_from_json(doc: dict) -> dict[int, BranchCertificate]:
             f"{TRANSFORM_SCHEMA!r}; run synthesize again")
     certs = {}
     try:
-        lam = float(doc["lambda"])
-        for bd in doc["branches"]:
+        lam = from_number(doc["lambda"], float, "transform lambda")
+        for k, bd in enumerate(doc["branches"]):
+            at = f"transform branches[{k}]."
             cert = BranchCertificate(
-                branch_index=int(bd["i"]), lam=lam,
+                branch_index=from_number(bd["i"], int, at + "i"), lam=lam,
                 diagonal=from_cpairs(bd["diagonal"]),
-                column_norms=np.asarray(bd["column_norms"], dtype=float),
-                frobenius=float(bd["frobenius"]),
-                tb_residual=float(bd["tb_residual"]),
-                opeq_residual=float(bd["opeq_residual"]))
-            if not int(bd["N"]) == cert.N == cert.column_norms.size:
+                column_norms=from_numbers(bd["column_norms"], at + "column_norms"),
+                **{name: from_number(bd[name], float, at + name)
+                   for name in ("frobenius", "tb_residual", "opeq_residual")})
+            if not from_number(bd["N"], int, at + "N") == cert.N == cert.column_norms.size:
                 raise ValueError(
                     f"transform branch {cert.branch_index}: N={bd['N']} but "
                     f"{cert.N} diagonal entries and {cert.column_norms.size} "

@@ -676,12 +676,15 @@ class TestVerifyCommand:
             sizes[N] = (tmp_path / f"out{N}" / "transform.json").stat().st_size
         assert sizes[128] <= 2.2 * sizes[64]
 
-    def test_missing_artifact(self, tmp_path, capsys):
+    @pytest.mark.parametrize("stage", ["verify", "simulate", "report"])
+    def test_missing_artifact(self, tmp_path, capsys, stage):
+        # a refused stage left an empty output directory behind
         cfg = tmp_path / "config.json"
         write_config(cfg)
-        code = main(["verify", "--config", str(cfg)])
+        code = main([stage, "--config", str(cfg)])
         assert code == 1
         assert "missing artifact" in json.loads(capsys.readouterr().err)["message"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestSimulateCommand:
@@ -1458,14 +1461,12 @@ class TestReportCommand:
         assert main(["report", "--config", str(cfg)]) == 0
         assert path.read_bytes() == simulated
 
-    @pytest.mark.parametrize("kind, method, builds, weights_taken", [
-        ("heat_torus", "direct", 2, {"synthesize": 0, "verify": 1, "simulate": 2,
-                                     "report": 3, "sweep": 2}),
-        ("schrodinger_ground", "both", 1, {"synthesize": 0, "verify": 1, "simulate": 1,
-                                           "report": 3, "sweep": 1}),
+    @pytest.mark.parametrize("kind, method, builds, weights_taken, closed_forms, norms", [
+        ("heat_torus", "direct", 2, (0, 1, 2, 3, 2), (2, 1, 2, 5, 4), (0, 4, 4, 8, 2)),
+        ("schrodinger_ground", "both", 1, (0, 0, 1, 0, 1), (1, 0, 1, 2, 1), (0, 2, 2, 4, 1)),
     ], ids=["heat", "schrodinger-both"])
     def test_cauchy_builds_per_stage(self, tmp_path, monkeypatch, kind, method, builds,
-                                     weights_taken):
+                                     weights_taken, closed_forms, norms):
         # Each stage builds one BranchKernel per branch as soon as it knows
         # the shift, and every consumer reads its C: both gain routes (the
         # fixed-point sweeps too), the certificates (tb, opeq, the secular
@@ -1473,20 +1474,30 @@ class TestReportCommand:
         # conditioning), the semigroup, the report's S_c and its plateau
         # (leading blocks of the full C).  So every stage, and each sweep
         # point, builds one C per branch: 2 on heat, 1 on Schrodinger.
-        # The weights w of T^-1 are computed once per kernel, on first use:
-        # synthesize = 0 (no conditioning), verify = 1 (branch 1's
-        # conditioning), simulate = one per branch (the semigroup; the
-        # conditioning reuses branch 1's), report = 1 + 2 (the plateau's
-        # N/4 and N/2 levels; its level N reuses the kernel's w), one sweep
-        # point = as simulate.
+        # Per stage synthesize/verify/simulate/report/sweep (one point):
+        # - the weights w of T^-1, once per kernel on first use.  Heat:
+        #   0, 1 (branch 1's conditioning), 2 (the semigroup of each branch;
+        #   the conditioning reuses branch 1's), 3 (1 + the plateau's N/4 and
+        #   N/2 levels; its level N is the certificate's), 2 (as simulate).
+        #   Schrodinger is skew-adjoint: kappa_r needs no w, so only the
+        #   semigroup reads it;
+        # - the closed form, once per kernel for the products (the direct
+        #   gains, and on Schrodinger w = conj(x)) and once for a w of its
+        #   own on heat.  Heat: 2, 1, 2, 5 (branch 1's w + the two plateau
+        #   levels' products and w), 4 (gains and w).  Schrodinger: 1, 0, 1
+        #   (the semigroup's w), 2 (the plateau levels' gains), 1 (gains and w);
+        # - the Lanczos norms of the conditioning (r_list [0, 0.5]; the
+        #   sweep's r = 0): two per kappa_r on heat, one on Schrodinger.
         cfg = tmp_path / "config.json"
         write_config(cfg, N=64, model={"kind": kind, "N": 64, "params": {}}, method=method,
-                     sweep={"lambda0": [2.5]}, scenarios=[
+                     r_list=[0.0, 0.5], sweep={"lambda0": [2.5]}, scenarios=[
                          {"name": "lin", "u0": {"kind": "random", "seed": 0},
                           "t_end": 1.0, "samples": 16}])
-        calls, weights = [], []
+        calls, weights, products, lanczos = [], [], [], []
         build = synthesis.cauchy_system_matrix
-        closed_form = synthesis.BranchKernel.w.func
+        weights_of = synthesis.BranchKernel.w.func
+        closed_form = synthesis._closed_form_products
+        spectral_norm = transform._spectral_norm
 
         def counting_build(branch, lam):
             calls.append(branch.index)
@@ -1494,28 +1505,42 @@ class TestReportCommand:
 
         def counting_weights(kernel):
             weights.append(kernel.branch.index)
-            return closed_form(kernel)
+            return weights_of(kernel)
 
-        # count at every binding, so an import of the name elsewhere is seen
-        bound = [module for name, module in sorted(sys.modules.items())
-                 if name.split(".")[0] == "fredstab"
-                 and getattr(module, "cauchy_system_matrix", None) is build]
+        def counting_closed_form(branch, lam):
+            products.append(branch.index)
+            return closed_form(branch, lam)
+
+        def counting_norm(*args, **kwargs):
+            lanczos.append(1)
+            return spectral_norm(*args, **kwargs)
+
+        # count at every binding, so an import of the name elsewhere is seen;
+        # the conditioning's norms are transform's (the compactness proxy
+        # calls diagnostics' binding, once per report, and is not counted)
+        modules = [module for name, module in sorted(sys.modules.items())
+                   if name.split(".")[0] == "fredstab"]
+        bound = [m for m in modules if getattr(m, "cauchy_system_matrix", None) is build]
         assert synthesis in bound and transform in bound
         for module in bound:
             monkeypatch.setattr(module, "cauchy_system_matrix", counting_build)
+        for module in modules:
+            if getattr(module, "_closed_form_products", None) is closed_form:
+                monkeypatch.setattr(module, "_closed_form_products", counting_closed_form)
+        monkeypatch.setattr(transform, "_spectral_norm", counting_norm)
         counted = functools.cached_property(counting_weights)
         counted.__set_name__(synthesis.BranchKernel, "w")
         monkeypatch.setattr(synthesis.BranchKernel, "w", counted)
-        counts, w_counts = {}, {}
-        for stage in ("synthesize", "verify", "simulate", "report", "sweep"):
-            calls.clear()
-            weights.clear()
+        stages = ("synthesize", "verify", "simulate", "report", "sweep")
+        counts = {"builds": [], "w": [], "closed forms": [], "norms": []}
+        for stage in stages:
+            for seen in (calls, weights, products, lanczos):
+                seen.clear()
             assert main([stage, "--config", str(cfg), "--jobs", "1"]) == 0, stage
-            counts[stage] = len(calls)
-            w_counts[stage] = len(weights)
-        assert counts == dict.fromkeys(("synthesize", "verify", "simulate", "report",
-                                        "sweep"), builds)
-        assert w_counts == weights_taken
+            for key, seen in zip(counts, (calls, weights, products, lanczos)):
+                counts[key].append(len(seen))
+        assert counts == {"builds": [builds] * len(stages), "w": list(weights_taken),
+                          "closed forms": list(closed_forms), "norms": list(norms)}
 
 
 # The exit-code contract of the module docstring of cli_io, written out
@@ -1710,7 +1735,40 @@ class TestSystemFromPath:
         assert main(["synthesize", "--config", str(cfg)]) == 1
         assert json.loads(capsys.readouterr().err) == {
             "error": "ConfigError", "message": f"config.model: ValueError: {message}"}
-        assert not (tmp_path / "out" / "system.json").exists()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("law.json", lambda d: d.update({"lambda": "2.5"}),
+         "law lambda must be a number, got '2.5'"),
+        ("law.json", lambda d: d["branches"][1].update(i=True),
+         "law branches[1].i must be an integer, got True"),
+        ("law.json", lambda d: d.update(method=1), "law method must be a string, got 1"),
+        ("transform.json", lambda d: d["branches"][0].update(N="16"),
+         "transform branches[0].N must be an integer, got '16'"),
+        ("transform.json", lambda d: d["branches"][1].update(i=2.0),
+         "transform branches[1].i must be an integer, got 2.0"),
+        ("transform.json", lambda d: d["branches"][0].update(frobenius=None),
+         "transform branches[0].frobenius must be a number, got None"),
+        ("transform.json", lambda d: d["branches"][0]["column_norms"].__setitem__(3, "1"),
+         "transform branches[0].column_norms must be a list of numbers"),
+    ], ids=["law-lambda-string", "law-i-true", "law-method-int", "transform-N-string",
+            "transform-i-float", "transform-frobenius-null", "transform-norm-string"])
+    def test_stored_law_or_transform_field_of_the_wrong_type_refused(
+            self, tmp_path, capsys, name, edit, message):
+        # each ran: float() and int() read strings, booleans and 2.0, and str()
+        # any method; verify exited 0 and wrote report.json
+        cfg = tmp_path / "config.json"
+        write_config(cfg)
+        assert main(["synthesize", "--config", str(cfg)]) == 0
+        path = tmp_path / "out" / name
+        doc = json.loads(path.read_text())
+        edit(doc)
+        write_json(path, doc)
+        capsys.readouterr()
+        assert main(["verify", "--config", str(cfg)]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "ValueError",
+                                                       "message": message}
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def test_stored_law_of_the_wrong_type_refused(self, tmp_path, capsys):
         # law.json and transform.json read their pairs through the same decoder

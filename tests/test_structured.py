@@ -12,6 +12,7 @@ operator_equality_residual and the SVDs of conditioning_profile.
 """
 
 import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import mpmath
@@ -25,7 +26,7 @@ import fredstab as fs
 from fredstab.cli_io import TB_GATE, main
 from fredstab.diagnostics import secular_match_error, spectrum_match_error
 from fredstab.models import gribov_model, heat_torus_model, schrodinger_model
-from fredstab.synthesis import cauchy_system_matrix
+from fredstab.synthesis import _closed_form_products, cauchy_system_matrix
 
 from conftest import (heat_branch, kernels, operator_equality_residual,
                       schrodinger_branch, worked_branch)
@@ -248,6 +249,85 @@ class TestStructuredConditioning:
         assert list(certify(branch, g, [-2.0, 0.5, 1.5]).conditioning) == [0.5]
         assert certify(branch, g, [2.0]).conditioning == {}
         assert certify(branch, g).conditioning == {}
+
+
+# Skew-adjoint branches: a purely imaginary spectrum -i c (n^alpha - 1 + jitter),
+# alpha in (1, 3], with the shift from select_shift.
+@st.composite
+def imaginary_branches(draw, max_n=32):
+    N = draw(st.integers(2, max_n))
+    n = np.arange(1, N + 1, dtype=float)
+    alpha = draw(st.floats(1.0, 3.0, exclude_min=True))
+    jitter = np.array(draw(st.lists(st.floats(-0.2, 0.2), min_size=N, max_size=N)))
+    ev = -1j * draw(st.floats(0.5, 10.0)) * (n ** alpha - 1.0 + jitter)
+    b = np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=N, max_size=N)))
+    branch = fs.SpectralBranch(1, ev, b * np.exp(1j * draw(st.floats(0.0, 6.28))),
+                               alpha=alpha)
+    lam = fs.select_shift(fs.SpectralSystem((branch,), "random"),
+                          draw(st.floats(0.5, 5.0)), 0.25)
+    return branch, lam
+
+
+def complex_log_products(branch, lam):
+    """The generic closed form on any spectrum: numpy's complex log per factor, one table."""
+    d = branch.eigenvalues[:, None] - branch.eigenvalues[None, :]
+    np.fill_diagonal(d, np.inf)
+    return lam * np.exp(np.sum(np.log(1.0 + lam / d), axis=1))
+
+
+def mpmath_closed_form(branch, lam, digits=60):
+    """x_n = lam prod_{p != n} (1 + lam / (lambda_n - lambda_p)) at the given precision."""
+    with mpmath.workdps(digits):
+        ev = [mpmath.mpc(complex(v)) for v in branch.eigenvalues]
+        return [lam * mpmath.fprod(1 + lam / (ev_n - ev_p) for ev_p in ev if ev_p != ev_n)
+                for ev_n in ev]
+
+
+class TestSkewAdjointBranches:
+    """The real-pair closed form, w = conj(x) and the one-norm kappa_r."""
+
+    @PROPERTY
+    @given(imaginary_branches())
+    def test_hermitian_kernel_and_conjugate_weights(self, case):
+        branch, lam = case
+        kernel = fs.BranchKernel(branch, lam)
+        assert kernel.skew_adjoint
+        assert np.array_equal(kernel.C, kernel.C.conj().T)
+        negated = replace(branch, eigenvalues=-branch.eigenvalues)
+        assert kernel.w.tobytes() == _closed_form_products(negated, lam).tobytes()
+        assert kernel.products.tobytes() == fs.solve_gains_direct(branch, lam).products.tobytes()
+
+    @PROPERTY
+    @given(imaginary_branches(), st.sampled_from([0.0, 0.5]))
+    def test_one_norm_kappa_matches_dense_profile(self, case, r):
+        branch, lam = case
+        g = fs.solve_gains_direct(branch, lam)
+        kernel = fs.BranchKernel(branch, lam)
+        kappa = fs.build_transform(kernel, g, [r]).conditioning[r]
+        assert "w" not in vars(kernel)             # T^-1 was not needed
+        dense = fs.conditioning_profile(fs.transform_matrix(branch, g), [r],
+                                        branch.alpha, 0.0)[r]
+        assert abs(kappa - dense) <= 1e-12 * max(1.0, dense) * dense
+
+    @pytest.mark.parametrize("lam", [2.5, 40.25])
+    def test_no_less_accurate_than_the_complex_log(self, lam):
+        branch = schrodinger_branch(48)
+        exact = mpmath_closed_form(branch, lam)
+
+        def error(x):
+            return max(float(abs(mpmath.mpc(complex(v)) - e) / abs(e)) for v, e in zip(x, exact))
+
+        real_pair = error(fs.solve_gains_direct(branch, lam).products)
+        assert real_pair <= error(complex_log_products(branch, lam))
+        assert real_pair <= 2 * np.finfo(float).eps
+
+    def test_other_spectra_keep_their_path(self):
+        # a real part anywhere keeps the complex logs, an all-zero spectrum the real ones
+        for ev in ([-1.0 - 1j, -4j, -9j], [0.0]):
+            branch = fs.SpectralBranch(1, ev, np.ones(len(ev)), alpha=2.0)
+            kernel = fs.BranchKernel(branch, 2.5)
+            assert not kernel.skew_adjoint
+            assert kernel.products.tobytes() == complex_log_products(branch, 2.5).tobytes()
 
 
 class TestHeatGainLimits:

@@ -38,15 +38,24 @@ def dense_select_shift(system, lambda0, delta):
 
 
 def dense_closed_form_products(branch, lam):
-    """The closed-form products from one N x N log table (no error checks)."""
+    """The closed-form products from one N x N log table (no error checks).
+
+    A purely imaginary spectrum i y, not all zero, takes the real pairs
+    s = lam / (y_n - y_p) and log(1 - i s) = ½ log1p(s^2) - i atan(s).
+    """
     ev = branch.eigenvalues
     real = bool(np.all(ev.imag == 0))
-    if real:
-        ev = ev.real
+    pairs = not real and not np.any(ev.real)
+    ev = ev.real if real else ev.imag if pairs else ev
     d = ev[:, None] - ev[None, :]
     np.fill_diagonal(d, np.inf)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         q = np.divide(lam, d, out=d)
+        if pairs:
+            log_sum = np.empty(len(ev), dtype=complex)
+            log_sum.imag = -np.sum(np.arctan(q), axis=1, dtype=np.longdouble)
+            log_sum.real = 0.5 * np.sum(np.log1p(q * q), axis=1, dtype=np.longdouble)
+            return lam * np.exp(log_sum)
         if real:
             neg = q < -1.0
             np.subtract(-2.0, q, out=q, where=neg)
