@@ -46,7 +46,7 @@ def from_numbers(values, where: str) -> np.ndarray:
     return np.array(values, dtype=float)
 
 
-def from_cpairs(pairs, where: str = "complex pairs") -> np.ndarray:
+def from_cpairs(pairs, where: str) -> np.ndarray:
     """Decode [[re, im], ...] into a complex array; an entry that is not a number is refused."""
     if not (type(pairs) is list and set(map(type, pairs)) <= {list}
             and set(map(len, pairs)) <= {2} and _all_numbers(list(chain.from_iterable(pairs)))):

@@ -40,44 +40,32 @@ GRIBOV_EPS_CAP = 0.1         # largest |eps| that keeps the spectrum cubic
 
 
 # ---------------------------------------------------------------------------
-# quadrature on sample grids (numpy only, bitwise equal to scipy.integrate)
+# quadrature on sample grids (numpy only; scipy.integrate's rules)
 # ---------------------------------------------------------------------------
 
-def _simpson(y: np.ndarray, x: np.ndarray) -> float:
-    """scipy.integrate.simpson(y, x=x) on a 1-D grid of at least 3 distinct nodes.
+def _simpson_weights(x: np.ndarray) -> np.ndarray:
+    """Weights W with sum(W * y) = scipy.integrate.simpson(y, x=x) up to rounding.
 
-    An odd sample count is composite Simpson over pairs of intervals; an
-    even one adds Cartwright's correction for the last interval.  The
-    operation order is scipy's, so the result is bit for bit the same.
+    x is a 1-D grid of at least 3 distinct nodes.  The formulas are
+    scipy's: composite Simpson over pairs of intervals and, for an even
+    sample count, Cartwright's correction for the last interval.
     """
-    N = len(y)
-    if N % 2 == 1:
-        return _basic_simpson(y, N - 2, x)
-    result = _basic_simpson(y, N - 3, x)
-    diffs = np.diff(x)
-    # 0-d arrays as in scipy: their ** 3 can differ in the last bit from
-    # the same power of a float64 scalar
-    h0 = np.squeeze(diffs[-2:-1])
-    h1 = np.squeeze(diffs[-1:])
-    alpha = (2 * h1 ** 2 + 3 * h0 * h1) / (6 * (h1 + h0))
-    beta = (h1 ** 2 + 3.0 * h0 * h1) / (6 * h0)
-    eta = (1 * h1 ** 3) / (6 * h0 * (h0 + h1))
-    result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
-    return result + 0.0           # scipy's final "+= val" (0.0): -0.0 -> +0.0
-
-
-def _basic_simpson(y: np.ndarray, stop: int, x: np.ndarray):
-    """Simpson over the interval pairs starting at nodes 0, 2, ..., < stop."""
+    n = len(x)
     h = np.diff(x)
+    stop = n - 2 if n % 2 else n - 3
     h0 = h[0:stop:2]
     h1 = h[1:stop + 1:2]
     hsum = h0 + h1
-    hprod = h0 * h1
-    h0divh1 = h0 / h1
-    tmp = hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / h0divh1)
-                        + y[1:stop + 1:2] * (hsum * (hsum / hprod))
-                        + y[2:stop + 2:2] * (2.0 - h0divh1))
-    return np.sum(tmp)
+    w = np.zeros(n)
+    w[0:stop:2] += hsum / 6.0 * (2.0 - h1 / h0)
+    w[1:stop + 1:2] += hsum / 6.0 * (hsum * (hsum / (h0 * h1)))
+    w[2:stop + 2:2] += hsum / 6.0 * (2.0 - h0 / h1)
+    if n % 2 == 0:
+        h0, h1 = h[-2], h[-1]
+        w[-1] += (2 * h1 ** 2 + 3 * h0 * h1) / (6 * (h1 + h0))
+        w[-2] += (h1 ** 2 + 3.0 * h0 * h1) / (6 * h0)
+        w[-3] -= h1 ** 3 / (6 * h0 * (h0 + h1))
+    return w
 
 
 def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -131,22 +119,26 @@ def schrodinger_model(N: int, mu_values) -> SpectralSystem:
     Eigenvalues are purely imaginary, -i pi^2 (n^2 - 1); the control
     coefficients are the graph-norm projections sigma_n^{3/2} <mu Phi_1,
     Phi_n> with Phi_n the Dirichlet sine modes, evaluated by composite
-    Simpson quadrature on the supplied samples of mu over [0, 1].  A
-    projection at or below SCHRODINGER_FLOOR times the largest one is
-    refused.
+    Simpson quadrature on the supplied samples of mu at the M + 1 nodes
+    j / M of [0, 1].  All N projections come from one real FFT of length
+    2M: sum_j g_j sin(pi j k / M) is a sine transform of the
+    Simpson-weighted samples g.  A projection at or below
+    SCHRODINGER_FLOOR times the largest one is refused; so N >= M is
+    refused at b_M, whose sine vanishes at every node.
     """
     mu = np.asarray(mu_values, dtype=float).ravel()
     if len(mu) < 512:
         raise ValueError("mu must be sampled on at least 512 quadrature points")
     if N < 4:
         raise ValueError("schrodinger model needs N >= 4")
-    x = np.linspace(0.0, 1.0, len(mu))
+    M = len(mu) - 1
+    x = np.linspace(0.0, 1.0, M + 1)
     phi1 = np.sqrt(2.0) * np.sin(np.pi * x)
+    g = _simpson_weights(x) * mu * phi1 * np.sqrt(2.0)
+    # -Im of the length-2M DFT of g at k; odd with period 2M in k
+    s = -np.fft.rfft(g, 2 * M).imag
     n = np.arange(1, N + 1)
-    inner = np.array([
-        _simpson(mu * phi1 * np.sqrt(2.0) * np.sin(k * np.pi * x), x)
-        for k in n
-    ])
+    inner = np.concatenate((s, -s[-2:0:-1]))[n % (2 * M)]
     zero = np.nonzero(np.abs(inner) <= SCHRODINGER_FLOOR * max(1.0, np.max(np.abs(inner))))[0]
     if zero.size:
         raise SolverError(

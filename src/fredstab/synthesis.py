@@ -413,8 +413,9 @@ def law_from_json(doc: dict) -> FeedbackLaw:
             raise ValueError(f"law method must be a string, got {method!r}")
         branches = tuple(
             BranchGains(branch_index=from_number(bd["i"], int, f"law branches[{k}].i"),
-                        lam=lam, method=method, gains=from_cpairs(bd["gains"]),
-                        products=from_cpairs(bd["products_x"]))
+                        lam=lam, method=method,
+                        gains=from_cpairs(bd["gains"], f"law branches[{k}].gains"),
+                        products=from_cpairs(bd["products_x"], f"law branches[{k}].products_x"))
             for k, bd in enumerate(doc["branches"])
         )
     except KeyError as exc:

@@ -378,7 +378,7 @@ def transform_from_json(doc: dict) -> dict[int, BranchCertificate]:
             at = f"transform branches[{k}]."
             cert = BranchCertificate(
                 branch_index=from_number(bd["i"], int, at + "i"), lam=lam,
-                diagonal=from_cpairs(bd["diagonal"]),
+                diagonal=from_cpairs(bd["diagonal"], at + "diagonal"),
                 column_norms=from_numbers(bd["column_norms"], at + "column_norms"),
                 **{name: from_number(bd[name], float, at + name)
                    for name in ("frobenius", "tb_residual", "opeq_residual")})

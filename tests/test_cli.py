@@ -461,7 +461,7 @@ class TestSynthesizeCommand:
         assert law["method"] == method
         assert len(law["branches"]) == len(system.branches)
         for b, bd in zip(system.branches, law["branches"]):
-            x = from_cpairs(bd["products_x"])
+            x = from_cpairs(bd["products_x"], "products_x")
             C = synthesis.cauchy_system_matrix(b, law["lambda"])
             assert bd["tb_residual"] == np.linalg.norm(C @ x - 1.0) / np.sqrt(b.N)
 
@@ -1751,8 +1751,13 @@ class TestSystemFromPath:
          "transform branches[0].frobenius must be a number, got None"),
         ("transform.json", lambda d: d["branches"][0]["column_norms"].__setitem__(3, "1"),
          "transform branches[0].column_norms must be a list of numbers"),
+        ("law.json", lambda d: d["branches"][0]["products_x"][2].append(0.0),
+         "law branches[0].products_x must be a list of [re, im] lists of numbers"),
+        ("transform.json", lambda d: d["branches"][1]["diagonal"].__setitem__(5, [1.0, None]),
+         "transform branches[1].diagonal must be a list of [re, im] lists of numbers"),
     ], ids=["law-lambda-string", "law-i-true", "law-method-int", "transform-N-string",
-            "transform-i-float", "transform-frobenius-null", "transform-norm-string"])
+            "transform-i-float", "transform-frobenius-null", "transform-norm-string",
+            "law-product-triple", "transform-diagonal-null"])
     def test_stored_law_or_transform_field_of_the_wrong_type_refused(
             self, tmp_path, capsys, name, edit, message):
         # each ran: float() and int() read strings, booleans and 2.0, and str()
@@ -1782,7 +1787,7 @@ class TestSystemFromPath:
         assert main(["verify", "--config", str(cfg)]) == 1
         assert json.loads(capsys.readouterr().err) == {
             "error": "ValueError",
-            "message": "complex pairs must be a list of [re, im] lists of numbers"}
+            "message": "law branches[1].gains must be a list of [re, im] lists of numbers"}
 
     def test_model_loaded_from_artifact(self, tmp_path):
         cfg1 = tmp_path / "c1.json"

@@ -199,7 +199,7 @@ class TestCanonicalJson:
         z = np.empty(len(parts), dtype=complex)
         z.real = [re for re, _ in parts]
         z.imag = [im for _, im in parts]
-        back = from_cpairs(json.loads(canonical_json(cpairs(z))))
+        back = from_cpairs(json.loads(canonical_json(cpairs(z))), "pairs")
         assert back.view(np.uint64).tolist() == z.view(np.uint64).tolist()
 
     def test_write_json_failure_keeps_the_file(self, tmp_path):

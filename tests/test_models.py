@@ -1,11 +1,14 @@
+import tracemalloc
+
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
 
 from fredstab import AssumptionError, SolverError, verify_control, verify_growth
-from fredstab.models import (SturmLiouvilleProblem, gribov_model, heat_torus_model,
-                             liouville_transform, schrodinger_model,
+from fredstab.models import (SturmLiouvilleProblem, _simpson_weights, gribov_model,
+                             heat_torus_model, liouville_transform, schrodinger_model,
                              sturm_liouville_eigs_direct, sturm_liouville_model)
 from fredstab.spectral_core import classify_controllability
 
@@ -95,6 +98,43 @@ class TestSchrodinger:
     def test_coarse_sampling_rejected(self):
         with pytest.raises(ValueError, match="512"):
             schrodinger_model(8, np.ones(100))
+
+    def test_projections_against_mpmath_sine_sums(self):
+        # the same Simpson sum sum_j g_j sin(pi j k / M) at 40 digits; the
+        # per-mode np.sin(k pi x) route missed k = 511 by 2.4e-7 relative
+        M = 2048
+        x = np.linspace(0.0, 1.0, M + 1)
+        g = _simpson_weights(x) * x ** 2 * np.sqrt(2.0) * np.sin(np.pi * x) * np.sqrt(2.0)
+        floor = 64 * np.finfo(float).eps * np.sum(np.abs(g))
+        inner = projections(schrodinger_model(512, x ** 2))
+        with mpmath.workdps(40):
+            for k in (1, 2, 64, 256, 384, 511, 512):
+                want = mpmath.fsum(mpmath.mpf(float(gj)) * mpmath.sinpi(mpmath.mpf(j * k) / M)
+                                   for j, gj in enumerate(g))
+                err = abs(mpmath.mpf(float(inner[k - 1])) - want)
+                assert err <= floor, k
+                if k == 511:
+                    assert err < 1e-8 * abs(want)
+
+    @pytest.mark.parametrize("points", [2048, 2047, 600])
+    def test_truncation_at_the_grid_size_rejected(self, points):
+        # sin(pi j M / M) vanishes at every node, so b_M does
+        x = np.linspace(0, 1, points + 1)
+        for N in (points, points + 3):
+            with pytest.raises(SolverError, match=f"b_{points} vanishes"):
+                schrodinger_model(N, x ** 2)
+
+    def test_build_allocates_no_mode_by_sample_table(self):
+        # a 512 x 2049 table of floats would take 8.4 MB
+        x = np.linspace(0, 1, 2049)
+        mu = x ** 2
+        tracemalloc.start()
+        try:
+            schrodinger_model(512, mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestLiouvilleTransform:

@@ -1,8 +1,9 @@
-"""The CLI runs on numpy alone; its numpy replacements equal scipy bit for bit.
+"""The CLI runs on numpy alone; its numpy replacements match scipy.
 
 The package imports nothing from scipy on the CLI path (scipy stays a
-dependency of the sturm_liouville model).  Each numpy
-replacement is checked here against the scipy routine it stands for.
+dependency of the sturm_liouville model).  Each numpy replacement is
+checked here against the scipy routine it stands for: bit for bit, except
+the Simpson weights, whose sums run in another order.
 """
 
 import json
@@ -84,27 +85,30 @@ def test_next_fast_len_matches_scipy():
     assert got == want
 
 
-@pytest.mark.parametrize("points", [2048, 2047])
-def test_simpson_matches_scipy_on_schrodinger_integrands(points):
-    """Odd (2049) and even (2048) sample counts, every projection integrand."""
+def _assert_simpson_weights_match_scipy(y, x):
+    """sum(W * y) equals scipy's Simpson to 4 eps sum|W y|: same rule, other order."""
+    wy = models._simpson_weights(x) * y
+    got = np.sum(wy)
+    want = scipy.integrate.simpson(y, x=x)
+    assert abs(got - want) <= 4 * np.finfo(float).eps * np.sum(np.abs(wy))
+
+
+@pytest.mark.parametrize("points", [2048, 2047, 600])
+def test_simpson_weights_match_scipy_on_schrodinger_integrands(points):
+    """Odd (2049, 601) and even (2048) sample counts, projection integrands."""
     x = np.linspace(0.0, 1.0, points + 1)
     mu = x ** 2
     phi1 = np.sqrt(2.0) * np.sin(np.pi * x)
-    for k in range(1, 65):
-        y = mu * phi1 * np.sqrt(2.0) * np.sin(k * np.pi * x)
-        got = models._simpson(y, x)
-        want = scipy.integrate.simpson(y, x=x)
-        assert np.float64(got).tobytes() == np.float64(want).tobytes(), k
+    for k in (*range(1, 65), points // 2, points - 1):
+        _assert_simpson_weights_match_scipy(
+            mu * phi1 * np.sqrt(2.0) * np.sin(k * np.pi * x), x)
 
 
-def test_simpson_matches_scipy_on_small_and_uneven_grids():
+def test_simpson_weights_match_scipy_on_small_and_uneven_grids():
     rng = np.random.default_rng(11)
     for n in range(3, 12):
         x = np.cumsum(rng.uniform(0.1, 1.0, n))
-        y = rng.standard_normal(n)
-        got = models._simpson(y, x)
-        want = scipy.integrate.simpson(y, x=x)
-        assert np.float64(got).tobytes() == np.float64(want).tobytes(), n
+        _assert_simpson_weights_match_scipy(rng.standard_normal(n), x)
 
 
 def test_trapezoid_rules_match_scipy_on_sturm_liouville_grid():
