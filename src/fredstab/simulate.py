@@ -16,6 +16,10 @@ Cost for a branch of N modes and S samples:
 - imex_euler (Burgers): O(N log N) per step on the N + 1 coefficients
   c_0..c_N of the real field: u^2 is an irfft, a square and an rfft of
   length next_fast_len(3N + 1), and the feedback two real dot products.
+  A run allocates its work arrays once (the field, its half spectrum, the
+  right-hand side and one scratch vector), and every step writes into
+  them through the pocketfft gufuncs and in-place ufuncs, with the bytes
+  of the allocating np.fft.irfft/rfft step.
 """
 
 from __future__ import annotations
@@ -28,6 +32,9 @@ import numpy as np
 # package, not inside the first simulate stage (random_state draws)
 import numpy.fft
 import numpy.random
+# the gufuncs behind np.fft.irfft/rfft, called with out= on preallocated
+# buffers (tests/test_simulate.py pins them to the public functions)
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .errors import IntegratorError
 from .spectral_core import SpectralSystem
@@ -279,13 +286,23 @@ def _next_fast_len(n: int) -> int:
         m += 1
 
 
-def _square_half(h: np.ndarray, N: int, length: int) -> np.ndarray:
-    """Coefficients k = 0..N of u^2 for the real u with coefficients h = c_0..c_N.
+def _square_half(h: np.ndarray, u: np.ndarray, spec: np.ndarray) -> np.ndarray:
+    """Coefficients k = 0..N of u^2 for the real field u with coefficients h = c_0..c_N.
 
-    A length >= 3N + 1 leaves those indices free of wrap-around.
+    The buffer u, of a length L >= 3N + 1 that leaves those indices free of
+    wrap-around, receives the field and then its square; spec, of length
+    L // 2 + 1, its half spectrum, of which the first N + 1 entries are
+    returned as a view.  The pocketfft gufuncs write in place the bytes of
+    np.fft.rfft(v * v, norm="forward")[:N + 1] for
+    v = np.fft.irfft(h, L, norm="forward"), with no array allocated; the
+    factors 1 and 1 / L are those that norm="forward" passes them.
     """
-    u = np.fft.irfft(h, length, norm="forward")
-    return np.fft.rfft(u * u, norm="forward")[:N + 1]
+    length = len(u)
+    _pocketfft.irfft(h, 1.0, out=u)
+    np.multiply(u, u, out=u)
+    rfft = _pocketfft.rfft_n_even if length % 2 == 0 else _pocketfft.rfft_n_odd
+    rfft(u, 1.0 / length, out=spec)
+    return spec[:len(h)]
 
 
 def _linear_step_radius(system: SpectralSystem, law: FeedbackLaw, dt: float) -> float:
@@ -330,8 +347,11 @@ def simulate_burgers(system: SpectralSystem, law: FeedbackLaw, u0, times,
     truncation; diffusion is implicit, convection and feedback explicit,
     first-order in time with a finite step dt > 0 (else ValueError).  u0 is
     the exactly Hermitian coefficient vector c_{-N}..c_N (else ValueError);
-    the open loop is a law of zero gains.  Non-finite growth aborts the
-    run.  The error names the step size when the linear step map
+    the open loop is a law of zero gains.  The run allocates the field, its
+    half spectrum, the right-hand side and one scratch vector once, and
+    each step updates them and c in place (_square_half) with the bytes
+    of the allocating step.  Non-finite growth, checked after every step,
+    aborts the run.  The error names the step size when the linear step map
     (diffusion plus explicit feedback) has spectral radius above 1, and
     otherwise the local stability basin, which the initial data left.
     """
@@ -351,10 +371,11 @@ def simulate_burgers(system: SpectralSystem, law: FeedbackLaw, u0, times,
     # K1 . a1 = g1 . Im c_{1..N} and K2 . a2 = g2 . Re c_{0..N-1} (_branch_coords)
     g1 = -2.0 * _SQRT_PI * K1.real
     g2 = np.r_[_SQRT_2PI * K2[0].real, 2.0 * _SQRT_PI * K2[1:].real]
-
-    def rhs_explicit(cv):
-        nl = half_dk * _square_half(cv, N, fft_len)     # -(i k / 2) (u^2)_k
-        return nl + np.dot(g1, cv.imag[1:]) * phi1 + np.dot(g2, cv.real[:N]) * phi2
+    im_tail, re_head = c.imag[1:], c.real[:N]       # views of c, updated in place
+    u = np.empty(fft_len)
+    spec = np.empty(fft_len // 2 + 1, dtype=complex)
+    rhs = np.empty(N + 1, dtype=complex)
+    scratch = np.empty(N + 1, dtype=complex)
 
     k_sq = k_axis.astype(float) ** 2
     implicit = 1.0 / (1.0 + dt * k_sq)
@@ -368,9 +389,15 @@ def simulate_burgers(system: SpectralSystem, law: FeedbackLaw, u0, times,
             while t < target - 1e-12 * max(1.0, abs(target)):
                 step = min(dt, target - t)
                 scale = implicit if step == dt else 1.0 / (1.0 + step * k_sq)
-                c = (c + step * rhs_explicit(c)) * scale
+                # c = (c + step * (nl + (g1 . Im c) phi1 + (g2 . Re c) phi2)) * scale,
+                # in place and in that order of operations, so the bytes stay
+                np.multiply(half_dk, _square_half(c, u, spec), out=rhs)  # -(i k / 2) (u^2)_k
+                rhs += np.multiply(np.dot(g1, im_tail), phi1, out=scratch)
+                rhs += np.multiply(np.dot(g2, re_head), phi2, out=scratch)
+                c += np.multiply(step, rhs, out=rhs)
+                c *= scale
                 t += step
-                if not np.all(np.isfinite(c)):
+                if not np.isfinite(c).all():
                     raise _blow_up_error(system, law, dt, t)
             hist[k] = c
     hist = np.concatenate([np.conj(hist[:, :0:-1]), hist], axis=1)

@@ -828,6 +828,25 @@ class TestSimulateCommand:
         assert code == 4
         assert json.loads(capsys.readouterr().err)["error"] == "IntegratorError"
 
+    def test_burgers_blow_up_exits_four_at_the_step(self, tmp_path):
+        # the finiteness check runs after every step: a check per sample
+        # would report t=10, the first sample after the blow-up
+        cfg = tmp_path / "config.json"
+        write_config(cfg, scenarios=[
+            {"name": "lin", "u0": {"kind": "random", "seed": 0}, "t_end": 1.0,
+             "samples": 8},
+            {"name": "semi", "u0": {"kind": "burgers_random", "l2": 1e-3, "seed": 0},
+             "t_end": 50.0, "samples": 10, "dt": 0.1, "nonlinear": True}])
+        assert run_stage("synthesize", "--config", str(cfg)) == (0, "", [])
+        assert run_stage("simulate", "--config", str(cfg)) == (4, (
+            '{"error":"IntegratorError","message":"semilinear state blew up near t=5.8: '
+            'the step dt=0.1 is unstable (the linear step map with the explicit feedback '
+            'has spectral radius 1.223 > 1); reduce dt"}\n'), [])
+        out = tmp_path / "out"
+        assert sorted(p.name for p in (out / "traces").iterdir()) == [
+            "lin_modes.csv", "lin_norms.csv"]
+        assert not (out / "report.json").exists()
+
 
 # one scenario of each integrator; the writer tests repeat them under new names
 _WRITER_SCENARIOS = [

@@ -367,6 +367,46 @@ def legacy_burgers(system, law, c, times, dt, convolve=legacy_fft_convolve):
     return simulate._branch_coords(np.array(hist), N)
 
 
+def legacy_imex_burgers(system, law, u0, times, dt, r_list):
+    """The allocating half-spectrum step: a new c, rhs and FFT arrays per step.
+
+    Returns the (a1, a2) histories, the norm table and the real defect as
+    simulate_burgers computes them.
+    """
+    N = system.branches[0].N
+    c = np.asarray(u0)[N:].astype(complex)
+    k_axis = np.arange(N + 1)
+    half_dk = -0.5j * k_axis
+    fft_len = simulate._next_fast_len(3 * N + 1)
+    phi1, phi2 = (phi[N:] for phi in simulate._control_fourier(system, N))
+    K1, K2 = (law.branch(i).gains for i in (1, 2))
+    g1 = -2.0 * np.sqrt(np.pi) * K1.real
+    g2 = np.r_[np.sqrt(2.0 * np.pi) * K2[0].real, 2.0 * np.sqrt(np.pi) * K2[1:].real]
+
+    def rhs_explicit(cv):
+        v = np.fft.irfft(cv, fft_len, norm="forward")
+        nl = half_dk * np.fft.rfft(v * v, norm="forward")[:N + 1]
+        return nl + np.dot(g1, cv.imag[1:]) * phi1 + np.dot(g2, cv.real[:N]) * phi2
+
+    k_sq = k_axis.astype(float) ** 2
+    implicit = 1.0 / (1.0 + dt * k_sq)
+    hist = np.empty((len(times), N + 1), dtype=complex)
+    hist[0] = c
+    t = times[0]
+    for k in range(1, len(times)):
+        target = times[k]
+        while t < target - 1e-12 * max(1.0, abs(target)):
+            step = min(dt, target - t)
+            scale = implicit if step == dt else 1.0 / (1.0 + step * k_sq)
+            c = (c + step * rhs_explicit(c)) * scale
+            t += step
+        hist[k] = c
+    hist = np.concatenate([np.conj(hist[:, :0:-1]), hist], axis=1)
+    defect = float(np.max(np.abs(hist - np.conj(hist[:, ::-1]))))
+    states = simulate._branch_coords(hist, N)
+    return states, simulate._norm_table(states, r_list), defect
+
+
 def legacy_control_fourier(system, N):
     sqrt_pi, sqrt_2pi = np.sqrt(np.pi), np.sqrt(2.0 * np.pi)
     b1 = system.branches[0].control_coeffs
@@ -488,9 +528,43 @@ class TestFastPathsMatchReferences:
         if dealias:
             c = c * (np.abs(np.arange(-N, N + 1)) <= (2 * N) // 3)
         length = scipy.fft.next_fast_len(3 * N + 1)
-        got = simulate._square_half(c[N:], N, length)
+        got = simulate._square_half(c[N:], np.empty(length),
+                                    np.empty(length // 2 + 1, dtype=complex))
         want = legacy_convolve(c, N)[N:]
         assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(c) ** 2)
+
+    @pytest.mark.parametrize("N, length", [(4, 14), (8, 25), (16, 49), (256, 770),
+                                           (320, 968)])
+    def test_square_half_gufuncs_match_public_fft(self, N, length):
+        # _square_half calls the gufuncs behind np.fft.irfft/rfft with out=;
+        # a numpy that renames or changes them fails here.  Even and odd
+        # lengths run rfft_n_even and rfft_n_odd.
+        assert simulate._next_fast_len(3 * N + 1) == length
+        h = hermitian_coeffs(np.random.default_rng(N), N)[N:]
+        u = np.empty(length)
+        spec = np.empty(length // 2 + 1, dtype=complex)
+        v = np.fft.irfft(h, length, norm="forward")
+        got = simulate._square_half(h, u, spec)
+        assert same_bits(got, np.fft.rfft(v * v, norm="forward")[:N + 1])
+
+    # each run ends on a half step (0.0205 = 20.5 dt, 0.00205 = 20.5 dt)
+    @pytest.mark.parametrize("N, dt, times", [
+        (4, 1e-3, [0.0, 0.01, 0.0205]), (8, 1e-3, [0.0, 0.01, 0.0205]),
+        (16, 1e-3, [0.0, 0.01, 0.0205]), (256, 1e-4, [0.0, 0.001, 0.00205]),
+        (320, 1e-4, [0.0, 0.001, 0.00205])], ids=["N4", "N8", "N16", "N256", "N320"])
+    @pytest.mark.parametrize("closed", [True, False], ids=["law", "open"])
+    def test_in_place_step_matches_allocating_step(self, N, dt, times, closed):
+        system = heat_torus_model(N)
+        law = synthesize_feedback(kernels(system, 3.25)) if closed else zero_law(system)
+        u0 = 1e-2 * hermitian_coeffs(np.random.default_rng(13), N)
+        trace = simulate_burgers(system, law, u0, times, dt=dt, r_list=(0.0, 0.5))
+        states, norms, defect = legacy_imex_burgers(system, law, u0, np.array(times), dt,
+                                                    (0.0, 0.5))
+        for got, want in zip(trace.states, states):
+            assert same_bits(got, want)
+        for r in (0.0, 0.5):
+            assert same_bits(trace.norms[r], norms[r])
+        assert same_bits(trace.real_defect, defect)
 
     def test_fft_burgers_matches_direct_convolution(self):
         system = heat_torus_model(16)
