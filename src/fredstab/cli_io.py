@@ -79,10 +79,11 @@ from .transform import transform_from_json, transform_to_json
 TB_GATE = 1e-8
 OPEQ_GATE = 1e-8
 VERIFY_TOL = 1e-6
-# Peak RSS growth of one stage, in N x N complex matrices (heat torus,
-# N = 1024, one 64-sample semigroup scenario, one stage per process): 2.3
-# in synthesize, 2.9 in verify, report and sweep and 3.0 in simulate, two of
-# them the stage's kernels held to its end.  With LIVE_MATRICES of
+# Peak RSS growth of one stage, in N x N complex matrices (N = 1024, one
+# 64-sample semigroup scenario, one stage per process; synthesize, verify,
+# simulate, report, sweep): heat torus 1.2, 1.7, 1.8, 1.7 and 1.4, one of
+# them its two real kernels held to the stage's end; Schrodinger 1.4, 1.7,
+# 1.8, 1.7 and 1.4, one of them its complex kernel.  With LIVE_MATRICES of
 # them in the budget, MAX_N is 3344.  A larger truncation is refused before
 # any model or matrix is built.
 MATRIX_BUDGET_BYTES = 2 << 30

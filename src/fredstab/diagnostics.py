@@ -325,7 +325,8 @@ def svg_line_plot(path, series: dict, title: str, xlabel: str, ylabel: str,
                      f'font-family="sans-serif" font-size="10">{tick:.3g}</text>')
     for i, (label, (x, y)) in enumerate(clean.items()):
         color = palette[i % len(palette)]
-        pts = " ".join(f"{sx(xv):.2f},{sy(yv):.2f}" for xv, yv in zip(x, y))
+        # sx and sy on whole arrays round each point as on a scalar
+        pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(sx(x).tolist(), sy(y).tolist()))
         lines.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      'stroke-width="1.5"/>')
         lines.append(f'<text x="{width - margin + 4}" y="{margin + 14 * i + 10}" '

@@ -10,7 +10,10 @@ Cost for a branch of N modes and S samples:
 
 - semigroup_exact: O(N^2 S) for one product of all S samples with the
   Cauchy matrix C of the branch's synthesis.BranchKernel, and O(N^2) for
-  its weights w of T^-1 = diag(b) C^T diag(w / b).  No factorization.
+  its weights w of T^-1 = diag(b) C^T diag(w / b).  No factorization.  On
+  a real spectrum C and the exponentials are real, and the product is two
+  real ones, for the real and the imaginary parts of the samples, written
+  into the views of one complex result: no complex copy of C.
 - rk4: O(N) per stage, since the closed loop diag(lambda) + b K^T acts as
   lambda * u + b (K . u).  It agrees with a dense matvec to rounding.
 - imex_euler (Burgers): O(N log N) per step on the N + 1 coefficients
@@ -38,7 +41,7 @@ from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .errors import IntegratorError
 from .spectral_core import SpectralSystem
-from .synthesis import FeedbackLaw
+from .synthesis import FeedbackLaw, _matvec
 
 __all__ = [
     "SimulationTrace",
@@ -217,9 +220,21 @@ def simulate_closed_loop(kernels, law: FeedbackLaw, u0, times,
             # T = diag(b) C diag(-K) and T^-1 = diag(b) C^T diag(w / b) share C:
             # T^-1 e^{(lambda - lam) t_k} T u0 = b o (v_k C), one product for all k
             b, C = kernel.branch, kernel.C
-            v = np.exp(np.outer(times, b.eigenvalues - law.lam))
-            v *= (C @ (-law.branch(b.index).gains * block)) * kernel.w
-            states.append(np.multiply(v @ C, b.control_coeffs, out=v))
+            y = _matvec(C, -law.branch(b.index).gains * block) * kernel.w
+            if np.iscomplexobj(C):
+                v = np.exp(np.outer(times, b.eigenvalues - law.lam))
+                v *= y
+                states.append(np.multiply(v @ C, b.control_coeffs, out=v))
+                continue
+            # a real spectrum: v and C are real, and Re y and Im y take one
+            # real product each, into the parts of one complex result
+            v = np.exp(np.outer(times, b.eigenvalues.real - law.lam))
+            state = np.empty(v.shape, dtype=complex)
+            part = np.multiply(v, y.real)
+            np.matmul(part, C, out=state.real)
+            np.matmul(np.multiply(v, y.imag, out=part), C, out=state.imag)
+            del v, part                 # before the next branch's v exists
+            states.append(np.multiply(state, b.control_coeffs, out=state))
     else:
         for b, block in zip(branches, blocks):
             states.append(_rk4_march(b.eigenvalues, b.control_coeffs,

@@ -39,19 +39,37 @@ GROWTH_RATIO_CAP = 100.0     # largest accepted c_high / c_low of the growth san
 GAP_FLOOR = 1e-6             # smallest accepted separation constant
 CLASSIFY_SLOPE_TOL = 0.05    # flatness tolerance of the coefficient-ratio trend
 ROW_BLOCK = 64               # most rows in a block of row_blocks
+ROW_ALIGN = 8                # every edge of row_blocks but N is a multiple of this
 
 
 def row_blocks(N: int) -> list:
-    """Near-equal (start, stop) row ranges of at most ROW_BLOCK rows, covering range(N).
+    """(start, stop) row ranges of at most ROW_BLOCK rows, covering range(N).
 
     Every pairwise O(N^2) pass goes over its N rows in these blocks, so
-    none forms an N x N array.  No block is a single row when N >= 2: numpy
-    takes a one-row (1, N) @ (N,) product with a dot, whose sum order
-    differs from the matrix-vector product of the longer blocks.
+    none forms an N x N array.  The blocks are near-equal runs of
+    ROW_ALIGN-row groups, the last one cut at N.  A block edge inside a
+    group would move bits: OpenBLAS's real gemv (its Haswell kernel) takes
+    the rows of a product four at a time and sums the rows left over at
+    its end in another order, so only blocks that start and stop on the
+    groups of the full product keep its bits.  No block is a single row
+    when N >= 2: numpy takes a one-row (1, N) @ (N,) product with a dot,
+    whose sum order differs from the matrix-vector product of the longer
+    blocks.
     """
-    blocks = max(1, -(-N // ROW_BLOCK))
-    edges = [N * k // blocks for k in range(blocks + 1)]
+    groups = -(-N // ROW_ALIGN)
+    blocks = max(1, -(-groups * ROW_ALIGN // ROW_BLOCK))
+    edges = [min(N, groups * k // blocks * ROW_ALIGN) for k in range(blocks + 1)]
     return list(zip(edges, edges[1:]))
+
+
+def _real_view(values: np.ndarray) -> np.ndarray:
+    """values.real, a float view, when every imaginary part is zero; else values itself.
+
+    A real spectrum's differences, their moduli and its Cauchy matrix then
+    take real arithmetic: the real difference is the real part of the
+    complex one, and |x + 0j| == |x| exactly.
+    """
+    return values if np.any(values.imag) else values.real
 
 
 def _as_readonly_complex(values, name: str) -> np.ndarray:
@@ -260,7 +278,7 @@ def verify_gap(branch: SpectralBranch) -> GapCheck:
     Returns the worst empirical constant over all ordered pairs and the
     minimizing pair (n, p); the check passes above GAP_FLOOR.
     """
-    lam = branch.eigenvalues
+    lam = _real_view(branch.eigenvalues)
     N = branch.N
     if N < 2:
         return GapCheck(ok=True, constant=float("inf"), witness=(0, 0), floor=GAP_FLOOR)

@@ -18,7 +18,9 @@ i atan(s), with no branch cut and no zero factor.  The fixed-point
 accumulation x = lambda * 1 + sum of correction sweeps is the independent
 iterative route.  It and every other consumer read C from the branch's
 BranchKernel, which a stage builds once; the kernel also holds the closed
-form's products, computed once on first use.
+form's products, computed once on first use.  On a real spectrum (heat,
+Sturm-Liouville, gribov at real eps) C is real, and every consumer applies
+it in real arithmetic (_matvec), never through a complex copy.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from .errors import IterationDiverged, SolverError
 from .jsonio import cpairs, from_cpairs, from_number
-from .spectral_core import SpectralBranch, SpectralSystem, row_blocks
+from .spectral_core import SpectralBranch, SpectralSystem, _real_view, row_blocks
 
 __all__ = [
     "BranchGains",
@@ -76,11 +78,12 @@ def select_shift(system: SpectralSystem, lambda0: float, delta: float) -> float:
 def _clearance(system: SpectralSystem, lam: float, delta: float) -> float:
     """min over branches and n, p of |(lambda_n - lambda_p) + lam|, row block by row block.
 
-    Stops at the first block below delta, whose minimum it then returns.
+    Stops at the first block below delta, whose minimum it then returns.  A
+    real spectrum takes real differences (_real_view), with the same moduli.
     """
     dist = np.inf
     for b in system.branches:
-        ev = b.eigenvalues
+        ev = _real_view(b.eigenvalues)
         for i, j in row_blocks(b.N):
             d = ev[i:j, None] - ev[None, :]
             d += lam
@@ -95,13 +98,33 @@ def cauchy_system_matrix(branch: SpectralBranch, lam: float) -> np.ndarray:
     """Matrix C[p][n] = 1 / (lambda_n - lambda_p + lam).
 
     Column n is the shifted resolvent sum of mode n; the diagonal is the
-    constant 1/lam.
+    constant 1/lam.  C is real (float64) when the spectrum is (_real_view),
+    with the entries of the complex build as its real parts, and complex
+    otherwise.
     """
-    denom = branch.eigenvalues[None, :] - branch.eigenvalues[:, None]
+    ev = _real_view(branch.eigenvalues)
+    denom = ev[None, :] - ev[:, None]
     denom += lam
     if np.any(denom == 0):
         raise SolverError(f"shift {lam} hits an eigenvalue difference exactly")
     return np.divide(1.0, denom, out=denom)       # in place, as in the products
+
+
+def _matvec(M: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """M @ z, in real arithmetic when M is real and z complex.
+
+    For M @ z numpy would cast a real M to a complex copy.  Here the real
+    and imaginary parts of z each take one real product, written into the
+    matching view of one complex result; the second is skipped, leaving
+    zeros, when z has no imaginary part.
+    """
+    if np.iscomplexobj(M) or not np.iscomplexobj(z):
+        return M @ z
+    out = np.zeros(M.shape[:-1], dtype=complex)
+    np.matmul(M, z.real, out=out.real)
+    if np.any(z.imag):
+        np.matmul(M, z.imag, out=out.imag)
+    return out
 
 
 def _products_to_gains(branch: SpectralBranch, lam: float, x: np.ndarray,
@@ -191,12 +214,10 @@ def _closed_form_products(branch: SpectralBranch, lam: float) -> np.ndarray:
     product is not finite or a product vanishes, which covers a repeated
     eigenvalue (an infinite factor).
     """
-    ev = branch.eigenvalues
-    pairs = _real_pairs(ev, lam)
-    real = bool(np.all(ev.imag == 0))
-    if real:
-        ev = ev.real
-    elif pairs:
+    pairs = _real_pairs(branch.eigenvalues, lam)
+    ev = _real_view(branch.eigenvalues)
+    real = np.isrealobj(ev)
+    if pairs:
         ev = ev.imag
     log_sum = np.empty(branch.N, dtype=float if real else complex)
     odd = np.zeros(branch.N, dtype=bool)            # an odd count of negative factors
@@ -241,7 +262,12 @@ def _closed_form_products(branch: SpectralBranch, lam: float) -> np.ndarray:
 
 class BranchKernel:
     """A branch's Cauchy matrix C at lam, from one build and read-only, and the
-    closed form's products x and T^-1's w, each computed once on first use."""
+    closed form's products x and T^-1's w, each computed once on first use.
+
+    C is float64 on a real spectrum (heat, Sturm-Liouville, gribov at real
+    eps), half the bytes of a complex C, and complex otherwise; consumers
+    apply a real C to a complex vector with _matvec.
+    """
 
     def __init__(self, branch: SpectralBranch, lam: float):
         self.branch, self.lam = branch, float(lam)
@@ -306,7 +332,7 @@ def solve_gains_iterative(kernel: BranchKernel) -> BranchGains:
     # a sweep that does not contract overflows; it stops at the first non-finite sup
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, MAX_SWEEPS + 1):
-            e = e - lam * (C @ e)
+            e = e - lam * _matvec(C, e)
             x = x + e
             sup_history.append(float(np.max(np.abs(e))))
             if sup_history[-1] < ITERATION_TOL:

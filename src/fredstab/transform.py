@@ -41,7 +41,7 @@ import numpy as np
 from .errors import ConfigError
 from .jsonio import cpairs, from_cpairs, from_number, from_numbers
 from .spectral_core import SpectralBranch, admissible_r_interval, row_blocks
-from .synthesis import BranchGains, BranchKernel, cauchy_system_matrix
+from .synthesis import BranchGains, BranchKernel, cauchy_system_matrix, _matvec
 
 __all__ = [
     "ClosedLoopMatrix",
@@ -125,9 +125,12 @@ def build_transform(kernel: BranchKernel, gains: BranchGains,
     """Certify a branch from its kernel's C and r = 1 - C x, x = gains.products.
 
     One pass over C, in the blocks of spectral_core.row_blocks, forms each
-    block of T = diag(b) C diag(-K) and fills r, (C o C) x, T's diagonal
-    and the column sums of |T|^2: no N x N array.  Stacking each block under the
-    running sums keeps the row order, so column_norms has the bits of
+    block of T = diag(b) C diag(-K) and fills r, (C o C) x and the column
+    sums of |T|^2: no N x N array.  T's diagonal, -K_n (b_n C_nn), comes
+    from O(N) data with the bits of T's entries.  A real C (a real
+    spectrum) takes x in real products (synthesis._matvec), and its blocks
+    of T are real when b and K are.  Stacking each block under the running
+    sums keeps the row order, so column_norms has the bits of
     np.linalg.norm(T, axis=0).  frobenius = sqrt(sum(column_norms^2)) is a
     numpy sum, not the BLAS dot of np.linalg.norm(T) that OpenBLAS splits
     over threads.  tb_residual = ||b o r|| / ||b|| = ||T b - b|| / ||b||;
@@ -154,18 +157,21 @@ def build_transform(kernel: BranchKernel, gains: BranchGains,
     ev, N, x = branch.eigenvalues, branch.N, gains.products
     k = int(np.frexp(np.max(np.abs(branch.control_coeffs)))[1])
     b, K = _ldexp(branch.control_coeffs, -k), _ldexp(gains.gains, k)
-    Cx, CCx, diagonal, sums = [], [], [], np.zeros(N)
+    real = np.isrealobj(C) and not (np.any(b.imag) or np.any(K.imag))
+    bT, KT = (b.real, K.real) if real else (b, K)
+    Cx, CCx, sums = [], [], np.zeros(N)
     for i, j in row_blocks(N):
         rows = C[i:j]
-        Cx.append(rows @ x)
-        CCx.append(np.square(rows) @ x)
-        T = -K * (b[i:j, None] * rows)          # the operand order of transform_matrix
-        diagonal.append(np.diagonal(T, offset=i).copy())   # a view would keep T
+        Cx.append(_matvec(rows, x))
+        CCx.append(_matvec(np.square(rows), x))
+        T = -KT * (bT[i:j, None] * rows)        # the operand order of transform_matrix
         sums = np.add.reduce(np.vstack((sums, (T.conj() * T).real)), axis=0)
     residual = 1.0 - np.concatenate(Cx)
     with np.errstate(invalid="ignore"):     # NaN gains give NaN steps, refused downstream
         steps = residual / np.concatenate(CCx)
-    diagonal = np.concatenate(diagonal)
+    # from the complex b and K even when the blocks are real: their products
+    # give T's diagonal, signed zeros of the imaginary parts included
+    diagonal = -K * (b * np.diagonal(C))
     column_norms = np.sqrt(sums)
     frobenius = float(np.sqrt(np.sum(column_norms ** 2)))
     lo, hi = admissible_r_interval(branch.alpha, branch.gamma, beta=branch.beta)
@@ -230,7 +236,8 @@ def _spectral_norm(M: np.ndarray, left: np.ndarray, right: np.ndarray,
 
     A is applied as left * (M x + shift x), x = right * v, and A^H as
     conj(right * (M^T y + shift y)), y = left * conj(u), so neither A nor
-    M + shift I is formed.  Both Lanczos bases are fully reorthogonalized
+    M + shift I is formed; a real M takes complex x and y in real products
+    (synthesis._matvec).  Both Lanczos bases are fully reorthogonalized
     (two Gram-Schmidt passes) and start from _start_vector, so every run
     gives the same bits.  After k steps A V_k = U_k B_k with B_k upper
     bidiagonal; the top Ritz value is the square root of the largest
@@ -247,7 +254,7 @@ def _spectral_norm(M: np.ndarray, left: np.ndarray, right: np.ndarray,
     sigma = 0.0
     for _ in range(N):
         x = right * v
-        u = left * (M @ x + shift * x)
+        u = left * (_matvec(M, x) + shift * x)
         if U:
             u -= betas[-1] * U[-1]
             u = _orthogonalized(u, U)
@@ -258,7 +265,7 @@ def _spectral_norm(M: np.ndarray, left: np.ndarray, right: np.ndarray,
         U.append(u)
         alphas.append(alpha)
         y = left * np.conj(u)
-        z = np.conj(right * (M.T @ y + shift * y)) - alpha * v
+        z = np.conj(right * (_matvec(M.T, y) + shift * y)) - alpha * v
         z = _orthogonalized(z, V)
         beta = float(np.linalg.norm(z))
         a, b = np.array(alphas), np.array(betas)
@@ -286,9 +293,10 @@ def _weighted_conditioning(kernel: BranchKernel, gains: np.ndarray, r_list) -> d
 
     T = diag(b) C diag(-K) and its explicit inverse T^-1 = diag(b) C^T
     diag(w / b) share the kernel's C and w, which are left as they are;
-    both norms are Lanczos estimates (_spectral_norm), real when lambda, b
-    and K are.  On a skew-adjoint branch (kernel.skew_adjoint) the two norms
-    are equal, so kappa_r is the first one squared and w is not read.
+    both norms are Lanczos estimates (_spectral_norm), real when C (a real
+    spectrum), b and K are.  On a skew-adjoint branch (kernel.skew_adjoint)
+    the two norms are equal, so kappa_r is the first one squared and w is
+    not read.
     Nothing is computed for an empty r_list.
     """
     if not r_list:
@@ -296,8 +304,8 @@ def _weighted_conditioning(kernel: BranchKernel, gains: np.ndarray, r_list) -> d
     branch, C = kernel.branch, kernel.C
     b, K = branch.control_coeffs, gains
     w = None if kernel.skew_adjoint else kernel.w
-    if not (np.any(branch.eigenvalues.imag) or np.any(b.imag) or np.any(K.imag)):
-        C, b, K, w = np.ascontiguousarray(C.real), b.real, K.real, w.real
+    if np.isrealobj(C) and not (np.any(b.imag) or np.any(K.imag)):
+        b, K, w = b.real, K.real, w.real
     n = branch.mode_indices.astype(float)
     profile = {}
     for r in r_list:

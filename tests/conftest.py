@@ -60,6 +60,19 @@ def fourier_from_samples(u_phys, N):
     return c
 
 
+def real_products(M, z):
+    """M @ z on the route of the package's products: a real M takes the real and the
+    imaginary part of a complex z in one real product each, the second only when z
+    has an imaginary part; a complex M takes z in one complex product."""
+    if np.iscomplexobj(M):
+        return M @ z
+    out = np.zeros(M.shape[0], dtype=complex)
+    out.real = M @ z.real
+    if np.any(z.imag):
+        out.imag = M @ z.imag
+    return out
+
+
 def worked_branch():
     """The hand-checkable 2x2 case: eigenvalues (-1, -4), unit coefficients."""
     return SpectralBranch(1, [-1.0, -4.0], [1.0, 1.0], alpha=2.0)

@@ -12,7 +12,7 @@ from fredstab import (BranchKernel, build_transform, closed_loop_matrix,
                       random_state, secular_match_error,
                       simulate_closed_loop, solve_gains_direct,
                       spectrum_match_error, synthesize_feedback)
-from fredstab.diagnostics import REPORT_SCHEMA, svg_line_plot
+from fredstab.diagnostics import PLOT_HEIGHT, PLOT_WIDTH, REPORT_SCHEMA, svg_line_plot
 from fredstab.jsonio import canonical_json, config_hash, cpairs, from_cpairs, write_json
 from fredstab.models import gribov_model, heat_torus_model
 from fredstab.synthesis import inverse_gap_sum_profile
@@ -269,3 +269,25 @@ class TestSvgPlot:
             xv, yv = row.split(",")
             float(xv), float(yv)
         assert rows[1] == f"{float(x[1])!r},{float(np.exp(-3 * x[1]))!r}"
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+                    min_size=1, max_size=40), st.booleans())
+    def test_polyline_has_the_bytes_of_the_scalar_route(self, tmp_path_factory, pairs, logy):
+        # the points, computed on whole arrays, round as the scalar map of
+        # each (x, y) pair that they replaced
+        path = tmp_path_factory.mktemp("svg") / "plot.svg"
+        x, y = np.array(pairs).T
+        svg_line_plot(path, {"a": (x, y)}, "t", "x", "y", logy=logy)
+        text = path.read_text()
+        table = text[text.index("series: a") + len("series: a"):text.index("-->")].split()
+        kept = np.array([[float(v) for v in row.split(",")] for row in table]).reshape(-1, 2)
+        xs, ys = (kept if len(kept) else np.zeros((1, 2))).T     # no point kept: the zero axes
+        x_lo, x_hi, y_lo, y_hi = float(xs.min()), float(xs.max()), float(ys.min()), float(ys.max())
+        x_hi, y_hi = (x_lo + 1.0 if x_hi == x_lo else x_hi), (y_lo + 1.0 if y_hi == y_lo else y_hi)
+        margin, width, height = 60, PLOT_WIDTH, PLOT_HEIGHT
+        want = " ".join(
+            f"{margin + (xv - x_lo) / (x_hi - x_lo) * (width - 2 * margin):.2f},"
+            f"{height - margin - (yv - y_lo) / (y_hi - y_lo) * (height - 2 * margin):.2f}"
+            for xv, yv in kept)             # numpy scalars, one pair at a time
+        assert f'<polyline points="{want}"' in text

@@ -5,7 +5,7 @@ from fredstab import (AssumptionError, SpectralBranch, SpectralSystem,
                       classify_controllability, sobolev_norm,
                       system_from_json, system_to_json, verify_control,
                       verify_gap, verify_growth)
-from fredstab.spectral_core import ROW_BLOCK, row_blocks
+from fredstab.spectral_core import ROW_ALIGN, ROW_BLOCK, row_blocks
 
 from conftest import heat_branch, schrodinger_branch
 
@@ -127,8 +127,11 @@ class TestRowBlocks:
             assert [k for i, j in blocks for k in range(i, j)] == list(range(N))
             sizes = [j - i for i, j in blocks]
             assert max(sizes) <= ROW_BLOCK
-            # near-equal, and never one row (numpy's dot) past N = 1
-            assert max(sizes) - min(sizes) <= 1
+            # every edge but N on the row groups of a full real gemv
+            assert all(j % ROW_ALIGN == 0 for _, j in blocks[:-1])
+            # near-equal runs of groups, the last cut at N, and never one
+            # row (numpy's dot) past N = 1
+            assert max(sizes) - min(sizes) < 2 * ROW_ALIGN
             assert N < 2 or min(sizes) >= 2
 
 

@@ -15,7 +15,7 @@ from fredstab.synthesis import cauchy_system_matrix
 from fredstab.transform import (TRANSFORM_SCHEMA, transform_from_json,
                                 transform_to_json)
 
-from conftest import (heat_branch, kernels, operator_equality_residual,
+from conftest import (heat_branch, kernels, operator_equality_residual, real_products,
                       schrodinger_branch, worked_branch)
 
 
@@ -53,8 +53,9 @@ class TestBlockedPass:
     @pytest.mark.parametrize("N", [63, 64, 65, 200])
     def test_bits_match_dense_route(self, N):
         # the row-blocked pass keeps every bit of the full-matrix products,
-        # on real and complex b, imaginary and complex spectra; N = 65 would
-        # leave a one-row block of 64-row blocks
+        # on real and complex b, real, imaginary and complex spectra, a real C
+        # taking x in real products; N = 65 would leave a one-row block of
+        # 64-row blocks
         rng = np.random.default_rng(N)
         b = rng.standard_normal(N) + 1j * rng.standard_normal(N) + 2.0
         for br in (heat_branch(N), heat_branch(N, b=b), schrodinger_branch(N),
@@ -63,11 +64,11 @@ class TestBlockedPass:
             cert = build_transform(BranchKernel(br, 2.5), g)
             C = cauchy_system_matrix(br, 2.5)
             T = transform_matrix(br, g)
-            residual = 1.0 - C @ g.products
+            residual = 1.0 - real_products(C, g.products)
             assert cert.residual.tobytes() == residual.tobytes()
             assert cert.diagonal.tobytes() == np.diagonal(T).tobytes()
             assert cert.column_norms.tobytes() == np.linalg.norm(T, axis=0).tobytes()
-            steps = residual / (np.square(C) @ g.products)
+            steps = residual / real_products(np.square(C), g.products)
             assert cert.secular_steps.tobytes() == steps.tobytes()
             assert cert.frobenius == float(np.sqrt(np.sum(cert.column_norms ** 2)))
 
