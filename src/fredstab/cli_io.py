@@ -40,10 +40,10 @@ the same bytes for the same directory.  report and simulate refuse a law
 with a non-finite gain or product, naming the branch and field, before any
 work.  simulate checks every scenario, with the integrators' own checks
 (simulate.check_run), and builds its u0 before the first integrates, then
-hands each traces/<name>_modes.csv to a forked writer (_TraceWriters)
-while it integrates the next, and writes report.json once every writer
-has succeeded; a failed writer leaves the exit code and files of an
-inline run.
+hands each traces/<name>_modes.csv, in sample-range pieces, to forked
+writers (_TraceWriters) while it integrates the next, and writes
+report.json once every piece has succeeded; a failed writer leaves the
+exit code and files of an inline run.
 
 Exit codes: 0 success, 2 assumption-verdict failure, 3 solver failure,
 4 integrator guard violation, 1 anything else.  Failures print a
@@ -60,6 +60,7 @@ import csv
 import locale  # noqa: F401
 import math
 import os
+import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -565,54 +566,92 @@ def _burgers_u0(system: SpectralSystem, u0: dict, where: str) -> np.ndarray:
 class _TraceWriters:
     """Writer children for the traces/<name>_modes.csv files of simulate.
 
-    start() creates the file in the parent, so an unwritable path fails
-    where the inline writer would, then forks a child that runs
-    simulate.write_modes_csv(trace, path), looked up when start() runs,
-    which is pure Python and file writes, and leaves
-    through os._exit, so no atexit handler runs and no inherited stdio
-    buffer is flushed twice.  A failing child pickles its exception into a pipe.
-    Once an error is reaped, the next start() or poll() waits for every
-    child, removes the trace files of the scenarios started after the
-    earliest failing one (the files their start() was given and wrote),
-    and raises that earliest error, so the traces left behind are those an
-    inline run stops with.  At most one child per usable core is alive:
-    finished ones are reaped first, then the oldest is waited for.
-    Without os.fork, start() runs the writer inline.
+    start() cuts a file into min(usable cores, len(trace.times)) contiguous
+    sample ranges of near-equal length, its pieces.  Piece 0 is written
+    into the file itself and piece j > 0 into the part file <file>.part<j>
+    next to it.  start() creates the file and every part file in the parent, so an
+    unwritable path fails where the inline writer would, and queues the
+    pieces.  The oldest queued piece is forked while fewer writers than
+    usable cores are alive: by start(), which never waits, and by poll(),
+    which first reaps the finished ones.  A child runs
+    simulate.write_modes_csv(trace, path, start, stop), looked up when it
+    is forked, which is pure Python and file writes, and leaves through
+    os._exit, so no atexit handler runs and no inherited stdio buffer is
+    flushed twice.  A failing child pickles its exception into a pipe.
+    Once every piece of a file has been reaped without error, the parent
+    appends the part files to it in order and removes them.  join() writes
+    the pieces still queued in the parent, then waits for every child.
+    Once an error is reaped, start(), poll() or join() waits for every
+    child, drops the queue, removes every part file and the trace files of
+    the scenarios started after the earliest failing one (the files their
+    start() was given and wrote), and raises the error of that scenario's
+    first failing piece, so the traces left behind are those an inline run
+    stops with.  Without os.fork, start() runs the writer inline.
     """
 
     def __init__(self):
         self.limit = _usable_cores()
         self.files = []     # start order -> trace files of that scenario
-        self.pipes = {}     # pid -> (start order, read end of its error pipe)
-        self.errors = {}    # start order -> exception
+        self.parts = []     # start order -> its part files, until appended
+        self.left = []      # start order -> its pieces not yet written
+        self.queue = []     # ((start order, piece), trace, path, start, stop)
+        self.pipes = {}     # pid -> ((start order, piece), read end of its error pipe)
+        self.errors = {}    # (start order, piece) -> exception
 
     def start(self, trace, path, written) -> None:
         """Write trace to path; written are the scenario's files already on disk."""
         if not hasattr(os, "fork"):
             simulate.write_modes_csv(trace, path)
             return
-        import pickle
+        order, samples = len(self.files), len(trace.times)
+        count = min(self.limit, samples)
         self.files.append(list(written))
+        self.parts.append([])
+        self.left.append(count)
         self.poll()
-        while len(self.pipes) >= self.limit:
-            self._reap(next(iter(self.pipes)), wait=True)
-        self.poll()
-        open(path, "w", encoding="utf-8").close()
-        self.files[-1].append(path)
-        read_fd, write_fd = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            try:
-                os.close(read_fd)
-                simulate.write_modes_csv(trace, path)
-                os._exit(0)
-            except BaseException as exc:
-                with os.fdopen(write_fd, "wb") as pipe:
-                    pickle.dump(exc, pipe)
-            finally:
-                os._exit(1)
-        os.close(write_fd)
-        self.pipes[pid] = (len(self.files) - 1, read_fd)
+        for j in range(count):
+            piece = f"{path}.part{j}" if j else path
+            open(piece, "w", encoding="utf-8").close()
+            (self.parts[order] if j else self.files[order]).append(piece)
+            self.queue.append(((order, j), trace, piece, samples * j // count,
+                               samples * (j + 1) // count))
+        self._fork_queued()
+
+    def _fork_queued(self) -> None:
+        """Fork the oldest queued pieces while fewer writers than self.limit are alive."""
+        import pickle
+        while self.queue and len(self.pipes) < self.limit:
+            key, *piece = self.queue.pop(0)
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(read_fd)
+                    simulate.write_modes_csv(*piece)
+                    os._exit(0)
+                except BaseException as exc:
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        pickle.dump(exc, pipe)
+                finally:
+                    os._exit(1)
+            os.close(write_fd)
+            self.pipes[pid] = (key, read_fd)
+
+    def _written(self, order: int) -> None:
+        """Count one piece of scenario order written; after the last, append its parts."""
+        self.left[order] -= 1
+        if self.left[order]:
+            return
+        try:
+            with open(self.files[order][-1], "ab") as out:
+                for part in self.parts[order]:
+                    with open(part, "rb") as fh:
+                        shutil.copyfileobj(fh, out)
+        except OSError as exc:
+            self.errors[order, self.limit] = exc        # after its pieces
+            return
+        _remove(self.parts[order])
+        self.parts[order] = []
 
     def _reap(self, pid: int, wait: bool) -> None:
         """Reap one child and keep its error; without wait, only if it has exited."""
@@ -622,7 +661,7 @@ class _TraceWriters:
             done, status = os.waitpid(pid, os.WNOHANG)
             if not done:
                 return
-        order, read_fd = self.pipes.pop(pid)
+        key, read_fd = self.pipes.pop(pid)
         # read before waiting: EOF comes when the child exits
         with os.fdopen(read_fd, "rb") as pipe:
             payload = pipe.read()
@@ -630,41 +669,69 @@ class _TraceWriters:
             status = os.waitpid(pid, 0)[1]
         if payload:
             try:
-                self.errors[order] = pickle.loads(payload)
+                self.errors[key] = pickle.loads(payload)
             except Exception as exc:
-                self.errors[order] = exc
+                self.errors[key] = exc
         elif status:
-            self.errors[order] = ChildProcessError(
+            self.errors[key] = ChildProcessError(
                 f"trace writer {pid} ended with wait status {status}")
+        else:
+            self._written(key[0])
 
-    def poll(self, wait: bool = False) -> None:
-        """Reap the exited children, or all with wait; raise the earliest error.
-
-        Before raising, every child is reaped and the trace files of the
-        scenarios started after the failing one are removed.
-        """
+    def _reap_all(self, wait: bool) -> None:
+        """Reap every child, or without wait every exited one."""
         for pid in list(self.pipes):
             self._reap(pid, wait)
-        if not self.errors:
-            return
-        for pid in list(self.pipes):
-            self._reap(pid, wait=True)
-        first = min(self.errors)
-        for paths in self.files[first + 1:]:
-            for path in paths:
-                with contextlib.suppress(FileNotFoundError):
-                    os.remove(path)
-        raise self.errors[first]
+
+    def poll(self) -> None:
+        """Reap the exited children and fork queued pieces; raise the earliest error."""
+        self._reap_all(wait=False)
+        self._raise()
+        self._fork_queued()
+
+    def join(self) -> None:
+        """Write the queued pieces here, then wait for every child; raise the earliest error."""
+        while self.queue and not self.errors:
+            key, *piece = self.queue.pop(0)
+            try:
+                simulate.write_modes_csv(*piece)
+            except Exception as exc:
+                self.errors[key] = exc
+            else:
+                self._written(key[0])
+        self._reap_all(wait=True)
+        self._raise()
+        _remove(sum(self.parts, []))        # of a start() that failed
+
+    def _raise(self) -> None:
+        """With an error reaped: wait for every child, drop the queue, remove every part
+        file and the files of the scenarios started after the failing one, and raise."""
+        if self.errors:
+            self._reap_all(wait=True)
+            self.queue.clear()
+            first = min(self.errors)
+            _remove(sum(self.parts + self.files[first[0] + 1:], []))
+            raise self.errors[first]
+
+
+def _remove(paths) -> None:
+    """Remove the files paths, those that exist."""
+    for path in paths:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
 
 
 def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
     """Integrate every scenario and write its traces and the report.
 
     The parent writes each <name>_norms.csv and hands <name>_modes.csv to
-    a writer child, then integrates the next scenario; the report reads
-    only the norms files, so it and the certificates it needs are computed
-    while the writers run, and report.json is written once every writer
-    has succeeded.  The semigroups, certificates and report share the kernels.
+    the writer children (_TraceWriters), one per sample-range piece and at
+    most one per usable core, then integrates the next scenario; the report
+    reads only the norms files, so it and the certificates it needs are
+    computed while the writers run.  The final join writes the pieces still
+    queued in the parent and waits for every child, and report.json is
+    written once every piece has succeeded.  The semigroups, certificates
+    and report share the kernels.
     """
     out = _out_dir(cfg, out)
     system, law, *_ = _load_artifacts(out)
@@ -712,7 +779,7 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
         report = _report(cfg, out, system, law, kernels,
                          _build_certificates(kernels, law, cfg.r_list))
     finally:
-        writers.poll(wait=True)
+        writers.join()
     write_json(os.path.join(out, "report.json"), report)
     for name, fit in (report["decay_fits"] or {}).items():
         msg = "no fit" if fit is None else f"mu_hat={fit['mu_hat']:.4f} r2={fit['r2']:.4f}"

@@ -456,24 +456,30 @@ def fit_decay(times, norms, window: Optional[tuple] = None) -> DecayFit:
 # CSV export
 # ---------------------------------------------------------------------------
 
-def write_modes_csv(trace: SimulationTrace, path) -> None:
+def write_modes_csv(trace: SimulationTrace, path, start: int = 0,
+                    stop: Optional[int] = None) -> None:
     """Modal history, header t,branch,n,re,im, one row per (sample, branch, n).
 
-    The bytes are those of csv.writer with repr floats (no field needs
-    quoting); the history is written one (sample, branch) block at a time,
-    so memory stays at one block of strings.  Pure Python and file writes:
-    no BLAS call and no thread, so a forked child may run it.
+    Writes the rows of samples start..stop-1, all of them by default, and
+    the header when start is 0, so the files of contiguous sample ranges,
+    concatenated in order, are the file of the whole history.  The bytes
+    are those of csv.writer with repr floats (no field needs quoting).
+    Each branch has one template of its rows, "{t},{i},{n},%r,%r\\r\\n" for
+    every n, and each (sample, branch) block is one % of it, with the
+    sample's repr(t) put in, on the row's re and im interleaved (%r is
+    float.__repr__), so memory stays at one block of strings.  Pure Python
+    and file writes: no BLAS call and no thread, so a forked child may run it.
     """
-    prefixes = [[f",{i},{n}," for n in range(1, block.shape[1] + 1)]
-                for i, block in enumerate(trace.states, start=1)]
+    templates = ["".join([f"{{t}},{i},{n},%r,%r\r\n" for n in range(1, block.shape[1] + 1)])
+                 for i, block in enumerate(trace.states, start=1)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("t,branch,n,re,im\r\n")
-        for k, t in enumerate(trace.times.tolist()):
+        if start == 0:
+            fh.write("t,branch,n,re,im\r\n")
+        for k, t in enumerate(trace.times[start:stop].tolist(), start):
             lead = repr(t)
-            for prefix, block in zip(prefixes, trace.states):
-                row = block[k]
-                fh.write("".join([f"{lead}{p}{re!r},{im!r}\r\n" for p, re, im
-                                  in zip(prefix, row.real.tolist(), row.imag.tolist())]))
+            for template, block in zip(templates, trace.states):
+                row = np.ascontiguousarray(block[k]).view(float)
+                fh.write(template.replace("{t}", lead) % tuple(row.tolist()))
 
 
 def write_norms_csv(trace: SimulationTrace, path) -> None:

@@ -874,10 +874,12 @@ def _assert_no_child_left():
 
 
 class TestTraceWriters:
-    """simulate writes *_modes.csv from forked children, at most one per core."""
+    """simulate writes *_modes.csv in sample-range pieces from forked children,
+    at most one per core."""
 
-    @pytest.mark.parametrize("cores, copies", [(1, 1), (2, 1), (2, 3)],
-                             ids=["one-core", "two-cores", "more-scenarios-than-cores"])
+    @pytest.mark.parametrize("cores, copies", [(1, 1), (2, 1), (2, 3), (3, 1)],
+                             ids=["one-core", "two-cores", "more-scenarios-than-cores",
+                                  "three-cores"])
     def test_forked_writers_keep_the_bytes(self, tmp_path, monkeypatch, cores, copies):
         cfg = _writer_config(tmp_path, copies)
         traces = []
@@ -886,6 +888,16 @@ class TestTraceWriters:
                 traces.append(_run(*args, **kwargs))
                 return traces[-1]
             monkeypatch.setattr(simulate, name, recording)
+        # pieces the parent writes itself at the final join (a child's calls
+        # are not seen here)
+        parent, in_parent, write = os.getpid(), [], simulate.write_modes_csv
+
+        def recording_write(trace, path, start=0, stop=None):
+            if os.getpid() == parent:
+                in_parent.append(path)
+            write(trace, path, start, stop)
+
+        monkeypatch.setattr(simulate, "write_modes_csv", recording_write)
         # writers alive at each fork, from the parent's own bookkeeping
         alive, at_fork = set(), []
         fork, waitpid = os.fork, os.waitpid
@@ -908,7 +920,9 @@ class TestTraceWriters:
         assert main(["simulate", "--config", str(cfg)]) == 0
         monkeypatch.undo()
         _assert_no_child_left()
-        assert len(at_fork) == 3 * copies and max(at_fork) < cores and not alive
+        # every scenario has more samples than cores: one piece per core
+        assert len(at_fork) + len(in_parent) == 3 * copies * cores
+        assert max(at_fork) < cores and not alive
         ref = tmp_path / "ref"
         ref.mkdir()
         out = tmp_path / "out" / "traces"
@@ -982,11 +996,13 @@ class TestTraceWriters:
         assert names == sorted(before + ["traces/a_modes.csv", "traces/a_norms.csv"])
 
     def test_failed_writer_stops_the_next_scenario(self, tmp_path, monkeypatch, capfd):
-        # on one core the writer of lin0 is joined before rk0's fork, and
-        # its error stops the stage there: no semi0 trace and no report
+        # on one core each modes file is one piece; lin0's failed writer is
+        # reaped by a later start(), poll() or the final join, and its error
+        # stops the stage with the files of the later scenarios removed: no
+        # semi0 trace and no report
         _writer_config(tmp_path)
 
-        def fail(trace, path):
+        def fail(trace, path, start=0, stop=None):
             raise OSError(f"disk full writing {os.path.basename(path)}")
 
         monkeypatch.setattr(simulate, "write_modes_csv", fail)
@@ -1001,13 +1017,13 @@ class TestTraceWriters:
         assert not list((out / "traces").glob("semi0_*"))
 
     def test_failed_writer_leaves_the_inline_traces(self, tmp_path, monkeypatch, capfd):
-        # the forked run learns of lin0's failure at rk0's fork, after
-        # rk0_norms.csv is written; it removes that file before raising
+        # the forked run learns of lin0's failure after rk0_norms.csv is
+        # written; it removes that file, and those after it, before raising
         cfg = _writer_config(tmp_path)
         out = tmp_path / "out"
         shutil.copytree(out, tmp_path / "pristine")
 
-        def fail(trace, path):
+        def fail(trace, path, start=0, stop=None):
             raise OSError(f"disk full writing {os.path.basename(path)}")
 
         listings = []
@@ -1042,11 +1058,12 @@ class TestTraceWriters:
         shutil.copytree(out, tmp_path / "pristine")
         write = simulate.write_modes_csv
 
-        def fail_second(trace, path):
-            if os.path.basename(path) != "lin1_modes.csv":
-                return write(trace, path)
+        def fail_second(trace, path, start=0, stop=None):
+            # every piece of lin1_modes.csv fails, its part files included
+            if not os.path.basename(path).startswith("lin1_modes.csv"):
+                return write(trace, path, start, stop)
             time.sleep(0.5)
-            raise OSError(f"disk full writing {os.path.basename(path)}")
+            raise OSError("disk full writing lin1_modes.csv")
 
         runs = []
         with monkeypatch.context() as mp:
@@ -1068,9 +1085,11 @@ class TestTraceWriters:
         assert forked[3] == (tmp_path / "pristine" / "report.json").read_bytes()
 
     def test_error_in_writer_keeps_type_and_exit_code(self, tmp_path, monkeypatch, capfd):
+        # on more than one core every piece fails, and the first piece's
+        # error, the one that names lin0_modes.csv, is raised
         _writer_config(tmp_path)
 
-        def fail(trace, path):
+        def fail(trace, path, start=0, stop=None):
             raise errors.IntegratorError(f"cannot write {os.path.basename(path)}")
 
         monkeypatch.setattr(simulate, "write_modes_csv", fail)
@@ -1080,6 +1099,42 @@ class TestTraceWriters:
         assert forked[0] == 4
         assert json.loads(forked[1]) == {"error": "IntegratorError",
                                          "message": "cannot write lin0_modes.csv"}
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_writer_failing_past_the_first_piece_leaves_the_inline_files(
+            self, tmp_path, monkeypatch, capfd, cores):
+        # the writer fails after lin0's last sample: forked, only the last
+        # piece (start > 0) fails, inline the one call that writes the file
+        cfg = _writer_config(tmp_path)
+        out = tmp_path / "out"
+        shutil.copytree(out, tmp_path / "pristine")
+        write = simulate.write_modes_csv
+
+        def fail_at_the_end(trace, path, start=0, stop=None):
+            write(trace, path, start, stop)
+            if (os.path.basename(path).startswith("lin0_modes.csv")
+                    and stop in (None, len(trace.times))):
+                raise OSError("disk full after the last sample of lin0")
+
+        runs = []
+        with monkeypatch.context() as mp:
+            mp.setattr(simulate, "write_modes_csv", fail_at_the_end)
+            mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+            for inline in (False, True):
+                shutil.rmtree(out)
+                shutil.copytree(tmp_path / "pristine", out)
+                if inline:
+                    mp.delattr(os, "fork")
+                code = main(["simulate", "--config", str(cfg)])
+                _assert_no_child_left()
+                runs.append((code, capfd.readouterr().err,
+                             sorted(str(p.relative_to(out)) for p in out.rglob("*"))))
+        forked, inline = runs
+        assert forked == inline
+        assert forked[0] == 1 and json.loads(forked[1]) == {
+            "error": "OSError", "message": "disk full after the last sample of lin0"}
+        assert "traces/lin0_modes.csv" in forked[2]
+        assert not [name for name in forked[2] if ".part" in name]
 
 
 class TestSweepCommand:

@@ -1,5 +1,5 @@
 import csv
-
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -264,6 +264,33 @@ class TestCsvExport:
         assert len(lines) == 1 + 3 * 2 * 4
         nlines = norms.read_text().splitlines()
         assert nlines[0] == "t,norm_r0,norm_r1"
+
+    @pytest.mark.parametrize("samples", [1, 2, 3, 17])
+    def test_sample_ranges_concatenate_to_the_whole_file(self, tmp_path, samples):
+        # a strided branch (every other column of a wider array) and a
+        # branch of Burgers' kind, with an all-0.0 im column
+        rng = np.random.default_rng(samples)
+        wide = rng.standard_normal((samples, 10)) + 1j * rng.standard_normal((samples, 10))
+        wide[0, 0], wide[-1, 2] = complex(-0.0, 5e-324), complex(1e16, -1e-05)
+        real = np.asarray(rng.standard_normal((samples, 3)), dtype=complex)
+        trace = SimulationTrace(times=np.cumsum(rng.uniform(0.1, 1.0, samples)),
+                                states=(wide[:, ::2], real), norms={0.0: np.ones(samples)})
+        assert not trace.states[0].flags.c_contiguous
+        whole = _csv_bytes(trace, tmp_path / "whole.csv")
+        assert b",0.0\r\n" in whole
+        legacy_trace_to_csv(trace, tmp_path / "legacy.csv", tmp_path / "norms.csv")
+        assert whole == (tmp_path / "legacy.csv").read_bytes()
+        for cuts in range(min(3, samples - 1) + 1):
+            for inner in itertools.combinations(range(1, samples), cuts):
+                edges = (0, *inner, samples)
+                pieces = b"".join(_csv_bytes(trace, tmp_path / "piece.csv", lo, hi)
+                                  for lo, hi in zip(edges, edges[1:]))
+                assert pieces == whole, edges
+
+
+def _csv_bytes(trace, path, start=0, stop=None):
+    simulate.write_modes_csv(trace, path, start, stop)
+    return path.read_bytes()
 
 
 # ---------------------------------------------------------------------------
