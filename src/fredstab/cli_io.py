@@ -12,7 +12,9 @@ ConfigErrors naming the key too.  Artifacts land in
 out/{system.json, law.json, transform.json, report.json, traces/, plots/}
 and are byte-identical across runs of the same config and version, at any
 BLAS thread count.  synthesize and sweep create out only once their inputs
-have passed, so a refused stage leaves no empty directory.
+have passed, so a refused stage leaves no empty directory.  Every writer,
+sweep.csv's too, opens with jsonio.overwrite: a rerun writes each file over
+in place and cuts it to its new length, never truncating it to zero first.
 
 No stage forms the transform T: transform.json stores the O(N) certificate
 that transform.build_transform takes in one row-blocked pass over C (schema
@@ -71,7 +73,7 @@ import numpy as np
 from . import diagnostics, models, simulate, synthesis, transform
 from .errors import (AssumptionError, ConfigError, FredstabError,
                      IntegratorError, SolverError)
-from .jsonio import canonical_json, read_json, write_json
+from .jsonio import canonical_json, overwrite, read_json, write_json
 from .spectral_core import (SpectralSystem, system_from_json, system_to_json,
                             verify_assumptions)
 from .synthesis import law_from_json, law_tb_residual, law_to_json
@@ -570,7 +572,8 @@ class _TraceWriters:
     sample ranges of near-equal length, its pieces.  Piece 0 is written
     into the file itself and piece j > 0 into the part file <file>.part<j>
     next to it.  start() creates the file and every part file in the parent, so an
-    unwritable path fails where the inline writer would, and queues the
+    unwritable path fails where the inline writer would, without truncating
+    them (each writer writes its file over in place), and queues the
     pieces.  The oldest queued piece is forked while fewer writers than
     usable cores are alive: by start(), which never waits, and by poll(),
     which first reaps the finished ones.  A child runs
@@ -611,7 +614,7 @@ class _TraceWriters:
         self.poll()
         for j in range(count):
             piece = f"{path}.part{j}" if j else path
-            open(piece, "w", encoding="utf-8").close()
+            open(piece, "ab").close()
             (self.parts[order] if j else self.files[order]).append(piece)
             self.queue.append(((order, j), trace, piece, samples * j // count,
                                samples * (j + 1) // count))
@@ -864,7 +867,7 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str] = None,
             rows = list(pool.map(run_point, grid))
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "sweep.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with overwrite(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=_SWEEP_FIELDS)
         writer.writeheader()
         writer.writerows(rows)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonio import config_hash
+from .jsonio import config_hash, overwrite
 from .spectral_core import (AssumptionVerdict, SpectralBranch, SpectralSystem,
                             classify_controllability, verify_assumptions)
 from .synthesis import (BranchGains, BranchKernel, FeedbackLaw,
@@ -333,7 +333,7 @@ def svg_line_plot(path, series: dict, title: str, xlabel: str, ylabel: str,
                      f'font-family="sans-serif" font-size="10" fill="{color}">'
                      f'{_svg_escape(label)}</text>')
     lines.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
+    with overwrite(path) as fh:
         fh.write("\n".join(lines))
         fh.write("\n")
 

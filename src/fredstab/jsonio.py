@@ -4,12 +4,22 @@ Artifacts must be byte-identical across runs for the same inputs, so the
 stdlib encoder runs with sorted keys, fixed separators, ``repr`` floats (the
 shortest text that reads back to the same double, as in every CSV and SVG)
 and complex numbers as [re, im] pairs; a non-finite float is refused.
+
+Every artifact writer opens its file with overwrite: the file is written
+over in place from its first byte and cut to the new length on close,
+never opened with O_TRUNC.  On ext4 (auto_da_alloc, its default), XFS and
+btrfs a file truncated to zero and written again is queued for writeback
+on close, and the next unlink or truncation of it waits for that
+writeback; an in-place overwrite is not.  No writer calls fsync, so
+neither way promises durability; only when the kernel writes back differs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 import sys
 from itertools import chain
 from typing import Any
@@ -79,10 +89,26 @@ def canonical_json(obj: Any) -> str:
         raise ValueError("non-finite float cannot be serialized canonically") from exc
 
 
+@contextlib.contextmanager
+def overwrite(path, newline=None):
+    """A UTF-8 text file that writes path over in place, from its first byte.
+
+    The file is created if missing and never truncated on open; on exit,
+    also on an exception, it is cut at the current position, so it holds
+    exactly the bytes written.  newline is open()'s.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with os.fdopen(fd, "w", encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        finally:
+            fh.truncate()
+
+
 def write_json(path, obj: Any) -> None:
     """Write canonical JSON and a newline; if serializing fails, the file is untouched."""
     text = canonical_json(obj) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
+    with overwrite(path) as fh:
         fh.write(text)
 
 

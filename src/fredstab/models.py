@@ -438,7 +438,9 @@ def gribov_model(N: int, eps: complex = 0.0, r: float = 0.0,
         raise ValueError("gribov model needs N >= 4")
     n_idx = np.arange(1, N + 1)
     eig = -(n_idx.astype(float) ** 3) + eps * (1.0 / n_idx).astype(complex)
-    b = (n_idx.astype(float) ** r).astype(complex)
+    # a large r overflows to inf, which SpectralBranch refuses: no warning first
+    with np.errstate(over="ignore"):
+        b = (n_idx.astype(float) ** r).astype(complex)
     branch = SpectralBranch(1, eig.astype(complex), b, alpha=3.0,
                             beta=-r, gamma=gamma)
     return SpectralSystem(branches=(branch,), label="gribov")

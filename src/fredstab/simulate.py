@@ -40,6 +40,7 @@ import numpy.random
 from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .errors import IntegratorError
+from .jsonio import overwrite
 from .spectral_core import SpectralSystem
 from .synthesis import FeedbackLaw, _matvec
 
@@ -469,10 +470,13 @@ def write_modes_csv(trace: SimulationTrace, path, start: int = 0,
     sample's repr(t) put in, on the row's re and im interleaved (%r is
     float.__repr__), so memory stays at one block of strings.  Pure Python
     and file writes: no BLAS call and no thread, so a forked child may run it.
+    The file is written over in place and cut to its new length
+    (jsonio.overwrite), so a piece file simulate created a moment before,
+    or a stale one, is never truncated to zero.
     """
     templates = ["".join([f"{{t}},{i},{n},%r,%r\r\n" for n in range(1, block.shape[1] + 1)])
                  for i, block in enumerate(trace.states, start=1)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with overwrite(path, newline="") as fh:
         if start == 0:
             fh.write("t,branch,n,re,im\r\n")
         for k, t in enumerate(trace.times[start:stop].tolist(), start):
@@ -487,6 +491,6 @@ def write_norms_csv(trace: SimulationTrace, path) -> None:
     r_keys = sorted(trace.norms)
     columns = [trace.times.tolist()] + [
         np.asarray(trace.norms[r], dtype=float).tolist() for r in r_keys]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with overwrite(path, newline="") as fh:
         fh.write(",".join(["t"] + [f"norm_r{r:g}" for r in r_keys]) + "\r\n")
         fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in zip(*columns)]))

@@ -1,12 +1,14 @@
 import contextlib
 import csv
 import functools
+import hashlib
 import io
 import json
 import math
 import os
 import re
 import shutil
+import subprocess
 import sys
 import tempfile
 import threading
@@ -1137,6 +1139,51 @@ class TestTraceWriters:
         assert not [name for name in forked[2] if ".part" in name]
 
 
+# the artifacts each stage writes, as globs under the output directory
+_STAGE_WRITES = {"synthesize": ("system.json", "law.json", "transform.json"),
+                 "verify": ("report.json",), "simulate": ("traces/*", "report.json"),
+                 "report": ("report.json", "plots/*"), "sweep": ("sweep.csv",)}
+
+
+class TestRerun:
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_stale_artifacts_are_written_over(self, tmp_path, monkeypatch, cores):
+        # every writer overwrites its file in place and cuts it to the new
+        # length: stale bytes after each artifact a stage writes, and stale
+        # part files of an interrupted simulate, leave no trace in a rerun
+        cfg = tmp_path / "config.json"
+        write_config(cfg, r_list=[0.0, 0.5], scenarios=_WRITER_SCENARIOS,
+                     sweep={"lambda0": [2.5], "N": [8, 16]})
+        out = tmp_path / "out"
+
+        def hashes():
+            return {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+                    for p in out.rglob("*") if p.is_file()}
+
+        for stage in _STAGE_WRITES:
+            assert main([stage, "--config", str(cfg)]) == 0
+        _assert_no_child_left()
+        fresh = hashes()
+        assert {"sweep.csv", "traces/lin_modes.csv", "plots/lin_decay.svg"} <= set(fresh)
+        assert set(fresh) == {str(p.relative_to(out)) for globs in _STAGE_WRITES.values()
+                              for g in globs for p in out.glob(g)}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        for stage, globs in _STAGE_WRITES.items():
+            # a later stage reads what an earlier one wrote: spoil a file
+            # only just before the stage that writes it over
+            for path in [p for g in globs for p in out.glob(g)]:
+                with open(path, "ab") as fh:
+                    fh.write(b"stale\n" * 512)
+            if stage == "simulate":
+                for sc in _WRITER_SCENARIOS:
+                    for j in range(1, cores):
+                        (out / "traces" / f"{sc['name']}_modes.csv.part{j}").write_bytes(
+                            b"stale part\n" * 4096)
+            assert main([stage, "--config", str(cfg)]) == 0
+        _assert_no_child_left()
+        assert hashes() == fresh
+
+
 class TestSweepCommand:
     def test_grid_rows_and_monotone_decay(self, tmp_path):
         cfg = tmp_path / "config.json"
@@ -1982,6 +2029,23 @@ class TestModelParams:
         exact = -(np.arange(1, 5) * np.pi) ** 2
         rel = np.abs(system.branches[0].eigenvalues.real - exact) / np.abs(exact)
         assert rel.max() < 1e-3
+
+    def test_overflowing_gribov_r_prints_one_json_object(self, tmp_path):
+        # a fresh interpreter shows warnings on stderr, as the command line does
+        cfg = tmp_path / "config.json"
+        write_json(cfg, {"model": {"kind": "gribov", "N": 16, "params": {"r": 400.0}},
+                         "N": 16, "output_dir": str(tmp_path / "out")})
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli_io.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fredstab.cli_io", "synthesize", "--config", str(cfg)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1
+        assert json.loads(proc.stderr) == {
+            "error": "ConfigError",
+            "message": "config.model: ValueError: control_coeffs contains non-finite entries"}
+        assert not (tmp_path / "out").exists()
 
     def test_huge_robin_coefficient_builds(self):
         # c1 ** 2 raised an OverflowError out of the degeneracy check, a

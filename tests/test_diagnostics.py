@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import warnings
 
 import numpy as np
@@ -13,7 +14,8 @@ from fredstab import (BranchKernel, build_transform, closed_loop_matrix,
                       simulate_closed_loop, solve_gains_direct,
                       spectrum_match_error, synthesize_feedback)
 from fredstab.diagnostics import PLOT_HEIGHT, PLOT_WIDTH, REPORT_SCHEMA, svg_line_plot
-from fredstab.jsonio import canonical_json, config_hash, cpairs, from_cpairs, write_json
+from fredstab.jsonio import (canonical_json, config_hash, cpairs, from_cpairs, overwrite,
+                             write_json)
 from fredstab.models import gribov_model, heat_torus_model
 from fredstab.synthesis import inverse_gap_sum_profile
 
@@ -239,6 +241,54 @@ class TestCanonicalJson:
                 "complex imag": [doc, complex(0.0, bad)]}[where]
         with pytest.raises(ValueError, match="non-finite"):
             canonical_json({"wrapped": leaf})
+
+
+class TestOverwrite:
+    NEW = "t,re\r\n0.5,-1.25\r\n"
+
+    @pytest.mark.parametrize("stale", [None, "x" * 4096, "ab\n"],
+                             ids=["fresh", "longer-stale", "shorter-stale"])
+    def test_file_holds_exactly_the_new_bytes(self, tmp_path, stale):
+        path = tmp_path / "trace.csv"
+        if stale is not None:
+            path.write_text(stale)
+        with overwrite(path, newline="") as fh:
+            fh.write(self.NEW)
+        assert path.read_bytes() == self.NEW.encode()
+
+    def test_utf8_text_without_a_newline_argument(self, tmp_path):
+        path = tmp_path / "plot.svg"
+        path.write_text("y" * 64)
+        with overwrite(path) as fh:
+            fh.write("<svg>\n\u2013</svg>\n")
+        assert path.read_bytes() == "<svg>\n\u2013</svg>\n".encode("utf-8")
+
+    def test_body_that_raises_leaves_the_bytes_written_before(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("z" * 4096)
+        with pytest.raises(RuntimeError, match="midway"):
+            with overwrite(path) as fh:
+                fh.write('{"partial":')
+                raise RuntimeError("midway")
+        assert path.read_bytes() == b'{"partial":'
+
+    def test_opens_without_truncating(self, tmp_path, monkeypatch):
+        flags, os_open = [], os.open
+
+        def spy(path, flag, mode=0o777, **kwargs):
+            flags.append(flag)
+            return os_open(path, flag, mode, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        path = tmp_path / "law.json"
+        path.write_text("stale " * 100)
+        write_json(path, {"a": 1})
+        with overwrite(tmp_path / "sweep.csv", newline="") as fh:
+            fh.write("N\r\n")
+        assert len(flags) == 2
+        assert all(flag & os.O_CREAT and flag & os.O_WRONLY and not flag & os.O_TRUNC
+                   for flag in flags)
+        assert path.read_bytes() == b'{"a":1}\n'
 
 
 class TestSvgPlot:

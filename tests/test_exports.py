@@ -205,6 +205,60 @@ def test_weights_taken_only_by_the_kernel():
     assert _owners(_negates_eigenvalues) == {"BranchKernel"}
 
 
+def _truncating_open(node) -> bool:
+    """True for open(path, mode), io.open(path, mode) or path.open(mode) with a mode that
+    truncates ("w...") or is not a literal, and for pathlib's write_text / write_bytes."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+        return True
+    if isinstance(func, ast.Name) and func.id == "open":
+        at = 1
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        owner = _names(func.value)
+        if "os" in owner:
+            return False            # flags, not a mode: the O_TRUNC guard sees them
+        at = 1 if owner & {"io", "builtins"} else 0
+    else:
+        return False
+    modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[at:at + 1]
+    return any(not (isinstance(m, ast.Constant) and isinstance(m.value, str))
+               or "w" in m.value for m in modes)
+
+
+def _names_truncation(node) -> bool:
+    """True for a name, an attribute or an import of O_TRUNC."""
+    return ((isinstance(node, (ast.Name, ast.Attribute)) and "O_TRUNC" in _names(node))
+            or (isinstance(node, ast.alias) and node.name == "O_TRUNC"))
+
+
+def test_truncation_guard_sees_every_form():
+    def found(source):
+        return any(_truncating_open(n) or _names_truncation(n)
+                   for n in ast.walk(ast.parse(source)))
+    for source in ('open(p, "w")', 'open(p, mode="wb")', 'io.open(p, "w+")', "open(p, m)",
+                   'Path(p).open("w")', 'p.write_text("x")', "os.open(p, os.O_TRUNC)",
+                   "from os import O_TRUNC"):
+        assert found(source), source
+    assert not found('open(p)') and not found('open(p, "rb")') and not found('open(p, "ab")')
+    assert not found('Path(p).open()') and not found('io.open(p, "r")')
+    assert not found("os.open(p, os.O_WRONLY | os.O_CREAT, 0o666)")
+    assert not found('os.fdopen(fd, "wb")')
+
+
+def test_no_writer_truncates_a_path():
+    # every artifact is written over in place (jsonio.overwrite) and cut to
+    # its new length on close; a file truncated to zero is queued for
+    # writeback on close, and its next unlink or truncation waits for it
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if _truncating_open(node) or _names_truncation(node)]
+    assert not found, found
+
+
 def test_diagnostics_draws_nothing():
     # the compactness proxy is a deterministic Lanczos estimate: no power
     # iteration, its step count or seed, and no numpy.random in diagnostics

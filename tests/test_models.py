@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -293,6 +294,13 @@ class TestGribov:
     def test_eps_cap(self):
         with pytest.raises(ValueError, match="cap"):
             gribov_model(8, eps=0.2)
+
+    def test_overflowing_r_is_refused_without_a_warning(self):
+        # n ** r overflows to inf; the non-finite refusal is the only signal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="control_coeffs contains non-finite"):
+                gribov_model(16, r=400.0)
 
     def test_r_outside_interval_rejected_by_classifier(self):
         system = gribov_model(16, r=2.6)
