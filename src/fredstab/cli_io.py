@@ -41,11 +41,13 @@ from the output directory and the config alone, so the three stages write
 the same bytes for the same directory.  report and simulate refuse a law
 with a non-finite gain or product, naming the branch and field, before any
 work.  simulate checks every scenario, with the integrators' own checks
-(simulate.check_run), and builds its u0 before the first integrates, then
-hands each traces/<name>_modes.csv, in sample-range pieces, to forked
-writers (_TraceWriters) while it integrates the next, and writes
-report.json once every piece has succeeded; a failed writer leaves the
-exit code and files of an inline run.
+(simulate.check_run, its time grid included), and builds its u0 before
+the first integrates.  It writes each traces/<name>_modes.csv in
+sample-range pieces (_TraceWriters), forking a writer for a piece while a
+core is free and writing it in the parent otherwise, and integrates the
+next scenario while they run; report.json is written once the one join
+has found every piece written.  A failed writer leaves the exit code and
+files of an inline run.
 
 Exit codes: 0 success, 2 assumption-verdict failure, 3 solver failure,
 4 integrator guard violation, 1 anything else.  Failures print a
@@ -62,6 +64,7 @@ import csv
 import locale  # noqa: F401
 import math
 import os
+import pickle
 import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -571,33 +574,29 @@ class _TraceWriters:
     start() cuts a file into min(usable cores, len(trace.times)) contiguous
     sample ranges of near-equal length, its pieces.  Piece 0 is written
     into the file itself and piece j > 0 into the part file <file>.part<j>
-    next to it.  start() creates the file and every part file in the parent, so an
-    unwritable path fails where the inline writer would, without truncating
-    them (each writer writes its file over in place), and queues the
-    pieces.  The oldest queued piece is forked while fewer writers than
-    usable cores are alive: by start(), which never waits, and by poll(),
-    which first reaps the finished ones.  A child runs
-    simulate.write_modes_csv(trace, path, start, stop), looked up when it
-    is forked, which is pure Python and file writes, and leaves through
-    os._exit, so no atexit handler runs and no inherited stdio buffer is
-    flushed twice.  A failing child pickles its exception into a pipe.
-    Once every piece of a file has been reaped without error, the parent
-    appends the part files to it in order and removes them.  join() writes
-    the pieces still queued in the parent, then waits for every child.
-    Once an error is reaped, start(), poll() or join() waits for every
-    child, drops the queue, removes every part file and the trace files of
-    the scenarios started after the earliest failing one (the files their
-    start() was given and wrote), and raises the error of that scenario's
-    first failing piece, so the traces left behind are those an inline run
-    stops with.  Without os.fork, start() runs the writer inline.
+    next to it.  start() creates the file and every part file in the parent,
+    so an unwritable path fails where the inline writer would, without
+    truncating them (each writer writes its file over in place).  It then
+    reaps the exited children and forks each piece while fewer writers than
+    usable cores are alive, and otherwise writes the piece itself at once.
+    A child runs simulate.write_modes_csv(trace, path, start, stop), looked
+    up when it is forked, which is pure Python and file writes, and leaves
+    through os._exit, so no atexit handler runs and no inherited stdio
+    buffer is flushed twice.  A failing child pickles its exception into a
+    pipe.  join() is the one place that waits and cleans up, and start()
+    hands over to it as soon as it meets an error: it waits for every
+    child, appends the part files, in order, to the file of every scenario
+    before the earliest failing one and removes every part file.  After an
+    error it also removes the trace files of the later scenarios (the files
+    their start() was given and created) and raises the error of the
+    failing scenario's first failing piece, so the traces left behind are
+    those an inline run stops with.  A second join() does nothing.  Without
+    os.fork, start() runs the writer inline.
     """
 
     def __init__(self):
         self.limit = _usable_cores()
-        self.files = []     # start order -> trace files of that scenario
-        self.parts = []     # start order -> its part files, until appended
-        self.left = []      # start order -> its pieces not yet written
-        self.queue = []     # ((start order, piece), trace, path, start, stop)
+        self.files = []     # start order -> (its files already written, its pieces)
         self.pipes = {}     # pid -> ((start order, piece), read end of its error pipe)
         self.errors = {}    # (start order, piece) -> exception
 
@@ -607,58 +606,42 @@ class _TraceWriters:
             simulate.write_modes_csv(trace, path)
             return
         order, samples = len(self.files), len(trace.times)
-        count = min(self.limit, samples)
-        self.files.append(list(written))
-        self.parts.append([])
-        self.left.append(count)
-        self.poll()
-        for j in range(count):
-            piece = f"{path}.part{j}" if j else path
-            open(piece, "ab").close()
-            (self.parts[order] if j else self.files[order]).append(piece)
-            self.queue.append(((order, j), trace, piece, samples * j // count,
-                               samples * (j + 1) // count))
-        self._fork_queued()
-
-    def _fork_queued(self) -> None:
-        """Fork the oldest queued pieces while fewer writers than self.limit are alive."""
-        import pickle
-        while self.queue and len(self.pipes) < self.limit:
-            key, *piece = self.queue.pop(0)
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                try:
-                    os.close(read_fd)
-                    simulate.write_modes_csv(*piece)
-                    os._exit(0)
-                except BaseException as exc:
-                    with os.fdopen(write_fd, "wb") as pipe:
-                        pickle.dump(exc, pipe)
-                finally:
-                    os._exit(1)
-            os.close(write_fd)
-            self.pipes[pid] = (key, read_fd)
-
-    def _written(self, order: int) -> None:
-        """Count one piece of scenario order written; after the last, append its parts."""
-        self.left[order] -= 1
-        if self.left[order]:
-            return
+        count, pieces = min(self.limit, samples), []
+        self.files.append((list(written), pieces))
         try:
-            with open(self.files[order][-1], "ab") as out:
-                for part in self.parts[order]:
-                    with open(part, "rb") as fh:
-                        shutil.copyfileobj(fh, out)
-        except OSError as exc:
-            self.errors[order, self.limit] = exc        # after its pieces
-            return
-        _remove(self.parts[order])
-        self.parts[order] = []
+            for j in range(count):
+                open(piece := f"{path}.part{j}" if j else path, "ab").close()
+                pieces.append(piece)
+            for j, piece in enumerate(pieces):
+                for pid in list(self.pipes):
+                    self._reap(pid, wait=False)
+                if self.errors:
+                    break
+                args = (trace, piece, samples * j // count, samples * (j + 1) // count)
+                if len(self.pipes) == self.limit:
+                    simulate.write_modes_csv(*args)
+                    continue
+                read_fd, write_fd = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        os.close(read_fd)
+                        simulate.write_modes_csv(*args)
+                        os._exit(0)
+                    except BaseException as exc:
+                        with os.fdopen(write_fd, "wb") as pipe:
+                            pickle.dump(exc, pipe)
+                    finally:
+                        os._exit(1)
+                os.close(write_fd)
+                self.pipes[pid] = ((order, j), read_fd)
+        except Exception as exc:
+            self.errors[order, j] = exc
+        if self.errors:
+            self.join()
 
     def _reap(self, pid: int, wait: bool) -> None:
         """Reap one child and keep its error; without wait, only if it has exited."""
-        import pickle
         status = None
         if not wait:
             done, status = os.waitpid(pid, os.WNOHANG)
@@ -678,43 +661,29 @@ class _TraceWriters:
         elif status:
             self.errors[key] = ChildProcessError(
                 f"trace writer {pid} ended with wait status {status}")
-        else:
-            self._written(key[0])
-
-    def _reap_all(self, wait: bool) -> None:
-        """Reap every child, or without wait every exited one."""
-        for pid in list(self.pipes):
-            self._reap(pid, wait)
-
-    def poll(self) -> None:
-        """Reap the exited children and fork queued pieces; raise the earliest error."""
-        self._reap_all(wait=False)
-        self._raise()
-        self._fork_queued()
 
     def join(self) -> None:
-        """Write the queued pieces here, then wait for every child; raise the earliest error."""
-        while self.queue and not self.errors:
-            key, *piece = self.queue.pop(0)
+        """Wait for every child, append and remove the part files; raise the earliest error."""
+        for pid in list(self.pipes):
+            self._reap(pid, wait=True)
+        files, self.files = self.files, []
+        for order, (_, pieces) in enumerate(files):
+            if self.errors and min(self.errors)[0] <= order:
+                break
             try:
-                simulate.write_modes_csv(*piece)
-            except Exception as exc:
-                self.errors[key] = exc
-            else:
-                self._written(key[0])
-        self._reap_all(wait=True)
-        self._raise()
-        _remove(sum(self.parts, []))        # of a start() that failed
-
-    def _raise(self) -> None:
-        """With an error reaped: wait for every child, drop the queue, remove every part
-        file and the files of the scenarios started after the failing one, and raise."""
+                with open(pieces[0], "ab") as out:
+                    for part in pieces[1:]:
+                        with open(part, "rb") as fh:
+                            shutil.copyfileobj(fh, out)
+            except OSError as exc:
+                self.errors[order, self.limit] = exc        # after its pieces
+        _remove(part for _, pieces in files for part in pieces[1:])
         if self.errors:
-            self._reap_all(wait=True)
-            self.queue.clear()
             first = min(self.errors)
-            _remove(sum(self.parts + self.files[first[0] + 1:], []))
-            raise self.errors[first]
+            error, self.errors = self.errors[first], {}
+            _remove(path for written, pieces in files[first[0] + 1:]
+                    for path in written + pieces)
+            raise error
 
 
 def _remove(paths) -> None:
@@ -727,20 +696,20 @@ def _remove(paths) -> None:
 def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
     """Integrate every scenario and write its traces and the report.
 
-    The parent writes each <name>_norms.csv and hands <name>_modes.csv to
-    the writer children (_TraceWriters), one per sample-range piece and at
-    most one per usable core, then integrates the next scenario; the report
-    reads only the norms files, so it and the certificates it needs are
-    computed while the writers run.  The final join writes the pieces still
-    queued in the parent and waits for every child, and report.json is
-    written once every piece has succeeded.  The semigroups, certificates
-    and report share the kernels.
+    The parent writes each <name>_norms.csv and starts <name>_modes.csv
+    (_TraceWriters: one piece per usable core, forked while a core is free,
+    written in the parent otherwise), then integrates the next scenario;
+    the report reads only the norms files, so it and the certificates it
+    needs are computed while the writers run.  The one join waits for every
+    child, and report.json is written once it has found every piece
+    written.  The semigroups, certificates and report share the kernels.
     """
     out = _out_dir(cfg, out)
     system, law, *_ = _load_artifacts(out)
     _finite_law(law)
-    # check every scenario and build its u0 before any integrates: a refusal leaves no trace
-    u0s = []
+    # check every scenario and build its time grid and u0 before any integrates: a
+    # refusal leaves no trace
+    runs = []
     for i, sc in enumerate(cfg.scenarios):
         where = f"config.scenarios[{i}] ({sc['name']!r})"
         width = (2 * system.branches[0].N + 1 if sc["nonlinear"]
@@ -752,20 +721,20 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
                 f"trace; the budget is {MATRIX_BUDGET_BYTES} bytes")
         if sc["nonlinear"] and not system.label.startswith("heat_torus"):
             raise ConfigError(f"{where}: nonlinear scenarios need the heat_torus model")
+        times = np.linspace(0.0, sc["t_end"], sc["samples"] + 1)
         try:
-            simulate.check_run(system.branches, law, sc["dt"], sc["integrator"],
+            simulate.check_run(system.branches, law, times, sc["dt"], sc["integrator"],
                                sc["nonlinear"])
         except (ValueError, IntegratorError) as exc:
             raise type(exc)(f"{where}: {exc}") from exc
-        u0s.append(_burgers_u0(system, sc["u0"], where) if sc["nonlinear"]
-                   else _linear_u0(system, sc["u0"], where))
+        runs.append((times, _burgers_u0(system, sc["u0"], where) if sc["nonlinear"]
+                     else _linear_u0(system, sc["u0"], where)))
     kernels = _kernels(system, law.lam)
     traces_dir = os.path.join(out, "traces")
     os.makedirs(traces_dir, exist_ok=True)
     writers = _TraceWriters()
     try:
-        for sc, u0 in zip(cfg.scenarios, u0s):
-            times = np.linspace(0.0, sc["t_end"], sc["samples"] + 1)
+        for sc, (times, u0) in zip(cfg.scenarios, runs):
             if sc["nonlinear"]:
                 trace = simulate.simulate_burgers(system, law, u0, times, dt=sc["dt"],
                                                   r_list=cfg.r_list)
@@ -778,7 +747,6 @@ def cmd_simulate(cfg: RunConfig, out: Optional[str] = None) -> int:
             writers.start(trace, os.path.join(traces_dir, f"{sc['name']}_modes.csv"),
                           (norms_path,))
             del trace
-        writers.poll()
         report = _report(cfg, out, system, law, kernels,
                          _build_certificates(kernels, law, cfg.r_list))
     finally:
@@ -879,15 +847,32 @@ def cmd_sweep(cfg: RunConfig, out: Optional[str] = None,
 def _decay_traces(cfg: RunConfig, traces_dir: str):
     """(name, column, t, norms) of each configured scenario with a norms file.
 
-    column is norm_r of config.r_list[0]; t or norms is None if the file lacks it.
+    column is norm_r of config.r_list[0]; t or norms is None if the file
+    lacks it.  A file with no header, or a row that is not one number per
+    header field, is a ValueError naming the file and the row.
     """
     column = f"norm_r{cfg.r_list[0]:g}"
     for sc in cfg.scenarios:
         path = os.path.join(traces_dir, f"{sc['name']}_norms.csv")
         if os.path.exists(path):
             with open(path, newline="") as fh:
-                header, *rows = csv.reader(fh)
-            columns = {k: np.array([float(r[j]) for r in rows]) for j, k in enumerate(header)}
+                header, *rows = list(csv.reader(fh)) or [[]]
+            if not header:
+                raise ValueError(f"{path}: empty file, no header row")
+            try:
+                table = np.array(rows, dtype=float).reshape(len(rows), len(header))
+            except ValueError:
+                # name the first row that is not one number (float()) per header field
+                for i, row in enumerate(rows, 2):
+                    if len(row) != len(header):
+                        raise ValueError(f"{path} row {i}: {len(row)} fields, "
+                                         f"the header has {len(header)}") from None
+                    try:
+                        list(map(float, row))
+                    except ValueError as exc:
+                        raise ValueError(f"{path} row {i}: {exc}") from None
+                raise
+            columns = dict(zip(header, table.T.copy()))
             yield sc["name"], column, columns.get("t"), columns.get(column)
 
 

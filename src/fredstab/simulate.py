@@ -169,22 +169,31 @@ def _rk4_march(eigenvalues: np.ndarray, b: np.ndarray, K: np.ndarray,
     return out
 
 
-def check_run(branches, law: FeedbackLaw, dt: float,
+def check_run(branches, law: FeedbackLaw, times, dt: float,
               integrator: str = "semigroup_exact", nonlinear: bool = False) -> None:
     """Refuse a run of simulate_closed_loop, or with nonlinear of simulate_burgers, up front.
 
     Both integrators call it first, and so can a caller that must refuse a
-    run before any other starts.  A ValueError names an unknown integrator,
-    a step dt of rk4 or Burgers that is not finite and > 0, a torus system
-    that is not two branches of one N, or Burgers gains that are not
-    exactly real; an rk4 step past the guard 2 / max |lambda_n| is an
-    IntegratorError.
+    run before any other starts.  A ValueError names a time grid that is
+    not strictly increasing, an unknown integrator, a step dt of rk4 or
+    Burgers that is not finite and > 0 or is below the spacing of the
+    doubles at the grid's largest |t| (t + dt would stop moving t before
+    the march ends), a torus system that is not two branches of one N, or
+    Burgers gains that are not exactly real; an rk4 step past the guard
+    2 / max |lambda_n| is an IntegratorError.
     """
+    times = np.asarray(times, dtype=float)
+    if not np.all(np.diff(times) > 0):
+        raise ValueError("times must be strictly increasing")
     if not nonlinear and integrator not in LINEAR_INTEGRATORS:
         raise ValueError(f"unknown linear integrator {integrator!r}")
     rk4 = not nonlinear and integrator == "rk4"
     if (nonlinear or rk4) and not 0 < dt < np.inf:      # dt = 0 never advances t
         raise ValueError(f"step dt={dt} must be finite and > 0")
+    t_max = float(np.max(np.abs(times), initial=0.0))
+    if (nonlinear or rk4) and dt < np.spacing(t_max):
+        raise ValueError(f"step dt={dt} is below the spacing {np.spacing(t_max):.3g} of "
+                         f"the doubles at t={t_max:g}: the march would stop advancing")
     if nonlinear and (len(branches) != 2 or branches[1].N != branches[0].N):
         raise ValueError("semilinear simulation expects the two-branch torus model, "
                          "with one N on both branches")
@@ -209,11 +218,12 @@ def simulate_closed_loop(kernels, law: FeedbackLaw, u0, times,
     gains move u by up to about kappa_0 ||1 - C x||), all samples in one
     product; rk4 integrates du/dt = (diag(lambda) + b K^T) u with a fixed
     step as an independent check.  The step must
-    satisfy 0 < dt <= 2 / max |lambda_N| or the run is refused.
+    satisfy 0 < dt <= 2 / max |lambda_N| or the run is refused, and so is
+    a time grid that check_run refuses.
     """
     branches = [kernel.branch for kernel in kernels]
-    check_run(branches, law, dt, integrator)
     times = np.asarray(times, dtype=float)
+    check_run(branches, law, times, dt, integrator)
     blocks = _states_for(branches, u0)
     states = []
     if integrator == "semigroup_exact":
@@ -371,9 +381,9 @@ def simulate_burgers(system: SpectralSystem, law: FeedbackLaw, u0, times,
     (diffusion plus explicit feedback) has spectral radius above 1, and
     otherwise the local stability basin, which the initial data left.
     """
-    check_run(system.branches, law, dt, nonlinear=True)
-    N = system.branches[0].N
     times = np.asarray(times, dtype=float)
+    check_run(system.branches, law, times, dt, nonlinear=True)
+    N = system.branches[0].N
     u0 = np.asarray(u0)
     if u0.shape != (2 * N + 1,) or not np.array_equal(u0, np.conj(u0[::-1])):
         raise ValueError(f"u0 is not exactly Hermitian: it must be the {2 * N + 1} "

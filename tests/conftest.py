@@ -1,6 +1,7 @@
 import contextlib
 import importlib.util
 import io
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -114,6 +115,14 @@ def operator_equality_residual(T, A_cl, branch, lam):
     num = np.linalg.norm(T @ A_cl - shifted @ T)
     den = np.linalg.norm(T) * np.linalg.norm(A_cl)
     return float(num / den) if den > 0 else 0.0
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """After every test, no child process is left running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

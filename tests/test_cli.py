@@ -768,15 +768,18 @@ class TestSimulateCommand:
             "eigenvalues"][:8], "control_coeffs": branches[1]["control_coeffs"][:8]}],
          {"nonlinear": True, "dt": 1e-3}, "ValueError", 1,
          "semilinear simulation expects the two-branch torus model, with one N"),
+        (None, {"t_end": 5e-324, "samples": 8}, "ValueError", 1,
+         "times must be strictly increasing"),
     ], ids=["n", "branch", "mode", "gribov-nonlinear", "samples", "complex-gains",
-            "rk4-guard", "stored-one-branch", "stored-uneven-N"])
+            "rk4-guard", "stored-one-branch", "stored-uneven-N", "repeated-times"])
     def test_refused_second_scenario_leaves_no_trace(self, tmp_path, capsys, model,
                                                      scenario, error, code, message):
         # every scenario is checked before the first one integrates; the
         # u0 and heat_torus refusals, and those of the integrators (complex
         # gains, the rk4 guard, a stored torus system of other than two
-        # branches of one N), came after the first one's traces.  A callable
-        # model cuts the branches of a stored heat_torus N=16 system.
+        # branches of one N, a time grid with repeated times), came after
+        # the first one's traces.  A callable model cuts the branches of a
+        # stored heat_torus N=16 system.
         cfg = tmp_path / "config.json"
         overrides = {}
         if callable(model):
@@ -820,6 +823,28 @@ class TestSimulateCommand:
         assert json.loads(capsys.readouterr().err) == {"error": "ConfigError",
                                                        "message": message}
         assert not (tmp_path / "out" / "system.json").exists()
+
+    @pytest.mark.parametrize("scenario", [{"integrator": "rk4"}, {"nonlinear": True}],
+                             ids=["rk4", "burgers"])
+    def test_step_below_the_time_resolution_refused_up_front(self, tmp_path, scenario):
+        # t += dt stopped moving t and the march never ended; a fresh
+        # interpreter with a timeout fails where the stage would hang
+        cfg = tmp_path / "config.json"
+        write_config(cfg, N=8, model={"kind": "heat_torus", "N": 8, "params": {}}, scenarios=[
+            {"name": "a", "t_end": 0.1, "samples": 4},
+            {"name": "b", "t_end": 1.0, "samples": 8, "dt": 1e-17, **scenario}])
+        assert main(["synthesize", "--config", str(cfg)]) == 0
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli_io.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fredstab.cli_io", "simulate", "--config", str(cfg)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=60)
+        assert proc.returncode == 1
+        assert json.loads(proc.stderr) == {
+            "error": "ValueError",
+            "message": "config.scenarios[1] ('b'): step dt=1e-17 is below the spacing "
+                       "2.22e-16 of the doubles at t=1: the march would stop advancing"}
+        assert not (tmp_path / "out" / "traces").exists()
 
     def test_rk4_guard_exits_four(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
@@ -999,9 +1024,9 @@ class TestTraceWriters:
 
     def test_failed_writer_stops_the_next_scenario(self, tmp_path, monkeypatch, capfd):
         # on one core each modes file is one piece; lin0's failed writer is
-        # reaped by a later start(), poll() or the final join, and its error
-        # stops the stage with the files of the later scenarios removed: no
-        # semi0 trace and no report
+        # reaped by a later start() or the final join, and its error stops
+        # the stage with the files of the later scenarios removed: no semi0
+        # trace and no report
         _writer_config(tmp_path)
 
         def fail(trace, path, start=0, stop=None):
@@ -1049,7 +1074,10 @@ class TestTraceWriters:
             self, tmp_path, monkeypatch, capfd):
         # lin1's writer is still running when the report is computed; its
         # error is reaped only at the final join, so no report.json may be
-        # written, and verify's report stays as the inline run leaves it
+        # written, and verify's report stays as the inline run leaves it.
+        # The join still appends lin0's part file: every file but the empty
+        # lin1_modes.csv, which the forked run creates before its first fork
+        # (test_failed_writer_leaves_the_inline_traces), has the inline bytes
         cfg = tmp_path / "config.json"
         write_config(cfg, scenarios=[
             {"name": f"lin{k}", "u0": {"kind": "random", "seed": k}, "t_end": 1.0,
@@ -1079,12 +1107,16 @@ class TestTraceWriters:
                 code = main(["simulate", "--config", str(cfg)])
                 _assert_no_child_left()
                 runs.append((code, capfd.readouterr().err, sorted(os.listdir(out)),
-                             (out / "report.json").read_bytes()))
+                             (out / "report.json").read_bytes(),
+                             {str(p.relative_to(out)): p.read_bytes()
+                              for p in out.rglob("*") if p.is_file()
+                              and str(p.relative_to(out)) != "traces/lin1_modes.csv"}))
         forked, inline = runs
         assert forked == inline
         assert forked[0] == 1 and json.loads(forked[1]) == {
             "error": "OSError", "message": "disk full writing lin1_modes.csv"}
         assert forked[3] == (tmp_path / "pristine" / "report.json").read_bytes()
+        assert {"traces/lin0_modes.csv", "traces/lin1_norms.csv"} <= set(forked[4])
 
     def test_error_in_writer_keeps_type_and_exit_code(self, tmp_path, monkeypatch, capfd):
         # on more than one core every piece fails, and the first piece's
@@ -1483,6 +1515,27 @@ class TestReportCommand:
                                               "branch 2: gains; branch 2: products_x"}
         assert (out / "report.json").read_bytes() == before
         assert not (out / "traces").exists()
+
+    @pytest.mark.parametrize("text, where, message", [
+        ("", "", "empty file, no header row"),
+        ("t,norm_r0\r\n0.0,1.0\r\n0.5\r\n", " row 3", "1 fields, the header has 2"),
+        ("t,norm_r0\r\n0.0,abc\r\n", " row 2", "could not convert string to float: 'abc'"),
+    ], ids=["empty", "short-row", "not-a-number"])
+    def test_malformed_norms_file_is_named(self, tmp_path, capsys, text, where, message):
+        # each exited 1 with a message that named neither the file nor the row
+        cfg = tmp_path / "config.json"
+        write_config(cfg, N=8, model={"kind": "heat_torus", "N": 8, "params": {}},
+                     scenarios=[{"name": "lin", "samples": 8}])
+        out = tmp_path / "out"
+        assert main(["synthesize", "--config", str(cfg)]) == 0
+        (out / "traces").mkdir()
+        (out / "traces" / "lin_norms.csv").write_bytes(text.encode())
+        capsys.readouterr()
+        assert main(["report", "--config", str(cfg)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError",
+            "message": f"{out / 'traces' / 'lin_norms.csv'}{where}: {message}"}
+        assert not (out / "report.json").exists()
 
     def test_plots_emitted(self, tmp_path):
         cfg = tmp_path / "config.json"

@@ -114,6 +114,41 @@ class TestClosedLoop:
         assert fit.mu_hat >= 2.5 - 0.05
 
 
+class TestCheckRun:
+    """check_run refuses a run before it starts; simulate calls it for every scenario
+    before the first one integrates."""
+
+    @pytest.mark.parametrize("times", [[0.0, 0.0, 1.0], [0.0, 1.0, 0.5], [0.0, np.nan],
+                                       np.linspace(0.0, 5e-324, 9)],
+                             ids=["repeated", "decreasing", "nan", "below-resolution"])
+    @pytest.mark.parametrize("integrator, nonlinear", [
+        ("semigroup_exact", False), ("rk4", False), ("semigroup_exact", True)])
+    def test_time_grid_must_be_strictly_increasing(self, times, integrator, nonlinear):
+        system = heat_torus_model(8)
+        with pytest.raises(ValueError, match="times must be strictly increasing"):
+            simulate.check_run(system.branches, zero_law(system), times, 1e-3,
+                               integrator, nonlinear)
+
+    @pytest.mark.parametrize("dt, t_end", [(1e-17, 1.0), (np.spacing(1.0) / 2, 1.0),
+                                           (1e-4, 1e300)])
+    @pytest.mark.parametrize("nonlinear", [False, True], ids=["rk4", "burgers"])
+    def test_step_below_the_time_resolution_refused(self, dt, t_end, nonlinear):
+        # t += dt stopped moving t short of t_end, and the march never ended
+        system = heat_torus_model(8)
+        with pytest.raises(ValueError, match=f"step dt={dt} is below the spacing"):
+            simulate.check_run(system.branches, zero_law(system), [0.0, t_end], dt, "rk4",
+                               nonlinear)
+
+    @pytest.mark.parametrize("integrator, nonlinear, dt", [
+        ("rk4", False, np.spacing(1.0)), ("rk4", True, np.spacing(1.0)),
+        ("semigroup_exact", False, 1e-17)], ids=["rk4", "burgers", "semigroup"])
+    def test_step_at_the_time_resolution_accepted(self, integrator, nonlinear, dt):
+        # the semigroup takes no step, so its dt is not read
+        system = heat_torus_model(8)
+        simulate.check_run(system.branches, zero_law(system), [0.0, 0.5, 1.0], dt,
+                           integrator, nonlinear)
+
+
 class TestFitDecay:
     def test_single_exponential_exact(self):
         system = SpectralSystem(branches=(heat_branch(4),), label="h")
